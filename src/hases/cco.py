@@ -290,7 +290,10 @@ class CcoServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # a short poll keeps stop() from waiting out serve_forever's 0.5 s default
+        self._thread = threading.Thread(
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
 
     def stop(self) -> None:
@@ -339,17 +342,25 @@ class CcoClient:
             raise CcoRequestError(response[1])
         return response[2:]
 
-    def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
+    def commitment_bytes(
+        self, msg_type: int, signer_id: bytes, epoch: int, batch_size: int = 0
+    ) -> bytes:
+        """Serialized commitment for one epoch, left unparsed;
+        ``batch_size`` is sent only with ``MSG_LA``."""
         body = signer_id + epoch.to_bytes(8, "big")
-        return pq.PqCommitment.from_bytes(self._request_ok(MSG_PQ, body))
+        if msg_type == MSG_LA:
+            body += batch_size.to_bytes(4, "big")
+        return self._request_ok(msg_type, body)
+
+    def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
+        return pq.PqCommitment.from_bytes(self.commitment_bytes(MSG_PQ, signer_id, epoch))
 
     def la_commitment(self, signer_id: bytes, epoch: int, batch_size: int, group) -> la.LaCommitment:
-        body = signer_id + epoch.to_bytes(8, "big") + batch_size.to_bytes(4, "big")
-        return la.LaCommitment.from_bytes(self._request_ok(MSG_LA, body), group)
+        blob = self.commitment_bytes(MSG_LA, signer_id, epoch, batch_size)
+        return la.LaCommitment.from_bytes(blob, group)
 
     def hy_commitment(self, signer_id: bytes, epoch: int, group) -> hy.HyCommitment:
-        body = signer_id + epoch.to_bytes(8, "big")
-        return hy.HyCommitment.from_bytes(self._request_ok(MSG_HY, body), group)
+        return hy.HyCommitment.from_bytes(self.commitment_bytes(MSG_HY, signer_id, epoch), group)
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
         body = (

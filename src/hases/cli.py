@@ -169,15 +169,12 @@ class _CommitmentSource:
             self.client.close()
 
     def commitment_blob(self, scheme: int, signer_id: bytes, epoch: int) -> bytes | None:
+        """Serialized commitment, parsed once, by the caller."""
         if self.client is None:
             return self.offline.get((signer_id, epoch))
-        group = self.bundle.la_params.group if self.bundle.la_params else None
-        if scheme == keyfiles.SCHEME_PQ:
-            return self.client.pq_commitment(signer_id, epoch).to_bytes()
-        if scheme == keyfiles.SCHEME_LA:
-            size = self.bundle.la_params.batch_size
-            return self.client.la_commitment(signer_id, epoch, size, group).to_bytes(group)
-        return self.client.hy_commitment(signer_id, epoch, group).to_bytes(group)
+        # scheme tags double as the service's request types
+        size = self.bundle.la_params.batch_size if scheme == keyfiles.SCHEME_LA else 0
+        return self.client.commitment_bytes(scheme, signer_id, epoch, size)
 
 
 def cmd_verify(args) -> int:
@@ -209,13 +206,15 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
     if len(messages) != len(blobs):
         raise ValueError(f"{len(blobs)} signatures for {len(messages)} signing units")
 
+    # per-key tables live for this run only: see hases.group
+    tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
     results = []
     for message, blob in zip(messages, blobs):
-        results.append(_verify_one(bundle, scheme, message, blob, source))
+        results.append(_verify_one(bundle, scheme, message, blob, source, tables))
     return results
 
 
-def _verify_one(bundle, scheme, message, blob, source) -> bool:
+def _verify_one(bundle, scheme, message, blob, source, tables) -> bool:
     # malformed signature bytes and unservable epochs/ids are cryptographic
     # rejects; only transport and file-level failures escape as errors
     try:
@@ -236,14 +235,13 @@ def _verify_one(bundle, scheme, message, blob, source) -> bool:
             commitment = pq.PqCommitment.from_bytes(commit_blob)
             return pq.verify(commitment, message, signature, bundle.pq_params)
         group = bundle.la_params.group
+        key_table = tables[signer_id]
         if scheme == keyfiles.SCHEME_LA:
             commitment = la.LaCommitment.from_bytes(commit_blob, group)
-            return la.verify_batch(
-                bundle.public_keys[signer_id], commitment, message, signature, group
-            )
+            return la.verify_batch(key_table, commitment, message, signature, group)
         commitment = hy.HyCommitment.from_bytes(commit_blob, group)
         return hy.verify_batch(
-            bundle.public_keys[signer_id],
+            key_table,
             commitment,
             message,
             signature,

@@ -16,6 +16,23 @@ Group elements are opaque values (compare with ``==``); scalars are
 plain ints in [0, q-1].  The arithmetic here is mathematically correct
 but makes no attempt at constant-time execution; resistance to timing
 side channels is best-effort only.
+
+Verification of the aggregate scheme checks R == Y^e * g^s for a public
+key Y that recurs across many batches, so the group offers a per-base
+precomputation.  ``precompute(Y)`` checks that Y lies in the order-q
+subgroup and returns a table; ``exp2(table, e, s)`` then returns
+Y^e * g^s.  On edwards25519 the table is a fixed-base comb of signed
+4-bit digits (64 rows of the multiples 0..8, the same layout as the
+generator's own table), so Y^e costs at most 64 additions instead of
+about 380 additions and doublings, and the result needs one field
+inversion.  Building a table and checking [q]Y costs about 550 curve
+operations (3.5-5 ms on a 2 vCPU host, Python 3.11) and saves about
+3 ms per check, so it breaks even at the second batch of a key; a run
+with one batch per key pays about 2 ms more per key.  Tables belong to
+the caller of one verification run, which builds each lazily on a key's
+first batch and drops them with the run; nothing here caches per-key
+tables.  ``ModPGroup`` has the trivial version: its table is the base
+itself.
 """
 
 from __future__ import annotations
@@ -47,6 +64,18 @@ class PrimeOrderGroup:
     q: int
 
     def exp(self, base, k: int):
+        raise NotImplementedError
+
+    def precompute(self, base):
+        """Table for ``exp2`` with ``base`` fixed.
+
+        Raises ValueError unless ``base`` lies in the order-q subgroup,
+        so a table exists only for a valid public key.
+        """
+        raise NotImplementedError
+
+    def exp2(self, table, e: int, s: int):
+        """``base^e * generator^s`` for ``table = precompute(base)``."""
         raise NotImplementedError
 
     def mul(self, a, b):
@@ -100,6 +129,14 @@ class ModPGroup(PrimeOrderGroup):
 
     def exp(self, base: int, k: int) -> int:
         return pow(base, k % self.q, self.p)
+
+    def precompute(self, base: int) -> int:
+        if not self.contains(base):
+            raise ValueError("element is not in the prime-order subgroup")
+        return base
+
+    def exp2(self, table: int, e: int, s: int) -> int:
+        return self.mul(self.exp(table, e), self.exp(self.generator, s))
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
@@ -167,7 +204,7 @@ def _to_ext(pt):
 
 def _from_ext(pt):
     x, y, z, _ = pt
-    inv = pow(z, _P - 2, _P)
+    inv = pow(z, -1, _P)
     return (x * inv % _P, y * inv % _P)
 
 
@@ -180,6 +217,46 @@ _WINDOW = 4
 _WINDOWS = 64  # covers 256 bits of scalar
 
 
+def _comb_table(base):
+    """Fixed-base comb for an extended point: row i holds [d * 16^i]base
+    for d = 0..8; digits 9..15 are used as d - 16 with a carry."""
+    table = []
+    for _ in range(_WINDOWS):
+        row = [_EXT_IDENTITY, base]
+        for _ in range(7):
+            row.append(_ext_add(row[-1], base))
+        table.append(row)
+        base = _ext_double(row[8])  # [16]base, the next row's unit
+    return table
+
+
+def _comb_exp(table, k: int):
+    """[k]base from its comb table, exact for 0 <= k < 2^255."""
+    acc = _EXT_IDENTITY
+    for row in table:
+        digit = k & 0xF
+        k >>= _WINDOW
+        if digit > 8:
+            k += 1
+            x, y, z, t = row[16 - digit]
+            acc = _ext_add(acc, (-x, y, z, -t))
+        elif digit:
+            acc = _ext_add(acc, row[digit])
+        if not k:
+            break
+    return acc
+
+
+def _ext_exp(base, k: int):
+    """[k]base by double-and-add, without reducing k."""
+    acc = _EXT_IDENTITY
+    for bit in bin(k)[2:]:
+        acc = _ext_double(acc)
+        if bit == "1":
+            acc = _ext_add(acc, base)
+    return acc
+
+
 class Edwards25519Group(PrimeOrderGroup):
     """Prime-order subgroup of edwards25519, affine (x, y) elements."""
 
@@ -190,48 +267,35 @@ class Edwards25519Group(PrimeOrderGroup):
         self.q = _Q
         self.generator = (_BASE_X, _BASE_Y)
         self.identity = (0, 1)
-        self._gen_table = None  # built lazily, fixed-base windows
+        self._gen_table = None  # comb table of the generator, built lazily
 
-    def _build_gen_table(self):
-        table = []
-        window_base = _to_ext(self.generator)
-        for _ in range(_WINDOWS):
-            row = [_EXT_IDENTITY]
-            acc = _EXT_IDENTITY
-            for _ in range(15):
-                acc = _ext_add(acc, window_base)
-                row.append(acc)
-            table.append(row)
-            for _ in range(_WINDOW):
-                window_base = _ext_double(window_base)
-        self._gen_table = table
-
-    def _gen_exp(self, k: int):
+    def _generator_table(self):
         if self._gen_table is None:
-            self._build_gen_table()
-        acc = _EXT_IDENTITY
-        for row in self._gen_table:
-            digit = k & 0xF
-            if digit:
-                acc = _ext_add(acc, row[digit])
-            k >>= _WINDOW
-            if not k:
-                break
-        return _from_ext(acc)
+            self._gen_table = _comb_table(_to_ext(self.generator))
+        return self._gen_table
 
     def exp(self, base, k: int):
         k %= self.q
         if base == self.generator:
-            return self._gen_exp(k)
-        if k == 0:
-            return self.identity
-        acc = _EXT_IDENTITY
-        ext = _to_ext(base)
-        for bit in bin(k)[2:]:
-            acc = _ext_double(acc)
-            if bit == "1":
-                acc = _ext_add(acc, ext)
-        return _from_ext(acc)
+            return _from_ext(_comb_exp(self._generator_table(), k))
+        return _from_ext(_ext_exp(_to_ext(base), k))
+
+    def precompute(self, base):
+        if not _on_curve(*base):
+            raise ValueError("element is not a curve point")
+        table = _comb_table(_to_ext(base))
+        # [q]base from the comb is exact, so this is the subgroup check
+        if _from_ext(_comb_exp(table, self.q)) != self.identity:
+            raise ValueError("element is not in the prime-order subgroup")
+        return table
+
+    def exp2(self, table, e: int, s: int):
+        return _from_ext(
+            _ext_add(
+                _comb_exp(table, e % self.q),
+                _comb_exp(self._generator_table(), s % self.q),
+            )
+        )
 
     def mul(self, a, b):
         return _from_ext(_ext_add(_to_ext(a), _to_ext(b)))
@@ -252,7 +316,7 @@ class Edwards25519Group(PrimeOrderGroup):
         y2 = y * y % _P
         num = (y2 - 1) % _P
         den = (_D * y2 + 1) % _P
-        x2 = num * pow(den, _P - 2, _P) % _P
+        x2 = num * pow(den, -1, _P) % _P
         x = pow(x2, (_P + 3) // 8, _P)
         if x * x % _P != x2:
             x = x * _SQRT_M1 % _P
@@ -268,7 +332,8 @@ class Edwards25519Group(PrimeOrderGroup):
         x, y = e
         if not _on_curve(x, y):
             return False
-        return self.exp(e, self.q) == self.identity if e != self.identity else True
+        # exp would reduce q to 0; the order check needs the full scalar
+        return _from_ext(_ext_exp(_to_ext(e), self.q)) == self.identity
 
 
 _tiny = None

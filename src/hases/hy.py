@@ -195,14 +195,18 @@ def sign_batch(state: HySignerState, messages: Sequence[bytes]) -> HySignature:
 
 
 def verify_batch(
-    public_key,
+    key_table,
     commitment: HyCommitment,
     messages: Sequence[bytes],
     signature: HySignature,
     group: PrimeOrderGroup,
     pq_params: pq.PqParams,
 ) -> bool:
-    """Both component checks must pass on the recomputed nested vector."""
+    """Both component checks must pass on the recomputed nested vector.
+
+    ``key_table`` is ``group.precompute`` of the signer's public key, as
+    for ``la.verify_batch``.
+    """
     if (
         signature.la.signer_id != commitment.la.signer_id
         or signature.la.epoch != commitment.la.epoch
@@ -211,7 +215,7 @@ def verify_batch(
     if not messages:
         return False
     digests = nest(messages)
-    ok_la = la.verify_batch(public_key, commitment.la, digests, signature.la, group)
+    ok_la = la.verify_batch(key_table, commitment.la, digests, signature.la, group)
     ok_pq = pq.verify(
         commitment.pq,
         inner_message(signature.la.agg, digests[-1]),

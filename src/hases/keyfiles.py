@@ -267,42 +267,33 @@ def store_from_bytes(data: bytes) -> CcoStore:
     if not data.startswith(_STORE_MAGIC):
         raise ValueError("not a key store file")
     offset = len(_STORE_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if offset + n > len(data):
+            raise ValueError("truncated key store file")
+        offset += n
+        return data[offset - n : offset]
+
     store = CcoStore()
-    if data[offset] == 1:
-        offset += 1
-        msk = data[offset : offset + 32]
-        params = _pq_params_from(data[offset + 32 : offset + 32 + _PQ_PARAMS_LEN])
-        offset += 32 + _PQ_PARAMS_LEN
-        count = int.from_bytes(data[offset : offset + 8], "big")
-        offset += 8
+    if take(1)[0] == 1:
+        msk = take(32)
+        params = _pq_params_from(take(_PQ_PARAMS_LEN))
+        count = int.from_bytes(take(8), "big")
         anchors = {}
         for _ in range(count):
-            signer_id = data[offset : offset + 16]
-            n = int.from_bytes(data[offset + 16 : offset + 20], "big")
-            offset += 20
-            anchors[signer_id] = tuple(
-                data[offset + i * 32 : offset + (i + 1) * 32] for i in range(n)
-            )
-            offset += n * 32
+            signer_id = take(16)
+            n = int.from_bytes(take(4), "big")
+            chunk = take(n * 32)
+            anchors[signer_id] = tuple(chunk[i * 32 : (i + 1) * 32] for i in range(n))
         store.provision(pq.PqKeyMaterial(msk, params, anchors))
-    else:
-        offset += 1
-    if offset >= len(data):
-        raise ValueError("truncated key store file")
-    if data[offset] == 1:
-        offset += 1
-        msk = data[offset : offset + 32]
-        params = _la_params_from(data[offset + 32 : offset + 32 + _LA_PARAMS_LEN])
-        offset += 32 + _LA_PARAMS_LEN
-        count = int.from_bytes(data[offset : offset + 8], "big")
-        offset += 8
-        ids = frozenset(
-            data[offset + i * 16 : offset + (i + 1) * 16] for i in range(count)
-        )
-        offset += count * 16
+    if take(1)[0] == 1:
+        msk = take(32)
+        params = _la_params_from(take(_LA_PARAMS_LEN))
+        count = int.from_bytes(take(8), "big")
+        chunk = take(count * 16)
+        ids = frozenset(chunk[i * 16 : (i + 1) * 16] for i in range(count))
         store.provision(la.LaKeyMaterial(msk, params, ids))
-    else:
-        offset += 1
     if offset != len(data):
         raise ValueError("trailing bytes in key store file")
     return store

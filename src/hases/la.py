@@ -254,8 +254,26 @@ def construct_commitment(
     return commitment_from_key(key, signer_id, epoch, size, params.group)
 
 
+class KeyTables(dict):
+    """Signer id -> ``group.precompute`` table of its public key.
+
+    Each table is built on the key's first lookup, which also checks
+    that the key lies in the prime-order subgroup (ValueError if not).
+    Hold one instance per verification run and drop it with the run.
+    """
+
+    def __init__(self, public_keys: dict[bytes, object], group: PrimeOrderGroup):
+        super().__init__()
+        self._public_keys = public_keys
+        self._group = group
+
+    def __missing__(self, signer_id: bytes):
+        table = self[signer_id] = self._group.precompute(self._public_keys[signer_id])
+        return table
+
+
 def verify_batch(
-    public_key,
+    key_table,
     commitment: LaCommitment,
     messages: Sequence[bytes],
     signature: LaSignature,
@@ -263,8 +281,9 @@ def verify_batch(
 ) -> bool:
     """Check R == Y^(sum e) * alpha^(sum s) over the full batch.
 
-    Structural mismatches (identity/epoch disagreement, wrong batch
-    length) reject before any group work.
+    ``key_table`` is ``group.precompute(Y)`` for the signer's public key
+    Y (see ``KeyTables``).  Structural mismatches (identity/epoch
+    disagreement, wrong batch length) reject before any group work.
     """
     if signature.signer_id != commitment.signer_id or signature.epoch != commitment.epoch:
         return False
@@ -276,8 +295,4 @@ def verify_batch(
     for item, message in enumerate(messages, start=1):
         item_seed = domain_hash(DOM_MESSAGE, signature.seed + encode_index(item))
         challenge_sum = (challenge_sum + _item_challenge(message, item_seed, group.q)) % group.q
-    expected = group.mul(
-        group.exp(public_key, challenge_sum),
-        group.exp(group.generator, signature.agg),
-    )
-    return commitment.value == expected
+    return commitment.value == group.exp2(key_table, challenge_sum, signature.agg)

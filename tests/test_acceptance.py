@@ -59,17 +59,19 @@ def test_criterion_1_completeness_randomized_trials():
         signer = random_id(rng)
         size = batch_sizes[trial % 3]
         states, public, material = la.keygen([signer], group, 64, size, rng.randbytes)
+        tables = la.KeyTables(public, group)
         epoch = rng.randrange(1, 65)
         state = la.LaSignerState(signer, states[signer].key, epoch, material.params)
         batch = [rng.randbytes(rng.randrange(1, 33)) for _ in range(size)]
         signature = la.sign_batch(state, batch)
         commitment = la.construct_commitment(material, signer, epoch)
-        failures += not la.verify_batch(public[signer], commitment, batch, signature, group)
+        failures += not la.verify_batch(tables[signer], commitment, batch, signature, group)
 
     for trial in range(trials):
         signer = random_id(rng)
         size = batch_sizes[trial % 3]
         states, public, material = hy.keygen([signer], group, size, PROD_PQ, rng.randbytes)
+        tables = la.KeyTables(public, group)
         epoch = rng.randrange(1, PROD_PQ.epochs + 1)
         state = hy.HySignerState(
             la.LaSignerState(signer, states[signer].la.key, epoch, material.la.params),
@@ -82,7 +84,7 @@ def test_criterion_1_completeness_randomized_trials():
             pq.construct_commitment(material.pq, signer, epoch),
         )
         failures += not hy.verify_batch(
-            public[signer], commitment, batch, signature, group, PROD_PQ
+            tables[signer], commitment, batch, signature, group, PROD_PQ
         )
 
     elapsed = time.perf_counter() - started
@@ -158,6 +160,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
     # aggregate scheme: every commitment byte is consulted
     signer = random_id(rng)
     states, public, la_material = la.keygen([signer], group, 8, 8, rng.randbytes)
+    tables = la.KeyTables(public, group)
     batch = [rng.randbytes(24) for _ in range(8)]
     la_sig = la.sign_batch(states[signer], batch)
     la_com = la.construct_commitment(la_material, signer, 1)
@@ -169,12 +172,12 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             index = rng.randrange(8)
             mutated = list(batch)
             mutated[index] = _flip_bit(batch[index], rng.randrange(len(batch[index]) * 8))
-            wrongful += la.verify_batch(public[signer], la_com, mutated, la_sig, group)
+            wrongful += la.verify_batch(tables[signer], la_com, mutated, la_sig, group)
         elif target == 1:
             blob = _flip_bit(la_sig_blob, rng.randrange(len(la_sig_blob) * 8))
             try:
                 wrongful += la.verify_batch(
-                    public[signer], la_com, batch, la.LaSignature.from_bytes(blob, group), group
+                    tables[signer], la_com, batch, la.LaSignature.from_bytes(blob, group), group
                 )
             except ValueError:
                 pass
@@ -182,7 +185,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             blob = _flip_bit(la_com_blob, rng.randrange(len(la_com_blob) * 8))
             try:
                 wrongful += la.verify_batch(
-                    public[signer], la.LaCommitment.from_bytes(blob, group), batch, la_sig, group
+                    tables[signer], la.LaCommitment.from_bytes(blob, group), batch, la_sig, group
                 )
             except ValueError:
                 pass
@@ -190,6 +193,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
     # hybrid scheme
     signer = random_id(rng)
     states, public, hy_material = hy.keygen([signer], group, 4, PROD_PQ, rng.randbytes)
+    tables = la.KeyTables(public, group)
     batch = [rng.randbytes(24) for _ in range(4)]
     hy_sig = hy.sign_batch(states[signer], batch)
     hy_com = hy.HyCommitment(
@@ -212,13 +216,13 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             mutated = list(batch)
             mutated[index] = _flip_bit(batch[index], rng.randrange(len(batch[index]) * 8))
             wrongful += hy.verify_batch(
-                public[signer], hy_com, mutated, hy_sig, group, PROD_PQ
+                tables[signer], hy_com, mutated, hy_sig, group, PROD_PQ
             )
         elif target == 1:
             blob = _flip_bit(hy_sig_blob, rng.randrange(len(hy_sig_blob) * 8))
             try:
                 wrongful += hy.verify_batch(
-                    public[signer], hy_com, batch,
+                    tables[signer], hy_com, batch,
                     hy.HySignature.from_bytes(blob, group), group, PROD_PQ,
                 )
             except ValueError:
@@ -228,7 +232,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             blob = _flip_bit(hy_com_blob, position)
             try:
                 accepted = hy.verify_batch(
-                    public[signer], hy.HyCommitment.from_bytes(blob, group), batch,
+                    tables[signer], hy.HyCommitment.from_bytes(blob, group), batch,
                     hy_sig, group, PROD_PQ,
                 )
             except ValueError:
@@ -370,6 +374,7 @@ def test_criterion_6_tiny_group_oracle_equivalence():
     checked = disagreements = 0
     for y in range(1, 11):
         public_key = group.exp(group.generator, y)
+        key_table = group.precompute(public_key)
         for epoch in range(1, 5):
             for size in (1, 2, 3):
                 params = la.LaParams(group, 4, size)
@@ -377,7 +382,7 @@ def test_criterion_6_tiny_group_oracle_equivalence():
                 for batch in itertools.product(alphabet, repeat=size):
                     state = la.LaSignerState(signer, y, epoch, params)
                     signature = la.sign_batch(state, list(batch))
-                    fast = la.verify_batch(public_key, commitment, list(batch), signature, group)
+                    fast = la.verify_batch(key_table, commitment, list(batch), signature, group)
                     slow = _oracle_check(group, public_key, commitment, list(batch), signature)
                     disagreements += fast != slow
                     checked += 1
@@ -387,7 +392,7 @@ def test_criterion_6_tiny_group_oracle_equivalence():
                         signer, epoch, (signature.agg + rng.randrange(1, 11)) % 11,
                         signature.seed,
                     )
-                    fast = la.verify_batch(public_key, commitment, list(batch), bad, group)
+                    fast = la.verify_batch(key_table, commitment, list(batch), bad, group)
                     slow = _oracle_check(group, public_key, commitment, list(batch), bad)
                     disagreements += fast != slow
                     checked += 1
@@ -407,6 +412,7 @@ def test_criterion_7_hybrid_and_semantics():
     group = production_group()
     signer = random_id(rng)
     states, public, material = hy.keygen([signer], group, 4, PROD_PQ, rng.randbytes)
+    tables = la.KeyTables(public, group)
     batch = [b"item-%d" % i for i in range(4)]
     signature = hy.sign_batch(states[signer], batch)
     commitment = hy.HyCommitment(
@@ -415,7 +421,7 @@ def test_criterion_7_hybrid_and_semantics():
     )
 
     def check(messages, sig):
-        return hy.verify_batch(public[signer], commitment, messages, sig, group, PROD_PQ)
+        return hy.verify_batch(tables[signer], commitment, messages, sig, group, PROD_PQ)
 
     honest = check(batch, signature)
 
@@ -439,7 +445,7 @@ def test_criterion_7_hybrid_and_semantics():
         signature.la, pq.PqSignature(signer, 1, tuple(parts))
     )
     pq_only = not check(batch, pq_tampered) and la.verify_batch(
-        public[signer], commitment.la, hy.nest(batch), signature.la, group
+        tables[signer], commitment.la, hy.nest(batch), signature.la, group
     )
 
     permuted = not check([batch[1], batch[0], batch[2], batch[3]], signature)
@@ -462,6 +468,7 @@ def test_criterion_8_service_round_trip():
     signer = random_id(rng)
     batch_size = 8
     states, public, material = hy.keygen([signer], group, batch_size, PROD_PQ, rng.randbytes)
+    tables = la.KeyTables(public, group)
     state = states[signer]
 
     batches = [[rng.randbytes(24) for _ in range(batch_size)] for _ in range(10)]
@@ -487,7 +494,7 @@ def test_criterion_8_service_round_trip():
                 try:
                     commitment = client.hy_commitment(signer, signature.la.epoch, group)
                     on_demand.append(
-                        hy.verify_batch(public[signer], commitment, batch, signature, group, PROD_PQ)
+                        hy.verify_batch(tables[signer], commitment, batch, signature, group, PROD_PQ)
                     )
                 except CcoRequestError:
                     on_demand.append(False)
@@ -505,7 +512,7 @@ def test_criterion_8_service_round_trip():
             offline.append(False)
         else:
             offline.append(
-                hy.verify_batch(public[signer], commitment, batch, signature, group, PROD_PQ)
+                hy.verify_batch(tables[signer], commitment, batch, signature, group, PROD_PQ)
             )
 
     ok = on_demand == offline == expected

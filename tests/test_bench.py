@@ -31,12 +31,18 @@ def test_la_report_on_tiny_group():
     # (modulo deterministic zero-scalar retries, absent for these inputs)
     assert counts["sign_batch"] >= 2 + 3 * 2
     assert report.sizes["signature.total_bytes"] == 89
+    # the verifier's per-key table is its own row, ahead of the checks it serves
+    names = [op.name for op in report.ops]
+    assert names.index("precompute_per_key") == names.index("verify_batch") - 1
+    assert counts["precompute_per_key"] == 0  # group work only, no hashing
+    assert "la.precompute_per_key.wall_us=" in "\n".join(report.machine_lines())
 
 
 def test_hy_report_combines_layers():
     report = bench.bench_hy(PQ_SMALL, small_test_group(), batch_size=2, trials=2)
     counts = {op.name: op.hash_calls for op in report.ops}
     assert counts["sign_batch"] > 18  # wrapper layer plus aggregate layer
+    assert counts["precompute_per_key"] == 0
     assert report.sizes["signature.payload_bytes"] == 64 + PQ_SMALL.k * 32
 
 

@@ -209,7 +209,7 @@ class TestWireProtocol:
             with cco.CcoClient("127.0.0.1", server.port) as client:
                 commitment = client.hy_commitment(ID_A, 1, group)
                 assert hy.verify_batch(
-                    public[ID_A], commitment, batch, signature, group, PQ_TOY
+                    group.precompute(public[ID_A]), commitment, batch, signature, group, PQ_TOY
                 )
 
     def test_error_statuses_over_tcp(self):
@@ -279,3 +279,10 @@ class TestStorePersistence:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             keyfiles.store_from_bytes(b"not a store")
+
+    def test_truncated_store_rejected(self):
+        store, *_ = provisioned_store(seed=16)
+        blob = keyfiles.store_bytes(store)
+        for cut in range(len(b"HASES-STORE\x01"), len(blob)):  # from just after the magic
+            with pytest.raises(ValueError):
+                keyfiles.store_from_bytes(blob[:cut])

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -128,6 +129,23 @@ class TestSignVerifyOffline:
         )
         assert code == 0
 
+    def test_small_order_public_key_exits_1(self, tmp_path, capsys):
+        # the bundle's key moved by the order-2 point (0, p-1): without a
+        # subgroup check, every batch whose challenge sum is even verifies
+        out, msgs, sigs, commits = self.run_flow(tmp_path, "la", ["--L", "1"], 8)
+        pub = out / "verifier.pub"
+        bundle = keyfiles.load_verifier_bundle(pub)
+        group = bundle.la_params.group
+        signer = bytes.fromhex(ID_HEX_1)
+        moved = group.mul(bundle.public_keys[signer], (0, group.p - 1))
+        keyfiles.save_verifier_bundle(pub, replace(bundle, public_keys={signer: moved}))
+        capsys.readouterr()
+        code = cli.main(
+            ["verify", "--pub", str(pub), "--in", msgs, "--sigs", sigs, "--commits", commits]
+        )
+        assert code == 1
+        assert "0/8 signatures valid" in capsys.readouterr().out
+
     def test_corrupted_signature_file_exits_1(self, tmp_path):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
         blob = bytearray(open(sigs, "rb").read())
@@ -207,6 +225,17 @@ class TestServeSubprocess:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_truncated_store_exits_2(self, tmp_path):
+        out = keygen(tmp_path, "hy", ["--J1", "4", "--L", "2"])
+        store = out / "cco.store"
+        store.write_bytes(store.read_bytes()[:12])  # the magic alone
+        proc = subprocess.run(
+            [sys.executable, "-m", "hases.cli", "serve", "--store", str(store), "--port", "0"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "truncated key store file" in proc.stderr
 
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])

@@ -85,6 +85,20 @@ class TestTinyGroup:
         with pytest.raises(ValueError):
             ModPGroup(23, 11, 5)  # wrong order
 
+    def test_exp2_matches_reference_exhaustive(self):
+        g = self.g
+        for y in range(g.q):
+            base = g.exp(g.generator, y)
+            table = g.precompute(base)
+            for e in range(g.q):
+                for s in range(g.q):
+                    assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
+
+    def test_precompute_rejects_non_members(self):
+        for value in (22, 5):  # orders 2 and 22 in Z_23^*
+            with pytest.raises(ValueError):
+                self.g.precompute(value)
+
 
 class TestProductionGroup:
     def setup_method(self):
@@ -116,11 +130,10 @@ class TestProductionGroup:
     def test_fixed_base_path_matches_generic(self):
         g = self.g
         rng = random.Random(99)
+        double = g.mul(g.generator, g.generator)  # not the generator: generic ladder
         for _ in range(6):
             k = rng.randrange(0, g.q)
-            # force the generic ladder by exponentiating a copy of the base
-            generic = g.exp(g.mul(g.generator, g.identity), k)
-            assert g.exp(g.generator, k) == generic
+            assert g.exp(g.generator, 2 * k % g.q) == g.exp(double, k)
 
     def test_encoding_round_trip(self):
         g = self.g
@@ -150,6 +163,28 @@ class TestProductionGroup:
         g = self.g
         assert g.contains(g.identity)
         assert g.contains(g.exp(g.generator, 12345))
+
+    def test_small_order_points_rejected(self):
+        # both decode from valid encodings; exp reduces its scalar mod q,
+        # so a membership check through exp would let them pass
+        g = self.g
+        order_2 = g.decode_element((g.p - 1).to_bytes(32, "little"))
+        order_4 = g.decode_element(bytes(32))
+        assert order_2 == (0, g.p - 1)
+        for point in (order_2, order_4, g.mul(g.generator, order_2)):
+            assert not g.contains(point)
+            with pytest.raises(ValueError):
+                g.precompute(point)
+
+    def test_exp2_matches_reference(self):
+        g = self.g
+        q = g.q
+        rng = random.Random(77)
+        edges = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
+        for base in (g.identity, g.generator, g.exp(g.generator, rng.randrange(1, q))):
+            table = g.precompute(base)
+            for e, s in edges + [(rng.randrange(q), rng.randrange(q)) for _ in range(4)]:
+                assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
 
     def test_identity_encoding(self):
         g = self.g

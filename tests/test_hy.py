@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -97,8 +98,9 @@ class TestSign:
         batch = [b"1", b"2", b"3", b"4"]
         signature = hy.sign_batch(state, batch)
         commitment = la.construct_commitment(material.la, ID_A, 1)
-        assert la.verify_batch(public, commitment, hy.nest(batch), signature.la, group)
-        assert not la.verify_batch(public, commitment, batch, signature.la, group)
+        key_table = group.precompute(public)
+        assert la.verify_batch(key_table, commitment, hy.nest(batch), signature.la, group)
+        assert not la.verify_batch(key_table, commitment, batch, signature.la, group)
 
     def test_signing_cost_is_component_sum(self):
         batch = [b"1", b"2", b"3", b"4"]
@@ -136,10 +138,11 @@ class TestVerify:
         self.batch = [b"one", b"two", b"three", b"four"]
         self.signature = hy.sign_batch(self.state, self.batch)
         self.commitment = commitment_for(self.material, ID_A, 1)
+        self.key_table = self.group.precompute(self.public)
 
     def verify(self, batch=None, signature=None, commitment=None):
         return hy.verify_batch(
-            self.public,
+            self.key_table,
             commitment or self.commitment,
             batch or self.batch,
             signature or self.signature,
@@ -178,7 +181,7 @@ class TestVerify:
         )
         digests = hy.nest(self.batch)
         assert la.verify_batch(
-            self.public, self.commitment.la, digests, tampered.la, self.group
+            self.key_table, self.commitment.la, digests, tampered.la, self.group
         )
         assert not self.verify(signature=tampered)
 
@@ -195,7 +198,7 @@ class TestVerify:
         )
         digests = hy.nest(self.batch)
         assert not la.verify_batch(
-            self.public, self.commitment.la, digests, bad_la, self.group
+            self.key_table, self.commitment.la, digests, bad_la, self.group
         )
         assert not pq.verify(
             self.commitment.pq,
@@ -203,6 +206,14 @@ class TestVerify:
             self.signature.pq,
             PQ_PROD,
         )
+
+    def test_tampered_commitment_or_response_rejected(self):
+        group = self.group
+        la_commitment = self.commitment.la
+        moved = replace(la_commitment, value=group.mul(la_commitment.value, group.generator))
+        bumped = replace(self.signature.la, agg=(self.signature.la.agg + 1) % group.q)
+        assert not self.verify(commitment=hy.HyCommitment(moved, self.commitment.pq))
+        assert not self.verify(signature=hy.HySignature(bumped, self.signature.pq))
 
     def test_binding_wrapped_layer_rejects_different_last_digest(self):
         # replaying the aggregate tag over a different raw batch yields a

@@ -52,7 +52,8 @@ def test_hy_signer_key_round_trip_continues_signing(tmp_path):
         la.construct_commitment(material.la, ID_A, 2),
         pq.construct_commitment(material.pq, ID_A, 2),
     )
-    assert hy.verify_batch(public[ID_A], commitment, [b"c", b"d"], signature, group, PQ_TOY)
+    key_table = group.precompute(public[ID_A])
+    assert hy.verify_batch(key_table, commitment, [b"c", b"d"], signature, group, PQ_TOY)
 
 
 def test_signer_key_garbage_rejected():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -114,7 +115,7 @@ class TestKeygen:
     def test_public_key_in_subgroup(self):
         group = production_group()
         _, public, _ = la.keygen([ID_A], group, 4, 2, fixed_rng(41))
-        assert group.exp(public[ID_A], group.q) == group.identity
+        assert group.contains(public[ID_A])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -202,7 +203,7 @@ class TestCommitmentConstruction:
             batch = [b"x%d" % epoch, b"y", b"z"]
             commitment = la.construct_commitment(material, ID_A, epoch)
             signature = la.sign_batch(state, batch)
-            assert la.verify_batch(public, commitment, batch, signature, group)
+            assert la.verify_batch(group.precompute(public), commitment, batch, signature, group)
 
     def test_unknown_id(self):
         _, _, _, material = tiny_setup(seed=10)
@@ -222,7 +223,7 @@ class TestVerify:
         batch = [b"first payload", b"second payload"]
         signature = la.sign_batch(states[ID_A], batch)
         commitment = la.construct_commitment(material, ID_A, 1)
-        assert la.verify_batch(public[ID_A], commitment, batch, signature, group)
+        assert la.verify_batch(group.precompute(public[ID_A]), commitment, batch, signature, group)
 
     def test_message_replacement_rejected(self):
         # production group: in the tiny oracle group a replaced message
@@ -232,39 +233,53 @@ class TestVerify:
         batch = [b"aaa", b"bbb", b"ccc"]
         signature = la.sign_batch(states[ID_A], batch)
         commitment = la.construct_commitment(material, ID_A, 1)
+        key_table = group.precompute(public[ID_A])
         for index in range(3):
             tampered = list(batch)
             tampered[index] = b"EVIL"
-            assert not la.verify_batch(
-                public[ID_A], commitment, tampered, signature, group
-            )
+            assert not la.verify_batch(key_table, commitment, tampered, signature, group)
+
+    def test_tampered_commitment_or_response_rejected(self):
+        group = production_group()
+        states, public, material = la.keygen([ID_A], group, 4, 2, fixed_rng(21))
+        batch = [b"first payload", b"second payload"]
+        signature = la.sign_batch(states[ID_A], batch)
+        commitment = la.construct_commitment(material, ID_A, 1)
+        key_table = group.precompute(public[ID_A])
+        moved = replace(commitment, value=group.mul(commitment.value, group.generator))
+        bumped = replace(signature, agg=(signature.agg + 1) % group.q)
+        assert la.verify_batch(key_table, commitment, batch, signature, group)
+        assert not la.verify_batch(key_table, moved, batch, signature, group)
+        assert not la.verify_batch(key_table, commitment, batch, bumped, group)
 
     def test_truncation_rejected(self):
         group, state, public, material = tiny_setup(seed=14)
         batch = [b"aaa", b"bbb", b"ccc"]
         signature = la.sign_batch(state, batch)
         commitment = la.construct_commitment(material, ID_A, 1)
-        assert not la.verify_batch(public, commitment, batch[:2], signature, group)
+        key_table = group.precompute(public)
+        assert not la.verify_batch(key_table, commitment, batch[:2], signature, group)
 
     def test_epoch_mismatch_rejected(self):
         group, state, public, material = tiny_setup(seed=15)
         batch = [b"aaa", b"bbb", b"ccc"]
         signature = la.sign_batch(state, batch)
         commitment = la.construct_commitment(material, ID_A, 2)
-        assert not la.verify_batch(public, commitment, batch, signature, group)
+        assert not la.verify_batch(group.precompute(public), commitment, batch, signature, group)
 
     def test_agreement_with_dlog_oracle(self):
         group, state, public, material = tiny_setup(max_batches=6, seed=16)
+        key_table = group.precompute(public)
         rng = random.Random(17)
         for epoch in range(1, 7):
             batch = [rng.randbytes(4) for _ in range(3)]
             signature = la.sign_batch(state, batch)
             commitment = la.construct_commitment(material, ID_A, epoch)
-            assert la.verify_batch(public, commitment, batch, signature, group)
+            assert la.verify_batch(key_table, commitment, batch, signature, group)
             assert brute_force_check(group, public, commitment, batch, signature)
             # a tampered response must be rejected by both paths
             bad = la.LaSignature(ID_A, epoch, (signature.agg + 1) % group.q, signature.seed)
-            assert not la.verify_batch(public, commitment, batch, bad, group)
+            assert not la.verify_batch(key_table, commitment, batch, bad, group)
             assert not brute_force_check(group, public, commitment, batch, bad)
 
 
