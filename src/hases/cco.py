@@ -19,7 +19,14 @@ with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
 0x03 malformed) followed by the serialized commitment, or for exports
 an 8-byte entry count and the concatenated equal-sized commitments.
 Hybrid requests and all exports use the batch size registered at
-provisioning time.
+provisioning time; an aggregate request whose L differs from it is
+malformed.  An export whose response would exceed ``MAX_FRAME`` is
+refused with the epoch-range status before anything is built.
+
+A connection carries any number of requests, and a client may send
+several before reading the replies: the server answers them one at a
+time, in order.  ``CcoClient.commitments`` keeps ``PIPELINE_WINDOW``
+requests in flight this way.
 
 The protocol is binary so commitments travel bit-exactly, and it is
 deliberately small: there is no verification entry point (the store
@@ -39,7 +46,8 @@ import socket
 import socketserver
 import struct
 import threading
-from typing import BinaryIO, Union
+from itertools import islice
+from typing import BinaryIO, Iterable, Iterator, Union
 
 from . import hy, la, pq
 from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -58,6 +66,14 @@ STATUS_MALFORMED = 0x03
 MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
 
 _REQUEST_BODY_LEN = {MSG_PQ: 24, MSG_LA: 28, MSG_HY: 24, MSG_EXPORT: 33}
+_EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
+
+# Requests a client keeps in flight on one connection.  This cannot
+# deadlock: the client writes at most this many frames beyond what it
+# has read, each at most 4 + 1 + 33 = 38 bytes, so they always fit the
+# socket buffers and its writes never block, even while the server is
+# blocked sending it responses it has not read yet.
+PIPELINE_WINDOW = 16
 
 
 class CcoStore:
@@ -150,8 +166,8 @@ class CcoStore:
     def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
         return pq.construct_commitment(self.pq_material(), signer_id, epoch)
 
-    def la_commitment(self, signer_id: bytes, epoch: int, batch_size: int | None = None) -> la.LaCommitment:
-        return la.construct_commitment(self.la_material(), signer_id, epoch, batch_size)
+    def la_commitment(self, signer_id: bytes, epoch: int) -> la.LaCommitment:
+        return la.construct_commitment(self.la_material(), signer_id, epoch)
 
     def hy_commitment(self, signer_id: bytes, epoch: int) -> hy.HyCommitment:
         return hy.HyCommitment(
@@ -160,17 +176,32 @@ class CcoStore:
         )
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """Commitments for every epoch in [epoch_from, epoch_to], in order."""
+        """Commitments for every epoch in [epoch_from, epoch_to], in order.
+
+        A range whose export response would exceed ``MAX_FRAME`` raises
+        ``EpochOutOfRange`` before any commitment is built.
+        """
+        if scheme not in (MSG_PQ, MSG_LA, MSG_HY):
+            raise MalformedFrame(f"unknown export scheme {scheme:#04x}")
         if epoch_from < 1 or epoch_from > epoch_to:
             raise EpochOutOfRange(f"bad export range [{epoch_from}, {epoch_to}]")
-        build = {
-            MSG_PQ: self.pq_commitment,
-            MSG_LA: self.la_commitment,
-            MSG_HY: self.hy_commitment,
-        }.get(scheme)
-        if build is None:
-            raise MalformedFrame(f"unknown export scheme {scheme:#04x}")
-        return [build(signer_id, epoch) for epoch in range(epoch_from, epoch_to + 1)]
+        size = _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * self._entry_len(scheme)
+        if size > MAX_FRAME:
+            raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
+        if scheme == MSG_LA:
+            return la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
+        pq_part = pq.construct_commitments(self.pq_material(), signer_id, epoch_from, epoch_to)
+        if scheme == MSG_PQ:
+            return pq_part
+        la_part = la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
+        return [hy.HyCommitment(a, b) for a, b in zip(la_part, pq_part)]
+
+    def _entry_len(self, scheme: int) -> int:
+        """Serialized size of one commitment of ``scheme``."""
+        if scheme == MSG_LA:
+            return la.COMMITMENT_LEN
+        pq_body = self.pq_material().params.t * pq.DIGEST_LEN
+        return pq_body + (pq.HEADER_LEN if scheme == MSG_PQ else la.COMMITMENT_LEN)
 
     # -- request dispatch --------------------------------------------------
 
@@ -205,10 +236,12 @@ class CcoStore:
             if msg_type == MSG_PQ:
                 commitment = self.pq_commitment(signer_id, epoch)
             elif msg_type == MSG_LA:
+                # L is on the wire, but only the registered batch size is
+                # served: any other would let a request choose its own cost
                 batch_size = int.from_bytes(body[24:28], "big")
-                if batch_size < 1:
+                if batch_size != self.la_material().params.batch_size:
                     return response_type + bytes((STATUS_MALFORMED,))
-                commitment = self.la_commitment(signer_id, epoch, batch_size)
+                commitment = self.la_commitment(signer_id, epoch)
             else:
                 commitment = self.hy_commitment(signer_id, epoch)
             return response_type + bytes((STATUS_OK,)) + self._serialize(commitment)
@@ -318,8 +351,12 @@ class CcoClient:
         self._stream = self._sock.makefile("rwb")
 
     def close(self) -> None:
-        self._stream.close()
-        self._sock.close()
+        try:
+            self._stream.close()
+        except OSError:
+            pass  # the peer is gone: requests still buffered cannot be sent
+        finally:
+            self._sock.close()
 
     def __enter__(self) -> "CcoClient":
         return self
@@ -328,29 +365,61 @@ class CcoClient:
         self.close()
 
     def request_raw(self, payload: bytes) -> bytes:
-        write_frame(self._stream, payload)
-        response = read_frame(self._stream)
-        if response is None:
-            raise MalformedFrame("connection closed mid-request")
+        (response,) = self._exchange([payload])
         return response
 
+    def _exchange(self, payloads: Iterable[bytes]) -> Iterator[bytes]:
+        """Send each payload and yield its response, in order, keeping
+        up to ``PIPELINE_WINDOW`` requests in flight."""
+        payloads = iter(payloads)
+        in_flight = 0
+        try:
+            while True:
+                for payload in islice(payloads, PIPELINE_WINDOW - in_flight):
+                    write_frame(self._stream, payload)
+                    in_flight += 1
+                if not in_flight:
+                    return
+                response = read_frame(self._stream)
+                if response is None:
+                    raise MalformedFrame("connection closed mid-request")
+                in_flight -= 1
+                yield response
+        except GeneratorExit:
+            # abandoned early: read the replies still owed, so the next
+            # request on this connection gets its own
+            if not self._stream.closed:
+                for _ in range(in_flight):
+                    read_frame(self._stream)
+            raise
+
     def _request_ok(self, msg_type: int, body: bytes) -> bytes:
-        response = self.request_raw(bytes((msg_type,)) + body)
-        if len(response) < 2 or response[0] != (msg_type | RESPONSE_BIT):
-            raise MalformedFrame("unexpected response type")
-        if response[1] != STATUS_OK:
-            raise CcoRequestError(response[1])
-        return response[2:]
+        status, rest = _split_response(msg_type, self.request_raw(bytes((msg_type,)) + body))
+        if status != STATUS_OK:
+            raise CcoRequestError(status)
+        return rest
 
     def commitment_bytes(
         self, msg_type: int, signer_id: bytes, epoch: int, batch_size: int = 0
     ) -> bytes:
         """Serialized commitment for one epoch, left unparsed;
-        ``batch_size`` is sent only with ``MSG_LA``."""
-        body = signer_id + epoch.to_bytes(8, "big")
-        if msg_type == MSG_LA:
-            body += batch_size.to_bytes(4, "big")
-        return self._request_ok(msg_type, body)
+        ``batch_size`` is sent only with ``MSG_LA``.  A non-OK status
+        raises ``CcoRequestError``."""
+        return self._request_ok(msg_type, _commitment_body(msg_type, signer_id, epoch, batch_size))
+
+    def commitments(
+        self, msg_type: int, keys: Iterable[tuple[bytes, int]], batch_size: int = 0
+    ) -> Iterator[bytes | None]:
+        """Serialized commitment for each (id, epoch) key, in order, or
+        None where the service answers with a non-OK status; up to
+        ``PIPELINE_WINDOW`` requests are in flight at a time."""
+        payloads = (
+            bytes((msg_type,)) + _commitment_body(msg_type, signer_id, epoch, batch_size)
+            for signer_id, epoch in keys
+        )
+        for response in self._exchange(payloads):
+            status, rest = _split_response(msg_type, response)
+            yield rest if status == STATUS_OK else None
 
     def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
         return pq.PqCommitment.from_bytes(self.commitment_bytes(MSG_PQ, signer_id, epoch))
@@ -378,3 +447,17 @@ class CcoClient:
             raise MalformedFrame("export payload does not divide evenly")
         size = len(body) // count
         return [body[i : i + size] for i in range(0, len(body), size)]
+
+
+def _commitment_body(msg_type: int, signer_id: bytes, epoch: int, batch_size: int) -> bytes:
+    body = signer_id + epoch.to_bytes(8, "big")
+    if msg_type == MSG_LA:
+        body += batch_size.to_bytes(4, "big")
+    return body
+
+
+def _split_response(msg_type: int, response: bytes) -> tuple[int, bytes]:
+    """(status, rest) of a response to a request of ``msg_type``."""
+    if len(response) < 2 or response[0] != (msg_type | RESPONSE_BIT):
+        raise MalformedFrame("unexpected response type")
+    return response[1], response[2:]

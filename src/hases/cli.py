@@ -14,9 +14,10 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import bench, cco, hy, keyfiles, la, pq, stream
-from .errors import CcoRequestError, HasesError
+from .errors import HasesError
 from .group import production_group, small_test_group
 
 EXIT_OK = 0
@@ -146,8 +147,16 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
+# the commitment tag each bundle scheme's service and exports answer with
+_COMMITMENT_TAGS = {
+    keyfiles.SCHEME_PQ: pq.COMMITMENT_TAG,
+    keyfiles.SCHEME_LA: la.COMMITMENT_TAG,
+    keyfiles.SCHEME_HY: hy.COMMITMENT_TAG,
+}
+
+
 class _CommitmentSource:
-    """On-demand service connection or a preloaded offline export."""
+    """Pipelined service connection or a preloaded offline export."""
 
     def __init__(self, args, bundle: keyfiles.VerifierBundle):
         self.bundle = bundle
@@ -157,8 +166,11 @@ class _CommitmentSource:
             host, port = _parse_host_port(args.cco)
             self.client = cco.CcoClient(host, port)
         elif args.commits:
+            tag = _COMMITMENT_TAGS[bundle.scheme]
             for blob in keyfiles.load_commitments(args.commits):
-                if len(blob) >= 25:
+                # another scheme's entry for the same (id, epoch) must not
+                # replace the one this bundle verifies against
+                if len(blob) >= 25 and blob[0] == tag:
                     key = (blob[1:17], int.from_bytes(blob[17:25], "big"))
                     self.offline[key] = blob
         else:
@@ -168,13 +180,15 @@ class _CommitmentSource:
         if self.client:
             self.client.close()
 
-    def commitment_blob(self, scheme: int, signer_id: bytes, epoch: int) -> bytes | None:
-        """Serialized commitment, parsed once, by the caller."""
+    def commitments(self, keys: list[tuple[bytes, int]]) -> Iterator[bytes | None]:
+        """Serialized commitment of each (id, epoch), in order, or None
+        where there is none; the caller parses each one once."""
         if self.client is None:
-            return self.offline.get((signer_id, epoch))
+            return (self.offline.get(key) for key in keys)
         # scheme tags double as the service's request types
+        scheme = self.bundle.scheme
         size = self.bundle.la_params.batch_size if scheme == keyfiles.SCHEME_LA else 0
-        return self.client.commitment_bytes(scheme, signer_id, epoch, size)
+        return self.client.commitments(scheme, keys, size)
 
 
 def cmd_verify(args) -> int:
@@ -206,17 +220,30 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
     if len(messages) != len(blobs):
         raise ValueError(f"{len(blobs)} signatures for {len(messages)} signing units")
 
+    # every signature is parsed before the first request, so the service
+    # sees one pipelined stream; a unit that fails to parse or names a
+    # signer outside the bundle is rejected without a request
+    signatures = [_parse_signature(bundle, blob) for blob in blobs]
+    units = [n for n, signature in enumerate(signatures) if signature is not None]
+    keys = [_unit_key(signatures[n]) for n in units]
     # per-key tables live for this run only: see hases.group
     tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
-    results = []
-    for message, blob in zip(messages, blobs):
-        results.append(_verify_one(bundle, scheme, message, blob, source, tables))
+    results = [False] * len(blobs)
+    for n, commit_blob in zip(units, source.commitments(keys)):
+        if commit_blob is not None:
+            results[n] = _verify_one(bundle, messages[n], signatures[n], commit_blob, tables)
     return results
 
 
-def _verify_one(bundle, scheme, message, blob, source, tables) -> bool:
-    # malformed signature bytes and unservable epochs/ids are cryptographic
-    # rejects; only transport and file-level failures escape as errors
+def _unit_key(signature) -> tuple[bytes, int]:
+    unit = signature.la if isinstance(signature, hy.HySignature) else signature
+    return unit.signer_id, unit.epoch
+
+
+def _parse_signature(bundle, blob):
+    """The parsed signature, or None if it is malformed or its signer
+    is not in the bundle (a cryptographic reject)."""
+    scheme = bundle.scheme
     try:
         if scheme == keyfiles.SCHEME_PQ:
             signature = pq.PqSignature.from_bytes(blob)
@@ -224,18 +251,22 @@ def _verify_one(bundle, scheme, message, blob, source, tables) -> bool:
             signature = la.LaSignature.from_bytes(blob, bundle.la_params.group)
         else:
             signature = hy.HySignature.from_bytes(blob, bundle.la_params.group)
-        signer_id = signature.signer_id if scheme != keyfiles.SCHEME_HY else signature.la.signer_id
-        epoch = signature.epoch if scheme != keyfiles.SCHEME_HY else signature.la.epoch
-        if signer_id not in bundle.public_keys:
-            return False
-        commit_blob = source.commitment_blob(scheme, signer_id, epoch)
-        if commit_blob is None:
-            return False
+    except ValueError:
+        return None
+    return signature if _unit_key(signature)[0] in bundle.public_keys else None
+
+
+def _verify_one(bundle, message, signature, commit_blob, tables) -> bool:
+    # malformed commitments and keys outside the subgroup are
+    # cryptographic rejects; only transport and file-level failures
+    # escape as errors
+    scheme = bundle.scheme
+    try:
         if scheme == keyfiles.SCHEME_PQ:
             commitment = pq.PqCommitment.from_bytes(commit_blob)
             return pq.verify(commitment, message, signature, bundle.pq_params)
         group = bundle.la_params.group
-        key_table = tables[signer_id]
+        key_table = tables[_unit_key(signature)[0]]
         if scheme == keyfiles.SCHEME_LA:
             commitment = la.LaCommitment.from_bytes(commit_blob, group)
             return la.verify_batch(key_table, commitment, message, signature, group)
@@ -248,7 +279,7 @@ def _verify_one(bundle, scheme, message, blob, source, tables) -> bool:
             group,
             bundle.pq_params,
         )
-    except (ValueError, CcoRequestError):
+    except ValueError:
         return False
 
 
@@ -283,16 +314,10 @@ def cmd_request(args) -> int:
             return EXIT_OK
         if args.epoch is None:
             raise ValueError("--epoch or --export is required")
-        body = signer_id + args.epoch.to_bytes(8, "big")
-        if scheme == keyfiles.SCHEME_LA:
-            if not args.L:
-                raise ValueError("--L is required for aggregate requests")
-            body += args.L.to_bytes(4, "big")
-        response = client.request_raw(bytes((scheme,)) + body)
-        if len(response) < 2 or response[1] != cco.STATUS_OK:
-            status = response[1] if len(response) > 1 else -1
-            raise HasesError(f"service returned status {status:#04x}")
-        blob = response[2:]
+        if scheme == keyfiles.SCHEME_LA and not args.L:
+            raise ValueError("--L is required for aggregate requests")
+        # a non-OK status raises CcoRequestError: exit 2
+        blob = client.commitment_bytes(scheme, signer_id, args.epoch, args.L)
         if args.out:
             keyfiles.save_commitments(args.out, [blob])
             print(f"wrote commitment ({len(blob)} bytes) to {args.out}")

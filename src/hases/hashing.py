@@ -23,6 +23,7 @@ meaningful while a single benchmark runs at a time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -56,6 +57,7 @@ class HashCounters:
 counters = HashCounters()
 
 _PREFIX = (b"\x00", b"\x01", b"\x02")
+_COUNTER_SLOTS = ("calls_h0", "calls_h1", "calls_h2")
 _sha256 = hashlib.sha256
 
 
@@ -78,14 +80,45 @@ def iter_hash(domain: int, seed: bytes, steps: int) -> bytes:
     ``steps == 0`` returns the seed unchanged.  Splitting holds by
     construction: iterating a+b steps equals iterating b steps on the
     result of iterating a steps, which is what lets mid-chain anchors
-    stand in for the chain head.
+    stand in for the chain head.  The ``steps`` calls are counted at once.
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
+    if domain not in (0, 1, 2):
+        raise ValueError(f"hash domain must be 0, 1 or 2, got {domain}")
+    prefix, sha256 = _PREFIX[domain], _sha256
     value = seed
     for _ in range(steps):
-        value = domain_hash(domain, value)
+        value = sha256(prefix + value).digest()
+    slot = _COUNTER_SLOTS[domain]
+    setattr(counters, slot, getattr(counters, slot) + steps)
     return value
+
+
+@functools.lru_cache(maxsize=8)
+def _labels(t: int) -> tuple[bytes, ...]:
+    return tuple(encode_index(label) for label in range(1, t + 1))
+
+
+def commitment_images(seed: bytes, t: int) -> list[bytes]:
+    """``H2(H1(seed || label))`` for the labels 1..t, in label order.
+
+    Equal to the ``domain_hash`` composition and counted as its 2t
+    calls, but ``byte(1) || seed`` is hashed once and its state copied
+    for each label, and the label encodings are cached per ``t``.
+    """
+    chain = _sha256(_PREFIX[DOM_CHAIN] + seed).copy
+    commit = _sha256(_PREFIX[DOM_COMMIT]).copy
+    images = []
+    for label in _labels(t):
+        inner = chain()
+        inner.update(label)
+        outer = commit()
+        outer.update(inner.digest())
+        images.append(outer.digest())
+    counters.calls_h1 += t
+    counters.calls_h2 += t
+    return images
 
 
 def hash_to_scalar(domain: int, data: bytes, order: int) -> int:

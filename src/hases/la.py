@@ -237,28 +237,38 @@ def commitment_from_key(
     return LaCommitment(signer_id, epoch, batch_size, group.exp(group.generator, total))
 
 
-def construct_commitment(
-    material: LaKeyMaterial,
-    signer_id: bytes,
-    epoch: int,
-    batch_size: int | None = None,
-) -> LaCommitment:
+def construct_commitment(material: LaKeyMaterial, signer_id: bytes, epoch: int) -> LaCommitment:
     """Rebuild the aggregate nonce commitment exactly as the signer would."""
+    return construct_commitments(material, signer_id, epoch, epoch)[0]
+
+
+def construct_commitments(
+    material: LaKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int
+) -> list[LaCommitment]:
+    """Commitments for every batch in [epoch_from, epoch_to], in order,
+    at the registered batch size.  The id and the whole range are
+    checked before any work; the private scalar is derived once."""
     params = material.params
     if signer_id not in material.signer_ids:
         raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= epoch <= params.max_batches:
-        raise EpochOutOfRange(f"epoch {epoch} outside [1, {params.max_batches}]")
-    size = params.batch_size if batch_size is None else batch_size
+    if not 1 <= epoch_from <= epoch_to <= params.max_batches:
+        raise EpochOutOfRange(
+            f"epochs [{epoch_from}, {epoch_to}] outside [1, {params.max_batches}]"
+        )
     key = private_scalar(material.msk, signer_id, params.group)
-    return commitment_from_key(key, signer_id, epoch, size, params.group)
+    return [
+        commitment_from_key(key, signer_id, epoch, params.batch_size, params.group)
+        for epoch in range(epoch_from, epoch_to + 1)
+    ]
 
 
 class KeyTables(dict):
     """Signer id -> ``group.precompute`` table of its public key.
 
     Each table is built on the key's first lookup, which also checks
-    that the key lies in the prime-order subgroup (ValueError if not).
+    that the key lies in the prime-order subgroup.  A key outside it
+    raises ValueError on that lookup and on every later one, without
+    being checked again.
     Hold one instance per verification run and drop it with the run.
     """
 
@@ -266,10 +276,18 @@ class KeyTables(dict):
         super().__init__()
         self._public_keys = public_keys
         self._group = group
+        self._rejected: dict[bytes, str] = {}
 
     def __missing__(self, signer_id: bytes):
-        table = self[signer_id] = self._group.precompute(self._public_keys[signer_id])
-        return table
+        # a rejected key is remembered, so it costs one precompute per run
+        reason = self._rejected.get(signer_id)
+        if reason is None:
+            try:
+                table = self[signer_id] = self._group.precompute(self._public_keys[signer_id])
+                return table
+            except ValueError as exc:
+                reason = self._rejected[signer_id] = str(exc)
+        raise ValueError(reason)
 
 
 def verify_batch(

@@ -34,6 +34,7 @@ from .hashing import (
     DOM_COMMIT,
     DOM_MESSAGE,
     check_signer_id,
+    commitment_images,
     domain_hash,
     encode_index,
     iter_hash,
@@ -268,32 +269,46 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
 
 
 def commitment_from_seed(seed: bytes, signer_id: bytes, epoch: int, params: PqParams) -> PqCommitment:
-    entries = tuple(
-        domain_hash(DOM_COMMIT, _secret_string(seed, label))
-        for label in range(1, params.t + 1)
-    )
-    return PqCommitment(signer_id, epoch, entries)
+    """Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign`` reveals them."""
+    return PqCommitment(signer_id, epoch, tuple(commitment_images(seed, params.t)))
 
 
 def construct_commitment(material: PqKeyMaterial, signer_id: bytes, epoch: int) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
-    The seed is recovered from the nearest anchor at or below the
-    requested epoch (the master key itself when the epoch falls in the
-    first segment), then walked forward at most j2 - 1 steps.
+    Costs 2t hashes plus the chain walk of ``construct_commitments``.
+    """
+    return construct_commitments(material, signer_id, epoch, epoch)[0]
+
+
+def construct_commitments(
+    material: PqKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int
+) -> list[PqCommitment]:
+    """Commitments for every epoch in [epoch_from, epoch_to], in order.
+
+    The id and the whole range are checked before any hashing.  The
+    seed of ``epoch_from`` is recovered from the nearest anchor at or
+    below it (the master key itself when it falls in the first segment,
+    one more hash), then walked forward at most j2 - 1 steps.  Later
+    epochs take one chain step each, straight across anchor boundaries:
+    chain splitting makes the seeds the same.
     """
     params = material.params
     if signer_id not in material.anchors:
         raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= epoch <= params.epochs:
-        raise EpochOutOfRange(f"epoch {epoch} outside [1, {params.epochs}]")
-    segment, offset = divmod(epoch - 1, params.j2)
+    if not 1 <= epoch_from <= epoch_to <= params.epochs:
+        raise EpochOutOfRange(f"epochs [{epoch_from}, {epoch_to}] outside [1, {params.epochs}]")
+    segment, offset = divmod(epoch_from - 1, params.j2)
     if segment == 0:
         base = initial_seed(material.msk, signer_id)
     else:
         base = material.anchors[signer_id][segment - 1]
     seed = iter_hash(DOM_CHAIN, base, offset)
-    return commitment_from_seed(seed, signer_id, epoch, params)
+    commitments = [commitment_from_seed(seed, signer_id, epoch_from, params)]
+    for epoch in range(epoch_from + 1, epoch_to + 1):
+        seed = domain_hash(DOM_CHAIN, seed)
+        commitments.append(commitment_from_seed(seed, signer_id, epoch, params))
+    return commitments
 
 
 def verify(

@@ -1,5 +1,7 @@
 import random
+import socket
 import threading
+from itertools import islice
 
 import pytest
 
@@ -157,6 +159,47 @@ class TestRequestHandling:
             body = bytes((cco.MSG_PQ,)) + ID_A + lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
             assert self.request(cco.MSG_EXPORT, body)[1] == cco.STATUS_EPOCH_RANGE
 
+    def test_la_batch_size_must_be_the_registered_one(self):
+        counters.reset()
+        for size in (2, 4, 0, 2**32 - 1):  # registered: 3
+            body = ID_A + (1).to_bytes(8, "big") + size.to_bytes(4, "big")
+            assert self.request(cco.MSG_LA, body) == bytes((0x82, cco.STATUS_MALFORMED))
+        assert counters.total() == 0
+
+    def export(self, scheme, lo, hi):
+        body = bytes((scheme,)) + ID_A + lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
+        return self.request(cco.MSG_EXPORT, body)
+
+    def test_export_walks_the_chain_once(self):
+        lo, hi = 3, 10  # crosses the anchors at epochs 5 and 9
+        singles = [self.request(cco.MSG_PQ, ID_A + e.to_bytes(8, "big"))[2:] for e in range(lo, hi + 1)]
+        counters.reset()
+        response = self.export(cco.MSG_PQ, lo, hi)
+        n = hi - lo + 1
+        assert response == bytes((0x84, cco.STATUS_OK)) + n.to_bytes(8, "big") + b"".join(singles)
+        # H0 for the segment-0 seed, 2 chain steps to epoch 3, one per later epoch
+        assert counters.snapshot() == (1, 2 + (n - 1) + n * PQ_TOY.t, n * PQ_TOY.t)
+
+    def test_export_matches_single_requests_for_every_scheme(self):
+        lo, hi = 4, 9
+        for scheme, extra in ((cco.MSG_LA, (3).to_bytes(4, "big")), (cco.MSG_HY, b"")):
+            singles = [
+                self.request(scheme, ID_A + e.to_bytes(8, "big") + extra)[2:]
+                for e in range(lo, hi + 1)
+            ]
+            response = self.export(scheme, lo, hi)
+            assert response[2:10] == (hi - lo + 1).to_bytes(8, "big")
+            assert response[10:] == b"".join(singles)
+
+    def test_oversized_export_refused_before_any_work(self, monkeypatch):
+        entry = 25 + 32 * PQ_TOY.t
+        monkeypatch.setattr(cco, "MAX_FRAME", 2 + 8 + 3 * entry)
+        assert self.export(cco.MSG_PQ, 2, 4)[1] == cco.STATUS_OK
+        counters.reset()
+        assert self.export(cco.MSG_PQ, 2, 5) == bytes((0x84, cco.STATUS_EPOCH_RANGE))
+        assert self.export(cco.MSG_HY, 2, 4) == bytes((0x84, cco.STATUS_EPOCH_RANGE))
+        assert counters.total() == 0
+
     def test_no_secret_bytes_in_any_response(self):
         # production group: tiny-backend encodings are zero-padded, so a
         # small private scalar would collide with unrelated public bytes
@@ -247,12 +290,108 @@ class TestWireProtocol:
                 response = client.request_raw(bytes((cco.MSG_PQ,)) + b"nonsense")
                 assert response == bytes((0x81, cco.STATUS_MALFORMED))
 
+    def test_export_beyond_the_frame_limit_gets_a_status(self):
+        # 8192 epochs of t=1024 would be a 268 MB response
+        params = pq.PqParams(t=1024, k=16, j1=1, j2=8192)
+        _, material = pq.keygen([ID_A], params, fixed_rng(19))
+        store = cco.CcoStore()
+        store.provision(material)
+        with cco.CcoServer(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                with pytest.raises(CcoRequestError) as info:
+                    client.batch_export(cco.MSG_PQ, ID_A, 1, 8192)
+                assert info.value.status == cco.STATUS_EPOCH_RANGE
+                assert client.pq_commitment(ID_A, 8192).epoch == 8192
+
     def test_oversized_frame_rejected_client_side(self):
         store, *_ = provisioned_store(seed=13)
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(MalformedFrame):
                     cco.write_frame(client._stream, bytes(cco.MAX_FRAME + 1))
+
+
+def serve_once(answer):
+    """One-connection server: reads a full window of requests before
+    replying with ``answer(payloads)``, then closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as stream:
+                payloads = [cco.read_frame(stream) for _ in range(cco.PIPELINE_WINDOW)]
+                for response in answer(payloads):
+                    cco.write_frame(stream, response)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+class TestPipelinedClient:
+    def keys(self):
+        # longer than the window, with an unknown id and out-of-range epochs
+        keys = [(sid, epoch) for epoch in range(1, PQ_TOY.epochs + 1) for sid in (ID_A, ID_B)]
+        keys += [(ID_A, epoch) for epoch in range(1, 9)]
+        keys[5] = (ID_C, 3)
+        keys[20] = (ID_A, 0)
+        keys[33] = (ID_B, PQ_TOY.epochs + 1)
+        return keys
+
+    def test_responses_in_request_order(self):
+        store, *_ = provisioned_store(seed=20)
+        keys = self.keys()
+        assert len(keys) > 2 * cco.PIPELINE_WINDOW
+        expected = []
+        for sid, epoch in keys:
+            response = store.handle_request(bytes((cco.MSG_PQ,)) + sid + epoch.to_bytes(8, "big"))
+            expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
+        assert [e is None for e in expected].count(True) == 3
+        with cco.CcoServer(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                assert list(client.commitments(cco.MSG_PQ, keys)) == expected
+                la_keys = [(ID_A, e) for e in range(1, 17)]
+                la_blobs = list(client.commitments(cco.MSG_LA, la_keys, batch_size=3))
+                assert la_blobs == [store.la_commitment(ID_A, e).to_bytes(store.la_material().params.group)
+                                    for e in range(1, 17)]
+
+    def test_a_full_window_is_in_flight(self):
+        # the server answers only after reading PIPELINE_WINDOW requests,
+        # so a client that waited for each reply would time out
+        store, *_ = provisioned_store(seed=21)
+        port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
+        keys = [(ID_A, epoch) for epoch in range(1, cco.PIPELINE_WINDOW + 1)]
+        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+            blobs = list(client.commitments(cco.MSG_PQ, keys))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert blobs == [store.pq_commitment(*key).to_bytes() for key in keys]
+
+    def test_server_closing_mid_pipeline_raises(self):
+        store, *_ = provisioned_store(seed=22)
+        port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads[:3]])
+        keys = [(ID_A, 1 + n % PQ_TOY.epochs) for n in range(40)]
+        received = []
+        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+            # EOF, or a reset once the client writes to the closed socket
+            with pytest.raises((MalformedFrame, OSError)):
+                for blob in client.commitments(cco.MSG_PQ, keys):
+                    received.append(blob)
+        thread.join(timeout=5)
+        # a reset may discard replies that were already on their way
+        assert len(received) <= 3
+        assert received == [store.pq_commitment(*key).to_bytes() for key in keys[: len(received)]]
+        assert not thread.is_alive()
+
+    def test_abandoned_stream_leaves_the_connection_in_step(self):
+        store, *_ = provisioned_store(seed=23)
+        with cco.CcoServer(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                stream = client.commitments(cco.MSG_PQ, self.keys())
+                assert len(list(islice(stream, 3))) == 3
+                stream.close()
+                assert client.pq_commitment(ID_B, 7).epoch == 7
 
 
 class TestStorePersistence:

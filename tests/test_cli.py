@@ -1,13 +1,16 @@
+import argparse
 import os
 import re
+import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
-from hases import cco, cli, keyfiles
+from hases import cco, cli, keyfiles, pq, stream
 
 ID_HEX_1 = "aa" * 16
 ID_HEX_2 = "bb" * 16
@@ -129,7 +132,27 @@ class TestSignVerifyOffline:
         )
         assert code == 0
 
-    def test_small_order_public_key_exits_1(self, tmp_path, capsys):
+    def test_offline_commits_skip_other_scheme_entries(self, tmp_path):
+        out, msgs, sigs, commits = self.run_flow(
+            tmp_path, "hy", ["--J1", "4", "--L", "3"], 6
+        )
+        hy_blobs = keyfiles.load_commitments(commits)
+        store = keyfiles.load_store(out / "cco.store")
+        signer = bytes.fromhex(ID_HEX_1)
+        # a pq-tagged entry for each (id, epoch), after the hy one; padded
+        # to the hy size, since an export file holds equal-sized entries
+        pq_blobs = [
+            store.pq_commitment(signer, epoch).to_bytes().ljust(len(hy_blobs[0]), b"\x00")
+            for epoch in range(1, 9)
+        ]
+        keyfiles.save_commitments(commits, hy_blobs + pq_blobs)
+        code = cli.main(
+            ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+             "--sigs", sigs, "--commits", commits]
+        )
+        assert code == 0
+
+    def test_small_order_public_key_exits_1(self, tmp_path, capsys, monkeypatch):
         # the bundle's key moved by the order-2 point (0, p-1): without a
         # subgroup check, every batch whose challenge sum is even verifies
         out, msgs, sigs, commits = self.run_flow(tmp_path, "la", ["--L", "1"], 8)
@@ -140,11 +163,17 @@ class TestSignVerifyOffline:
         moved = group.mul(bundle.public_keys[signer], (0, group.p - 1))
         keyfiles.save_verifier_bundle(pub, replace(bundle, public_keys={signer: moved}))
         capsys.readouterr()
+        checked = []
+        precompute = type(group).precompute
+        monkeypatch.setattr(
+            type(group), "precompute", lambda self, key: checked.append(key) or precompute(self, key)
+        )
         code = cli.main(
             ["verify", "--pub", str(pub), "--in", msgs, "--sigs", sigs, "--commits", commits]
         )
         assert code == 1
         assert "0/8 signatures valid" in capsys.readouterr().out
+        assert len(checked) == 1  # rejected once for the run, not once per batch
 
     def test_corrupted_signature_file_exits_1(self, tmp_path):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
@@ -190,6 +219,96 @@ class TestSignVerifyOffline:
         key = out / f"signer_{ID_HEX_1}.key"
         msgs = write_csv(tmp_path, 6)  # not a multiple of 4
         code = cli.main(["sign", "--key", str(key), "--in", msgs, "--out", str(tmp_path / "s")])
+        assert code == 2
+
+
+class TestPipelinedVerify:
+    """``verify --cco`` over a chunk longer than the request window."""
+
+    UNITS = 40
+
+    def signed_chunk(self, tmp_path):
+        out = tmp_path / "keys"
+        assert cli.main(
+            ["keygen", "--scheme", "pq", "--ids", write_ids(tmp_path), "--J", "64",
+             "--J1", "4", "--t", "8", "--k", "4", "--out", str(out)]
+        ) == 0
+        msgs = write_csv(tmp_path, self.UNITS)
+        sigs = tmp_path / "sigs.bin"
+        key = out / f"signer_{ID_HEX_1}.key"
+        assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", str(sigs)]) == 0
+        return out, msgs, sigs
+
+    def test_exact_per_unit_results(self, tmp_path, capsys):
+        out, msgs, sigs = self.signed_chunk(tmp_path)
+        pub = out / "verifier.pub"
+        bundle = keyfiles.load_verifier_bundle(pub)
+        in_store = bytes.fromhex(ID_HEX_1)
+        not_in_store = bytes.fromhex(ID_HEX_2)
+        # the bundle knows a signer the service does not
+        keyfiles.save_verifier_bundle(
+            pub, replace(bundle, public_keys={in_store: None, not_in_store: None})
+        )
+        blobs = keyfiles.load_signatures(sigs)
+
+        def moved(blob, signer_id=in_store, epoch=None):
+            signature = pq.PqSignature.from_bytes(blob)
+            epoch = signature.epoch if epoch is None else epoch
+            return pq.PqSignature(signer_id, epoch, signature.parts).to_bytes()
+
+        blobs[3] = moved(blobs[3], epoch=65)  # past J: epoch-range status
+        blobs[17] = moved(blobs[17], signer_id=not_in_store)  # unknown-id status
+        blobs[18] = moved(blobs[18], signer_id=b"\xcc" * 16)  # not in the bundle: no request
+        blobs[26] = blobs[26][:-1]  # malformed: no request
+        blobs[30] = moved(blobs[30], epoch=32)  # served, but the wrong epoch's commitment
+        keyfiles.save_signatures(sigs, blobs)
+        rejected = {3, 17, 18, 26, 30}
+
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        with cco.CcoServer(store) as server:
+            address = f"127.0.0.1:{server.port}"
+            bundle = keyfiles.load_verifier_bundle(pub)
+            records = stream.read_stream(msgs, "csv", False)
+            source = cli._CommitmentSource(argparse.Namespace(cco=address, commits=None), bundle)
+            try:
+                results = cli._verify_all(bundle, records, blobs, source)
+            finally:
+                source.close()
+            assert results == [n not in rejected for n in range(self.UNITS)]
+            assert len(requests) == self.UNITS - 2
+
+            capsys.readouterr()
+            code = cli.main(
+                ["verify", "--pub", str(pub), "--in", msgs, "--sigs", str(sigs), "--cco", address]
+            )
+        assert code == 1
+        assert f"{self.UNITS - 5}/{self.UNITS} signatures valid" in capsys.readouterr().out
+
+    def test_service_closing_mid_pipeline_exits_2(self, tmp_path):
+        out, msgs, sigs = self.signed_chunk(tmp_path)
+        store = keyfiles.load_store(out / "cco.store")
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_three():
+            # answers three of the requests, then hangs up
+            with listener:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    payloads = [cco.read_frame(stream) for _ in range(4)]
+                    for payload in payloads[:3]:
+                        cco.write_frame(stream, store.handle_request(payload))
+
+        thread = threading.Thread(target=serve_three, daemon=True)
+        thread.start()
+        code = cli.main(
+            ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+             "--sigs", str(sigs), "--cco", f"127.0.0.1:{listener.getsockname()[1]}"]
+        )
+        thread.join(timeout=10)
+        assert not thread.is_alive()
         assert code == 2
 
 

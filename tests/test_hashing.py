@@ -5,6 +5,7 @@ import pytest
 
 from hases.hashing import (
     check_signer_id,
+    commitment_images,
     counters,
     domain_hash,
     encode_index,
@@ -60,6 +61,28 @@ def test_iter_hash_counts_every_step():
     counters.reset()
     iter_hash(1, bytes(32), 17)
     assert counters.calls_h1 == 17
+
+
+def test_iter_hash_counts_in_its_own_domain():
+    seed = b"d" * 32
+    for domain in (0, 1, 2):
+        counters.reset()
+        assert iter_hash(domain, seed, 3) == domain_hash(domain, domain_hash(domain, domain_hash(domain, seed)))
+        expected = [0, 0, 0]
+        expected[domain] = 6  # three in iter_hash, three in the reference
+        assert list(counters.snapshot()) == expected
+    with pytest.raises(ValueError):
+        iter_hash(3, seed, 1)
+
+
+@pytest.mark.parametrize("t", [8, 1024])
+def test_commitment_images_match_the_domain_hash_composition(t):
+    seed = random.Random(t).randbytes(32)
+    reference = [domain_hash(2, domain_hash(1, seed + encode_index(label))) for label in range(1, t + 1)]
+    counters.reset()
+    assert commitment_images(seed, t) == reference
+    # counted exactly as the composition it replaces
+    assert counters.snapshot() == (0, t, t)
 
 
 def test_hash_to_scalar_range():

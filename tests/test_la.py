@@ -216,6 +216,35 @@ class TestCommitmentConstruction:
             la.construct_commitment(material, ID_A, 5)
 
 
+class TestKeyTables:
+    def test_rejected_key_is_checked_once(self, monkeypatch):
+        group = production_group()
+        _, public, _ = la.keygen([ID_A, ID_B], group, 4, 2, fixed_rng(40))
+        # ID_B's key moved by the order-2 point (0, p-1): outside the subgroup
+        keys = {ID_A: public[ID_A], ID_B: group.mul(public[ID_B], (0, group.p - 1))}
+        calls = []
+        original = type(group).precompute
+        monkeypatch.setattr(
+            type(group), "precompute", lambda self, key: calls.append(key) or original(self, key)
+        )
+        tables = la.KeyTables(keys, group)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                tables[ID_B]
+            assert tables[ID_A] is tables[ID_A]
+        assert calls == [keys[ID_B], keys[ID_A]]
+
+    def test_range_matches_single_commitments(self):
+        group, _, _, material = tiny_setup(max_batches=8)
+        singles = [la.construct_commitment(material, ID_A, e) for e in range(2, 7)]
+        assert la.construct_commitments(material, ID_A, 2, 6) == singles
+        for lo, hi in ((0, 2), (5, 4), (7, 9)):
+            with pytest.raises(EpochOutOfRange):
+                la.construct_commitments(material, ID_A, lo, hi)
+        with pytest.raises(UnknownSigner):
+            la.construct_commitments(material, ID_B, 1, 1)
+
+
 class TestVerify:
     def test_honest_production_group(self):
         group = production_group()

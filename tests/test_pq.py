@@ -191,6 +191,52 @@ class TestCommitmentConstruction:
             chain_steps = counters.calls_h1 - TOY.t
             assert chain_steps == (epoch - 1) % TOY.j2 <= TOY.j2 - 1
 
+    @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
+    def test_kernel_matches_composition_across_anchor_boundaries(self, params):
+        states, material = pq.keygen([ID_A], params, fixed_rng(19))
+        sk1 = bytes(states[ID_A].seed)
+        # the last epoch of each segment and the first of the next one
+        boundaries = range(params.j2 + 1, params.epochs + 1, params.j2)
+        epochs = sorted({1, params.epochs} | {e - d for e in boundaries for d in (0, 1)})
+        for epoch in epochs:
+            seed = iter_hash(1, sk1, epoch - 1)
+            reference = tuple(
+                domain_hash(2, domain_hash(1, seed + label.to_bytes(8, "big")))
+                for label in range(1, params.t + 1)
+            )
+            assert pq.construct_commitment(material, ID_A, epoch).entries == reference
+
+    @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
+    def test_exact_hash_count(self, params):
+        _, material = pq.keygen([ID_A], params, fixed_rng(20))
+        for epoch in range(1, params.epochs + 1):
+            segment, offset = divmod(epoch - 1, params.j2)
+            counters.reset()
+            pq.construct_commitment(material, ID_A, epoch)
+            # 2t for the entries, the chain walk, and H0 for the initial seed in segment 0
+            assert counters.snapshot() == (int(segment == 0), params.t + offset, params.t)
+            assert counters.total() == 2 * params.t + offset + (segment == 0)
+
+    def test_range_walks_the_chain_once(self):
+        _, material = pq.keygen([ID_A], TOY, fixed_rng(21))
+        for lo, hi in ((1, 16), (3, 10), (5, 5), (8, 9)):
+            singles = [pq.construct_commitment(material, ID_A, e) for e in range(lo, hi + 1)]
+            counters.reset()
+            assert pq.construct_commitments(material, ID_A, lo, hi) == singles
+            segment, offset = divmod(lo - 1, TOY.j2)
+            n = hi - lo + 1
+            assert counters.snapshot() == (int(segment == 0), offset + n - 1 + n * TOY.t, n * TOY.t)
+
+    def test_range_checked_before_any_hashing(self):
+        _, material = pq.keygen([ID_A], TOY, fixed_rng(22))
+        counters.reset()
+        for lo, hi in ((0, 3), (4, 3), (10, TOY.epochs + 1)):
+            with pytest.raises(EpochOutOfRange):
+                pq.construct_commitments(material, ID_A, lo, hi)
+        with pytest.raises(UnknownSigner):
+            pq.construct_commitments(material, ID_B, 1, 2)
+        assert counters.total() == 0
+
     def test_unknown_signer(self):
         _, material = pq.keygen([ID_A], TOY, fixed_rng(16))
         with pytest.raises(UnknownSigner):
