@@ -28,6 +28,15 @@ several before reading the replies: the server answers them one at a
 time, in order.  ``CcoClient.commitments`` keeps ``PIPELINE_WINDOW``
 requests in flight this way.
 
+Responses to the single-epoch request types (0x01-0x03) go through a
+response cache keyed by the whole request payload: a least-recently-used
+map of response bytes, ``RESPONSE_CACHE_BYTES`` in all, in front of a
+single-flight build, so a payload asked for again is answered without
+hashing, and one asked for by several connections at once is built once
+while the others wait for it.  Only OK responses are kept; exports and
+every other status bypass the cache.  Entries are never invalidated,
+because the OK response to a payload cannot change (see the constant).
+
 The protocol is binary so commitments travel bit-exactly, and it is
 deliberately small: there is no verification entry point (the store
 only supplies commitments) and no provisioning entry point (secrets
@@ -37,7 +46,9 @@ service with the verifier should wrap the transport accordingly.
 
 Concurrency: key material objects are immutable; readers grab the
 current reference under a short lock and hash outside it, writers
-(provision, storage policy changes) swap in replacement objects.
+(provision, storage policy changes) swap in replacement objects.  The
+server runs one thread per connection; closing it shuts every open
+connection down and joins their threads.
 """
 
 from __future__ import annotations
@@ -46,8 +57,10 @@ import socket
 import socketserver
 import struct
 import threading
+from collections import OrderedDict
+from functools import partial
 from itertools import islice
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Union
 
 from . import hy, la, pq
 from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -75,6 +88,110 @@ _EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
 # blocked sending it responses it has not read yet.
 PIPELINE_WINDOW = 16
 
+# Byte budget of the response cache: about 15 pq or hy responses at
+# t=1024, roughly one PIPELINE_WINDOW, so two verifiers of one stream
+# running up to a window apart are both served from one build.  No
+# entry is ever invalidated, and none needs to be: only OK responses
+# are kept, ``provision`` refuses overlapping ids and any change of
+# master key or parameters, and ``set_storage_policy`` moves only the
+# anchors a chain walk starts from, not its result.  So the OK response
+# to a given (type, id, epoch[, L]) payload never changes.
+RESPONSE_CACHE_BYTES = 512 * 1024
+
+_CACHED_PAYLOAD_LEN = {t: 1 + _REQUEST_BODY_LEN[t] for t in (MSG_PQ, MSG_LA, MSG_HY)}
+
+
+def _warn(message: str, *args) -> None:
+    # imported on first use: logging adds about 7 ms to every CLI start
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
+class CacheStats(NamedTuple):
+    """Requests answered by ``CcoStore.handle_request``, by how."""
+
+    hits: int  # served from the cache
+    coalesced: int  # waited for another thread's build of the same payload
+    misses: int  # built; kept only if OK
+    bypassed: int  # exports and malformed payloads, never cached
+    entries: int
+    size: int  # bytes of the cached responses
+
+
+class _Flight:
+    """A build in progress.  Its builder holds ``lock`` until the build is
+    done, so the waiters for the same payload block on acquiring it (a
+    lock costs a fraction of an ``Event``, which every miss would make)."""
+
+    __slots__ = ("lock", "response")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.response: bytes | None = None
+
+
+class _ResponseCache:
+    """Bounded LRU of OK response bytes, with single-flight builds."""
+
+    def __init__(self, budget: int):
+        self._budget = budget
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+        self._size = 0
+        self._flights: dict[bytes, _Flight] = {}
+        self._hits = self._coalesced = self._misses = self._bypassed = 0
+
+    def get(self, key: bytes, build: Callable[[], bytes]) -> bytes:
+        with self._lock:
+            response = self._entries.get(key)
+            if response is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return response
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = _Flight()
+                self._misses += 1
+                leader = True
+            else:
+                self._coalesced += 1
+                leader = False
+        if not leader:
+            with flight.lock:
+                pass
+            # None only if the leader's build raised
+            return flight.response if flight.response is not None else build()
+        try:
+            flight.response = response = build()
+        finally:
+            with self._lock:
+                del self._flights[key]
+                if flight.response is not None and flight.response[1] == STATUS_OK:
+                    self._insert(key, flight.response)
+            flight.lock.release()
+        return response
+
+    def _insert(self, key: bytes, response: bytes) -> None:
+        if len(response) > self._budget:
+            return
+        self._entries[key] = response
+        self._size += len(response)
+        while self._size > self._budget:
+            _, evicted = self._entries.popitem(last=False)
+            self._size -= len(evicted)
+
+    def bypass(self, build: Callable[[], bytes]) -> bytes:
+        with self._lock:
+            self._bypassed += 1
+        return build()
+
+    def stats(self) -> CacheStats:
+        with self._lock:
+            return CacheStats(self._hits, self._coalesced, self._misses, self._bypassed,
+                              len(self._entries), self._size)
+
 
 class CcoStore:
     """Thread-safe holder of per-scheme master secrets and anchors."""
@@ -83,6 +200,7 @@ class CcoStore:
         self._lock = threading.Lock()
         self._pq: pq.PqKeyMaterial | None = None
         self._la: la.LaKeyMaterial | None = None
+        self._cache = _ResponseCache(RESPONSE_CACHE_BYTES)
 
     # -- provisioning (exclusive writers) --------------------------------
 
@@ -207,7 +325,18 @@ class CcoStore:
 
     def handle_request(self, payload: bytes) -> bytes:
         """Map one request frame payload (type byte + body) to a response
-        payload.  Never raises: protocol errors become status bytes."""
+        payload.  Never raises: protocol errors become status bytes.
+        Well-formed single-epoch requests go through the response cache."""
+        build = partial(self._build_response, payload)
+        if payload and len(payload) == _CACHED_PAYLOAD_LEN.get(payload[0]):
+            return self._cache.get(payload, build)
+        return self._cache.bypass(build)
+
+    def cache_stats(self) -> CacheStats:
+        """Snapshot of the response cache's counts and size."""
+        return self._cache.stats()
+
+    def _build_response(self, payload: bytes) -> bytes:
         if not payload:
             return bytes((RESPONSE_BIT, STATUS_MALFORMED))
         msg_type, body = payload[0], payload[1:]
@@ -293,30 +422,39 @@ def read_frame(stream: BinaryIO) -> bytes | None:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
+        peer = self.client_address
         try:
             while True:
                 try:
                     payload = read_frame(self.rfile)
-                except MalformedFrame:
+                except MalformedFrame as exc:
+                    _warn("malformed frame from %s:%s (%s): answered and closed", *peer[:2], exc)
                     write_frame(self.wfile, bytes((RESPONSE_BIT, STATUS_MALFORMED)))
                     return
                 if payload is None:
                     return
                 write_frame(self.wfile, self.server.store.handle_request(payload))
-        except OSError:
-            return  # peer went away; nothing to clean up
+        except OSError as exc:
+            _warn("connection from %s:%s dropped: %s", *peer[:2], exc)
 
 
 class CcoServer(socketserver.ThreadingTCPServer):
-    """Serves one store over TCP; use as a context manager in tests."""
+    """Serves one store over TCP; use as a context manager in tests.
+
+    Each connection gets its own handler thread.  ``server_close`` (and
+    so ``stop``) shuts every open connection down, which ends the reads
+    of idle ones, then joins the handler threads: once it returns, no
+    request is being built any more.
+    """
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)
         self.store = store
         self._thread: threading.Thread | None = None
+        self._live_lock = threading.Lock()
+        self._live: dict[socket.socket, threading.Thread] = {}  # open connections
 
     @property
     def port(self) -> int:
@@ -334,6 +472,33 @@ class CcoServer(socketserver.ThreadingTCPServer):
         self.server_close()
         if self._thread is not None:
             self._thread.join()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        # deregister before the socket is closed, so server_close never
+        # shuts down a closed (or reused) descriptor
+        with self._live_lock:
+            self._live.pop(request, None)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._live_lock:
+            live = list(self._live.items())
+            for request, _ in live:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer already reset it
+        for _, thread in live:
+            thread.join()
 
     def __enter__(self) -> "CcoServer":
         self.start()

@@ -1,9 +1,15 @@
+import functools
 import random
 import socket
+import struct
+import sys
 import threading
+import time
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hases import cco, hy, keyfiles, la, pq
 from hases.errors import CcoRequestError, MalformedFrame
@@ -14,6 +20,7 @@ ID_A = bytes([0xA1]) * 16
 ID_B = bytes([0xB2]) * 16
 ID_C = bytes([0xC3]) * 16
 PQ_TOY = pq.PqParams(t=8, k=4, j1=4, j2=4)
+PQ_T1024 = pq.PqParams(t=1024, k=16, j1=4, j2=4)
 
 
 def fixed_rng(seed: int):
@@ -425,3 +432,361 @@ class TestStorePersistence:
         for cut in range(len(b"HASES-STORE\x01"), len(blob)):  # from just after the magic
             with pytest.raises(ValueError):
                 keyfiles.store_from_bytes(blob[:cut])
+
+
+def pq_payload(signer_id, epoch):
+    return bytes((cco.MSG_PQ,)) + signer_id + epoch.to_bytes(8, "big")
+
+
+def cold_cost(material, payloads):
+    """Hash calls of answering each payload once on a store with an empty cache."""
+    store = cco.CcoStore()
+    store.provision(material)
+    counters.reset()
+    for payload in payloads:
+        store.handle_request(payload)
+    return counters.total()
+
+
+def run_threads(targets, timeout=10.0):
+    threads = [threading.Thread(target=target, daemon=True) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+class TestResponseCache:
+    def test_repeat_costs_no_hashes(self):
+        store, *_ = provisioned_store(seed=40)
+        for payload in (pq_payload(ID_A, 6), bytes((cco.MSG_HY,)) + ID_B + (9).to_bytes(8, "big"),
+                        bytes((cco.MSG_LA,)) + ID_A + (2).to_bytes(8, "big") + (3).to_bytes(4, "big")):
+            first = store.handle_request(payload)
+            assert first[1] == cco.STATUS_OK
+            counters.reset()
+            assert store.handle_request(payload) == first
+            assert counters.total() == 0
+        assert store.cache_stats()[:4] == (3, 0, 3, 0)
+
+    def test_concurrent_requests_share_one_build(self):
+        _, material = pq.keygen([ID_A], PQ_T1024, fixed_rng(41))
+        store = cco.CcoStore()
+        store.provision(material)
+        payload = pq_payload(ID_A, 3)
+        barrier = threading.Barrier(4)
+        responses = [None] * 4
+
+        def worker(n):
+            barrier.wait()
+            responses[n] = store.handle_request(payload)
+
+        counters.reset()
+        run_threads([functools.partial(worker, n) for n in range(4)])
+        # 2t for the entries, 2 chain steps to epoch 3, H0 for the segment-0 seed
+        assert counters.total() == 2 * PQ_T1024.t + 2 + 1
+        assert len(set(responses)) == 1 and responses[0][1] == cco.STATUS_OK
+        hits, coalesced, misses, bypassed, _, _ = store.cache_stats()
+        assert (hits + coalesced, misses, bypassed) == (3, 1, 0)
+
+    def test_waiters_block_on_the_build_in_progress(self):
+        store, *_ = provisioned_store(seed=42)
+        build = store.pq_commitment
+        builds = []
+
+        def slow_build(signer_id, epoch):
+            # hold the one build open until the three others are waiting on it
+            builds.append(epoch)
+            wait_until(lambda: store.cache_stats().coalesced == 3)
+            return build(signer_id, epoch)
+
+        store.pq_commitment = slow_build
+        responses = []
+        run_threads([lambda: responses.append(store.handle_request(pq_payload(ID_A, 5)))] * 4)
+        assert builds == [5]
+        assert len(responses) == 4 and len(set(responses)) == 1
+        assert store.cache_stats()[:4] == (0, 3, 1, 0)
+
+    def test_evicted_response_rebuilt_identically(self):
+        _, material = pq.keygen([ID_A, ID_B], PQ_T1024, fixed_rng(43))
+        store = cco.CcoStore()
+        store.provision(material)
+        payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, PQ_T1024.epochs + 1)]
+        responses = []
+        for payload in payloads:
+            responses.append(store.handle_request(payload))
+            counters.reset()
+            store.handle_request(payloads[0])  # keeps the first payload recently used
+            assert counters.total() == 0
+            stats = store.cache_stats()
+            assert stats.size == stats.entries * len(responses[0]) <= cco.RESPONSE_CACHE_BYTES
+        assert stats.entries < len(payloads)
+        counters.reset()
+        assert store.handle_request(payloads[0]) == responses[0]
+        assert counters.total() == 0
+        # the least recently used one was evicted: asking again rebuilds it, bit for bit
+        assert store.handle_request(payloads[1]) == responses[1]
+        assert counters.total() == cold_cost(material, payloads[1:2]) > 0
+
+    def test_a_response_beyond_the_budget_is_not_kept(self, monkeypatch):
+        store, *_ = provisioned_store(seed=49)
+        la_payload = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big") + (3).to_bytes(4, "big")
+        la_len = len(store.handle_request(la_payload))
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 2 * la_len)
+        store, *_ = provisioned_store(seed=49)
+        store.handle_request(la_payload)
+        assert len(store.handle_request(pq_payload(ID_A, 1))) > 2 * la_len
+        assert store.cache_stats()[-2:] == (1, la_len)  # the la entry was not evicted for it
+        counters.reset()
+        store.handle_request(la_payload)
+        assert counters.total() == 0
+        store.handle_request(pq_payload(ID_A, 1))
+        assert counters.total() > 0
+
+    def test_refusals_are_not_cached(self):
+        _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(44))
+        store = cco.CcoStore()
+        store.provision(material)
+        payload = pq_payload(ID_C, 2)
+        assert store.handle_request(payload) == bytes((0x81, cco.STATUS_UNKNOWN_ID))
+        store.provision(
+            pq.PqKeyMaterial(material.msk, material.params,
+                             {ID_C: pq.derive_anchors(material.msk, ID_C, material.params)})
+        )
+        response = store.handle_request(payload)
+        assert response[:2] == bytes((0x81, cco.STATUS_OK))
+        assert response[2:] == store.pq_commitment(ID_C, 2).to_bytes()
+        assert store.cache_stats().entries == 1
+
+    def test_malformed_and_range_refusals_are_not_cached(self):
+        store, *_ = provisioned_store(seed=45)
+        wrong_l = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big") + (4).to_bytes(4, "big")
+        out_of_range = pq_payload(ID_A, PQ_TOY.epochs + 1)
+        for _ in range(2):
+            assert store.handle_request(wrong_l) == bytes((0x82, cco.STATUS_MALFORMED))
+            assert store.handle_request(out_of_range) == bytes((0x81, cco.STATUS_EPOCH_RANGE))
+        stats = store.cache_stats()
+        assert (stats.hits, stats.misses, stats.entries, stats.size) == (0, 4, 0, 0)
+
+    def test_exports_bypass_the_cache(self):
+        store, *_ = provisioned_store(seed=46)
+        body = bytes((cco.MSG_EXPORT, cco.MSG_PQ)) + ID_A + (2).to_bytes(8, "big") + (3).to_bytes(8, "big")
+        first = store.handle_request(body)
+        counters.reset()
+        assert store.handle_request(body) == first
+        assert counters.total() > 0
+        assert store.cache_stats() == cco.CacheStats(0, 0, 0, 2, 0, 0)
+
+    def test_counts_account_for_every_request(self):
+        store, *_ = provisioned_store(seed=47)
+        sent = [pq_payload(ID_A, e) for e in (1, 2, 1, 3, 2, 1)]  # 3 misses, 3 hits
+        sent += [pq_payload(ID_C, 1)] * 2  # unknown id: built each time
+        sent += [b"", bytes((cco.MSG_PQ,)) + b"short", bytes((0x6E,)) + bytes(24)]
+        sent += [bytes((cco.MSG_EXPORT, cco.MSG_LA)) + ID_B + (1).to_bytes(8, "big") * 2]
+        for payload in sent:
+            store.handle_request(payload)
+        stats = store.cache_stats()
+        assert stats[:4] == (3, 0, 5, 4)
+        assert sum(stats[:4]) == len(sent)
+        assert stats.entries == 3
+
+    def test_two_clients_over_loopback_build_each_payload_once(self):
+        store, _, _, material, _ = provisioned_store(seed=48)
+        rng = random.Random(48)
+        sequence = [pq_payload(rng.choice((ID_A, ID_B)), rng.randint(1, PQ_TOY.epochs))
+                    for _ in range(32)]
+        distinct = list(dict.fromkeys(sequence))
+        assert len(distinct) < len(sequence)
+        expected_hashes = cold_cost(material, distinct)
+        results = [None, None]
+        with cco.CcoServer(store) as server:
+            clients = [cco.CcoClient("127.0.0.1", server.port) for _ in range(2)]
+            barrier = threading.Barrier(2)
+
+            def run(n):
+                barrier.wait()
+                results[n] = [clients[n].request_raw(p) for p in sequence]
+
+            counters.reset()
+            run_threads([functools.partial(run, n) for n in range(2)])
+            for client in clients:
+                client.close()
+        assert counters.total() == expected_hashes
+        reference = cco.CcoStore()
+        reference.provision(material)
+        assert results[0] == results[1] == [reference.handle_request(p) for p in sequence]
+        stats = store.cache_stats()
+        assert stats.misses == len(distinct)
+        assert sum(stats[:4]) == 2 * len(sequence)
+
+
+    def test_stress_with_evictions(self, monkeypatch):
+        # more threads than cores, a short switch interval and a budget of
+        # 4 responses: a lost update would break the counts or the size
+        _, _, _, material, _ = provisioned_store(seed=54)
+        payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, 7)]
+        reference = cco.CcoStore()
+        reference.provision(material)
+        expected = {p: reference.handle_request(p) for p in payloads}
+        size = len(expected[payloads[0]])
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 4 * size)
+        store = cco.CcoStore()
+        store.provision(material)
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(200):
+                payload = rng.choice(payloads)
+                if store.handle_request(payload) != expected[payload]:
+                    wrong.append(payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([functools.partial(worker, n) for n in range(8)], timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
+        stats = store.cache_stats()
+        assert stats.hits + stats.coalesced + stats.misses == 8 * 200
+        assert stats.size == stats.entries * size <= 4 * size
+
+
+def stop_within(server, seconds):
+    """Stop ``server``; fail instead of hanging if that takes longer than ``seconds``."""
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    start = time.monotonic()
+    stopper.start()
+    stopper.join(timeout=seconds)
+    assert not stopper.is_alive(), "stop() did not return"
+    return time.monotonic() - start
+
+
+class TestServerLifecycle:
+    def test_stop_joins_the_handler_mid_build(self):
+        store, *_ = provisioned_store(seed=53)
+        build = store.pq_commitment
+        started, finished = threading.Event(), []
+
+        def slow_build(signer_id, epoch):
+            started.set()
+            time.sleep(0.2)
+            commitment = build(signer_id, epoch)
+            finished.append(epoch)
+            return commitment
+
+        store.pq_commitment = slow_build
+        with cco.CcoServer(store) as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                sock.sendall(struct.pack(">I", 25) + pq_payload(ID_A, 4))
+                assert started.wait(5)
+                stop_within(server, 5)
+                assert finished == [4]
+
+    def test_stop_waits_for_builds_in_progress(self):
+        params = pq.PqParams(t=1024, k=16, j1=4, j2=64)
+        _, material = pq.keygen([ID_A], params, fixed_rng(50))
+        store = cco.CcoStore()
+        store.provision(material)
+        frames = b"".join(
+            struct.pack(">I", 25) + pq_payload(ID_A, e) for e in range(1, params.epochs + 1)
+        )
+        with cco.CcoServer(store) as server:
+            with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                # 256 distinct t=1024 builds (about 0.5 s), never read
+                counters.reset()
+                sock.sendall(frames)
+                wait_until(lambda: counters.total() > 0)
+                stop_within(server, 5)
+                settled = counters.total()
+                time.sleep(0.2)
+                assert counters.total() == settled
+                assert settled < params.epochs * 2 * params.t  # stop cut the work short
+
+    def test_stop_is_prompt_with_an_idle_client_connected(self):
+        store, *_ = provisioned_store(seed=51)
+        server = cco.CcoServer(store)
+        server.start()
+        with cco.CcoClient("127.0.0.1", server.port, timeout=5) as client:
+            assert client.pq_commitment(ID_A, 1).epoch == 1
+            assert stop_within(server, 5) < 1.0
+            # the service hung up: the idle connection sees the end of the stream
+            with pytest.raises((MalformedFrame, OSError)):
+                client.pq_commitment(ID_A, 2)
+
+    def test_connection_errors_are_logged_with_the_peer(self, caplog):
+        store, *_ = provisioned_store(seed=52)
+        with caplog.at_level("WARNING", logger="hases.cco"):
+            with cco.CcoServer(store) as server:
+                with socket.create_connection(("127.0.0.1", server.port)) as sock:
+                    malformed_peer = sock.getsockname()
+                    sock.sendall(b"\xff\xff\xff\xff")  # beyond MAX_FRAME
+                    assert sock.recv(16) == struct.pack(">I", 2) + bytes((0x80, cco.STATUS_MALFORMED))
+                reset = socket.create_connection(("127.0.0.1", server.port))
+                reset_peer = reset.getsockname()
+                # close with a reset while the request is being answered
+                reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                reset.sendall(struct.pack(">I", 25) + pq_payload(ID_A, 1))
+                reset.close()
+                wait_until(lambda: len(caplog.records) >= 2)
+        messages = [record.getMessage() for record in caplog.records]
+        assert any("malformed frame from %s:%d" % malformed_peer in m for m in messages)
+        assert any("connection from %s:%d dropped" % reset_peer in m for m in messages)
+
+
+# --- fuzz: handle_request through the cache ------------------------------------
+
+
+@functools.cache
+def fuzz_material():
+    return provisioned_store(seed=60)[3]
+
+
+@functools.cache
+def fuzz_store():
+    """One store for every example, so the cache fills as the fuzz runs."""
+    store = cco.CcoStore()
+    store.provision(fuzz_material())
+    return store
+
+
+_ids = st.sampled_from([ID_A, ID_B, ID_C]) | st.binary(min_size=16, max_size=16)
+_epochs = st.integers(1, PQ_TOY.epochs) | st.sampled_from([0, PQ_TOY.epochs + 1, 2**64 - 1])
+
+
+@st.composite
+def request_payloads(draw):
+    kind = draw(st.sampled_from(["raw", "single", "export"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=40))
+    signer_id = draw(_ids)
+    if kind == "single":
+        msg_type = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]))
+        body = signer_id + draw(_epochs).to_bytes(8, "big")
+        if msg_type == cco.MSG_LA:
+            body += draw(st.sampled_from([3, 0, 4]) | st.integers(0, 2**32 - 1)).to_bytes(4, "big")
+        return bytes((msg_type,)) + body
+    scheme = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]) | st.integers(0, 255))
+    lo, hi = draw(_epochs), draw(_epochs)
+    return bytes((cco.MSG_EXPORT, scheme)) + signer_id + lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
+
+
+@settings(max_examples=500, deadline=None)
+@given(request_payloads())
+def test_fuzz_cached_responses_match_a_fresh_store(payload):
+    store = fuzz_store()
+    response = store.handle_request(payload)
+    fresh = cco.CcoStore()
+    fresh.provision(fuzz_material())
+    assert response == fresh.handle_request(payload)
+    assert store.handle_request(payload) == response
+    assert response[1] in (cco.STATUS_OK, cco.STATUS_UNKNOWN_ID, cco.STATUS_EPOCH_RANGE,
+                           cco.STATUS_MALFORMED)

@@ -1,6 +1,7 @@
 import argparse
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -384,6 +385,19 @@ class TestServeSubprocess:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+    def test_interrupt_with_an_idle_client_connected_exits_0(self, tmp_path):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        proc, port = self.start_server(tmp_path, out / "cco.store")
+        with proc:  # closes the pipes and waits on exit
+            try:
+                with cco.CcoClient("127.0.0.1", port) as client:
+                    assert client.pq_commitment(bytes.fromhex(ID_HEX_1), 1).epoch == 1
+                    # the client stays connected and idle while the service stops
+                    proc.send_signal(signal.SIGINT)
+                    assert proc.wait(timeout=10) == 0
+            finally:
+                proc.kill()
 
 
 class TestBench:
