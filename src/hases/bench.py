@@ -119,6 +119,13 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     )
     report.ops.append(OpStats("commitment_worst_case", calls, wall))
 
+    # what the service builds for an online verifier: the walk plus 2k hashes
+    indices = pq.message_indices(messages[-1], params)
+    calls, wall, opening = _measure(
+        lambda _: pq.open_commitment(materials, _BENCH_ID, worst_epoch, indices), trials
+    )
+    report.ops.append(OpStats("open_commitment", calls, wall))
+
     last = pq.construct_commitment(materials, _BENCH_ID, signature.epoch)
     calls, wall, ok = _measure(
         lambda _: pq.verify(last, messages[-1], signature, params), trials
@@ -129,6 +136,7 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     report.sizes["signature.payload_bytes"] = params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
     report.sizes["commitment.total_bytes"] = len(commitment.to_bytes())
+    report.sizes["opening_bytes"] = len(opening.to_bytes())
     return report
 
 
@@ -212,6 +220,12 @@ def bench_hy(
         la.construct_commitment(material.la, _BENCH_ID, epoch),
         pq.construct_commitment(material.pq, _BENCH_ID, epoch),
     )
+    indices = hy.opened(batch, signature, pq_params).indices
+    calls, wall, opening = _measure(
+        lambda _: hy.open_commitment(material, _BENCH_ID, epoch, indices), trials
+    )
+    report.ops.append(OpStats("open_commitment", calls, wall))
+
     tables = _measure_key_tables(report, public, group, trials)
     calls, wall, ok = _measure(
         lambda _: hy.verify_batch(
@@ -225,4 +239,5 @@ def bench_hy(
     report.sizes["signature.payload_bytes"] = 64 + pq_params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
     report.sizes["commitment.total_bytes"] = len(commitment.to_bytes(group))
+    report.sizes["opening_bytes"] = len(opening.to_bytes(group))
     return report

@@ -13,6 +13,8 @@ length followed by a 1-byte message type and the body.  Request types:
     0x02  commitment, aggregate          body: id(16) epoch(8) L(4)
     0x03  commitment, hybrid             body: id(16) epoch(8)
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
+    0x05  opening, forward-secure        body: id(16) epoch(8) k x index(4)
+    0x06  opening, hybrid                body: id(16) epoch(8) k x index(4)
 
 Responses mirror the request type with bit 0x80 set; the body starts
 with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
@@ -23,19 +25,31 @@ provisioning time; an aggregate request whose L differs from it is
 malformed.  An export whose response would exceed ``MAX_FRAME`` is
 refused with the epoch-range status before anything is built.
 
+An opening is what a verifier needs of one epoch's commitment: a pq
+signature reveals only k of its t entries.  The OK body of 0x05 is a
+``pq.PqOpening``: tag, id, epoch and the entries at the requested
+indices, in request order, duplicates included (537 bytes at k=16,
+where the t=1024 commitment takes 32,793).  That of 0x06 is the
+aggregate commitment followed by that opening.  The service hashes the
+chain walk and 2k entries instead of 2t; a request with other than k
+indices, or an index of t or more, is malformed and costs nothing.
+
 A connection carries any number of requests, and a client may send
 several before reading the replies: the server answers them one at a
-time, in order.  ``CcoClient.commitments`` keeps ``PIPELINE_WINDOW``
-requests in flight this way.
+time, in order.  ``CcoClient.commitments`` and ``CcoClient.openings``
+keep ``PIPELINE_WINDOW`` requests in flight this way.  Both ends turn
+Nagle's algorithm off (TCP_NODELAY): the frames are small, and holding
+each one until the previous is acknowledged would stall the pipeline.
 
-Responses to the single-epoch request types (0x01-0x03) go through a
-response cache keyed by the whole request payload: a least-recently-used
-map of response bytes, ``RESPONSE_CACHE_BYTES`` in all, in front of a
-single-flight build, so a payload asked for again is answered without
-hashing, and one asked for by several connections at once is built once
-while the others wait for it.  Only OK responses are kept; exports and
-every other status bypass the cache.  Entries are never invalidated,
-because the OK response to a payload cannot change (see the constant).
+Responses to the single-epoch request types (0x01-0x03, 0x05, 0x06) go
+through a response cache keyed by the whole request payload: a
+least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES`` in
+all, in front of a single-flight build, so a payload asked for again is
+answered without hashing, and one asked for by several connections at
+once is built once while the others wait for it.  Only OK responses are
+kept; exports and every other status bypass the cache.  Entries are
+never invalidated, because the OK response to a payload cannot change
+(see the constant).
 
 The protocol is binary so commitments travel bit-exactly, and it is
 deliberately small: there is no verification entry point (the store
@@ -48,7 +62,10 @@ Concurrency: key material objects are immutable; readers grab the
 current reference under a short lock and hash outside it, writers
 (provision, storage policy changes) swap in replacement objects.  The
 server runs one thread per connection; closing it shuts every open
-connection down and joins their threads.
+connection down and joins their threads.  Connections are logged at
+DEBUG on the ``hases.cco`` logger as they open and close, with the peer
+and the number of requests served; dropped connections and malformed
+frames at WARNING.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ import threading
 from collections import OrderedDict
 from functools import partial
 from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import hy, la, pq
 from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -69,6 +86,8 @@ MSG_PQ = 0x01
 MSG_LA = 0x02
 MSG_HY = 0x03
 MSG_EXPORT = 0x04
+MSG_PQ_OPENING = 0x05
+MSG_HY_OPENING = 0x06
 RESPONSE_BIT = 0x80
 
 STATUS_OK = 0x00
@@ -80,32 +99,44 @@ MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
 
 _REQUEST_BODY_LEN = {MSG_PQ: 24, MSG_LA: 28, MSG_HY: 24, MSG_EXPORT: 33}
 _EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
+_OPENING_TYPES = (MSG_PQ_OPENING, MSG_HY_OPENING)
+# the most indices an opening request may carry: k <= 256 for any t >= 2,
+# since k * log2(t) bits must fit one digest
+MAX_OPENING_INDICES = 256
 
 # Requests a client keeps in flight on one connection.  This cannot
 # deadlock: the client writes at most this many frames beyond what it
-# has read, each at most 4 + 1 + 33 = 38 bytes, so they always fit the
-# socket buffers and its writes never block, even while the server is
-# blocked sending it responses it has not read yet.
+# has read, the largest being an opening request of 4 + 1 + 24 + 4k
+# bytes, at most 1,053 with k <= 256, so a full window (under 17 KB)
+# always fits the socket buffers and its writes never block, even while
+# the server is blocked sending it responses it has not read yet.
 PIPELINE_WINDOW = 16
 
-# Byte budget of the response cache: about 15 pq or hy responses at
-# t=1024, roughly one PIPELINE_WINDOW, so two verifiers of one stream
-# running up to a window apart are both served from one build.  No
-# entry is ever invalidated, and none needs to be: only OK responses
-# are kept, ``provision`` refuses overlapping ids and any change of
-# master key or parameters, and ``set_storage_policy`` moves only the
-# anchors a chain walk starts from, not its result.  So the OK response
-# to a given (type, id, epoch[, L]) payload never changes.
+# Byte budget of the response cache: about 15 pq or hy commitments at
+# t=1024 (roughly one PIPELINE_WINDOW, so two verifiers of one stream
+# running up to a window apart are both served from one build), or
+# about 900 openings at k=16.  No entry is ever invalidated, and none
+# needs to be: only OK responses are kept, ``provision`` refuses
+# overlapping ids and any change of master key or parameters, and
+# ``set_storage_policy`` moves only the anchors a chain walk starts
+# from, not its result.  So the OK response to a given payload never
+# changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
-_CACHED_PAYLOAD_LEN = {t: 1 + _REQUEST_BODY_LEN[t] for t in (MSG_PQ, MSG_LA, MSG_HY)}
+
+def _well_formed(msg_type: int, body_len: int) -> bool:
+    """Whether a request body of this type can have this length."""
+    if msg_type in _OPENING_TYPES:
+        count, rest = divmod(body_len - 24, 4)
+        return not rest and 1 <= count <= MAX_OPENING_INDICES
+    return body_len == _REQUEST_BODY_LEN.get(msg_type)
 
 
-def _warn(message: str, *args) -> None:
+def _log(level: str, message: str, *args) -> None:
     # imported on first use: logging adds about 7 ms to every CLI start
     import logging
 
-    logging.getLogger(__name__).warning(message, *args)
+    getattr(logging.getLogger(__name__), level)(message, *args)
 
 
 class CacheStats(NamedTuple):
@@ -293,6 +324,13 @@ class CcoStore:
             self.pq_commitment(signer_id, epoch),
         )
 
+    def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
+        return pq.open_commitment(self.pq_material(), signer_id, epoch, indices)
+
+    def hy_opening(self, signer_id: bytes, epoch: int, indices) -> hy.HyOpening:
+        material = hy.HyKeyMaterial(self.la_material(), self.pq_material())
+        return hy.open_commitment(material, signer_id, epoch, indices)
+
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
         """Commitments for every epoch in [epoch_from, epoch_to], in order.
 
@@ -328,7 +366,7 @@ class CcoStore:
         payload.  Never raises: protocol errors become status bytes.
         Well-formed single-epoch requests go through the response cache."""
         build = partial(self._build_response, payload)
-        if payload and len(payload) == _CACHED_PAYLOAD_LEN.get(payload[0]):
+        if payload and payload[0] != MSG_EXPORT and _well_formed(payload[0], len(payload) - 1):
             return self._cache.get(payload, build)
         return self._cache.bypass(build)
 
@@ -341,45 +379,45 @@ class CcoStore:
             return bytes((RESPONSE_BIT, STATUS_MALFORMED))
         msg_type, body = payload[0], payload[1:]
         response_type = bytes(((msg_type | RESPONSE_BIT) & 0xFF,))
-        expected = _REQUEST_BODY_LEN.get(msg_type)
-        if expected is None or len(body) != expected:
+        if not _well_formed(msg_type, len(body)):
             return response_type + bytes((STATUS_MALFORMED,))
         try:
-            if msg_type == MSG_EXPORT:
-                scheme = body[0]
-                signer_id = body[1:17]
-                epoch_from = int.from_bytes(body[17:25], "big")
-                epoch_to = int.from_bytes(body[25:33], "big")
-                blobs = [
-                    self._serialize(commitment)
-                    for commitment in self.batch_export(scheme, signer_id, epoch_from, epoch_to)
-                ]
-                return (
-                    response_type
-                    + bytes((STATUS_OK,))
-                    + len(blobs).to_bytes(8, "big")
-                    + b"".join(blobs)
-                )
-            signer_id = body[:16]
-            epoch = int.from_bytes(body[16:24], "big")
-            if msg_type == MSG_PQ:
-                commitment = self.pq_commitment(signer_id, epoch)
-            elif msg_type == MSG_LA:
-                # L is on the wire, but only the registered batch size is
-                # served: any other would let a request choose its own cost
-                batch_size = int.from_bytes(body[24:28], "big")
-                if batch_size != self.la_material().params.batch_size:
-                    return response_type + bytes((STATUS_MALFORMED,))
-                commitment = self.la_commitment(signer_id, epoch)
-            else:
-                commitment = self.hy_commitment(signer_id, epoch)
-            return response_type + bytes((STATUS_OK,)) + self._serialize(commitment)
+            return response_type + bytes((STATUS_OK,)) + self._response_body(msg_type, body)
         except UnknownSigner:
             return response_type + bytes((STATUS_UNKNOWN_ID,))
         except EpochOutOfRange:
             return response_type + bytes((STATUS_EPOCH_RANGE,))
         except (MalformedFrame, ValueError):
             return response_type + bytes((STATUS_MALFORMED,))
+
+    def _response_body(self, msg_type: int, body: bytes) -> bytes:
+        """What follows the OK status; raises for every other status."""
+        if msg_type == MSG_EXPORT:
+            scheme = body[0]
+            signer_id = body[1:17]
+            epoch_from = int.from_bytes(body[17:25], "big")
+            epoch_to = int.from_bytes(body[25:33], "big")
+            blobs = [
+                self._serialize(commitment)
+                for commitment in self.batch_export(scheme, signer_id, epoch_from, epoch_to)
+            ]
+            return len(blobs).to_bytes(8, "big") + b"".join(blobs)
+        signer_id = body[:16]
+        epoch = int.from_bytes(body[16:24], "big")
+        if msg_type == MSG_PQ:
+            return self.pq_commitment(signer_id, epoch).to_bytes()
+        if msg_type == MSG_LA:
+            # L is on the wire, but only the registered batch size is
+            # served: any other would let a request choose its own cost
+            if int.from_bytes(body[24:28], "big") != self.la_material().params.batch_size:
+                raise MalformedFrame("aggregate batch size is not the registered one")
+            return self._serialize(self.la_commitment(signer_id, epoch))
+        if msg_type == MSG_HY:
+            return self._serialize(self.hy_commitment(signer_id, epoch))
+        indices = struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
+        if msg_type == MSG_PQ_OPENING:
+            return self.pq_opening(signer_id, epoch, indices).to_bytes()
+        return self.hy_opening(signer_id, epoch, indices).to_bytes(self.la_material().params.group)
 
     def _serialize(self, commitment) -> bytes:
         if isinstance(commitment, pq.PqCommitment):
@@ -421,21 +459,30 @@ def read_frame(stream: BinaryIO) -> bytes | None:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # replies and pipelined requests are small frames: Nagle's algorithm
+    # would hold each one back until the previous one is acknowledged
+    disable_nagle_algorithm = True
+
     def handle(self):
-        peer = self.client_address
+        peer = self.client_address[:2]
+        served = 0
+        _log("debug", "connection from %s:%s opened", *peer)
         try:
             while True:
                 try:
                     payload = read_frame(self.rfile)
                 except MalformedFrame as exc:
-                    _warn("malformed frame from %s:%s (%s): answered and closed", *peer[:2], exc)
+                    _log("warning", "malformed frame from %s:%s (%s): answered and closed", *peer, exc)
                     write_frame(self.wfile, bytes((RESPONSE_BIT, STATUS_MALFORMED)))
                     return
                 if payload is None:
                     return
                 write_frame(self.wfile, self.server.store.handle_request(payload))
+                served += 1
         except OSError as exc:
-            _warn("connection from %s:%s dropped: %s", *peer[:2], exc)
+            _log("warning", "connection from %s:%s dropped: %s", *peer, exc)
+        finally:
+            _log("debug", "connection from %s:%s closed after %d requests", *peer, served)
 
 
 class CcoServer(socketserver.ThreadingTCPServer):
@@ -513,6 +560,8 @@ class CcoClient:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # pipelined requests are small frames that Nagle's algorithm would hold back
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rwb")
 
     def close(self) -> None:
@@ -582,6 +631,22 @@ class CcoClient:
             bytes((msg_type,)) + _commitment_body(msg_type, signer_id, epoch, batch_size)
             for signer_id, epoch in keys
         )
+        return self._ok_bodies(msg_type, payloads)
+
+    def openings(
+        self, msg_type: int, keys: Iterable[tuple[bytes, int]], indices: Iterable[Sequence[int]]
+    ) -> Iterator[bytes | None]:
+        """Serialized opening (``MSG_PQ_OPENING`` or ``MSG_HY_OPENING``)
+        of each (id, epoch) key at the matching indices, in order, or
+        None for a non-OK status; pipelined as ``commitments``."""
+        payloads = (
+            bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big")
+            + struct.pack(f">{len(opened)}I", *opened)
+            for (signer_id, epoch), opened in zip(keys, indices)
+        )
+        return self._ok_bodies(msg_type, payloads)
+
+    def _ok_bodies(self, msg_type: int, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
         for response in self._exchange(payloads):
             status, rest = _split_response(msg_type, response)
             yield rest if status == STATUS_OK else None

@@ -154,6 +154,9 @@ _COMMITMENT_TAGS = {
     keyfiles.SCHEME_HY: hy.COMMITMENT_TAG,
 }
 
+# the request for the entries a signature opens; la's commitment is whole
+_OPENING_TYPES = {keyfiles.SCHEME_PQ: cco.MSG_PQ_OPENING, keyfiles.SCHEME_HY: cco.MSG_HY_OPENING}
+
 
 class _CommitmentSource:
     """Pipelined service connection or a preloaded offline export."""
@@ -180,15 +183,44 @@ class _CommitmentSource:
         if self.client:
             self.client.close()
 
-    def commitments(self, keys: list[tuple[bytes, int]]) -> Iterator[bytes | None]:
-        """Serialized commitment of each (id, epoch), in order, or None
-        where there is none; the caller parses each one once."""
+    def openings(self, keys: list[tuple[bytes, int]], indices: list) -> Iterator[object | None]:
+        """For each (id, epoch) key, its commitment opened at the unit's
+        indices (la: the whole commitment), in order, or None where there
+        is none or it does not parse.  The service opens it; an offline
+        export's full commitment is opened here, so both verify alike."""
+        bundle = self.bundle
         if self.client is None:
-            return (self.offline.get(key) for key in keys)
-        # scheme tags double as the service's request types
-        scheme = self.bundle.scheme
-        size = self.bundle.la_params.batch_size if scheme == keyfiles.SCHEME_LA else 0
-        return self.client.commitments(scheme, keys, size)
+            blobs = (self.offline.get(key) for key in keys)
+            parse = _open_full
+        elif bundle.scheme == keyfiles.SCHEME_LA:
+            blobs = self.client.commitments(cco.MSG_LA, keys, bundle.la_params.batch_size)
+            parse = _open_full
+        else:
+            blobs = self.client.openings(_OPENING_TYPES[bundle.scheme], keys, indices)
+            parse = _parse_opening
+        for blob, opened in zip(blobs, indices):
+            try:
+                yield None if blob is None else parse(bundle, blob, opened)
+            except ValueError:
+                yield None  # a malformed commitment is a cryptographic reject
+
+
+def _open_full(bundle, blob: bytes, indices):
+    """A serialized full commitment, parsed and opened at ``indices``
+    (la's is used whole)."""
+    if bundle.scheme == keyfiles.SCHEME_PQ:
+        return pq.PqCommitment.from_bytes(blob).open(indices, bundle.pq_params)
+    group = bundle.la_params.group
+    if bundle.scheme == keyfiles.SCHEME_LA:
+        return la.LaCommitment.from_bytes(blob, group)
+    return hy.HyCommitment.from_bytes(blob, group).open(indices, bundle.pq_params)
+
+
+def _parse_opening(bundle, blob: bytes, indices):
+    """The service's serialized opening at ``indices``, parsed."""
+    if bundle.scheme == keyfiles.SCHEME_PQ:
+        return pq.PqOpening.from_bytes(blob, indices)
+    return hy.HyOpening.from_bytes(blob, bundle.la_params.group, indices)
 
 
 def cmd_verify(args) -> int:
@@ -226,18 +258,33 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
     signatures = [_parse_signature(bundle, blob) for blob in blobs]
     units = [n for n, signature in enumerate(signatures) if signature is not None]
     keys = [_unit_key(signatures[n]) for n in units]
+    derived = [_derive(bundle, messages[n], signatures[n]) for n in units]
+    indices = [d.indices if isinstance(d, hy.Opened) else d for d in derived]
     # per-key tables live for this run only: see hases.group
     tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
     results = [False] * len(blobs)
-    for n, commit_blob in zip(units, source.commitments(keys)):
-        if commit_blob is not None:
-            results[n] = _verify_one(bundle, messages[n], signatures[n], commit_blob, tables)
+    for n, unit_derived, opening in zip(units, derived, source.openings(keys, indices)):
+        if opening is not None:
+            results[n] = _verify_one(
+                bundle, messages[n], signatures[n], opening, unit_derived, tables
+            )
     return results
 
 
 def _unit_key(signature) -> tuple[bytes, int]:
     unit = signature.la if isinstance(signature, hy.HySignature) else signature
     return unit.signer_id, unit.epoch
+
+
+def _derive(bundle, message, signature):
+    """What checking a unit derives from its message before the
+    commitment is needed, computed once: the pq indices it opens, hy's
+    ``Opened``, nothing for la."""
+    if bundle.scheme == keyfiles.SCHEME_PQ:
+        return pq.message_indices(message, bundle.pq_params)
+    if bundle.scheme == keyfiles.SCHEME_HY:
+        return hy.opened(message, signature, bundle.pq_params)
+    return None
 
 
 def _parse_signature(bundle, blob):
@@ -256,28 +303,19 @@ def _parse_signature(bundle, blob):
     return signature if _unit_key(signature)[0] in bundle.public_keys else None
 
 
-def _verify_one(bundle, message, signature, commit_blob, tables) -> bool:
-    # malformed commitments and keys outside the subgroup are
-    # cryptographic rejects; only transport and file-level failures
-    # escape as errors
+def _verify_one(bundle, message, signature, opening, derived, tables) -> bool:
+    # keys outside the subgroup are cryptographic rejects; only transport
+    # and file-level failures escape as errors
     scheme = bundle.scheme
     try:
         if scheme == keyfiles.SCHEME_PQ:
-            commitment = pq.PqCommitment.from_bytes(commit_blob)
-            return pq.verify(commitment, message, signature, bundle.pq_params)
+            return pq.verify(opening, message, signature, bundle.pq_params, derived)
         group = bundle.la_params.group
         key_table = tables[_unit_key(signature)[0]]
         if scheme == keyfiles.SCHEME_LA:
-            commitment = la.LaCommitment.from_bytes(commit_blob, group)
-            return la.verify_batch(key_table, commitment, message, signature, group)
-        commitment = hy.HyCommitment.from_bytes(commit_blob, group)
+            return la.verify_batch(key_table, opening, message, signature, group)
         return hy.verify_batch(
-            key_table,
-            commitment,
-            message,
-            signature,
-            group,
-            bundle.pq_params,
+            key_table, opening, message, signature, group, bundle.pq_params, derived
         )
     except ValueError:
         return False

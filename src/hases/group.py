@@ -92,17 +92,6 @@ class PrimeOrderGroup:
         """Full order-q subgroup membership check (may cost an exp)."""
         raise NotImplementedError
 
-    # scalar arithmetic mod q
-
-    def scalar_add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def scalar_sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def scalar_mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def decode_scalar(self, data: bytes) -> int:
         if len(data) != SCALAR_LEN:
             raise ValueError("scalar encoding must be 32 bytes")

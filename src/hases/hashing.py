@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 DIGEST_LEN = 32
 ID_LEN = 16
@@ -107,17 +108,27 @@ def commitment_images(seed: bytes, t: int) -> list[bytes]:
     calls, but ``byte(1) || seed`` is hashed once and its state copied
     for each label, and the label encodings are cached per ``t``.
     """
+    return _images(seed, _labels(t))
+
+
+def opened_images(seed: bytes, indices: Sequence[int]) -> list[bytes]:
+    """The images of ``commitment_images`` at positions ``indices``
+    (label x + 1 for index x), in the given order; 2 calls per index."""
+    return _images(seed, [encode_index(x + 1) for x in indices])
+
+
+def _images(seed: bytes, labels: Sequence[bytes]) -> list[bytes]:
     chain = _sha256(_PREFIX[DOM_CHAIN] + seed).copy
     commit = _sha256(_PREFIX[DOM_COMMIT]).copy
     images = []
-    for label in _labels(t):
+    for label in labels:
         inner = chain()
         inner.update(label)
         outer = commit()
         outer.update(inner.digest())
         images.append(outer.digest())
-    counters.calls_h1 += t
-    counters.calls_h2 += t
+    counters.calls_h1 += len(labels)
+    counters.calls_h2 += len(labels)
     return images
 
 

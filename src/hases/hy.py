@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import la, pq
 from .errors import EpochDesync
@@ -154,6 +154,31 @@ class HyCommitment:
             pq.PqCommitment(signer_id, epoch, entries),
         )
 
+    def open(self, indices: Sequence[int], pq_params: pq.PqParams) -> "HyOpening":
+        """The aggregate commitment with the pq entries at ``indices``."""
+        return HyOpening(self.la, self.pq.open(indices, pq_params))
+
+
+class HyOpening(NamedTuple):
+    """What a hybrid signature is checked against: the whole aggregate
+    commitment and the pq commitment's entries at the indices the
+    signature opens.  Serialized as the two components back to back.
+    (A named tuple, as ``pq.PqOpening``.)"""
+
+    la: la.LaCommitment
+    pq: pq.PqOpening
+
+    def to_bytes(self, group: PrimeOrderGroup) -> bytes:
+        return self.la.to_bytes(group) + self.pq.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes, group: PrimeOrderGroup, indices: Sequence[int]) -> "HyOpening":
+        la_part = la.LaCommitment.from_bytes(data[: la.COMMITMENT_LEN], group)
+        pq_part = pq.PqOpening.from_bytes(data[la.COMMITMENT_LEN :], indices)
+        if la_part.signer_id != pq_part.signer_id or la_part.epoch != pq_part.epoch:
+            raise ValueError("component commitments disagree on signer or epoch")
+        return cls(la_part, pq_part)
+
 
 @dataclass(frozen=True)
 class HyKeyMaterial:
@@ -194,18 +219,48 @@ def sign_batch(state: HySignerState, messages: Sequence[bytes]) -> HySignature:
     return HySignature(la_sig, pq_sig)
 
 
+class Opened(NamedTuple):
+    """What checking a batch derives before its commitment is needed."""
+
+    nested: list[bytes]  # ``nest`` of the batch
+    indices: tuple[int, ...]  # the pq commitment entries the signature opens
+
+
+def opened(messages: Sequence[bytes], signature: HySignature, pq_params: pq.PqParams) -> Opened:
+    """The nested vector of ``messages`` and the pq indices ``signature``
+    opens over it; ``verify_batch`` takes it instead of deriving both again."""
+    nested = nest(messages)
+    inner = inner_message(signature.la.agg, nested[-1])
+    return Opened(nested, pq.message_indices(inner, pq_params))
+
+
+def open_commitment(
+    material: HyKeyMaterial, signer_id: bytes, epoch: int, indices: Sequence[int]
+) -> HyOpening:
+    """The aggregate commitment of (signer, epoch) and its pq entries at
+    ``indices``.  The pq part goes first, so bad indices, like an
+    unknown id or epoch, are refused before any hashing or group work."""
+    pq_part = pq.open_commitment(material.pq, signer_id, epoch, indices)
+    return HyOpening(la.construct_commitment(material.la, signer_id, epoch), pq_part)
+
+
 def verify_batch(
     key_table,
-    commitment: HyCommitment,
+    commitment: HyCommitment | HyOpening,
     messages: Sequence[bytes],
     signature: HySignature,
     group: PrimeOrderGroup,
     pq_params: pq.PqParams,
+    derived: Opened | None = None,
 ) -> bool:
     """Both component checks must pass on the recomputed nested vector.
 
     ``key_table`` is ``group.precompute`` of the signer's public key, as
-    for ``la.verify_batch``.
+    for ``la.verify_batch``.  ``commitment`` is the full hybrid
+    commitment or its opening at the indices the signature opens, as
+    ``pq.verify`` takes either.  ``derived`` is ``opened(messages,
+    signature, pq_params)`` when the caller has it already, as an online
+    verifier does to ask for the opening; it is trusted to be.
     """
     if (
         signature.la.signer_id != commitment.la.signer_id
@@ -214,12 +269,13 @@ def verify_batch(
         return False
     if not messages:
         return False
-    digests = nest(messages)
+    digests, indices = derived or opened(messages, signature, pq_params)
     ok_la = la.verify_batch(key_table, commitment.la, digests, signature.la, group)
     ok_pq = pq.verify(
         commitment.pq,
         inner_message(signature.la.agg, digests[-1]),
         signature.pq,
         pq_params,
+        indices,
     )
     return ok_la and ok_pq

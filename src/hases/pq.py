@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from .hashing import (
@@ -38,10 +38,12 @@ from .hashing import (
     domain_hash,
     encode_index,
     iter_hash,
+    opened_images,
 )
 
 SIGNATURE_TAG = 0x01
 COMMITMENT_TAG = 0x11
+OPENING_TAG = 0x21
 HEADER_LEN = 1 + 16 + 8  # tag || id || epoch
 
 MASTER_KEY_LEN = 32
@@ -125,8 +127,7 @@ class PqSignature:
         signer_id, epoch, rest = _split_header(data, SIGNATURE_TAG, "signature")
         if not rest or len(rest) % DIGEST_LEN:
             raise ValueError("signature body is not a whole number of digests")
-        parts = tuple(rest[i : i + DIGEST_LEN] for i in range(0, len(rest), DIGEST_LEN))
-        return cls(signer_id, epoch, parts)
+        return cls(signer_id, epoch, _digests(rest))
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,58 @@ class PqCommitment:
         signer_id, epoch, rest = _split_header(data, COMMITMENT_TAG, "commitment")
         if not rest or len(rest) % DIGEST_LEN:
             raise ValueError("commitment body is not a whole number of digests")
-        entries = tuple(rest[i : i + DIGEST_LEN] for i in range(0, len(rest), DIGEST_LEN))
-        return cls(signer_id, epoch, entries)
+        return cls(signer_id, epoch, _digests(rest))
+
+    def open(self, indices: Sequence[int], params: PqParams) -> "PqOpening":
+        """The entries at ``indices``, in that order; ValueError unless
+        this commitment has t entries and every index is below t."""
+        if len(self.entries) != params.t:
+            raise ValueError(f"commitment has {len(self.entries)} entries, not {params.t}")
+        if not all(0 <= x < params.t for x in indices):
+            raise ValueError(f"an index is outside [0, {params.t})")
+        return PqOpening(self.signer_id, self.epoch, tuple(indices),
+                         tuple(self.entries[x] for x in indices))
+
+
+class PqOpening(NamedTuple):
+    """The entries of one epoch's commitment at ``indices``, in that
+    order, duplicates included: all that a signature whose message
+    selects those indices is checked against.
+
+    The serialized form is the header and the entries; the indices are
+    not in it, the reader supplies the ones it asked for.  (A named
+    tuple: a frozen dataclass adds about 3 ms to every CLI start.)
+    """
+
+    signer_id: bytes
+    epoch: int
+    indices: tuple[int, ...]
+    entries: tuple[bytes, ...]
+
+    def to_bytes(self) -> bytes:
+        return (
+            bytes((OPENING_TAG,))
+            + self.signer_id
+            + encode_index(self.epoch)
+            + b"".join(self.entries)
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "PqOpening":
+        signer_id, epoch, rest = _split_header(data, OPENING_TAG, "opening")
+        if len(rest) != len(indices) * DIGEST_LEN:
+            raise ValueError("opening body does not hold one digest per index")
+        return cls(signer_id, epoch, tuple(indices), _digests(rest))
+
+    def open(self, indices: Sequence[int], params: PqParams) -> "PqOpening":
+        """This opening, if it was made at ``indices``; ValueError if not."""
+        if self.indices != tuple(indices):
+            raise ValueError("opening was made at other indices")
+        return self
+
+
+def _digests(data: bytes) -> tuple[bytes, ...]:
+    return tuple(data[i : i + DIGEST_LEN] for i in range(0, len(data), DIGEST_LEN))
 
 
 def _split_header(data: bytes, tag: int, what: str) -> tuple[bytes, int, bytes]:
@@ -276,7 +327,7 @@ def commitment_from_seed(seed: bytes, signer_id: bytes, epoch: int, params: PqPa
 def construct_commitment(material: PqKeyMaterial, signer_id: bytes, epoch: int) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
-    Costs 2t hashes plus the chain walk of ``construct_commitments``.
+    Costs 2t hashes plus the chain walk of ``_seed_at``.
     """
     return construct_commitments(material, signer_id, epoch, epoch)[0]
 
@@ -287,11 +338,43 @@ def construct_commitments(
     """Commitments for every epoch in [epoch_from, epoch_to], in order.
 
     The id and the whole range are checked before any hashing.  The
-    seed of ``epoch_from`` is recovered from the nearest anchor at or
-    below it (the master key itself when it falls in the first segment,
-    one more hash), then walked forward at most j2 - 1 steps.  Later
-    epochs take one chain step each, straight across anchor boundaries:
-    chain splitting makes the seeds the same.
+    first seed costs the walk of ``_seed_at``; later epochs take one
+    chain step each, straight across anchor boundaries: chain splitting
+    makes the seeds the same.
+    """
+    params = material.params
+    seed = _seed_at(material, signer_id, epoch_from, epoch_to)
+    commitments = [commitment_from_seed(seed, signer_id, epoch_from, params)]
+    for epoch in range(epoch_from + 1, epoch_to + 1):
+        seed = domain_hash(DOM_CHAIN, seed)
+        commitments.append(commitment_from_seed(seed, signer_id, epoch, params))
+    return commitments
+
+
+def open_commitment(
+    material: PqKeyMaterial, signer_id: bytes, epoch: int, indices: Sequence[int]
+) -> PqOpening:
+    """The entries of (signer, epoch)'s commitment at ``indices``, in
+    order, duplicates included, without building the other t - k.
+
+    ``indices`` must be exactly k positions below t (``ValueError``);
+    they, the id and the epoch are checked before any hashing.  Costs
+    the walk of ``_seed_at`` plus 2k hashes.
+    """
+    params = material.params
+    indices = tuple(indices)
+    if len(indices) != params.k or not all(0 <= x < params.t for x in indices):
+        raise ValueError(f"an opening takes exactly {params.k} indices below {params.t}")
+    seed = _seed_at(material, signer_id, epoch, epoch)
+    return PqOpening(signer_id, epoch, indices, tuple(opened_images(seed, indices)))
+
+
+def _seed_at(material: PqKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int) -> bytes:
+    """Seed of ``epoch_from``, once the id and [epoch_from, epoch_to] check.
+
+    It is recovered from the nearest anchor at or below the epoch (the
+    master key itself when it falls in the first segment, one more
+    hash), then walked forward at most j2 - 1 steps.
     """
     params = material.params
     if signer_id not in material.anchors:
@@ -303,33 +386,40 @@ def construct_commitments(
         base = initial_seed(material.msk, signer_id)
     else:
         base = material.anchors[signer_id][segment - 1]
-    seed = iter_hash(DOM_CHAIN, base, offset)
-    commitments = [commitment_from_seed(seed, signer_id, epoch_from, params)]
-    for epoch in range(epoch_from + 1, epoch_to + 1):
-        seed = domain_hash(DOM_CHAIN, seed)
-        commitments.append(commitment_from_seed(seed, signer_id, epoch, params))
-    return commitments
+    return iter_hash(DOM_CHAIN, base, offset)
 
 
 def verify(
-    commitment: PqCommitment,
+    commitment: PqCommitment | PqOpening,
     message: bytes,
     signature: PqSignature,
     params: PqParams,
+    indices: Sequence[int] | None = None,
 ) -> bool:
-    """Check the k revealed strings against the epoch commitment.
+    """Check the k revealed strings against the commitment entries at
+    the message's indices.
 
+    ``commitment`` is the epoch's full commitment, opened here, or an
+    opening made at exactly those indices: either way one check runs
+    over the same k entries.  ``indices`` are ``message_indices(message,
+    params)`` when the caller has derived them already, as an online
+    verifier does to ask for the opening; they are trusted to be.
     Structural mismatches (identity/epoch disagreement, wrong part or
-    entry counts, epoch outside [1, J]) reject before any hashing.
+    entry counts, epoch outside [1, J]) reject without hashing the parts.
     """
     if signature.signer_id != commitment.signer_id or signature.epoch != commitment.epoch:
         return False
     if not 1 <= signature.epoch <= params.epochs:
         return False
-    if len(signature.parts) != params.k or len(commitment.entries) != params.t:
+    if len(signature.parts) != params.k:
         return False
-    indices = message_indices(message, params)
+    if indices is None:
+        indices = message_indices(message, params)
+    try:
+        opening = commitment.open(indices, params)
+    except ValueError:
+        return False
     return all(
-        domain_hash(DOM_COMMIT, part) == commitment.entries[x]
-        for part, x in zip(signature.parts, indices)
+        domain_hash(DOM_COMMIT, part) == entry
+        for part, entry in zip(signature.parts, opening.entries)
     )

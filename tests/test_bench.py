@@ -51,3 +51,20 @@ def test_trial_count_bounded_by_epochs():
 
     with pytest.raises(ValueError):
         bench.bench_pq(PQ_SMALL, trials=PQ_SMALL.epochs + 1)
+
+
+def test_open_commitment_rows_beside_the_full_build():
+    report = bench.bench_pq(PQ_SMALL, trials=2)
+    counts = {op.name: op.hash_calls for op in report.ops}
+    # worst case of segment one: H0 for the first seed, a walk of j2 - 1 steps, then 2k or 2t
+    walk = 1 + PQ_SMALL.j2 - 1
+    assert counts["open_commitment"] == walk + 2 * PQ_SMALL.k
+    assert counts["commitment_worst_case"] == walk + 2 * PQ_SMALL.t
+    assert report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32
+    assert report.sizes["commitment.total_bytes"] == 25 + PQ_SMALL.t * 32
+    assert "pq.open_commitment.wall_us=" in "\n".join(report.machine_lines())
+
+    hy_report = bench.bench_hy(PQ_SMALL, small_test_group(), batch_size=2, trials=2)
+    assert "open_commitment" in [op.name for op in hy_report.ops]
+    # the aggregate commitment, then the pq opening
+    assert hy_report.sizes["opening_bytes"] == 61 + 25 + PQ_SMALL.k * 32

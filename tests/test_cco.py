@@ -742,6 +742,166 @@ class TestServerLifecycle:
         assert any("connection from %s:%d dropped" % reset_peer in m for m in messages)
 
 
+# --- openings: the k entries a signature opens ------------------------------------
+
+
+def opening_payload(msg_type, signer_id, epoch, indices):
+    return (bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big")
+            + b"".join(x.to_bytes(4, "big") for x in indices))
+
+
+@functools.cache
+def t1024_store():
+    """A hy store at t=1024, k=16 on the production group."""
+    group = production_group()
+    states, public, material = hy.keygen([ID_A, ID_B], group, 4, PQ_T1024, fixed_rng(70))
+    store = cco.CcoStore()
+    store.provision(material)
+    return store, states, public, material, group
+
+
+class TestOpeningRequests:
+    INDICES = (5, 1023, 0, 5, 512, 1, 2, 3, 4, 700, 5, 6, 7, 8, 9, 10)  # duplicates included
+
+    def test_pq_opening_is_the_slice_of_the_commitment(self):
+        store, *_ = t1024_store()
+        for epoch in (1, 4, 5, 16):  # both sides of the anchor boundary at epoch 5
+            full = pq.PqCommitment.from_bytes(store.handle_request(pq_payload(ID_A, epoch))[2:])
+            response = store.handle_request(
+                opening_payload(cco.MSG_PQ_OPENING, ID_A, epoch, self.INDICES))
+            assert response[:2] == bytes((0x85, cco.STATUS_OK))
+            assert len(response) == 539 and len(full.to_bytes()) + 2 == 32795
+            assert response[2:] == full.open(self.INDICES, PQ_T1024).to_bytes()
+
+    def test_hy_opening_is_the_la_commitment_then_the_pq_opening(self):
+        store, *_, group = t1024_store()
+        full_response = store.handle_request(bytes((cco.MSG_HY,)) + ID_B + (6).to_bytes(8, "big"))
+        full = hy.HyCommitment.from_bytes(full_response[2:], group)
+        response = store.handle_request(opening_payload(cco.MSG_HY_OPENING, ID_B, 6, self.INDICES))
+        assert response[:2] == bytes((0x86, cco.STATUS_OK))
+        assert response[2:] == full.la.to_bytes(group) + full.pq.open(self.INDICES, PQ_T1024).to_bytes()
+        assert len(response) == 2 + la.COMMITMENT_LEN + 537
+
+    def test_statuses_and_no_hashing_for_refusals(self):
+        store, *_ = t1024_store()
+        good = self.INDICES
+        cases = {
+            cco.STATUS_MALFORMED: [
+                good[:-1], good + (0,), good[:-1] + (1024,), good[:-1] + (2**32 - 1,),
+            ],
+        }
+        for msg_type in (cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING):
+            counters.reset()
+            for indices in cases[cco.STATUS_MALFORMED]:
+                response = store.handle_request(opening_payload(msg_type, ID_A, 2, indices))
+                assert response == bytes((msg_type | 0x80, cco.STATUS_MALFORMED))
+            payload = opening_payload(msg_type, ID_A, 2, good)
+            for truncated in (payload[:-1], payload[:-4], payload[:25], payload[:24],
+                              payload + bytes(4 * 241)):  # over MAX_OPENING_INDICES
+                assert store.handle_request(truncated)[1] == cco.STATUS_MALFORMED
+            assert store.handle_request(opening_payload(msg_type, ID_C, 2, good)) == bytes(
+                (msg_type | 0x80, cco.STATUS_UNKNOWN_ID))
+            for epoch in (0, PQ_T1024.epochs + 1):
+                assert store.handle_request(opening_payload(msg_type, ID_A, epoch, good)) == bytes(
+                    (msg_type | 0x80, cco.STATUS_EPOCH_RANGE))
+            assert counters.total() == 0
+
+    def test_an_opening_costs_the_walk_and_2k_hashes(self):
+        store, *_ = t1024_store()
+        for epoch, walk in ((3, 2 + 1), (8, 3)):  # segment 0 also derives the first seed
+            payload = opening_payload(cco.MSG_PQ_OPENING, ID_B, epoch, self.INDICES)
+            counters.reset()
+            assert store.handle_request(payload)[1] == cco.STATUS_OK
+            assert counters.total() == walk + 2 * PQ_T1024.k
+            counters.reset()
+            store.handle_request(payload)  # cached
+            assert counters.total() == 0
+
+    def test_two_verifiers_of_a_hy_unit_share_one_build(self):
+        store, *_ = provisioned_store(seed=71)
+        payload = opening_payload(cco.MSG_HY_OPENING, ID_A, 3, (1, 7, 7, 0))
+        before = store.cache_stats()
+        responses = []
+        barrier = threading.Barrier(4)
+
+        def ask():
+            barrier.wait()
+            responses.append(store.handle_request(payload))
+
+        run_threads([ask] * 4)
+        after = store.cache_stats()
+        assert len(set(responses)) == 1 and responses[0][1] == cco.STATUS_OK
+        assert after.misses - before.misses == 1
+        assert (after.hits + after.coalesced) - (before.hits + before.coalesced) == 3
+
+
+class TestOpeningsOverTcp:
+    def test_openings_in_request_order(self):
+        store, *_ = provisioned_store(seed=72)
+        rng = random.Random(73)
+        keys = [(sid, epoch) for epoch in range(1, PQ_TOY.epochs + 1) for sid in (ID_A, ID_B)]
+        keys += [(ID_C, 2), (ID_A, 0), (ID_B, PQ_TOY.epochs + 1)]
+        indices = [tuple(rng.randrange(PQ_TOY.t) for _ in range(PQ_TOY.k)) for _ in keys]
+        indices[3] = (0, 1, 2)  # malformed: not k indices
+        for msg_type in (cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING):
+            expected = []
+            for key, opened in zip(keys, indices):
+                response = store.handle_request(opening_payload(msg_type, *key, opened))
+                expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
+            assert expected.count(None) == 4
+            with cco.CcoServer(store) as server:
+                with cco.CcoClient("127.0.0.1", server.port) as client:
+                    assert list(client.openings(msg_type, keys, indices)) == expected
+
+    def test_a_full_window_of_the_largest_openings_is_in_flight(self):
+        # k = 256 (t = 2) makes the largest request a client sends:
+        # 4 + 1 + 24 + 4k = 1053 bytes; the server reads a whole window
+        # of them before it answers any
+        params = pq.PqParams(t=2, k=256, j1=2, j2=8)
+        _, material = pq.keygen([ID_A], params, fixed_rng(74))
+        store = cco.CcoStore()
+        store.provision(material)
+        rng = random.Random(75)
+        keys = [(ID_A, epoch) for epoch in range(1, cco.PIPELINE_WINDOW + 1)]
+        indices = [tuple(rng.randrange(2) for _ in range(params.k)) for _ in keys]
+        assert len(opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, indices[0])) + 4 == 1053
+        port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
+        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+            blobs = list(client.openings(cco.MSG_PQ_OPENING, keys, indices))
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert blobs == [store.pq_opening(*key, opened).to_bytes()
+                         for key, opened in zip(keys, indices)]
+
+    def test_both_ends_disable_nagle(self):
+        store, *_ = provisioned_store(seed=76)
+        accepted = []
+
+        class Recording(cco.CcoServer):
+            def process_request(self, request, client_address):
+                accepted.append(request)
+                super().process_request(request, client_address)
+
+        with Recording(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert client.pq_commitment(ID_A, 1).epoch == 1
+                # the handler sets the option in its setup, before the first reply
+                assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_connections_logged_with_the_peer_and_the_requests_served(self, caplog):
+        store, *_ = provisioned_store(seed=77)
+        with caplog.at_level("DEBUG", logger="hases.cco"):
+            with cco.CcoServer(store) as server:
+                with cco.CcoClient("127.0.0.1", server.port) as client:
+                    peer = client._sock.getsockname()
+                    list(client.commitments(cco.MSG_PQ, [(ID_A, 1), (ID_A, 2), (ID_C, 1)]))
+                wait_until(lambda: any("closed" in r.getMessage() for r in caplog.records))
+        messages = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "hases.cco"]
+        assert ("DEBUG", "connection from %s:%d opened" % peer) in messages
+        assert ("DEBUG", "connection from %s:%d closed after 3 requests" % peer) in messages
+
+
 # --- fuzz: handle_request through the cache ------------------------------------
 
 
@@ -764,10 +924,20 @@ _epochs = st.integers(1, PQ_TOY.epochs) | st.sampled_from([0, PQ_TOY.epochs + 1,
 
 @st.composite
 def request_payloads(draw):
-    kind = draw(st.sampled_from(["raw", "single", "export"]))
+    kind = draw(st.sampled_from(["raw", "single", "export", "opening"]))
     if kind == "raw":
         return draw(st.binary(max_size=40))
     signer_id = draw(_ids)
+    if kind == "opening":
+        # k = 4 indices below t = 8, or a wrong count, a large index, duplicates
+        count = draw(st.sampled_from([PQ_TOY.k] * 3 + [0, 1, PQ_TOY.k + 1, 300]))
+        index = st.integers(0, PQ_TOY.t - 1) | st.sampled_from([PQ_TOY.t, 2**32 - 1])
+        indices = draw(st.lists(index, min_size=count, max_size=count))
+        if indices and draw(st.booleans()):
+            indices[-1] = indices[0]
+        msg_type = draw(st.sampled_from([cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING]))
+        payload = opening_payload(msg_type, signer_id, draw(_epochs), indices)
+        return payload[: draw(st.integers(1, len(payload)))] if draw(st.booleans()) else payload
     if kind == "single":
         msg_type = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]))
         body = signer_id + draw(_epochs).to_bytes(8, "big")

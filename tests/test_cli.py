@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from hases import cco, cli, keyfiles, pq, stream
+from hases import cco, cli, hy, keyfiles, la, pq, stream
 
 ID_HEX_1 = "aa" * 16
 ID_HEX_2 = "bb" * 16
@@ -311,6 +311,97 @@ class TestPipelinedVerify:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert code == 2
+
+
+class TestOnlineMatchesOffline:
+    """``verify --cco`` (openings) and ``verify --commits`` (full commitments
+    sliced locally) give the same per-unit results."""
+
+    UNITS = 14
+
+    def signed_chunk(self, tmp_path, scheme):
+        batch = 2 if scheme == "hy" else 1
+        extra = ["--J1", "4"] + (["--L", str(batch)] if scheme == "hy" else [])
+        out = keygen(tmp_path, scheme, extra)
+        msgs = write_csv(tmp_path, self.UNITS * batch)
+        sigs = tmp_path / "sigs.bin"
+        key = out / f"signer_{ID_HEX_1}.key"
+        assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", str(sigs)]) == 0
+        return out, msgs, sigs
+
+    @staticmethod
+    def moved(bundle, blob, signer_id=None, epoch=None):
+        if bundle.scheme == keyfiles.SCHEME_PQ:
+            old = pq.PqSignature.from_bytes(blob)
+            return pq.PqSignature(signer_id or old.signer_id, epoch or old.epoch,
+                                  old.parts).to_bytes()
+        old = hy.HySignature.from_bytes(blob, bundle.la_params.group)
+        signer_id, epoch = signer_id or old.la.signer_id, epoch or old.la.epoch
+        return hy.HySignature(la.LaSignature(signer_id, epoch, old.la.agg, old.la.seed),
+                              pq.PqSignature(signer_id, epoch, old.pq.parts)).to_bytes()
+
+    @pytest.mark.parametrize("scheme", ["pq", "hy"])
+    def test_same_results_and_exit_codes(self, tmp_path, capsys, scheme):
+        out, msgs, sigs = self.signed_chunk(tmp_path, scheme)
+        pub = out / "verifier.pub"
+        bundle = keyfiles.load_verifier_bundle(pub)
+        in_store, not_in_store = bytes.fromhex(ID_HEX_1), bytes.fromhex(ID_HEX_2)
+        # the bundle knows a signer the service does not
+        keys = dict(bundle.public_keys)
+        keys[not_in_store] = keys[in_store]
+        bundle = replace(bundle, public_keys=keys)
+        keyfiles.save_verifier_bundle(pub, bundle)
+        clean = keyfiles.load_signatures(sigs)
+        blobs = list(clean)
+        tampered = bytearray(blobs[2])
+        tampered[-1] ^= 1  # the last revealed pq string
+        blobs[2] = bytes(tampered)
+        blobs[4] = blobs[4][:-1]  # malformed
+        blobs[6] = self.moved(bundle, blobs[6], signer_id=not_in_store)  # unknown id
+        blobs[8] = self.moved(bundle, blobs[8], epoch=17)  # past J
+        blobs[10] = self.moved(bundle, blobs[10], epoch=12)  # another epoch's commitment
+        blobs[11] = self.moved(bundle, blobs[11], signer_id=b"\xcc" * 16)  # not in the bundle
+        rejected = {2, 4, 6, 8, 10, 11}
+        mixed = tmp_path / "mixed.bin"
+        keyfiles.save_signatures(mixed, blobs)
+
+        store = keyfiles.load_store(out / "cco.store")
+        request_types = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: request_types.append(payload[0]) or handle(payload)
+        commits = str(tmp_path / "commits.bin")
+        records = stream.read_stream(msgs, "csv", False)
+        with cco.CcoServer(store) as server:
+            address = f"127.0.0.1:{server.port}"
+            assert cli.main(["request", "--cco", address, "--scheme", scheme, "--id", ID_HEX_1,
+                             "--export", "1:16", "--out", commits]) == 0
+            results = {}
+            for name, args in (("online", (address, None)), ("offline", (None, commits))):
+                source = cli._CommitmentSource(argparse.Namespace(cco=args[0], commits=args[1]),
+                                               bundle)
+                try:
+                    results[name] = cli._verify_all(bundle, records, blobs, source)
+                finally:
+                    source.close()
+            assert results["online"] == results["offline"] == [
+                n not in rejected for n in range(self.UNITS)]
+            # one export, then one opening request per unit that names a bundle signer
+            opening = cco.MSG_PQ_OPENING if scheme == "pq" else cco.MSG_HY_OPENING
+            assert request_types == [cco.MSG_EXPORT] + [opening] * (self.UNITS - 2)
+
+            def verify(sig_file, *source):
+                capsys.readouterr()
+                code = cli.main(["verify", "--pub", str(pub), "--in", msgs,
+                                 "--sigs", str(sig_file), *source])
+                return code, capsys.readouterr().out
+
+            for source in (["--cco", address], ["--commits", commits]):
+                assert verify(mixed, *source) == (
+                    1, f"{self.UNITS - len(rejected)}/{self.UNITS} signatures valid\n")
+                assert verify(sigs, *source) == (0, f"{self.UNITS}/{self.UNITS} signatures valid\n")
+            assert verify(sigs, "--commits", str(tmp_path / "missing.bin"))[0] == 2
+        # the service is gone
+        assert verify(sigs, "--cco", address)[0] == 2
 
 
 class TestServeSubprocess:

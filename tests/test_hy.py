@@ -253,3 +253,72 @@ class TestSerialization:
                 signature.la,
                 pq.PqSignature(ID_A, signature.pq.epoch + 1, signature.pq.parts),
             )
+
+
+class TestOpening:
+    def setup_method(self):
+        self.group, self.state, self.public, self.material = setup(
+            production_group(), params=PQ_PROD, seed=10
+        )
+        self.batch = [b"one", b"two", b"three", b"four"]
+        self.signature = hy.sign_batch(self.state, self.batch)
+        self.key_table = self.group.precompute(self.public)
+        self.derived = hy.opened(self.batch, self.signature, PQ_PROD)
+
+    def test_opened_derives_what_verify_derives(self):
+        nested = hy.nest(self.batch)
+        inner = hy.inner_message(self.signature.la.agg, nested[-1])
+        assert self.derived == (nested, pq.message_indices(inner, PQ_PROD))
+
+    def test_opening_is_the_sliced_commitment(self):
+        indices = self.derived.indices
+        opening = hy.open_commitment(self.material, ID_A, 1, indices)
+        full = commitment_for(self.material, ID_A, 1)
+        assert opening == full.open(indices, PQ_PROD)
+        assert opening.la == full.la
+        assert opening.pq.entries == tuple(full.pq.entries[x] for x in indices)
+
+    def test_verify_accepts_the_opening_as_the_full_commitment(self):
+        opening = hy.open_commitment(self.material, ID_A, 1, self.derived.indices)
+        full = commitment_for(self.material, ID_A, 1)
+        for commitment in (full, opening):
+            assert hy.verify_batch(self.key_table, commitment, self.batch, self.signature,
+                                   self.group, PQ_PROD)
+            assert hy.verify_batch(self.key_table, commitment, self.batch, self.signature,
+                                   self.group, PQ_PROD, self.derived)
+        # the derived values are not computed again: only the aggregate layer's hashes
+        # and the k entry images remain
+        counters.reset()
+        hy.verify_batch(self.key_table, opening, self.batch, self.signature, self.group,
+                        PQ_PROD, self.derived)
+        with_derived = counters.total()
+        counters.reset()
+        hy.verify_batch(self.key_table, opening, self.batch, self.signature, self.group, PQ_PROD)
+        assert counters.total() - with_derived == 2 * len(self.batch) - 1 + 1
+        # another batch opens other indices: the opening does not fit it
+        other = [b"one", b"two", b"three", b"five"]
+        assert not hy.verify_batch(self.key_table, opening, other, self.signature, self.group,
+                                   PQ_PROD)
+
+    def test_round_trip_and_layout(self):
+        opening = hy.open_commitment(self.material, ID_A, 3, self.derived.indices)
+        blob = opening.to_bytes(self.group)
+        # the aggregate commitment, then the pq opening
+        assert len(blob) == la.COMMITMENT_LEN + pq.HEADER_LEN + PQ_PROD.k * 32 == 598
+        assert blob[: la.COMMITMENT_LEN] == opening.la.to_bytes(self.group)
+        assert hy.HyOpening.from_bytes(blob, self.group, self.derived.indices) == opening
+        other_epoch = hy.open_commitment(self.material, ID_A, 4, self.derived.indices)
+        mixed = opening.la.to_bytes(self.group) + other_epoch.pq.to_bytes()
+        for bad in (blob[:-1], blob[: la.COMMITMENT_LEN], blob[1:], mixed):
+            with pytest.raises(ValueError):
+                hy.HyOpening.from_bytes(bad, self.group, self.derived.indices)
+
+    def test_bad_indices_refused_before_any_work(self, monkeypatch):
+        group_work = []
+        monkeypatch.setattr(la, "construct_commitment",
+                            lambda *args: group_work.append(args))
+        counters.reset()
+        for indices in ((), (0,) * (PQ_PROD.k + 1), (PQ_PROD.t,) * PQ_PROD.k):
+            with pytest.raises(ValueError):
+                hy.open_commitment(self.material, ID_A, 1, indices)
+        assert counters.total() == 0 and not group_work

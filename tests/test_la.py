@@ -63,7 +63,7 @@ class TestHandTrace:
         # y=3, nonce r=5, challenge e=4: s = 5 - 4*3 mod 11 = 4
         group = small_test_group()
         y, r, e = 3, 5, 4
-        s = group.scalar_sub(r, group.scalar_mul(e, y))
+        s = (r - e * y) % group.q
         assert s == 4
         Y = group.exp(group.generator, y)
         assert Y == 8
@@ -90,7 +90,7 @@ class TestHandTrace:
             nonces = [rng.randrange(1, 11) for _ in range(4)]
             challenges = [rng.randrange(1, 11) for _ in range(4)]
             responses = [
-                group.scalar_sub(r, group.scalar_mul(e, y))
+                (r - e * y) % group.q
                 for r, e in zip(nonces, challenges)
             ]
             for r, e, s in zip(nonces, challenges, responses):
@@ -162,7 +162,7 @@ class TestSign:
             item_seed = domain_hash(0, public_seed + encode_index(item))
             nonce = hash_to_scalar(1, nonce_seed + encode_index(item), group.q)
             challenge = hash_to_scalar(2, message + item_seed, group.q)
-            parts.append(group.scalar_sub(nonce, group.scalar_mul(challenge, y)))
+            parts.append((nonce - challenge * y) % group.q)
         assert signature.agg == la.aggregate(parts, group.q)
         assert signature.seed == public_seed
 

@@ -327,3 +327,92 @@ class TestSerialization:
     def test_ragged_body_rejected(self):
         with pytest.raises(ValueError):
             pq.PqSignature.from_bytes(bytes((pq.SIGNATURE_TAG,)) + bytes(24) + b"ragged")
+
+
+class TestOpening:
+    @staticmethod
+    def boundary_epochs(params):
+        # the first and last epochs, and both sides of every anchor boundary
+        boundaries = range(params.j2 + 1, params.epochs + 1, params.j2)
+        return sorted({1, params.epochs} | {e - d for e in boundaries for d in (0, 1)})
+
+    @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
+    def test_entries_equal_the_full_commitment_at_every_index(self, params):
+        _, material = pq.keygen([ID_A], params, fixed_rng(30))
+        rng = random.Random(31)
+        for epoch in self.boundary_epochs(params):
+            full = pq.construct_commitment(material, ID_A, epoch)
+            # every index once across the groups of k, then duplicates
+            positions = list(range(params.t)) + [rng.randrange(params.t) for _ in range(params.k)]
+            positions += [positions[-1]] * (-len(positions) % params.k)
+            for start in range(0, len(positions), params.k):
+                indices = tuple(positions[start : start + params.k])
+                opening = pq.open_commitment(material, ID_A, epoch, indices)
+                assert opening == full.open(indices, params)
+                assert opening.entries == tuple(full.entries[x] for x in indices)
+                assert (opening.signer_id, opening.epoch, opening.indices) == (ID_A, epoch, indices)
+            repeated = (rng.randrange(params.t),) * params.k
+            assert pq.open_commitment(material, ID_A, epoch, repeated).entries == (
+                full.entries[repeated[0]],) * params.k
+
+    @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
+    def test_exact_hash_count(self, params):
+        _, material = pq.keygen([ID_A], params, fixed_rng(32))
+        indices = tuple(range(params.k))
+        for epoch in range(1, params.epochs + 1):
+            segment, offset = divmod(epoch - 1, params.j2)
+            counters.reset()
+            pq.open_commitment(material, ID_A, epoch, indices)
+            # the chain walk, 2k for the entries, H0 for the initial seed in segment 0
+            assert counters.snapshot() == (int(segment == 0), offset + params.k, params.k)
+
+    def test_malformed_requests_cost_no_hashes(self):
+        _, material = pq.keygen([ID_A], TOY, fixed_rng(33))
+        good = tuple(range(TOY.k))
+        counters.reset()
+        for indices in ((), good[:-1], good + (0,), (0, 1, 2, TOY.t), (0, 1, 2, -1)):
+            with pytest.raises(ValueError):
+                pq.open_commitment(material, ID_A, 1, indices)
+        with pytest.raises(UnknownSigner):
+            pq.open_commitment(material, ID_B, 1, good)
+        for epoch in (0, TOY.epochs + 1):
+            with pytest.raises(EpochOutOfRange):
+                pq.open_commitment(material, ID_A, epoch, good)
+        assert counters.total() == 0
+
+    def test_verify_runs_one_check_on_commitment_or_opening(self):
+        states, material = pq.keygen([ID_A], PROD, fixed_rng(34))
+        message = b"opened message"
+        signature = pq.sign(states[ID_A], message)
+        indices = pq.message_indices(message, PROD)
+        full = pq.construct_commitment(material, ID_A, 1)
+        opening = pq.open_commitment(material, ID_A, 1, indices)
+        assert pq.verify(full, message, signature, PROD)
+        assert pq.verify(opening, message, signature, PROD)
+        # given the indices, the check does not derive them again
+        counters.reset()
+        assert pq.verify(opening, message, signature, PROD, indices)
+        assert counters.total() == PROD.k
+        # an opening made at other indices, or a tampered part, is rejected
+        other = pq.open_commitment(material, ID_A, 1, indices[1:] + indices[:1])
+        assert not pq.verify(other, message, signature, PROD)
+        assert not pq.verify(opening, b"another message", signature, PROD)
+        tampered = pq.PqSignature(ID_A, 1, signature.parts[:-1] + (bytes(32),))
+        assert not pq.verify(opening, message, tampered, PROD)
+        # a commitment with the wrong entry count cannot be opened
+        short = pq.PqCommitment(ID_A, 1, full.entries[:-1])
+        with pytest.raises(ValueError):
+            short.open(indices, PROD)
+        assert not pq.verify(short, message, signature, PROD)
+
+    def test_round_trip_and_size(self):
+        _, material = pq.keygen([ID_A], PROD, fixed_rng(35))
+        indices = tuple(range(0, 1024, 64))
+        opening = pq.open_commitment(material, ID_A, 7, indices)
+        blob = opening.to_bytes()
+        assert len(blob) == pq.HEADER_LEN + PROD.k * 32 == 537
+        assert blob[0] == pq.OPENING_TAG
+        assert pq.PqOpening.from_bytes(blob, indices) == opening
+        for bad in (blob[:-1], blob + bytes(32), bytes((pq.COMMITMENT_TAG,)) + blob[1:]):
+            with pytest.raises(ValueError):
+                pq.PqOpening.from_bytes(bad, indices)
