@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from . import hy, la, pq
+from . import cco, hy, la, pq
 from .group import PrimeOrderGroup, production_group
 from .hashing import counters
 
@@ -43,11 +43,11 @@ class BenchReport:
     def table(self) -> str:
         rows = [f"scheme: {self.scheme}"]
         rows += [f"  {key} = {value}" for key, value in self.params.items()]
-        rows.append(f"  {'operation':<24} {'hash calls':>10} {'wall (us)':>12}")
+        rows.append(f"  {'operation':<28} {'hash calls':>10} {'wall (us)':>12}")
         for op in self.ops:
-            rows.append(f"  {op.name:<24} {op.hash_calls:>10} {op.wall_us:>12.2f}")
+            rows.append(f"  {op.name:<28} {op.hash_calls:>10} {op.wall_us:>12.2f}")
         for key, value in self.sizes.items():
-            rows.append(f"  {key:<24} {value:>10} bytes")
+            rows.append(f"  {key:<28} {value:>10} bytes")
         return "\n".join(rows)
 
 
@@ -125,6 +125,16 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
         lambda _: pq.open_commitment(materials, _BENCH_ID, worst_epoch, indices), trials
     )
     report.ops.append(OpStats("open_commitment", calls, wall))
+
+    # an online verifier's chunk: epochs 1, 2, ... through a store, whose
+    # chain cursor makes each opening after the first one step plus 2k
+    # hashes (2k alone where an anchor starts the epoch's segment)
+    store = cco.CcoStore()
+    store.provision(materials)
+    calls, wall, _ = _measure(
+        lambda i: store.pq_opening(_BENCH_ID, i + 1, indices), trials
+    )
+    report.ops.append(OpStats("open_commitment_sequential", calls, wall))
 
     last = pq.construct_commitment(materials, _BENCH_ID, signature.epoch)
     calls, wall, ok = _measure(

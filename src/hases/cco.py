@@ -34,12 +34,21 @@ aggregate commitment followed by that opening.  The service hashes the
 chain walk and 2k entries instead of 2t; a request with other than k
 indices, or an index of t or more, is malformed and costs nothing.
 
+Every pq seed is walked to from the nearest seed the store knows: the
+anchor of the epoch's segment, or the signer's chain cursor, the seed
+of the epoch the store last derived for that signer.  A verifier's run
+of consecutive epochs so costs one step per further epoch, and no walk
+is ever more than j2 - 1 steps.
+
 A connection carries any number of requests, and a client may send
 several before reading the replies: the server answers them one at a
 time, in order.  ``CcoClient.commitments`` and ``CcoClient.openings``
 keep ``PIPELINE_WINDOW`` requests in flight this way.  Both ends turn
 Nagle's algorithm off (TCP_NODELAY): the frames are small, and holding
 each one until the previous is acknowledged would stall the pipeline.
+The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
+longer length prefix is answered as malformed and the connection is
+closed, its body unread.
 
 Responses to the single-epoch request types (0x01-0x03, 0x05, 0x06) go
 through a response cache keyed by the whole request payload: a
@@ -103,6 +112,11 @@ _OPENING_TYPES = (MSG_PQ_OPENING, MSG_HY_OPENING)
 # the most indices an opening request may carry: k <= 256 for any t >= 2,
 # since k * log2(t) bits must fit one digest
 MAX_OPENING_INDICES = 256
+
+# The largest request frame the server reads: an opening request is at
+# most 1 + 24 + 4k = 1,049 bytes with k <= 256.  A longer length prefix
+# is answered as malformed before its body is read.
+MAX_REQUEST_FRAME = 2048
 
 # Requests a client keeps in flight on one connection.  This cannot
 # deadlock: the client writes at most this many frames beyond what it
@@ -232,6 +246,16 @@ class CcoStore:
         self._pq: pq.PqKeyMaterial | None = None
         self._la: la.LaKeyMaterial | None = None
         self._cache = _ResponseCache(RESPONSE_CACHE_BYTES)
+        # The pq chain cursor: (epoch, seed) per provisioned signer, the
+        # seed last derived for it (``pq.Cursor``).  Entries are replaced
+        # whole without a lock; a racing write of an older epoch only
+        # lengthens a later walk, since every entry is a true seed.  None
+        # is ever invalidated, and none needs to be: a seed depends only
+        # on the master key and the id, ``provision`` refuses any change
+        # of master key or parameters, and ``set_storage_policy`` moves
+        # only the anchors.  Unknown ids are refused before any walk, so
+        # there is one entry at most per provisioned signer.
+        self._cursor: pq.Cursor = {}
 
     # -- provisioning (exclusive writers) --------------------------------
 
@@ -313,7 +337,7 @@ class CcoStore:
     # -- commitment construction -----------------------------------------
 
     def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
-        return pq.construct_commitment(self.pq_material(), signer_id, epoch)
+        return pq.construct_commitment(self.pq_material(), signer_id, epoch, self._cursor)
 
     def la_commitment(self, signer_id: bytes, epoch: int) -> la.LaCommitment:
         return la.construct_commitment(self.la_material(), signer_id, epoch)
@@ -325,11 +349,11 @@ class CcoStore:
         )
 
     def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
-        return pq.open_commitment(self.pq_material(), signer_id, epoch, indices)
+        return pq.open_commitment(self.pq_material(), signer_id, epoch, indices, self._cursor)
 
     def hy_opening(self, signer_id: bytes, epoch: int, indices) -> hy.HyOpening:
         material = hy.HyKeyMaterial(self.la_material(), self.pq_material())
-        return hy.open_commitment(material, signer_id, epoch, indices)
+        return hy.open_commitment(material, signer_id, epoch, indices, self._cursor)
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
         """Commitments for every epoch in [epoch_from, epoch_to], in order.
@@ -346,7 +370,9 @@ class CcoStore:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
         if scheme == MSG_LA:
             return la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
-        pq_part = pq.construct_commitments(self.pq_material(), signer_id, epoch_from, epoch_to)
+        pq_part = pq.construct_commitments(
+            self.pq_material(), signer_id, epoch_from, epoch_to, self._cursor
+        )
         if scheme == MSG_PQ:
             return pq_part
         la_part = la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
@@ -436,15 +462,17 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
     stream.flush()
 
 
-def read_frame(stream: BinaryIO) -> bytes | None:
-    """Read one frame; None on clean EOF before a length prefix."""
+def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
+    """Read one frame of at most ``limit`` bytes; None on clean EOF
+    before a length prefix.  A longer length prefix raises
+    ``MalformedFrame`` before the body is read."""
     header = stream.read(4)
     if not header:
         return None
     if len(header) < 4:
         raise MalformedFrame("truncated frame length")
     (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME:
+    if length > limit:
         raise MalformedFrame("frame exceeds maximum size")
     payload = b""
     while len(payload) < length:
@@ -470,7 +498,7 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             while True:
                 try:
-                    payload = read_frame(self.rfile)
+                    payload = read_frame(self.rfile, MAX_REQUEST_FRAME)
                 except MalformedFrame as exc:
                     _log("warning", "malformed frame from %s:%s (%s): answered and closed", *peer, exc)
                     write_frame(self.wfile, bytes((RESPONSE_BIT, STATUS_MALFORMED)))
@@ -650,16 +678,6 @@ class CcoClient:
         for response in self._exchange(payloads):
             status, rest = _split_response(msg_type, response)
             yield rest if status == STATUS_OK else None
-
-    def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
-        return pq.PqCommitment.from_bytes(self.commitment_bytes(MSG_PQ, signer_id, epoch))
-
-    def la_commitment(self, signer_id: bytes, epoch: int, batch_size: int, group) -> la.LaCommitment:
-        blob = self.commitment_bytes(MSG_LA, signer_id, epoch, batch_size)
-        return la.LaCommitment.from_bytes(blob, group)
-
-    def hy_commitment(self, signer_id: bytes, epoch: int, group) -> hy.HyCommitment:
-        return hy.HyCommitment.from_bytes(self.commitment_bytes(MSG_HY, signer_id, epoch), group)
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
         body = (

@@ -235,12 +235,17 @@ def opened(messages: Sequence[bytes], signature: HySignature, pq_params: pq.PqPa
 
 
 def open_commitment(
-    material: HyKeyMaterial, signer_id: bytes, epoch: int, indices: Sequence[int]
+    material: HyKeyMaterial,
+    signer_id: bytes,
+    epoch: int,
+    indices: Sequence[int],
+    cursor: pq.Cursor | None = None,
 ) -> HyOpening:
     """The aggregate commitment of (signer, epoch) and its pq entries at
-    ``indices``.  The pq part goes first, so bad indices, like an
-    unknown id or epoch, are refused before any hashing or group work."""
-    pq_part = pq.open_commitment(material.pq, signer_id, epoch, indices)
+    ``indices``; ``cursor`` is passed to ``pq.open_commitment``.  The pq
+    part goes first, so bad indices, like an unknown id or epoch, are
+    refused before any hashing or group work."""
+    pq_part = pq.open_commitment(material.pq, signer_id, epoch, indices, cursor)
     return HyOpening(la.construct_commitment(material.la, signer_id, epoch), pq_part)
 
 

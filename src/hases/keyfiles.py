@@ -63,6 +63,8 @@ def _la_params_bytes(params: la.LaParams) -> bytes:
 
 
 def _la_params_from(data: bytes) -> la.LaParams:
+    if len(data) != _LA_PARAMS_LEN:
+        raise ValueError("truncated aggregate parameters")
     return la.LaParams(
         group=group_by_tag(data[0]),
         max_batches=int.from_bytes(data[1:9], "big"),

@@ -10,10 +10,13 @@ epoch's commitment from the master key, optionally accelerated by
 precomputed mid-chain anchors.
 
 Epoch factorization: with J = j1 * j2 total epochs, the store keeps
-j1 - 1 anchors (the seeds at epochs j2+1, 2*j2+1, ...), bounding the
-chain walk for any request to at most j2 - 1 hash steps.  j1 = 1 means
-no anchors and a worst case of J - 1 steps: a pure storage/latency
-trade-off, the commitments themselves are policy-invariant.
+j1 - 1 anchors (the seeds at epochs j2+1, 2*j2+1, ...).  A request
+walks the chain from the nearest seed the store knows: an anchor, or
+the seed a chain cursor kept from the signer's previous request, so a
+run of consecutive epochs takes one step per further epoch.  The walk
+is never more than j2 - 1 hash steps.  j1 = 1 means no anchors and a
+worst case of J - 1 steps: a pure storage/latency trade-off, the
+commitments themselves are policy-invariant.
 
 Commitment entries carry labels 1..t; a message index x in [0, t-1]
 selects the entry at position x, whose label is x + 1.  Both the signer
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
 
 from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from .hashing import (
@@ -47,6 +50,10 @@ OPENING_TAG = 0x21
 HEADER_LEN = 1 + 16 + 8  # tag || id || epoch
 
 MASTER_KEY_LEN = 32
+
+#: A chain cursor: for each signer, the (epoch, seed) of a seed already
+#: derived, from which a later walk may start instead of an anchor.
+Cursor = MutableMapping[bytes, tuple[int, bytes]]
 
 
 @dataclass(frozen=True)
@@ -324,35 +331,47 @@ def commitment_from_seed(seed: bytes, signer_id: bytes, epoch: int, params: PqPa
     return PqCommitment(signer_id, epoch, tuple(commitment_images(seed, params.t)))
 
 
-def construct_commitment(material: PqKeyMaterial, signer_id: bytes, epoch: int) -> PqCommitment:
+def construct_commitment(
+    material: PqKeyMaterial, signer_id: bytes, epoch: int, cursor: Cursor | None = None
+) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
     Costs 2t hashes plus the chain walk of ``_seed_at``.
     """
-    return construct_commitments(material, signer_id, epoch, epoch)[0]
+    return construct_commitments(material, signer_id, epoch, epoch, cursor)[0]
 
 
 def construct_commitments(
-    material: PqKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int
+    material: PqKeyMaterial,
+    signer_id: bytes,
+    epoch_from: int,
+    epoch_to: int,
+    cursor: Cursor | None = None,
 ) -> list[PqCommitment]:
     """Commitments for every epoch in [epoch_from, epoch_to], in order.
 
     The id and the whole range are checked before any hashing.  The
     first seed costs the walk of ``_seed_at``; later epochs take one
     chain step each, straight across anchor boundaries: chain splitting
-    makes the seeds the same.
+    makes the seeds the same.  A ``cursor`` is left at ``epoch_to``.
     """
     params = material.params
-    seed = _seed_at(material, signer_id, epoch_from, epoch_to)
+    seed = _seed_at(material, signer_id, epoch_from, epoch_to, cursor)
     commitments = [commitment_from_seed(seed, signer_id, epoch_from, params)]
     for epoch in range(epoch_from + 1, epoch_to + 1):
         seed = domain_hash(DOM_CHAIN, seed)
         commitments.append(commitment_from_seed(seed, signer_id, epoch, params))
+    if cursor is not None:
+        cursor[signer_id] = (epoch_to, seed)
     return commitments
 
 
 def open_commitment(
-    material: PqKeyMaterial, signer_id: bytes, epoch: int, indices: Sequence[int]
+    material: PqKeyMaterial,
+    signer_id: bytes,
+    epoch: int,
+    indices: Sequence[int],
+    cursor: Cursor | None = None,
 ) -> PqOpening:
     """The entries of (signer, epoch)'s commitment at ``indices``, in
     order, duplicates included, without building the other t - k.
@@ -365,16 +384,25 @@ def open_commitment(
     indices = tuple(indices)
     if len(indices) != params.k or not all(0 <= x < params.t for x in indices):
         raise ValueError(f"an opening takes exactly {params.k} indices below {params.t}")
-    seed = _seed_at(material, signer_id, epoch, epoch)
+    seed = _seed_at(material, signer_id, epoch, epoch, cursor)
     return PqOpening(signer_id, epoch, indices, tuple(opened_images(seed, indices)))
 
 
-def _seed_at(material: PqKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int) -> bytes:
+def _seed_at(
+    material: PqKeyMaterial,
+    signer_id: bytes,
+    epoch_from: int,
+    epoch_to: int,
+    cursor: Cursor | None = None,
+) -> bytes:
     """Seed of ``epoch_from``, once the id and [epoch_from, epoch_to] check.
 
     It is recovered from the nearest anchor at or below the epoch (the
     master key itself when it falls in the first segment, one more
-    hash), then walked forward at most j2 - 1 steps.
+    hash), then walked forward at most j2 - 1 steps.  With a ``cursor``
+    the walk starts from the signer's entry instead when that lies
+    between the anchor and the epoch, so it is never longer, and the
+    entry moves to ``epoch_from``.
     """
     params = material.params
     if signer_id not in material.anchors:
@@ -382,11 +410,18 @@ def _seed_at(material: PqKeyMaterial, signer_id: bytes, epoch_from: int, epoch_t
     if not 1 <= epoch_from <= epoch_to <= params.epochs:
         raise EpochOutOfRange(f"epochs [{epoch_from}, {epoch_to}] outside [1, {params.epochs}]")
     segment, offset = divmod(epoch_from - 1, params.j2)
-    if segment == 0:
-        base = initial_seed(material.msk, signer_id)
+    known = cursor.get(signer_id) if cursor is not None else None
+    if known is not None and epoch_from - offset <= known[0] <= epoch_from:
+        seed = iter_hash(DOM_CHAIN, known[1], epoch_from - known[0])
     else:
-        base = material.anchors[signer_id][segment - 1]
-    return iter_hash(DOM_CHAIN, base, offset)
+        if segment == 0:
+            base = initial_seed(material.msk, signer_id)
+        else:
+            base = material.anchors[signer_id][segment - 1]
+        seed = iter_hash(DOM_CHAIN, base, offset)
+    if cursor is not None:
+        cursor[signer_id] = (epoch_from, seed)
+    return seed
 
 
 def verify(

@@ -492,7 +492,8 @@ def test_criterion_8_service_round_trip():
             on_demand = []
             for batch, signature in zip(batches, signatures):
                 try:
-                    commitment = client.hy_commitment(signer, signature.la.epoch, group)
+                    blob = client.commitment_bytes(cco.MSG_HY, signer, signature.la.epoch)
+                    commitment = hy.HyCommitment.from_bytes(blob, group)
                     on_demand.append(
                         hy.verify_batch(tables[signer], commitment, batch, signature, group, PROD_PQ)
                     )

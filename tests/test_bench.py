@@ -46,6 +46,17 @@ def test_hy_report_combines_layers():
     assert report.sizes["signature.payload_bytes"] == 64 + PQ_SMALL.k * 32
 
 
+def test_sequential_openings_row_at_every_trial_count():
+    # the row's last opening is at epoch ``trials``: one step from the one
+    # before it, or none at all where that epoch starts a segment
+    for trials in (1, 2, 16, 17, 18, PQ_SMALL.epochs):
+        report = bench.bench_pq(PQ_SMALL, trials=trials)
+        counts = {op.name: op.hash_calls for op in report.ops}
+        starts_segment = trials > PQ_SMALL.j2 and (trials - 1) % PQ_SMALL.j2 == 0
+        walk = 0 if starts_segment else 1  # H0 for the initial seed when trials == 1
+        assert counts["open_commitment_sequential"] == walk + 2 * PQ_SMALL.k
+
+
 def test_trial_count_bounded_by_epochs():
     import pytest
 
@@ -60,6 +71,10 @@ def test_open_commitment_rows_beside_the_full_build():
     walk = 1 + PQ_SMALL.j2 - 1
     assert counts["open_commitment"] == walk + 2 * PQ_SMALL.k
     assert counts["commitment_worst_case"] == walk + 2 * PQ_SMALL.t
+    # consecutive openings through a store: one chain step from the cursor, then 2k
+    assert counts["open_commitment_sequential"] == 1 + 2 * PQ_SMALL.k
+    names = [op.name for op in report.ops]
+    assert names.index("open_commitment_sequential") == names.index("open_commitment") + 1
     assert report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32
     assert report.sizes["commitment.total_bytes"] == 25 + PQ_SMALL.t * 32
     assert "pq.open_commitment.wall_us=" in "\n".join(report.machine_lines())

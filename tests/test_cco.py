@@ -28,6 +28,10 @@ def fixed_rng(seed: int):
     return lambda n: rng.randbytes(n)
 
 
+def fetch_pq(client, signer_id, epoch):
+    return pq.PqCommitment.from_bytes(client.commitment_bytes(cco.MSG_PQ, signer_id, epoch))
+
+
 def provisioned_store(seed=1):
     group = small_test_group()
     states, public, material = hy.keygen([ID_A, ID_B], group, 3, PQ_TOY, fixed_rng(seed))
@@ -257,7 +261,7 @@ class TestWireProtocol:
         signature = hy.sign_batch(states[ID_A], batch)
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
-                commitment = client.hy_commitment(ID_A, 1, group)
+                commitment = hy.HyCommitment.from_bytes(client.commitment_bytes(cco.MSG_HY, ID_A, 1), group)
                 assert hy.verify_batch(
                     group.precompute(public[ID_A]), commitment, batch, signature, group, PQ_TOY
                 )
@@ -267,10 +271,10 @@ class TestWireProtocol:
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(CcoRequestError) as info:
-                    client.pq_commitment(ID_C, 1)
+                    fetch_pq(client, ID_C, 1)
                 assert info.value.status == cco.STATUS_UNKNOWN_ID
                 with pytest.raises(CcoRequestError) as info:
-                    client.pq_commitment(ID_A, 99)
+                    fetch_pq(client, ID_A, 99)
                 assert info.value.status == cco.STATUS_EPOCH_RANGE
 
     def test_batch_export_over_tcp(self):
@@ -286,8 +290,8 @@ class TestWireProtocol:
         store, *_ = provisioned_store(seed=11)
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
-                first = client.pq_commitment(ID_A, 1)
-                second = client.pq_commitment(ID_A, 2)
+                first = fetch_pq(client, ID_A, 1)
+                second = fetch_pq(client, ID_A, 2)
                 assert first.epoch == 1 and second.epoch == 2
 
     def test_malformed_frame_answered(self):
@@ -308,7 +312,33 @@ class TestWireProtocol:
                 with pytest.raises(CcoRequestError) as info:
                     client.batch_export(cco.MSG_PQ, ID_A, 1, 8192)
                 assert info.value.status == cco.STATUS_EPOCH_RANGE
-                assert client.pq_commitment(ID_A, 8192).epoch == 8192
+                assert fetch_pq(client, ID_A, 8192).epoch == 8192
+
+    def test_oversized_request_answered_without_reading_its_body(self):
+        store, *_ = provisioned_store(seed=17)
+        with cco.CcoServer(store) as server:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                # a 1 MiB request that never comes: the reply cannot wait for it
+                sock.sendall(struct.pack(">I", 1 << 20) + bytes((cco.MSG_PQ,)))
+                assert sock.recv(16) == struct.pack(">I", 2) + bytes((0x80, cco.STATUS_MALFORMED))
+                assert sock.recv(16) == b""  # and the connection is closed
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.sendall(struct.pack(">I", cco.MAX_REQUEST_FRAME + 1))
+                assert sock.recv(16) == struct.pack(">I", 2) + bytes((0x80, cco.STATUS_MALFORMED))
+
+    def test_the_largest_request_is_served(self):
+        # k = 256 (t = 2): 1 + 24 + 4k = 1,049 bytes, the longest a valid request gets
+        params = pq.PqParams(t=2, k=256, j1=2, j2=8)
+        _, material = pq.keygen([ID_A], params, fixed_rng(18))
+        store = cco.CcoStore()
+        store.provision(material)
+        indices = [n % 2 for n in range(params.k)]
+        payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 3, indices)
+        assert len(payload) == 1049 <= cco.MAX_REQUEST_FRAME
+        with cco.CcoServer(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                (blob,) = client.openings(cco.MSG_PQ_OPENING, [(ID_A, 3)], [indices])
+        assert blob == pq.open_commitment(material, ID_A, 3, indices).to_bytes()
 
     def test_oversized_frame_rejected_client_side(self):
         store, *_ = provisioned_store(seed=13)
@@ -398,7 +428,7 @@ class TestPipelinedClient:
                 stream = client.commitments(cco.MSG_PQ, self.keys())
                 assert len(list(islice(stream, 3))) == 3
                 stream.close()
-                assert client.pq_commitment(ID_B, 7).epoch == 7
+                assert fetch_pq(client, ID_B, 7).epoch == 7
 
 
 class TestStorePersistence:
@@ -618,7 +648,12 @@ class TestResponseCache:
             run_threads([functools.partial(run, n) for n in range(2)])
             for client in clients:
                 client.close()
+        # both clients send the same sequence, so payloads are built in the
+        # order they first occur, one build after another, each starting
+        # from the chain cursor the previous one left: the same walks as
+        # one client asking for them once
         assert counters.total() == expected_hashes
+        assert counters.calls_h2 == len(distinct) * PQ_TOY.t
         reference = cco.CcoStore()
         reference.provision(material)
         assert results[0] == results[1] == [reference.handle_request(p) for p in sequence]
@@ -716,11 +751,11 @@ class TestServerLifecycle:
         server = cco.CcoServer(store)
         server.start()
         with cco.CcoClient("127.0.0.1", server.port, timeout=5) as client:
-            assert client.pq_commitment(ID_A, 1).epoch == 1
+            assert fetch_pq(client, ID_A, 1).epoch == 1
             assert stop_within(server, 5) < 1.0
             # the service hung up: the idle connection sees the end of the stream
             with pytest.raises((MalformedFrame, OSError)):
-                client.pq_commitment(ID_A, 2)
+                fetch_pq(client, ID_A, 2)
 
     def test_connection_errors_are_logged_with_the_peer(self, caplog):
         store, *_ = provisioned_store(seed=52)
@@ -807,7 +842,9 @@ class TestOpeningRequests:
             assert counters.total() == 0
 
     def test_an_opening_costs_the_walk_and_2k_hashes(self):
-        store, *_ = t1024_store()
+        # a store of its own: what the shared one walked before would move its chain cursor
+        store = cco.CcoStore()
+        store.provision(t1024_store()[3])
         for epoch, walk in ((3, 2 + 1), (8, 3)):  # segment 0 also derives the first seed
             payload = opening_payload(cco.MSG_PQ_OPENING, ID_B, epoch, self.INDICES)
             counters.reset()
@@ -885,7 +922,7 @@ class TestOpeningsOverTcp:
         with Recording(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
                 assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-                assert client.pq_commitment(ID_A, 1).epoch == 1
+                assert fetch_pq(client, ID_A, 1).epoch == 1
                 # the handler sets the option in its setup, before the first reply
                 assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
@@ -900,6 +937,158 @@ class TestOpeningsOverTcp:
         messages = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "hases.cco"]
         assert ("DEBUG", "connection from %s:%d opened" % peer) in messages
         assert ("DEBUG", "connection from %s:%d closed after 3 requests" % peer) in messages
+
+
+# --- the chain cursor: consecutive epochs walk one step each ---------------------------
+
+PQ_RUNS = pq.PqParams(t=8, k=4, j1=4, j2=8)  # 32 epochs
+
+
+def runs_store(seed):
+    group = small_test_group()
+    _, _, material = hy.keygen([ID_A, ID_B], group, 3, PQ_RUNS, fixed_rng(seed))
+    store = cco.CcoStore()
+    store.provision(material)
+    return store, material
+
+
+def fresh_response(material, payload):
+    """The response of a store that has answered nothing before."""
+    store = cco.CcoStore()
+    store.provision(material)
+    return store.handle_request(payload)
+
+
+def anchor_walk(params, epoch):
+    segment, offset = divmod(epoch - 1, params.j2)
+    return offset + (segment == 0)
+
+
+class TestChainCursor:
+    def payloads(self, rng, epochs, signer_id=ID_A):
+        """One request of a random single-epoch type per epoch, openings
+        at random indices."""
+        out = []
+        for epoch in epochs:
+            msg_type = rng.choice((cco.MSG_PQ, cco.MSG_HY, cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING))
+            if msg_type in (cco.MSG_PQ, cco.MSG_HY):
+                out.append(bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big"))
+            else:
+                indices = [rng.randrange(PQ_RUNS.t) for _ in range(PQ_RUNS.k)]
+                out.append(opening_payload(msg_type, signer_id, epoch, indices))
+        return out
+
+    def test_responses_match_a_fresh_store_byte_for_byte(self, monkeypatch):
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 0)  # every request is built
+        store, material = runs_store(80)
+        rng = random.Random(81)
+        shuffled = list(range(1, PQ_RUNS.epochs + 1))
+        rng.shuffle(shuffled)
+        orders = [
+            shuffled,
+            range(PQ_RUNS.epochs, 0, -1),  # backward
+            range(5, 14),  # across the boundary at epoch 9
+            range(1, PQ_RUNS.epochs + 1),
+        ]
+        sent = []
+        for order in orders:
+            for signer_id in (ID_A, ID_B):
+                sent += self.payloads(rng, order, signer_id)
+        sent += [bytes((cco.MSG_EXPORT, scheme)) + ID_B + (3).to_bytes(8, "big")
+                 + (20).to_bytes(8, "big") for scheme in (cco.MSG_PQ, cco.MSG_HY)]
+        sent += self.payloads(rng, range(21, 25), ID_B)  # on from where the export stopped
+        for payload in sent:
+            response = store.handle_request(payload)
+            assert response[1] == cco.STATUS_OK
+            assert response == fresh_response(material, payload)
+        assert store.cache_stats().hits == 0
+
+    def test_responses_match_after_a_storage_policy_change(self, monkeypatch):
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 0)
+        store, material = runs_store(82)
+        rng = random.Random(83)
+        for j1 in (4, 2, 8, 1, 32, 4):
+            store.set_storage_policy(j1)
+            start = rng.randint(1, PQ_RUNS.epochs - 6)
+            for payload in self.payloads(rng, range(start, start + 6)):
+                assert store.handle_request(payload) == fresh_response(material, payload)
+
+    def test_two_threads_on_one_signer(self):
+        _, material = pq.keygen([ID_A], PQ_RUNS, fixed_rng(84))
+        store = cco.CcoStore()
+        store.provision(material)
+        forward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 1, 2, 3))
+                   for e in range(1, PQ_RUNS.epochs + 1)]
+        backward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 4, 5, 6))
+                    for e in range(PQ_RUNS.epochs, 0, -1)]
+        expected = {p: fresh_response(material, p) for p in forward + backward}
+        wrong = []
+
+        def run(payloads):
+            for payload in payloads:
+                if store.handle_request(payload) != expected[payload]:
+                    wrong.append(payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_threads([functools.partial(run, forward), functools.partial(run, backward)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
+        assert store.cache_stats().misses == 2 * PQ_RUNS.epochs
+
+    @pytest.mark.parametrize("msg_type", [cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING])
+    @pytest.mark.parametrize("first", [1, 4, 9, 12])  # segment 0, then segment 1
+    def test_consecutive_cold_openings_cost_one_walk_then_one_step_each(self, msg_type, first):
+        store, material = runs_store(85)
+        n = PQ_RUNS.j2 - (first - 1) % PQ_RUNS.j2  # to the end of the segment
+        payloads = [opening_payload(msg_type, ID_A, e, (1, 2, 3, 4)) for e in range(first, first + n)]
+        counters.reset()
+        if msg_type == cco.MSG_HY_OPENING:  # and the aggregate commitments
+            for epoch in range(first, first + n):
+                la.construct_commitment(material.la, ID_A, epoch)
+        la_hashes = counters.total()
+        counters.reset()
+        for payload in payloads:
+            assert store.handle_request(payload)[1] == cco.STATUS_OK
+        walk = anchor_walk(PQ_RUNS, first)
+        assert counters.total() == walk + (n - 1) + 2 * PQ_RUNS.k * n + la_hashes
+
+    def test_no_request_costs_more_than_its_anchor_walk(self, monkeypatch):
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 0)
+        store, material = runs_store(86)
+        rng = random.Random(87)
+        epochs = [rng.randint(1, PQ_RUNS.epochs) for _ in range(40)]
+        epochs += list(range(3, 20)) + list(range(30, 10, -1))
+        for epoch in epochs:
+            signer_id = rng.choice((ID_A, ID_B))
+            indices = [rng.randrange(PQ_RUNS.t) for _ in range(PQ_RUNS.k)]
+            for payload, entries in (
+                (pq_payload(signer_id, epoch), 2 * PQ_RUNS.t),
+                (opening_payload(cco.MSG_PQ_OPENING, signer_id, epoch, indices), 2 * PQ_RUNS.k),
+            ):
+                counters.reset()
+                store.handle_request(payload)
+                cost = counters.total()
+                assert cost <= anchor_walk(PQ_RUNS, epoch) + entries
+            # the opening repeats the commitment's epoch: no walk at all
+            assert cost == entries
+
+    def test_an_export_leaves_the_cursor_at_its_last_epoch(self):
+        store, _ = runs_store(88)
+        body = bytes((cco.MSG_PQ,)) + ID_A + (2).to_bytes(8, "big") + (6).to_bytes(8, "big")
+        assert store.handle_request(bytes((cco.MSG_EXPORT,)) + body)[1] == cco.STATUS_OK
+        counters.reset()
+        store.handle_request(opening_payload(cco.MSG_PQ_OPENING, ID_A, 7, (0, 1, 2, 3)))
+        assert counters.total() == 1 + 2 * PQ_RUNS.k
+
+    def test_unknown_ids_get_no_entry(self):
+        store, _ = runs_store(89)
+        for payload in (pq_payload(ID_C, 3), opening_payload(cco.MSG_HY_OPENING, ID_C, 3, (0,) * 4),
+                        pq_payload(ID_A, PQ_RUNS.epochs + 1), pq_payload(ID_B, 2)):
+            store.handle_request(payload)
+        assert set(store._cursor) == {ID_B}
 
 
 # --- fuzz: handle_request through the cache ------------------------------------

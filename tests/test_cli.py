@@ -483,7 +483,8 @@ class TestServeSubprocess:
         with proc:  # closes the pipes and waits on exit
             try:
                 with cco.CcoClient("127.0.0.1", port) as client:
-                    assert client.pq_commitment(bytes.fromhex(ID_HEX_1), 1).epoch == 1
+                    blob = client.commitment_bytes(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)
+                    assert pq.PqCommitment.from_bytes(blob).epoch == 1
                     # the client stays connected and idle while the service stops
                     proc.send_signal(signal.SIGINT)
                     assert proc.wait(timeout=10) == 0

@@ -78,9 +78,14 @@ def test_verifier_bundle_round_trip_hy():
     bundle = keyfiles.VerifierBundle(
         keyfiles.SCHEME_HY, material.pq.params, material.la.params, public
     )
-    restored = keyfiles.VerifierBundle.from_bytes(bundle.to_bytes())
+    blob = bundle.to_bytes()
+    restored = keyfiles.VerifierBundle.from_bytes(blob)
     assert restored.pq_params == PQ_TOY
     assert restored.public_keys == public
+    # cut anywhere, the aggregate parameters included: a ValueError, never an IndexError
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            keyfiles.VerifierBundle.from_bytes(blob[:cut])
 
 
 def test_verifier_bundle_round_trip_pq():

@@ -416,3 +416,85 @@ class TestOpening:
         for bad in (blob[:-1], blob + bytes(32), bytes((pq.COMMITMENT_TAG,)) + blob[1:]):
             with pytest.raises(ValueError):
                 pq.PqOpening.from_bytes(bad, indices)
+
+
+class TestChainCursor:
+    """A cursor keeps the last seed derived per signer; a later walk starts
+    from it when it lies between the epoch's anchor and the epoch."""
+
+    PARAMS = pq.PqParams(t=64, k=8, j1=4, j2=16)
+
+    @staticmethod
+    def anchor_walk(params, epoch):
+        """Hashes to reach ``epoch``'s seed without a cursor: the walk from
+        its anchor, plus H0 for the initial seed in segment 0."""
+        segment, offset = divmod(epoch - 1, params.j2)
+        return offset + (segment == 0)
+
+    def test_every_request_costs_the_nearer_walk_exactly(self):
+        params = self.PARAMS
+        _, material = pq.keygen([ID_A, ID_B], params, fixed_rng(40))
+        rng = random.Random(41)
+        epochs = []
+        while len(epochs) < 200:
+            start = rng.randint(1, params.epochs)
+            # runs forward and backward, jumps, repeats, across boundaries
+            step = rng.choice((1, 1, 1, -1, 0, 3))
+            epochs += [min(max(start + step * n, 1), params.epochs) for n in range(rng.randint(1, 20))]
+        cursor, last = {}, {}
+        for n, epoch in enumerate(epochs):
+            sid = (ID_A, ID_B)[n % 7 == 0]
+            indices = tuple(rng.randrange(params.t) for _ in range(params.k))
+            anchor = epoch - (epoch - 1) % params.j2
+            if anchor <= last.get(sid, 0) <= epoch:
+                h0, steps = 0, epoch - last[sid]
+            else:
+                h0 = int(epoch <= params.j2)
+                steps = self.anchor_walk(params, epoch) - h0
+            counters.reset()
+            opening = pq.open_commitment(material, sid, epoch, indices, cursor)
+            assert counters.snapshot() == (h0, steps + params.k, params.k)
+            assert h0 + steps <= self.anchor_walk(params, epoch)
+            assert opening == pq.open_commitment(material, sid, epoch, indices)
+            assert cursor[sid] == (epoch, pq._seed_at(material, sid, epoch, epoch))
+            last[sid] = epoch
+
+    @pytest.mark.parametrize("first", [1, 5, 17, 20])  # segment 0, then segment 1
+    def test_consecutive_openings_cost_one_walk_then_one_step_each(self, first):
+        params = self.PARAMS
+        _, material = pq.keygen([ID_A], params, fixed_rng(42))
+        n = params.j2 - (first - 1) % params.j2  # to the end of the segment
+        cursor = {}
+        counters.reset()
+        for epoch in range(first, first + n):
+            pq.open_commitment(material, ID_A, epoch, tuple(range(params.k)), cursor)
+        walk = self.anchor_walk(params, first)
+        assert counters.total() == walk + (n - 1) + 2 * params.k * n
+
+    def test_commitments_walk_from_the_cursor_and_leave_it_at_the_last_epoch(self):
+        params = self.PARAMS
+        _, material = pq.keygen([ID_A], params, fixed_rng(43))
+        cursor = {}
+        singles = [pq.construct_commitment(material, ID_A, e) for e in range(3, 11)]
+        assert pq.construct_commitments(material, ID_A, 3, 10, cursor) == singles
+        assert cursor[ID_A] == (10, pq._seed_at(material, ID_A, 10, 10))
+        reference = pq.construct_commitment(material, ID_A, 12)
+        counters.reset()
+        assert pq.construct_commitment(material, ID_A, 12, cursor) == reference
+        assert counters.snapshot() == (0, 2 + params.t, params.t)
+        assert cursor[ID_A][0] == 12
+
+    def test_refused_requests_leave_the_cursor_alone(self):
+        params = self.PARAMS
+        _, material = pq.keygen([ID_A], params, fixed_rng(44))
+        cursor = {}
+        pq.open_commitment(material, ID_A, 7, tuple(range(params.k)), cursor)
+        before = dict(cursor)
+        counters.reset()
+        with pytest.raises(UnknownSigner):
+            pq.open_commitment(material, ID_B, 8, tuple(range(params.k)), cursor)
+        with pytest.raises(EpochOutOfRange):
+            pq.construct_commitments(material, ID_A, 8, params.epochs + 1, cursor)
+        with pytest.raises(ValueError):
+            pq.open_commitment(material, ID_A, 8, (params.t,) * params.k, cursor)
+        assert cursor == before and counters.total() == 0
