@@ -424,7 +424,7 @@ class CcoStore:
             epoch_from = int.from_bytes(body[17:25], "big")
             epoch_to = int.from_bytes(body[25:33], "big")
             blobs = [
-                self._serialize(commitment)
+                commitment.to_bytes()
                 for commitment in self.batch_export(scheme, signer_id, epoch_from, epoch_to)
             ]
             return len(blobs).to_bytes(8, "big") + b"".join(blobs)
@@ -437,19 +437,13 @@ class CcoStore:
             # served: any other would let a request choose its own cost
             if int.from_bytes(body[24:28], "big") != self.la_material().params.batch_size:
                 raise MalformedFrame("aggregate batch size is not the registered one")
-            return self._serialize(self.la_commitment(signer_id, epoch))
+            return self.la_commitment(signer_id, epoch).to_bytes()
         if msg_type == MSG_HY:
-            return self._serialize(self.hy_commitment(signer_id, epoch))
+            return self.hy_commitment(signer_id, epoch).to_bytes()
         indices = struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
         if msg_type == MSG_PQ_OPENING:
             return self.pq_opening(signer_id, epoch, indices).to_bytes()
-        return self.hy_opening(signer_id, epoch, indices).to_bytes(self.la_material().params.group)
-
-    def _serialize(self, commitment) -> bytes:
-        if isinstance(commitment, pq.PqCommitment):
-            return commitment.to_bytes()
-        group = self.la_material().params.group
-        return commitment.to_bytes(group)
+        return self.hy_opening(signer_id, epoch, indices).to_bytes()
 
 
 # --- framing -----------------------------------------------------------------

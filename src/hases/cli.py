@@ -210,17 +210,16 @@ def _open_full(bundle, blob: bytes, indices):
     (la's is used whole)."""
     if bundle.scheme == keyfiles.SCHEME_PQ:
         return pq.PqCommitment.from_bytes(blob).open(indices, bundle.pq_params)
-    group = bundle.la_params.group
     if bundle.scheme == keyfiles.SCHEME_LA:
-        return la.LaCommitment.from_bytes(blob, group)
-    return hy.HyCommitment.from_bytes(blob, group).open(indices, bundle.pq_params)
+        return la.LaCommitment.from_bytes(blob)
+    return hy.HyCommitment.from_bytes(blob).open(indices, bundle.pq_params)
 
 
 def _parse_opening(bundle, blob: bytes, indices):
     """The service's serialized opening at ``indices``, parsed."""
     if bundle.scheme == keyfiles.SCHEME_PQ:
         return pq.PqOpening.from_bytes(blob, indices)
-    return hy.HyOpening.from_bytes(blob, bundle.la_params.group, indices)
+    return hy.HyOpening.from_bytes(blob, indices)
 
 
 def cmd_verify(args) -> int:

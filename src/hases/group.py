@@ -19,20 +19,35 @@ side channels is best-effort only.
 
 Verification of the aggregate scheme checks R == Y^e * g^s for a public
 key Y that recurs across many batches, so the group offers a per-base
-precomputation.  ``precompute(Y)`` checks that Y lies in the order-q
-subgroup and returns a table; ``exp2(table, e, s)`` then returns
-Y^e * g^s.  On edwards25519 the table is a fixed-base comb of signed
-4-bit digits (64 rows of the multiples 0..8, the same layout as the
-generator's own table), so Y^e costs at most 64 additions instead of
-about 380 additions and doublings, and the result needs one field
-inversion.  Building a table and checking [q]Y costs about 550 curve
-operations (3.5-5 ms on a 2 vCPU host, Python 3.11) and saves about
-3 ms per check, so it breaks even at the second batch of a key; a run
-with one batch per key pays about 2 ms more per key.  Tables belong to
-the caller of one verification run, which builds each lazily on a key's
-first batch and drops them with the run; nothing here caches per-key
-tables.  ``ModPGroup`` has the trivial version: its table is the base
-itself.
+precomputation.  ``precompute(data)`` decodes the key's 32-byte
+encoding, checks that it lies in the order-q subgroup and returns a
+table; ``exp2(table, e, s)`` then returns Y^e * g^s, whose encoding a
+verifier compares with R's bytes (R itself is never decoded).
+
+On edwards25519 the table is a fixed-base comb of signed 4-bit digits:
+64 rows, row i holding the multiples 0..8 of [16^i]Y, the same layout as
+the generator's own table.  Every entry is kept in projective Niels form
+(Y+X, Y-X, 2Z, 2d*T) (Bernstein et al., CHES 2011), so adding one to an
+extended-coordinate accumulator costs 8 field multiplications (Hisil et
+al., ASIACRYPT 2008) and a negative digit only swaps the first two
+entries and negates the last.  The entries are not normalised to affine
+form: with one batch inversion per table the build cost about 60% more
+on a prototype, which cancelled the cheaper additions' saving over the
+16 batches of one key a run checks.  ``exp2`` runs both combs into one
+accumulator, at most 128 additions and one field inversion, where a
+variable-base Y^e alone takes about 380 additions and doublings.
+Building a table and checking [q]Y with it costs about 570 curve
+operations (3.7-6 ms on a 2 vCPU host, Python 3.11, the key's decode
+included) and saves about 2-3.5 ms per check, so it breaks even at about
+the second batch of a key; a run with one batch per key pays about 2-3
+ms more per key.  Tables belong to the caller of one verification run,
+which builds each lazily on a key's first batch and drops them with the
+run; nothing here caches per-key tables.  ``ModPGroup`` has the trivial
+version: its table is the base itself.
+
+``decode_element`` accepts only canonical encodings of elements of the
+order-q subgroup; on edwards25519 the subgroup check is a [q]P by
+double-and-add (about 2-3.4 ms), paid by no verification path.
 """
 
 from __future__ import annotations
@@ -66,11 +81,12 @@ class PrimeOrderGroup:
     def exp(self, base, k: int):
         raise NotImplementedError
 
-    def precompute(self, base):
-        """Table for ``exp2`` with ``base`` fixed.
+    def precompute(self, data: bytes):
+        """Table for ``exp2`` whose base is the element ``data`` encodes.
 
-        Raises ValueError unless ``base`` lies in the order-q subgroup,
-        so a table exists only for a valid public key.
+        Raises ValueError unless ``data`` canonically encodes an element
+        of the order-q subgroup, so a table exists only for a valid
+        public key.  The key is decoded here, with one subgroup check.
         """
         raise NotImplementedError
 
@@ -86,10 +102,8 @@ class PrimeOrderGroup:
         raise NotImplementedError
 
     def decode_element(self, data: bytes):
-        raise NotImplementedError
-
-    def contains(self, e) -> bool:
-        """Full order-q subgroup membership check (may cost an exp)."""
+        """The element ``data`` canonically encodes; ValueError unless it
+        lies in the order-q subgroup (may cost an exp)."""
         raise NotImplementedError
 
     def decode_scalar(self, data: bytes) -> int:
@@ -119,10 +133,8 @@ class ModPGroup(PrimeOrderGroup):
     def exp(self, base: int, k: int) -> int:
         return pow(base, k % self.q, self.p)
 
-    def precompute(self, base: int) -> int:
-        if not self.contains(base):
-            raise ValueError("element is not in the prime-order subgroup")
-        return base
+    def precompute(self, data: bytes) -> int:
+        return self.decode_element(data)  # the table is the base itself
 
     def exp2(self, table: int, e: int, s: int) -> int:
         return self.mul(self.exp(table, e), self.exp(self.generator, s))
@@ -142,9 +154,6 @@ class ModPGroup(PrimeOrderGroup):
             raise ValueError("encoding is not a subgroup element")
         return value
 
-    def contains(self, e: int) -> bool:
-        return 0 < e < self.p and pow(e, self.q, self.p) == 1
-
 
 # --- Edwards curve backend -------------------------------------------------
 
@@ -158,15 +167,26 @@ _BASE_Y = 4631683569492647816942839400347516314130799386625622561578303360316525
 # extended homogeneous coordinates (X : Y : Z : T), XY = ZT, a = -1
 _EXT_IDENTITY = (0, 1, 1, 0)
 _D2 = 2 * _D % _P
+_NIELS_IDENTITY = (1, 1, 2, 0)
 
 
-def _ext_add(lhs, rhs):
-    x1, y1, z1, t1 = lhs
-    x2, y2, z2, t2 = rhs
-    a = (y1 - x1) * (y2 - x2) % _P
-    b = (y1 + x1) * (y2 + x2) % _P
-    c = t1 * _D2 % _P * t2 % _P
-    d = 2 * z1 * z2 % _P
+def _to_niels(pt):
+    """Projective Niels form (Y+X, Y-X, 2Z, 2d*T) of an extended point,
+    the form ``_niels_add`` adds.  Its negation swaps the first two
+    entries and negates the last."""
+    x, y, z, t = pt
+    return (y + x, y - x, 2 * z, _D2 * t % _P)
+
+
+def _niels_add(acc, ypx, ymx, z2, t2d):
+    """acc + the point whose Niels form is (ypx, ymx, z2, t2d), in
+    extended coordinates: the unified a = -1 addition of Hisil et al.,
+    8 multiplications, complete on this curve."""
+    x1, y1, z1, t1 = acc
+    a = (y1 - x1) * ymx % _P
+    b = (y1 + x1) * ypx % _P
+    c = t1 * t2d % _P
+    d = z1 * z2 % _P
     e = b - a
     f = d - c
     g = d + c
@@ -197,9 +217,36 @@ def _from_ext(pt):
     return (x * inv % _P, y * inv % _P)
 
 
-def _on_curve(x: int, y: int) -> bool:
-    # -x^2 + y^2 = 1 + d x^2 y^2
-    return (-x * x + y * y - 1 - _D * x * x % _P * y % _P * y) % _P == 0
+def _is_identity(pt) -> bool:
+    x, y, z, _ = pt
+    return x % _P == 0 and (y - z) % _P == 0
+
+
+def _decode_point(data: bytes):
+    """The curve point a canonical 32-byte encoding names, in or out of
+    the prime-order subgroup; ValueError for any other input."""
+    if len(data) != ELEMENT_LEN:
+        raise ValueError("element encoding must be 32 bytes")
+    raw = int.from_bytes(data, "little")
+    sign = raw >> 255
+    y = raw & ((1 << 255) - 1)
+    if y >= _P:
+        raise ValueError("encoding is not canonical")
+    # recover x from the curve equation -x^2 + y^2 = 1 + d x^2 y^2
+    y2 = y * y % _P
+    num = (y2 - 1) % _P
+    den = (_D * y2 + 1) % _P
+    x2 = num * pow(den, -1, _P) % _P
+    x = pow(x2, (_P + 3) // 8, _P)
+    if x * x % _P != x2:
+        x = x * _SQRT_M1 % _P
+    if x * x % _P != x2:
+        raise ValueError("encoding is not a curve point")
+    if x == 0 and sign:
+        raise ValueError("encoding is not canonical")
+    if x & 1 != sign:
+        x = _P - x
+    return (x, y)
 
 
 _WINDOW = 4
@@ -207,30 +254,32 @@ _WINDOWS = 64  # covers 256 bits of scalar
 
 
 def _comb_table(base):
-    """Fixed-base comb for an extended point: row i holds [d * 16^i]base
-    for d = 0..8; digits 9..15 are used as d - 16 with a carry."""
+    """Fixed-base comb of an extended point: row i holds the Niels forms
+    of [d * 16^i]base for d = 0..8; digits 9..15 are used as d - 16
+    with a carry."""
     table = []
     for _ in range(_WINDOWS):
-        row = [_EXT_IDENTITY, base]
+        ypx, ymx, z2, t2d = unit = _to_niels(base)
+        row = [_NIELS_IDENTITY, unit]
         for _ in range(7):
-            row.append(_ext_add(row[-1], base))
+            base = _niels_add(base, ypx, ymx, z2, t2d)
+            row.append(_to_niels(base))
         table.append(row)
-        base = _ext_double(row[8])  # [16]base, the next row's unit
+        base = _ext_double(base)  # [16]base, the next row's unit
     return table
 
 
-def _comb_exp(table, k: int):
-    """[k]base from its comb table, exact for 0 <= k < 2^255."""
-    acc = _EXT_IDENTITY
+def _comb_add(acc, table, k: int):
+    """acc + [k]base for base's comb table, exact for 0 <= k < 2^255."""
     for row in table:
         digit = k & 0xF
         k >>= _WINDOW
         if digit > 8:
             k += 1
-            x, y, z, t = row[16 - digit]
-            acc = _ext_add(acc, (-x, y, z, -t))
+            ypx, ymx, z2, t2d = row[16 - digit]
+            acc = _niels_add(acc, ymx, ypx, z2, -t2d)
         elif digit:
-            acc = _ext_add(acc, row[digit])
+            acc = _niels_add(acc, *row[digit])
         if not k:
             break
     return acc
@@ -238,11 +287,12 @@ def _comb_exp(table, k: int):
 
 def _ext_exp(base, k: int):
     """[k]base by double-and-add, without reducing k."""
+    unit = _to_niels(base)
     acc = _EXT_IDENTITY
     for bit in bin(k)[2:]:
         acc = _ext_double(acc)
         if bit == "1":
-            acc = _ext_add(acc, base)
+            acc = _niels_add(acc, *unit)
     return acc
 
 
@@ -266,63 +316,33 @@ class Edwards25519Group(PrimeOrderGroup):
     def exp(self, base, k: int):
         k %= self.q
         if base == self.generator:
-            return _from_ext(_comb_exp(self._generator_table(), k))
+            return _from_ext(_comb_add(_EXT_IDENTITY, self._generator_table(), k))
         return _from_ext(_ext_exp(_to_ext(base), k))
 
-    def precompute(self, base):
-        if not _on_curve(*base):
-            raise ValueError("element is not a curve point")
-        table = _comb_table(_to_ext(base))
+    def precompute(self, data: bytes):
+        table = _comb_table(_to_ext(_decode_point(data)))
         # [q]base from the comb is exact, so this is the subgroup check
-        if _from_ext(_comb_exp(table, self.q)) != self.identity:
+        if not _is_identity(_comb_add(_EXT_IDENTITY, table, self.q)):
             raise ValueError("element is not in the prime-order subgroup")
         return table
 
     def exp2(self, table, e: int, s: int):
-        return _from_ext(
-            _ext_add(
-                _comb_exp(table, e % self.q),
-                _comb_exp(self._generator_table(), s % self.q),
-            )
-        )
+        acc = _comb_add(_EXT_IDENTITY, table, e % self.q)
+        return _from_ext(_comb_add(acc, self._generator_table(), s % self.q))
 
     def mul(self, a, b):
-        return _from_ext(_ext_add(_to_ext(a), _to_ext(b)))
+        return _from_ext(_niels_add(_to_ext(a), *_to_niels(_to_ext(b))))
 
     def encode_element(self, e) -> bytes:
         x, y = e
         return (y | ((x & 1) << 255)).to_bytes(ELEMENT_LEN, "little")
 
     def decode_element(self, data: bytes):
-        if len(data) != ELEMENT_LEN:
-            raise ValueError("element encoding must be 32 bytes")
-        raw = int.from_bytes(data, "little")
-        sign = raw >> 255
-        y = raw & ((1 << 255) - 1)
-        if y >= _P:
-            raise ValueError("encoding is not canonical")
-        # recover x from the curve equation
-        y2 = y * y % _P
-        num = (y2 - 1) % _P
-        den = (_D * y2 + 1) % _P
-        x2 = num * pow(den, -1, _P) % _P
-        x = pow(x2, (_P + 3) // 8, _P)
-        if x * x % _P != x2:
-            x = x * _SQRT_M1 % _P
-        if x * x % _P != x2:
-            raise ValueError("encoding is not a curve point")
-        if x == 0 and sign:
-            raise ValueError("encoding is not canonical")
-        if x & 1 != sign:
-            x = _P - x
-        return (x, y)
-
-    def contains(self, e) -> bool:
-        x, y = e
-        if not _on_curve(x, y):
-            return False
+        point = _decode_point(data)
         # exp would reduce q to 0; the order check needs the full scalar
-        return _from_ext(_ext_exp(_to_ext(e), self.q)) == self.identity
+        if not _is_identity(_ext_exp(_to_ext(point), self.q)):
+            raise ValueError("element is not in the prime-order subgroup")
+        return point
 
 
 _tiny = None

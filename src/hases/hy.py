@@ -120,6 +120,9 @@ class HySignature:
 
 @dataclass(frozen=True)
 class HyCommitment:
+    """The aggregate commitment (R as its 32-byte encoding, never decoded
+    by a verifier; see ``la.LaCommitment``) beside the pq commitment."""
+
     la: la.LaCommitment
     pq: pq.PqCommitment
 
@@ -127,30 +130,30 @@ class HyCommitment:
         if self.la.signer_id != self.pq.signer_id or self.la.epoch != self.pq.epoch:
             raise ValueError("component commitments disagree on signer or epoch")
 
-    def to_bytes(self, group: PrimeOrderGroup) -> bytes:
+    def to_bytes(self) -> bytes:
         return (
             bytes((COMMITMENT_TAG,))
             + self.la.signer_id
             + self.la.epoch.to_bytes(8, "big")
             + self.la.batch_size.to_bytes(4, "big")
-            + group.encode_element(self.la.value)
+            + self.la.r_bytes
             + b"".join(self.pq.entries)
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: PrimeOrderGroup) -> "HyCommitment":
+    def from_bytes(cls, data: bytes) -> "HyCommitment":
         if len(data) < HEADER_LEN + 4 + 32 + 32 or data[0] != COMMITMENT_TAG:
             raise ValueError("not a serialized hybrid commitment")
         signer_id = data[1:17]
         epoch = int.from_bytes(data[17:25], "big")
         batch_size = int.from_bytes(data[25:29], "big")
-        value = group.decode_element(data[29:61])
+        r_bytes = data[29:61]
         rest = data[61:]
         if not rest or len(rest) % 32:
             raise ValueError("hybrid commitment body is not a whole number of digests")
         entries = tuple(rest[i : i + 32] for i in range(0, len(rest), 32))
         return cls(
-            la.LaCommitment(signer_id, epoch, batch_size, value),
+            la.LaCommitment(signer_id, epoch, batch_size, r_bytes),
             pq.PqCommitment(signer_id, epoch, entries),
         )
 
@@ -168,12 +171,12 @@ class HyOpening(NamedTuple):
     la: la.LaCommitment
     pq: pq.PqOpening
 
-    def to_bytes(self, group: PrimeOrderGroup) -> bytes:
-        return self.la.to_bytes(group) + self.pq.to_bytes()
+    def to_bytes(self) -> bytes:
+        return self.la.to_bytes() + self.pq.to_bytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: PrimeOrderGroup, indices: Sequence[int]) -> "HyOpening":
-        la_part = la.LaCommitment.from_bytes(data[: la.COMMITMENT_LEN], group)
+    def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "HyOpening":
+        la_part = la.LaCommitment.from_bytes(data[: la.COMMITMENT_LEN])
         pq_part = pq.PqOpening.from_bytes(data[la.COMMITMENT_LEN :], indices)
         if la_part.signer_id != pq_part.signer_id or la_part.epoch != pq_part.epoch:
             raise ValueError("component commitments disagree on signer or epoch")
@@ -192,7 +195,7 @@ def keygen(
     batch_size: int,
     pq_params: pq.PqParams,
     rng: Callable[[int], bytes] = secrets.token_bytes,
-) -> tuple[dict[bytes, HySignerState], dict[bytes, object], HyKeyMaterial]:
+) -> tuple[dict[bytes, HySignerState], dict[bytes, bytes], HyKeyMaterial]:
     """Run both component key ceremonies over the same identity list.
 
     The aggregate layer is sized for the same number of epochs as the

@@ -170,12 +170,17 @@ def load_signer_key(path: str | Path):
 
 @dataclass(frozen=True)
 class VerifierBundle:
-    """Public side of a key ceremony: parameters plus public keys."""
+    """Public side of a key ceremony: parameters plus public keys.
+
+    Public keys stay in their 32-byte encodings; a verifier decodes
+    (and checks) one only when it checks a batch of that signer, through
+    ``la.KeyTables``.
+    """
 
     scheme: int
     pq_params: pq.PqParams | None
     la_params: la.LaParams | None
-    public_keys: dict[bytes, object]  # empty for the pure FS scheme
+    public_keys: dict[bytes, bytes | None]  # None for the pure FS scheme
 
     def to_bytes(self) -> bytes:
         out = bytes((self.scheme,))
@@ -183,10 +188,9 @@ class VerifierBundle:
             out += _pq_params_bytes(self.pq_params)
         if self.scheme in (SCHEME_LA, SCHEME_HY):
             out += _la_params_bytes(self.la_params)
-            group = self.la_params.group
             out += len(self.public_keys).to_bytes(8, "big")
             for signer_id in sorted(self.public_keys):
-                out += signer_id + group.encode_element(self.public_keys[signer_id])
+                out += signer_id + self.public_keys[signer_id]
         else:
             out += len(self.public_keys).to_bytes(8, "big")
             for signer_id in sorted(self.public_keys):
@@ -210,17 +214,13 @@ class VerifierBundle:
             raise ValueError(f"unknown scheme tag {scheme:#04x}")
         count = int.from_bytes(data[offset : offset + 8], "big")
         offset += 8
-        public_keys: dict[bytes, object] = {}
+        public_keys: dict[bytes, bytes | None] = {}
         entry = 48 if la_params else 16
         if len(data) != offset + count * entry:
             raise ValueError("bad verifier bundle length")
         for _ in range(count):
             signer_id = data[offset : offset + 16]
-            if la_params:
-                element = la_params.group.decode_element(data[offset + 16 : offset + 48])
-                public_keys[signer_id] = element
-            else:
-                public_keys[signer_id] = None
+            public_keys[signer_id] = data[offset + 16 : offset + 48] if la_params else None
             offset += entry
         return cls(scheme, pq_params, la_params, public_keys)
 

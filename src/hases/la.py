@@ -4,7 +4,10 @@ One batch of L messages yields one constant-size tag.  The signer never
 performs a group exponentiation: all nonces are derived from the
 private scalar by hashing, so the matching aggregate nonce commitment
 R = alpha^(sum of nonces) can be rebuilt by the key store from the
-master key and handed to verifiers out of band.
+master key and handed to verifiers out of band.  A commitment holds R
+as its 32-byte canonical encoding, and a verifier compares encodings
+instead of decoding R; public keys likewise stay encoded until a
+verifier builds a table for one.
 
 Per batch j the signer derives a public seed x_j = H0(y || j) and a
 nonce seed r_j = H1(y || j) (y encoded as 32 bytes big-endian, j as 8
@@ -109,29 +112,34 @@ class LaSignature:
 
 @dataclass(frozen=True)
 class LaCommitment:
-    """Aggregate nonce commitment for one (signer, batch) pair."""
+    """Aggregate nonce commitment R for one (signer, batch) pair.
+
+    R is held as its 32-byte canonical encoding, exactly as it travels:
+    ``verify_batch`` compares encodings and never decodes R.  Whoever
+    needs R as an element decodes ``r_bytes`` with ``decode_element``.
+    """
 
     signer_id: bytes
     epoch: int
     batch_size: int
-    value: object  # group element
+    r_bytes: bytes  # encode_element(R)
 
-    def to_bytes(self, group: PrimeOrderGroup) -> bytes:
+    def to_bytes(self) -> bytes:
         return (
             bytes((COMMITMENT_TAG,))
             + self.signer_id
             + encode_index(self.epoch)
             + self.batch_size.to_bytes(4, "big")
-            + group.encode_element(self.value)
+            + self.r_bytes
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes, group: PrimeOrderGroup) -> "LaCommitment":
+    def from_bytes(cls, data: bytes) -> "LaCommitment":
         if len(data) != COMMITMENT_LEN or data[0] != COMMITMENT_TAG:
             raise ValueError("not a serialized aggregate commitment")
         epoch = int.from_bytes(data[17:25], "big")
         batch_size = int.from_bytes(data[25:29], "big")
-        return cls(data[1:17], epoch, batch_size, group.decode_element(data[29:]))
+        return cls(data[1:17], epoch, batch_size, data[29:])
 
 
 @dataclass(frozen=True)
@@ -153,11 +161,12 @@ def keygen(
     max_batches: int,
     batch_size: int,
     rng: Callable[[int], bytes] = secrets.token_bytes,
-) -> tuple[dict[bytes, LaSignerState], dict[bytes, object], LaKeyMaterial]:
+) -> tuple[dict[bytes, LaSignerState], dict[bytes, bytes], LaKeyMaterial]:
     """Derive per-signer keys from a fresh master key.
 
-    Returns (signer states, public keys, store material); the master
-    key goes to the store only, each private scalar to its signer only.
+    Returns (signer states, encoded public keys, store material); the
+    master key goes to the store only, each private scalar to its
+    signer only.
     """
     id_list = [check_signer_id(i) for i in ids]
     if not id_list:
@@ -171,7 +180,7 @@ def keygen(
     for sid in id_list:
         y = private_scalar(msk, sid, group)
         states[sid] = LaSignerState(sid, y, 1, params)
-        public[sid] = group.exp(group.generator, y)
+        public[sid] = group.encode_element(group.exp(group.generator, y))
     return states, public, LaKeyMaterial(msk, params, frozenset(id_list))
 
 
@@ -234,7 +243,8 @@ def commitment_from_key(
     total = 0
     for item in range(1, batch_size + 1):
         total = (total + _item_nonce(nonce_seed, item, group.q)) % group.q
-    return LaCommitment(signer_id, epoch, batch_size, group.exp(group.generator, total))
+    r_bytes = group.encode_element(group.exp(group.generator, total))
+    return LaCommitment(signer_id, epoch, batch_size, r_bytes)
 
 
 def construct_commitment(material: LaKeyMaterial, signer_id: bytes, epoch: int) -> LaCommitment:
@@ -265,14 +275,14 @@ def construct_commitments(
 class KeyTables(dict):
     """Signer id -> ``group.precompute`` table of its public key.
 
-    Each table is built on the key's first lookup, which also checks
-    that the key lies in the prime-order subgroup.  A key outside it
-    raises ValueError on that lookup and on every later one, without
-    being checked again.
+    Keys stay encoded until used: each is decoded, checked to lie in the
+    prime-order subgroup and turned into a table on its signer's first
+    lookup.  A key that fails raises ValueError on that lookup and on
+    every later one, without being checked again.
     Hold one instance per verification run and drop it with the run.
     """
 
-    def __init__(self, public_keys: dict[bytes, object], group: PrimeOrderGroup):
+    def __init__(self, public_keys: dict[bytes, bytes], group: PrimeOrderGroup):
         super().__init__()
         self._public_keys = public_keys
         self._group = group
@@ -299,9 +309,14 @@ def verify_batch(
 ) -> bool:
     """Check R == Y^(sum e) * alpha^(sum s) over the full batch.
 
-    ``key_table`` is ``group.precompute(Y)`` for the signer's public key
-    Y (see ``KeyTables``).  Structural mismatches (identity/epoch
+    ``key_table`` is ``group.precompute`` of the signer's encoded public
+    key Y (see ``KeyTables``).  Structural mismatches (identity/epoch
     disagreement, wrong batch length) reject before any group work.
+
+    The check compares R's encoding with that of Y^(sum e) * alpha^(sum s),
+    so R is never decoded.  Canonical encodings are equal only for equal
+    elements, and the right side always lies in the prime-order
+    subgroup, so a non-canonical, off-curve or torsion-shifted R fails.
     """
     if signature.signer_id != commitment.signer_id or signature.epoch != commitment.epoch:
         return False
@@ -313,4 +328,5 @@ def verify_batch(
     for item, message in enumerate(messages, start=1):
         item_seed = domain_hash(DOM_MESSAGE, signature.seed + encode_index(item))
         challenge_sum = (challenge_sum + _item_challenge(message, item_seed, group.q)) % group.q
-    return commitment.value == group.exp2(key_table, challenge_sum, signature.agg)
+    expected = group.exp2(key_table, challenge_sum, signature.agg)
+    return commitment.r_bytes == group.encode_element(expected)

@@ -165,7 +165,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
     la_sig = la.sign_batch(states[signer], batch)
     la_com = la.construct_commitment(la_material, signer, 1)
     la_sig_blob = la_sig.to_bytes()
-    la_com_blob = la_com.to_bytes(group)
+    la_com_blob = la_com.to_bytes()
     for trial in range(trials_per_scheme):
         target = trial % 3
         if target == 0:
@@ -185,7 +185,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             blob = _flip_bit(la_com_blob, rng.randrange(len(la_com_blob) * 8))
             try:
                 wrongful += la.verify_batch(
-                    tables[signer], la.LaCommitment.from_bytes(blob, group), batch, la_sig, group
+                    tables[signer], la.LaCommitment.from_bytes(blob), batch, la_sig, group
                 )
             except ValueError:
                 pass
@@ -201,7 +201,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
         pq.construct_commitment(hy_material.pq, signer, 1),
     )
     hy_sig_blob = hy_sig.to_bytes()
-    hy_com_blob = hy_com.to_bytes(group)
+    hy_com_blob = hy_com.to_bytes()
     hy_consulted = set(range(61)) | {
         61 + index * 32 + offset
         for index in pq.message_indices(
@@ -232,7 +232,7 @@ def test_criterion_2_soundness_bit_flip_fuzz():
             blob = _flip_bit(hy_com_blob, position)
             try:
                 accepted = hy.verify_batch(
-                    tables[signer], hy.HyCommitment.from_bytes(blob, group), batch,
+                    tables[signer], hy.HyCommitment.from_bytes(blob), batch,
                     hy_sig, group, PROD_PQ,
                 )
             except ValueError:
@@ -361,7 +361,7 @@ def _oracle_check(group, public_key, commitment, messages, signature) -> bool:
     for item, message in enumerate(messages, start=1):
         item_seed = domain_hash(0, signature.seed + encode_index(item))
         challenge_sum = (challenge_sum + hash_to_scalar(2, message + item_seed, q)) % q
-    return _dlog(group, commitment.value) == (
+    return _dlog(group, group.decode_element(commitment.r_bytes)) == (
         _dlog(group, public_key) * challenge_sum + signature.agg
     ) % q
 
@@ -374,7 +374,7 @@ def test_criterion_6_tiny_group_oracle_equivalence():
     checked = disagreements = 0
     for y in range(1, 11):
         public_key = group.exp(group.generator, y)
-        key_table = group.precompute(public_key)
+        key_table = group.precompute(group.encode_element(public_key))
         for epoch in range(1, 5):
             for size in (1, 2, 3):
                 params = la.LaParams(group, 4, size)
@@ -493,7 +493,7 @@ def test_criterion_8_service_round_trip():
             for batch, signature in zip(batches, signatures):
                 try:
                     blob = client.commitment_bytes(cco.MSG_HY, signer, signature.la.epoch)
-                    commitment = hy.HyCommitment.from_bytes(blob, group)
+                    commitment = hy.HyCommitment.from_bytes(blob)
                     on_demand.append(
                         hy.verify_batch(tables[signer], commitment, batch, signature, group, PROD_PQ)
                     )
@@ -504,7 +504,7 @@ def test_criterion_8_service_round_trip():
 
     offline_index = {}
     for blob in exported:
-        commitment = hy.HyCommitment.from_bytes(blob, group)
+        commitment = hy.HyCommitment.from_bytes(blob)
         offline_index[commitment.la.epoch] = commitment
     offline = []
     for batch, signature in zip(batches, signatures):

@@ -127,13 +127,13 @@ class TestRequestHandling:
     def test_la_request_ok(self):
         response = self.request(cco.MSG_LA, ID_A + (2).to_bytes(8, "big") + (3).to_bytes(4, "big"))
         assert response[:2] == bytes((0x82, cco.STATUS_OK))
-        commitment = la.LaCommitment.from_bytes(response[2:], self.group)
+        commitment = la.LaCommitment.from_bytes(response[2:])
         assert commitment.epoch == 2
 
     def test_hy_request_ok(self):
         response = self.request(cco.MSG_HY, ID_A + (1).to_bytes(8, "big"))
         assert response[:2] == bytes((0x83, cco.STATUS_OK))
-        hy.HyCommitment.from_bytes(response[2:], self.group)
+        hy.HyCommitment.from_bytes(response[2:])
 
     def test_unknown_id_status(self):
         response = self.request(cco.MSG_PQ, ID_C + (1).to_bytes(8, "big"))
@@ -261,7 +261,7 @@ class TestWireProtocol:
         signature = hy.sign_batch(states[ID_A], batch)
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
-                commitment = hy.HyCommitment.from_bytes(client.commitment_bytes(cco.MSG_HY, ID_A, 1), group)
+                commitment = hy.HyCommitment.from_bytes(client.commitment_bytes(cco.MSG_HY, ID_A, 1))
                 assert hy.verify_batch(
                     group.precompute(public[ID_A]), commitment, batch, signature, group, PQ_TOY
                 )
@@ -390,7 +390,7 @@ class TestPipelinedClient:
                 assert list(client.commitments(cco.MSG_PQ, keys)) == expected
                 la_keys = [(ID_A, e) for e in range(1, 17)]
                 la_blobs = list(client.commitments(cco.MSG_LA, la_keys, batch_size=3))
-                assert la_blobs == [store.la_commitment(ID_A, e).to_bytes(store.la_material().params.group)
+                assert la_blobs == [store.la_commitment(ID_A, e).to_bytes()
                                     for e in range(1, 17)]
 
     def test_a_full_window_is_in_flight(self):
@@ -441,8 +441,8 @@ class TestStorePersistence:
                 == store.pq_commitment(ID_A, epoch).to_bytes()
             )
         assert (
-            restored.la_commitment(ID_B, 2).to_bytes(group)
-            == store.la_commitment(ID_B, 2).to_bytes(group)
+            restored.la_commitment(ID_B, 2).to_bytes()
+            == store.la_commitment(ID_B, 2).to_bytes()
         )
 
     def test_partial_store_round_trip(self):
@@ -811,10 +811,10 @@ class TestOpeningRequests:
     def test_hy_opening_is_the_la_commitment_then_the_pq_opening(self):
         store, *_, group = t1024_store()
         full_response = store.handle_request(bytes((cco.MSG_HY,)) + ID_B + (6).to_bytes(8, "big"))
-        full = hy.HyCommitment.from_bytes(full_response[2:], group)
+        full = hy.HyCommitment.from_bytes(full_response[2:])
         response = store.handle_request(opening_payload(cco.MSG_HY_OPENING, ID_B, 6, self.INDICES))
         assert response[:2] == bytes((0x86, cco.STATUS_OK))
-        assert response[2:] == full.la.to_bytes(group) + full.pq.open(self.INDICES, PQ_T1024).to_bytes()
+        assert response[2:] == full.la.to_bytes() + full.pq.open(self.INDICES, PQ_T1024).to_bytes()
         assert len(response) == 2 + la.COMMITMENT_LEN + 537
 
     def test_statuses_and_no_hashing_for_refusals(self):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from hases import cco, cli, hy, keyfiles, la, pq, stream
+from hases import group as group_module
 
 ID_HEX_1 = "aa" * 16
 ID_HEX_2 = "bb" * 16
@@ -161,8 +162,10 @@ class TestSignVerifyOffline:
         bundle = keyfiles.load_verifier_bundle(pub)
         group = bundle.la_params.group
         signer = bytes.fromhex(ID_HEX_1)
-        moved = group.mul(bundle.public_keys[signer], (0, group.p - 1))
-        keyfiles.save_verifier_bundle(pub, replace(bundle, public_keys={signer: moved}))
+        moved = group.mul(group.decode_element(bundle.public_keys[signer]), (0, group.p - 1))
+        keyfiles.save_verifier_bundle(
+            pub, replace(bundle, public_keys={signer: group.encode_element(moved)})
+        )
         capsys.readouterr()
         checked = []
         precompute = type(group).precompute
@@ -402,6 +405,50 @@ class TestOnlineMatchesOffline:
             assert verify(sigs, "--commits", str(tmp_path / "missing.bin"))[0] == 2
         # the service is gone
         assert verify(sigs, "--cco", address)[0] == 2
+
+
+class TestKeysDecodedOnUse:
+    def test_one_key_decoded_per_signer_checked_and_r_never(
+        self, tmp_path, capsys, monkeypatch, small_order_points
+    ):
+        out = tmp_path / "keys"
+        ids = write_ids(tmp_path, (ID_HEX_1, ID_HEX_2))
+        assert cli.main(["keygen", "--scheme", "hy", "--ids", ids, "--J", "8", "--J1", "2",
+                         "--L", "2", "--t", "64", "--k", "8", "--out", str(out)]) == 0
+        msgs = write_csv(tmp_path, 8)
+        sigs = str(tmp_path / "sigs.bin")
+        key = out / f"signer_{ID_HEX_1}.key"
+        assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", sigs]) == 0
+        pub = str(out / "verifier.pub")
+        bundle = keyfiles.load_verifier_bundle(pub)
+        group = bundle.la_params.group
+        commits = str(tmp_path / "commits.bin")
+        shifted = str(tmp_path / "shifted.bin")
+        decoded = []
+        decode = group_module._decode_point
+        monkeypatch.setattr(
+            group_module, "_decode_point", lambda data: decoded.append(data) or decode(data)
+        )
+        with cco.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
+            address = f"127.0.0.1:{server.port}"
+            assert cli.main(["request", "--cco", address, "--scheme", "hy", "--id", ID_HEX_1,
+                             "--export", "1:4", "--out", commits]) == 0
+            # epoch 2's R plus a point of order 8
+            blobs = keyfiles.load_commitments(commits)
+            full = hy.HyCommitment.from_bytes(blobs[1])
+            R = group.decode_element(full.la.r_bytes)
+            moved = group.encode_element(group.mul(R, small_order_points[1]))
+            blobs[1] = hy.HyCommitment(replace(full.la, r_bytes=moved), full.pq).to_bytes()
+            keyfiles.save_commitments(shifted, blobs)
+            for source, valid in ((["--cco", address], 4), (["--commits", commits], 4),
+                                  (["--commits", shifted], 3)):
+                decoded.clear()
+                capsys.readouterr()
+                code = cli.main(["verify", "--pub", pub, "--in", msgs, "--sigs", sigs, *source])
+                assert (code, capsys.readouterr().out) == (
+                    0 if valid == 4 else 1, f"{valid}/4 signatures valid\n")
+                # the one signer's key, once; not the other key, and no R
+                assert decoded == [bundle.public_keys[bytes.fromhex(ID_HEX_1)]]
 
 
 class TestServeSubprocess:

@@ -40,10 +40,10 @@ def samples(group_name: str) -> dict[str, bytes]:
         "pq_commitment": commitment.pq.to_bytes(),
         "pq_opening": commitment.pq.open(indices, PQ_TOY).to_bytes(),
         "la_signature": signature.la.to_bytes(),
-        "la_commitment": commitment.la.to_bytes(group),
+        "la_commitment": commitment.la.to_bytes(),
         "hy_signature": signature.to_bytes(),
-        "hy_commitment": commitment.to_bytes(group),
-        "hy_opening": commitment.open(indices, PQ_TOY).to_bytes(group),
+        "hy_commitment": commitment.to_bytes(),
+        "hy_opening": commitment.open(indices, PQ_TOY).to_bytes(),
         "signer_key": keyfiles.signer_key_bytes(states[ID_A]),
         "bundle": bundle.to_bytes(),
         "store": keyfiles.store_bytes(store),
@@ -59,10 +59,10 @@ def parsers(group):
         "pq_commitment": pq.PqCommitment.from_bytes,
         "pq_opening": lambda data: pq.PqOpening.from_bytes(data, INDICES),
         "la_signature": lambda data: la.LaSignature.from_bytes(data, group),
-        "la_commitment": lambda data: la.LaCommitment.from_bytes(data, group),
+        "la_commitment": lambda data: la.LaCommitment.from_bytes(data),
         "hy_signature": lambda data: hy.HySignature.from_bytes(data, group),
-        "hy_commitment": lambda data: hy.HyCommitment.from_bytes(data, group),
-        "hy_opening": lambda data: hy.HyOpening.from_bytes(data, group, INDICES),
+        "hy_commitment": lambda data: hy.HyCommitment.from_bytes(data),
+        "hy_opening": lambda data: hy.HyOpening.from_bytes(data, INDICES),
         "signer_key": keyfiles.signer_key_from_bytes,
         "bundle": keyfiles.VerifierBundle.from_bytes,
         "store": keyfiles.store_from_bytes,

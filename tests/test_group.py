@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import curve_point
 from hases.group import (
     ModPGroup,
     encode_scalar,
@@ -38,7 +39,14 @@ class TestTinyGroup:
             members.add(value)
             value = value * 2 % 23
         assert len(members) == 11
-        assert all(self.g.contains(m) for m in members)
+        # membership through decode_element: members decode, nothing else does
+        for value in range(self.g.p + 1):
+            blob = value.to_bytes(32, "big")
+            if value in members:
+                assert self.g.decode_element(blob) == value
+            else:
+                with pytest.raises(ValueError):
+                    self.g.decode_element(blob)
 
     def test_exp_matches_direct_computation(self):
         assert self.g.exp(2, 5) == 32 % 23 == 9
@@ -82,7 +90,7 @@ class TestTinyGroup:
         g = self.g
         for y in range(g.q):
             base = g.exp(g.generator, y)
-            table = g.precompute(base)
+            table = g.precompute(g.encode_element(base))
             for e in range(g.q):
                 for s in range(g.q):
                     assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
@@ -90,7 +98,7 @@ class TestTinyGroup:
     def test_precompute_rejects_non_members(self):
         for value in (22, 5):  # orders 2 and 22 in Z_23^*
             with pytest.raises(ValueError):
-                self.g.precompute(value)
+                self.g.precompute(self.g.encode_element(value))
 
 
 class TestProductionGroup:
@@ -154,20 +162,27 @@ class TestProductionGroup:
 
     def test_subgroup_membership(self):
         g = self.g
-        assert g.contains(g.identity)
-        assert g.contains(g.exp(g.generator, 12345))
+        for point in (g.identity, g.exp(g.generator, 12345)):
+            blob = g.encode_element(point)
+            assert g.decode_element(blob) == point
+            g.precompute(blob)
 
-    def test_small_order_points_rejected(self):
-        # both decode from valid encodings; exp reduces its scalar mod q,
-        # so a membership check through exp would let them pass
+    def test_small_order_points_rejected(self, small_order_points):
+        # canonical encodings of curve points outside the subgroup; exp
+        # reduces its scalar mod q, so a membership check through exp
+        # would let them pass
         g = self.g
-        order_2 = g.decode_element((g.p - 1).to_bytes(32, "little"))
-        order_4 = g.decode_element(bytes(32))
-        assert order_2 == (0, g.p - 1)
-        for point in (order_2, order_4, g.mul(g.generator, order_2)):
-            assert not g.contains(point)
+        order_2 = (0, g.p - 1)
+        order_4 = (pow(2, (g.p - 1) // 4, g.p), 0)  # what 32 zero bytes name
+        assert g.encode_element(order_4) == bytes(32)
+        assert {order_2, order_4} < set(small_order_points)
+        shifted = [g.mul(g.generator, point) for point in small_order_points[1:]]
+        for point in small_order_points[1:] + shifted:
+            blob = g.encode_element(point)
             with pytest.raises(ValueError):
-                g.precompute(point)
+                g.decode_element(blob)
+            with pytest.raises(ValueError):
+                g.precompute(blob)
 
     def test_exp2_matches_reference(self):
         g = self.g
@@ -175,9 +190,53 @@ class TestProductionGroup:
         rng = random.Random(77)
         edges = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
         for base in (g.identity, g.generator, g.exp(g.generator, rng.randrange(1, q))):
-            table = g.precompute(base)
+            table = g.precompute(g.encode_element(base))
             for e, s in edges + [(rng.randrange(q), rng.randrange(q)) for _ in range(4)]:
                 assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
+
+    def test_exp2_every_digit_in_every_row_and_the_carries(self):
+        # exp2 reads each scalar as 64 signed 4-bit digits: 9..15 become
+        # d - 16 with a carry into the next row
+        g = self.g
+        q = g.q
+        # scalar d has digit (i + d) % 16 in row i < 63 (all below 2^252 < q),
+        # so across the 16 scalars every row meets every digit 0..15
+        scalars = [sum((i + d) % 16 << 4 * i for i in range(63)) for d in range(16)]
+        scalars += [
+            0xF,  # one digit, one carry: the loop must not stop before it lands
+            0xF << 4 * 40,
+            15 * 16**62,  # a carry out of row 62 into the top row
+            2**252 - 1,  # every digit 15: a carry out of every row into the next
+            2**252 + 8,  # the top row and the largest unsigned digit
+            0,
+            1,
+            q - 1,
+            q,
+            q + 15,
+            2**256 - 1,  # reduced mod q first
+        ]
+        rng = random.Random(78)
+        for base in (g.identity, g.generator, g.exp(g.generator, rng.randrange(1, q))):
+            table = g.precompute(g.encode_element(base))
+            for e, s in zip(scalars, reversed(scalars)):
+                assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
+
+    def test_decode_rejects_non_canonical_and_off_curve(self, small_order_points):
+        g = self.g
+        identity = g.encode_element(g.identity)
+        sign = 1 << 255
+        off_curve = next(y for y in range(2, 100) if curve_point(y) is None)
+        for raw in (
+            g.p + 1,  # y >= p: the identity's y plus p
+            1 | sign,  # x = 0 with the sign bit set
+            (g.p - 1) | sign,
+            off_curve,
+        ):
+            with pytest.raises(ValueError):
+                g.decode_element(raw.to_bytes(32, "little"))
+            with pytest.raises(ValueError):
+                g.precompute(raw.to_bytes(32, "little"))
+        assert g.decode_element(identity) == g.identity
 
     def test_identity_encoding(self):
         g = self.g

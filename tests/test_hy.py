@@ -6,6 +6,7 @@ import pytest
 
 from hases import hy, la, pq
 from hases.errors import EpochDesync
+from conftest import curve_point
 from hases.group import production_group, small_test_group
 from hases.hashing import counters
 
@@ -153,6 +154,37 @@ class TestVerify:
     def test_honest_accepts(self):
         assert self.verify()
 
+    def test_r_rejected_unless_the_canonical_encoding_of_the_expected_r(
+        self, small_order_points
+    ):
+        group = self.group
+        la_commitment = self.commitment.la
+
+        def passes(r_bytes):
+            moved = replace(la_commitment, r_bytes=r_bytes)
+            return self.verify(commitment=hy.HyCommitment(moved, self.commitment.pq))
+
+        assert passes(la_commitment.r_bytes)
+        R = group.decode_element(la_commitment.r_bytes)
+        sign = 1 << 255
+        off_curve = next(y for y in range(2, 100) if curve_point(y) is None)
+        bad = [
+            la_commitment.r_bytes[:31] + bytes((la_commitment.r_bytes[31] ^ 0x80,)),
+            off_curve.to_bytes(32, "little"),
+            (group.p + 1).to_bytes(32, "little"),  # y >= p
+            (1 | sign).to_bytes(32, "little"),  # x = 0 with the sign bit set
+        ]
+        bad += [group.encode_element(group.mul(R, point)) for point in small_order_points[1:]]
+        for r_bytes in bad:
+            assert not passes(r_bytes)
+        # the same through an opening parsed from its bytes, as a verifier gets it
+        indices = hy.opened(self.batch, self.signature, PQ_PROD).indices
+        opening = self.commitment.open(indices, PQ_PROD).to_bytes()
+        assert self.verify(commitment=hy.HyOpening.from_bytes(opening, indices))
+        for r_bytes in bad:
+            blob = opening[:29] + r_bytes + opening[61:]
+            assert not self.verify(commitment=hy.HyOpening.from_bytes(blob, indices))
+
     def test_aggregate_only_tamper_rejected(self):
         # flip the per-batch seed: the aggregate check fails while the
         # wrapped layer (which binds agg and digest, not the seed) still
@@ -210,7 +242,8 @@ class TestVerify:
     def test_tampered_commitment_or_response_rejected(self):
         group = self.group
         la_commitment = self.commitment.la
-        moved = replace(la_commitment, value=group.mul(la_commitment.value, group.generator))
+        R = group.decode_element(la_commitment.r_bytes)
+        moved = replace(la_commitment, r_bytes=group.encode_element(group.mul(R, group.generator)))
         bumped = replace(self.signature.la, agg=(self.signature.la.agg + 1) % group.q)
         assert not self.verify(commitment=hy.HyCommitment(moved, self.commitment.pq))
         assert not self.verify(signature=hy.HySignature(bumped, self.signature.pq))
@@ -241,9 +274,9 @@ class TestSerialization:
     def test_commitment_round_trip(self):
         group, state, _, material = setup(seed=8)
         commitment = commitment_for(material, ID_A, 2)
-        blob = commitment.to_bytes(group)
+        blob = commitment.to_bytes()
         assert len(blob) == 25 + 4 + 32 + PQ_TOY.t * 32
-        assert hy.HyCommitment.from_bytes(blob, group) == commitment
+        assert hy.HyCommitment.from_bytes(blob) == commitment
 
     def test_component_mismatch_rejected(self):
         _, state, _, _ = setup(seed=9)
@@ -302,16 +335,16 @@ class TestOpening:
 
     def test_round_trip_and_layout(self):
         opening = hy.open_commitment(self.material, ID_A, 3, self.derived.indices)
-        blob = opening.to_bytes(self.group)
+        blob = opening.to_bytes()
         # the aggregate commitment, then the pq opening
         assert len(blob) == la.COMMITMENT_LEN + pq.HEADER_LEN + PQ_PROD.k * 32 == 598
-        assert blob[: la.COMMITMENT_LEN] == opening.la.to_bytes(self.group)
-        assert hy.HyOpening.from_bytes(blob, self.group, self.derived.indices) == opening
+        assert blob[: la.COMMITMENT_LEN] == opening.la.to_bytes()
+        assert hy.HyOpening.from_bytes(blob, self.derived.indices) == opening
         other_epoch = hy.open_commitment(self.material, ID_A, 4, self.derived.indices)
-        mixed = opening.la.to_bytes(self.group) + other_epoch.pq.to_bytes()
+        mixed = opening.la.to_bytes() + other_epoch.pq.to_bytes()
         for bad in (blob[:-1], blob[: la.COMMITMENT_LEN], blob[1:], mixed):
             with pytest.raises(ValueError):
-                hy.HyOpening.from_bytes(bad, self.group, self.derived.indices)
+                hy.HyOpening.from_bytes(bad, self.derived.indices)
 
     def test_bad_indices_refused_before_any_work(self, monkeypatch):
         group_work = []

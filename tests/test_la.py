@@ -5,6 +5,7 @@ import pytest
 
 from hases import la
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
+from conftest import curve_point
 from hases.group import production_group, small_test_group
 from hases.hashing import domain_hash, encode_index, hash_to_scalar
 
@@ -46,14 +47,19 @@ def brute_force_check(group, public_key, commitment, messages, signature):
         return False
     if signature.epoch != commitment.epoch or len(messages) != commitment.batch_size:
         return False
-    q = group.q
-    challenge_sum = 0
-    for item, message in enumerate(messages, start=1):
-        item_seed = domain_hash(0, signature.seed + encode_index(item))
-        challenge_sum = (challenge_sum + hash_to_scalar(2, message + item_seed, q)) % q
-    lhs = dlog(group, commitment.value)
-    rhs = (dlog(group, public_key) * challenge_sum + signature.agg) % q
+    e = challenge_sum(group, messages, signature.seed)
+    lhs = dlog(group, group.decode_element(commitment.r_bytes))
+    rhs = (dlog(group, group.decode_element(public_key)) * e + signature.agg) % group.q
     return lhs == rhs
+
+
+def challenge_sum(group, messages, seed):
+    """The batch's challenge sum, recomputed from the hash domains."""
+    total = 0
+    for item, message in enumerate(messages, start=1):
+        item_seed = domain_hash(0, seed + encode_index(item))
+        total = (total + hash_to_scalar(2, message + item_seed, group.q)) % group.q
+    return total
 
 
 class TestHandTrace:
@@ -78,7 +84,7 @@ class TestHandTrace:
             [TRACE_ID], group, 4, 1, lambda n: TRACE_MSK[:n]
         )
         assert states[TRACE_ID].key == 3
-        assert public[TRACE_ID] == 8
+        assert public[TRACE_ID] == group.encode_element(8)
 
     def test_identity_holds_per_message_and_aggregated(self):
         # alpha^r == Y^e * alpha^s whenever s = r - e*y, itemwise and summed
@@ -114,8 +120,10 @@ class TestKeygen:
 
     def test_public_key_in_subgroup(self):
         group = production_group()
-        _, public, _ = la.keygen([ID_A], group, 4, 2, fixed_rng(41))
-        assert group.contains(public[ID_A])
+        states, public, _ = la.keygen([ID_A], group, 4, 2, fixed_rng(41))
+        # decode_element accepts only subgroup elements
+        Y = group.decode_element(public[ID_A])
+        assert Y == group.exp(group.generator, states[ID_A].key)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -195,7 +203,7 @@ class TestCommitmentConstruction:
         for item in range(1, 4):
             nonce = hash_to_scalar(1, nonce_seed + encode_index(item), group.q)
             product = group.mul(product, group.exp(group.generator, nonce))
-        assert commitment.value == product
+        assert commitment.r_bytes == group.encode_element(product)
 
     def test_store_and_signer_derive_same_nonces(self):
         group, state, public, material = tiny_setup(seed=9)
@@ -221,7 +229,8 @@ class TestKeyTables:
         group = production_group()
         _, public, _ = la.keygen([ID_A, ID_B], group, 4, 2, fixed_rng(40))
         # ID_B's key moved by the order-2 point (0, p-1): outside the subgroup
-        keys = {ID_A: public[ID_A], ID_B: group.mul(public[ID_B], (0, group.p - 1))}
+        moved = group.mul(group.decode_element(public[ID_B]), (0, group.p - 1))
+        keys = {ID_A: public[ID_A], ID_B: group.encode_element(moved)}
         calls = []
         original = type(group).precompute
         monkeypatch.setattr(
@@ -275,11 +284,43 @@ class TestVerify:
         signature = la.sign_batch(states[ID_A], batch)
         commitment = la.construct_commitment(material, ID_A, 1)
         key_table = group.precompute(public[ID_A])
-        moved = replace(commitment, value=group.mul(commitment.value, group.generator))
+        R = group.decode_element(commitment.r_bytes)
+        moved = replace(commitment, r_bytes=group.encode_element(group.mul(R, group.generator)))
         bumped = replace(signature, agg=(signature.agg + 1) % group.q)
         assert la.verify_batch(key_table, commitment, batch, signature, group)
         assert not la.verify_batch(key_table, moved, batch, signature, group)
         assert not la.verify_batch(key_table, commitment, batch, bumped, group)
+
+    def test_only_the_canonical_encoding_of_the_expected_r_passes(self, small_order_points):
+        group = production_group()
+        states, public, material = la.keygen([ID_A], group, 4, 2, fixed_rng(22))
+        batch = [b"first payload", b"second payload"]
+        signature = la.sign_batch(states[ID_A], batch)
+        commitment = la.construct_commitment(material, ID_A, 1)
+        key_table = group.precompute(public[ID_A])
+        assert la.verify_batch(key_table, commitment, batch, signature, group)
+
+        def passes(r_bytes, signature=signature):
+            return la.verify_batch(
+                key_table, replace(commitment, r_bytes=r_bytes), batch, signature, group
+            )
+
+        # the honest R with its sign bit flipped, R plus each small-order
+        # point, and a y with no curve point
+        R = group.decode_element(commitment.r_bytes)
+        flipped = commitment.r_bytes[:31] + bytes((commitment.r_bytes[31] ^ 0x80,))
+        off_curve = next(y for y in range(2, 100) if curve_point(y) is None)
+        assert not passes(flipped)
+        assert not passes(off_curve.to_bytes(32, "little"))
+        for point in small_order_points[1:]:
+            assert not passes(group.encode_element(group.mul(R, point)))
+        # a response that makes Y^e * g^s the identity: only the identity's
+        # canonical encoding passes, not y + p nor x = 0 with the sign bit
+        e = challenge_sum(group, batch, signature.seed)
+        to_identity = replace(signature, agg=-e * states[ID_A].key % group.q)
+        assert passes(group.encode_element(group.identity), to_identity)
+        for raw in (group.p + 1, 1 | 1 << 255):
+            assert not passes(raw.to_bytes(32, "little"), to_identity)
 
     def test_truncation_rejected(self):
         group, state, public, material = tiny_setup(seed=14)
@@ -323,9 +364,9 @@ class TestSerialization:
     def test_commitment_round_trip_and_size(self):
         group, _, _, material = tiny_setup(seed=19)
         commitment = la.construct_commitment(material, ID_A, 1)
-        blob = commitment.to_bytes(group)
+        blob = commitment.to_bytes()
         assert len(blob) == 61
-        assert la.LaCommitment.from_bytes(blob, group) == commitment
+        assert la.LaCommitment.from_bytes(blob) == commitment
 
     def test_non_canonical_scalar_rejected(self):
         group, state, _, _ = tiny_setup(seed=20)
