@@ -7,7 +7,9 @@ boundary is the process boundary; hosting the same store inside a
 hardware enclave is a deployment substitution, not a code change.
 
 Wire protocol (stream transport): each frame is a 4-byte big-endian
-length followed by a 1-byte message type and the body.  Request types:
+length followed by a 1-byte message type and the body.  The scheme
+types are the tags in ``hases.schemes``; ``_REQUESTS`` takes each type.
+Request types:
 
     0x01  commitment, forward-secure     body: id(16) epoch(8)
     0x02  commitment, aggregate          body: id(16) epoch(8) L(4)
@@ -88,15 +90,15 @@ from functools import partial
 from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
-from . import hy, la, pq
+from . import hy, la, pq, schemes
 from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame, UnknownSigner
 
-MSG_PQ = 0x01
-MSG_LA = 0x02
-MSG_HY = 0x03
+MSG_PQ = schemes.PQ.tag
+MSG_LA = schemes.LA.tag
+MSG_HY = schemes.HY.tag
 MSG_EXPORT = 0x04
-MSG_PQ_OPENING = 0x05
-MSG_HY_OPENING = 0x06
+MSG_PQ_OPENING = schemes.PQ.opening_type
+MSG_HY_OPENING = schemes.HY.opening_type
 RESPONSE_BIT = 0x80
 
 STATUS_OK = 0x00
@@ -106,9 +108,7 @@ STATUS_MALFORMED = 0x03
 
 MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
 
-_REQUEST_BODY_LEN = {MSG_PQ: 24, MSG_LA: 28, MSG_HY: 24, MSG_EXPORT: 33}
 _EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
-_OPENING_TYPES = (MSG_PQ_OPENING, MSG_HY_OPENING)
 # the most indices an opening request may carry: k <= 256 for any t >= 2,
 # since k * log2(t) bits must fit one digest
 MAX_OPENING_INDICES = 256
@@ -136,14 +136,6 @@ PIPELINE_WINDOW = 16
 # from, not its result.  So the OK response to a given payload never
 # changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
-
-
-def _well_formed(msg_type: int, body_len: int) -> bool:
-    """Whether a request body of this type can have this length."""
-    if msg_type in _OPENING_TYPES:
-        count, rest = divmod(body_len - 24, 4)
-        return not rest and 1 <= count <= MAX_OPENING_INDICES
-    return body_len == _REQUEST_BODY_LEN.get(msg_type)
 
 
 def _log(level: str, message: str, *args) -> None:
@@ -238,6 +230,20 @@ class _ResponseCache:
                               len(self._entries), self._size)
 
 
+def _merged(current, incoming, what: str, merge: Callable):
+    """``merge(current, incoming)`` of two key materials of one scheme, or
+    whichever is not None; ValueError if their master keys or parameters
+    differ or their ids overlap."""
+    if current is None or incoming is None:
+        return incoming or current
+    if current.msk != incoming.msk or current.params != incoming.params:
+        raise ValueError(f"incompatible {what} master key or parameters")
+    overlap = set(current.signer_ids) & set(incoming.signer_ids)
+    if overlap:
+        raise ValueError(f"signer already provisioned: {sorted(overlap)[0].hex()}")
+    return merge(current, incoming)
+
+
 class CcoStore:
     """Thread-safe holder of per-scheme master secrets and anchors."""
 
@@ -262,43 +268,13 @@ class CcoStore:
     def provision(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]) -> None:
         """Install keygen output.  Rejects id collisions and incompatible
         master keys/parameters; a rejected call changes nothing."""
+        pq_part, la_part = schemes.of(material).parts(material)
         with self._lock:
-            if isinstance(material, hy.HyKeyMaterial):
-                new_pq = self._merged_pq(material.pq)
-                new_la = self._merged_la(material.la)
-                self._pq, self._la = new_pq, new_la
-            elif isinstance(material, pq.PqKeyMaterial):
-                self._pq = self._merged_pq(material)
-            elif isinstance(material, la.LaKeyMaterial):
-                self._la = self._merged_la(material)
-            else:
-                raise TypeError(f"cannot provision {type(material).__name__}")
-
-    def _merged_pq(self, incoming: pq.PqKeyMaterial) -> pq.PqKeyMaterial:
-        current = self._pq
-        if current is None:
-            return incoming
-        if current.msk != incoming.msk or current.params != incoming.params:
-            raise ValueError("incompatible forward-secure master key or parameters")
-        overlap = set(current.anchors) & set(incoming.anchors)
-        if overlap:
-            raise ValueError(f"signer already provisioned: {sorted(overlap)[0].hex()}")
-        merged = dict(current.anchors)
-        merged.update(incoming.anchors)
-        return pq.PqKeyMaterial(current.msk, current.params, merged)
-
-    def _merged_la(self, incoming: la.LaKeyMaterial) -> la.LaKeyMaterial:
-        current = self._la
-        if current is None:
-            return incoming
-        if current.msk != incoming.msk or current.params != incoming.params:
-            raise ValueError("incompatible aggregate master key or parameters")
-        overlap = current.signer_ids & incoming.signer_ids
-        if overlap:
-            raise ValueError(f"signer already provisioned: {sorted(overlap)[0].hex()}")
-        return la.LaKeyMaterial(
-            current.msk, current.params, current.signer_ids | incoming.signer_ids
-        )
+            new_pq = _merged(self._pq, pq_part, "forward-secure", lambda a, b: pq.PqKeyMaterial(
+                a.msk, a.params, {**a.anchors, **b.anchors}))
+            new_la = _merged(self._la, la_part, "aggregate", lambda a, b: la.LaKeyMaterial(
+                a.msk, a.params, a.signer_ids | b.signer_ids))
+            self._pq, self._la = new_pq, new_la
 
     def set_storage_policy(self, j1: int) -> None:
         """Rebuild the anchor tables for a new epoch factorization.
@@ -334,6 +310,11 @@ class CcoStore:
                 raise UnknownSigner("no aggregate material provisioned")
             return self._la
 
+    def materials(self) -> tuple[pq.PqKeyMaterial | None, la.LaKeyMaterial | None]:
+        """Both schemes' key material, None where none is provisioned."""
+        with self._lock:
+            return self._pq, self._la
+
     # -- commitment construction -----------------------------------------
 
     def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
@@ -355,35 +336,35 @@ class CcoStore:
         material = hy.HyKeyMaterial(self.la_material(), self.pq_material())
         return hy.open_commitment(material, signer_id, epoch, indices, self._cursor)
 
-    def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """Commitments for every epoch in [epoch_from, epoch_to], in order.
+    def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
+        """Commitments of the scheme with this tag for every epoch in
+        [epoch_from, epoch_to], in order.
 
         A range whose export response would exceed ``MAX_FRAME`` raises
         ``EpochOutOfRange`` before any commitment is built.
         """
-        if scheme not in (MSG_PQ, MSG_LA, MSG_HY):
-            raise MalformedFrame(f"unknown export scheme {scheme:#04x}")
+        scheme = schemes.BY_TAG.get(scheme_tag)
+        if scheme is None:
+            raise MalformedFrame(f"unknown export scheme {scheme_tag:#04x}")
         if epoch_from < 1 or epoch_from > epoch_to:
             raise EpochOutOfRange(f"bad export range [{epoch_from}, {epoch_to}]")
         size = _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * self._entry_len(scheme)
         if size > MAX_FRAME:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
-        if scheme == MSG_LA:
-            return la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
-        pq_part = pq.construct_commitments(
-            self.pq_material(), signer_id, epoch_from, epoch_to, self._cursor
-        )
-        if scheme == MSG_PQ:
-            return pq_part
-        la_part = la.construct_commitments(self.la_material(), signer_id, epoch_from, epoch_to)
-        return [hy.HyCommitment(a, b) for a, b in zip(la_part, pq_part)]
+        span = (signer_id, epoch_from, epoch_to)
+        pq_part = la_part = None
+        if scheme.has_pq:
+            pq_part = pq.construct_commitments(self.pq_material(), *span, self._cursor)
+        if scheme.has_la:
+            la_part = la.construct_commitments(self.la_material(), *span)
+        return scheme.join(la_part, pq_part)
 
-    def _entry_len(self, scheme: int) -> int:
-        """Serialized size of one commitment of ``scheme``."""
-        if scheme == MSG_LA:
-            return la.COMMITMENT_LEN
-        pq_body = self.pq_material().params.t * pq.DIGEST_LEN
-        return pq_body + (pq.HEADER_LEN if scheme == MSG_PQ else la.COMMITMENT_LEN)
+    def _entry_len(self, scheme: schemes.Scheme) -> int:
+        """Serialized size of one commitment of ``scheme``: the la
+        commitment, or the pq header, then t pq entries (a hybrid nests
+        the two, see ``hases.hy``)."""
+        size = la.COMMITMENT_LEN if scheme.has_la else pq.HEADER_LEN
+        return size + (self.pq_material().params.t * pq.DIGEST_LEN if scheme.has_pq else 0)
 
     # -- request dispatch --------------------------------------------------
 
@@ -391,8 +372,11 @@ class CcoStore:
         """Map one request frame payload (type byte + body) to a response
         payload.  Never raises: protocol errors become status bytes.
         Well-formed single-epoch requests go through the response cache."""
-        build = partial(self._build_response, payload)
-        if payload and payload[0] != MSG_EXPORT and _well_formed(payload[0], len(payload) - 1):
+        request = _REQUESTS.get(payload[0]) if payload else None
+        if request is None or not request.well_formed(len(payload) - 1):
+            return self._cache.bypass(partial(_response_head, payload, STATUS_MALFORMED))
+        build = partial(self._build_response, request, payload)
+        if request.cached:
             return self._cache.get(payload, build)
         return self._cache.bypass(build)
 
@@ -400,50 +384,75 @@ class CcoStore:
         """Snapshot of the response cache's counts and size."""
         return self._cache.stats()
 
-    def _build_response(self, payload: bytes) -> bytes:
-        if not payload:
-            return bytes((RESPONSE_BIT, STATUS_MALFORMED))
-        msg_type, body = payload[0], payload[1:]
-        response_type = bytes(((msg_type | RESPONSE_BIT) & 0xFF,))
-        if not _well_formed(msg_type, len(body)):
-            return response_type + bytes((STATUS_MALFORMED,))
+    def _build_response(self, request: _Request, payload: bytes) -> bytes:
         try:
-            return response_type + bytes((STATUS_OK,)) + self._response_body(msg_type, body)
+            return _response_head(payload, STATUS_OK) + request.build(self, payload[1:])
         except UnknownSigner:
-            return response_type + bytes((STATUS_UNKNOWN_ID,))
+            return _response_head(payload, STATUS_UNKNOWN_ID)
         except EpochOutOfRange:
-            return response_type + bytes((STATUS_EPOCH_RANGE,))
+            return _response_head(payload, STATUS_EPOCH_RANGE)
         except (MalformedFrame, ValueError):
-            return response_type + bytes((STATUS_MALFORMED,))
+            return _response_head(payload, STATUS_MALFORMED)
 
-    def _response_body(self, msg_type: int, body: bytes) -> bytes:
-        """What follows the OK status; raises for every other status."""
-        if msg_type == MSG_EXPORT:
-            scheme = body[0]
-            signer_id = body[1:17]
-            epoch_from = int.from_bytes(body[17:25], "big")
-            epoch_to = int.from_bytes(body[25:33], "big")
-            blobs = [
-                commitment.to_bytes()
-                for commitment in self.batch_export(scheme, signer_id, epoch_from, epoch_to)
-            ]
-            return len(blobs).to_bytes(8, "big") + b"".join(blobs)
-        signer_id = body[:16]
-        epoch = int.from_bytes(body[16:24], "big")
-        if msg_type == MSG_PQ:
-            return self.pq_commitment(signer_id, epoch).to_bytes()
-        if msg_type == MSG_LA:
-            # L is on the wire, but only the registered batch size is
-            # served: any other would let a request choose its own cost
-            if int.from_bytes(body[24:28], "big") != self.la_material().params.batch_size:
-                raise MalformedFrame("aggregate batch size is not the registered one")
-            return self.la_commitment(signer_id, epoch).to_bytes()
-        if msg_type == MSG_HY:
-            return self.hy_commitment(signer_id, epoch).to_bytes()
-        indices = struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
-        if msg_type == MSG_PQ_OPENING:
-            return self.pq_opening(signer_id, epoch, indices).to_bytes()
-        return self.hy_opening(signer_id, epoch, indices).to_bytes()
+
+def _response_head(payload: bytes, status: int) -> bytes:
+    """The response head to ``payload``: its type with ``RESPONSE_BIT``, and ``status``."""
+    return bytes(((payload[:1] or b"\x00")[0] | RESPONSE_BIT, status))
+
+
+# --- request types -------------------------------------------------------------
+
+
+class _Request(NamedTuple):
+    """How the service takes one request type."""
+
+    well_formed: Callable[[int], bool]  # whether a body can have this length
+    cached: bool  # single-epoch: its OK responses go through the response cache
+    build: Callable[[CcoStore, bytes], bytes]  # body -> what follows OK; raises for the rest
+
+
+def _key(body: bytes) -> tuple[bytes, int]:
+    """The (id, epoch) every single-epoch request body starts with."""
+    return body[:16], int.from_bytes(body[16:24], "big")
+
+
+def _opening_len(body_len: int) -> bool:
+    count, rest = divmod(body_len - 24, 4)
+    return not rest and 1 <= count <= MAX_OPENING_INDICES
+
+
+def _opening_indices(body: bytes) -> tuple[int, ...]:
+    return struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
+
+
+def _la_response(store: CcoStore, body: bytes) -> bytes:
+    # L is on the wire, but only the registered batch size is served:
+    # any other would let a request choose its own cost
+    if int.from_bytes(body[24:28], "big") != store.la_material().params.batch_size:
+        raise MalformedFrame("aggregate batch size is not the registered one")
+    return store.la_commitment(*_key(body)).to_bytes()
+
+
+def _export_response(store: CcoStore, body: bytes) -> bytes:
+    epoch_from, epoch_to = struct.unpack(">QQ", body[17:33])
+    commitments = store.batch_export(body[0], body[1:17], epoch_from, epoch_to)
+    return len(commitments).to_bytes(8, "big") + b"".join(c.to_bytes() for c in commitments)
+
+
+# request type -> how it is taken; each builder calls the store's methods
+# when it runs, so a wrapper installed on them sees the call
+_REQUESTS = {
+    MSG_PQ: _Request(lambda n: n == 24, True,
+                     lambda store, body: store.pq_commitment(*_key(body)).to_bytes()),
+    MSG_LA: _Request(lambda n: n == 28, True, _la_response),
+    MSG_HY: _Request(lambda n: n == 24, True,
+                     lambda store, body: store.hy_commitment(*_key(body)).to_bytes()),
+    MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
+    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: store.pq_opening(
+        *_key(body), _opening_indices(body)).to_bytes()),
+    MSG_HY_OPENING: _Request(_opening_len, True, lambda store, body: store.hy_opening(
+        *_key(body), _opening_indices(body)).to_bytes()),
+}
 
 
 # --- framing -----------------------------------------------------------------

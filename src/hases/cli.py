@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from . import bench, cco, hy, keyfiles, la, pq, stream
+from . import bench, cco, keyfiles, la, pq, schemes, stream
 from .errors import HasesError
 from .group import production_group, small_test_group
 
@@ -60,46 +60,29 @@ def backend_group():
     raise ValueError(f"HASES_BACKEND must be 'production' or 'tiny', not {name!r}")
 
 
-def _pq_params_from_args(args) -> pq.PqParams:
-    j1 = args.J1 or 1
-    if args.J % j1:
-        raise ValueError(f"--J1 {j1} does not divide --J {args.J}")
-    return pq.PqParams(t=args.t, k=args.k, j1=j1, j2=args.J // j1)
-
-
 # --- keygen -----------------------------------------------------------------
 
 
 def cmd_keygen(args) -> int:
     ids = read_ids_file(args.ids)
     out = Path(args.out)
-    files: dict[Path, bytes] = {}
+    scheme = schemes.BY_NAME[args.scheme]
+    pq_params = la_params = None
+    if scheme.has_la:
+        if not args.L:
+            raise ValueError(f"--L is required for --scheme {args.scheme}")
+        la_params = la.LaParams(backend_group(), args.J, args.L)
+    if scheme.has_pq:
+        j1 = args.J1 or 1
+        if args.J % j1:
+            raise ValueError(f"--J1 {j1} does not divide --J {args.J}")
+        pq_params = pq.PqParams(t=args.t, k=args.k, j1=j1, j2=args.J // j1)
+    states, public, material = scheme.keygen(ids, pq_params, la_params)
     store = cco.CcoStore()
+    store.provision(material)
+    bundle = keyfiles.VerifierBundle(scheme.tag, pq_params, la_params, public)
 
-    if args.scheme == "pq":
-        states, material = pq.keygen(ids, _pq_params_from_args(args))
-        store.provision(material)
-        bundle = keyfiles.VerifierBundle(
-            keyfiles.SCHEME_PQ, material.params, None, {sid: None for sid in ids}
-        )
-    elif args.scheme == "la":
-        if not args.L:
-            raise ValueError("--L is required for the aggregate scheme")
-        group = backend_group()
-        states, public, material = la.keygen(ids, group, args.J, args.L)
-        store.provision(material)
-        bundle = keyfiles.VerifierBundle(keyfiles.SCHEME_LA, None, material.params, public)
-    else:
-        if not args.L:
-            raise ValueError("--L is required for the hybrid scheme")
-        group = backend_group()
-        pq_params = _pq_params_from_args(args)
-        states, public, material = hy.keygen(ids, group, args.L, pq_params)
-        store.provision(material)
-        bundle = keyfiles.VerifierBundle(
-            keyfiles.SCHEME_HY, pq_params, material.la.params, public
-        )
-
+    files: dict[Path, bytes] = {}
     for sid, state in states.items():
         files[out / f"signer_{sid.hex()}.key"] = keyfiles.signer_key_bytes(state)
     files[out / "cco.store"] = keyfiles.store_bytes(store)
@@ -119,16 +102,7 @@ def cmd_keygen(args) -> int:
 def cmd_sign(args) -> int:
     state = keyfiles.load_signer_key(args.key)
     records = stream.read_stream(args.input, args.format, args.hex)
-    blobs: list[bytes] = []
-    if isinstance(state, pq.PqSignerState):
-        for record in records:
-            blobs.append(pq.sign(state, record.payload).to_bytes())
-    elif isinstance(state, la.LaSignerState):
-        for batch in stream.into_batches(records, state.params.batch_size):
-            blobs.append(la.sign_batch(state, batch).to_bytes())
-    else:
-        for batch in stream.into_batches(records, state.la.params.batch_size):
-            blobs.append(hy.sign_batch(state, batch).to_bytes())
+    blobs = schemes.of(state).sign(state, records)
     # persist the evolved key before the signatures: a failure in between
     # loses tags, never reuses a burned epoch
     keyfiles.save_signer_key(args.key, state)
@@ -147,21 +121,11 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-# the commitment tag each bundle scheme's service and exports answer with
-_COMMITMENT_TAGS = {
-    keyfiles.SCHEME_PQ: pq.COMMITMENT_TAG,
-    keyfiles.SCHEME_LA: la.COMMITMENT_TAG,
-    keyfiles.SCHEME_HY: hy.COMMITMENT_TAG,
-}
-
-# the request for the entries a signature opens; la's commitment is whole
-_OPENING_TYPES = {keyfiles.SCHEME_PQ: cco.MSG_PQ_OPENING, keyfiles.SCHEME_HY: cco.MSG_HY_OPENING}
-
-
 class _CommitmentSource:
     """Pipelined service connection or a preloaded offline export."""
 
     def __init__(self, args, bundle: keyfiles.VerifierBundle):
+        self.scheme = scheme = schemes.by_tag(bundle.scheme)
         self.bundle = bundle
         self.client = None
         self.offline: dict[tuple[bytes, int], bytes] = {}
@@ -169,11 +133,10 @@ class _CommitmentSource:
             host, port = _parse_host_port(args.cco)
             self.client = cco.CcoClient(host, port)
         elif args.commits:
-            tag = _COMMITMENT_TAGS[bundle.scheme]
             for blob in keyfiles.load_commitments(args.commits):
                 # another scheme's entry for the same (id, epoch) must not
                 # replace the one this bundle verifies against
-                if len(blob) >= 25 and blob[0] == tag:
+                if len(blob) >= 25 and blob[0] == scheme.commitment_tag:
                     key = (blob[1:17], int.from_bytes(blob[17:25], "big"))
                     self.offline[key] = blob
         else:
@@ -183,43 +146,23 @@ class _CommitmentSource:
         if self.client:
             self.client.close()
 
-    def openings(self, keys: list[tuple[bytes, int]], indices: list) -> Iterator[object | None]:
-        """For each (id, epoch) key, its commitment opened at the unit's
-        indices (la: the whole commitment), in order, or None where there
-        is none or it does not parse.  The service opens it; an offline
-        export's full commitment is opened here, so both verify alike."""
-        bundle = self.bundle
+    def openings(self, keys: list[tuple[bytes, int]], derived: list) -> Iterator[object | None]:
+        """For each (id, epoch) key and its unit's ``derive``, the commitment
+        opened at the unit's indices (la: the whole commitment), in order,
+        or None where there is none or it does not parse.  The service opens
+        it; an offline export's full commitment is opened here, alike."""
+        scheme, bundle = self.scheme, self.bundle
         if self.client is None:
             blobs = (self.offline.get(key) for key in keys)
-            parse = _open_full
-        elif bundle.scheme == keyfiles.SCHEME_LA:
-            blobs = self.client.commitments(cco.MSG_LA, keys, bundle.la_params.batch_size)
-            parse = _open_full
+            parse = scheme.open_full
         else:
-            blobs = self.client.openings(_OPENING_TYPES[bundle.scheme], keys, indices)
-            parse = _parse_opening
-        for blob, opened in zip(blobs, indices):
+            blobs = scheme.fetch(self.client, keys, derived, bundle)
+            parse = scheme.parse_opening
+        for blob, unit_derived in zip(blobs, derived):
             try:
-                yield None if blob is None else parse(bundle, blob, opened)
+                yield None if blob is None else parse(blob, unit_derived, bundle)
             except ValueError:
                 yield None  # a malformed commitment is a cryptographic reject
-
-
-def _open_full(bundle, blob: bytes, indices):
-    """A serialized full commitment, parsed and opened at ``indices``
-    (la's is used whole)."""
-    if bundle.scheme == keyfiles.SCHEME_PQ:
-        return pq.PqCommitment.from_bytes(blob).open(indices, bundle.pq_params)
-    if bundle.scheme == keyfiles.SCHEME_LA:
-        return la.LaCommitment.from_bytes(blob)
-    return hy.HyCommitment.from_bytes(blob).open(indices, bundle.pq_params)
-
-
-def _parse_opening(bundle, blob: bytes, indices):
-    """The service's serialized opening at ``indices``, parsed."""
-    if bundle.scheme == keyfiles.SCHEME_PQ:
-        return pq.PqOpening.from_bytes(blob, indices)
-    return hy.HyOpening.from_bytes(blob, indices)
 
 
 def cmd_verify(args) -> int:
@@ -243,81 +186,42 @@ def cmd_verify(args) -> int:
 
 
 def _verify_all(bundle, records, blobs, source) -> list[bool]:
-    scheme = bundle.scheme
-    if scheme == keyfiles.SCHEME_PQ:
-        messages = [r.payload for r in records]
-    else:
-        messages = stream.into_batches(records, bundle.la_params.batch_size)
+    scheme = schemes.by_tag(bundle.scheme)
+    messages = scheme.units(records, bundle)
     if len(messages) != len(blobs):
         raise ValueError(f"{len(blobs)} signatures for {len(messages)} signing units")
 
     # every signature is parsed before the first request, so the service
     # sees one pipelined stream; a unit that fails to parse or names a
     # signer outside the bundle is rejected without a request
-    signatures = [_parse_signature(bundle, blob) for blob in blobs]
+    signatures = [_parse_signature(scheme, bundle, blob) for blob in blobs]
     units = [n for n, signature in enumerate(signatures) if signature is not None]
-    keys = [_unit_key(signatures[n]) for n in units]
-    derived = [_derive(bundle, messages[n], signatures[n]) for n in units]
-    indices = [d.indices if isinstance(d, hy.Opened) else d for d in derived]
+    keys = [(signatures[n].signer_id, signatures[n].epoch) for n in units]
+    # what each check derives before its commitment is needed, computed once
+    derived = [scheme.derive(messages[n], signatures[n], bundle) for n in units]
     # per-key tables live for this run only: see hases.group
     tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
     results = [False] * len(blobs)
-    for n, unit_derived, opening in zip(units, derived, source.openings(keys, indices)):
-        if opening is not None:
-            results[n] = _verify_one(
-                bundle, messages[n], signatures[n], opening, unit_derived, tables
+    for n, unit_derived, opening in zip(units, derived, source.openings(keys, derived)):
+        if opening is None:
+            continue
+        try:
+            results[n] = scheme.verify(
+                messages[n], signatures[n], opening, unit_derived, bundle, tables
             )
+        except ValueError:
+            pass  # a key outside the subgroup is a cryptographic reject
     return results
 
 
-def _unit_key(signature) -> tuple[bytes, int]:
-    unit = signature.la if isinstance(signature, hy.HySignature) else signature
-    return unit.signer_id, unit.epoch
-
-
-def _derive(bundle, message, signature):
-    """What checking a unit derives from its message before the
-    commitment is needed, computed once: the pq indices it opens, hy's
-    ``Opened``, nothing for la."""
-    if bundle.scheme == keyfiles.SCHEME_PQ:
-        return pq.message_indices(message, bundle.pq_params)
-    if bundle.scheme == keyfiles.SCHEME_HY:
-        return hy.opened(message, signature, bundle.pq_params)
-    return None
-
-
-def _parse_signature(bundle, blob):
+def _parse_signature(scheme, bundle, blob):
     """The parsed signature, or None if it is malformed or its signer
     is not in the bundle (a cryptographic reject)."""
-    scheme = bundle.scheme
     try:
-        if scheme == keyfiles.SCHEME_PQ:
-            signature = pq.PqSignature.from_bytes(blob)
-        elif scheme == keyfiles.SCHEME_LA:
-            signature = la.LaSignature.from_bytes(blob, bundle.la_params.group)
-        else:
-            signature = hy.HySignature.from_bytes(blob, bundle.la_params.group)
+        signature = scheme.parse_signature(blob, bundle)
     except ValueError:
         return None
-    return signature if _unit_key(signature)[0] in bundle.public_keys else None
-
-
-def _verify_one(bundle, message, signature, opening, derived, tables) -> bool:
-    # keys outside the subgroup are cryptographic rejects; only transport
-    # and file-level failures escape as errors
-    scheme = bundle.scheme
-    try:
-        if scheme == keyfiles.SCHEME_PQ:
-            return pq.verify(opening, message, signature, bundle.pq_params, derived)
-        group = bundle.la_params.group
-        key_table = tables[_unit_key(signature)[0]]
-        if scheme == keyfiles.SCHEME_LA:
-            return la.verify_batch(key_table, opening, message, signature, group)
-        return hy.verify_batch(
-            key_table, opening, message, signature, group, bundle.pq_params, derived
-        )
-    except ValueError:
-        return False
+    return signature if signature.signer_id in bundle.public_keys else None
 
 
 # --- serve / request ----------------------------------------------------------
@@ -340,21 +244,21 @@ def cmd_serve(args) -> int:
 
 def cmd_request(args) -> int:
     host, port = _parse_host_port(args.cco)
-    scheme = keyfiles.SCHEME_TAGS[args.scheme]
+    scheme = schemes.BY_NAME[args.scheme]
     signer_id = parse_signer_id(args.id)
     with cco.CcoClient(host, port) as client:
         if args.export:
             lo, _, hi = args.export.partition(":")
-            blobs = client.batch_export(scheme, signer_id, int(lo), int(hi))
+            blobs = client.batch_export(scheme.tag, signer_id, int(lo), int(hi))
             keyfiles.save_commitments(args.out, blobs)
             print(f"exported {len(blobs)} commitments to {args.out}")
             return EXIT_OK
         if args.epoch is None:
             raise ValueError("--epoch or --export is required")
-        if scheme == keyfiles.SCHEME_LA and not args.L:
+        if scheme.tag == cco.MSG_LA and not args.L:
             raise ValueError("--L is required for aggregate requests")
         # a non-OK status raises CcoRequestError: exit 2
-        blob = client.commitment_bytes(scheme, signer_id, args.epoch, args.L)
+        blob = client.commitment_bytes(scheme.tag, signer_id, args.epoch, args.L)
         if args.out:
             keyfiles.save_commitments(args.out, [blob])
             print(f"wrote commitment ({len(blob)} bytes) to {args.out}")

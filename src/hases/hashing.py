@@ -159,6 +159,11 @@ def encode_index(value: int) -> bytes:
     return value.to_bytes(8, "big")
 
 
+def encode_header(tag: int, signer_id: bytes, epoch: int) -> bytes:
+    """Tag, id, epoch: how every serialized signature, commitment and key file begins."""
+    return bytes((tag,)) + signer_id + encode_index(epoch)
+
+
 def check_signer_id(signer_id: bytes) -> bytes:
     if len(signer_id) != ID_LEN:
         raise ValueError(f"signer id must be exactly {ID_LEN} bytes, got {len(signer_id)}")

@@ -19,6 +19,11 @@ itself is commutative.
 
 The two signer states live in one wrapper and advance in lockstep;
 an epoch mismatch fails hard before any signing.
+
+The byte formats nest the same way.  A hybrid signature, commitment or
+key file is its own tag, then the aggregate blob without its tag, then
+the forward-secure blob after the id and epoch the two share (a key
+file shares only the id: each layer keeps its own epoch).
 """
 
 from __future__ import annotations
@@ -34,7 +39,23 @@ from .hashing import DOM_MESSAGE, domain_hash
 
 SIGNATURE_TAG = 0x03
 COMMITMENT_TAG = 0x13
-HEADER_LEN = 1 + 16 + 8  # tag || shared id || shared epoch
+KEY_FILE_SHARED = 1 + 16  # tag || shared id: each layer keeps its own epoch
+
+
+def _join(tag: int, la_blob: bytes, pq_blob: bytes, shared: int = pq.HEADER_LEN) -> bytes:
+    """``tag``, the la blob after its tag, the pq blob after its first
+    ``shared`` bytes (its tag, and the id and epoch the la blob holds)."""
+    return bytes((tag,)) + la_blob[1:] + pq_blob[shared:]
+
+
+def _split(
+    data: bytes, tag: int, what: str, la_tag: int, la_len: int, pq_tag: int,
+    shared: int = pq.HEADER_LEN,
+) -> tuple[bytes, bytes]:
+    """The la blob (``la_len`` bytes) and the pq blob that ``_join`` nested."""
+    if not data or data[0] != tag:
+        raise ValueError(f"not a serialized hybrid {what}")
+    return bytes((la_tag,)) + data[1:la_len], bytes((pq_tag,)) + data[1:shared] + data[la_len:]
 
 
 def nest(messages: Sequence[bytes]) -> list[bytes]:
@@ -79,6 +100,16 @@ class HySignerState:
         self.check_lockstep()
         return self.la.epoch
 
+    def to_bytes(self) -> bytes:
+        """The key file, nested from the la and pq key files."""
+        return _join(SIGNATURE_TAG, self.la.to_bytes(), self.pq.to_bytes(), KEY_FILE_SHARED)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "HySignerState":
+        la_blob, pq_blob = _split(data, SIGNATURE_TAG, "key file", la.SIGNATURE_TAG,
+                                  la.KEY_FILE_LEN, pq.SIGNATURE_TAG, KEY_FILE_SHARED)
+        return cls(la.LaSignerState.from_bytes(la_blob), pq.PqSignerState.from_bytes(pq_blob))
+
 
 @dataclass(frozen=True)
 class HySignature:
@@ -89,33 +120,22 @@ class HySignature:
         if self.la.signer_id != self.pq.signer_id or self.la.epoch != self.pq.epoch:
             raise ValueError("component signatures disagree on signer or epoch")
 
+    @property
+    def signer_id(self) -> bytes:
+        return self.la.signer_id
+
+    @property
+    def epoch(self) -> int:
+        return self.la.epoch
+
     def to_bytes(self) -> bytes:
-        # shared id/epoch header, then the two cryptographic payloads
-        return (
-            bytes((SIGNATURE_TAG,))
-            + self.la.signer_id
-            + self.la.epoch.to_bytes(8, "big")
-            + encode_scalar(self.la.agg)
-            + self.la.seed
-            + b"".join(self.pq.parts)
-        )
+        return _join(SIGNATURE_TAG, self.la.to_bytes(), self.pq.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PrimeOrderGroup) -> "HySignature":
-        if len(data) < HEADER_LEN + 64 + 32 or data[0] != SIGNATURE_TAG:
-            raise ValueError("not a serialized hybrid signature")
-        signer_id = data[1:17]
-        epoch = int.from_bytes(data[17:25], "big")
-        agg = group.decode_scalar(data[25:57])
-        seed = data[57:89]
-        rest = data[89:]
-        if len(rest) % 32:
-            raise ValueError("hybrid signature body is not a whole number of digests")
-        parts = tuple(rest[i : i + 32] for i in range(0, len(rest), 32))
-        return cls(
-            la.LaSignature(signer_id, epoch, agg, seed),
-            pq.PqSignature(signer_id, epoch, parts),
-        )
+        la_blob, pq_blob = _split(data, SIGNATURE_TAG, "signature", la.SIGNATURE_TAG,
+                                  la.SIGNATURE_LEN, pq.SIGNATURE_TAG)
+        return cls(la.LaSignature.from_bytes(la_blob, group), pq.PqSignature.from_bytes(pq_blob))
 
 
 @dataclass(frozen=True)
@@ -131,31 +151,13 @@ class HyCommitment:
             raise ValueError("component commitments disagree on signer or epoch")
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((COMMITMENT_TAG,))
-            + self.la.signer_id
-            + self.la.epoch.to_bytes(8, "big")
-            + self.la.batch_size.to_bytes(4, "big")
-            + self.la.r_bytes
-            + b"".join(self.pq.entries)
-        )
+        return _join(COMMITMENT_TAG, self.la.to_bytes(), self.pq.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "HyCommitment":
-        if len(data) < HEADER_LEN + 4 + 32 + 32 or data[0] != COMMITMENT_TAG:
-            raise ValueError("not a serialized hybrid commitment")
-        signer_id = data[1:17]
-        epoch = int.from_bytes(data[17:25], "big")
-        batch_size = int.from_bytes(data[25:29], "big")
-        r_bytes = data[29:61]
-        rest = data[61:]
-        if not rest or len(rest) % 32:
-            raise ValueError("hybrid commitment body is not a whole number of digests")
-        entries = tuple(rest[i : i + 32] for i in range(0, len(rest), 32))
-        return cls(
-            la.LaCommitment(signer_id, epoch, batch_size, r_bytes),
-            pq.PqCommitment(signer_id, epoch, entries),
-        )
+        la_blob, pq_blob = _split(data, COMMITMENT_TAG, "commitment", la.COMMITMENT_TAG,
+                                  la.COMMITMENT_LEN, pq.COMMITMENT_TAG)
+        return cls(la.LaCommitment.from_bytes(la_blob), pq.PqCommitment.from_bytes(pq_blob))
 
     def open(self, indices: Sequence[int], pq_params: pq.PqParams) -> "HyOpening":
         """The aggregate commitment with the pq entries at ``indices``."""

@@ -35,17 +35,19 @@ the full batch, and any proper prefix changes the challenge sum.
 from __future__ import annotations
 
 import secrets
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
-from .group import PrimeOrderGroup, encode_scalar
+from .group import PrimeOrderGroup, encode_scalar, group_by_tag
 from .hashing import (
     DOM_CHAIN,
     DOM_COMMIT,
     DOM_MESSAGE,
     check_signer_id,
     domain_hash,
+    encode_header,
     encode_index,
     hash_to_scalar,
 )
@@ -54,6 +56,9 @@ SIGNATURE_TAG = 0x02
 COMMITMENT_TAG = 0x12
 SIGNATURE_LEN = 1 + 16 + 8 + 32 + 32
 COMMITMENT_LEN = 1 + 16 + 8 + 4 + 32
+_PARAMS = struct.Struct(">BQI")  # group backend tag, J, L
+PARAMS_LEN = _PARAMS.size
+KEY_FILE_LEN = 1 + 16 + 8 + 32 + PARAMS_LEN
 
 MASTER_KEY_LEN = 32
 
@@ -67,6 +72,16 @@ class LaParams:
     def __post_init__(self):
         if self.max_batches < 1 or self.batch_size < 1:
             raise ValueError("batch count and batch size must be >= 1")
+
+    def to_bytes(self) -> bytes:
+        return _PARAMS.pack(self.group.backend_tag, self.max_batches, self.batch_size)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "LaParams":
+        if len(data) != PARAMS_LEN:
+            raise ValueError("truncated aggregate parameters")
+        backend_tag, max_batches, batch_size = _PARAMS.unpack(data)
+        return cls(group_by_tag(backend_tag), max_batches, batch_size)
 
 
 @dataclass
@@ -82,6 +97,21 @@ class LaSignerState:
     def exhausted(self) -> bool:
         return self.epoch > self.params.max_batches
 
+    def to_bytes(self) -> bytes:
+        """The key file: header, private scalar, parameters."""
+        head = encode_header(SIGNATURE_TAG, self.signer_id, self.epoch)
+        return head + encode_scalar(self.key) + self.params.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "LaSignerState":
+        if len(data) != KEY_FILE_LEN or data[0] != SIGNATURE_TAG:
+            raise ValueError("not an aggregate key file")
+        params = LaParams.from_bytes(data[57:])
+        key = int.from_bytes(data[25:57], "big")
+        if not 0 < key < params.group.q:
+            raise ValueError("aggregate private key out of range")
+        return cls(data[1:17], key, int.from_bytes(data[17:25], "big"), params)
+
 
 @dataclass(frozen=True)
 class LaSignature:
@@ -93,13 +123,8 @@ class LaSignature:
     seed: bytes
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((SIGNATURE_TAG,))
-            + self.signer_id
-            + encode_index(self.epoch)
-            + encode_scalar(self.agg)
-            + self.seed
-        )
+        head = encode_header(SIGNATURE_TAG, self.signer_id, self.epoch)
+        return head + encode_scalar(self.agg) + self.seed
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PrimeOrderGroup) -> "LaSignature":
@@ -125,13 +150,8 @@ class LaCommitment:
     r_bytes: bytes  # encode_element(R)
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((COMMITMENT_TAG,))
-            + self.signer_id
-            + encode_index(self.epoch)
-            + self.batch_size.to_bytes(4, "big")
-            + self.r_bytes
-        )
+        head = encode_header(COMMITMENT_TAG, self.signer_id, self.epoch)
+        return head + self.batch_size.to_bytes(4, "big") + self.r_bytes
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LaCommitment":

@@ -27,6 +27,7 @@ construction and verification sides map preimages to entries with H2.
 from __future__ import annotations
 
 import secrets
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
 
@@ -39,6 +40,7 @@ from .hashing import (
     check_signer_id,
     commitment_images,
     domain_hash,
+    encode_header,
     encode_index,
     iter_hash,
     opened_images,
@@ -48,6 +50,9 @@ SIGNATURE_TAG = 0x01
 COMMITMENT_TAG = 0x11
 OPENING_TAG = 0x21
 HEADER_LEN = 1 + 16 + 8  # tag || id || epoch
+_PARAMS = struct.Struct(">IIIQQ")  # t, k, l, j1, j2
+PARAMS_LEN = _PARAMS.size
+KEY_FILE_LEN = HEADER_LEN + DIGEST_LEN + PARAMS_LEN
 
 MASTER_KEY_LEN = 32
 
@@ -82,6 +87,15 @@ class PqParams:
         if self.j1 < 1 or self.j2 < 1:
             raise ValueError("epoch factors must be >= 1")
 
+    def to_bytes(self) -> bytes:
+        return _PARAMS.pack(self.t, self.k, self.l, self.j1, self.j2)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PqParams":
+        if len(data) != PARAMS_LEN:
+            raise ValueError("truncated forward-secure parameters")
+        return cls(*_PARAMS.unpack(data))
+
     @property
     def index_bits(self) -> int:
         return (self.t - 1).bit_length()
@@ -90,10 +104,6 @@ class PqParams:
     def epochs(self) -> int:
         """Total number of signing epochs J."""
         return self.j1 * self.j2
-
-
-#: exhaustively testable profile
-TOY_PARAMS = PqParams(t=8, k=4, j1=4, j2=4)
 
 
 @dataclass
@@ -114,6 +124,18 @@ class PqSignerState:
     def exhausted(self) -> bool:
         return self.epoch > self.params.epochs
 
+    def to_bytes(self) -> bytes:
+        """The key file: header, seed, parameters."""
+        head = encode_header(SIGNATURE_TAG, self.signer_id, self.epoch)
+        return head + bytes(self.seed) + self.params.to_bytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PqSignerState":
+        if len(data) != KEY_FILE_LEN or data[0] != SIGNATURE_TAG:
+            raise ValueError("not a forward-secure key file")
+        epoch = int.from_bytes(data[17:25], "big")
+        return cls(data[1:17], bytearray(data[25:57]), epoch, PqParams.from_bytes(data[57:]))
+
 
 @dataclass(frozen=True)
 class PqSignature:
@@ -122,12 +144,7 @@ class PqSignature:
     parts: tuple[bytes, ...]
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((SIGNATURE_TAG,))
-            + self.signer_id
-            + encode_index(self.epoch)
-            + b"".join(self.parts)
-        )
+        return encode_header(SIGNATURE_TAG, self.signer_id, self.epoch) + b"".join(self.parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqSignature":
@@ -144,12 +161,7 @@ class PqCommitment:
     entries: tuple[bytes, ...]
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((COMMITMENT_TAG,))
-            + self.signer_id
-            + encode_index(self.epoch)
-            + b"".join(self.entries)
-        )
+        return encode_header(COMMITMENT_TAG, self.signer_id, self.epoch) + b"".join(self.entries)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqCommitment":
@@ -185,12 +197,7 @@ class PqOpening(NamedTuple):
     entries: tuple[bytes, ...]
 
     def to_bytes(self) -> bytes:
-        return (
-            bytes((OPENING_TAG,))
-            + self.signer_id
-            + encode_index(self.epoch)
-            + b"".join(self.entries)
-        )
+        return encode_header(OPENING_TAG, self.signer_id, self.epoch) + b"".join(self.entries)
 
     @classmethod
     def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "PqOpening":

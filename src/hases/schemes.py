@@ -1,0 +1,142 @@
+"""The three schemes, each defined once.
+
+A ``Scheme`` descriptor holds what the CLI, the key files and the
+commitment service need to tell the schemes apart: tags, the signer
+state type (whose ``to_bytes``/``from_bytes`` are the key file), the key
+material type, and the steps that sign a record stream and check one
+signed unit.  ``PQ``, ``LA`` and ``HY`` are the only instances; HY nests
+the other two, as in the paper, and so do its byte formats (``hases.hy``).
+
+Each step calls into ``pq``, ``la``, ``hy`` and ``stream`` through the
+module when it runs, never through a function object taken at import,
+so a wrapper installed on a module later (as a tracer does) sees every
+call.  Descriptors are named tuples: frozen dataclasses cost more to import.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+from . import hy, la, pq, stream
+
+
+class Scheme(NamedTuple):
+    tag: int  # of signatures, key files and bundles; its commitment request type
+    commitment_tag: int  # first byte of its serialized commitments
+    opening_type: int  # request type of an opening; 0: the commitment is used whole
+    has_pq: bool  # a forward-secure layer: its bundle holds ``pq.PqParams``
+    has_la: bool  # an aggregate layer: its bundle holds ``la.LaParams`` and public keys
+    state: type  # the signer state, serialized as the key file
+    material: type  # the key store's share of the key ceremony
+    parts: Callable  # material -> (its pq material or None, its la material or None)
+    join: Callable  # (la commitments or None, pq commitments or None) -> its commitments
+    keygen: Callable  # (ids, pq params, la params) -> (states, public keys, material)
+    sign: Callable  # (state, records) -> one serialized signature per signed unit
+    # The verifier's steps; ``bundle`` is the ``keyfiles.VerifierBundle``.
+    units: Callable  # (records, bundle) -> the message of each signed unit
+    parse_signature: Callable  # (blob, bundle) -> signature; ValueError if malformed
+    derive: Callable  # (message, signature, bundle) -> what ``verify`` needs first
+    fetch: Callable  # (client, keys, derived, bundle) -> the service's reply to each unit
+    open_full: Callable  # (commitment blob, derived, bundle) -> what ``verify`` checks
+    parse_opening: Callable  # (the service's reply, derived, bundle) -> the same
+    verify: Callable  # (message, signature, opening, derived, bundle, key tables) -> bool
+
+
+def _pq_keygen(ids, pq_params, la_params):
+    states, material = pq.keygen(ids, pq_params)
+    return states, dict.fromkeys(states), material
+
+
+PQ = Scheme(
+    tag=pq.SIGNATURE_TAG,
+    commitment_tag=pq.COMMITMENT_TAG,
+    opening_type=0x05,
+    has_pq=True,
+    has_la=False,
+    state=pq.PqSignerState,
+    material=pq.PqKeyMaterial,
+    parts=lambda material: (material, None),
+    join=lambda la_part, pq_part: pq_part,
+    keygen=_pq_keygen,
+    sign=lambda state, records: [pq.sign(state, r.payload).to_bytes() for r in records],
+    units=lambda records, bundle: [r.payload for r in records],
+    parse_signature=lambda blob, bundle: pq.PqSignature.from_bytes(blob),
+    derive=lambda message, signature, bundle: pq.message_indices(message, bundle.pq_params),
+    fetch=lambda client, keys, derived, bundle: client.openings(PQ.opening_type, keys, derived),
+    open_full=lambda blob, derived, bundle: (
+        pq.PqCommitment.from_bytes(blob).open(derived, bundle.pq_params)),
+    parse_opening=lambda blob, derived, bundle: pq.PqOpening.from_bytes(blob, derived),
+    verify=lambda message, signature, opening, derived, bundle, tables: pq.verify(
+        opening, message, signature, bundle.pq_params, derived),
+)
+
+LA = Scheme(
+    tag=la.SIGNATURE_TAG,
+    commitment_tag=la.COMMITMENT_TAG,
+    opening_type=0,
+    has_pq=False,
+    has_la=True,
+    state=la.LaSignerState,
+    material=la.LaKeyMaterial,
+    parts=lambda material: (None, material),
+    join=lambda la_part, pq_part: la_part,
+    keygen=lambda ids, pq_params, la_params: la.keygen(
+        ids, la_params.group, la_params.max_batches, la_params.batch_size),
+    sign=lambda state, records: [
+        la.sign_batch(state, batch).to_bytes()
+        for batch in stream.into_batches(records, state.params.batch_size)],
+    units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
+    parse_signature=lambda blob, bundle: la.LaSignature.from_bytes(blob, bundle.la_params.group),
+    derive=lambda message, signature, bundle: None,
+    fetch=lambda client, keys, derived, bundle: (  # the commitment is used whole
+        client.commitments(LA.tag, keys, bundle.la_params.batch_size)),
+    open_full=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
+    parse_opening=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
+    verify=lambda message, signature, opening, derived, bundle, tables: la.verify_batch(
+        tables[signature.signer_id], opening, message, signature, bundle.la_params.group),
+)
+
+HY = Scheme(
+    tag=hy.SIGNATURE_TAG,
+    commitment_tag=hy.COMMITMENT_TAG,
+    opening_type=0x06,
+    has_pq=True,
+    has_la=True,
+    state=hy.HySignerState,
+    material=hy.HyKeyMaterial,
+    parts=lambda material: (material.pq, material.la),
+    join=lambda la_part, pq_part: list(map(hy.HyCommitment, la_part, pq_part)),
+    keygen=lambda ids, pq_params, la_params: hy.keygen(
+        ids, la_params.group, la_params.batch_size, pq_params),
+    sign=lambda state, records: [
+        hy.sign_batch(state, batch).to_bytes()
+        for batch in stream.into_batches(records, state.la.params.batch_size)],
+    units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
+    parse_signature=lambda blob, bundle: hy.HySignature.from_bytes(blob, bundle.la_params.group),
+    derive=lambda message, signature, bundle: hy.opened(message, signature, bundle.pq_params),
+    fetch=lambda client, keys, derived, bundle: (
+        client.openings(HY.opening_type, keys, [d.indices for d in derived])),
+    open_full=lambda blob, derived, bundle: (
+        hy.HyCommitment.from_bytes(blob).open(derived.indices, bundle.pq_params)),
+    parse_opening=lambda blob, derived, bundle: hy.HyOpening.from_bytes(blob, derived.indices),
+    verify=lambda message, signature, opening, derived, bundle, tables: hy.verify_batch(
+        tables[signature.signer_id], opening, message, signature, bundle.la_params.group,
+        bundle.pq_params, derived),
+)
+
+BY_TAG = {scheme.tag: scheme for scheme in (PQ, LA, HY)}
+BY_NAME = {"pq": PQ, "la": LA, "hy": HY}  # as ``--scheme`` takes them
+
+
+def by_tag(tag: int) -> Scheme:
+    if tag not in BY_TAG:
+        raise ValueError(f"unknown scheme tag {tag:#04x}")
+    return BY_TAG[tag]
+
+
+def of(obj) -> Scheme:
+    """The scheme of a signer state or of key material."""
+    for scheme in BY_TAG.values():
+        if type(obj) in (scheme.state, scheme.material):
+            return scheme
+    raise TypeError(f"{type(obj).__name__} belongs to no scheme")

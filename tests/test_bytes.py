@@ -1,0 +1,212 @@
+"""The bytes of every file and wire format are pinned.
+
+Each test builds deterministic blobs of every serialized type (seeded
+key ceremonies on one group backend) and compares a SHA-256 over all of
+them with a digest recorded in this file.  A refactor must leave the
+digest alone; a change of format on purpose updates it and says so.
+The blobs are also parsed and serialized again, so the readers are
+pinned along with the writers.
+"""
+
+import hashlib
+import random
+import struct
+
+import pytest
+
+from hases import cco, hy, keyfiles, la, pq
+from hases.group import production_group, small_test_group
+
+IDS = (bytes([0x11]) * 16, bytes([0x22]) * 16)
+UNKNOWN_ID = bytes([0x33]) * 16
+PQ_PARAMS = pq.PqParams(t=64, k=8, j1=2, j2=4)  # J = 8 epochs
+BATCH = 3
+MESSAGES = [b"first record", b"second record", b"third record"]
+
+DIGESTS = {
+    "production": "9772346d8a53038aec1db60381c7804ece168336e79f80f33b2f0dc88c6a30a3",
+    "tiny": "b47d9829c611b08744383b6e583561949494402350df1ce6ebf5e79fff376e36",
+}
+
+
+def fixed_rng(seed: int):
+    rng = random.Random(seed)
+    return lambda n: rng.randbytes(n)
+
+
+def commitment_request(msg_type, signer_id, epoch, tail=b""):
+    return bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big") + tail
+
+
+def opening_request(msg_type, signer_id, epoch, indices):
+    return commitment_request(msg_type, signer_id, epoch, struct.pack(f">{len(indices)}I", *indices))
+
+
+def export_request(scheme, signer_id, epoch_from, epoch_to):
+    return bytes((cco.MSG_EXPORT, scheme)) + signer_id + struct.pack(">QQ", epoch_from, epoch_to)
+
+
+def key_blobs(label, states, sign):
+    """Each signer's key file before and after signing one unit, read back."""
+    for n, signer_id in enumerate(IDS):
+        state = states[signer_id]
+        for step in ("fresh", "signed"):
+            blob = keyfiles.signer_key_bytes(state)
+            yield f"{label}.key.{n}.{step}", blob
+            yield f"{label}.key.{n}.{step}.read", keyfiles.signer_key_bytes(
+                keyfiles.signer_key_from_bytes(blob)
+            )
+            yield f"{label}.signature.{n}.{step}", sign(state)
+
+
+def request_blobs(label, store, payloads):
+    """Each payload's response, cold and then repeated (from the cache)."""
+    for n, payload in enumerate(payloads):
+        yield f"{label}.request.{n}", payload
+        yield f"{label}.response.{n}.cold", store.handle_request(payload)
+        yield f"{label}.response.{n}.repeated", store.handle_request(payload)
+
+
+def store_blobs(label, store):
+    blob = keyfiles.store_bytes(store)
+    yield f"{label}.store", blob
+    yield f"{label}.store.read", keyfiles.store_bytes(keyfiles.store_from_bytes(blob))
+
+
+def bundle_blobs(label, bundle):
+    blob = bundle.to_bytes()
+    yield f"{label}.bundle", blob
+    yield f"{label}.bundle.read", keyfiles.VerifierBundle.from_bytes(blob).to_bytes()
+
+
+def malformed_requests(signer_id, indices):
+    return [
+        b"",
+        bytes((0x07,)) + signer_id + bytes(8),
+        commitment_request(cco.MSG_PQ, signer_id, 1, b"\x00"),
+        commitment_request(cco.MSG_LA, signer_id, 1),
+        commitment_request(cco.MSG_LA, signer_id, 1, (BATCH + 1).to_bytes(4, "big")),
+        opening_request(cco.MSG_PQ_OPENING, signer_id, 1, indices[:-1]),
+        opening_request(cco.MSG_HY_OPENING, signer_id, 1, list(indices[:-1]) + [PQ_PARAMS.t]),
+        export_request(0x09, signer_id, 1, 2),
+        export_request(cco.MSG_PQ, signer_id, 3, 2),
+    ]
+
+
+def pq_blobs():
+    states, material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
+    yield from key_blobs("pq", states, lambda state: pq.sign(state, MESSAGES[0]).to_bytes())
+    yield from bundle_blobs(
+        "pq", keyfiles.VerifierBundle(pq.SIGNATURE_TAG, PQ_PARAMS, None, dict.fromkeys(IDS))
+    )
+    store = cco.CcoStore()
+    store.provision(material)
+    yield from store_blobs("pq", store)
+    indices = pq.message_indices(MESSAGES[0], PQ_PARAMS)
+    commitment = store.pq_commitment(IDS[0], 2)
+    yield "pq.commitment", commitment.to_bytes()
+    yield "pq.commitment.read", pq.PqCommitment.from_bytes(commitment.to_bytes()).to_bytes()
+    opening = commitment.open(indices, PQ_PARAMS)
+    yield "pq.opening.read", pq.PqOpening.from_bytes(opening.to_bytes(), indices).to_bytes()
+    signature = pq.sign(states[IDS[1]], MESSAGES[1])
+    yield "pq.signature.read", pq.PqSignature.from_bytes(signature.to_bytes()).to_bytes()
+    yield from request_blobs("pq", store, [
+        commitment_request(cco.MSG_PQ, IDS[0], 1),
+        commitment_request(cco.MSG_PQ, IDS[1], 8),
+        opening_request(cco.MSG_PQ_OPENING, IDS[0], 3, indices),
+        export_request(cco.MSG_PQ, IDS[1], 2, 5),
+        # no aggregate material: unknown id
+        commitment_request(cco.MSG_LA, IDS[0], 1, BATCH.to_bytes(4, "big")),
+        commitment_request(cco.MSG_HY, IDS[0], 1),
+        # unknown id and epochs out of range
+        commitment_request(cco.MSG_PQ, UNKNOWN_ID, 1),
+        opening_request(cco.MSG_PQ_OPENING, UNKNOWN_ID, 1, indices),
+        commitment_request(cco.MSG_PQ, IDS[0], 0),
+        commitment_request(cco.MSG_PQ, IDS[0], 9),
+        export_request(cco.MSG_PQ, IDS[0], 7, 9),
+        *malformed_requests(IDS[0], indices),
+    ])
+
+
+def la_blobs(group):
+    states, public, material = la.keygen(IDS, group, 8, BATCH, fixed_rng(2))
+    yield from key_blobs("la", states, lambda state: la.sign_batch(state, MESSAGES).to_bytes())
+    yield from bundle_blobs(
+        "la", keyfiles.VerifierBundle(la.SIGNATURE_TAG, None, material.params, public)
+    )
+    store = cco.CcoStore()
+    store.provision(material)
+    yield from store_blobs("la", store)
+    commitment = store.la_commitment(IDS[1], 4)
+    yield "la.commitment", commitment.to_bytes()
+    yield "la.commitment.read", la.LaCommitment.from_bytes(commitment.to_bytes()).to_bytes()
+    signature = la.sign_batch(states[IDS[0]], MESSAGES[::-1])
+    yield "la.signature.read", la.LaSignature.from_bytes(signature.to_bytes(), group).to_bytes()
+    size = BATCH.to_bytes(4, "big")
+    yield from request_blobs("la", store, [
+        commitment_request(cco.MSG_LA, IDS[0], 1, size),
+        commitment_request(cco.MSG_LA, IDS[1], 8, size),
+        export_request(cco.MSG_LA, IDS[0], 1, 8),
+        # no forward-secure material: unknown id
+        commitment_request(cco.MSG_PQ, IDS[0], 1),
+        commitment_request(cco.MSG_HY, IDS[0], 1),
+        export_request(cco.MSG_HY, IDS[0], 1, 2),
+        commitment_request(cco.MSG_LA, UNKNOWN_ID, 1, size),
+        commitment_request(cco.MSG_LA, IDS[0], 0, size),
+        commitment_request(cco.MSG_LA, IDS[0], 9, size),
+        export_request(cco.MSG_LA, IDS[0], 8, 9),
+    ])
+
+
+def hy_blobs(group):
+    states, public, material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
+    yield from key_blobs("hy", states, lambda state: hy.sign_batch(state, MESSAGES).to_bytes())
+    yield from bundle_blobs(
+        "hy", keyfiles.VerifierBundle(hy.SIGNATURE_TAG, PQ_PARAMS, material.la.params, public)
+    )
+    store = cco.CcoStore()
+    store.provision(material)
+    yield from store_blobs("hy", store)
+    signature = hy.sign_batch(states[IDS[1]], MESSAGES[1:] + MESSAGES[:1])
+    yield "hy.signature.read", hy.HySignature.from_bytes(signature.to_bytes(), group).to_bytes()
+    indices = hy.opened(MESSAGES[1:] + MESSAGES[:1], signature, PQ_PARAMS).indices
+    commitment = store.hy_commitment(IDS[1], 3)
+    yield "hy.commitment", commitment.to_bytes()
+    yield "hy.commitment.read", hy.HyCommitment.from_bytes(commitment.to_bytes()).to_bytes()
+    opening = commitment.open(indices, PQ_PARAMS)
+    yield "hy.opening", opening.to_bytes()
+    yield "hy.opening.read", hy.HyOpening.from_bytes(opening.to_bytes(), indices).to_bytes()
+    size = BATCH.to_bytes(4, "big")
+    yield from request_blobs("hy", store, [
+        commitment_request(cco.MSG_PQ, IDS[0], 2),
+        commitment_request(cco.MSG_LA, IDS[0], 2, size),
+        commitment_request(cco.MSG_HY, IDS[0], 2),
+        commitment_request(cco.MSG_HY, IDS[1], 8),
+        opening_request(cco.MSG_PQ_OPENING, IDS[1], 3, indices),
+        opening_request(cco.MSG_HY_OPENING, IDS[1], 3, indices),
+        opening_request(cco.MSG_HY_OPENING, IDS[0], 5, indices[::-1]),
+        export_request(cco.MSG_PQ, IDS[0], 1, 3),
+        export_request(cco.MSG_LA, IDS[0], 1, 3),
+        export_request(cco.MSG_HY, IDS[1], 6, 8),
+        commitment_request(cco.MSG_HY, UNKNOWN_ID, 1),
+        opening_request(cco.MSG_HY_OPENING, UNKNOWN_ID, 1, indices),
+        export_request(cco.MSG_HY, UNKNOWN_ID, 1, 2),
+        commitment_request(cco.MSG_HY, IDS[0], 0),
+        opening_request(cco.MSG_HY_OPENING, IDS[0], 9, indices),
+        export_request(cco.MSG_HY, IDS[0], 0, 2),
+        *malformed_requests(IDS[1], indices),
+    ])
+
+
+def digest(group) -> str:
+    hasher = hashlib.sha256()
+    for label, blob in [*pq_blobs(), *la_blobs(group), *hy_blobs(group)]:
+        for part in (label.encode(), blob):
+            hasher.update(len(part).to_bytes(4, "big") + part)
+    return hasher.hexdigest()
+
+
+@pytest.mark.parametrize("backend", sorted(DIGESTS))
+def test_serialized_bytes_are_pinned(backend):
+    group = production_group() if backend == "production" else small_test_group()
+    assert digest(group) == DIGESTS[backend]

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from hases import cco, cli, hy, keyfiles, la, pq, stream
+from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream
 from hases import group as group_module
 
 ID_HEX_1 = "aa" * 16
@@ -334,7 +334,7 @@ class TestOnlineMatchesOffline:
 
     @staticmethod
     def moved(bundle, blob, signer_id=None, epoch=None):
-        if bundle.scheme == keyfiles.SCHEME_PQ:
+        if bundle.scheme == schemes.PQ.tag:
             old = pq.PqSignature.from_bytes(blob)
             return pq.PqSignature(signer_id or old.signer_id, epoch or old.epoch,
                                   old.parts).to_bytes()

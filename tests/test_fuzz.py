@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import cco, hy, keyfiles, la, pq
+from hases import cco, hy, keyfiles, la, pq, schemes
 from hases.errors import MalformedFrame
 from hases.group import production_group, small_test_group
 
@@ -34,7 +34,7 @@ def samples(group_name: str) -> dict[str, bytes]:
     )
     store = cco.CcoStore()
     store.provision(material)
-    bundle = keyfiles.VerifierBundle(keyfiles.SCHEME_HY, PQ_TOY, material.la.params, public)
+    bundle = keyfiles.VerifierBundle(schemes.HY.tag, PQ_TOY, material.la.params, public)
     return {
         "pq_signature": signature.pq.to_bytes(),
         "pq_commitment": commitment.pq.to_bytes(),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hases import hy, keyfiles, la, pq
+from hases import hy, keyfiles, la, pq, schemes
 from hases.group import production_group, small_test_group
 
 ID_A = bytes([0x3C]) * 16
@@ -56,6 +56,23 @@ def test_hy_signer_key_round_trip_continues_signing(tmp_path):
     assert hy.verify_batch(key_table, commitment, [b"c", b"d"], signature, group, PQ_TOY)
 
 
+@pytest.mark.parametrize("group", [production_group(), small_test_group()], ids=["production", "tiny"])
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_private_scalar_out_of_range_rejected(group, scheme):
+    """A key file whose aggregate scalar is 0 or at least q is refused,
+    whether it is a plain aggregate key or the aggregate half of a hybrid one."""
+    if scheme == "la":
+        states, _, _ = la.keygen([ID_A], group, 4, 2, fixed_rng(6))
+        la_state = states[ID_A]
+    else:
+        states, _, _ = hy.keygen([ID_A], group, 2, PQ_TOY, fixed_rng(6))
+        la_state = states[ID_A].la
+    for key in (0, group.q):
+        la_state.key = key
+        with pytest.raises(ValueError):
+            keyfiles.signer_key_from_bytes(keyfiles.signer_key_bytes(states[ID_A]))
+
+
 def test_signer_key_garbage_rejected():
     with pytest.raises(ValueError):
         keyfiles.signer_key_from_bytes(b"")
@@ -66,7 +83,7 @@ def test_signer_key_garbage_rejected():
 def test_verifier_bundle_round_trip_la():
     group = small_test_group()
     _, public, material = la.keygen([ID_A], group, 4, 2, fixed_rng(4))
-    bundle = keyfiles.VerifierBundle(keyfiles.SCHEME_LA, None, material.params, public)
+    bundle = keyfiles.VerifierBundle(schemes.LA.tag, None, material.params, public)
     restored = keyfiles.VerifierBundle.from_bytes(bundle.to_bytes())
     assert restored.la_params == material.params
     assert restored.public_keys == public
@@ -76,7 +93,7 @@ def test_verifier_bundle_round_trip_hy():
     group = production_group()
     _, public, material = hy.keygen([ID_A], group, 2, PQ_TOY, fixed_rng(5))
     bundle = keyfiles.VerifierBundle(
-        keyfiles.SCHEME_HY, material.pq.params, material.la.params, public
+        schemes.HY.tag, material.pq.params, material.la.params, public
     )
     blob = bundle.to_bytes()
     restored = keyfiles.VerifierBundle.from_bytes(blob)
@@ -89,7 +106,7 @@ def test_verifier_bundle_round_trip_hy():
 
 
 def test_verifier_bundle_round_trip_pq():
-    bundle = keyfiles.VerifierBundle(keyfiles.SCHEME_PQ, PQ_TOY, None, {ID_A: None})
+    bundle = keyfiles.VerifierBundle(schemes.PQ.tag, PQ_TOY, None, {ID_A: None})
     restored = keyfiles.VerifierBundle.from_bytes(bundle.to_bytes())
     assert restored.pq_params == PQ_TOY
     assert set(restored.public_keys) == {ID_A}
