@@ -13,36 +13,8 @@ commitment-oracle service that alone holds the master keys.
   compactness under a forward-secure, hash-based umbrella.
 * ``hases.cco`` -- the commitment service (store, wire protocol,
   TCP server/client).
+
+Import the submodules by name; the package itself loads none of them.
 """
-
-from . import bench, cco, group, hashing, hy, keyfiles, la, pq, stream
-from .errors import (
-    CcoRequestError,
-    EpochDesync,
-    EpochExhausted,
-    EpochOutOfRange,
-    HasesError,
-    MalformedFrame,
-    UnknownSigner,
-)
-
-__all__ = [
-    "bench",
-    "cco",
-    "group",
-    "hashing",
-    "hy",
-    "keyfiles",
-    "la",
-    "pq",
-    "stream",
-    "CcoRequestError",
-    "EpochDesync",
-    "EpochExhausted",
-    "EpochOutOfRange",
-    "HasesError",
-    "MalformedFrame",
-    "UnknownSigner",
-]
 
 __version__ = "0.1.0"

@@ -21,7 +21,8 @@ Request types:
 Responses mirror the request type with bit 0x80 set; the body starts
 with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
 0x03 malformed) followed by the serialized commitment, or for exports
-an 8-byte entry count and the concatenated equal-sized commitments.
+the container of ``export_bytes``: an 8-byte entry count and one or
+more equal-sized commitments, the same bytes as an offline export file.
 Hybrid requests and all exports use the batch size registered at
 provisioning time; an aggregate request whose L differs from it is
 malformed.  An export whose response would exceed ``MAX_FRAME`` is
@@ -109,6 +110,7 @@ STATUS_MALFORMED = 0x03
 MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
 
 _EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
+_EXPORT_RULE = "an export holds one or more entries, all of one nonzero size"
 # the most indices an opening request may carry: k <= 256 for any t >= 2,
 # since k * log2(t) bits must fit one digest
 MAX_OPENING_INDICES = 256
@@ -436,7 +438,28 @@ def _la_response(store: CcoStore, body: bytes) -> bytes:
 def _export_response(store: CcoStore, body: bytes) -> bytes:
     epoch_from, epoch_to = struct.unpack(">QQ", body[17:33])
     commitments = store.batch_export(body[0], body[1:17], epoch_from, epoch_to)
-    return len(commitments).to_bytes(8, "big") + b"".join(c.to_bytes() for c in commitments)
+    return export_bytes([c.to_bytes() for c in commitments])
+
+
+def export_bytes(blobs: Sequence[bytes]) -> bytes:
+    """The export container, of the ``0x04`` reply and the offline file
+    alike: an 8-byte big-endian entry count, then the entries.  ValueError
+    for anything ``_EXPORT_RULE`` refuses."""
+    sizes = {len(blob) for blob in blobs}
+    if len(sizes) != 1 or 0 in sizes:
+        raise ValueError(_EXPORT_RULE)
+    return len(blobs).to_bytes(8, "big") + b"".join(blobs)
+
+
+def export_from_bytes(data: bytes) -> list[bytes]:
+    """The entries of an ``export_bytes`` container; ValueError for
+    anything ``_EXPORT_RULE`` refuses."""
+    count = int.from_bytes(data[:8], "big")
+    body = data[8:]
+    if len(data) < 8 or not count or not body or len(body) % count:
+        raise ValueError(_EXPORT_RULE)
+    size = len(body) // count
+    return [body[i : i + size] for i in range(0, len(body), size)]
 
 
 # request type -> how it is taken; each builder calls the store's methods
@@ -689,15 +712,7 @@ class CcoClient:
             + epoch_from.to_bytes(8, "big")
             + epoch_to.to_bytes(8, "big")
         )
-        blob = self._request_ok(MSG_EXPORT, body)
-        if len(blob) < 8:
-            raise MalformedFrame("short export response")
-        count = int.from_bytes(blob[:8], "big")
-        body = blob[8:]
-        if count == 0 or not body or len(body) % count:
-            raise MalformedFrame("export payload does not divide evenly")
-        size = len(body) // count
-        return [body[i : i + size] for i in range(0, len(body), size)]
+        return export_from_bytes(self._request_ok(MSG_EXPORT, body))
 
 
 def _commitment_body(msg_type: int, signer_id: bytes, epoch: int, batch_size: int) -> bytes:

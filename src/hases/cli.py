@@ -16,9 +16,10 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from . import bench, cco, keyfiles, la, pq, schemes, stream
+from . import cco, keyfiles, la, pq, schemes, stream
 from .errors import HasesError
 from .group import production_group, small_test_group
+from .hashing import split_header
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -136,9 +137,11 @@ class _CommitmentSource:
             for blob in keyfiles.load_commitments(args.commits):
                 # another scheme's entry for the same (id, epoch) must not
                 # replace the one this bundle verifies against
-                if len(blob) >= 25 and blob[0] == scheme.commitment_tag:
-                    key = (blob[1:17], int.from_bytes(blob[17:25], "big"))
-                    self.offline[key] = blob
+                try:
+                    signer_id, epoch, _ = split_header(blob, scheme.commitment_tag, "commitment")
+                except ValueError:
+                    continue
+                self.offline[signer_id, epoch] = blob
         else:
             raise ValueError("either --cco or --commits is required")
 
@@ -271,6 +274,7 @@ def cmd_request(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # no other command loads it
     if args.scheme == "pq":
         params = pq.PqParams(t=args.t, k=args.k, j1=args.J1 or 1, j2=args.J2 or 64)
         report = bench.bench_pq(params, args.trials)

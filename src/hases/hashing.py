@@ -26,10 +26,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 DIGEST_LEN = 32
 ID_LEN = 16
+HEADER_LEN = 1 + ID_LEN + 8  # tag || id || epoch
 
 #: hash domains
 DOM_MESSAGE = 0
@@ -164,7 +165,24 @@ def encode_header(tag: int, signer_id: bytes, epoch: int) -> bytes:
     return bytes((tag,)) + signer_id + encode_index(epoch)
 
 
-def check_signer_id(signer_id: bytes) -> bytes:
-    if len(signer_id) != ID_LEN:
-        raise ValueError(f"signer id must be exactly {ID_LEN} bytes, got {len(signer_id)}")
-    return signer_id
+def split_header(data: bytes, tag: int, what: str, size: int = 0) -> tuple[bytes, int, bytes]:
+    """(id, epoch, rest) of a ``what`` that ``encode_header(tag, ...)``
+    begins; ValueError if it does not, or if ``size`` is given and the
+    blob is not exactly ``size`` bytes."""
+    if len(data) < HEADER_LEN or data[0] != tag or (size and len(data) != size):
+        raise ValueError(f"not a serialized {what}")
+    return data[1:17], int.from_bytes(data[17:25], "big"), data[25:]
+
+
+def check_signer_ids(ids: Iterable[bytes]) -> list[bytes]:
+    """The ids as a list; ValueError unless each is ``ID_LEN`` bytes,
+    there is at least one, and none repeats."""
+    id_list = list(ids)
+    for signer_id in id_list:
+        if len(signer_id) != ID_LEN:
+            raise ValueError(f"signer id must be exactly {ID_LEN} bytes, got {len(signer_id)}")
+    if not id_list:
+        raise ValueError("at least one signer id required")
+    if len(set(id_list)) != len(id_list):
+        raise ValueError("duplicate signer ids")
+    return id_list

@@ -7,10 +7,10 @@ by their one-byte tag.  A signer key file is its signer state's
 ``to_bytes``; it carries the current epoch and must be rewritten after
 signing so that key evolution survives process restarts.
 
-Commitment files are the offline-mode export: an 8-byte big-endian
-entry count followed by the concatenated equal-sized serialized
-commitments.  Signature files carry a count followed by
-length-prefixed entries (signature sizes vary with the scheme).
+Commitment files are the offline-mode export, in the container of
+``cco.export_bytes`` that the ``0x04`` reply carries.  Signature files
+carry a count followed by length-prefixed entries (signature sizes
+vary with the scheme).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import la, pq, schemes
-from .cco import CcoStore
+from .cco import CcoStore, export_bytes, export_from_bytes
 
 
 # --- signer key files ---------------------------------------------------
@@ -41,7 +41,16 @@ def save_signer_key(path: str | Path, state) -> None:
 
 
 def load_signer_key(path: str | Path):
-    return signer_key_from_bytes(Path(path).read_bytes())
+    return _load(path, signer_key_from_bytes, "a signer key file")
+
+
+def _load(path: str | Path, parse, what: str):
+    """``parse`` of the file's bytes, its ValueError naming the file as not ``what``."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not {what}: {exc}") from exc
 
 
 # --- verifier bundles -----------------------------------------------------
@@ -104,7 +113,7 @@ def save_verifier_bundle(path: str | Path, bundle: VerifierBundle) -> None:
 
 
 def load_verifier_bundle(path: str | Path) -> VerifierBundle:
-    return VerifierBundle.from_bytes(Path(path).read_bytes())
+    return _load(path, VerifierBundle.from_bytes, "a verifier bundle")
 
 
 # --- store files -----------------------------------------------------------
@@ -205,27 +214,9 @@ def load_signatures(path: str | Path) -> list[bytes]:
 
 
 def save_commitments(path: str | Path, blobs: Sequence[bytes]) -> None:
-    """Offline export: entry count header, then equal-sized entries."""
-    sizes = {len(b) for b in blobs}
-    if len(sizes) > 1:
-        raise ValueError("commitment exports must be homogeneous")
-    with open(path, "wb") as handle:
-        handle.write(len(blobs).to_bytes(8, "big"))
-        for blob in blobs:
-            handle.write(blob)
+    """Offline export: see ``cco.export_bytes``."""
+    Path(path).write_bytes(export_bytes(blobs))
 
 
 def load_commitments(path: str | Path) -> list[bytes]:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise ValueError("truncated commitment file")
-    count = int.from_bytes(data[:8], "big")
-    body = data[8:]
-    if count == 0:
-        if body:
-            raise ValueError("trailing bytes in commitment file")
-        return []
-    if len(body) % count:
-        raise ValueError("commitment file does not divide into equal entries")
-    size = len(body) // count
-    return [body[i : i + size] for i in range(0, len(body), size)]
+    return _load(path, export_from_bytes, "a commitment export")

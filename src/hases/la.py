@@ -45,20 +45,22 @@ from .hashing import (
     DOM_CHAIN,
     DOM_COMMIT,
     DOM_MESSAGE,
-    check_signer_id,
+    HEADER_LEN,
+    check_signer_ids,
     domain_hash,
     encode_header,
     encode_index,
     hash_to_scalar,
+    split_header,
 )
 
 SIGNATURE_TAG = 0x02
 COMMITMENT_TAG = 0x12
-SIGNATURE_LEN = 1 + 16 + 8 + 32 + 32
-COMMITMENT_LEN = 1 + 16 + 8 + 4 + 32
+SIGNATURE_LEN = HEADER_LEN + 32 + 32
+COMMITMENT_LEN = HEADER_LEN + 4 + 32
 _PARAMS = struct.Struct(">BQI")  # group backend tag, J, L
 PARAMS_LEN = _PARAMS.size
-KEY_FILE_LEN = 1 + 16 + 8 + 32 + PARAMS_LEN
+KEY_FILE_LEN = HEADER_LEN + 32 + PARAMS_LEN
 
 MASTER_KEY_LEN = 32
 
@@ -104,13 +106,13 @@ class LaSignerState:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LaSignerState":
-        if len(data) != KEY_FILE_LEN or data[0] != SIGNATURE_TAG:
-            raise ValueError("not an aggregate key file")
-        params = LaParams.from_bytes(data[57:])
-        key = int.from_bytes(data[25:57], "big")
+        signer_id, epoch, rest = split_header(
+            data, SIGNATURE_TAG, "aggregate key file", KEY_FILE_LEN)
+        params = LaParams.from_bytes(rest[32:])
+        key = int.from_bytes(rest[:32], "big")
         if not 0 < key < params.group.q:
             raise ValueError("aggregate private key out of range")
-        return cls(data[1:17], key, int.from_bytes(data[17:25], "big"), params)
+        return cls(signer_id, key, epoch, params)
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,9 @@ class LaSignature:
 
     @classmethod
     def from_bytes(cls, data: bytes, group: PrimeOrderGroup) -> "LaSignature":
-        if len(data) != SIGNATURE_LEN or data[0] != SIGNATURE_TAG:
-            raise ValueError("not a serialized aggregate signature")
-        epoch = int.from_bytes(data[17:25], "big")
-        agg = group.decode_scalar(data[25:57])
-        return cls(data[1:17], epoch, agg, data[57:89])
+        signer_id, epoch, rest = split_header(
+            data, SIGNATURE_TAG, "aggregate signature", SIGNATURE_LEN)
+        return cls(signer_id, epoch, group.decode_scalar(rest[:32]), rest[32:])
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,9 @@ class LaCommitment:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LaCommitment":
-        if len(data) != COMMITMENT_LEN or data[0] != COMMITMENT_TAG:
-            raise ValueError("not a serialized aggregate commitment")
-        epoch = int.from_bytes(data[17:25], "big")
-        batch_size = int.from_bytes(data[25:29], "big")
-        return cls(data[1:17], epoch, batch_size, data[29:])
+        signer_id, epoch, rest = split_header(
+            data, COMMITMENT_TAG, "aggregate commitment", COMMITMENT_LEN)
+        return cls(signer_id, epoch, int.from_bytes(rest[:4], "big"), rest[4:])
 
 
 @dataclass(frozen=True)
@@ -188,11 +186,7 @@ def keygen(
     master key goes to the store only, each private scalar to its
     signer only.
     """
-    id_list = [check_signer_id(i) for i in ids]
-    if not id_list:
-        raise ValueError("at least one signer id required")
-    if len(set(id_list)) != len(id_list):
-        raise ValueError("duplicate signer ids")
+    id_list = check_signer_ids(ids)
     params = LaParams(group, max_batches, batch_size)
     msk = rng(MASTER_KEY_LEN)
     states = {}

@@ -37,19 +37,20 @@ from .hashing import (
     DOM_CHAIN,
     DOM_COMMIT,
     DOM_MESSAGE,
-    check_signer_id,
+    HEADER_LEN,
+    check_signer_ids,
     commitment_images,
     domain_hash,
     encode_header,
     encode_index,
     iter_hash,
     opened_images,
+    split_header,
 )
 
 SIGNATURE_TAG = 0x01
 COMMITMENT_TAG = 0x11
 OPENING_TAG = 0x21
-HEADER_LEN = 1 + 16 + 8  # tag || id || epoch
 _PARAMS = struct.Struct(">IIIQQ")  # t, k, l, j1, j2
 PARAMS_LEN = _PARAMS.size
 KEY_FILE_LEN = HEADER_LEN + DIGEST_LEN + PARAMS_LEN
@@ -131,10 +132,10 @@ class PqSignerState:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqSignerState":
-        if len(data) != KEY_FILE_LEN or data[0] != SIGNATURE_TAG:
-            raise ValueError("not a forward-secure key file")
-        epoch = int.from_bytes(data[17:25], "big")
-        return cls(data[1:17], bytearray(data[25:57]), epoch, PqParams.from_bytes(data[57:]))
+        signer_id, epoch, rest = split_header(
+            data, SIGNATURE_TAG, "forward-secure key file", KEY_FILE_LEN)
+        return cls(signer_id, bytearray(rest[:DIGEST_LEN]), epoch,
+                   PqParams.from_bytes(rest[DIGEST_LEN:]))
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class PqSignature:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqSignature":
-        signer_id, epoch, rest = _split_header(data, SIGNATURE_TAG, "signature")
+        signer_id, epoch, rest = split_header(data, SIGNATURE_TAG, "signature")
         if not rest or len(rest) % DIGEST_LEN:
             raise ValueError("signature body is not a whole number of digests")
         return cls(signer_id, epoch, _digests(rest))
@@ -165,7 +166,7 @@ class PqCommitment:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqCommitment":
-        signer_id, epoch, rest = _split_header(data, COMMITMENT_TAG, "commitment")
+        signer_id, epoch, rest = split_header(data, COMMITMENT_TAG, "commitment")
         if not rest or len(rest) % DIGEST_LEN:
             raise ValueError("commitment body is not a whole number of digests")
         return cls(signer_id, epoch, _digests(rest))
@@ -201,7 +202,7 @@ class PqOpening(NamedTuple):
 
     @classmethod
     def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "PqOpening":
-        signer_id, epoch, rest = _split_header(data, OPENING_TAG, "opening")
+        signer_id, epoch, rest = split_header(data, OPENING_TAG, "opening")
         if len(rest) != len(indices) * DIGEST_LEN:
             raise ValueError("opening body does not hold one digest per index")
         return cls(signer_id, epoch, tuple(indices), _digests(rest))
@@ -215,14 +216,6 @@ class PqOpening(NamedTuple):
 
 def _digests(data: bytes) -> tuple[bytes, ...]:
     return tuple(data[i : i + DIGEST_LEN] for i in range(0, len(data), DIGEST_LEN))
-
-
-def _split_header(data: bytes, tag: int, what: str) -> tuple[bytes, int, bytes]:
-    if len(data) < HEADER_LEN or data[0] != tag:
-        raise ValueError(f"not a serialized {what}")
-    signer_id = data[1:17]
-    epoch = int.from_bytes(data[17:25], "big")
-    return signer_id, epoch, data[25:]
 
 
 @dataclass(frozen=True)
@@ -267,11 +260,7 @@ def keygen(
     The signer states receive only their own epoch-1 seed; the master
     key and anchors go to the key store alone.
     """
-    id_list = [check_signer_id(i) for i in ids]
-    if not id_list:
-        raise ValueError("at least one signer id required")
-    if len(set(id_list)) != len(id_list):
-        raise ValueError("duplicate signer ids")
+    id_list = check_signer_ids(ids)
     msk = rng(MASTER_KEY_LEN)
     states = {
         sid: PqSignerState(sid, bytearray(initial_seed(msk, sid)), 1, params)

@@ -348,22 +348,39 @@ class TestWireProtocol:
                     cco.write_frame(client._stream, bytes(cco.MAX_FRAME + 1))
 
 
-def serve_once(answer):
-    """One-connection server: reads a full window of requests before
-    replying with ``answer(payloads)``, then closes."""
+def serve_once(answer, requests=cco.PIPELINE_WINDOW):
+    """One-connection server: reads ``requests`` requests (a full window)
+    before replying with ``answer(payloads)``, then closes."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def run():
         with listener:
             conn, _ = listener.accept()
             with conn, conn.makefile("rwb") as stream:
-                payloads = [cco.read_frame(stream) for _ in range(cco.PIPELINE_WINDOW)]
+                payloads = [cco.read_frame(stream) for _ in range(requests)]
                 for response in answer(payloads):
                     cco.write_frame(stream, response)
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     return listener.getsockname()[1], thread
+
+
+@pytest.mark.parametrize("blob", [
+    bytes(8), (3).to_bytes(8, "big") + bytes(10), bytes(7), (1).to_bytes(8, "big"),
+], ids=["count 0", "ragged", "shorter than the count", "no entries"])
+def test_export_file_and_export_reply_refuse_the_same_blobs(tmp_path, blob):
+    path = tmp_path / "commits.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError):
+        keyfiles.load_commitments(path)
+    reply = bytes((cco.MSG_EXPORT | cco.RESPONSE_BIT, cco.STATUS_OK)) + blob
+    port, thread = serve_once(lambda payloads: [reply], requests=1)
+    with cco.CcoClient("127.0.0.1", port) as client:
+        with pytest.raises(ValueError):
+            client.batch_export(cco.MSG_PQ, ID_A, 1, 3)
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestPipelinedClient:

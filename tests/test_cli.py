@@ -179,6 +179,34 @@ class TestSignVerifyOffline:
         assert "0/8 signatures valid" in capsys.readouterr().out
         assert len(checked) == 1  # rejected once for the run, not once per batch
 
+    def test_empty_export_file_exits_2(self, tmp_path, capsys):
+        out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
+        with open(commits, "wb") as handle:
+            handle.write(bytes(8))  # an entry count of 0 and no entries
+        code = cli.main(
+            ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+             "--sigs", sigs, "--commits", commits]
+        )
+        assert code == 2
+        assert f"error: {commits} is not a commitment export: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, extra", [
+        ("pq", ["--J1", "4"]), ("la", ["--L", "3"]), ("hy", ["--J1", "4", "--L", "3"])])
+    def test_export_file_is_the_export_reply_body(self, tmp_path, scheme, extra):
+        out = keygen(tmp_path, scheme, extra)
+        store = keyfiles.load_store(out / "cco.store")
+        commits = tmp_path / "commits.bin"
+        with cco.CcoServer(store) as server:
+            assert cli.main(
+                ["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
+                 "--id", ID_HEX_1, "--export", "2:6", "--out", str(commits)]
+            ) == 0
+        request = (bytes((cco.MSG_EXPORT, schemes.BY_NAME[scheme].tag)) + bytes.fromhex(ID_HEX_1)
+                   + (2).to_bytes(8, "big") + (6).to_bytes(8, "big"))
+        reply = store.handle_request(request)
+        assert reply[:2] == bytes((cco.MSG_EXPORT | cco.RESPONSE_BIT, cco.STATUS_OK))
+        assert commits.read_bytes() == reply[2:]
+
     def test_corrupted_signature_file_exits_1(self, tmp_path):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
         blob = bytearray(open(sigs, "rb").read())
@@ -537,6 +565,28 @@ class TestServeSubprocess:
                     assert proc.wait(timeout=10) == 0
             finally:
                 proc.kill()
+
+
+class TestFileKinds:
+    def test_a_key_file_for_a_bundle_or_a_bundle_for_a_key_exits_2(self, tmp_path, capsys):
+        # both start with the scheme tag; the error names the file and what it is not
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key, pub = out / f"signer_{ID_HEX_1}.key", out / "verifier.pub"
+        msgs, sigs = write_csv(tmp_path, 2), str(tmp_path / "sigs.bin")
+        capsys.readouterr()
+        code = cli.main(["verify", "--pub", str(key), "--in", msgs, "--sigs", sigs,
+                         "--commits", sigs])
+        assert code == 2
+        assert f"error: {key} is not a verifier bundle: " in capsys.readouterr().err
+        assert cli.main(["sign", "--key", str(pub), "--in", msgs, "--out", sigs]) == 2
+        assert f"error: {pub} is not a signer key file: " in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_bench_unloaded():
+    check = "import sys, hases.cli; print('hases.bench' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestBench:

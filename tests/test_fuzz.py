@@ -47,6 +47,8 @@ def samples(group_name: str) -> dict[str, bytes]:
         "signer_key": keyfiles.signer_key_bytes(states[ID_A]),
         "bundle": bundle.to_bytes(),
         "store": keyfiles.store_bytes(store),
+        "export": cco.export_bytes([c.to_bytes() for c in store.batch_export(
+            schemes.HY.tag, ID_A, 1, 2)]),
     }
 
 
@@ -66,6 +68,7 @@ def parsers(group):
         "signer_key": keyfiles.signer_key_from_bytes,
         "bundle": keyfiles.VerifierBundle.from_bytes,
         "store": keyfiles.store_from_bytes,
+        "export": cco.export_from_bytes,
     }
 
 

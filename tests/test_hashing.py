@@ -4,13 +4,16 @@ import random
 import pytest
 
 from hases.hashing import (
-    check_signer_id,
+    HEADER_LEN,
+    check_signer_ids,
     commitment_images,
     counters,
     domain_hash,
+    encode_header,
     encode_index,
     hash_to_scalar,
     iter_hash,
+    split_header,
 )
 
 
@@ -119,6 +122,26 @@ def test_encode_index_is_eight_bytes_big_endian():
 
 
 def test_signer_id_length_enforced():
-    assert check_signer_id(b"x" * 16) == b"x" * 16
+    assert check_signer_ids([b"x" * 16]) == [b"x" * 16]
     with pytest.raises(ValueError):
-        check_signer_id(b"short")
+        check_signer_ids([b"x" * 16, b"short"])
+
+
+def test_signer_id_list_is_nonempty_and_without_duplicates():
+    ids = (bytes([n]) * 16 for n in range(3))  # any iterable, returned as a list
+    assert check_signer_ids(ids) == [bytes([n]) * 16 for n in range(3)]
+    for bad in ([], [b"a" * 16, b"b" * 16, b"a" * 16], [b"x" * 17]):
+        with pytest.raises(ValueError):
+            check_signer_ids(bad)
+
+
+def test_split_header_reads_what_encode_header_writes():
+    head = encode_header(0x12, b"i" * 16, 0x0102)
+    assert len(head) == HEADER_LEN == 25
+    assert split_header(head, 0x12, "x") == (b"i" * 16, 0x0102, b"")
+    assert split_header(head + b"rest", 0x12, "x", size=29) == (b"i" * 16, 0x0102, b"rest")
+    # another tag, a blob shorter than the header, a length other than the size given
+    for data, tag, size in ((head, 0x13, 0), (head[:-1], 0x12, 0),
+                            (head + b"rest", 0x12, 28), (head + b"rest", 0x12, 30)):
+        with pytest.raises(ValueError):
+            split_header(data, tag, "x", size)

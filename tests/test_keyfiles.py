@@ -129,8 +129,11 @@ def test_commitment_file_round_trip(tmp_path):
 
 
 def test_commitment_file_requires_homogeneous_sizes(tmp_path):
-    with pytest.raises(ValueError):
-        keyfiles.save_commitments(tmp_path / "x.bin", [b"ab", b"abc"])
+    # ragged, no entries, empty entries
+    for blobs in ([b"ab", b"abc"], [], [b""], [b"", b""]):
+        with pytest.raises(ValueError):
+            keyfiles.save_commitments(tmp_path / "x.bin", blobs)
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_commitment_file_ragged_rejected(tmp_path):
