@@ -1,14 +1,17 @@
 """Signer-cost and size measurements.
 
 Hash-call figures come straight from the instrumented counters in
-``hashing`` and are exact; wall-clock numbers are mean microseconds
-over the requested trial count and carry the usual noise.  Reports
-render both as an aligned human table and as line-oriented ``key=value``
-pairs so harnesses can diff them.
+``hashing`` and are exact.  Each trial is timed on its own: a row's
+``wall_us`` is the mean microseconds over the requested trial count,
+and its quartiles (``wall_us_q1``, ``wall_us_median``, ``wall_us_q3``)
+show the spread beside it.  Reports render both as an aligned human
+table and as line-oriented ``key=value`` pairs so harnesses can diff
+them.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +24,8 @@ from .hashing import counters
 class OpStats:
     name: str
     hash_calls: int
-    wall_us: float
+    wall_us: float  # mean over the trials
+    quartiles_us: tuple[float, float, float]  # q1, median, q3 of the trials
 
 
 @dataclass
@@ -37,32 +41,46 @@ class BenchReport:
         for op in self.ops:
             lines.append(f"{self.scheme}.{op.name}.hash_calls={op.hash_calls}")
             lines.append(f"{self.scheme}.{op.name}.wall_us={op.wall_us:.2f}")
+            for key, value in zip(("wall_us_q1", "wall_us_median", "wall_us_q3"), op.quartiles_us):
+                lines.append(f"{self.scheme}.{op.name}.{key}={value:.2f}")
         lines += [f"{self.scheme}.{key}={value}" for key, value in self.sizes.items()]
         return lines
 
     def table(self) -> str:
         rows = [f"scheme: {self.scheme}"]
         rows += [f"  {key} = {value}" for key, value in self.params.items()]
-        rows.append(f"  {'operation':<28} {'hash calls':>10} {'wall (us)':>12}")
+        rows.append(f"  {'operation':<28} {'hash calls':>10} {'mean (us)':>12}"
+                    f" {'q1':>10} {'median':>10} {'q3':>10}")
         for op in self.ops:
-            rows.append(f"  {op.name:<28} {op.hash_calls:>10} {op.wall_us:>12.2f}")
+            q1, median, q3 = op.quartiles_us
+            rows.append(f"  {op.name:<28} {op.hash_calls:>10} {op.wall_us:>12.2f}"
+                        f" {q1:>10.2f} {median:>10.2f} {q3:>10.2f}")
         for key, value in self.sizes.items():
             rows.append(f"  {key:<28} {value:>10} bytes")
         return "\n".join(rows)
 
 
-def _measure(fn, trials: int) -> tuple[int, float, object]:
-    """Run ``fn(trial_index)`` ``trials`` times; exact hash count of the
-    last run, mean wall time, and the last return value."""
-    result = None
-    start = time.perf_counter()
-    for index in range(trials - 1):
-        fn(index)
-    counters.reset()
-    result = fn(trials - 1)
+def _row(report: BenchReport, name: str, fn, trials: int):
+    """Run ``fn(trial_index)`` ``trials`` times, timing each run, and add
+    the row ``name`` to ``report``: the exact hash count of the last run,
+    the mean and quartiles of the wall times.  Return the last run's value."""
+    if trials < 1:
+        raise ValueError("trial count must be at least 1")
+    clock = time.perf_counter
+    times_us = []
+    for index in range(trials):
+        if index == trials - 1:
+            counters.reset()
+        start = clock()
+        result = fn(index)
+        times_us.append((clock() - start) * 1e6)
     calls = counters.total()
-    elapsed = time.perf_counter() - start
-    return calls, elapsed / trials * 1e6, result
+    if trials > 1:
+        quartiles = tuple(statistics.quantiles(times_us, n=4, method="inclusive"))
+    else:
+        quartiles = (times_us[0],) * 3
+    report.ops.append(OpStats(name, calls, statistics.fmean(times_us), quartiles))
+    return result
 
 
 _BENCH_ID = bytes(range(16))
@@ -78,9 +96,7 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
         tables[_BENCH_ID]
         return tables
 
-    calls, wall, tables = _measure(build, max(1, trials // 8))
-    report.ops.append(OpStats("precompute_per_key", calls, wall))
-    return tables
+    return _row(report, "precompute_per_key", build, max(1, trials // 8))
 
 
 def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
@@ -104,44 +120,33 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
         states, materials = pq.keygen([_BENCH_ID], params)
         return states
 
-    calls, wall, _ = _measure(do_keygen, max(1, trials // 8))
-    report.ops.append(OpStats("keygen_per_signer", calls, wall))
+    _row(report, "keygen_per_signer", do_keygen, max(1, trials // 8))
 
     state = states[_BENCH_ID]
     messages = [b"bench message %08d" % i for i in range(trials)]
-    calls, wall, signature = _measure(lambda i: pq.sign(state, messages[i]), trials)
-    report.ops.append(OpStats("sign", calls, wall))
+    signature = _row(report, "sign", lambda i: pq.sign(state, messages[i]), trials)
 
     # worst-case chain walk within a segment: last epoch of segment one
     worst_epoch = min(params.j2, params.epochs)
-    calls, wall, commitment = _measure(
-        lambda _: pq.construct_commitment(materials, _BENCH_ID, worst_epoch), trials
-    )
-    report.ops.append(OpStats("commitment_worst_case", calls, wall))
+    commitment = _row(report, "commitment_worst_case",
+                      lambda _: pq.construct_commitment(materials, _BENCH_ID, worst_epoch), trials)
 
     # what the service builds for an online verifier: the walk plus 2k hashes
     indices = pq.message_indices(messages[-1], params)
-    calls, wall, opening = _measure(
-        lambda _: pq.open_commitment(materials, _BENCH_ID, worst_epoch, indices), trials
-    )
-    report.ops.append(OpStats("open_commitment", calls, wall))
+    opening = _row(report, "open_commitment",
+                   lambda _: pq.open_commitment(materials, _BENCH_ID, worst_epoch, indices), trials)
 
     # an online verifier's chunk: epochs 1, 2, ... through a store, whose
     # chain cursor makes each opening after the first one step plus 2k
     # hashes (2k alone where an anchor starts the epoch's segment)
     store = cco.CcoStore()
     store.provision(materials)
-    calls, wall, _ = _measure(
-        lambda i: store.pq_opening(_BENCH_ID, i + 1, indices), trials
-    )
-    report.ops.append(OpStats("open_commitment_sequential", calls, wall))
+    _row(report, "open_commitment_sequential",
+         lambda i: store.pq_opening(_BENCH_ID, i + 1, indices), trials)
 
     last = pq.construct_commitment(materials, _BENCH_ID, signature.epoch)
-    calls, wall, ok = _measure(
-        lambda _: pq.verify(last, messages[-1], signature, params), trials
-    )
-    assert ok
-    report.ops.append(OpStats("verify", calls, wall))
+    assert _row(report, "verify", lambda _: pq.verify(last, messages[-1], signature, params),
+                trials)
 
     report.sizes["signature.payload_bytes"] = params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
@@ -170,31 +175,22 @@ def bench_la(
         states, public, material = la.keygen([_BENCH_ID], group, max_batches, batch_size)
 
     group.exp(group.generator, 1)  # one-time build of the generator table, untimed
-    calls, wall, _ = _measure(do_keygen, max(1, trials // 8))
-    report.ops.append(OpStats("keygen_per_signer", calls, wall))
+    _row(report, "keygen_per_signer", do_keygen, max(1, trials // 8))
 
     state = states[_BENCH_ID]
     batch = [b"bench item %08d" % i for i in range(batch_size)]
-    calls, wall, signature = _measure(lambda _: la.sign_batch(state, batch), trials)
-    report.ops.append(OpStats("sign_batch", calls, wall))
+    signature = _row(report, "sign_batch", lambda _: la.sign_batch(state, batch), trials)
 
     epoch = signature.epoch
-    calls, wall, commitment = _measure(
-        lambda _: la.construct_commitment(material, _BENCH_ID, epoch), trials
-    )
-    report.ops.append(OpStats("commitment", calls, wall))
+    commitment = _row(report, "commitment",
+                      lambda _: la.construct_commitment(material, _BENCH_ID, epoch), trials)
 
     # the CLI's check: the commitment parsed from the bytes it arrives as
     tables = _measure_key_tables(report, public, group, trials)
     blob = commitment.to_bytes()
-    calls, wall, ok = _measure(
-        lambda _: la.verify_batch(
-            tables[_BENCH_ID], la.LaCommitment.from_bytes(blob), batch, signature, group
-        ),
-        trials,
-    )
-    assert ok
-    report.ops.append(OpStats("verify_batch", calls, wall))
+    assert _row(report, "verify_batch", lambda _: la.verify_batch(
+        tables[_BENCH_ID], la.LaCommitment.from_bytes(blob), batch, signature, group
+    ), trials)
 
     report.sizes["signature.payload_bytes"] = 64
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
@@ -226,8 +222,7 @@ def bench_hy(
     state = states[_BENCH_ID]
     batch = [b"bench item %08d" % i for i in range(batch_size)]
 
-    calls, wall, signature = _measure(lambda _: hy.sign_batch(state, batch), trials)
-    report.ops.append(OpStats("sign_batch", calls, wall))
+    signature = _row(report, "sign_batch", lambda _: hy.sign_batch(state, batch), trials)
 
     epoch = signature.la.epoch
     commitment = hy.HyCommitment(
@@ -235,23 +230,16 @@ def bench_hy(
         pq.construct_commitment(material.pq, _BENCH_ID, epoch),
     )
     indices = hy.opened(batch, signature, pq_params).indices
-    calls, wall, opening = _measure(
-        lambda _: hy.open_commitment(material, _BENCH_ID, epoch, indices), trials
-    )
-    report.ops.append(OpStats("open_commitment", calls, wall))
+    opening = _row(report, "open_commitment",
+                   lambda _: hy.open_commitment(material, _BENCH_ID, epoch, indices), trials)
 
     # the online CLI's check: the opening parsed from the bytes it arrives as
     tables = _measure_key_tables(report, public, group, trials)
     blob = opening.to_bytes()
-    calls, wall, ok = _measure(
-        lambda _: hy.verify_batch(
-            tables[_BENCH_ID], hy.HyOpening.from_bytes(blob, indices), batch, signature,
-            group, pq_params,
-        ),
-        trials,
-    )
-    assert ok
-    report.ops.append(OpStats("verify_batch", calls, wall))
+    assert _row(report, "verify_batch", lambda _: hy.verify_batch(
+        tables[_BENCH_ID], hy.HyOpening.from_bytes(blob, indices), batch, signature,
+        group, pq_params,
+    ), trials)
 
     report.sizes["signature.payload_bytes"] = 64 + pq_params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())

@@ -176,7 +176,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         # a mangled signature container is a cryptographic reject, not an
         # operational failure: the data offered for verification is bad
-        print(f"invalid signature file: {exc}", file=sys.stderr)
+        print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
     source = _CommitmentSource(args, bundle)
     try:

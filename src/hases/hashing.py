@@ -16,6 +16,21 @@ Integers are encoded into hash inputs as fixed-width big-endian strings
 (8 bytes for epochs and indices) so that concatenations parse uniquely.
 Signer identities are exactly 16 bytes everywhere.
 
+Batched kernels.  Most per-record hashing shares a prefix: a pq
+signature reveals H1(seed || label) for k labels, an la batch derives
+H0(public_seed || l) and H1(nonce_seed || l) for its L items, and the
+key store images H2(H1(seed || label)) for up to t labels.
+``prefixed_hashes`` and ``prefixed_scalars`` hash ``byte(domain) ||
+head`` once and copy that state for each tail; ``images_match`` checks
+H2(preimage) == image pairwise and stops at the first mismatch.  Each
+returns exactly what the ``domain_hash``/``hash_to_scalar`` composition
+returns, and adds the calls that composition would make to its domain's
+counter in one step per call (a retried scalar and a check that stops
+early count the calls actually made).  The only module-level cache is
+``label_table``: the public 8-byte encodings of the labels 1..n.  A
+hash state that has absorbed a seed is a local of one kernel call, so
+it never outlives the ``sign`` that asked for it.
+
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
 meaningful while a single benchmark runs at a time.
@@ -92,45 +107,71 @@ def iter_hash(domain: int, seed: bytes, steps: int) -> bytes:
     value = seed
     for _ in range(steps):
         value = sha256(prefix + value).digest()
-    slot = _COUNTER_SLOTS[domain]
-    setattr(counters, slot, getattr(counters, slot) + steps)
+    _count(domain, steps)
     return value
 
 
 @functools.lru_cache(maxsize=8)
-def _labels(t: int) -> tuple[bytes, ...]:
-    return tuple(encode_index(label) for label in range(1, t + 1))
+def label_table(n: int) -> tuple[bytes, ...]:
+    """``encode_index(label)`` for the labels 1..n: entry x is label x + 1.
+
+    Public encodings only, cached per ``n``."""
+    return tuple(encode_index(label) for label in range(1, n + 1))
 
 
-def commitment_images(seed: bytes, t: int) -> list[bytes]:
-    """``H2(H1(seed || label))`` for the labels 1..t, in label order.
+def _prefix_state(domain: int, head: bytes):
+    if domain not in (0, 1, 2):
+        raise ValueError(f"hash domain must be 0, 1 or 2, got {domain}")
+    return _sha256(_PREFIX[domain] + head)
 
-    Equal to the ``domain_hash`` composition and counted as its 2t
-    calls, but ``byte(1) || seed`` is hashed once and its state copied
-    for each label, and the label encodings are cached per ``t``.
+
+def _count(domain: int, calls: int) -> None:
+    slot = _COUNTER_SLOTS[domain]
+    setattr(counters, slot, getattr(counters, slot) + calls)
+
+
+def prefixed_hashes(domain: int, head: bytes, tails: Iterable[bytes]) -> list[bytes]:
+    """``domain_hash(domain, head + tail)`` for each tail, in order.
+
+    ``byte(domain) || head`` is hashed once and its state copied for
+    each tail; the calls are counted at once, one per tail.
     """
-    return _images(seed, _labels(t))
+    copy = _prefix_state(domain, head).copy
+    digests = []
+    for tail in tails:
+        state = copy()
+        state.update(tail)
+        digests.append(state.digest())
+    _count(domain, len(digests))
+    return digests
 
 
-def opened_images(seed: bytes, indices: Sequence[int]) -> list[bytes]:
-    """The images of ``commitment_images`` at positions ``indices``
-    (label x + 1 for index x), in the given order; 2 calls per index."""
-    return _images(seed, [encode_index(x + 1) for x in indices])
-
-
-def _images(seed: bytes, labels: Sequence[bytes]) -> list[bytes]:
-    chain = _sha256(_PREFIX[DOM_CHAIN] + seed).copy
-    commit = _sha256(_PREFIX[DOM_COMMIT]).copy
-    images = []
-    for label in labels:
-        inner = chain()
-        inner.update(label)
-        outer = commit()
-        outer.update(inner.digest())
-        images.append(outer.digest())
-    counters.calls_h1 += len(labels)
-    counters.calls_h2 += len(labels)
-    return images
+def prefixed_scalars(domain: int, head: bytes, tails: Iterable[bytes], order: int) -> list[int]:
+    """``hash_to_scalar(domain, head + tail, order)`` for each tail, in
+    order, from one hashed prefix as ``prefixed_hashes``; each retry is
+    one more counted call, as in ``hash_to_scalar``."""
+    if order <= 2:
+        raise ValueError("group order must exceed 2")
+    copy = _prefix_state(domain, head).copy
+    scalars = []
+    calls = 0
+    for tail in tails:
+        state = copy()
+        state.update(tail)
+        value = int.from_bytes(state.digest(), "big") % order
+        calls += 1
+        retry = 0
+        while value == 0:
+            if retry > 255:  # unreachable for any order > 2
+                raise RuntimeError("hash_to_scalar retry counter exhausted")
+            again = state.copy()
+            again.update(bytes((retry,)))
+            value = int.from_bytes(again.digest(), "big") % order
+            calls += 1
+            retry += 1
+        scalars.append(value)
+    _count(domain, calls)
+    return scalars
 
 
 def hash_to_scalar(domain: int, data: bytes, order: int) -> int:
@@ -141,16 +182,43 @@ def hash_to_scalar(domain: int, data: bytes, order: int) -> int:
     map well defined for the tiny test groups; for ~252-bit orders the
     retry never fires and the reduction bias is negligible.
     """
-    if order <= 2:
-        raise ValueError("group order must exceed 2")
-    value = int.from_bytes(domain_hash(domain, data), "big") % order
-    retry = 0
-    while value == 0:
-        if retry > 255:  # unreachable for any order > 2
-            raise RuntimeError("hash_to_scalar retry counter exhausted")
-        value = int.from_bytes(domain_hash(domain, data + bytes((retry,))), "big") % order
-        retry += 1
-    return value
+    return prefixed_scalars(domain, data, (b"",), order)[0]
+
+
+def images_match(preimages: Iterable[bytes], images: Iterable[bytes]) -> bool:
+    """Whether ``domain_hash(2, preimage) == image`` for each pair, checked
+    in order and stopping at the first mismatch, as ``all()`` would; only
+    the calls made are counted."""
+    copy = _prefix_state(DOM_COMMIT, b"").copy
+    calls = 0
+    matched = True
+    for preimage, image in zip(preimages, images):
+        calls += 1
+        state = copy()
+        state.update(preimage)
+        if state.digest() != image:
+            matched = False
+            break
+    _count(DOM_COMMIT, calls)
+    return matched
+
+
+def commitment_images(seed: bytes, t: int) -> list[bytes]:
+    """``H2(H1(seed || label))`` for the labels 1..t, in label order;
+    counted as the 2t calls of that composition."""
+    return _images(seed, label_table(t))
+
+
+def opened_images(seed: bytes, indices: Sequence[int], t: int) -> list[bytes]:
+    """The images of ``commitment_images(seed, t)`` at positions
+    ``indices`` (label x + 1 for index x, every x below t), in the given
+    order; 2 calls per index."""
+    labels = label_table(t)
+    return _images(seed, [labels[x] for x in indices])
+
+
+def _images(seed: bytes, labels: Sequence[bytes]) -> list[bytes]:
+    return prefixed_hashes(DOM_COMMIT, b"", prefixed_hashes(DOM_CHAIN, seed, labels))
 
 
 def encode_index(value: int) -> bytes:

@@ -182,7 +182,7 @@ def save_store(path: str | Path, store) -> None:
 
 
 def load_store(path: str | Path):
-    return store_from_bytes(Path(path).read_bytes())
+    return _load(path, store_from_bytes, "a key store file")
 
 
 # --- signature and commitment files ------------------------------------------
@@ -197,7 +197,12 @@ def save_signatures(path: str | Path, blobs: Sequence[bytes]) -> None:
 
 
 def load_signatures(path: str | Path) -> list[bytes]:
-    data = Path(path).read_bytes()
+    return _load(path, signatures_from_bytes, "a signature file")
+
+
+def signatures_from_bytes(data: bytes) -> list[bytes]:
+    if len(data) < 8:
+        raise ValueError("truncated signature file")
     count = int.from_bytes(data[:8], "big")
     blobs = []
     offset = 8

@@ -51,6 +51,9 @@ from .hashing import (
     encode_header,
     encode_index,
     hash_to_scalar,
+    label_table,
+    prefixed_hashes,
+    prefixed_scalars,
     split_header,
 )
 
@@ -215,12 +218,17 @@ def _epoch_seeds(key: int, epoch: int) -> tuple[bytes, bytes]:
     return public_seed, nonce_seed
 
 
-def _item_nonce(nonce_seed: bytes, item: int, q: int) -> int:
-    return hash_to_scalar(DOM_CHAIN, nonce_seed + encode_index(item), q)
+def _item_seeds(public_seed: bytes, count: int) -> list[bytes]:
+    return prefixed_hashes(DOM_MESSAGE, public_seed, label_table(count))
 
 
-def _item_challenge(message: bytes, item_seed: bytes, q: int) -> int:
-    return hash_to_scalar(DOM_COMMIT, message + item_seed, q)
+def _item_nonces(nonce_seed: bytes, count: int, q: int) -> list[int]:
+    return prefixed_scalars(DOM_CHAIN, nonce_seed, label_table(count), q)
+
+
+def _item_challenges(messages: Sequence[bytes], item_seeds: Sequence[bytes], q: int) -> list[int]:
+    tails = (message + item_seed for message, item_seed in zip(messages, item_seeds))
+    return prefixed_scalars(DOM_COMMIT, b"", tails, q)
 
 
 def sign_batch(state: LaSignerState, messages: Sequence[bytes]) -> LaSignature:
@@ -230,14 +238,12 @@ def sign_batch(state: LaSignerState, messages: Sequence[bytes]) -> LaSignature:
         raise EpochExhausted(f"all {params.max_batches} batches signed")
     if len(messages) != params.batch_size:
         raise ValueError(f"batch must contain exactly {params.batch_size} messages")
-    q = params.group.q
-    public_seed, nonce_seed = _epoch_seeds(state.key, state.epoch)
-    responses = []
-    for item, message in enumerate(messages, start=1):
-        item_seed = domain_hash(DOM_MESSAGE, public_seed + encode_index(item))
-        nonce = _item_nonce(nonce_seed, item, q)
-        challenge = _item_challenge(message, item_seed, q)
-        responses.append((nonce - challenge * state.key) % q)
+    q, key = params.group.q, state.key
+    # the hash states of the nonce seed live in this call only
+    public_seed, nonce_seed = _epoch_seeds(key, state.epoch)
+    nonces = _item_nonces(nonce_seed, len(messages), q)
+    challenges = _item_challenges(messages, _item_seeds(public_seed, len(messages)), q)
+    responses = [(nonce - challenge * key) % q for nonce, challenge in zip(nonces, challenges)]
     signature = LaSignature(state.signer_id, state.epoch, aggregate(responses, q), public_seed)
     state.epoch += 1
     return signature
@@ -254,9 +260,7 @@ def commitment_from_key(
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     _, nonce_seed = _epoch_seeds(key, epoch)
-    total = 0
-    for item in range(1, batch_size + 1):
-        total = (total + _item_nonce(nonce_seed, item, group.q)) % group.q
+    total = sum(_item_nonces(nonce_seed, batch_size, group.q)) % group.q
     r_bytes = group.encode_element(group.exp(group.generator, total))
     return LaCommitment(signer_id, epoch, batch_size, r_bytes)
 
@@ -338,9 +342,7 @@ def verify_batch(
         return False
     if not 0 <= signature.agg < group.q:
         return False
-    challenge_sum = 0
-    for item, message in enumerate(messages, start=1):
-        item_seed = domain_hash(DOM_MESSAGE, signature.seed + encode_index(item))
-        challenge_sum = (challenge_sum + _item_challenge(message, item_seed, group.q)) % group.q
+    item_seeds = _item_seeds(signature.seed, len(messages))
+    challenge_sum = sum(_item_challenges(messages, item_seeds, group.q)) % group.q
     expected = group.exp2(key_table, challenge_sum, signature.agg)
     return commitment.r_bytes == group.encode_element(expected)

@@ -35,16 +35,17 @@ from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from .hashing import (
     DIGEST_LEN,
     DOM_CHAIN,
-    DOM_COMMIT,
     DOM_MESSAGE,
     HEADER_LEN,
     check_signer_ids,
     commitment_images,
     domain_hash,
     encode_header,
-    encode_index,
+    images_match,
     iter_hash,
+    label_table,
     opened_images,
+    prefixed_hashes,
     split_header,
 )
 
@@ -301,10 +302,6 @@ def indices_from_digest(digest: bytes, params: PqParams) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _secret_string(seed: bytes, label: int) -> bytes:
-    return domain_hash(DOM_CHAIN, seed + encode_index(label))
-
-
 def sign(state: PqSignerState, message: bytes) -> PqSignature:
     """Sign at the current epoch, then advance the key.
 
@@ -315,8 +312,9 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
     if state.exhausted:
         raise EpochExhausted(f"all {state.params.epochs} epochs used")
     indices = message_indices(message, state.params)
-    seed = bytes(state.seed)
-    parts = tuple(_secret_string(seed, x + 1) for x in indices)
+    labels = label_table(state.params.t)
+    # the seed's hash state lives in this call only
+    parts = tuple(prefixed_hashes(DOM_CHAIN, bytes(state.seed), [labels[x] for x in indices]))
     signature = PqSignature(state.signer_id, state.epoch, parts)
     advance_key(state)
     return signature
@@ -381,7 +379,7 @@ def open_commitment(
     if len(indices) != params.k or not all(0 <= x < params.t for x in indices):
         raise ValueError(f"an opening takes exactly {params.k} indices below {params.t}")
     seed = _seed_at(material, signer_id, epoch, epoch, cursor)
-    return PqOpening(signer_id, epoch, indices, tuple(opened_images(seed, indices)))
+    return PqOpening(signer_id, epoch, indices, tuple(opened_images(seed, indices, params.t)))
 
 
 def _seed_at(
@@ -450,7 +448,4 @@ def verify(
         opening = commitment.open(indices, params)
     except ValueError:
         return False
-    return all(
-        domain_hash(DOM_COMMIT, part) == entry
-        for part, entry in zip(signature.parts, opening.entries)
-    )
+    return images_match(signature.parts, opening.entries)

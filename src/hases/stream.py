@@ -18,13 +18,15 @@ change what is signed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
+    """One input record; built once per record read, so a named tuple
+    (cheaper to build than a frozen dataclass).  It compares equal to
+    the plain tuple ``(timestamp, payload)``."""
+
     timestamp: str
     payload: bytes
 

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from hases import bench, pq
 from hases.group import small_test_group
 
@@ -58,10 +62,30 @@ def test_sequential_openings_row_at_every_trial_count():
 
 
 def test_trial_count_bounded_by_epochs():
-    import pytest
-
     with pytest.raises(ValueError):
         bench.bench_pq(PQ_SMALL, trials=PQ_SMALL.epochs + 1)
+    with pytest.raises(ValueError):
+        bench.bench_pq(PQ_SMALL, trials=0)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 7])
+def test_every_row_reports_its_spread_beside_the_mean(trials):
+    report = bench.bench_pq(PQ_SMALL, trials=trials)
+    lines = dict(line.split("=", 1) for line in report.machine_lines())
+    for op in report.ops:
+        q1, median, q3 = op.quartiles_us
+        assert 0 < q1 <= median <= q3
+        # the mean keeps its key; the quartiles sit beside it
+        prefix = f"pq.{op.name}."
+        assert float(lines[prefix + "wall_us"]) == pytest.approx(op.wall_us, abs=0.01)
+        assert [float(lines[prefix + key]) for key in
+                ("wall_us_q1", "wall_us_median", "wall_us_q3")] == pytest.approx(
+                    op.quartiles_us, abs=0.01)
+    if trials == 1:  # one timing: every quartile is that timing, and so is the mean
+        sign = next(op for op in report.ops if op.name == "sign")
+        assert sign.quartiles_us == (sign.wall_us,) * 3
+    row = rf"^  sign +{PQ_SMALL.k + 2}( +[\d.]+){{4}}$"  # hash calls, mean, q1, median, q3
+    assert re.search(row, report.table(), re.M)
 
 
 def test_open_commitment_rows_beside_the_full_build():

@@ -179,6 +179,20 @@ class TestSignVerifyOffline:
         assert "0/8 signatures valid" in capsys.readouterr().out
         assert len(checked) == 1  # rejected once for the run, not once per batch
 
+    @pytest.mark.parametrize("keep", [0, 5, 8 + 4 + 100])
+    def test_truncated_signature_file_named_and_exits_1(self, tmp_path, capsys, keep):
+        out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
+        with open(sigs, "r+b") as handle:
+            handle.truncate(keep)
+        capsys.readouterr()
+        code = cli.main(
+            ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+             "--sigs", sigs, "--commits", commits]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{sigs} is not a signature file: truncated signature file" in err
+
     def test_empty_export_file_exits_2(self, tmp_path, capsys):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
         with open(commits, "wb") as handle:
@@ -521,7 +535,7 @@ class TestServeSubprocess:
             capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode == 2
-        assert "truncated key store file" in proc.stderr
+        assert f"error: {store} is not a key store file: truncated key store file" in proc.stderr
 
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])

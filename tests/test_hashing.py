@@ -12,7 +12,12 @@ from hases.hashing import (
     encode_header,
     encode_index,
     hash_to_scalar,
+    images_match,
     iter_hash,
+    label_table,
+    opened_images,
+    prefixed_hashes,
+    prefixed_scalars,
     split_header,
 )
 
@@ -86,6 +91,104 @@ def test_commitment_images_match_the_domain_hash_composition(t):
     assert commitment_images(seed, t) == reference
     # counted exactly as the composition it replaces
     assert counters.snapshot() == (0, t, t)
+    positions = kernel_positions(t, random.Random(t))
+    counters.reset()
+    assert opened_images(seed, positions, t) == [reference[x] for x in positions]
+    assert counters.snapshot() == (0, len(positions), len(positions))
+
+
+def scalar_oracle(domain, data, order):
+    """(scalar, hash calls) of ``hash_to_scalar``'s rule, from hashlib alone."""
+    prefix = bytes((domain,))
+    value, calls = int.from_bytes(hashlib.sha256(prefix + data).digest(), "big") % order, 1
+    retry = 0
+    while value == 0:
+        value = int.from_bytes(hashlib.sha256(prefix + data + bytes((retry,))).digest(), "big") % order
+        calls, retry = calls + 1, retry + 1
+    return value, calls
+
+
+def kernel_positions(t, rng):
+    """Both ends of the label table, a random position, and duplicates."""
+    middle = rng.randrange(t)
+    return [0, t - 1, middle, 0, middle, t - 1]
+
+
+def test_label_table_holds_the_encodings_of_labels_1_to_n():
+    assert label_table(4) == tuple(encode_index(label) for label in (1, 2, 3, 4))
+    assert label_table(1024)[1023] == encode_index(1024)
+
+
+@pytest.mark.parametrize("t", [8, 1024])
+@pytest.mark.parametrize("domain", [0, 1, 2])
+def test_prefixed_hashes_match_the_domain_hash_composition(t, domain):
+    rng = random.Random(t + domain)
+    head = rng.randbytes(32)
+    positions = kernel_positions(t, rng)
+    reference = [domain_hash(domain, head + encode_index(x + 1)) for x in positions]
+    labels = label_table(t)
+    counters.reset()
+    assert prefixed_hashes(domain, head, [labels[x] for x in positions]) == reference
+    expected = [0, 0, 0]
+    expected[domain] = len(positions)  # counted once per tail, in its own domain
+    assert list(counters.snapshot()) == expected
+    counters.reset()
+    assert prefixed_hashes(domain, head, []) == []
+    assert counters.snapshot() == (0, 0, 0)
+    with pytest.raises(ValueError):
+        prefixed_hashes(3, head, labels)
+
+
+@pytest.mark.parametrize("t", [8, 1024])
+@pytest.mark.parametrize("order", [11, 2**252 + 27742317777372353535851937790883648493])
+def test_prefixed_scalars_match_hash_to_scalar(t, order):
+    rng = random.Random(t)
+    head = rng.randbytes(32)
+    positions = kernel_positions(t, rng)
+    labels = label_table(t)
+    reference = [scalar_oracle(1, head + labels[x], order) for x in positions]
+    counters.reset()
+    assert prefixed_scalars(1, head, [labels[x] for x in positions], order) == [
+        value for value, _ in reference]
+    assert counters.snapshot() == (0, sum(calls for _, calls in reference), 0)
+    with pytest.raises(ValueError):
+        prefixed_scalars(1, head, labels, 2)
+
+
+def test_the_scalar_retry_is_one_more_counted_call():
+    # over q = 11 about one tail in eleven reduces to zero and is retried
+    rng = random.Random(11)
+    head = rng.randbytes(32)
+    tails = [rng.randbytes(rng.randrange(0, 40)) for _ in range(400)]
+    reference = [scalar_oracle(2, head + tail, 11) for tail in tails]
+    retried = [calls for _, calls in reference if calls > 1]
+    assert len(retried) >= 10
+    counters.reset()
+    assert prefixed_scalars(2, head, tails, 11) == [value for value, _ in reference]
+    assert counters.snapshot() == (0, 0, len(tails) + sum(calls - 1 for calls in retried))
+    for tail, (value, calls) in zip(tails, reference):
+        counters.reset()
+        assert hash_to_scalar(2, head + tail, 11) == value
+        assert counters.total() == calls
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_images_match_stops_at_the_first_mismatch(k):
+    rng = random.Random(k)
+    preimages = [rng.randbytes(32) for _ in range(k)]
+    images = [domain_hash(2, preimage) for preimage in preimages]
+    counters.reset()
+    assert images_match(preimages, images)
+    assert counters.snapshot() == (0, 0, k)
+    for bad in {0, k // 2, k - 1}:
+        tampered = list(images)
+        tampered[bad] = bytes(32)
+        counters.reset()
+        assert not images_match(preimages, tampered)
+        assert counters.snapshot() == (0, 0, bad + 1)
+    counters.reset()
+    assert images_match([], [])
+    assert counters.snapshot() == (0, 0, 0)
 
 
 def test_hash_to_scalar_range():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from hases import la
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from conftest import curve_point
 from hases.group import production_group, small_test_group
-from hases.hashing import domain_hash, encode_index, hash_to_scalar
+from hases.hashing import counters, domain_hash, encode_index, hash_to_scalar
 
 ID_A = bytes([0x0A]) * 16
 ID_B = bytes([0x0B]) * 16
@@ -149,6 +150,36 @@ class TestAggregate:
             la.aggregate([11], 11)
 
 
+def oracle_scalar(domain, data, q):
+    """(scalar, hash calls) of ``hash_to_scalar``'s rule, from hashlib alone."""
+    prefix = bytes((domain,))
+    value, calls = int.from_bytes(hashlib.sha256(prefix + data).digest(), "big") % q, 1
+    while value == 0:
+        value = int.from_bytes(hashlib.sha256(prefix + data + bytes((calls - 1,))).digest(), "big") % q
+        calls += 1
+    return value, calls
+
+
+def oracle_sign(q, key, epoch, batch, retried):
+    """(aggregate, public seed, per-domain hash calls) of ``sign_batch``,
+    from hashlib alone; ``retried`` counts the retried nonces and challenges."""
+    head = key.to_bytes(32, "big") + encode_index(epoch)
+    public_seed = hashlib.sha256(b"\x00" + head).digest()
+    nonce_seed = hashlib.sha256(b"\x01" + head).digest()
+    calls = [1 + len(batch), 1, 0]
+    total = 0
+    for item, message in enumerate(batch, start=1):
+        item_seed = hashlib.sha256(b"\x00" + public_seed + encode_index(item)).digest()
+        nonce, nonce_calls = oracle_scalar(1, nonce_seed + encode_index(item), q)
+        challenge, challenge_calls = oracle_scalar(2, message + item_seed, q)
+        retried["nonce"] += nonce_calls > 1
+        retried["challenge"] += challenge_calls > 1
+        calls[1] += nonce_calls
+        calls[2] += challenge_calls
+        total = (total + nonce - challenge * key) % q
+    return total, public_seed, tuple(calls)
+
+
 class TestSign:
     def test_deterministic(self):
         _, state_a, _, _ = tiny_setup(seed=3)
@@ -173,6 +204,26 @@ class TestSign:
             parts.append((nonce - challenge * y) % group.q)
         assert signature.agg == la.aggregate(parts, group.q)
         assert signature.seed == public_seed
+
+    def test_retried_nonces_and_challenges_match_the_composition(self):
+        # over q = 11 about one nonce or challenge in eleven reduces to zero
+        # and is retried with one more counted call, as hash_to_scalar does
+        group, state, public, material = tiny_setup(max_batches=40, batch_size=4, seed=14)
+        tables = group.precompute(public)
+        retried = {"nonce": 0, "challenge": 0}
+        for epoch in range(1, 41):
+            batch = [b"retry %d.%d" % (epoch, item) for item in range(4)]
+            oracle_agg, oracle_seed, calls = oracle_sign(group.q, state.key, epoch, batch, retried)
+            counters.reset()
+            signature = la.sign_batch(state, batch)
+            assert (signature.agg, signature.seed) == (oracle_agg, oracle_seed)
+            assert counters.snapshot() == calls
+            commitment = la.construct_commitment(material, ID_A, epoch)
+            counters.reset()
+            assert la.verify_batch(tables, commitment, batch, signature, group)
+            # the verifier repeats the item seeds and the challenges
+            assert counters.snapshot() == (4, 0, calls[2])
+        assert retried["nonce"] and retried["challenge"]
 
     def test_epoch_recorded_before_increment(self):
         _, state, _, _ = tiny_setup(seed=5)

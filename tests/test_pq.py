@@ -5,7 +5,7 @@ import pytest
 
 from hases import pq
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
-from hases.hashing import counters, domain_hash, iter_hash
+from hases.hashing import counters, domain_hash, encode_index, iter_hash
 
 ID_A = bytes([0xAA]) * 16
 ID_B = bytes([0xBB]) * 16
@@ -146,6 +146,21 @@ class TestSign:
         counters.reset()
         pq.sign(state, b"count me")
         assert counters.total() == 1 + PROD.k + 1 == 18
+
+    # found by search: each message selects index 0, index t - 1 and one
+    # index twice, (0, 4, 7, 7) at t=8 and 59 twice at t=1024
+    @pytest.mark.parametrize("params,message", [(TOY, b"kernel 3"), (PROD, b"kernel 26749")])
+    def test_parts_equal_the_domain_hash_composition(self, params, message):
+        states, _ = pq.keygen([ID_A], params, fixed_rng(13))
+        state = states[ID_A]
+        seed = bytes(state.seed)
+        indices = pq.message_indices(message, params)
+        assert {0, params.t - 1} <= set(indices) and len(set(indices)) < params.k
+        counters.reset()
+        signature = pq.sign(state, message)
+        # one H0 for the indices, k H1 for the parts and one for the key update
+        assert counters.snapshot() == (1, params.k + 1, 0)
+        assert signature.parts == tuple(domain_hash(1, seed + encode_index(x + 1)) for x in indices)
 
     def test_epoch_recorded_before_update(self):
         states, _ = pq.keygen([ID_A], TOY, fixed_rng(11))
@@ -289,6 +304,25 @@ class TestVerify:
             mutated = bytearray(message)
             mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
             assert not pq.verify(commitment, bytes(mutated), signature, PROD)
+
+    @pytest.mark.parametrize("tampered", [0, 1, 7, 15])
+    def test_a_reject_stops_at_the_first_bad_part(self, tampered):
+        # part i tampered costs exactly i + 1 H2 calls: the checks before it
+        # pass, its own fails, and none after it is made
+        states, material = pq.keygen([ID_A], PROD, fixed_rng(36))
+        message = b"stop early"
+        signature = pq.sign(states[ID_A], message)
+        indices = pq.message_indices(message, PROD)
+        opening = pq.open_commitment(material, ID_A, 1, indices)
+        parts = list(signature.parts)
+        parts[tampered] = bytes(a ^ 1 for a in parts[tampered])
+        forged = pq.PqSignature(ID_A, 1, tuple(parts))
+        counters.reset()
+        assert not pq.verify(opening, message, forged, PROD, indices)
+        assert counters.snapshot() == (0, 0, tampered + 1)
+        counters.reset()
+        assert pq.verify(opening, message, signature, PROD, indices)
+        assert counters.snapshot() == (0, 0, PROD.k)
 
     def test_forward_security_surrogate(self):
         # signing with any descendant key never verifies against an

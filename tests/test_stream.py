@@ -73,3 +73,12 @@ def test_partial_final_batch_rejected():
     records = [Record(str(i), b"x") for i in range(5)]
     with pytest.raises(ValueError):
         into_batches(records, 3)
+
+
+def test_record_is_an_immutable_named_tuple():
+    record = Record("7", b"payload")
+    assert record == ("7", b"payload")  # equal to the plain tuple, by design
+    assert (record.timestamp, record.payload) == ("7", b"payload")
+    assert hash(record) == hash(("7", b"payload"))
+    with pytest.raises(AttributeError):
+        record.payload = b"other"
