@@ -12,7 +12,7 @@ types are the tags in ``hases.schemes``; ``_REQUESTS`` takes each type.
 Request types:
 
     0x01  commitment, forward-secure     body: id(16) epoch(8)
-    0x02  commitment, aggregate          body: id(16) epoch(8) L(4)
+    0x02  commitment, aggregate          body: id(16) epoch(8)
     0x03  commitment, hybrid             body: id(16) epoch(8)
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
     0x05  opening, forward-secure        body: id(16) epoch(8) k x index(4)
@@ -23,10 +23,11 @@ with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
 0x03 malformed) followed by the serialized commitment, or for exports
 the container of ``export_bytes``: an 8-byte entry count and one or
 more equal-sized commitments, the same bytes as an offline export file.
-Hybrid requests and all exports use the batch size registered at
-provisioning time; an aggregate request whose L differs from it is
-malformed.  An export whose response would exceed ``MAX_FRAME`` is
-refused with the epoch-range status before anything is built.
+A request names only what the store cannot derive.  Aggregate commitments
+use the batch size registered at provisioning time and carry it back
+(``la.LaCommitment.batch_size``) for the verifier to check.  An export
+whose response would exceed ``MAX_FRAME`` is refused with the
+epoch-range status before anything is built.
 
 An opening is what a verifier needs of one epoch's commitment: a pq
 signature reveals only k of its t entries.  The OK body of 0x05 is a
@@ -427,12 +428,10 @@ def _opening_indices(body: bytes) -> tuple[int, ...]:
     return struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
 
 
-def _la_response(store: CcoStore, body: bytes) -> bytes:
-    # L is on the wire, but only the registered batch size is served:
-    # any other would let a request choose its own cost
-    if int.from_bytes(body[24:28], "big") != store.la_material().params.batch_size:
-        raise MalformedFrame("aggregate batch size is not the registered one")
-    return store.la_commitment(*_key(body)).to_bytes()
+def _commitment(method: str) -> _Request:
+    """A commitment request, answered with the store's ``method`` of its key."""
+    return _Request(lambda n: n == 24, True,
+                    lambda store, body: getattr(store, method)(*_key(body)).to_bytes())
 
 
 def _export_response(store: CcoStore, body: bytes) -> bytes:
@@ -455,21 +454,19 @@ def export_from_bytes(data: bytes) -> list[bytes]:
     """The entries of an ``export_bytes`` container; ValueError for
     anything ``_EXPORT_RULE`` refuses."""
     count = int.from_bytes(data[:8], "big")
-    body = data[8:]
-    if len(data) < 8 or not count or not body or len(body) % count:
+    body_len = len(data) - 8
+    if body_len <= 0 or not count or body_len % count:
         raise ValueError(_EXPORT_RULE)
-    size = len(body) // count
-    return [body[i : i + size] for i in range(0, len(body), size)]
+    size = body_len // count
+    return [data[i : i + size] for i in range(8, len(data), size)]
 
 
-# request type -> how it is taken; each builder calls the store's methods
-# when it runs, so a wrapper installed on them sees the call
+# request type -> how it is taken; each `build` looks the store's method
+# up when it runs, so a wrapper installed on it sees the call
 _REQUESTS = {
-    MSG_PQ: _Request(lambda n: n == 24, True,
-                     lambda store, body: store.pq_commitment(*_key(body)).to_bytes()),
-    MSG_LA: _Request(lambda n: n == 28, True, _la_response),
-    MSG_HY: _Request(lambda n: n == 24, True,
-                     lambda store, body: store.hy_commitment(*_key(body)).to_bytes()),
+    MSG_PQ: _commitment("pq_commitment"),
+    MSG_LA: _commitment("la_commitment"),
+    MSG_HY: _commitment("hy_commitment"),
     MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
     MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: store.pq_opening(
         *_key(body), _opening_indices(body)).to_bytes()),
@@ -667,24 +664,16 @@ class CcoClient:
             raise CcoRequestError(status)
         return rest
 
-    def commitment_bytes(
-        self, msg_type: int, signer_id: bytes, epoch: int, batch_size: int = 0
-    ) -> bytes:
-        """Serialized commitment for one epoch, left unparsed;
-        ``batch_size`` is sent only with ``MSG_LA``.  A non-OK status
-        raises ``CcoRequestError``."""
-        return self._request_ok(msg_type, _commitment_body(msg_type, signer_id, epoch, batch_size))
+    def commitment_bytes(self, msg_type: int, signer_id: bytes, epoch: int) -> bytes:
+        """Serialized commitment for one epoch, left unparsed.  A non-OK
+        status raises ``CcoRequestError``."""
+        return self._request_ok(msg_type, _key_bytes(signer_id, epoch))
 
-    def commitments(
-        self, msg_type: int, keys: Iterable[tuple[bytes, int]], batch_size: int = 0
-    ) -> Iterator[bytes | None]:
+    def commitments(self, msg_type: int, keys: Iterable[tuple[bytes, int]]) -> Iterator[bytes | None]:
         """Serialized commitment for each (id, epoch) key, in order, or
         None where the service answers with a non-OK status; up to
         ``PIPELINE_WINDOW`` requests are in flight at a time."""
-        payloads = (
-            bytes((msg_type,)) + _commitment_body(msg_type, signer_id, epoch, batch_size)
-            for signer_id, epoch in keys
-        )
+        payloads = (bytes((msg_type,)) + _key_bytes(*key) for key in keys)
         return self._ok_bodies(msg_type, payloads)
 
     def openings(
@@ -694,9 +683,8 @@ class CcoClient:
         of each (id, epoch) key at the matching indices, in order, or
         None for a non-OK status; pipelined as ``commitments``."""
         payloads = (
-            bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big")
-            + struct.pack(f">{len(opened)}I", *opened)
-            for (signer_id, epoch), opened in zip(keys, indices)
+            bytes((msg_type,)) + _key_bytes(*key) + struct.pack(f">{len(opened)}I", *opened)
+            for key, opened in zip(keys, indices)
         )
         return self._ok_bodies(msg_type, payloads)
 
@@ -715,11 +703,9 @@ class CcoClient:
         return export_from_bytes(self._request_ok(MSG_EXPORT, body))
 
 
-def _commitment_body(msg_type: int, signer_id: bytes, epoch: int, batch_size: int) -> bytes:
-    body = signer_id + epoch.to_bytes(8, "big")
-    if msg_type == MSG_LA:
-        body += batch_size.to_bytes(4, "big")
-    return body
+def _key_bytes(signer_id: bytes, epoch: int) -> bytes:
+    """The id(16) epoch(8) that ``_key`` reads back."""
+    return signer_id + epoch.to_bytes(8, "big")
 
 
 def _split_response(msg_type: int, response: bytes) -> tuple[int, bytes]:

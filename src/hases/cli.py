@@ -101,12 +101,15 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    state = keyfiles.load_signer_key(args.key)
-    records = stream.read_stream(args.input, args.format, args.hex)
-    blobs = schemes.of(state).sign(state, records)
-    # persist the evolved key before the signatures: a failure in between
-    # loses tags, never reuses a burned epoch
-    keyfiles.save_signer_key(args.key, state)
+    # locked from load to save: a second signer of this key would sign
+    # again at the epochs this one burns
+    with keyfiles.signer_key_lock(args.key):
+        state = keyfiles.load_signer_key(args.key)
+        records = stream.read_stream(args.input, args.format, args.hex)
+        blobs = schemes.of(state).sign(state, records)
+        # persist the evolved key before the signatures: a failure in between
+        # loses tags, never reuses a burned epoch
+        keyfiles.save_signer_key(args.key, state)
     keyfiles.save_signatures(args.out, blobs)
     print(f"signed {len(records)} records into {len(blobs)} signatures")
     return EXIT_OK
@@ -258,10 +261,8 @@ def cmd_request(args) -> int:
             return EXIT_OK
         if args.epoch is None:
             raise ValueError("--epoch or --export is required")
-        if scheme.tag == cco.MSG_LA and not args.L:
-            raise ValueError("--L is required for aggregate requests")
         # a non-OK status raises CcoRequestError: exit 2
-        blob = client.commitment_bytes(scheme.tag, signer_id, args.epoch, args.L)
+        blob = client.commitment_bytes(scheme.tag, signer_id, args.epoch)
         if args.out:
             keyfiles.save_commitments(args.out, [blob])
             print(f"wrote commitment ({len(blob)} bytes) to {args.out}")
@@ -345,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     rq.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     rq.add_argument("--id", required=True)
     rq.add_argument("--epoch", type=int)
-    rq.add_argument("--L", type=int, default=0)
     rq.add_argument("--export", help="epoch range FROM:TO for offline export")
     rq.add_argument("--out", help="write commitment(s) to this file")
     rq.set_defaults(func=cmd_request)

@@ -13,6 +13,10 @@ class EpochDesync(HasesError):
     """The two component signers of a hybrid state disagree on the epoch."""
 
 
+class KeyFileInUse(HasesError):
+    """Another process holds the lock of the signer key file."""
+
+
 class UnknownSigner(HasesError):
     """The requested identity is not registered with the key store."""
 

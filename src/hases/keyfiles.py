@@ -15,12 +15,16 @@ vary with the scheme).
 
 from __future__ import annotations
 
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import la, pq, schemes
 from .cco import CcoStore, export_bytes, export_from_bytes
+from .errors import KeyFileInUse
 
 
 # --- signer key files ---------------------------------------------------
@@ -37,7 +41,41 @@ def signer_key_from_bytes(data: bytes):
 
 
 def save_signer_key(path: str | Path, state) -> None:
-    Path(path).write_bytes(signer_key_bytes(state))
+    """Replace the key file atomically: a crash leaves the old key or the
+    new one, never a torn file that only an older copy could replace."""
+    path = Path(path)
+    blob = signer_key_bytes(state)
+    fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # makes the rename itself durable
+    finally:
+        os.close(directory)
+
+
+@contextmanager
+def signer_key_lock(path: str | Path) -> Iterator[None]:
+    """Hold an exclusive lock on the key file for the block, through the
+    sibling ``<path>.lock``; ``KeyFileInUse`` at once if another process
+    holds it.  Advisory and POSIX-only (``flock``): it keeps two ``hases
+    sign`` runs from signing at the same epochs, not other writers."""
+    import fcntl  # POSIX-only, so imported only where a key is locked
+
+    with open(f"{path}.lock", "ab") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise KeyFileInUse(f"{path} is in use by another signer") from None
+        yield
 
 
 def load_signer_key(path: str | Path):
@@ -162,6 +200,9 @@ def store_from_bytes(data: bytes) -> CcoStore:
         for _ in range(count):
             signer_id = take(16)
             n = int.from_bytes(take(4), "big")
+            if n != params.j1 - 1:
+                raise ValueError(
+                    f"signer {signer_id.hex()} has {n} anchors, not j1 - 1 = {params.j1 - 1}")
             chunk = take(n * 32)
             anchors[signer_id] = tuple(chunk[i * 32 : (i + 1) * 32] for i in range(n))
         store.provision(pq.PqKeyMaterial(msk, params, anchors))

@@ -158,29 +158,32 @@ class PqSignature:
 
 @dataclass(frozen=True)
 class PqCommitment:
+    """One epoch's commitment, its t entries kept as the bytes they are
+    sent as: a verifier slices out only the k it opens."""
+
     signer_id: bytes
     epoch: int
-    entries: tuple[bytes, ...]
+    body: bytes  # the entries for labels 1..t, DIGEST_LEN bytes each
 
     def to_bytes(self) -> bytes:
-        return encode_header(COMMITMENT_TAG, self.signer_id, self.epoch) + b"".join(self.entries)
+        return encode_header(COMMITMENT_TAG, self.signer_id, self.epoch) + self.body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqCommitment":
         signer_id, epoch, rest = split_header(data, COMMITMENT_TAG, "commitment")
         if not rest or len(rest) % DIGEST_LEN:
             raise ValueError("commitment body is not a whole number of digests")
-        return cls(signer_id, epoch, _digests(rest))
+        return cls(signer_id, epoch, rest)
 
     def open(self, indices: Sequence[int], params: PqParams) -> "PqOpening":
         """The entries at ``indices``, in that order; ValueError unless
         this commitment has t entries and every index is below t."""
-        if len(self.entries) != params.t:
-            raise ValueError(f"commitment has {len(self.entries)} entries, not {params.t}")
+        if len(self.body) != params.t * DIGEST_LEN:
+            raise ValueError(f"commitment has {len(self.body) // DIGEST_LEN} entries, not {params.t}")
         if not all(0 <= x < params.t for x in indices):
             raise ValueError(f"an index is outside [0, {params.t})")
         return PqOpening(self.signer_id, self.epoch, tuple(indices),
-                         tuple(self.entries[x] for x in indices))
+                         tuple(self.body[x * DIGEST_LEN : (x + 1) * DIGEST_LEN] for x in indices))
 
 
 class PqOpening(NamedTuple):
@@ -322,7 +325,7 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
 
 def commitment_from_seed(seed: bytes, signer_id: bytes, epoch: int, params: PqParams) -> PqCommitment:
     """Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign`` reveals them."""
-    return PqCommitment(signer_id, epoch, tuple(commitment_images(seed, params.t)))
+    return PqCommitment(signer_id, epoch, b"".join(commitment_images(seed, params.t)))
 
 
 def construct_commitment(

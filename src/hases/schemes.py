@@ -88,8 +88,7 @@ LA = Scheme(
     units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: la.LaSignature.from_bytes(blob, bundle.la_params.group),
     derive=lambda message, signature, bundle: None,
-    fetch=lambda client, keys, derived, bundle: (  # the commitment is used whole
-        client.commitments(LA.tag, keys, bundle.la_params.batch_size)),
+    fetch=lambda client, keys, derived, bundle: client.commitments(LA.tag, keys),  # used whole
     open_full=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
     parse_opening=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
     verify=lambda message, signature, opening, derived, bundle, tables: la.verify_batch(

@@ -24,8 +24,8 @@ BATCH = 3
 MESSAGES = [b"first record", b"second record", b"third record"]
 
 DIGESTS = {
-    "production": "9772346d8a53038aec1db60381c7804ece168336e79f80f33b2f0dc88c6a30a3",
-    "tiny": "b47d9829c611b08744383b6e583561949494402350df1ce6ebf5e79fff376e36",
+    "production": "02af68229ead4f7ed74d8a57bf0b3fbb7dd61a0ef5bccadd5bba02b60a99c7f5",
+    "tiny": "29840ff69902074077d572285d0fc3b5bea06b98d7c001919a67e673085bad36",
 }
 
 
@@ -84,7 +84,8 @@ def malformed_requests(signer_id, indices):
         b"",
         bytes((0x07,)) + signer_id + bytes(8),
         commitment_request(cco.MSG_PQ, signer_id, 1, b"\x00"),
-        commitment_request(cco.MSG_LA, signer_id, 1),
+        # an aggregate request with the L(4) field it once carried, registered or not
+        commitment_request(cco.MSG_LA, signer_id, 1, BATCH.to_bytes(4, "big")),
         commitment_request(cco.MSG_LA, signer_id, 1, (BATCH + 1).to_bytes(4, "big")),
         opening_request(cco.MSG_PQ_OPENING, signer_id, 1, indices[:-1]),
         opening_request(cco.MSG_HY_OPENING, signer_id, 1, list(indices[:-1]) + [PQ_PARAMS.t]),
@@ -116,7 +117,7 @@ def pq_blobs():
         opening_request(cco.MSG_PQ_OPENING, IDS[0], 3, indices),
         export_request(cco.MSG_PQ, IDS[1], 2, 5),
         # no aggregate material: unknown id
-        commitment_request(cco.MSG_LA, IDS[0], 1, BATCH.to_bytes(4, "big")),
+        commitment_request(cco.MSG_LA, IDS[0], 1),
         commitment_request(cco.MSG_HY, IDS[0], 1),
         # unknown id and epochs out of range
         commitment_request(cco.MSG_PQ, UNKNOWN_ID, 1),
@@ -142,18 +143,17 @@ def la_blobs(group):
     yield "la.commitment.read", la.LaCommitment.from_bytes(commitment.to_bytes()).to_bytes()
     signature = la.sign_batch(states[IDS[0]], MESSAGES[::-1])
     yield "la.signature.read", la.LaSignature.from_bytes(signature.to_bytes(), group).to_bytes()
-    size = BATCH.to_bytes(4, "big")
     yield from request_blobs("la", store, [
-        commitment_request(cco.MSG_LA, IDS[0], 1, size),
-        commitment_request(cco.MSG_LA, IDS[1], 8, size),
+        commitment_request(cco.MSG_LA, IDS[0], 1),
+        commitment_request(cco.MSG_LA, IDS[1], 8),
         export_request(cco.MSG_LA, IDS[0], 1, 8),
         # no forward-secure material: unknown id
         commitment_request(cco.MSG_PQ, IDS[0], 1),
         commitment_request(cco.MSG_HY, IDS[0], 1),
         export_request(cco.MSG_HY, IDS[0], 1, 2),
-        commitment_request(cco.MSG_LA, UNKNOWN_ID, 1, size),
-        commitment_request(cco.MSG_LA, IDS[0], 0, size),
-        commitment_request(cco.MSG_LA, IDS[0], 9, size),
+        commitment_request(cco.MSG_LA, UNKNOWN_ID, 1),
+        commitment_request(cco.MSG_LA, IDS[0], 0),
+        commitment_request(cco.MSG_LA, IDS[0], 9),
         export_request(cco.MSG_LA, IDS[0], 8, 9),
     ])
 
@@ -176,10 +176,9 @@ def hy_blobs(group):
     opening = commitment.open(indices, PQ_PARAMS)
     yield "hy.opening", opening.to_bytes()
     yield "hy.opening.read", hy.HyOpening.from_bytes(opening.to_bytes(), indices).to_bytes()
-    size = BATCH.to_bytes(4, "big")
     yield from request_blobs("hy", store, [
         commitment_request(cco.MSG_PQ, IDS[0], 2),
-        commitment_request(cco.MSG_LA, IDS[0], 2, size),
+        commitment_request(cco.MSG_LA, IDS[0], 2),
         commitment_request(cco.MSG_HY, IDS[0], 2),
         commitment_request(cco.MSG_HY, IDS[1], 8),
         opening_request(cco.MSG_PQ_OPENING, IDS[1], 3, indices),

@@ -44,7 +44,7 @@ class TestProvisioning:
     def test_two_signers_both_served(self):
         store, *_ = provisioned_store()
         for sid in (ID_A, ID_B):
-            assert len(store.pq_commitment(sid, 1).entries) == PQ_TOY.t
+            assert len(store.pq_commitment(sid, 1).body) == PQ_TOY.t * 32
             assert store.la_commitment(sid, 1).batch_size == 3
 
     def test_unknown_id(self):
@@ -122,13 +122,14 @@ class TestRequestHandling:
         response = self.request(cco.MSG_PQ, ID_A + (1).to_bytes(8, "big"))
         assert response[0] == 0x81 and response[1] == cco.STATUS_OK
         commitment = pq.PqCommitment.from_bytes(response[2:])
-        assert len(commitment.entries) == PQ_TOY.t
+        assert len(commitment.body) == PQ_TOY.t * 32
 
     def test_la_request_ok(self):
-        response = self.request(cco.MSG_LA, ID_A + (2).to_bytes(8, "big") + (3).to_bytes(4, "big"))
+        response = self.request(cco.MSG_LA, ID_A + (2).to_bytes(8, "big"))
         assert response[:2] == bytes((0x82, cco.STATUS_OK))
         commitment = la.LaCommitment.from_bytes(response[2:])
-        assert commitment.epoch == 2
+        # the registered batch size comes back in the commitment
+        assert (commitment.epoch, commitment.batch_size) == (2, 3)
 
     def test_hy_request_ok(self):
         response = self.request(cco.MSG_HY, ID_A + (1).to_bytes(8, "big"))
@@ -146,7 +147,7 @@ class TestRequestHandling:
 
     def test_malformed_lengths(self):
         assert self.request(cco.MSG_PQ, b"short")[1] == cco.STATUS_MALFORMED
-        assert self.request(cco.MSG_LA, ID_A + (1).to_bytes(8, "big"))[1] == cco.STATUS_MALFORMED
+        assert self.request(cco.MSG_LA, ID_A + (1).to_bytes(8, "big") + b"\x00")[1] == cco.STATUS_MALFORMED
         assert self.store.handle_request(b"")[1] == cco.STATUS_MALFORMED
 
     def test_unknown_type(self):
@@ -170,9 +171,10 @@ class TestRequestHandling:
             body = bytes((cco.MSG_PQ,)) + ID_A + lo.to_bytes(8, "big") + hi.to_bytes(8, "big")
             assert self.request(cco.MSG_EXPORT, body)[1] == cco.STATUS_EPOCH_RANGE
 
-    def test_la_batch_size_must_be_the_registered_one(self):
+    def test_la_request_with_a_batch_size_is_malformed(self):
+        # the old id16 epoch8 L4 layout, whatever its L, registered (3) or not
         counters.reset()
-        for size in (2, 4, 0, 2**32 - 1):  # registered: 3
+        for size in (3, 2, 4, 0, 2**32 - 1):
             body = ID_A + (1).to_bytes(8, "big") + size.to_bytes(4, "big")
             assert self.request(cco.MSG_LA, body) == bytes((0x82, cco.STATUS_MALFORMED))
         assert counters.total() == 0
@@ -193,11 +195,8 @@ class TestRequestHandling:
 
     def test_export_matches_single_requests_for_every_scheme(self):
         lo, hi = 4, 9
-        for scheme, extra in ((cco.MSG_LA, (3).to_bytes(4, "big")), (cco.MSG_HY, b"")):
-            singles = [
-                self.request(scheme, ID_A + e.to_bytes(8, "big") + extra)[2:]
-                for e in range(lo, hi + 1)
-            ]
+        for scheme in (cco.MSG_LA, cco.MSG_HY):
+            singles = [self.request(scheme, ID_A + e.to_bytes(8, "big"))[2:] for e in range(lo, hi + 1)]
             response = self.export(scheme, lo, hi)
             assert response[2:10] == (hi - lo + 1).to_bytes(8, "big")
             assert response[10:] == b"".join(singles)
@@ -406,7 +405,7 @@ class TestPipelinedClient:
             with cco.CcoClient("127.0.0.1", server.port) as client:
                 assert list(client.commitments(cco.MSG_PQ, keys)) == expected
                 la_keys = [(ID_A, e) for e in range(1, 17)]
-                la_blobs = list(client.commitments(cco.MSG_LA, la_keys, batch_size=3))
+                la_blobs = list(client.commitments(cco.MSG_LA, la_keys))
                 assert la_blobs == [store.la_commitment(ID_A, e).to_bytes()
                                     for e in range(1, 17)]
 
@@ -515,7 +514,7 @@ class TestResponseCache:
     def test_repeat_costs_no_hashes(self):
         store, *_ = provisioned_store(seed=40)
         for payload in (pq_payload(ID_A, 6), bytes((cco.MSG_HY,)) + ID_B + (9).to_bytes(8, "big"),
-                        bytes((cco.MSG_LA,)) + ID_A + (2).to_bytes(8, "big") + (3).to_bytes(4, "big")):
+                        bytes((cco.MSG_LA,)) + ID_A + (2).to_bytes(8, "big")):
             first = store.handle_request(payload)
             assert first[1] == cco.STATUS_OK
             counters.reset()
@@ -584,7 +583,7 @@ class TestResponseCache:
 
     def test_a_response_beyond_the_budget_is_not_kept(self, monkeypatch):
         store, *_ = provisioned_store(seed=49)
-        la_payload = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big") + (3).to_bytes(4, "big")
+        la_payload = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big")
         la_len = len(store.handle_request(la_payload))
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 2 * la_len)
         store, *_ = provisioned_store(seed=49)
@@ -614,10 +613,11 @@ class TestResponseCache:
 
     def test_malformed_and_range_refusals_are_not_cached(self):
         store, *_ = provisioned_store(seed=45)
-        wrong_l = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big") + (4).to_bytes(4, "big")
+        # k indices, so well formed by length, but one is not below t
+        bad_index = opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, [PQ_TOY.t] * PQ_TOY.k)
         out_of_range = pq_payload(ID_A, PQ_TOY.epochs + 1)
         for _ in range(2):
-            assert store.handle_request(wrong_l) == bytes((0x82, cco.STATUS_MALFORMED))
+            assert store.handle_request(bad_index) == bytes((0x85, cco.STATUS_MALFORMED))
             assert store.handle_request(out_of_range) == bytes((0x81, cco.STATUS_EPOCH_RANGE))
         stats = store.cache_stats()
         assert (stats.hits, stats.misses, stats.entries, stats.size) == (0, 4, 0, 0)
@@ -1147,8 +1147,9 @@ def request_payloads(draw):
     if kind == "single":
         msg_type = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]))
         body = signer_id + draw(_epochs).to_bytes(8, "big")
-        if msg_type == cco.MSG_LA:
-            body += draw(st.sampled_from([3, 0, 4]) | st.integers(0, 2**32 - 1)).to_bytes(4, "big")
+        # now and then the L(4) field an aggregate request once carried: malformed
+        if draw(st.integers(0, 3)) == 0:
+            body += draw(st.sampled_from([3, 0]) | st.integers(0, 2**32 - 1)).to_bytes(4, "big")
         return bytes((msg_type,)) + body
     scheme = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]) | st.integers(0, 255))
     lo, hi = draw(_epochs), draw(_epochs)

@@ -1,4 +1,5 @@
 import argparse
+import fcntl
 import os
 import re
 import signal
@@ -221,6 +222,20 @@ class TestSignVerifyOffline:
         assert reply[:2] == bytes((cco.MSG_EXPORT | cco.RESPONSE_BIT, cco.STATUS_OK))
         assert commits.read_bytes() == reply[2:]
 
+    def test_la_request_takes_no_batch_size(self, tmp_path, capsys):
+        out = keygen(tmp_path, "la", ["--L", "3"])
+        store = keyfiles.load_store(out / "cco.store")
+        capsys.readouterr()  # drop keygen chatter
+        argv = ["request", "--scheme", "la", "--id", ID_HEX_1, "--epoch", "1"]
+        with cco.CcoServer(store) as server:
+            argv += ["--cco", f"127.0.0.1:{server.port}"]
+            assert cli.main(argv) == 0
+            blob = bytes.fromhex(capsys.readouterr().out.strip())
+            with pytest.raises(SystemExit):  # the service knows L: there is no --L to give
+                cli.main(argv + ["--L", "3"])
+        assert len(blob) == la.COMMITMENT_LEN == 61
+        assert la.LaCommitment.from_bytes(blob).batch_size == 3
+
     def test_corrupted_signature_file_exits_1(self, tmp_path):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
         blob = bytearray(open(sigs, "rb").read())
@@ -259,6 +274,21 @@ class TestSignVerifyOffline:
         assert cli.main(["sign", "--key", str(key), "--in", second, "--out", str(tmp_path / "s2")]) == 0
         state = keyfiles.load_signer_key(key)
         assert state.epoch == 5  # four messages signed across two runs
+
+    def test_a_locked_key_file_is_not_signed_with(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key = out / f"signer_{ID_HEX_1}.key"
+        before = key.read_bytes()
+        argv = ["sign", "--key", str(key), "--in", write_csv(tmp_path, 2),
+                "--out", str(tmp_path / "sigs.bin")]
+        with open(f"{key}.lock", "ab") as held:  # another signer of this key
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert cli.main(argv) == 2
+        assert f"error: {key} is in use by another signer" in capsys.readouterr().err
+        assert key.read_bytes() == before
+        assert not (tmp_path / "sigs.bin").exists()
+        assert cli.main(argv) == 0  # released: the key signs again
+        assert keyfiles.load_signer_key(key).epoch == 3
 
     def test_partial_batch_exits_2(self, tmp_path):
         out = keygen(tmp_path, "la", ["--L", "4"])

@@ -309,7 +309,7 @@ class TestOpening:
         full = commitment_for(self.material, ID_A, 1)
         assert opening == full.open(indices, PQ_PROD)
         assert opening.la == full.la
-        assert opening.pq.entries == tuple(full.pq.entries[x] for x in indices)
+        assert opening.pq.entries == tuple(full.pq.body[32 * x : 32 * x + 32] for x in indices)
 
     def test_verify_accepts_the_opening_as_the_full_commitment(self):
         opening = hy.open_commitment(self.material, ID_A, 1, self.derived.indices)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hases import hy, keyfiles, la, pq, schemes
+from hases import cco, hy, keyfiles, la, pq, schemes
 from hases.group import production_group, small_test_group
 
 ID_A = bytes([0x3C]) * 16
@@ -25,6 +25,28 @@ def test_pq_signer_key_round_trip(tmp_path):
     assert bytes(loaded.seed) == bytes(state.seed)
     assert loaded.epoch == 2
     assert loaded.params == PQ_TOY
+
+
+def test_signer_key_save_is_atomic(tmp_path, monkeypatch):
+    states, _ = pq.keygen([ID_A], PQ_TOY, fixed_rng(3))
+    path = tmp_path / "signer.key"
+    keyfiles.save_signer_key(path, states[ID_A])
+    before = path.read_bytes()
+    pq.advance_key(states[ID_A])
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(keyfiles.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        keyfiles.save_signer_key(path, states[ID_A])
+    # the old key stays whole, and no temporary file is left beside it
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["signer.key"]
+    monkeypatch.undo()
+    keyfiles.save_signer_key(path, states[ID_A])
+    assert keyfiles.load_signer_key(path).epoch == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["signer.key"]
 
 
 def test_la_signer_key_round_trip(tmp_path):
@@ -141,3 +163,18 @@ def test_commitment_file_ragged_rejected(tmp_path):
     path.write_bytes((3).to_bytes(8, "big") + bytes(10))
     with pytest.raises(ValueError):
         keyfiles.load_commitments(path)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_store_with_the_wrong_anchor_count_rejected(tmp_path, count):
+    # PQ_TOY has j1 = 2, so one anchor per signer; with none, an epoch of
+    # the second segment would have no seed to walk from
+    _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(9))
+    store = cco.CcoStore()
+    store.provision(pq.PqKeyMaterial(material.msk, PQ_TOY, {ID_A: material.anchors[ID_A] * count}))
+    path = tmp_path / "cco.store"
+    keyfiles.save_store(path, store)
+    with pytest.raises(ValueError) as error:
+        keyfiles.load_store(path)
+    assert str(error.value).startswith(f"{path} is not a key store file: ")
+    assert f"{count} anchors" in str(error.value)

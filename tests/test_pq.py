@@ -18,6 +18,11 @@ def fixed_rng(seed: int):
     return lambda n: rng.randbytes(n)
 
 
+def entry(commitment: pq.PqCommitment, x: int) -> bytes:
+    """The entry at index x, sliced out of the commitment's body."""
+    return commitment.body[x * pq.DIGEST_LEN : (x + 1) * pq.DIGEST_LEN]
+
+
 def signer_commitment(state: pq.PqSignerState) -> pq.PqCommitment:
     """Commitment from the signer's own current key (test-side path)."""
     return pq.commitment_from_seed(bytes(state.seed), state.signer_id, state.epoch, state.params)
@@ -183,11 +188,11 @@ class TestCommitmentConstruction:
         states, material = pq.keygen([ID_A], TOY, fixed_rng(13))
         seed = bytes(states[ID_A].seed)
         commitment = pq.construct_commitment(material, ID_A, 1)
-        assert len(commitment.entries) == 8
+        assert len(commitment.body) == 8 * 32
         for position in range(8):
             label = (position + 1).to_bytes(8, "big")
             inner = hashlib.sha256(b"\x01" + seed + label).digest()
-            assert commitment.entries[position] == hashlib.sha256(b"\x02" + inner).digest()
+            assert entry(commitment, position) == hashlib.sha256(b"\x02" + inner).digest()
 
     def test_matches_signer_chain_walk_every_epoch(self):
         states, material = pq.keygen([ID_A], TOY, fixed_rng(14))
@@ -215,11 +220,11 @@ class TestCommitmentConstruction:
         epochs = sorted({1, params.epochs} | {e - d for e in boundaries for d in (0, 1)})
         for epoch in epochs:
             seed = iter_hash(1, sk1, epoch - 1)
-            reference = tuple(
+            reference = b"".join(
                 domain_hash(2, domain_hash(1, seed + label.to_bytes(8, "big")))
                 for label in range(1, params.t + 1)
             )
-            assert pq.construct_commitment(material, ID_A, epoch).entries == reference
+            assert pq.construct_commitment(material, ID_A, epoch).body == reference
 
     @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
     def test_exact_hash_count(self, params):
@@ -383,11 +388,11 @@ class TestOpening:
                 indices = tuple(positions[start : start + params.k])
                 opening = pq.open_commitment(material, ID_A, epoch, indices)
                 assert opening == full.open(indices, params)
-                assert opening.entries == tuple(full.entries[x] for x in indices)
+                assert opening.entries == tuple(entry(full, x) for x in indices)
                 assert (opening.signer_id, opening.epoch, opening.indices) == (ID_A, epoch, indices)
             repeated = (rng.randrange(params.t),) * params.k
             assert pq.open_commitment(material, ID_A, epoch, repeated).entries == (
-                full.entries[repeated[0]],) * params.k
+                entry(full, repeated[0]),) * params.k
 
     @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
     def test_exact_hash_count(self, params):
@@ -434,7 +439,7 @@ class TestOpening:
         tampered = pq.PqSignature(ID_A, 1, signature.parts[:-1] + (bytes(32),))
         assert not pq.verify(opening, message, tampered, PROD)
         # a commitment with the wrong entry count cannot be opened
-        short = pq.PqCommitment(ID_A, 1, full.entries[:-1])
+        short = pq.PqCommitment(ID_A, 1, full.body[: -pq.DIGEST_LEN])
         with pytest.raises(ValueError):
             short.open(indices, PROD)
         assert not pq.verify(short, message, signature, PROD)
