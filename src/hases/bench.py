@@ -99,6 +99,34 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
     return _row(report, "precompute_per_key", build, max(1, trials // 8))
 
 
+COMBINED_BATCHES = 16  # one verify chunk of one signer, as the benchmark's hy chunks
+
+
+def _measure_combined(report: BenchReport, group, messages, trials: int) -> None:
+    """The ``combined_check`` and ``combined_build`` rows over
+    ``COMBINED_BATCHES`` aggregate tags of ``messages`` by a fresh signer:
+    the verifier's side of a combined check (its seed, its weights and
+    one ``exp2``; each tag's challenge sum is derived before, as for
+    ``verify_batch``), and the store's ``0x08`` build of the same seed and
+    epochs."""
+    states, public, material = la.keygen([_BENCH_ID], group, COMBINED_BATCHES, len(messages))
+    batches = []
+    for epoch in range(1, COMBINED_BATCHES + 1):
+        signature = la.sign_batch(states[_BENCH_ID], messages)
+        batches.append((epoch, la.challenge_sum(messages, signature, group.q), signature.agg))
+    tables = la.KeyTables(public, group)
+    tables[_BENCH_ID]
+
+    def check(_):
+        seed = la.combination_seed(_BENCH_ID, batches)
+        return seed, la.combined_value(tables[_BENCH_ID], seed, batches, group)
+
+    seed, value = _row(report, "combined_check", check, trials)
+    epochs = [epoch for epoch, _, _ in batches]
+    assert value == _row(report, "combined_build", lambda _: la.combined_commitment(
+        material, _BENCH_ID, seed, epochs), trials)
+
+
 def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     if trials > params.epochs:
         raise ValueError("trial count exceeds the configured epoch count")
@@ -192,6 +220,8 @@ def bench_la(
         tables[_BENCH_ID], la.LaCommitment.from_bytes(blob), batch, signature, group
     ), trials)
 
+    _measure_combined(report, group, batch, trials)
+
     report.sizes["signature.payload_bytes"] = 64
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
     report.sizes["commitment.total_bytes"] = len(blob)
@@ -240,6 +270,9 @@ def bench_hy(
         tables[_BENCH_ID], hy.HyOpening.from_bytes(blob, indices), batch, signature,
         group, pq_params,
     ), trials)
+
+    # the aggregate layer of a hybrid tag signs the nested digests
+    _measure_combined(report, group, hy.nest(batch), trials)
 
     report.sizes["signature.payload_bytes"] = 64 + pq_params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())

@@ -17,6 +17,7 @@ Request types:
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
     0x05  opening, forward-secure        body: id(16) epoch(8) k x index(4)
     0x06  opening, hybrid                body: id(16) epoch(8) k x index(4)
+    0x08  combined nonce commitment      body: id(16) seed(32) n x epoch(8), 1 <= n <= 64
 
 Responses mirror the request type with bit 0x80 set; the body starts
 with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
@@ -44,18 +45,34 @@ of the epoch the store last derived for that signer.  A verifier's run
 of consecutive epochs so costs one step per further epoch, and no walk
 is ever more than j2 - 1 steps.
 
+A combined nonce commitment (0x08) lets a verifier check all of one
+aggregate or hybrid signer's batches in a chunk with one group
+operation (see ``hases.la``).  The OK body is the 32-byte encoding of
+alpha^(sum z_i * r_i): z_i is the first 16 bytes of
+H2(seed || encode_index(i)) for the epoch's position i = 1..n in the
+request, and r_i the nonce sum of epoch i at the registered batch size.
+Epochs may repeat; at most ``MAX_COMBINED_EPOCHS`` (64) keep the
+request at 561 bytes, inside the request frame.  An unknown id or any
+epoch outside [1, J] is refused before any work.  The store derives
+each distinct epoch's nonce sum (L + 1 hashes), the weights (n hashes)
+and one fixed-base exponentiation.  The reply reveals nothing new:
+alpha^r_i is the R that 0x02 serves for the same (id, epoch) to anyone,
+and the reply is a public product of those R's powers, which anyone
+could compute from them.  It goes through the response cache, so two
+verifiers of one chunk, who derive the same seed, share one build.
+
 A connection carries any number of requests, and a client may send
 several before reading the replies: the server answers them one at a
-time, in order.  ``CcoClient.commitments`` and ``CcoClient.openings``
-keep ``PIPELINE_WINDOW`` requests in flight this way.  Both ends turn
+time, in order.  ``CcoClient.ok_bodies`` keeps ``PIPELINE_WINDOW``
+requests of any mix of types in flight this way.  Both ends turn
 Nagle's algorithm off (TCP_NODELAY): the frames are small, and holding
 each one until the previous is acknowledged would stall the pipeline.
 The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
 longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
-Responses to the single-epoch request types (0x01-0x03, 0x05, 0x06) go
-through a response cache keyed by the whole request payload: a
+Responses to the single-epoch request types (0x01-0x03, 0x05, 0x06) and
+to 0x08 go through a response cache keyed by the whole request payload: a
 least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES`` in
 all, in front of a single-flight build, so a payload asked for again is
 answered without hashing, and one asked for by several connections at
@@ -87,7 +104,7 @@ import socket
 import socketserver
 import struct
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from functools import partial
 from itertools import islice
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -101,6 +118,8 @@ MSG_HY = schemes.HY.tag
 MSG_EXPORT = 0x04
 MSG_PQ_OPENING = schemes.PQ.opening_type
 MSG_HY_OPENING = schemes.HY.opening_type
+# 0x07 is kept free for a stats request
+MSG_LA_COMBINED = 0x08
 RESPONSE_BIT = 0x80
 
 STATUS_OK = 0x00
@@ -115,10 +134,14 @@ _EXPORT_RULE = "an export holds one or more entries, all of one nonzero size"
 # the most indices an opening request may carry: k <= 256 for any t >= 2,
 # since k * log2(t) bits must fit one digest
 MAX_OPENING_INDICES = 256
+# the most epochs a combined nonce commitment request may name
+MAX_COMBINED_EPOCHS = 64
+SEED_LEN = 32  # of a combined request's seed
 
 # The largest request frame the server reads: an opening request is at
-# most 1 + 24 + 4k = 1,049 bytes with k <= 256.  A longer length prefix
-# is answered as malformed before its body is read.
+# most 1 + 24 + 4k = 1,049 bytes with k <= 256, a combined request
+# 1 + 48 + 8 * 64 = 561.  A longer length prefix is answered as malformed
+# before its body is read.
 MAX_REQUEST_FRAME = 2048
 
 # Requests a client keeps in flight on one connection.  This cannot
@@ -339,6 +362,9 @@ class CcoStore:
         material = hy.HyKeyMaterial(self.la_material(), self.pq_material())
         return hy.open_commitment(material, signer_id, epoch, indices, self._cursor)
 
+    def la_combined(self, signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
+        return la.combined_commitment(self.la_material(), signer_id, seed, epochs)
+
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
         """Commitments of the scheme with this tag for every epoch in
         [epoch_from, epoch_to], in order.
@@ -410,7 +436,7 @@ class _Request(NamedTuple):
     """How the service takes one request type."""
 
     well_formed: Callable[[int], bool]  # whether a body can have this length
-    cached: bool  # single-epoch: its OK responses go through the response cache
+    cached: bool  # its OK responses go through the response cache
     build: Callable[[CcoStore, bytes], bytes]  # body -> what follows OK; raises for the rest
 
 
@@ -426,6 +452,17 @@ def _opening_len(body_len: int) -> bool:
 
 def _opening_indices(body: bytes) -> tuple[int, ...]:
     return struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
+
+
+def _combined_len(body_len: int) -> bool:
+    count, rest = divmod(body_len - 16 - SEED_LEN, 8)
+    return not rest and 1 <= count <= MAX_COMBINED_EPOCHS
+
+
+def _combined_response(store: CcoStore, body: bytes) -> bytes:
+    head = 16 + SEED_LEN
+    epochs = struct.unpack(f">{(len(body) - head) // 8}Q", body[head:])
+    return store.la_combined(body[:16], body[16:head], epochs)
 
 
 def _commitment(method: str) -> _Request:
@@ -472,6 +509,7 @@ _REQUESTS = {
         *_key(body), _opening_indices(body)).to_bytes()),
     MSG_HY_OPENING: _Request(_opening_len, True, lambda store, body: store.hy_opening(
         *_key(body), _opening_indices(body)).to_bytes()),
+    MSG_LA_COMBINED: _Request(_combined_len, True, _combined_response),
 }
 
 
@@ -671,26 +709,23 @@ class CcoClient:
 
     def commitments(self, msg_type: int, keys: Iterable[tuple[bytes, int]]) -> Iterator[bytes | None]:
         """Serialized commitment for each (id, epoch) key, in order, or
-        None where the service answers with a non-OK status; up to
-        ``PIPELINE_WINDOW`` requests are in flight at a time."""
-        payloads = (bytes((msg_type,)) + _key_bytes(*key) for key in keys)
-        return self._ok_bodies(msg_type, payloads)
+        None where the service answers with a non-OK status; pipelined
+        as ``ok_bodies``."""
+        return self.ok_bodies(commitment_payload(msg_type, *key) for key in keys)
 
-    def openings(
-        self, msg_type: int, keys: Iterable[tuple[bytes, int]], indices: Iterable[Sequence[int]]
-    ) -> Iterator[bytes | None]:
-        """Serialized opening (``MSG_PQ_OPENING`` or ``MSG_HY_OPENING``)
-        of each (id, epoch) key at the matching indices, in order, or
-        None for a non-OK status; pipelined as ``commitments``."""
-        payloads = (
-            bytes((msg_type,)) + _key_bytes(*key) + struct.pack(f">{len(opened)}I", *opened)
-            for key, opened in zip(keys, indices)
-        )
-        return self._ok_bodies(msg_type, payloads)
+    def ok_bodies(self, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
+        """The body after the OK status of each payload's response, in
+        order, or None for any other status; payloads of any mix of
+        types, up to ``PIPELINE_WINDOW`` in flight at a time."""
+        sent: deque[int] = deque()
 
-    def _ok_bodies(self, msg_type: int, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
-        for response in self._exchange(payloads):
-            status, rest = _split_response(msg_type, response)
+        def typed():
+            for payload in payloads:
+                sent.append(payload[0])
+                yield payload
+
+        for response in self._exchange(typed()):
+            status, rest = _split_response(sent.popleft(), response)
             yield rest if status == STATUS_OK else None
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
@@ -706,6 +741,21 @@ class CcoClient:
 def _key_bytes(signer_id: bytes, epoch: int) -> bytes:
     """The id(16) epoch(8) that ``_key`` reads back."""
     return signer_id + epoch.to_bytes(8, "big")
+
+
+def commitment_payload(msg_type: int, signer_id: bytes, epoch: int) -> bytes:
+    """A single-epoch commitment request (0x01-0x03)."""
+    return bytes((msg_type,)) + _key_bytes(signer_id, epoch)
+
+
+def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
+    """An opening request (``MSG_PQ_OPENING`` or ``MSG_HY_OPENING``)."""
+    return commitment_payload(msg_type, signer_id, epoch) + struct.pack(f">{len(indices)}I", *indices)
+
+
+def combined_payload(signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
+    """A combined nonce commitment request (``MSG_LA_COMBINED``)."""
+    return bytes((MSG_LA_COMBINED,)) + signer_id + seed + struct.pack(f">{len(epochs)}Q", *epochs)
 
 
 def _split_response(msg_type: int, response: bytes) -> tuple[int, bytes]:

@@ -13,6 +13,7 @@ import argparse
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -83,17 +84,17 @@ def cmd_keygen(args) -> int:
     store.provision(material)
     bundle = keyfiles.VerifierBundle(scheme.tag, pq_params, la_params, public)
 
-    files: dict[Path, bytes] = {}
-    for sid, state in states.items():
-        files[out / f"signer_{sid.hex()}.key"] = keyfiles.signer_key_bytes(state)
-    files[out / "cco.store"] = keyfiles.store_bytes(store)
-    files[out / "verifier.pub"] = bundle.to_bytes()
+    secret_files = {out / f"signer_{sid.hex()}.key": keyfiles.signer_key_bytes(state)
+                    for sid, state in states.items()}
+    secret_files[out / "cco.store"] = keyfiles.store_bytes(store)
+    public_blob = bundle.to_bytes()
 
     # everything validated; only now touch the filesystem
     out.mkdir(parents=True, exist_ok=True)
-    for path, blob in files.items():
-        path.write_bytes(blob)
-    print(f"wrote {len(files)} files to {out}")
+    for path, blob in secret_files.items():
+        keyfiles.write_secret(path, blob)
+    (out / "verifier.pub").write_bytes(public_blob)
+    print(f"wrote {len(secret_files) + 1} files to {out}")
     return EXIT_OK
 
 
@@ -153,22 +154,89 @@ class _CommitmentSource:
             self.client.close()
 
     def openings(self, keys: list[tuple[bytes, int]], derived: list) -> Iterator[object | None]:
-        """For each (id, epoch) key and its unit's ``derive``, the commitment
-        opened at the unit's indices (la: the whole commitment), in order,
-        or None where there is none or it does not parse.  The service opens
-        it; an offline export's full commitment is opened here, alike."""
+        """Offline: for each (id, epoch) key and its unit's ``derive``, the
+        export's commitment opened at the unit's indices (la: the whole
+        commitment), in order, or None where there is none or it does not
+        parse."""
         scheme, bundle = self.scheme, self.bundle
-        if self.client is None:
-            blobs = (self.offline.get(key) for key in keys)
-            parse = scheme.open_full
-        else:
-            blobs = scheme.fetch(self.client, keys, derived, bundle)
-            parse = scheme.parse_opening
-        for blob, unit_derived in zip(blobs, derived):
+        for key, unit_derived in zip(keys, derived):
+            blob = self.offline.get(key)
             try:
-                yield None if blob is None else parse(blob, unit_derived, bundle)
+                yield None if blob is None else scheme.open_full(blob, unit_derived, bundle)
             except ValueError:
                 yield None  # a malformed commitment is a cryptographic reject
+
+    def layer_parts(self, layers: list[schemes.Layers], tables) -> Iterator[tuple]:
+        """Online: (position, aggregate commitment, pq opening) for each
+        unit's ``Layers``, as its parts arrive: ``_PROVEN`` for an
+        aggregate layer a combined check passed, None for a layer the
+        unit lacks or the service refused.
+
+        One pipelined stream first asks for a combined nonce commitment
+        per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then for
+        every pq opening; a unit is yielded as its opening arrives, so its
+        check overlaps the service's next builds.  Only the aggregate
+        layers no combined check passed are asked for again, each on its
+        own (``0x02``), and yielded last."""
+        client, group = self.client, self.bundle.la_params and self.bundle.la_params.group
+        combined = _combinations(layers, self.bundle) if group and la.combinable(group) else []
+        payloads = [cco.combined_payload(sid, seed, [b[0] for b in batches])
+                    for sid, seed, _, batches in combined]
+        payloads += [cco.opening_payload(cco.MSG_PQ_OPENING, sig.signer_id, sig.epoch, indices)
+                     for _, sig, indices in (unit.pq for unit in layers if unit.pq)]
+        replies = client.ok_bodies(payloads)
+        proven = set()
+        for (sid, seed, positions, batches), reply in zip(combined, replies):
+            try:
+                if reply == la.combined_value(tables[sid], seed, batches, group):
+                    proven.update(positions)
+            except ValueError:
+                pass  # a key outside the subgroup: each unit is rejected alone
+        alone = []
+        for n, unit in enumerate(layers):
+            opening = _parsed(pq.PqOpening.from_bytes, next(replies), unit.pq[2]) if unit.pq else None
+            if unit.la and n not in proven:
+                alone.append((n, opening))
+            else:
+                yield n, _PROVEN if unit.la else None, opening
+        keys = [(layers[n].la[1].signer_id, layers[n].la[1].epoch) for n, _ in alone]
+        for (n, opening), blob in zip(alone, client.commitments(cco.MSG_LA, keys)):
+            yield n, _parsed(la.LaCommitment.from_bytes, blob), opening
+
+
+# an aggregate layer that a combined check has passed
+_PROVEN = object()
+
+
+def _parsed(parse, blob, *args):
+    """``parse(blob, *args)``, or None if blob is None or does not parse
+    (a malformed commitment is a cryptographic reject)."""
+    try:
+        return None if blob is None else parse(blob, *args)
+    except ValueError:
+        return None
+
+
+def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:
+    """(id, seed, unit positions, (epoch, challenge sum, response sum) per
+    unit) of each combined check: a signer's units in order, at most
+    ``cco.MAX_COMBINED_EPOCHS`` per check.  A unit of the wrong length or
+    outside [1, J] is left out, to be checked alone."""
+    params = bundle.la_params
+    by_signer: dict[bytes, list[int]] = {}
+    for n, unit in enumerate(layers):
+        messages, signature, _ = unit.la
+        if len(messages) == params.batch_size and 1 <= signature.epoch <= params.max_batches:
+            by_signer.setdefault(signature.signer_id, []).append(n)
+    combined = []
+    for signer_id, units in by_signer.items():
+        for start in range(0, len(units), cco.MAX_COMBINED_EPOCHS):
+            positions = units[start : start + cco.MAX_COMBINED_EPOCHS]
+            batches = [(layers[n].la[1].epoch, layers[n].la[2], layers[n].la[1].agg)
+                       for n in positions]
+            combined.append((signer_id, la.combination_seed(signer_id, batches), positions,
+                             batches))
+    return combined
 
 
 def cmd_verify(args) -> int:
@@ -202,22 +270,45 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
     # signer outside the bundle is rejected without a request
     signatures = [_parse_signature(scheme, bundle, blob) for blob in blobs]
     units = [n for n, signature in enumerate(signatures) if signature is not None]
-    keys = [(signatures[n].signer_id, signatures[n].epoch) for n in units]
     # what each check derives before its commitment is needed, computed once
     derived = [scheme.derive(messages[n], signatures[n], bundle) for n in units]
     # per-key tables live for this run only: see hases.group
     tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
+    if source.client is None:
+        keys = [(signatures[n].signer_id, signatures[n].epoch) for n in units]
+        checks = (
+            (n, None if opening is None else partial(
+                scheme.verify, messages[n], signatures[n], opening, unit_derived, bundle, tables))
+            for n, unit_derived, opening in zip(units, derived, source.openings(keys, derived)))
+    else:
+        layers = [scheme.layers(messages[n], signatures[n], unit_derived, bundle)
+                  for n, unit_derived in zip(units, derived)]
+        checks = ((units[i], partial(_layers_valid, layers[i], la_part, opening, bundle, tables))
+                  for i, la_part, opening in source.layer_parts(layers, tables))
     results = [False] * len(blobs)
-    for n, unit_derived, opening in zip(units, derived, source.openings(keys, derived)):
-        if opening is None:
-            continue
+    for n, check in checks:
         try:
-            results[n] = scheme.verify(
-                messages[n], signatures[n], opening, unit_derived, bundle, tables
-            )
+            results[n] = check is not None and check()
         except ValueError:
             pass  # a key outside the subgroup is a cryptographic reject
     return results
+
+
+def _layers_valid(unit: schemes.Layers, la_commitment, opening, bundle, tables) -> bool:
+    """Whether each layer of ``unit`` checks out against its part from
+    ``_CommitmentSource.layer_parts``."""
+    if unit.la and la_commitment is not _PROVEN:
+        messages, signature, challenge = unit.la
+        if la_commitment is None or not la.verify_batch(
+            tables[signature.signer_id], la_commitment, messages, signature,
+            bundle.la_params.group, challenge,
+        ):
+            return False
+    if unit.pq:
+        message, signature, indices = unit.pq
+        return opening is not None and pq.verify(
+            opening, message, signature, bundle.pq_params, indices)
+    return True
 
 
 def _parse_signature(scheme, bundle, blob):

@@ -38,9 +38,17 @@ accumulator, at most 128 additions and one field inversion, where a
 variable-base Y^e alone takes about 380 additions and doublings.
 Building a table and checking [q]Y with it costs about 570 curve
 operations (3.7-6 ms on a 2 vCPU host, Python 3.11, the key's decode
-included) and saves about 2-3.5 ms per check, so it breaks even at about
-the second batch of a key; a run with one batch per key pays about 2-3
-ms more per key.  Tables belong to the caller of one verification run,
+included).  An online verifier now makes one ``exp2`` per signer per
+chunk (a combined check, see ``hases.la``), so the table was timed
+against the table-free product it would replace: ``decode_element``
+with its subgroup check, a variable-base Y^e, a fixed-base g^s and one
+``mul``.  Over 40 in-process alternating pairs on that host, precompute
+plus ``exp2`` took 6.51 ms (quartiles 6.33-6.62) and the table-free
+product 6.43 ms (6.20-6.51), a ratio of 0.985 (0.96-1.01): no
+difference.  Every further check of the same key (an offline run, or
+the per-batch fallback when a combined check fails) costs about 1 ms
+with the table and about 3 ms without, so the table is the only path.
+Tables belong to the caller of one verification run,
 which builds each lazily on a key's first batch and drops them with the
 run; nothing here caches per-key tables.  ``ModPGroup`` has the trivial
 version: its table is the base itself.

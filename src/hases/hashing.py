@@ -22,7 +22,9 @@ H0(public_seed || l) and H1(nonce_seed || l) for its L items, and the
 key store images H2(H1(seed || label)) for up to t labels.
 ``prefixed_hashes`` and ``prefixed_scalars`` hash ``byte(domain) ||
 head`` once and copy that state for each tail; ``images_match`` checks
-H2(preimage) == image pairwise and stops at the first mismatch.  Each
+H2(preimage) == image pairwise and stops at the first mismatch;
+``combination_weights`` cuts the 128-bit weights of a combined check
+from H2(seed || i), one position i at a time.  Each
 returns exactly what the ``domain_hash``/``hash_to_scalar`` composition
 returns, and adds the calls that composition would make to its domain's
 counter in one step per call (a retried scalar and a check that stops
@@ -46,6 +48,7 @@ from typing import Iterable, Sequence
 DIGEST_LEN = 32
 ID_LEN = 16
 HEADER_LEN = 1 + ID_LEN + 8  # tag || id || epoch
+WEIGHT_LEN = 16  # bytes of a combined check's weight: 128 bits
 
 #: hash domains
 DOM_MESSAGE = 0
@@ -219,6 +222,14 @@ def opened_images(seed: bytes, indices: Sequence[int], t: int) -> list[bytes]:
 
 def _images(seed: bytes, labels: Sequence[bytes]) -> list[bytes]:
     return prefixed_hashes(DOM_COMMIT, b"", prefixed_hashes(DOM_CHAIN, seed, labels))
+
+
+def combination_weights(seed: bytes, count: int) -> list[int]:
+    """The weights z_1..z_count of a combined check (``hases.la``): z_i is
+    the first ``WEIGHT_LEN`` bytes of H2(seed || encode_index(i)), read
+    big-endian.  One counted call per weight, from one hashed prefix."""
+    return [int.from_bytes(digest[:WEIGHT_LEN], "big")
+            for digest in prefixed_hashes(DOM_COMMIT, seed, label_table(count))]
 
 
 def encode_index(value: int) -> bytes:

@@ -269,8 +269,8 @@ def verify_batch(
     for ``la.verify_batch``.  ``commitment`` is the full hybrid
     commitment or its opening at the indices the signature opens, as
     ``pq.verify`` takes either.  ``derived`` is ``opened(messages,
-    signature, pq_params)`` when the caller has it already, as an online
-    verifier does to ask for the opening; it is trusted to be.
+    signature, pq_params)`` when the caller has it already, as the CLI
+    does; it is trusted to be.
     """
     if (
         signature.la.signer_id != commitment.la.signer_id

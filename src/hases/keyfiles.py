@@ -41,10 +41,14 @@ def signer_key_from_bytes(data: bytes):
 
 
 def save_signer_key(path: str | Path, state) -> None:
-    """Replace the key file atomically: a crash leaves the old key or the
-    new one, never a torn file that only an older copy could replace."""
+    write_secret(path, signer_key_bytes(state))
+
+
+def write_secret(path: str | Path, blob: bytes) -> None:
+    """Write a key file or a store file atomically, readable by its owner
+    only (mode 0600, whatever the umask): a crash leaves the old file or
+    the new one, never a torn file that only an older copy could replace."""
     path = Path(path)
-    blob = signer_key_bytes(state)
     fd, temporary = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -219,7 +223,7 @@ def store_from_bytes(data: bytes) -> CcoStore:
 
 
 def save_store(path: str | Path, store) -> None:
-    Path(path).write_bytes(store_bytes(store))
+    write_secret(path, store_bytes(store))
 
 
 def load_store(path: str | Path):

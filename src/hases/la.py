@@ -30,6 +30,23 @@ counter, and batch always produce byte-identical tags.
 
 Truncation resistance is structural: verification is defined only over
 the full batch, and any proper prefix changes the challenge sum.
+
+Combined check.  An online verifier checks all of one signer's batches
+in a chunk with one group operation (small-exponent batch verification:
+Bellare, Garay and Rabin, EUROCRYPT 1998; 128-bit weights as in
+Bernstein et al., CHES 2011).  It hashes the id and each batch's
+(epoch, challenge sum e_i, response sum s_i) into a seed c, and the
+weights are z_i = ``hashing.combination_weights(c, n)``, one per
+position i, not per epoch.  The key store answers with the encoding of
+alpha^(sum z_i * r_i), r_i the nonce sum of batch i's epoch
+(``combined_commitment``), and the verifier compares it with that of
+Y^(sum z_i * e_i) * alpha^(sum z_i * s_i) (``combined_value``).  With
+eps_i = s_i + y * e_i - r_i, the two agree iff sum z_i * eps_i = 0
+mod q: every batch valid, or a seed whose weights cancel the errors,
+about 2^-128 per seed tried when q exceeds the weights
+(``combinable``).  Both sides stay in the prime-order subgroup, so no R
+is ever decoded.  A mismatch says only that some batch is bad; the
+verifier then checks each one against its own commitment.
 """
 
 from __future__ import annotations
@@ -46,7 +63,9 @@ from .hashing import (
     DOM_COMMIT,
     DOM_MESSAGE,
     HEADER_LEN,
+    WEIGHT_LEN,
     check_signer_ids,
+    combination_weights,
     domain_hash,
     encode_header,
     encode_index,
@@ -211,11 +230,14 @@ def aggregate(parts: Sequence[int], q: int) -> int:
     return total
 
 
-def _epoch_seeds(key: int, epoch: int) -> tuple[bytes, bytes]:
-    key_bytes = encode_scalar(key)
-    public_seed = domain_hash(DOM_MESSAGE, key_bytes + encode_index(epoch))
-    nonce_seed = domain_hash(DOM_CHAIN, key_bytes + encode_index(epoch))
-    return public_seed, nonce_seed
+def _epoch_seed(domain: int, key: int, epoch: int) -> bytes:
+    """The public seed (``DOM_MESSAGE``) or nonce seed (``DOM_CHAIN``) of an epoch."""
+    return domain_hash(domain, encode_scalar(key) + encode_index(epoch))
+
+
+def _nonce_sum(key: int, epoch: int, batch_size: int, q: int) -> int:
+    """r_j, the sum of an epoch's item nonces: L + 1 hashes."""
+    return sum(_item_nonces(_epoch_seed(DOM_CHAIN, key, epoch), batch_size, q)) % q
 
 
 def _item_seeds(public_seed: bytes, count: int) -> list[bytes]:
@@ -240,8 +262,8 @@ def sign_batch(state: LaSignerState, messages: Sequence[bytes]) -> LaSignature:
         raise ValueError(f"batch must contain exactly {params.batch_size} messages")
     q, key = params.group.q, state.key
     # the hash states of the nonce seed live in this call only
-    public_seed, nonce_seed = _epoch_seeds(key, state.epoch)
-    nonces = _item_nonces(nonce_seed, len(messages), q)
+    public_seed = _epoch_seed(DOM_MESSAGE, key, state.epoch)
+    nonces = _item_nonces(_epoch_seed(DOM_CHAIN, key, state.epoch), len(messages), q)
     challenges = _item_challenges(messages, _item_seeds(public_seed, len(messages)), q)
     responses = [(nonce - challenge * key) % q for nonce, challenge in zip(nonces, challenges)]
     signature = LaSignature(state.signer_id, state.epoch, aggregate(responses, q), public_seed)
@@ -256,11 +278,12 @@ def commitment_from_key(
     batch_size: int,
     group: PrimeOrderGroup,
 ) -> LaCommitment:
-    """Aggregate nonce commitment derived straight from the private scalar."""
+    """Aggregate nonce commitment derived straight from the private scalar:
+    L + 1 hashes (the nonce seed, then one per item) and one fixed-base
+    exponentiation."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
-    _, nonce_seed = _epoch_seeds(key, epoch)
-    total = sum(_item_nonces(nonce_seed, batch_size, group.q)) % group.q
+    total = _nonce_sum(key, epoch, batch_size, group.q)
     r_bytes = group.encode_element(group.exp(group.generator, total))
     return LaCommitment(signer_id, epoch, batch_size, r_bytes)
 
@@ -277,17 +300,71 @@ def construct_commitments(
     at the registered batch size.  The id and the whole range are
     checked before any work; the private scalar is derived once."""
     params = material.params
-    if signer_id not in material.signer_ids:
-        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= epoch_from <= epoch_to <= params.max_batches:
-        raise EpochOutOfRange(
-            f"epochs [{epoch_from}, {epoch_to}] outside [1, {params.max_batches}]"
-        )
-    key = private_scalar(material.msk, signer_id, params.group)
+    key = _checked_key(material, signer_id, epoch_from, epoch_to)
     return [
         commitment_from_key(key, signer_id, epoch, params.batch_size, params.group)
         for epoch in range(epoch_from, epoch_to + 1)
     ]
+
+
+def _checked_key(material: LaKeyMaterial, signer_id: bytes, low: int, high: int) -> int:
+    """The signer's private scalar, once the id and the epochs [low, high]
+    are checked: ``UnknownSigner`` or ``EpochOutOfRange`` before any work."""
+    params = material.params
+    if signer_id not in material.signer_ids:
+        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
+    if not 1 <= low <= high <= params.max_batches:
+        raise EpochOutOfRange(f"epochs [{low}, {high}] outside [1, {params.max_batches}]")
+    return private_scalar(material.msk, signer_id, params.group)
+
+
+def combined_commitment(
+    material: LaKeyMaterial, signer_id: bytes, seed: bytes, epochs: Sequence[int]
+) -> bytes:
+    """The encoding of alpha^(sum z_i * r_i) for the weights z_i of
+    ``seed``, r_i the nonce sum of ``epochs[i]`` at the registered batch
+    size.  Epochs may repeat; each distinct one costs L + 1 hashes, the
+    weights one each, the private scalar one, and the whole one
+    fixed-base exponentiation.  The id and every epoch are checked first."""
+    if not epochs:
+        raise ValueError("a combination needs at least one epoch")
+    params = material.params
+    group, q = params.group, params.group.q
+    key = _checked_key(material, signer_id, min(epochs), max(epochs))
+    sums = {epoch: _nonce_sum(key, epoch, params.batch_size, q) for epoch in dict.fromkeys(epochs)}
+    weights = combination_weights(seed, len(epochs))
+    total = sum(z * sums[epoch] for z, epoch in zip(weights, epochs)) % q
+    return group.encode_element(group.exp(group.generator, total))
+
+
+def combinable(group: PrimeOrderGroup) -> bool:
+    """Whether a combined check is sound in ``group``: only when q exceeds
+    every weight, so that no weight vanishes mod q and a bad batch slips
+    through with probability about 2^-128, not about 1/q."""
+    return group.q >> (8 * WEIGHT_LEN) > 0
+
+
+def combination_seed(signer_id: bytes, batches: Sequence[tuple[int, int, int]]) -> bytes:
+    """The seed c of a combined check: one hash of the id and each
+    batch's (epoch, challenge sum, response sum), in order."""
+    parts = [signer_id]
+    for epoch, challenge, agg in batches:
+        parts += (encode_index(epoch), encode_scalar(challenge), encode_scalar(agg))
+    return domain_hash(DOM_COMMIT, b"".join(parts))
+
+
+def combined_value(
+    key_table, seed: bytes, batches: Sequence[tuple[int, int, int]], group: PrimeOrderGroup
+) -> bytes:
+    """The encoding of Y^(sum z_i * e_i) * alpha^(sum z_i * s_i) for the
+    (epoch, challenge sum e_i, response sum s_i) of each batch and the
+    weights of ``seed``: one ``exp2``.  It equals ``combined_commitment``
+    of the same seed and epochs when every batch is valid."""
+    q = group.q
+    weights = combination_weights(seed, len(batches))
+    challenge = sum(z * e for z, (_, e, _) in zip(weights, batches)) % q
+    agg = sum(z * s for z, (_, _, s) in zip(weights, batches)) % q
+    return group.encode_element(group.exp2(key_table, challenge, agg))
 
 
 class KeyTables(dict):
@@ -318,18 +395,26 @@ class KeyTables(dict):
         raise ValueError(reason)
 
 
+def challenge_sum(messages: Sequence[bytes], signature: LaSignature, q: int) -> int:
+    """The sum of the batch's challenges under the tag's public seed: 2L hashes."""
+    return sum(_item_challenges(messages, _item_seeds(signature.seed, len(messages)), q)) % q
+
+
 def verify_batch(
     key_table,
     commitment: LaCommitment,
     messages: Sequence[bytes],
     signature: LaSignature,
     group: PrimeOrderGroup,
+    challenge: int | None = None,
 ) -> bool:
     """Check R == Y^(sum e) * alpha^(sum s) over the full batch.
 
     ``key_table`` is ``group.precompute`` of the signer's encoded public
-    key Y (see ``KeyTables``).  Structural mismatches (identity/epoch
-    disagreement, wrong batch length) reject before any group work.
+    key Y (see ``KeyTables``).  ``challenge`` is ``challenge_sum(messages,
+    signature, group.q)`` when the caller has it already; it is trusted to
+    be.  Structural mismatches (identity/epoch disagreement, wrong batch
+    length) reject before any group work.
 
     The check compares R's encoding with that of Y^(sum e) * alpha^(sum s),
     so R is never decoded.  Canonical encodings are equal only for equal
@@ -342,7 +427,7 @@ def verify_batch(
         return False
     if not 0 <= signature.agg < group.q:
         return False
-    item_seeds = _item_seeds(signature.seed, len(messages))
-    challenge_sum = sum(_item_challenges(messages, item_seeds, group.q)) % group.q
-    expected = group.exp2(key_table, challenge_sum, signature.agg)
+    if challenge is None:
+        challenge = challenge_sum(messages, signature, group.q)
+    expected = group.exp2(key_table, challenge, signature.agg)
     return commitment.r_bytes == group.encode_element(expected)

@@ -20,6 +20,14 @@ from typing import Callable, NamedTuple
 from . import hy, la, pq, stream
 
 
+class Layers(NamedTuple):
+    """One signed unit's checks, layer by layer, as an online verifier runs
+    them: each is None where the scheme has no such layer."""
+
+    la: tuple | None  # (messages, la.LaSignature, challenge sum) of the aggregate layer
+    pq: tuple | None  # (message, pq.PqSignature, indices) of the forward-secure layer
+
+
 class Scheme(NamedTuple):
     tag: int  # of signatures, key files and bundles; its commitment request type
     commitment_tag: int  # first byte of its serialized commitments
@@ -36,10 +44,16 @@ class Scheme(NamedTuple):
     units: Callable  # (records, bundle) -> the message of each signed unit
     parse_signature: Callable  # (blob, bundle) -> signature; ValueError if malformed
     derive: Callable  # (message, signature, bundle) -> what ``verify`` needs first
-    fetch: Callable  # (client, keys, derived, bundle) -> the service's reply to each unit
-    open_full: Callable  # (commitment blob, derived, bundle) -> what ``verify`` checks
-    parse_opening: Callable  # (the service's reply, derived, bundle) -> the same
+    open_full: Callable  # (offline commitment blob, derived, bundle) -> what ``verify`` checks
     verify: Callable  # (message, signature, opening, derived, bundle, key tables) -> bool
+    # online, each layer is checked on its own: the aggregate one through a
+    # combined check, the forward-secure one against an opening
+    layers: Callable  # (message, signature, derived, bundle) -> Layers
+
+
+def _la_layer(messages, signature, bundle) -> tuple:
+    """``Layers.la`` of an aggregate tag over ``messages``."""
+    return messages, signature, la.challenge_sum(messages, signature, bundle.la_params.group.q)
 
 
 def _pq_keygen(ids, pq_params, la_params):
@@ -62,12 +76,11 @@ PQ = Scheme(
     units=lambda records, bundle: [r.payload for r in records],
     parse_signature=lambda blob, bundle: pq.PqSignature.from_bytes(blob),
     derive=lambda message, signature, bundle: pq.message_indices(message, bundle.pq_params),
-    fetch=lambda client, keys, derived, bundle: client.openings(PQ.opening_type, keys, derived),
     open_full=lambda blob, derived, bundle: (
         pq.PqCommitment.from_bytes(blob).open(derived, bundle.pq_params)),
-    parse_opening=lambda blob, derived, bundle: pq.PqOpening.from_bytes(blob, derived),
     verify=lambda message, signature, opening, derived, bundle, tables: pq.verify(
         opening, message, signature, bundle.pq_params, derived),
+    layers=lambda message, signature, derived, bundle: Layers(None, (message, signature, derived)),
 )
 
 LA = Scheme(
@@ -88,11 +101,11 @@ LA = Scheme(
     units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: la.LaSignature.from_bytes(blob, bundle.la_params.group),
     derive=lambda message, signature, bundle: None,
-    fetch=lambda client, keys, derived, bundle: client.commitments(LA.tag, keys),  # used whole
     open_full=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
-    parse_opening=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
     verify=lambda message, signature, opening, derived, bundle, tables: la.verify_batch(
         tables[signature.signer_id], opening, message, signature, bundle.la_params.group),
+    layers=lambda message, signature, derived, bundle: Layers(
+        _la_layer(message, signature, bundle), None),
 )
 
 HY = Scheme(
@@ -113,14 +126,15 @@ HY = Scheme(
     units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: hy.HySignature.from_bytes(blob, bundle.la_params.group),
     derive=lambda message, signature, bundle: hy.opened(message, signature, bundle.pq_params),
-    fetch=lambda client, keys, derived, bundle: (
-        client.openings(HY.opening_type, keys, [d.indices for d in derived])),
     open_full=lambda blob, derived, bundle: (
         hy.HyCommitment.from_bytes(blob).open(derived.indices, bundle.pq_params)),
-    parse_opening=lambda blob, derived, bundle: hy.HyOpening.from_bytes(blob, derived.indices),
     verify=lambda message, signature, opening, derived, bundle, tables: hy.verify_batch(
         tables[signature.signer_id], opening, message, signature, bundle.la_params.group,
         bundle.pq_params, derived),
+    # the two layers of ``hy.verify_batch``, each on its own
+    layers=lambda message, signature, derived, bundle: Layers(
+        _la_layer(derived.nested, signature.la, bundle),
+        (hy.inner_message(signature.la.agg, derived.nested[-1]), signature.pq, derived.indices)),
 )
 
 BY_TAG = {scheme.tag: scheme for scheme in (PQ, LA, HY)}

@@ -38,6 +38,9 @@ def test_la_report_on_tiny_group():
     # the verifier's per-key table is its own row, ahead of the checks it serves
     names = [op.name for op in report.ops]
     assert names.index("precompute_per_key") == names.index("verify_batch") - 1
+    # a combined check over 16 batches: its seed and 16 weights
+    assert names[-2:] == ["combined_check", "combined_build"]
+    assert counts["combined_check"] == 1 + bench.COMBINED_BATCHES
     assert counts["precompute_per_key"] == 0  # group work only, no hashing
     assert "la.precompute_per_key.wall_us=" in "\n".join(report.machine_lines())
 

@@ -29,6 +29,14 @@ DIGESTS = {
 }
 
 
+# the combined nonce commitment request (0x08) and its replies, pinned apart
+# so that adding it left the digests above as they were
+COMBINED_DIGESTS = {
+    "production": "35a64a6589b6ae20986b5653dd01f59d9150b3c6759954cf46cf1ae2fbb0df0c",
+    "tiny": "f983718a950e89727c3dc45f9a66593866a5e4b3d13faaa407b3a9a298bc0eb9",
+}
+
+
 def fixed_rng(seed: int):
     rng = random.Random(seed)
     return lambda n: rng.randbytes(n)
@@ -209,3 +217,40 @@ def digest(group) -> str:
 def test_serialized_bytes_are_pinned(backend):
     group = production_group() if backend == "production" else small_test_group()
     assert digest(group) == DIGESTS[backend]
+
+
+def combined_request(signer_id, seed, epochs):
+    return bytes((0x08,)) + signer_id + seed + struct.pack(f">{len(epochs)}Q", *epochs)
+
+
+def combined_blobs(group):
+    """0x08 requests and replies on the la, hy and pq stores of the key
+    ceremonies above."""
+    seed = hashlib.sha256(b"combination seed").digest()
+    _, _, la_material = la.keygen(IDS, group, 8, BATCH, fixed_rng(2))
+    _, _, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
+    _, pq_material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
+    for label, material in (("la", la_material), ("hy", hy_material), ("pq", pq_material)):
+        store = cco.CcoStore()
+        store.provision(material)
+        yield from request_blobs(f"{label}.combined", store, [
+            combined_request(IDS[0], seed, [1]),
+            combined_request(IDS[1], seed, [2, 8, 2, 5]),
+            combined_request(IDS[0], seed, [8] * 64),
+            combined_request(UNKNOWN_ID, seed, [1]),
+            combined_request(IDS[0], seed, [1, 9]),
+            combined_request(IDS[0], seed, [0]),
+            combined_request(IDS[0], seed, []),
+            combined_request(IDS[0], seed, [1] * 65),
+            combined_request(IDS[0], seed[:31], [1]),
+        ])
+
+
+@pytest.mark.parametrize("backend", sorted(COMBINED_DIGESTS))
+def test_combined_request_bytes_are_pinned(backend):
+    group = production_group() if backend == "production" else small_test_group()
+    hasher = hashlib.sha256()
+    for label, blob in combined_blobs(group):
+        for part in (label.encode(), blob):
+            hasher.update(len(part).to_bytes(4, "big") + part)
+    assert hasher.hexdigest() == COMBINED_DIGESTS[backend]

@@ -336,7 +336,7 @@ class TestWireProtocol:
         assert len(payload) == 1049 <= cco.MAX_REQUEST_FRAME
         with cco.CcoServer(store) as server:
             with cco.CcoClient("127.0.0.1", server.port) as client:
-                (blob,) = client.openings(cco.MSG_PQ_OPENING, [(ID_A, 3)], [indices])
+                (blob,) = client.ok_bodies([payload])
         assert blob == pq.open_commitment(material, ID_A, 3, indices).to_bytes()
 
     def test_oversized_frame_rejected_client_side(self):
@@ -905,7 +905,9 @@ class TestOpeningsOverTcp:
             assert expected.count(None) == 4
             with cco.CcoServer(store) as server:
                 with cco.CcoClient("127.0.0.1", server.port) as client:
-                    assert list(client.openings(msg_type, keys, indices)) == expected
+                    assert list(client.ok_bodies(
+                        opening_payload(msg_type, *key, opened)
+                        for key, opened in zip(keys, indices))) == expected
 
     def test_a_full_window_of_the_largest_openings_is_in_flight(self):
         # k = 256 (t = 2) makes the largest request a client sends:
@@ -921,7 +923,8 @@ class TestOpeningsOverTcp:
         assert len(opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, indices[0])) + 4 == 1053
         port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
         with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
-            blobs = list(client.openings(cco.MSG_PQ_OPENING, keys, indices))
+            blobs = list(client.ok_bodies(opening_payload(cco.MSG_PQ_OPENING, *key, opened)
+                                          for key, opened in zip(keys, indices)))
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert blobs == [store.pq_opening(*key, opened).to_bytes()

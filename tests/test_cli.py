@@ -68,6 +68,19 @@ class TestKeygen:
         assert (out / f"signer_{ID_HEX_1}.key").exists()
         assert (out / "verifier.pub").exists()
 
+    def test_secret_files_are_written_atomically_and_owner_only(self, tmp_path):
+        old_umask = os.umask(0)  # a umask that would leave every file world-readable
+        try:
+            out = keygen(tmp_path, "hy", ["--J1", "4", "--L", "2"])
+        finally:
+            os.umask(old_umask)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["cco.store", f"signer_{ID_HEX_1}.key", "verifier.pub"]  # no .tmp left
+        for name in ("cco.store", f"signer_{ID_HEX_1}.key"):
+            assert (out / name).stat().st_mode & 0o777 == 0o600, name
+        assert keyfiles.load_store(out / "cco.store").la_material()
+        assert keyfiles.load_signer_key(out / f"signer_{ID_HEX_1}.key").epoch == 1
+
     def test_hy_keys_are_lockstep_compatible(self, tmp_path):
         out = keygen(tmp_path, "hy", ["--J1", "4", "--L", "2"])
         state = keyfiles.load_signer_key(out / f"signer_{ID_HEX_1}.key")
@@ -460,9 +473,16 @@ class TestOnlineMatchesOffline:
                     source.close()
             assert results["online"] == results["offline"] == [
                 n not in rejected for n in range(self.UNITS)]
-            # one export, then one opening request per unit that names a bundle signer
-            opening = cco.MSG_PQ_OPENING if scheme == "pq" else cco.MSG_HY_OPENING
-            assert request_types == [cco.MSG_EXPORT] + [opening] * (self.UNITS - 2)
+            # one export, then one pq opening request per unit that names a
+            # bundle signer; hy first asks for one combined check per signer
+            # (the unit past J is left out), and as unit 10 fails it, asks
+            # for each aggregate commitment alone
+            named = self.UNITS - 2
+            expected = [cco.MSG_EXPORT] + [cco.MSG_PQ_OPENING] * named
+            if scheme == "hy":
+                expected[1:1] = [cco.MSG_LA_COMBINED] * 2
+                expected += [cco.MSG_LA] * named
+            assert request_types == expected
 
             def verify(sig_file, *source):
                 capsys.readouterr()

@@ -6,6 +6,7 @@ import pytest
 from hases.hashing import (
     HEADER_LEN,
     check_signer_ids,
+    combination_weights,
     commitment_images,
     counters,
     domain_hash,
@@ -248,3 +249,14 @@ def test_split_header_reads_what_encode_header_writes():
                             (head + b"rest", 0x12, 28), (head + b"rest", 0x12, 30)):
         with pytest.raises(ValueError):
             split_header(data, tag, "x", size)
+
+
+def test_combination_weights_are_128_bit_cuts_of_h2_per_position():
+    seed = random.Random(12).randbytes(32)
+    reference = [int.from_bytes(domain_hash(2, seed + encode_index(i))[:16], "big")
+                 for i in range(1, 17)]
+    counters.reset()
+    assert combination_weights(seed, 16) == reference
+    assert counters.snapshot() == (0, 0, 16)
+    assert combination_weights(seed, 3) == reference[:3]
+    assert all(0 <= z < 1 << 128 for z in reference)

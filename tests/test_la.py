@@ -264,6 +264,19 @@ class TestCommitmentConstruction:
             signature = la.sign_batch(state, batch)
             assert la.verify_batch(group.precompute(public), commitment, batch, signature, group)
 
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_commitment_from_key_costs_l_plus_1_hashes(self, batch_size):
+        group = production_group()
+        y = hash_to_scalar(0, b"commitment hash count", group.q)
+        counters.reset()
+        commitment = la.commitment_from_key(y, ID_A, 3, batch_size, group)
+        # the nonce seed, then one nonce per item; the public seed is not derived
+        assert counters.snapshot() == (0, batch_size + 1, 0)
+        nonce_seed = domain_hash(1, y.to_bytes(32, "big") + encode_index(3))
+        total = sum(hash_to_scalar(1, nonce_seed + encode_index(item), group.q)
+                    for item in range(1, batch_size + 1))
+        assert commitment.r_bytes == group.encode_element(group.exp(group.generator, total))
+
     def test_unknown_id(self):
         _, _, _, material = tiny_setup(seed=10)
         with pytest.raises(UnknownSigner):
@@ -273,6 +286,26 @@ class TestCommitmentConstruction:
         _, _, _, material = tiny_setup(max_batches=4, seed=11)
         with pytest.raises(EpochOutOfRange):
             la.construct_commitment(material, ID_A, 5)
+
+
+def test_two_tags_at_one_epoch_reveal_the_private_scalar():
+    """Why a signer key file is locked while it signs: two copies of one
+    key that sign at the same epoch use the same nonces, so anyone holding
+    both tags solves y = (agg_1 - agg_2) / (E_2 - E_1) mod q, E being the
+    challenge sum each tag's messages and public seed give."""
+    group = production_group()
+    states, public, _ = la.keygen([ID_A], group, 8, 4, fixed_rng(41))
+    state = states[ID_A]
+    copy = replace(state)  # restored from a backup, or a second signer
+    first = [b"first %d" % n for n in range(4)]
+    second = [b"second %d" % n for n in range(4)]
+    tag_1, tag_2 = la.sign_batch(state, first), la.sign_batch(copy, second)
+    assert tag_1.epoch == tag_2.epoch == 1
+    e_1 = la.challenge_sum(first, tag_1, group.q)
+    e_2 = la.challenge_sum(second, tag_2, group.q)
+    y = (tag_1.agg - tag_2.agg) * pow(e_2 - e_1, -1, group.q) % group.q
+    assert y == state.key
+    assert group.encode_element(group.exp(group.generator, y)) == public[ID_A]
 
 
 class TestKeyTables:
