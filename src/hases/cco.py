@@ -16,8 +16,10 @@ Request types:
     0x03  commitment, hybrid             body: id(16) epoch(8)
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
     0x05  opening, forward-secure        body: id(16) epoch(8) k x index(4)
-    0x06  opening, hybrid                body: id(16) epoch(8) k x index(4)
     0x08  combined nonce commitment      body: id(16) seed(32) n x epoch(8), 1 <= n <= 64
+
+Any other type, 0x06 and 0x07 included, is answered as malformed
+before any work.
 
 Responses mirror the request type with bit 0x80 set; the body starts
 with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
@@ -34,10 +36,11 @@ An opening is what a verifier needs of one epoch's commitment: a pq
 signature reveals only k of its t entries.  The OK body of 0x05 is a
 ``pq.PqOpening``: tag, id, epoch and the entries at the requested
 indices, in request order, duplicates included (537 bytes at k=16,
-where the t=1024 commitment takes 32,793).  That of 0x06 is the
-aggregate commitment followed by that opening.  The service hashes the
-chain walk and 2k entries instead of 2t; a request with other than k
-indices, or an index of t or more, is malformed and costs nothing.
+where the t=1024 commitment takes 32,793).  A hybrid verifier asks for
+the opening of its pq part the same way, and checks the aggregate part
+through 0x08 or 0x02.  The service hashes the chain walk and 2k entries
+instead of 2t; a request with other than k indices, or an index of t or
+more, is malformed and costs nothing.
 
 Every pq seed is walked to from the nearest seed the store knows: the
 anchor of the epoch's segment, or the signer's chain cursor, the seed
@@ -71,8 +74,8 @@ The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
 longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
-Responses to the single-epoch request types (0x01-0x03, 0x05, 0x06) and
-to 0x08 go through a response cache keyed by the whole request payload: a
+Responses to the single-epoch request types (0x01-0x03, 0x05) and to
+0x08 go through a response cache keyed by the whole request payload: a
 least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES`` in
 all, in front of a single-flight build, so a payload asked for again is
 answered without hashing, and one asked for by several connections at
@@ -116,9 +119,8 @@ MSG_PQ = schemes.PQ.tag
 MSG_LA = schemes.LA.tag
 MSG_HY = schemes.HY.tag
 MSG_EXPORT = 0x04
-MSG_PQ_OPENING = schemes.PQ.opening_type
-MSG_HY_OPENING = schemes.HY.opening_type
-# 0x07 is kept free for a stats request
+MSG_PQ_OPENING = 0x05
+# 0x06 is unassigned; 0x07 is kept free for a stats request
 MSG_LA_COMBINED = 0x08
 RESPONSE_BIT = 0x80
 
@@ -358,10 +360,6 @@ class CcoStore:
     def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
         return pq.open_commitment(self.pq_material(), signer_id, epoch, indices, self._cursor)
 
-    def hy_opening(self, signer_id: bytes, epoch: int, indices) -> hy.HyOpening:
-        material = hy.HyKeyMaterial(self.la_material(), self.pq_material())
-        return hy.open_commitment(material, signer_id, epoch, indices, self._cursor)
-
     def la_combined(self, signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
         return la.combined_commitment(self.la_material(), signer_id, seed, epochs)
 
@@ -506,8 +504,6 @@ _REQUESTS = {
     MSG_HY: _commitment("hy_commitment"),
     MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
     MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: store.pq_opening(
-        *_key(body), _opening_indices(body)).to_bytes()),
-    MSG_HY_OPENING: _Request(_opening_len, True, lambda store, body: store.hy_opening(
         *_key(body), _opening_indices(body)).to_bytes()),
     MSG_LA_COMBINED: _Request(_combined_len, True, _combined_response),
 }
@@ -749,7 +745,7 @@ def commitment_payload(msg_type: int, signer_id: bytes, epoch: int) -> bytes:
 
 
 def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
-    """An opening request (``MSG_PQ_OPENING`` or ``MSG_HY_OPENING``)."""
+    """An opening request (``MSG_PQ_OPENING``)."""
     return commitment_payload(msg_type, signer_id, epoch) + struct.pack(f">{len(indices)}I", *indices)
 
 

@@ -13,14 +13,13 @@ import argparse
 import os
 import re
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
 from . import cco, keyfiles, la, pq, schemes, stream
 from .errors import HasesError
 from .group import production_group, small_test_group
-from .hashing import split_header
+from .hashing import read_header
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -127,7 +126,8 @@ def _parse_host_port(text: str) -> tuple[str, int]:
 
 
 class _CommitmentSource:
-    """Pipelined service connection or a preloaded offline export."""
+    """Where each unit's commitment parts come from: a pipelined service
+    connection, or a preloaded offline export."""
 
     def __init__(self, args, bundle: keyfiles.VerifierBundle):
         self.scheme = scheme = schemes.by_tag(bundle.scheme)
@@ -142,10 +142,9 @@ class _CommitmentSource:
                 # another scheme's entry for the same (id, epoch) must not
                 # replace the one this bundle verifies against
                 try:
-                    signer_id, epoch, _ = split_header(blob, scheme.commitment_tag, "commitment")
+                    self.offline[read_header(blob, scheme.commitment_tag, "commitment")] = blob
                 except ValueError:
                     continue
-                self.offline[signer_id, epoch] = blob
         else:
             raise ValueError("either --cco or --commits is required")
 
@@ -153,24 +152,28 @@ class _CommitmentSource:
         if self.client:
             self.client.close()
 
-    def openings(self, keys: list[tuple[bytes, int]], derived: list) -> Iterator[object | None]:
-        """Offline: for each (id, epoch) key and its unit's ``derive``, the
-        export's commitment opened at the unit's indices (la: the whole
-        commitment), in order, or None where there is none or it does not
-        parse."""
-        scheme, bundle = self.scheme, self.bundle
-        for key, unit_derived in zip(keys, derived):
-            blob = self.offline.get(key)
-            try:
-                yield None if blob is None else scheme.open_full(blob, unit_derived, bundle)
-            except ValueError:
-                yield None  # a malformed commitment is a cryptographic reject
-
     def layer_parts(self, layers: list[schemes.Layers], tables) -> Iterator[tuple]:
-        """Online: (position, aggregate commitment, pq opening) for each
-        unit's ``Layers``, as its parts arrive: ``_PROVEN`` for an
-        aggregate layer a combined check passed, None for a layer the
-        unit lacks or the service refused.
+        """(position, aggregate commitment, pq opening) for each unit's
+        ``Layers``: None for a layer the unit lacks, or whose part the
+        service refused or the export lacks or holds malformed, and
+        ``_PROVEN`` for an aggregate layer a combined check passed."""
+        if self.client is None:
+            return self._offline_parts(layers)
+        return self._online_parts(layers, tables)
+
+    def _offline_parts(self, layers: list[schemes.Layers]) -> Iterator[tuple]:
+        """Each unit's parts, in order, from the export entry at its (id,
+        epoch); the pq part is opened at the unit's indices."""
+        commitment_parts, pq_params = self.scheme.commitment_parts, self.bundle.pq_params
+        for n, unit in enumerate(layers):
+            signature = (unit.la or unit.pq)[1]  # either layer's: both carry its id and epoch
+            blob = self.offline.get((signature.signer_id, signature.epoch))
+            la_part, pq_part = _parsed(commitment_parts, blob) or (None, None)
+            opening = _parsed(pq.PqCommitment.open, pq_part, unit.pq[2], pq_params) if unit.pq else None
+            yield n, la_part, opening
+
+    def _online_parts(self, layers: list[schemes.Layers], tables) -> Iterator[tuple]:
+        """Each unit's parts, as they arrive.
 
         One pipelined stream first asks for a combined nonce commitment
         per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then for
@@ -209,8 +212,8 @@ _PROVEN = object()
 
 
 def _parsed(parse, blob, *args):
-    """``parse(blob, *args)``, or None if blob is None or does not parse
-    (a malformed commitment is a cryptographic reject)."""
+    """``parse(blob, *args)``, or None if blob is None or ``parse`` raises
+    ValueError (a malformed commitment is a cryptographic reject)."""
     try:
         return None if blob is None else parse(blob, *args)
     except ValueError:
@@ -271,24 +274,13 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
     signatures = [_parse_signature(scheme, bundle, blob) for blob in blobs]
     units = [n for n, signature in enumerate(signatures) if signature is not None]
     # what each check derives before its commitment is needed, computed once
-    derived = [scheme.derive(messages[n], signatures[n], bundle) for n in units]
+    layers = [scheme.layers(messages[n], signatures[n], bundle) for n in units]
     # per-key tables live for this run only: see hases.group
     tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
-    if source.client is None:
-        keys = [(signatures[n].signer_id, signatures[n].epoch) for n in units]
-        checks = (
-            (n, None if opening is None else partial(
-                scheme.verify, messages[n], signatures[n], opening, unit_derived, bundle, tables))
-            for n, unit_derived, opening in zip(units, derived, source.openings(keys, derived)))
-    else:
-        layers = [scheme.layers(messages[n], signatures[n], unit_derived, bundle)
-                  for n, unit_derived in zip(units, derived)]
-        checks = ((units[i], partial(_layers_valid, layers[i], la_part, opening, bundle, tables))
-                  for i, la_part, opening in source.layer_parts(layers, tables))
     results = [False] * len(blobs)
-    for n, check in checks:
+    for i, la_part, opening in source.layer_parts(layers, tables):
         try:
-            results[n] = check is not None and check()
+            results[units[i]] = _layers_valid(layers[i], la_part, opening, bundle, tables)
         except ValueError:
             pass  # a key outside the subgroup is a cryptographic reject
     return results
@@ -296,7 +288,7 @@ def _verify_all(bundle, records, blobs, source) -> list[bool]:
 
 def _layers_valid(unit: schemes.Layers, la_commitment, opening, bundle, tables) -> bool:
     """Whether each layer of ``unit`` checks out against its part from
-    ``_CommitmentSource.layer_parts``."""
+    ``_CommitmentSource.layer_parts``, online or offline."""
     if unit.la and la_commitment is not _PROVEN:
         messages, signature, challenge = unit.la
         if la_commitment is None or not la.verify_batch(

@@ -244,13 +244,21 @@ def encode_header(tag: int, signer_id: bytes, epoch: int) -> bytes:
     return bytes((tag,)) + signer_id + encode_index(epoch)
 
 
+def read_header(data: bytes, tag: int, what: str) -> tuple[bytes, int]:
+    """(id, epoch) of a ``what`` that ``encode_header(tag, ...)`` begins;
+    ValueError if it does not.  Copies nothing after the header."""
+    if len(data) < HEADER_LEN or data[0] != tag:
+        raise ValueError(f"not a serialized {what}")
+    return data[1:17], int.from_bytes(data[17:25], "big")
+
+
 def split_header(data: bytes, tag: int, what: str, size: int = 0) -> tuple[bytes, int, bytes]:
     """(id, epoch, rest) of a ``what`` that ``encode_header(tag, ...)``
     begins; ValueError if it does not, or if ``size`` is given and the
     blob is not exactly ``size`` bytes."""
-    if len(data) < HEADER_LEN or data[0] != tag or (size and len(data) != size):
+    if size and len(data) != size:
         raise ValueError(f"not a serialized {what}")
-    return data[1:17], int.from_bytes(data[17:25], "big"), data[25:]
+    return (*read_header(data, tag, what), data[25:])
 
 
 def check_signer_ids(ids: Iterable[bytes]) -> list[bytes]:

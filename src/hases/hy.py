@@ -159,31 +159,6 @@ class HyCommitment:
                                   la.COMMITMENT_LEN, pq.COMMITMENT_TAG)
         return cls(la.LaCommitment.from_bytes(la_blob), pq.PqCommitment.from_bytes(pq_blob))
 
-    def open(self, indices: Sequence[int], pq_params: pq.PqParams) -> "HyOpening":
-        """The aggregate commitment with the pq entries at ``indices``."""
-        return HyOpening(self.la, self.pq.open(indices, pq_params))
-
-
-class HyOpening(NamedTuple):
-    """What a hybrid signature is checked against: the whole aggregate
-    commitment and the pq commitment's entries at the indices the
-    signature opens.  Serialized as the two components back to back.
-    (A named tuple, as ``pq.PqOpening``.)"""
-
-    la: la.LaCommitment
-    pq: pq.PqOpening
-
-    def to_bytes(self) -> bytes:
-        return self.la.to_bytes() + self.pq.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "HyOpening":
-        la_part = la.LaCommitment.from_bytes(data[: la.COMMITMENT_LEN])
-        pq_part = pq.PqOpening.from_bytes(data[la.COMMITMENT_LEN :], indices)
-        if la_part.signer_id != pq_part.signer_id or la_part.epoch != pq_part.epoch:
-            raise ValueError("component commitments disagree on signer or epoch")
-        return cls(la_part, pq_part)
-
 
 @dataclass(frozen=True)
 class HyKeyMaterial:
@@ -233,44 +208,25 @@ class Opened(NamedTuple):
 
 def opened(messages: Sequence[bytes], signature: HySignature, pq_params: pq.PqParams) -> Opened:
     """The nested vector of ``messages`` and the pq indices ``signature``
-    opens over it; ``verify_batch`` takes it instead of deriving both again."""
+    opens over it."""
     nested = nest(messages)
     inner = inner_message(signature.la.agg, nested[-1])
     return Opened(nested, pq.message_indices(inner, pq_params))
 
 
-def open_commitment(
-    material: HyKeyMaterial,
-    signer_id: bytes,
-    epoch: int,
-    indices: Sequence[int],
-    cursor: pq.Cursor | None = None,
-) -> HyOpening:
-    """The aggregate commitment of (signer, epoch) and its pq entries at
-    ``indices``; ``cursor`` is passed to ``pq.open_commitment``.  The pq
-    part goes first, so bad indices, like an unknown id or epoch, are
-    refused before any hashing or group work."""
-    pq_part = pq.open_commitment(material.pq, signer_id, epoch, indices, cursor)
-    return HyOpening(la.construct_commitment(material.la, signer_id, epoch), pq_part)
-
-
 def verify_batch(
     key_table,
-    commitment: HyCommitment | HyOpening,
+    commitment: HyCommitment,
     messages: Sequence[bytes],
     signature: HySignature,
     group: PrimeOrderGroup,
     pq_params: pq.PqParams,
-    derived: Opened | None = None,
 ) -> bool:
     """Both component checks must pass on the recomputed nested vector.
 
     ``key_table`` is ``group.precompute`` of the signer's public key, as
-    for ``la.verify_batch``.  ``commitment`` is the full hybrid
-    commitment or its opening at the indices the signature opens, as
-    ``pq.verify`` takes either.  ``derived`` is ``opened(messages,
-    signature, pq_params)`` when the caller has it already, as the CLI
-    does; it is trusted to be.
+    for ``la.verify_batch``.  This is the reference check: ``hases
+    verify`` runs its two layers apart (``hases.schemes.Layers``).
     """
     if (
         signature.la.signer_id != commitment.la.signer_id
@@ -279,7 +235,7 @@ def verify_batch(
         return False
     if not messages:
         return False
-    digests, indices = derived or opened(messages, signature, pq_params)
+    digests, indices = opened(messages, signature, pq_params)
     ok_la = la.verify_batch(key_table, commitment.la, digests, signature.la, group)
     ok_pq = pq.verify(
         commitment.pq,

@@ -434,8 +434,8 @@ def verify(
     ``commitment`` is the epoch's full commitment, opened here, or an
     opening made at exactly those indices: either way one check runs
     over the same k entries.  ``indices`` are ``message_indices(message,
-    params)`` when the caller has derived them already, as an online
-    verifier does to ask for the opening; they are trusted to be.
+    params)`` when the caller has derived them already, as ``hases
+    verify`` does to get the opening; they are trusted to be.
     Structural mismatches (identity/epoch disagreement, wrong part or
     entry counts, epoch outside [1, J]) reject without hashing the parts.
     """

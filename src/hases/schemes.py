@@ -15,14 +15,16 @@ call.  Descriptors are named tuples: frozen dataclasses cost more to import.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import hy, la, pq, stream
 
 
 class Layers(NamedTuple):
-    """One signed unit's checks, layer by layer, as an online verifier runs
-    them: each is None where the scheme has no such layer."""
+    """One signed unit's checks, layer by layer, as a verifier runs them
+    against either commitment source: each is None where the scheme has
+    no such layer."""
 
     la: tuple | None  # (messages, la.LaSignature, challenge sum) of the aggregate layer
     pq: tuple | None  # (message, pq.PqSignature, indices) of the forward-secure layer
@@ -31,29 +33,31 @@ class Layers(NamedTuple):
 class Scheme(NamedTuple):
     tag: int  # of signatures, key files and bundles; its commitment request type
     commitment_tag: int  # first byte of its serialized commitments
-    opening_type: int  # request type of an opening; 0: the commitment is used whole
     has_pq: bool  # a forward-secure layer: its bundle holds ``pq.PqParams``
     has_la: bool  # an aggregate layer: its bundle holds ``la.LaParams`` and public keys
     state: type  # the signer state, serialized as the key file
     material: type  # the key store's share of the key ceremony
     parts: Callable  # material -> (its pq material or None, its la material or None)
     join: Callable  # (la commitments or None, pq commitments or None) -> its commitments
+    commitment_parts: Callable  # commitment blob -> (its la part or None, its pq part or None)
     keygen: Callable  # (ids, pq params, la params) -> (states, public keys, material)
     sign: Callable  # (state, records) -> one serialized signature per signed unit
     # The verifier's steps; ``bundle`` is the ``keyfiles.VerifierBundle``.
     units: Callable  # (records, bundle) -> the message of each signed unit
     parse_signature: Callable  # (blob, bundle) -> signature; ValueError if malformed
-    derive: Callable  # (message, signature, bundle) -> what ``verify`` needs first
-    open_full: Callable  # (offline commitment blob, derived, bundle) -> what ``verify`` checks
-    verify: Callable  # (message, signature, opening, derived, bundle, key tables) -> bool
-    # online, each layer is checked on its own: the aggregate one through a
-    # combined check, the forward-secure one against an opening
-    layers: Callable  # (message, signature, derived, bundle) -> Layers
+    layers: Callable  # (message, signature, bundle) -> Layers
 
 
 def _la_layer(messages, signature, bundle) -> tuple:
     """``Layers.la`` of an aggregate tag over ``messages``."""
     return messages, signature, la.challenge_sum(messages, signature, bundle.la_params.group.q)
+
+
+def _hy_layers(messages, signature, bundle) -> Layers:
+    """The two layers of ``hy.verify_batch``, each on its own."""
+    nested, indices = hy.opened(messages, signature, bundle.pq_params)
+    return Layers(_la_layer(nested, signature.la, bundle),
+                  (hy.inner_message(signature.la.agg, nested[-1]), signature.pq, indices))
 
 
 def _pq_keygen(ids, pq_params, la_params):
@@ -64,35 +68,31 @@ def _pq_keygen(ids, pq_params, la_params):
 PQ = Scheme(
     tag=pq.SIGNATURE_TAG,
     commitment_tag=pq.COMMITMENT_TAG,
-    opening_type=0x05,
     has_pq=True,
     has_la=False,
     state=pq.PqSignerState,
     material=pq.PqKeyMaterial,
     parts=lambda material: (material, None),
     join=lambda la_part, pq_part: pq_part,
+    commitment_parts=lambda blob: (None, pq.PqCommitment.from_bytes(blob)),
     keygen=_pq_keygen,
     sign=lambda state, records: [pq.sign(state, r.payload).to_bytes() for r in records],
     units=lambda records, bundle: [r.payload for r in records],
     parse_signature=lambda blob, bundle: pq.PqSignature.from_bytes(blob),
-    derive=lambda message, signature, bundle: pq.message_indices(message, bundle.pq_params),
-    open_full=lambda blob, derived, bundle: (
-        pq.PqCommitment.from_bytes(blob).open(derived, bundle.pq_params)),
-    verify=lambda message, signature, opening, derived, bundle, tables: pq.verify(
-        opening, message, signature, bundle.pq_params, derived),
-    layers=lambda message, signature, derived, bundle: Layers(None, (message, signature, derived)),
+    layers=lambda message, signature, bundle: Layers(
+        None, (message, signature, pq.message_indices(message, bundle.pq_params))),
 )
 
 LA = Scheme(
     tag=la.SIGNATURE_TAG,
     commitment_tag=la.COMMITMENT_TAG,
-    opening_type=0,
     has_pq=False,
     has_la=True,
     state=la.LaSignerState,
     material=la.LaKeyMaterial,
     parts=lambda material: (None, material),
     join=lambda la_part, pq_part: la_part,
+    commitment_parts=lambda blob: (la.LaCommitment.from_bytes(blob), None),
     keygen=lambda ids, pq_params, la_params: la.keygen(
         ids, la_params.group, la_params.max_batches, la_params.batch_size),
     sign=lambda state, records: [
@@ -100,24 +100,19 @@ LA = Scheme(
         for batch in stream.into_batches(records, state.params.batch_size)],
     units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: la.LaSignature.from_bytes(blob, bundle.la_params.group),
-    derive=lambda message, signature, bundle: None,
-    open_full=lambda blob, derived, bundle: la.LaCommitment.from_bytes(blob),
-    verify=lambda message, signature, opening, derived, bundle, tables: la.verify_batch(
-        tables[signature.signer_id], opening, message, signature, bundle.la_params.group),
-    layers=lambda message, signature, derived, bundle: Layers(
-        _la_layer(message, signature, bundle), None),
+    layers=lambda message, signature, bundle: Layers(_la_layer(message, signature, bundle), None),
 )
 
 HY = Scheme(
     tag=hy.SIGNATURE_TAG,
     commitment_tag=hy.COMMITMENT_TAG,
-    opening_type=0x06,
     has_pq=True,
     has_la=True,
     state=hy.HySignerState,
     material=hy.HyKeyMaterial,
     parts=lambda material: (material.pq, material.la),
     join=lambda la_part, pq_part: list(map(hy.HyCommitment, la_part, pq_part)),
+    commitment_parts=lambda blob: attrgetter("la", "pq")(hy.HyCommitment.from_bytes(blob)),
     keygen=lambda ids, pq_params, la_params: hy.keygen(
         ids, la_params.group, la_params.batch_size, pq_params),
     sign=lambda state, records: [
@@ -125,16 +120,7 @@ HY = Scheme(
         for batch in stream.into_batches(records, state.la.params.batch_size)],
     units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: hy.HySignature.from_bytes(blob, bundle.la_params.group),
-    derive=lambda message, signature, bundle: hy.opened(message, signature, bundle.pq_params),
-    open_full=lambda blob, derived, bundle: (
-        hy.HyCommitment.from_bytes(blob).open(derived.indices, bundle.pq_params)),
-    verify=lambda message, signature, opening, derived, bundle, tables: hy.verify_batch(
-        tables[signature.signer_id], opening, message, signature, bundle.la_params.group,
-        bundle.pq_params, derived),
-    # the two layers of ``hy.verify_batch``, each on its own
-    layers=lambda message, signature, derived, bundle: Layers(
-        _la_layer(derived.nested, signature.la, bundle),
-        (hy.inner_message(signature.la.agg, derived.nested[-1]), signature.pq, derived.indices)),
+    layers=_hy_layers,
 )
 
 BY_TAG = {scheme.tag: scheme for scheme in (PQ, LA, HY)}

@@ -107,6 +107,8 @@ def test_open_commitment_rows_beside_the_full_build():
     assert "pq.open_commitment.wall_us=" in "\n".join(report.machine_lines())
 
     hy_report = bench.bench_hy(PQ_SMALL, small_test_group(), batch_size=2, trials=2)
-    assert "open_commitment" in [op.name for op in hy_report.ops]
-    # the aggregate commitment, then the pq opening
-    assert hy_report.sizes["opening_bytes"] == 61 + 25 + PQ_SMALL.k * 32
+    hy_counts = {op.name: op.hash_calls for op in hy_report.ops}
+    # what the service builds for an online hy unit: the 0x05 opening of its
+    # pq part at epoch 2 (H0 for the first seed, one step, then 2k), no more
+    assert hy_counts["open_commitment"] == 2 + 2 * PQ_SMALL.k
+    assert hy_report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32

@@ -825,14 +825,19 @@ class TestOpeningRequests:
             assert len(response) == 539 and len(full.to_bytes()) + 2 == 32795
             assert response[2:] == full.open(self.INDICES, PQ_T1024).to_bytes()
 
-    def test_hy_opening_is_the_la_commitment_then_the_pq_opening(self):
-        store, *_, group = t1024_store()
-        full_response = store.handle_request(bytes((cco.MSG_HY,)) + ID_B + (6).to_bytes(8, "big"))
-        full = hy.HyCommitment.from_bytes(full_response[2:])
-        response = store.handle_request(opening_payload(cco.MSG_HY_OPENING, ID_B, 6, self.INDICES))
-        assert response[:2] == bytes((0x86, cco.STATUS_OK))
-        assert response[2:] == full.la.to_bytes() + full.pq.open(self.INDICES, PQ_T1024).to_bytes()
-        assert len(response) == 2 + la.COMMITMENT_LEN + 537
+    def test_a_hy_opening_request_is_malformed_at_no_cost(self):
+        # 0x06 is unassigned: a hy verifier opens the pq part with 0x05
+        store, *_ = t1024_store()
+        before = store.cache_stats()
+        counters.reset()
+        for payload in (opening_payload(0x06, ID_B, 6, self.INDICES), bytes((0x06,))):
+            assert store.handle_request(payload) == bytes((0x86, cco.STATUS_MALFORMED))
+        assert counters.total() == 0
+        assert store.cache_stats().bypassed - before.bypassed == 2
+        pq_part = store.handle_request(opening_payload(cco.MSG_PQ_OPENING, ID_B, 6, self.INDICES))
+        full = hy.HyCommitment.from_bytes(store.handle_request(
+            bytes((cco.MSG_HY,)) + ID_B + (6).to_bytes(8, "big"))[2:])
+        assert pq_part[2:] == full.pq.open(self.INDICES, PQ_T1024).to_bytes()
 
     def test_statuses_and_no_hashing_for_refusals(self):
         store, *_ = t1024_store()
@@ -842,21 +847,21 @@ class TestOpeningRequests:
                 good[:-1], good + (0,), good[:-1] + (1024,), good[:-1] + (2**32 - 1,),
             ],
         }
-        for msg_type in (cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING):
-            counters.reset()
-            for indices in cases[cco.STATUS_MALFORMED]:
-                response = store.handle_request(opening_payload(msg_type, ID_A, 2, indices))
-                assert response == bytes((msg_type | 0x80, cco.STATUS_MALFORMED))
-            payload = opening_payload(msg_type, ID_A, 2, good)
-            for truncated in (payload[:-1], payload[:-4], payload[:25], payload[:24],
-                              payload + bytes(4 * 241)):  # over MAX_OPENING_INDICES
-                assert store.handle_request(truncated)[1] == cco.STATUS_MALFORMED
-            assert store.handle_request(opening_payload(msg_type, ID_C, 2, good)) == bytes(
-                (msg_type | 0x80, cco.STATUS_UNKNOWN_ID))
-            for epoch in (0, PQ_T1024.epochs + 1):
-                assert store.handle_request(opening_payload(msg_type, ID_A, epoch, good)) == bytes(
-                    (msg_type | 0x80, cco.STATUS_EPOCH_RANGE))
-            assert counters.total() == 0
+        msg_type = cco.MSG_PQ_OPENING
+        counters.reset()
+        for indices in cases[cco.STATUS_MALFORMED]:
+            response = store.handle_request(opening_payload(msg_type, ID_A, 2, indices))
+            assert response == bytes((msg_type | 0x80, cco.STATUS_MALFORMED))
+        payload = opening_payload(msg_type, ID_A, 2, good)
+        for truncated in (payload[:-1], payload[:-4], payload[:25], payload[:24],
+                          payload + bytes(4 * 241)):  # over MAX_OPENING_INDICES
+            assert store.handle_request(truncated)[1] == cco.STATUS_MALFORMED
+        assert store.handle_request(opening_payload(msg_type, ID_C, 2, good)) == bytes(
+            (msg_type | 0x80, cco.STATUS_UNKNOWN_ID))
+        for epoch in (0, PQ_T1024.epochs + 1):
+            assert store.handle_request(opening_payload(msg_type, ID_A, epoch, good)) == bytes(
+                (msg_type | 0x80, cco.STATUS_EPOCH_RANGE))
+        assert counters.total() == 0
 
     def test_an_opening_costs_the_walk_and_2k_hashes(self):
         # a store of its own: what the shared one walked before would move its chain cursor
@@ -873,7 +878,7 @@ class TestOpeningRequests:
 
     def test_two_verifiers_of_a_hy_unit_share_one_build(self):
         store, *_ = provisioned_store(seed=71)
-        payload = opening_payload(cco.MSG_HY_OPENING, ID_A, 3, (1, 7, 7, 0))
+        payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 3, (1, 7, 7, 0))
         before = store.cache_stats()
         responses = []
         barrier = threading.Barrier(4)
@@ -897,17 +902,16 @@ class TestOpeningsOverTcp:
         keys += [(ID_C, 2), (ID_A, 0), (ID_B, PQ_TOY.epochs + 1)]
         indices = [tuple(rng.randrange(PQ_TOY.t) for _ in range(PQ_TOY.k)) for _ in keys]
         indices[3] = (0, 1, 2)  # malformed: not k indices
-        for msg_type in (cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING):
-            expected = []
-            for key, opened in zip(keys, indices):
-                response = store.handle_request(opening_payload(msg_type, *key, opened))
-                expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
-            assert expected.count(None) == 4
-            with cco.CcoServer(store) as server:
-                with cco.CcoClient("127.0.0.1", server.port) as client:
-                    assert list(client.ok_bodies(
-                        opening_payload(msg_type, *key, opened)
-                        for key, opened in zip(keys, indices))) == expected
+        expected = []
+        for key, opened in zip(keys, indices):
+            response = store.handle_request(opening_payload(cco.MSG_PQ_OPENING, *key, opened))
+            expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
+        assert expected.count(None) == 4
+        with cco.CcoServer(store) as server:
+            with cco.CcoClient("127.0.0.1", server.port) as client:
+                assert list(client.ok_bodies(
+                    opening_payload(cco.MSG_PQ_OPENING, *key, opened)
+                    for key, opened in zip(keys, indices))) == expected
 
     def test_a_full_window_of_the_largest_openings_is_in_flight(self):
         # k = 256 (t = 2) makes the largest request a client sends:
@@ -990,7 +994,7 @@ class TestChainCursor:
         at random indices."""
         out = []
         for epoch in epochs:
-            msg_type = rng.choice((cco.MSG_PQ, cco.MSG_HY, cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING))
+            msg_type = rng.choice((cco.MSG_PQ, cco.MSG_HY, cco.MSG_PQ_OPENING))
             if msg_type in (cco.MSG_PQ, cco.MSG_HY):
                 out.append(bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big"))
             else:
@@ -1058,22 +1062,17 @@ class TestChainCursor:
         assert not wrong
         assert store.cache_stats().misses == 2 * PQ_RUNS.epochs
 
-    @pytest.mark.parametrize("msg_type", [cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING])
+    @pytest.mark.parametrize("msg_type", [cco.MSG_PQ_OPENING])
     @pytest.mark.parametrize("first", [1, 4, 9, 12])  # segment 0, then segment 1
     def test_consecutive_cold_openings_cost_one_walk_then_one_step_each(self, msg_type, first):
-        store, material = runs_store(85)
+        store, _ = runs_store(85)
         n = PQ_RUNS.j2 - (first - 1) % PQ_RUNS.j2  # to the end of the segment
         payloads = [opening_payload(msg_type, ID_A, e, (1, 2, 3, 4)) for e in range(first, first + n)]
-        counters.reset()
-        if msg_type == cco.MSG_HY_OPENING:  # and the aggregate commitments
-            for epoch in range(first, first + n):
-                la.construct_commitment(material.la, ID_A, epoch)
-        la_hashes = counters.total()
         counters.reset()
         for payload in payloads:
             assert store.handle_request(payload)[1] == cco.STATUS_OK
         walk = anchor_walk(PQ_RUNS, first)
-        assert counters.total() == walk + (n - 1) + 2 * PQ_RUNS.k * n + la_hashes
+        assert counters.total() == walk + (n - 1) + 2 * PQ_RUNS.k * n
 
     def test_no_request_costs_more_than_its_anchor_walk(self, monkeypatch):
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 0)
@@ -1105,7 +1104,7 @@ class TestChainCursor:
 
     def test_unknown_ids_get_no_entry(self):
         store, _ = runs_store(89)
-        for payload in (pq_payload(ID_C, 3), opening_payload(cco.MSG_HY_OPENING, ID_C, 3, (0,) * 4),
+        for payload in (pq_payload(ID_C, 3), opening_payload(cco.MSG_PQ_OPENING, ID_C, 3, (0,) * 4),
                         pq_payload(ID_A, PQ_RUNS.epochs + 1), pq_payload(ID_B, 2)):
             store.handle_request(payload)
         assert set(store._cursor) == {ID_B}
@@ -1144,8 +1143,7 @@ def request_payloads(draw):
         indices = draw(st.lists(index, min_size=count, max_size=count))
         if indices and draw(st.booleans()):
             indices[-1] = indices[0]
-        msg_type = draw(st.sampled_from([cco.MSG_PQ_OPENING, cco.MSG_HY_OPENING]))
-        payload = opening_payload(msg_type, signer_id, draw(_epochs), indices)
+        payload = opening_payload(cco.MSG_PQ_OPENING, signer_id, draw(_epochs), indices)
         return payload[: draw(st.integers(1, len(payload)))] if draw(st.booleans()) else payload
     if kind == "single":
         msg_type = draw(st.sampled_from([cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY]))

@@ -14,6 +14,7 @@ import pytest
 
 from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream
 from hases import group as group_module
+from hases.hashing import counters
 
 ID_HEX_1 = "aa" * 16
 ID_HEX_2 = "bb" * 16
@@ -147,6 +148,21 @@ class TestSignVerifyOffline:
              "--sigs", sigs, "--commits", commits]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scheme, extra, records, budget", [
+        ("pq", ["--J1", "4"], 8, 1 + 16),  # the indices, then k = 16 images
+        ("la", ["--L", "8"], 64, 2 * 8),  # L item seeds and L challenges
+        # nest (2L - 1), the indices of the inner message, then the la and pq layers
+        ("hy", ["--J1", "4", "--L", "8"], 64, (2 * 8 - 1) + 1 + 2 * 8 + 16),
+    ], ids=["pq", "la", "hy"])
+    def test_offline_verify_costs_its_hash_budget_per_unit(
+        self, tmp_path, scheme, extra, records, budget,
+    ):
+        out, msgs, sigs, commits = self.run_flow(tmp_path, scheme, extra, records)
+        counters.reset()
+        assert cli.main(["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+                         "--sigs", sigs, "--commits", commits]) == 0
+        assert counters.total() == 8 * budget  # 8 units, nothing hashed twice
 
     def test_offline_commits_skip_other_scheme_entries(self, tmp_path):
         out, msgs, sigs, commits = self.run_flow(

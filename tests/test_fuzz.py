@@ -43,7 +43,6 @@ def samples(group_name: str) -> dict[str, bytes]:
         "la_commitment": commitment.la.to_bytes(),
         "hy_signature": signature.to_bytes(),
         "hy_commitment": commitment.to_bytes(),
-        "hy_opening": commitment.open(indices, PQ_TOY).to_bytes(),
         "signer_key": keyfiles.signer_key_bytes(states[ID_A]),
         "bundle": bundle.to_bytes(),
         "store": keyfiles.store_bytes(store),
@@ -64,7 +63,6 @@ def parsers(group):
         "la_commitment": lambda data: la.LaCommitment.from_bytes(data),
         "hy_signature": lambda data: hy.HySignature.from_bytes(data, group),
         "hy_commitment": lambda data: hy.HyCommitment.from_bytes(data),
-        "hy_opening": lambda data: hy.HyOpening.from_bytes(data, INDICES),
         "signer_key": keyfiles.signer_key_from_bytes,
         "bundle": keyfiles.VerifierBundle.from_bytes,
         "store": keyfiles.store_from_bytes,

@@ -177,13 +177,6 @@ class TestVerify:
         bad += [group.encode_element(group.mul(R, point)) for point in small_order_points[1:]]
         for r_bytes in bad:
             assert not passes(r_bytes)
-        # the same through an opening parsed from its bytes, as a verifier gets it
-        indices = hy.opened(self.batch, self.signature, PQ_PROD).indices
-        opening = self.commitment.open(indices, PQ_PROD).to_bytes()
-        assert self.verify(commitment=hy.HyOpening.from_bytes(opening, indices))
-        for r_bytes in bad:
-            blob = opening[:29] + r_bytes + opening[61:]
-            assert not self.verify(commitment=hy.HyOpening.from_bytes(blob, indices))
 
     def test_aggregate_only_tamper_rejected(self):
         # flip the per-batch seed: the aggregate check fails while the
@@ -289,6 +282,10 @@ class TestSerialization:
 
 
 class TestOpening:
+    """A hy unit is checked against its aggregate commitment and the
+    opening of its pq commitment at the indices the signature opens,
+    which the service serves as for a pq unit (request 0x05)."""
+
     def setup_method(self):
         self.group, self.state, self.public, self.material = setup(
             production_group(), params=PQ_PROD, seed=10
@@ -298,6 +295,10 @@ class TestOpening:
         self.key_table = self.group.precompute(self.public)
         self.derived = hy.opened(self.batch, self.signature, PQ_PROD)
 
+    def opening(self, epoch=1, indices=None):
+        indices = self.derived.indices if indices is None else indices
+        return pq.open_commitment(self.material.pq, ID_A, epoch, indices)
+
     def test_opened_derives_what_verify_derives(self):
         nested = hy.nest(self.batch)
         inner = hy.inner_message(self.signature.la.agg, nested[-1])
@@ -305,53 +306,45 @@ class TestOpening:
 
     def test_opening_is_the_sliced_commitment(self):
         indices = self.derived.indices
-        opening = hy.open_commitment(self.material, ID_A, 1, indices)
         full = commitment_for(self.material, ID_A, 1)
-        assert opening == full.open(indices, PQ_PROD)
-        assert opening.la == full.la
-        assert opening.pq.entries == tuple(full.pq.body[32 * x : 32 * x + 32] for x in indices)
+        assert self.opening() == full.pq.open(indices, PQ_PROD)
+        assert self.opening().entries == tuple(full.pq.body[32 * x : 32 * x + 32] for x in indices)
 
     def test_verify_accepts_the_opening_as_the_full_commitment(self):
-        opening = hy.open_commitment(self.material, ID_A, 1, self.derived.indices)
+        # the two layers, each checked on its own against the aggregate
+        # commitment and the opening, agree with ``verify_batch`` on the
+        # full commitment
         full = commitment_for(self.material, ID_A, 1)
-        for commitment in (full, opening):
-            assert hy.verify_batch(self.key_table, commitment, self.batch, self.signature,
-                                   self.group, PQ_PROD)
-            assert hy.verify_batch(self.key_table, commitment, self.batch, self.signature,
-                                   self.group, PQ_PROD, self.derived)
-        # the derived values are not computed again: only the aggregate layer's hashes
-        # and the k entry images remain
-        counters.reset()
-        hy.verify_batch(self.key_table, opening, self.batch, self.signature, self.group,
-                        PQ_PROD, self.derived)
-        with_derived = counters.total()
-        counters.reset()
-        hy.verify_batch(self.key_table, opening, self.batch, self.signature, self.group, PQ_PROD)
-        assert counters.total() - with_derived == 2 * len(self.batch) - 1 + 1
-        # another batch opens other indices: the opening does not fit it
-        other = [b"one", b"two", b"three", b"five"]
-        assert not hy.verify_batch(self.key_table, opening, other, self.signature, self.group,
-                                   PQ_PROD)
+
+        def layers_valid(batch, signature):
+            nested, indices = hy.opened(batch, signature, PQ_PROD)
+            inner = hy.inner_message(signature.la.agg, nested[-1])
+            return (la.verify_batch(self.key_table, full.la, nested, signature.la, self.group)
+                    and pq.verify(self.opening(indices=indices), inner, signature.pq, PQ_PROD,
+                                  indices))
+
+        tampered = hy.HySignature(replace(self.signature.la, seed=bytes(32)), self.signature.pq)
+        other = [b"one", b"two", b"three", b"five"]  # opens other indices
+        for batch, signature, valid in ((self.batch, self.signature, True),
+                                        (self.batch, tampered, False),
+                                        (other, self.signature, False)):
+            assert hy.verify_batch(self.key_table, full, batch, signature, self.group,
+                                   PQ_PROD) is valid
+            assert layers_valid(batch, signature) is valid
 
     def test_round_trip_and_layout(self):
-        opening = hy.open_commitment(self.material, ID_A, 3, self.derived.indices)
+        opening = self.opening(epoch=3)
         blob = opening.to_bytes()
-        # the aggregate commitment, then the pq opening
-        assert len(blob) == la.COMMITMENT_LEN + pq.HEADER_LEN + PQ_PROD.k * 32 == 598
-        assert blob[: la.COMMITMENT_LEN] == opening.la.to_bytes()
-        assert hy.HyOpening.from_bytes(blob, self.derived.indices) == opening
-        other_epoch = hy.open_commitment(self.material, ID_A, 4, self.derived.indices)
-        mixed = opening.la.to_bytes() + other_epoch.pq.to_bytes()
-        for bad in (blob[:-1], blob[: la.COMMITMENT_LEN], blob[1:], mixed):
+        # the pq header, then the k entries: the aggregate part is not in it
+        assert len(blob) == pq.HEADER_LEN + PQ_PROD.k * 32 == 537
+        assert pq.PqOpening.from_bytes(blob, self.derived.indices) == opening
+        for bad in (blob[:-1], blob[1:], blob + bytes(32)):
             with pytest.raises(ValueError):
-                hy.HyOpening.from_bytes(bad, self.derived.indices)
+                pq.PqOpening.from_bytes(bad, self.derived.indices)
 
-    def test_bad_indices_refused_before_any_work(self, monkeypatch):
-        group_work = []
-        monkeypatch.setattr(la, "construct_commitment",
-                            lambda *args: group_work.append(args))
+    def test_bad_indices_refused_before_any_work(self):
         counters.reset()
         for indices in ((), (0,) * (PQ_PROD.k + 1), (PQ_PROD.t,) * PQ_PROD.k):
             with pytest.raises(ValueError):
-                hy.open_commitment(self.material, ID_A, 1, indices)
-        assert counters.total() == 0 and not group_work
+                self.opening(indices=indices)
+        assert counters.total() == 0

@@ -4,9 +4,14 @@
 module or class.  A caller that holds a function object taken at import
 time, instead of looking it up on its module when it calls, bypasses
 that wrapper, and its spans vanish from the per-layer metrics without
-any error.  This runs ``hases sign`` and ``hases verify --commits``
-in-process under the installed tracer and checks that each scheme's
-sign and verify spans are recorded, once per signed unit.
+any error.  This runs ``hases sign``, then ``hases verify`` against an
+export file and against a live service, in-process under the installed
+tracer, and checks that each scheme's sign and verify spans are
+recorded, once per signed unit.  Both sources check a hy unit layer by
+layer, so its verify spans are those of ``la.verify_batch`` and
+``pq.verify``; ``hy.verify_batch`` is the reference check the CLI does
+not call.  On the tiny group no combined check is made (``la.combinable``),
+so every aggregate layer is checked alone online as well.
 """
 
 import sys
@@ -22,12 +27,12 @@ RECORDS = 8
 BATCH = 2
 
 # scheme -> (request type of its commitments, units signed, span names
-# recorded once per unit on both the sign and the verify side)
+# recorded once per unit by ``sign``, and by each ``verify``)
 SCHEMES = {
-    "pq": (cco.MSG_PQ, RECORDS, ("pq.sign", "pq.verify")),
-    "la": (cco.MSG_LA, RECORDS // BATCH, ("la.sign_batch", "la.verify_batch")),
-    "hy": (cco.MSG_HY, RECORDS // BATCH, ("hy.sign_batch", "hy.verify_batch", "la.sign_batch",
-                                          "la.verify_batch", "pq.sign", "pq.verify")),
+    "pq": (cco.MSG_PQ, RECORDS, ("pq.sign",), ("pq.verify",)),
+    "la": (cco.MSG_LA, RECORDS // BATCH, ("la.sign_batch",), ("la.verify_batch",)),
+    "hy": (cco.MSG_HY, RECORDS // BATCH, ("hy.sign_batch", "la.sign_batch", "pq.sign"),
+           ("la.verify_batch", "pq.verify")),
 }
 
 
@@ -48,7 +53,7 @@ def tracer():
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_sign_and_verify_spans_are_recorded(tmp_path, monkeypatch, tracer, scheme):
-    msg_type, units, names = SCHEMES[scheme]
+    msg_type, units, sign_names, verify_names = SCHEMES[scheme]
     monkeypatch.setenv("HASES_BACKEND", "tiny")
     ids = tmp_path / "ids.txt"
     ids.write_text(SIGNER + "\n")
@@ -61,13 +66,23 @@ def test_sign_and_verify_spans_are_recorded(tmp_path, monkeypatch, tracer, schem
     blobs = store.batch_export(msg_type, bytes.fromhex(SIGNER), 1, units)
     keyfiles.save_commitments(commits, [blob.to_bytes() for blob in blobs])
 
+    verify = ["verify", "--pub", str(keys / "verifier.pub"), "--in", str(records),
+              "--sigs", str(sigs)]
     with tracer.recording():
         assert cli.main(["sign", "--key", str(keys / f"signer_{SIGNER}.key"),
                          "--in", str(records), "--out", str(sigs)]) == 0
-        assert cli.main(["verify", "--pub", str(keys / "verifier.pub"), "--in", str(records),
-                         "--sigs", str(sigs), "--commits", str(commits)]) == 0
+        assert cli.main([*verify, "--commits", str(commits)]) == 0
 
     recorded = tracer.by_name()
     assert len(recorded["cli.sign"]) == len(recorded["cli.verify"]) == 1
-    for name in names:
+    for name in sign_names + verify_names:
         assert len(recorded.get(name, [])) == units, name
+
+    tracer.spans.clear()
+    with cco.CcoServer(store) as server, tracer.recording():
+        assert cli.main([*verify, "--cco", f"127.0.0.1:{server.port}"]) == 0
+    recorded = tracer.by_name()
+    assert len(recorded["cli.verify"]) == 1
+    for name in verify_names:
+        assert len(recorded.get(name, [])) == units, name
+    assert "hy.verify_batch" not in recorded
