@@ -11,8 +11,10 @@ commitment-oracle service that alone holds the master keys.
   on the signer.
 * ``hases.hy`` -- hybrid of the two via nested digests: aggregate
   compactness under a forward-secure, hash-based umbrella.
-* ``hases.cco`` -- the commitment service (store, wire protocol,
-  TCP server/client).
+* ``hases.cco`` -- the commitment service: the store, its request
+  table and the wire encodings, without I/O.
+* ``hases.transport`` -- the service's framing and its TCP server and
+  client; only the commands that open a socket import it.
 
 Import the submodules by name; the package itself loads none of them.
 """

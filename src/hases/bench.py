@@ -13,27 +13,27 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cco, hy, la, pq
 from .group import PrimeOrderGroup, production_group
 from .hashing import counters
 
 
-@dataclass
-class OpStats:
+class OpStats(NamedTuple):
     name: str
     hash_calls: int
     wall_us: float  # mean over the trials
     quartiles_us: tuple[float, float, float]  # q1, median, q3 of the trials
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
+    """One scheme's report; ``_row`` appends to ``ops``, the caller fills ``sizes``."""
+
     scheme: str
-    params: dict[str, object] = field(default_factory=dict)
-    ops: list[OpStats] = field(default_factory=list)
-    sizes: dict[str, int] = field(default_factory=dict)
+    params: dict[str, object]
+    ops: list[OpStats]
+    sizes: dict[str, int]
 
     def machine_lines(self) -> list[str]:
         lines = [f"scheme={self.scheme}"]
@@ -140,6 +140,8 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
             "policy.anchor_bytes_per_signer": (params.j1 - 1) * 32,
             "trials": trials,
         },
+        ops=[],
+        sizes={},
     )
     states = materials = None
 
@@ -195,6 +197,8 @@ def bench_la(
     report = BenchReport(
         "la",
         params={"L": batch_size, "J": max_batches, "trials": trials},
+        ops=[],
+        sizes={},
     )
     states = public = material = None
 
@@ -247,6 +251,8 @@ def bench_hy(
             "policy.j1": pq_params.j1,
             "trials": trials,
         },
+        ops=[],
+        sizes={},
     )
     states, public, material = hy.keygen([_BENCH_ID], group, batch_size, pq_params)
     state = states[_BENCH_ID]

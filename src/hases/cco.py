@@ -1,4 +1,4 @@
-"""Commitment-oracle service: store, wire protocol, server, client.
+"""Commitment-oracle service: the store and its request table.
 
 The store is the only holder of master secrets.  It answers per-epoch
 commitment requests for all three schemes and never exposes key bytes:
@@ -6,10 +6,18 @@ every response carries only public commitment material.  The trust
 boundary is the process boundary; hosting the same store inside a
 hardware enclave is a deployment substitution, not a code change.
 
-Wire protocol (stream transport): each frame is a 4-byte big-endian
-length followed by a 1-byte message type and the body.  The scheme
-types are the tags in ``hases.schemes``; ``_REQUESTS`` takes each type.
-Request types:
+The service is two modules.  This one is bytes in, bytes out: the store,
+the request table that takes each request type (``_REQUESTS``), and the
+request and response encodings.  ``hases.transport`` carries those
+bytes: the framing, the threaded TCP server and the pipelining client.
+Key generation and signing need the store alone, so they never import a
+socket.  The transport's public names are also reachable from here
+(``cco.CcoClient``, ``cco.CcoServer``, ...); the first such lookup
+imports it.
+
+Wire protocol: each request is a 1-byte message type followed by the
+body, sent in one frame of ``hases.transport``.  The scheme types are
+the tags in ``hases.schemes``.  Request types:
 
     0x01  commitment, forward-secure     body: id(16) epoch(8)
     0x02  commitment, aggregate          body: id(16) epoch(8)
@@ -64,16 +72,6 @@ and the reply is a public product of those R's powers, which anyone
 could compute from them.  It goes through the response cache, so two
 verifiers of one chunk, who derive the same seed, share one build.
 
-A connection carries any number of requests, and a client may send
-several before reading the replies: the server answers them one at a
-time, in order.  ``CcoClient.ok_bodies`` keeps ``PIPELINE_WINDOW``
-requests of any mix of types in flight this way.  Both ends turn
-Nagle's algorithm off (TCP_NODELAY): the frames are small, and holding
-each one until the previous is acknowledged would stall the pipeline.
-The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
-longer length prefix is answered as malformed and the connection is
-closed, its body unread.
-
 Responses to the single-epoch request types (0x01-0x03, 0x05) and to
 0x08 go through a response cache keyed by the whole request payload: a
 least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES`` in
@@ -93,27 +91,19 @@ service with the verifier should wrap the transport accordingly.
 
 Concurrency: key material objects are immutable; readers grab the
 current reference under a short lock and hash outside it, writers
-(provision, storage policy changes) swap in replacement objects.  The
-server runs one thread per connection; closing it shuts every open
-connection down and joins their threads.  Connections are logged at
-DEBUG on the ``hases.cco`` logger as they open and close, with the peer
-and the number of requests served; dropped connections and malformed
-frames at WARNING.
+(provision, storage policy changes) swap in replacement objects.
 """
 
 from __future__ import annotations
 
-import socket
-import socketserver
 import struct
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from functools import partial
-from itertools import islice
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from . import hy, la, pq, schemes
-from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame, UnknownSigner
+from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
 
 MSG_PQ = schemes.PQ.tag
 MSG_LA = schemes.LA.tag
@@ -140,37 +130,30 @@ MAX_OPENING_INDICES = 256
 MAX_COMBINED_EPOCHS = 64
 SEED_LEN = 32  # of a combined request's seed
 
-# The largest request frame the server reads: an opening request is at
-# most 1 + 24 + 4k = 1,049 bytes with k <= 256, a combined request
-# 1 + 48 + 8 * 64 = 561.  A longer length prefix is answered as malformed
-# before its body is read.
-MAX_REQUEST_FRAME = 2048
-
-# Requests a client keeps in flight on one connection.  This cannot
-# deadlock: the client writes at most this many frames beyond what it
-# has read, the largest being an opening request of 4 + 1 + 24 + 4k
-# bytes, at most 1,053 with k <= 256, so a full window (under 17 KB)
-# always fits the socket buffers and its writes never block, even while
-# the server is blocked sending it responses it has not read yet.
-PIPELINE_WINDOW = 16
-
 # Byte budget of the response cache: about 15 pq or hy commitments at
-# t=1024 (roughly one PIPELINE_WINDOW, so two verifiers of one stream
-# running up to a window apart are both served from one build), or
-# about 900 openings at k=16.  No entry is ever invalidated, and none
-# needs to be: only OK responses are kept, ``provision`` refuses
+# t=1024 (roughly one ``transport.PIPELINE_WINDOW``, so two verifiers of
+# one stream running up to a window apart are both served from one
+# build), or about 900 openings at k=16.  No entry is ever invalidated,
+# and none needs to be: only OK responses are kept, ``provision`` refuses
 # overlapping ids and any change of master key or parameters, and
 # ``set_storage_policy`` moves only the anchors a chain walk starts
 # from, not its result.  So the OK response to a given payload never
 # changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
+# the names of ``hases.transport`` that ``__getattr__`` serves from here
+_TRANSPORT_NAMES = frozenset({"CcoClient", "CcoServer", "read_frame", "write_frame",
+                              "MAX_REQUEST_FRAME", "PIPELINE_WINDOW"})
 
-def _log(level: str, message: str, *args) -> None:
-    # imported on first use: logging adds about 7 ms to every CLI start
-    import logging
 
-    getattr(logging.getLogger(__name__), level)(message, *args)
+def __getattr__(name: str):
+    # the transport is imported on the first lookup of one of its names,
+    # not with this module: most commands never open a socket
+    if name in _TRANSPORT_NAMES:
+        from . import transport
+
+        return getattr(transport, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CacheStats(NamedTuple):
@@ -509,239 +492,12 @@ _REQUESTS = {
 }
 
 
-# --- framing -----------------------------------------------------------------
-
-
-def write_frame(stream: BinaryIO, payload: bytes) -> None:
-    if len(payload) > MAX_FRAME:
-        raise MalformedFrame("frame exceeds maximum size")
-    stream.write(struct.pack(">I", len(payload)) + payload)
-    stream.flush()
-
-
-def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
-    """Read one frame of at most ``limit`` bytes; None on clean EOF
-    before a length prefix.  A longer length prefix raises
-    ``MalformedFrame`` before the body is read."""
-    header = stream.read(4)
-    if not header:
-        return None
-    if len(header) < 4:
-        raise MalformedFrame("truncated frame length")
-    (length,) = struct.unpack(">I", header)
-    if length > limit:
-        raise MalformedFrame("frame exceeds maximum size")
-    payload = b""
-    while len(payload) < length:
-        chunk = stream.read(length - len(payload))
-        if not chunk:
-            raise MalformedFrame("truncated frame body")
-        payload += chunk
-    return payload
-
-
-# --- TCP server / client -------------------------------------------------
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    # replies and pipelined requests are small frames: Nagle's algorithm
-    # would hold each one back until the previous one is acknowledged
-    disable_nagle_algorithm = True
-
-    def handle(self):
-        peer = self.client_address[:2]
-        served = 0
-        _log("debug", "connection from %s:%s opened", *peer)
-        try:
-            while True:
-                try:
-                    payload = read_frame(self.rfile, MAX_REQUEST_FRAME)
-                except MalformedFrame as exc:
-                    _log("warning", "malformed frame from %s:%s (%s): answered and closed", *peer, exc)
-                    write_frame(self.wfile, bytes((RESPONSE_BIT, STATUS_MALFORMED)))
-                    return
-                if payload is None:
-                    return
-                write_frame(self.wfile, self.server.store.handle_request(payload))
-                served += 1
-        except OSError as exc:
-            _log("warning", "connection from %s:%s dropped: %s", *peer, exc)
-        finally:
-            _log("debug", "connection from %s:%s closed after %d requests", *peer, served)
-
-
-class CcoServer(socketserver.ThreadingTCPServer):
-    """Serves one store over TCP; use as a context manager in tests.
-
-    Each connection gets its own handler thread.  ``server_close`` (and
-    so ``stop``) shuts every open connection down, which ends the reads
-    of idle ones, then joins the handler threads: once it returns, no
-    request is being built any more.
-    """
-
-    allow_reuse_address = True
-
-    def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
-        self.store = store
-        self._thread: threading.Thread | None = None
-        self._live_lock = threading.Lock()
-        self._live: dict[socket.socket, threading.Thread] = {}  # open connections
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def start(self) -> None:
-        # a short poll keeps stop() from waiting out serve_forever's 0.5 s default
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join()
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._live_lock:
-            self._live[request] = thread
-        thread.start()
-
-    def shutdown_request(self, request) -> None:
-        # deregister before the socket is closed, so server_close never
-        # shuts down a closed (or reused) descriptor
-        with self._live_lock:
-            self._live.pop(request, None)
-        super().shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        with self._live_lock:
-            live = list(self._live.items())
-            for request, _ in live:
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer already reset it
-        for _, thread in live:
-            thread.join()
-
-    def __enter__(self) -> "CcoServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-
-class CcoClient:
-    """Blocking client for the commitment service."""
-
-    def __init__(self, host: str, port: int, timeout: float = 10.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        # pipelined requests are small frames that Nagle's algorithm would hold back
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._stream = self._sock.makefile("rwb")
-
-    def close(self) -> None:
-        try:
-            self._stream.close()
-        except OSError:
-            pass  # the peer is gone: requests still buffered cannot be sent
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "CcoClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def request_raw(self, payload: bytes) -> bytes:
-        (response,) = self._exchange([payload])
-        return response
-
-    def _exchange(self, payloads: Iterable[bytes]) -> Iterator[bytes]:
-        """Send each payload and yield its response, in order, keeping
-        up to ``PIPELINE_WINDOW`` requests in flight."""
-        payloads = iter(payloads)
-        in_flight = 0
-        try:
-            while True:
-                for payload in islice(payloads, PIPELINE_WINDOW - in_flight):
-                    write_frame(self._stream, payload)
-                    in_flight += 1
-                if not in_flight:
-                    return
-                response = read_frame(self._stream)
-                if response is None:
-                    raise MalformedFrame("connection closed mid-request")
-                in_flight -= 1
-                yield response
-        except GeneratorExit:
-            # abandoned early: read the replies still owed, so the next
-            # request on this connection gets its own
-            if not self._stream.closed:
-                for _ in range(in_flight):
-                    read_frame(self._stream)
-            raise
-
-    def _request_ok(self, msg_type: int, body: bytes) -> bytes:
-        status, rest = _split_response(msg_type, self.request_raw(bytes((msg_type,)) + body))
-        if status != STATUS_OK:
-            raise CcoRequestError(status)
-        return rest
-
-    def commitment_bytes(self, msg_type: int, signer_id: bytes, epoch: int) -> bytes:
-        """Serialized commitment for one epoch, left unparsed.  A non-OK
-        status raises ``CcoRequestError``."""
-        return self._request_ok(msg_type, _key_bytes(signer_id, epoch))
-
-    def commitments(self, msg_type: int, keys: Iterable[tuple[bytes, int]]) -> Iterator[bytes | None]:
-        """Serialized commitment for each (id, epoch) key, in order, or
-        None where the service answers with a non-OK status; pipelined
-        as ``ok_bodies``."""
-        return self.ok_bodies(commitment_payload(msg_type, *key) for key in keys)
-
-    def ok_bodies(self, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
-        """The body after the OK status of each payload's response, in
-        order, or None for any other status; payloads of any mix of
-        types, up to ``PIPELINE_WINDOW`` in flight at a time."""
-        sent: deque[int] = deque()
-
-        def typed():
-            for payload in payloads:
-                sent.append(payload[0])
-                yield payload
-
-        for response in self._exchange(typed()):
-            status, rest = _split_response(sent.popleft(), response)
-            yield rest if status == STATUS_OK else None
-
-    def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
-        body = (
-            bytes((scheme,))
-            + signer_id
-            + epoch_from.to_bytes(8, "big")
-            + epoch_to.to_bytes(8, "big")
-        )
-        return export_from_bytes(self._request_ok(MSG_EXPORT, body))
-
-
-def _key_bytes(signer_id: bytes, epoch: int) -> bytes:
-    """The id(16) epoch(8) that ``_key`` reads back."""
-    return signer_id + epoch.to_bytes(8, "big")
+# --- request encodings: what ``_REQUESTS`` reads back -------------------------
 
 
 def commitment_payload(msg_type: int, signer_id: bytes, epoch: int) -> bytes:
-    """A single-epoch commitment request (0x01-0x03)."""
-    return bytes((msg_type,)) + _key_bytes(signer_id, epoch)
+    """A single-epoch commitment request (0x01-0x03): id(16) epoch(8)."""
+    return bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big")
 
 
 def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
@@ -749,13 +505,13 @@ def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequen
     return commitment_payload(msg_type, signer_id, epoch) + struct.pack(f">{len(indices)}I", *indices)
 
 
+def export_payload(scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> bytes:
+    """A batch export request (``MSG_EXPORT``)."""
+    return bytes((MSG_EXPORT, scheme_tag)) + signer_id + struct.pack(">QQ", epoch_from, epoch_to)
+
+
 def combined_payload(signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
     """A combined nonce commitment request (``MSG_LA_COMBINED``)."""
     return bytes((MSG_LA_COMBINED,)) + signer_id + seed + struct.pack(f">{len(epochs)}Q", *epochs)
 
 
-def _split_response(msg_type: int, response: bytes) -> tuple[int, bytes]:
-    """(status, rest) of a response to a request of ``msg_type``."""
-    if len(response) < 2 or response[0] != (msg_type | RESPONSE_BIT):
-        raise MalformedFrame("unexpected response type")
-    return response[1], response[2:]

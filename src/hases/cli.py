@@ -14,12 +14,10 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from . import cco, keyfiles, la, pq, schemes, stream
 from .errors import HasesError
 from .group import production_group, small_test_group
-from .hashing import read_header
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -125,124 +123,9 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-class _CommitmentSource:
-    """Where each unit's commitment parts come from: a pipelined service
-    connection, or a preloaded offline export."""
-
-    def __init__(self, args, bundle: keyfiles.VerifierBundle):
-        self.scheme = scheme = schemes.by_tag(bundle.scheme)
-        self.bundle = bundle
-        self.client = None
-        self.offline: dict[tuple[bytes, int], bytes] = {}
-        if args.cco:
-            host, port = _parse_host_port(args.cco)
-            self.client = cco.CcoClient(host, port)
-        elif args.commits:
-            for blob in keyfiles.load_commitments(args.commits):
-                # another scheme's entry for the same (id, epoch) must not
-                # replace the one this bundle verifies against
-                try:
-                    self.offline[read_header(blob, scheme.commitment_tag, "commitment")] = blob
-                except ValueError:
-                    continue
-        else:
-            raise ValueError("either --cco or --commits is required")
-
-    def close(self):
-        if self.client:
-            self.client.close()
-
-    def layer_parts(self, layers: list[schemes.Layers], tables) -> Iterator[tuple]:
-        """(position, aggregate commitment, pq opening) for each unit's
-        ``Layers``: None for a layer the unit lacks, or whose part the
-        service refused or the export lacks or holds malformed, and
-        ``_PROVEN`` for an aggregate layer a combined check passed."""
-        if self.client is None:
-            return self._offline_parts(layers)
-        return self._online_parts(layers, tables)
-
-    def _offline_parts(self, layers: list[schemes.Layers]) -> Iterator[tuple]:
-        """Each unit's parts, in order, from the export entry at its (id,
-        epoch); the pq part is opened at the unit's indices."""
-        commitment_parts, pq_params = self.scheme.commitment_parts, self.bundle.pq_params
-        for n, unit in enumerate(layers):
-            signature = (unit.la or unit.pq)[1]  # either layer's: both carry its id and epoch
-            blob = self.offline.get((signature.signer_id, signature.epoch))
-            la_part, pq_part = _parsed(commitment_parts, blob) or (None, None)
-            opening = _parsed(pq.PqCommitment.open, pq_part, unit.pq[2], pq_params) if unit.pq else None
-            yield n, la_part, opening
-
-    def _online_parts(self, layers: list[schemes.Layers], tables) -> Iterator[tuple]:
-        """Each unit's parts, as they arrive.
-
-        One pipelined stream first asks for a combined nonce commitment
-        per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then for
-        every pq opening; a unit is yielded as its opening arrives, so its
-        check overlaps the service's next builds.  Only the aggregate
-        layers no combined check passed are asked for again, each on its
-        own (``0x02``), and yielded last."""
-        client, group = self.client, self.bundle.la_params and self.bundle.la_params.group
-        combined = _combinations(layers, self.bundle) if group and la.combinable(group) else []
-        payloads = [cco.combined_payload(sid, seed, [b[0] for b in batches])
-                    for sid, seed, _, batches in combined]
-        payloads += [cco.opening_payload(cco.MSG_PQ_OPENING, sig.signer_id, sig.epoch, indices)
-                     for _, sig, indices in (unit.pq for unit in layers if unit.pq)]
-        replies = client.ok_bodies(payloads)
-        proven = set()
-        for (sid, seed, positions, batches), reply in zip(combined, replies):
-            try:
-                if reply == la.combined_value(tables[sid], seed, batches, group):
-                    proven.update(positions)
-            except ValueError:
-                pass  # a key outside the subgroup: each unit is rejected alone
-        alone = []
-        for n, unit in enumerate(layers):
-            opening = _parsed(pq.PqOpening.from_bytes, next(replies), unit.pq[2]) if unit.pq else None
-            if unit.la and n not in proven:
-                alone.append((n, opening))
-            else:
-                yield n, _PROVEN if unit.la else None, opening
-        keys = [(layers[n].la[1].signer_id, layers[n].la[1].epoch) for n, _ in alone]
-        for (n, opening), blob in zip(alone, client.commitments(cco.MSG_LA, keys)):
-            yield n, _parsed(la.LaCommitment.from_bytes, blob), opening
-
-
-# an aggregate layer that a combined check has passed
-_PROVEN = object()
-
-
-def _parsed(parse, blob, *args):
-    """``parse(blob, *args)``, or None if blob is None or ``parse`` raises
-    ValueError (a malformed commitment is a cryptographic reject)."""
-    try:
-        return None if blob is None else parse(blob, *args)
-    except ValueError:
-        return None
-
-
-def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:
-    """(id, seed, unit positions, (epoch, challenge sum, response sum) per
-    unit) of each combined check: a signer's units in order, at most
-    ``cco.MAX_COMBINED_EPOCHS`` per check.  A unit of the wrong length or
-    outside [1, J] is left out, to be checked alone."""
-    params = bundle.la_params
-    by_signer: dict[bytes, list[int]] = {}
-    for n, unit in enumerate(layers):
-        messages, signature, _ = unit.la
-        if len(messages) == params.batch_size and 1 <= signature.epoch <= params.max_batches:
-            by_signer.setdefault(signature.signer_id, []).append(n)
-    combined = []
-    for signer_id, units in by_signer.items():
-        for start in range(0, len(units), cco.MAX_COMBINED_EPOCHS):
-            positions = units[start : start + cco.MAX_COMBINED_EPOCHS]
-            batches = [(layers[n].la[1].epoch, layers[n].la[2], layers[n].la[1].agg)
-                       for n in positions]
-            combined.append((signer_id, la.combination_seed(signer_id, batches), positions,
-                             batches))
-    return combined
-
-
 def cmd_verify(args) -> int:
+    from . import verifier  # no other command loads it
+
     bundle = keyfiles.load_verifier_bundle(args.pub)
     records = stream.read_stream(args.input, args.format, args.hex)
     try:
@@ -252,65 +135,15 @@ def cmd_verify(args) -> int:
         # operational failure: the data offered for verification is bad
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
-    source = _CommitmentSource(args, bundle)
+    address = _parse_host_port(args.cco) if args.cco else None
+    source = verifier.CommitmentSource(bundle, address, args.commits)
     try:
-        results = _verify_all(bundle, records, blobs, source)
+        results = verifier.verify_all(bundle, records, blobs, source)
     finally:
         source.close()
     good = sum(results)
     print(f"{good}/{len(results)} signatures valid")
     return EXIT_OK if results and all(results) else EXIT_REJECT
-
-
-def _verify_all(bundle, records, blobs, source) -> list[bool]:
-    scheme = schemes.by_tag(bundle.scheme)
-    messages = scheme.units(records, bundle)
-    if len(messages) != len(blobs):
-        raise ValueError(f"{len(blobs)} signatures for {len(messages)} signing units")
-
-    # every signature is parsed before the first request, so the service
-    # sees one pipelined stream; a unit that fails to parse or names a
-    # signer outside the bundle is rejected without a request
-    signatures = [_parse_signature(scheme, bundle, blob) for blob in blobs]
-    units = [n for n, signature in enumerate(signatures) if signature is not None]
-    # what each check derives before its commitment is needed, computed once
-    layers = [scheme.layers(messages[n], signatures[n], bundle) for n in units]
-    # per-key tables live for this run only: see hases.group
-    tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
-    results = [False] * len(blobs)
-    for i, la_part, opening in source.layer_parts(layers, tables):
-        try:
-            results[units[i]] = _layers_valid(layers[i], la_part, opening, bundle, tables)
-        except ValueError:
-            pass  # a key outside the subgroup is a cryptographic reject
-    return results
-
-
-def _layers_valid(unit: schemes.Layers, la_commitment, opening, bundle, tables) -> bool:
-    """Whether each layer of ``unit`` checks out against its part from
-    ``_CommitmentSource.layer_parts``, online or offline."""
-    if unit.la and la_commitment is not _PROVEN:
-        messages, signature, challenge = unit.la
-        if la_commitment is None or not la.verify_batch(
-            tables[signature.signer_id], la_commitment, messages, signature,
-            bundle.la_params.group, challenge,
-        ):
-            return False
-    if unit.pq:
-        message, signature, indices = unit.pq
-        return opening is not None and pq.verify(
-            opening, message, signature, bundle.pq_params, indices)
-    return True
-
-
-def _parse_signature(scheme, bundle, blob):
-    """The parsed signature, or None if it is malformed or its signer
-    is not in the bundle (a cryptographic reject)."""
-    try:
-        signature = scheme.parse_signature(blob, bundle)
-    except ValueError:
-        return None
-    return signature if signature.signer_id in bundle.public_keys else None
 
 
 # --- serve / request ----------------------------------------------------------
@@ -320,7 +153,9 @@ def cmd_serve(args) -> int:
     store = keyfiles.load_store(args.store)
     if args.policy_j1:
         store.set_storage_policy(args.policy_j1)
-    server = cco.CcoServer(store, args.host, args.port)
+    from .transport import CcoServer  # keygen and sign never load sockets
+
+    server = CcoServer(store, args.host, args.port)
     print(f"listening on {args.host}:{server.port}", flush=True)
     try:
         server.serve_forever()
@@ -332,10 +167,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_request(args) -> int:
+    from .transport import CcoClient
+
     host, port = _parse_host_port(args.cco)
     scheme = schemes.BY_NAME[args.scheme]
     signer_id = parse_signer_id(args.id)
-    with cco.CcoClient(host, port) as client:
+    with CcoClient(host, port) as client:
         if args.export:
             lo, _, hi = args.export.partition(":")
             blobs = client.batch_export(scheme.tag, signer_id, int(lo), int(hi))
@@ -380,14 +217,7 @@ def cmd_bench(args) -> int:
 # --- parser -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hases",
-        description="forward-secure, aggregate, and hybrid signing with an "
-        "oracle-served commitment service",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _keygen_parser(sub) -> None:
     kg = sub.add_parser("keygen", help="run a key ceremony")
     kg.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     kg.add_argument("--ids", required=True, help="file with one signer id per line")
@@ -399,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     kg.add_argument("--out", required=True, help="output directory")
     kg.set_defaults(func=cmd_keygen)
 
+
+def _sign_parser(sub) -> None:
     sg = sub.add_parser("sign", help="sign a message stream")
     sg.add_argument("--key", required=True, help="signer key file (rewritten after use)")
     sg.add_argument("--in", dest="input", required=True)
@@ -407,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--out", required=True, help="signature file")
     sg.set_defaults(func=cmd_sign)
 
+
+def _verify_parser(sub) -> None:
     vf = sub.add_parser("verify", help="verify a signed message stream")
     vf.add_argument("--pub", required=True, help="verifier bundle from keygen")
     vf.add_argument("--in", dest="input", required=True)
@@ -417,6 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--commits", help="offline commitment export file")
     vf.set_defaults(func=cmd_verify)
 
+
+def _serve_parser(sub) -> None:
     sv = sub.add_parser("serve", help="serve a provisioned key store")
     sv.add_argument("--store", required=True)
     sv.add_argument("--host", default="127.0.0.1")
@@ -424,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--policy-j1", type=int, default=0, help="rebuild anchors for this j1")
     sv.set_defaults(func=cmd_serve)
 
+
+def _request_parser(sub) -> None:
     rq = sub.add_parser("request", help="fetch commitments from a service")
     rq.add_argument("--cco", required=True, help="HOST:PORT")
     rq.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
@@ -433,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     rq.add_argument("--out", help="write commitment(s) to this file")
     rq.set_defaults(func=cmd_request)
 
+
+def _bench_parser(sub) -> None:
     bn = sub.add_parser("bench", help="measure signer costs and sizes")
     bn.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     bn.add_argument("--trials", type=int, default=32)
@@ -443,11 +283,41 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--L", type=int, default=0)
     bn.set_defaults(func=cmd_bench)
 
+
+# each command's parser builder, in the order ``hases --help`` lists them;
+# a builder takes ``cmd_*`` from the module when it runs, so a wrapper
+# installed on one later (as a tracer does) is the one that is called
+_SUBPARSERS = {
+    "keygen": _keygen_parser,
+    "sign": _sign_parser,
+    "verify": _verify_parser,
+    "serve": _serve_parser,
+    "request": _request_parser,
+    "bench": _bench_parser,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hases`` parser with every subcommand, or with ``command`` alone."""
+    parser = argparse.ArgumentParser(
+        prog="hases",
+        description="forward-secure, aggregate, and hybrid signing with an "
+        "oracle-served commitment service",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in _SUBPARSERS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command is parsed by a parser that holds it alone; anything
+    # else (no command, an unknown one, a top-level option) gets the whole
+    # parser, for its help and its error messages
+    command = argv[0] if argv and argv[0] in _SUBPARSERS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (HasesError, ValueError, OSError) as exc:

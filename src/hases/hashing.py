@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .records import SlotRecord
 
 DIGEST_LEN = 32
 ID_LEN = 16
@@ -56,13 +57,15 @@ DOM_CHAIN = 1
 DOM_COMMIT = 2
 
 
-@dataclass
-class HashCounters:
+class HashCounters(SlotRecord):
     """Tally of primitive hash invocations, one slot per domain."""
 
-    calls_h0: int = 0
-    calls_h1: int = 0
-    calls_h2: int = 0
+    __slots__ = ("calls_h0", "calls_h1", "calls_h2")
+
+    def __init__(self, calls_h0: int = 0, calls_h1: int = 0, calls_h2: int = 0):
+        self.calls_h0 = calls_h0
+        self.calls_h1 = calls_h1
+        self.calls_h2 = calls_h2
 
     def reset(self) -> None:
         self.calls_h0 = self.calls_h1 = self.calls_h2 = 0
@@ -77,7 +80,7 @@ class HashCounters:
 counters = HashCounters()
 
 _PREFIX = (b"\x00", b"\x01", b"\x02")
-_COUNTER_SLOTS = ("calls_h0", "calls_h1", "calls_h2")
+_COUNTER_SLOTS = HashCounters.__slots__
 _sha256 = hashlib.sha256
 
 

@@ -28,14 +28,14 @@ file shares only the id: each layer keeps its own epoch).
 
 from __future__ import annotations
 
-import secrets
-from dataclasses import dataclass
+import os
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import la, pq
 from .errors import EpochDesync
 from .group import PrimeOrderGroup, encode_scalar
 from .hashing import DOM_MESSAGE, domain_hash
+from .records import CheckedTuple, SlotRecord
 
 SIGNATURE_TAG = 0x03
 COMMITMENT_TAG = 0x13
@@ -74,16 +74,16 @@ def inner_message(agg: int, last_digest: bytes) -> bytes:
     return encode_scalar(agg) + last_digest
 
 
-@dataclass
-class HySignerState:
+class HySignerState(SlotRecord):
     """Lockstep pair of component signer states."""
 
-    la: la.LaSignerState
-    pq: pq.PqSignerState
+    __slots__ = ("la", "pq")
 
-    def __post_init__(self):
-        if self.la.signer_id != self.pq.signer_id:
+    def __init__(self, la: la.LaSignerState, pq: pq.PqSignerState):
+        if la.signer_id != pq.signer_id:
             raise ValueError("component states belong to different signers")
+        self.la = la
+        self.pq = pq
 
     @property
     def signer_id(self) -> bytes:
@@ -111,14 +111,23 @@ class HySignerState:
         return cls(la.LaSignerState.from_bytes(la_blob), pq.PqSignerState.from_bytes(pq_blob))
 
 
-@dataclass(frozen=True)
-class HySignature:
+def _check_pair(pair, what: str) -> None:
+    if pair.la.signer_id != pair.pq.signer_id or pair.la.epoch != pair.pq.epoch:
+        raise ValueError(f"component {what} disagree on signer or epoch")
+
+
+class _HySignature(NamedTuple):
     la: la.LaSignature
     pq: pq.PqSignature
 
-    def __post_init__(self):
-        if self.la.signer_id != self.pq.signer_id or self.la.epoch != self.pq.epoch:
-            raise ValueError("component signatures disagree on signer or epoch")
+
+class HySignature(CheckedTuple, _HySignature):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "HySignature":
+        self = super().__new__(cls, *args, **kwargs)
+        _check_pair(self, "signatures")
+        return self
 
     @property
     def signer_id(self) -> bytes:
@@ -138,17 +147,21 @@ class HySignature:
         return cls(la.LaSignature.from_bytes(la_blob, group), pq.PqSignature.from_bytes(pq_blob))
 
 
-@dataclass(frozen=True)
-class HyCommitment:
-    """The aggregate commitment (R as its 32-byte encoding, never decoded
-    by a verifier; see ``la.LaCommitment``) beside the pq commitment."""
-
+class _HyCommitment(NamedTuple):
     la: la.LaCommitment
     pq: pq.PqCommitment
 
-    def __post_init__(self):
-        if self.la.signer_id != self.pq.signer_id or self.la.epoch != self.pq.epoch:
-            raise ValueError("component commitments disagree on signer or epoch")
+
+class HyCommitment(CheckedTuple, _HyCommitment):
+    """The aggregate commitment (R as its 32-byte encoding, never decoded
+    by a verifier; see ``la.LaCommitment``) beside the pq commitment."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "HyCommitment":
+        self = super().__new__(cls, *args, **kwargs)
+        _check_pair(self, "commitments")
+        return self
 
     def to_bytes(self) -> bytes:
         return _join(COMMITMENT_TAG, self.la.to_bytes(), self.pq.to_bytes())
@@ -160,8 +173,7 @@ class HyCommitment:
         return cls(la.LaCommitment.from_bytes(la_blob), pq.PqCommitment.from_bytes(pq_blob))
 
 
-@dataclass(frozen=True)
-class HyKeyMaterial:
+class HyKeyMaterial(NamedTuple):
     la: la.LaKeyMaterial
     pq: pq.PqKeyMaterial
 
@@ -171,7 +183,7 @@ def keygen(
     group: PrimeOrderGroup,
     batch_size: int,
     pq_params: pq.PqParams,
-    rng: Callable[[int], bytes] = secrets.token_bytes,
+    rng: Callable[[int], bytes] = os.urandom,  # what secrets.token_bytes returns
 ) -> tuple[dict[bytes, HySignerState], dict[bytes, bytes], HyKeyMaterial]:
     """Run both component key ceremonies over the same identity list.
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import la, pq, schemes
 from .cco import CcoStore, export_bytes, export_from_bytes
@@ -98,8 +97,7 @@ def _load(path: str | Path, parse, what: str):
 # --- verifier bundles -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifierBundle:
+class VerifierBundle(NamedTuple):
     """Public side of a key ceremony: parameters plus public keys.
 
     Public keys stay in their 32-byte encodings; a verifier decodes

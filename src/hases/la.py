@@ -51,10 +51,9 @@ verifier then checks each one against its own commitment.
 
 from __future__ import annotations
 
-import secrets
+import os
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from .group import PrimeOrderGroup, encode_scalar, group_by_tag
@@ -75,6 +74,7 @@ from .hashing import (
     prefixed_scalars,
     split_header,
 )
+from .records import CheckedTuple, SlotRecord
 
 SIGNATURE_TAG = 0x02
 COMMITMENT_TAG = 0x12
@@ -87,15 +87,20 @@ KEY_FILE_LEN = HEADER_LEN + 32 + PARAMS_LEN
 MASTER_KEY_LEN = 32
 
 
-@dataclass(frozen=True)
-class LaParams:
+class _LaParams(NamedTuple):
     group: PrimeOrderGroup
     max_batches: int  # J
     batch_size: int  # L
 
-    def __post_init__(self):
+
+class LaParams(CheckedTuple, _LaParams):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "LaParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_batches < 1 or self.batch_size < 1:
             raise ValueError("batch count and batch size must be >= 1")
+        return self
 
     def to_bytes(self) -> bytes:
         return _PARAMS.pack(self.group.backend_tag, self.max_batches, self.batch_size)
@@ -108,14 +113,16 @@ class LaParams:
         return cls(group_by_tag(backend_tag), max_batches, batch_size)
 
 
-@dataclass
-class LaSignerState:
+class LaSignerState(SlotRecord):
     """Private scalar plus the batch counter.  Single-writer."""
 
-    signer_id: bytes
-    key: int
-    epoch: int
-    params: LaParams
+    __slots__ = ("signer_id", "key", "epoch", "params")
+
+    def __init__(self, signer_id: bytes, key: int, epoch: int, params: LaParams):
+        self.signer_id = signer_id
+        self.key = key
+        self.epoch = epoch
+        self.params = params
 
     @property
     def exhausted(self) -> bool:
@@ -137,8 +144,7 @@ class LaSignerState:
         return cls(signer_id, key, epoch, params)
 
 
-@dataclass(frozen=True)
-class LaSignature:
+class LaSignature(NamedTuple):
     """Aggregate tag: response sum plus the per-batch public seed."""
 
     signer_id: bytes
@@ -157,8 +163,7 @@ class LaSignature:
         return cls(signer_id, epoch, group.decode_scalar(rest[:32]), rest[32:])
 
 
-@dataclass(frozen=True)
-class LaCommitment:
+class LaCommitment(NamedTuple):
     """Aggregate nonce commitment R for one (signer, batch) pair.
 
     R is held as its 32-byte canonical encoding, exactly as it travels:
@@ -182,8 +187,7 @@ class LaCommitment:
         return cls(signer_id, epoch, int.from_bytes(rest[:4], "big"), rest[4:])
 
 
-@dataclass(frozen=True)
-class LaKeyMaterial:
+class LaKeyMaterial(NamedTuple):
     """Store side: the master key and the registered identities."""
 
     msk: bytes
@@ -200,7 +204,7 @@ def keygen(
     group: PrimeOrderGroup,
     max_batches: int,
     batch_size: int,
-    rng: Callable[[int], bytes] = secrets.token_bytes,
+    rng: Callable[[int], bytes] = os.urandom,  # what secrets.token_bytes returns
 ) -> tuple[dict[bytes, LaSignerState], dict[bytes, bytes], LaKeyMaterial]:
     """Derive per-signer keys from a fresh master key.
 

@@ -26,9 +26,8 @@ construction and verification sides map preimages to entries with H2.
 
 from __future__ import annotations
 
-import secrets
+import os
 import struct
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
 
 from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
@@ -48,6 +47,7 @@ from .hashing import (
     prefixed_hashes,
     split_header,
 )
+from .records import CheckedTuple, SlotRecord
 
 SIGNATURE_TAG = 0x01
 COMMITMENT_TAG = 0x11
@@ -63,8 +63,15 @@ MASTER_KEY_LEN = 32
 Cursor = MutableMapping[bytes, tuple[int, bytes]]
 
 
-@dataclass(frozen=True)
-class PqParams:
+class _PqParams(NamedTuple):
+    t: int = 1024
+    k: int = 16
+    l: int = 256
+    j1: int = 1
+    j2: int = 1024
+
+
+class PqParams(CheckedTuple, _PqParams):
     """System parameters for the forward-secure scheme.
 
     t: commitment entries per epoch (power of two)
@@ -73,13 +80,10 @@ class PqParams:
     j1, j2: epoch factorization, J = j1 * j2
     """
 
-    t: int = 1024
-    k: int = 16
-    l: int = 256
-    j1: int = 1
-    j2: int = 1024
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs) -> "PqParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.t < 2 or self.t & (self.t - 1):
             raise ValueError("t must be a power of two >= 2")
         if self.k < 1 or self.k * self.index_bits > 256:
@@ -88,6 +92,7 @@ class PqParams:
             raise ValueError("secret string length is fixed at the digest width")
         if self.j1 < 1 or self.j2 < 1:
             raise ValueError("epoch factors must be >= 1")
+        return self
 
     def to_bytes(self) -> bytes:
         return _PARAMS.pack(self.t, self.k, self.l, self.j1, self.j2)
@@ -108,8 +113,7 @@ class PqParams:
         return self.j1 * self.j2
 
 
-@dataclass
-class PqSignerState:
+class PqSignerState(SlotRecord):
     """Mutable signer side: current seed key and epoch counter.
 
     Single-writer: sign/advance must be externally serialized.  The
@@ -117,10 +121,13 @@ class PqSignerState:
     overwritten (best-effort) on every update.
     """
 
-    signer_id: bytes
-    seed: bytearray
-    epoch: int
-    params: PqParams
+    __slots__ = ("signer_id", "seed", "epoch", "params")
+
+    def __init__(self, signer_id: bytes, seed: bytearray, epoch: int, params: PqParams):
+        self.signer_id = signer_id
+        self.seed = seed
+        self.epoch = epoch
+        self.params = params
 
     @property
     def exhausted(self) -> bool:
@@ -139,8 +146,7 @@ class PqSignerState:
                    PqParams.from_bytes(rest[DIGEST_LEN:]))
 
 
-@dataclass(frozen=True)
-class PqSignature:
+class PqSignature(NamedTuple):
     signer_id: bytes
     epoch: int
     parts: tuple[bytes, ...]
@@ -156,8 +162,7 @@ class PqSignature:
         return cls(signer_id, epoch, _digests(rest))
 
 
-@dataclass(frozen=True)
-class PqCommitment:
+class PqCommitment(NamedTuple):
     """One epoch's commitment, its t entries kept as the bytes they are
     sent as: a verifier slices out only the k it opens."""
 
@@ -192,8 +197,7 @@ class PqOpening(NamedTuple):
     selects those indices is checked against.
 
     The serialized form is the header and the entries; the indices are
-    not in it, the reader supplies the ones it asked for.  (A named
-    tuple: a frozen dataclass adds about 3 ms to every CLI start.)
+    not in it, the reader supplies the ones it asked for.
     """
 
     signer_id: bytes
@@ -222,8 +226,7 @@ def _digests(data: bytes) -> tuple[bytes, ...]:
     return tuple(data[i : i + DIGEST_LEN] for i in range(0, len(data), DIGEST_LEN))
 
 
-@dataclass(frozen=True)
-class PqKeyMaterial:
+class PqKeyMaterial(NamedTuple):
     """Store side: master key plus per-signer anchor tables.
 
     anchors[id][i] is the seed at epoch (i+1)*j2 + 1; the epoch-1 seed
@@ -257,7 +260,7 @@ def derive_anchors(msk: bytes, signer_id: bytes, params: PqParams) -> tuple[byte
 def keygen(
     ids: Iterable[bytes],
     params: PqParams,
-    rng: Callable[[int], bytes] = secrets.token_bytes,
+    rng: Callable[[int], bytes] = os.urandom,  # what secrets.token_bytes returns
 ) -> tuple[dict[bytes, PqSignerState], PqKeyMaterial]:
     """Generate the master key, per-signer initial states, and store material.
 

@@ -10,7 +10,7 @@ the other two, as in the paper, and so do its byte formats (``hases.hy``).
 Each step calls into ``pq``, ``la``, ``hy`` and ``stream`` through the
 module when it runs, never through a function object taken at import,
 so a wrapper installed on a module later (as a tracer does) sees every
-call.  Descriptors are named tuples: frozen dataclasses cost more to import.
+call.
 """
 
 from __future__ import annotations

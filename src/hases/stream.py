@@ -23,9 +23,8 @@ from typing import NamedTuple, Sequence
 
 
 class Record(NamedTuple):
-    """One input record; built once per record read, so a named tuple
-    (cheaper to build than a frozen dataclass).  It compares equal to
-    the plain tuple ``(timestamp, payload)``."""
+    """One input record.  It compares equal to the plain tuple
+    ``(timestamp, payload)``."""
 
     timestamp: str
     payload: bytes

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from hases import cco, hy, la, pq
+from hases import cco, hy, la, pq, transport
 from hases.errors import CcoRequestError
 from hases.group import production_group, small_test_group
 from hases.hashing import counters, domain_hash, encode_index, hash_to_scalar, iter_hash
@@ -487,8 +487,8 @@ def test_criterion_8_service_round_trip():
 
     store = cco.CcoStore()
     store.provision(material)
-    with cco.CcoServer(store) as server:
-        with cco.CcoClient("127.0.0.1", server.port) as client:
+    with transport.CcoServer(store) as server:
+        with transport.CcoClient("127.0.0.1", server.port) as client:
             on_demand = []
             for batch, signature in zip(batches, signatures):
                 try:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import cco, hy, keyfiles, la, pq
+from hases import cco, hy, keyfiles, la, pq, transport
 from hases.errors import CcoRequestError, MalformedFrame
 from hases.group import production_group, small_test_group
 from hases.hashing import counters
@@ -258,8 +258,8 @@ class TestWireProtocol:
         store, states, public, material, group = provisioned_store(seed=8)
         batch = [b"a", b"b", b"c"]
         signature = hy.sign_batch(states[ID_A], batch)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 commitment = hy.HyCommitment.from_bytes(client.commitment_bytes(cco.MSG_HY, ID_A, 1))
                 assert hy.verify_batch(
                     group.precompute(public[ID_A]), commitment, batch, signature, group, PQ_TOY
@@ -267,8 +267,8 @@ class TestWireProtocol:
 
     def test_error_statuses_over_tcp(self):
         store, *_ = provisioned_store(seed=9)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(CcoRequestError) as info:
                     fetch_pq(client, ID_C, 1)
                 assert info.value.status == cco.STATUS_UNKNOWN_ID
@@ -278,8 +278,8 @@ class TestWireProtocol:
 
     def test_batch_export_over_tcp(self):
         store, *_ = provisioned_store(seed=10)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 blobs = client.batch_export(cco.MSG_PQ, ID_A, 2, 5)
                 assert len(blobs) == 4
                 for blob, epoch in zip(blobs, range(2, 6)):
@@ -287,16 +287,16 @@ class TestWireProtocol:
 
     def test_multiple_requests_per_connection(self):
         store, *_ = provisioned_store(seed=11)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 first = fetch_pq(client, ID_A, 1)
                 second = fetch_pq(client, ID_A, 2)
                 assert first.epoch == 1 and second.epoch == 2
 
     def test_malformed_frame_answered(self):
         store, *_ = provisioned_store(seed=12)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 response = client.request_raw(bytes((cco.MSG_PQ,)) + b"nonsense")
                 assert response == bytes((0x81, cco.STATUS_MALFORMED))
 
@@ -306,8 +306,8 @@ class TestWireProtocol:
         _, material = pq.keygen([ID_A], params, fixed_rng(19))
         store = cco.CcoStore()
         store.provision(material)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(CcoRequestError) as info:
                     client.batch_export(cco.MSG_PQ, ID_A, 1, 8192)
                 assert info.value.status == cco.STATUS_EPOCH_RANGE
@@ -315,14 +315,14 @@ class TestWireProtocol:
 
     def test_oversized_request_answered_without_reading_its_body(self):
         store, *_ = provisioned_store(seed=17)
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
                 # a 1 MiB request that never comes: the reply cannot wait for it
                 sock.sendall(struct.pack(">I", 1 << 20) + bytes((cco.MSG_PQ,)))
                 assert sock.recv(16) == struct.pack(">I", 2) + bytes((0x80, cco.STATUS_MALFORMED))
                 assert sock.recv(16) == b""  # and the connection is closed
             with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-                sock.sendall(struct.pack(">I", cco.MAX_REQUEST_FRAME + 1))
+                sock.sendall(struct.pack(">I", transport.MAX_REQUEST_FRAME + 1))
                 assert sock.recv(16) == struct.pack(">I", 2) + bytes((0x80, cco.STATUS_MALFORMED))
 
     def test_the_largest_request_is_served(self):
@@ -333,21 +333,21 @@ class TestWireProtocol:
         store.provision(material)
         indices = [n % 2 for n in range(params.k)]
         payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 3, indices)
-        assert len(payload) == 1049 <= cco.MAX_REQUEST_FRAME
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        assert len(payload) == 1049 <= transport.MAX_REQUEST_FRAME
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 (blob,) = client.ok_bodies([payload])
         assert blob == pq.open_commitment(material, ID_A, 3, indices).to_bytes()
 
     def test_oversized_frame_rejected_client_side(self):
         store, *_ = provisioned_store(seed=13)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(MalformedFrame):
-                    cco.write_frame(client._stream, bytes(cco.MAX_FRAME + 1))
+                    transport.write_frame(client._stream, bytes(cco.MAX_FRAME + 1))
 
 
-def serve_once(answer, requests=cco.PIPELINE_WINDOW):
+def serve_once(answer, requests=transport.PIPELINE_WINDOW):
     """One-connection server: reads ``requests`` requests (a full window)
     before replying with ``answer(payloads)``, then closes."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -356,9 +356,9 @@ def serve_once(answer, requests=cco.PIPELINE_WINDOW):
         with listener:
             conn, _ = listener.accept()
             with conn, conn.makefile("rwb") as stream:
-                payloads = [cco.read_frame(stream) for _ in range(requests)]
+                payloads = [transport.read_frame(stream) for _ in range(requests)]
                 for response in answer(payloads):
-                    cco.write_frame(stream, response)
+                    transport.write_frame(stream, response)
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -375,11 +375,32 @@ def test_export_file_and_export_reply_refuse_the_same_blobs(tmp_path, blob):
         keyfiles.load_commitments(path)
     reply = bytes((cco.MSG_EXPORT | cco.RESPONSE_BIT, cco.STATUS_OK)) + blob
     port, thread = serve_once(lambda payloads: [reply], requests=1)
-    with cco.CcoClient("127.0.0.1", port) as client:
+    with transport.CcoClient("127.0.0.1", port) as client:
         with pytest.raises(ValueError):
             client.batch_export(cco.MSG_PQ, ID_A, 1, 3)
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+def test_transport_names_are_reachable_through_cco():
+    for name in ("CcoClient", "CcoServer", "read_frame", "write_frame", "MAX_REQUEST_FRAME",
+                 "PIPELINE_WINDOW"):
+        assert getattr(cco, name) is getattr(transport, name), name
+    with pytest.raises(AttributeError, match="no attribute 'CcoProxy'"):
+        cco.CcoProxy
+
+
+def test_request_encodings_are_what_the_store_reads():
+    store, *_ = provisioned_store()
+    payloads = {
+        cco.MSG_PQ: cco.commitment_payload(cco.MSG_PQ, ID_A, 2),
+        cco.MSG_PQ_OPENING: cco.opening_payload(cco.MSG_PQ_OPENING, ID_A, 2, [0, 7, 7, 3]),
+        cco.MSG_EXPORT: cco.export_payload(cco.MSG_HY, ID_A, 1, 3),
+        cco.MSG_LA_COMBINED: cco.combined_payload(ID_A, bytes(32), [1, 3, 1]),
+    }
+    for msg_type, payload in payloads.items():
+        assert store.handle_request(payload)[:2] == bytes((msg_type | cco.RESPONSE_BIT,
+                                                           cco.STATUS_OK))
 
 
 class TestPipelinedClient:
@@ -395,14 +416,14 @@ class TestPipelinedClient:
     def test_responses_in_request_order(self):
         store, *_ = provisioned_store(seed=20)
         keys = self.keys()
-        assert len(keys) > 2 * cco.PIPELINE_WINDOW
+        assert len(keys) > 2 * transport.PIPELINE_WINDOW
         expected = []
         for sid, epoch in keys:
             response = store.handle_request(bytes((cco.MSG_PQ,)) + sid + epoch.to_bytes(8, "big"))
             expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
         assert [e is None for e in expected].count(True) == 3
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 assert list(client.commitments(cco.MSG_PQ, keys)) == expected
                 la_keys = [(ID_A, e) for e in range(1, 17)]
                 la_blobs = list(client.commitments(cco.MSG_LA, la_keys))
@@ -414,8 +435,8 @@ class TestPipelinedClient:
         # so a client that waited for each reply would time out
         store, *_ = provisioned_store(seed=21)
         port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
-        keys = [(ID_A, epoch) for epoch in range(1, cco.PIPELINE_WINDOW + 1)]
-        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+        keys = [(ID_A, epoch) for epoch in range(1, transport.PIPELINE_WINDOW + 1)]
+        with transport.CcoClient("127.0.0.1", port, timeout=5) as client:
             blobs = list(client.commitments(cco.MSG_PQ, keys))
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -426,7 +447,7 @@ class TestPipelinedClient:
         port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads[:3]])
         keys = [(ID_A, 1 + n % PQ_TOY.epochs) for n in range(40)]
         received = []
-        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+        with transport.CcoClient("127.0.0.1", port, timeout=5) as client:
             # EOF, or a reset once the client writes to the closed socket
             with pytest.raises((MalformedFrame, OSError)):
                 for blob in client.commitments(cco.MSG_PQ, keys):
@@ -439,8 +460,8 @@ class TestPipelinedClient:
 
     def test_abandoned_stream_leaves_the_connection_in_step(self):
         store, *_ = provisioned_store(seed=23)
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 stream = client.commitments(cco.MSG_PQ, self.keys())
                 assert len(list(islice(stream, 3))) == 3
                 stream.close()
@@ -653,8 +674,8 @@ class TestResponseCache:
         assert len(distinct) < len(sequence)
         expected_hashes = cold_cost(material, distinct)
         results = [None, None]
-        with cco.CcoServer(store) as server:
-            clients = [cco.CcoClient("127.0.0.1", server.port) for _ in range(2)]
+        with transport.CcoServer(store) as server:
+            clients = [transport.CcoClient("127.0.0.1", server.port) for _ in range(2)]
             barrier = threading.Barrier(2)
 
             def run(n):
@@ -736,7 +757,7 @@ class TestServerLifecycle:
             return commitment
 
         store.pq_commitment = slow_build
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             with socket.create_connection(("127.0.0.1", server.port)) as sock:
                 sock.sendall(struct.pack(">I", 25) + pq_payload(ID_A, 4))
                 assert started.wait(5)
@@ -751,7 +772,7 @@ class TestServerLifecycle:
         frames = b"".join(
             struct.pack(">I", 25) + pq_payload(ID_A, e) for e in range(1, params.epochs + 1)
         )
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             with socket.create_connection(("127.0.0.1", server.port)) as sock:
                 # 256 distinct t=1024 builds (about 0.5 s), never read
                 counters.reset()
@@ -765,9 +786,9 @@ class TestServerLifecycle:
 
     def test_stop_is_prompt_with_an_idle_client_connected(self):
         store, *_ = provisioned_store(seed=51)
-        server = cco.CcoServer(store)
+        server = transport.CcoServer(store)
         server.start()
-        with cco.CcoClient("127.0.0.1", server.port, timeout=5) as client:
+        with transport.CcoClient("127.0.0.1", server.port, timeout=5) as client:
             assert fetch_pq(client, ID_A, 1).epoch == 1
             assert stop_within(server, 5) < 1.0
             # the service hung up: the idle connection sees the end of the stream
@@ -777,7 +798,7 @@ class TestServerLifecycle:
     def test_connection_errors_are_logged_with_the_peer(self, caplog):
         store, *_ = provisioned_store(seed=52)
         with caplog.at_level("WARNING", logger="hases.cco"):
-            with cco.CcoServer(store) as server:
+            with transport.CcoServer(store) as server:
                 with socket.create_connection(("127.0.0.1", server.port)) as sock:
                     malformed_peer = sock.getsockname()
                     sock.sendall(b"\xff\xff\xff\xff")  # beyond MAX_FRAME
@@ -907,8 +928,8 @@ class TestOpeningsOverTcp:
             response = store.handle_request(opening_payload(cco.MSG_PQ_OPENING, *key, opened))
             expected.append(response[2:] if response[1] == cco.STATUS_OK else None)
         assert expected.count(None) == 4
-        with cco.CcoServer(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 assert list(client.ok_bodies(
                     opening_payload(cco.MSG_PQ_OPENING, *key, opened)
                     for key, opened in zip(keys, indices))) == expected
@@ -922,11 +943,11 @@ class TestOpeningsOverTcp:
         store = cco.CcoStore()
         store.provision(material)
         rng = random.Random(75)
-        keys = [(ID_A, epoch) for epoch in range(1, cco.PIPELINE_WINDOW + 1)]
+        keys = [(ID_A, epoch) for epoch in range(1, transport.PIPELINE_WINDOW + 1)]
         indices = [tuple(rng.randrange(2) for _ in range(params.k)) for _ in keys]
         assert len(opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, indices[0])) + 4 == 1053
         port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
-        with cco.CcoClient("127.0.0.1", port, timeout=5) as client:
+        with transport.CcoClient("127.0.0.1", port, timeout=5) as client:
             blobs = list(client.ok_bodies(opening_payload(cco.MSG_PQ_OPENING, *key, opened)
                                           for key, opened in zip(keys, indices)))
         thread.join(timeout=5)
@@ -938,13 +959,13 @@ class TestOpeningsOverTcp:
         store, *_ = provisioned_store(seed=76)
         accepted = []
 
-        class Recording(cco.CcoServer):
+        class Recording(transport.CcoServer):
             def process_request(self, request, client_address):
                 accepted.append(request)
                 super().process_request(request, client_address)
 
         with Recording(store) as server:
-            with cco.CcoClient("127.0.0.1", server.port) as client:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
                 assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
                 assert fetch_pq(client, ID_A, 1).epoch == 1
                 # the handler sets the option in its setup, before the first reply
@@ -953,8 +974,8 @@ class TestOpeningsOverTcp:
     def test_connections_logged_with_the_peer_and_the_requests_served(self, caplog):
         store, *_ = provisioned_store(seed=77)
         with caplog.at_level("DEBUG", logger="hases.cco"):
-            with cco.CcoServer(store) as server:
-                with cco.CcoClient("127.0.0.1", server.port) as client:
+            with transport.CcoServer(store) as server:
+                with transport.CcoClient("127.0.0.1", server.port) as client:
                     peer = client._sock.getsockname()
                     list(client.commitments(cco.MSG_PQ, [(ID_A, 1), (ID_A, 2), (ID_C, 1)]))
                 wait_until(lambda: any("closed" in r.getMessage() for r in caplog.records))

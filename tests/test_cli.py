@@ -8,11 +8,10 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
-from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream
+from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream, transport, verifier
 from hases import group as group_module
 from hases.hashing import counters
 
@@ -115,7 +114,7 @@ class TestSignVerifyOffline:
         assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", sigs]) == 0
 
         store = keyfiles.load_store(out / "cco.store")
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             commits = str(tmp_path / "commits.bin")
             assert cli.main(
                 ["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
@@ -194,7 +193,7 @@ class TestSignVerifyOffline:
         signer = bytes.fromhex(ID_HEX_1)
         moved = group.mul(group.decode_element(bundle.public_keys[signer]), (0, group.p - 1))
         keyfiles.save_verifier_bundle(
-            pub, replace(bundle, public_keys={signer: group.encode_element(moved)})
+            pub, bundle._replace(public_keys={signer: group.encode_element(moved)})
         )
         capsys.readouterr()
         checked = []
@@ -240,7 +239,7 @@ class TestSignVerifyOffline:
         out = keygen(tmp_path, scheme, extra)
         store = keyfiles.load_store(out / "cco.store")
         commits = tmp_path / "commits.bin"
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             assert cli.main(
                 ["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
                  "--id", ID_HEX_1, "--export", "2:6", "--out", str(commits)]
@@ -256,7 +255,7 @@ class TestSignVerifyOffline:
         store = keyfiles.load_store(out / "cco.store")
         capsys.readouterr()  # drop keygen chatter
         argv = ["request", "--scheme", "la", "--id", ID_HEX_1, "--epoch", "1"]
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             argv += ["--cco", f"127.0.0.1:{server.port}"]
             assert cli.main(argv) == 0
             blob = bytes.fromhex(capsys.readouterr().out.strip())
@@ -352,7 +351,7 @@ class TestPipelinedVerify:
         not_in_store = bytes.fromhex(ID_HEX_2)
         # the bundle knows a signer the service does not
         keyfiles.save_verifier_bundle(
-            pub, replace(bundle, public_keys={in_store: None, not_in_store: None})
+            pub, bundle._replace(public_keys={in_store: None, not_in_store: None})
         )
         blobs = keyfiles.load_signatures(sigs)
 
@@ -373,13 +372,13 @@ class TestPipelinedVerify:
         requests = []
         handle = store.handle_request
         store.handle_request = lambda payload: requests.append(payload) or handle(payload)
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             address = f"127.0.0.1:{server.port}"
             bundle = keyfiles.load_verifier_bundle(pub)
             records = stream.read_stream(msgs, "csv", False)
-            source = cli._CommitmentSource(argparse.Namespace(cco=address, commits=None), bundle)
+            source = verifier.CommitmentSource(bundle, ("127.0.0.1", server.port))
             try:
-                results = cli._verify_all(bundle, records, blobs, source)
+                results = verifier.verify_all(bundle, records, blobs, source)
             finally:
                 source.close()
             assert results == [n not in rejected for n in range(self.UNITS)]
@@ -402,9 +401,9 @@ class TestPipelinedVerify:
             with listener:
                 conn, _ = listener.accept()
                 with conn, conn.makefile("rwb") as stream:
-                    payloads = [cco.read_frame(stream) for _ in range(4)]
+                    payloads = [transport.read_frame(stream) for _ in range(4)]
                     for payload in payloads[:3]:
-                        cco.write_frame(stream, store.handle_request(payload))
+                        transport.write_frame(stream, store.handle_request(payload))
 
         thread = threading.Thread(target=serve_three, daemon=True)
         thread.start()
@@ -453,7 +452,7 @@ class TestOnlineMatchesOffline:
         # the bundle knows a signer the service does not
         keys = dict(bundle.public_keys)
         keys[not_in_store] = keys[in_store]
-        bundle = replace(bundle, public_keys=keys)
+        bundle = bundle._replace(public_keys=keys)
         keyfiles.save_verifier_bundle(pub, bundle)
         clean = keyfiles.load_signatures(sigs)
         blobs = list(clean)
@@ -475,16 +474,16 @@ class TestOnlineMatchesOffline:
         store.handle_request = lambda payload: request_types.append(payload[0]) or handle(payload)
         commits = str(tmp_path / "commits.bin")
         records = stream.read_stream(msgs, "csv", False)
-        with cco.CcoServer(store) as server:
+        with transport.CcoServer(store) as server:
             address = f"127.0.0.1:{server.port}"
             assert cli.main(["request", "--cco", address, "--scheme", scheme, "--id", ID_HEX_1,
                              "--export", "1:16", "--out", commits]) == 0
             results = {}
-            for name, args in (("online", (address, None)), ("offline", (None, commits))):
-                source = cli._CommitmentSource(argparse.Namespace(cco=args[0], commits=args[1]),
-                                               bundle)
+            for name, args in (("online", (("127.0.0.1", server.port), None)),
+                               ("offline", (None, commits))):
+                source = verifier.CommitmentSource(bundle, *args)
                 try:
-                    results[name] = cli._verify_all(bundle, records, blobs, source)
+                    results[name] = verifier.verify_all(bundle, records, blobs, source)
                 finally:
                     source.close()
             assert results["online"] == results["offline"] == [
@@ -537,7 +536,7 @@ class TestKeysDecodedOnUse:
         monkeypatch.setattr(
             group_module, "_decode_point", lambda data: decoded.append(data) or decode(data)
         )
-        with cco.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
+        with transport.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
             address = f"127.0.0.1:{server.port}"
             assert cli.main(["request", "--cco", address, "--scheme", "hy", "--id", ID_HEX_1,
                              "--export", "1:4", "--out", commits]) == 0
@@ -546,7 +545,7 @@ class TestKeysDecodedOnUse:
             full = hy.HyCommitment.from_bytes(blobs[1])
             R = group.decode_element(full.la.r_bytes)
             moved = group.encode_element(group.mul(R, small_order_points[1]))
-            blobs[1] = hy.HyCommitment(replace(full.la, r_bytes=moved), full.pq).to_bytes()
+            blobs[1] = hy.HyCommitment(full.la._replace(r_bytes=moved), full.pq).to_bytes()
             keyfiles.save_commitments(shifted, blobs)
             for source, valid in ((["--cco", address], 4), (["--commits", commits], 4),
                                   (["--commits", shifted], 3)):
@@ -637,7 +636,7 @@ class TestServeSubprocess:
         proc, port = self.start_server(tmp_path, out / "cco.store")
         with proc:  # closes the pipes and waits on exit
             try:
-                with cco.CcoClient("127.0.0.1", port) as client:
+                with transport.CcoClient("127.0.0.1", port) as client:
                     blob = client.commitment_bytes(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)
                     assert pq.PqCommitment.from_bytes(blob).epoch == 1
                     # the client stays connected and idle while the service stops
@@ -662,11 +661,94 @@ class TestFileKinds:
         assert f"error: {pub} is not a signer key file: " in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_bench_unloaded():
-    check = "import sys, hases.cli; print('hases.bench' in sys.modules)"
+def _loaded_in_fresh_interpreter(code: str, modules) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``."""
+    check = f"import sys\n{code}\nprint('loaded:', *(m for m in {tuple(modules)!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.rpartition("loaded:")[2].split()
+
+
+def test_importing_the_cli_leaves_bench_unloaded():
+    # nor dataclasses, whose inspect import every process start would pay,
+    # nor the transport and its sockets
+    modules = ("hases.bench", "hases.verifier", "dataclasses", "inspect", "hases.transport",
+               "socket", "socketserver")
+    assert _loaded_in_fresh_interpreter("import hases.cli", modules) == []
+
+
+def test_keygen_and_sign_leave_the_sockets_unloaded(tmp_path):
+    ids, msgs = write_ids(tmp_path), write_csv(tmp_path, 4)
+    keys, sigs = tmp_path / "keys", tmp_path / "sigs.bin"
+    key = keys / f"signer_{ID_HEX_1}.key"
+    code = f"""
+from hases import cli
+assert cli.main(["keygen", "--scheme", "hy", "--ids", {ids!r},
+                 "--J", "4", "--J1", "2", "--L", "2", "--t", "64", "--k", "8",
+                 "--out", {str(keys)!r}]) == 0
+assert cli.main(["sign", "--key", {str(key)!r}, "--in", {msgs!r}, "--out", {str(sigs)!r}]) == 0
+"""
+    modules = ("socket", "socketserver", "hases.transport", "hases.verifier", "dataclasses",
+               "inspect")
+    assert _loaded_in_fresh_interpreter(code, modules) == []
+    assert keyfiles.load_signer_key(key).epoch == 3  # both commands ran
+
+
+class TestParser:
+    """Each call builds only its command's parser; the contract stays."""
+
+    def run(self, *argv):
+        return subprocess.run([sys.executable, "-m", "hases.cli", *argv], capture_output=True,
+                              text=True, timeout=60)
+
+    def test_top_level_help_lists_every_command(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0, proc.stderr
+        for name, help_text in (("keygen", "run a key ceremony"),
+                                ("sign", "sign a message stream"),
+                                ("verify", "verify a signed message stream"),
+                                ("serve", "serve a provisioned key store"),
+                                ("request", "fetch commitments from a service"),
+                                ("bench", "measure signer costs and sizes")):
+            assert re.search(rf"^\s+{name}\s+{help_text}$", proc.stdout, re.M), name
+
+    def test_verify_help_lists_its_flags(self):
+        proc = self.run("verify", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hases verify ")
+        for flag in ("--pub", "--in", "--format", "--hex", "--sigs", "--cco", "--commits"):
+            assert re.search(rf"^\s+{flag}\b", proc.stdout, re.M), flag
+
+    @pytest.mark.parametrize("argv", [(), ("frobnicate",)], ids=["none", "unknown"])
+    def test_no_command_or_an_unknown_one_exits_2(self, argv):
+        proc = self.run(*argv)
+        assert proc.returncode == 2
+        assert "{keygen,sign,verify,serve,request,bench}" in proc.stderr
+
+    @pytest.mark.parametrize("command", list(cli._SUBPARSERS))
+    def test_a_bad_flag_exits_2_through_argparse(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert f"usage: hases {command} " in capsys.readouterr().err
+
+    def test_one_subparser_per_call_and_all_without_one(self):
+        def commands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return list(action.choices)
+
+        assert commands(cli.build_parser()) == list(cli._SUBPARSERS)
+        assert commands(cli.build_parser("sign")) == ["sign"]
+
+    def test_main_builds_the_parser_of_its_command_alone(self, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build(command))
+        for argv in (["sign", "--help"], ["--help"], ["frobnicate"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert built == ["sign", None, None]
 
 
 class TestBench:

@@ -8,14 +8,12 @@ wire request, the forgeries a plain sum check lets through, and the
 per-unit agreement of ``verify --cco`` with ``verify --commits``.
 """
 
-import argparse
 import random
 import shutil
-from dataclasses import replace
 
 import pytest
 
-from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream
+from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream, transport, verifier
 from hases.errors import EpochOutOfRange, UnknownSigner
 from hases.group import production_group, small_test_group
 from hases.hashing import combination_weights, counters
@@ -165,7 +163,7 @@ class TestSplitDeltaForgery:
     def test_at_one_repeated_epoch(self):
         # two copies of one key sign two batches at epoch 1: a forked signer
         state, public, material, tags = signed(self.group, batches=1)
-        fork = replace(state, epoch=1)
+        fork = la.LaSignerState(state.signer_id, state.key, 1, state.params)
         other = [b"forked item %d" % item for item in range(3)]
         tags.append((other, la.sign_batch(fork, other)))
         batches = combination(tags, self.group)
@@ -240,7 +238,7 @@ class TestCombinedRequest:
                     cco.commitment_payload(cco.MSG_LA, ID_A, 2),
                     cco.combined_payload(ID_C, SEED, [1]),
                     cco.commitment_payload(cco.MSG_LA, ID_A, 9)]
-        with cco.CcoServer(store) as server, cco.CcoClient("127.0.0.1", server.port) as client:
+        with transport.CcoServer(store) as server, transport.CcoClient("127.0.0.1", server.port) as client:
             bodies = list(client.ok_bodies(payloads))
         assert bodies == [
             la.combined_commitment(material.la, ID_A, SEED, [1, 2]),
@@ -273,7 +271,7 @@ class Deployment:
         bundle = keyfiles.load_verifier_bundle(self.keys / "verifier.pub")
         keys = dict(bundle.public_keys)
         keys[ID_C] = keys[ID_A]  # in the bundle, unknown to the service
-        self.bundle = replace(bundle, public_keys=keys)
+        self.bundle = bundle._replace(public_keys=keys)
         self.pub = tmp_path / "verifier.pub"
         keyfiles.save_verifier_bundle(self.pub, self.bundle)
         self.scheme = schemes.by_tag(bundle.scheme)
@@ -314,10 +312,13 @@ class Deployment:
         return commits
 
     def results(self, records, blobs, cco_address=None, commits=None):
-        source = cli._CommitmentSource(argparse.Namespace(cco=cco_address, commits=commits),
-                                       self.bundle)
+        address = None
+        if cco_address:
+            host, _, port = cco_address.rpartition(":")
+            address = (host, int(port))
+        source = verifier.CommitmentSource(self.bundle, address, commits)
         try:
-            return cli._verify_all(self.bundle, records, blobs, source)
+            return verifier.verify_all(self.bundle, records, blobs, source)
         finally:
             source.close()
 
@@ -349,7 +350,7 @@ class Deployment:
 def test_clean_chunk_costs_one_combined_request_per_signer(tmp_path, scheme):
     deployment = Deployment(tmp_path, scheme)
     records, blobs = deployment.chunk()
-    with cco.CcoServer(deployment.store) as server:
+    with transport.CcoServer(deployment.store) as server:
         assert deployment.results(records, blobs, f"127.0.0.1:{server.port}") == [True] * 16
     expected = [cco.MSG_LA_COMBINED] * 2
     if scheme == "hy":
@@ -374,7 +375,7 @@ def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
     blobs[7] = deployment.rebuilt(blobs[7], epoch=17)  # past J
     blobs[12] = deployment.rebuilt(blobs[12], signer_id=b"\xcc" * 16)  # not in the bundle
     rejected = {3, 5, 6, 7, 9, 10, 12}
-    with cco.CcoServer(deployment.store) as server:
+    with transport.CcoServer(deployment.store) as server:
         address = f"127.0.0.1:{server.port}"
         commits = deployment.export(address)
         deployment.types.clear()
@@ -413,7 +414,7 @@ def test_split_delta_forgery_is_rejected_unit_by_unit(tmp_path, capsys, pair):
     for n, sign in zip(pair, (1, -1)):
         agg = deployment.signature(blobs[n]).agg
         blobs[n] = deployment.rebuilt(blobs[n], agg=(agg + sign * delta) % q)
-    with cco.CcoServer(deployment.store) as server:
+    with transport.CcoServer(deployment.store) as server:
         address = f"127.0.0.1:{server.port}"
         commits = deployment.export(address)
         deployment.types.clear()
@@ -431,6 +432,6 @@ def test_tiny_group_checks_each_batch_alone(tmp_path, monkeypatch):
     monkeypatch.setenv("HASES_BACKEND", "tiny")
     deployment = Deployment(tmp_path, "la")
     records, blobs = deployment.chunk()
-    with cco.CcoServer(deployment.store) as server:
+    with transport.CcoServer(deployment.store) as server:
         assert deployment.results(records, blobs, f"127.0.0.1:{server.port}") == [True] * 16
     assert deployment.types == [cco.MSG_LA] * 16

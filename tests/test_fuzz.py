@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import cco, hy, keyfiles, la, pq, schemes
+from hases import cco, hy, keyfiles, la, pq, schemes, transport
 from hases.errors import MalformedFrame
 from hases.group import production_group, small_test_group
 
@@ -122,7 +122,7 @@ _frames = st.binary(max_size=64) | st.builds(
 def test_fuzz_read_frame(data):
     stream = io.BytesIO(data)
     try:
-        while (payload := cco.read_frame(stream)) is not None:
+        while (payload := transport.read_frame(stream)) is not None:
             assert len(payload) <= cco.MAX_FRAME
     except MalformedFrame:
         pass

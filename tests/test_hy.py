@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -161,7 +160,7 @@ class TestVerify:
         la_commitment = self.commitment.la
 
         def passes(r_bytes):
-            moved = replace(la_commitment, r_bytes=r_bytes)
+            moved = la_commitment._replace(r_bytes=r_bytes)
             return self.verify(commitment=hy.HyCommitment(moved, self.commitment.pq))
 
         assert passes(la_commitment.r_bytes)
@@ -236,8 +235,8 @@ class TestVerify:
         group = self.group
         la_commitment = self.commitment.la
         R = group.decode_element(la_commitment.r_bytes)
-        moved = replace(la_commitment, r_bytes=group.encode_element(group.mul(R, group.generator)))
-        bumped = replace(self.signature.la, agg=(self.signature.la.agg + 1) % group.q)
+        moved = la_commitment._replace(r_bytes=group.encode_element(group.mul(R, group.generator)))
+        bumped = self.signature.la._replace(agg=(self.signature.la.agg + 1) % group.q)
         assert not self.verify(commitment=hy.HyCommitment(moved, self.commitment.pq))
         assert not self.verify(signature=hy.HySignature(bumped, self.signature.pq))
 
@@ -323,7 +322,7 @@ class TestOpening:
                     and pq.verify(self.opening(indices=indices), inner, signature.pq, PQ_PROD,
                                   indices))
 
-        tampered = hy.HySignature(replace(self.signature.la, seed=bytes(32)), self.signature.pq)
+        tampered = hy.HySignature(self.signature.la._replace(seed=bytes(32)), self.signature.pq)
         other = [b"one", b"two", b"three", b"five"]  # opens other indices
         for batch, signature, valid in ((self.batch, self.signature, True),
                                         (self.batch, tampered, False),

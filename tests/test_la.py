@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -296,7 +295,8 @@ def test_two_tags_at_one_epoch_reveal_the_private_scalar():
     group = production_group()
     states, public, _ = la.keygen([ID_A], group, 8, 4, fixed_rng(41))
     state = states[ID_A]
-    copy = replace(state)  # restored from a backup, or a second signer
+    # restored from a backup, or a second signer
+    copy = la.LaSignerState(state.signer_id, state.key, state.epoch, state.params)
     first = [b"first %d" % n for n in range(4)]
     second = [b"second %d" % n for n in range(4)]
     tag_1, tag_2 = la.sign_batch(state, first), la.sign_batch(copy, second)
@@ -369,8 +369,8 @@ class TestVerify:
         commitment = la.construct_commitment(material, ID_A, 1)
         key_table = group.precompute(public[ID_A])
         R = group.decode_element(commitment.r_bytes)
-        moved = replace(commitment, r_bytes=group.encode_element(group.mul(R, group.generator)))
-        bumped = replace(signature, agg=(signature.agg + 1) % group.q)
+        moved = commitment._replace(r_bytes=group.encode_element(group.mul(R, group.generator)))
+        bumped = signature._replace(agg=(signature.agg + 1) % group.q)
         assert la.verify_batch(key_table, commitment, batch, signature, group)
         assert not la.verify_batch(key_table, moved, batch, signature, group)
         assert not la.verify_batch(key_table, commitment, batch, bumped, group)
@@ -386,7 +386,7 @@ class TestVerify:
 
         def passes(r_bytes, signature=signature):
             return la.verify_batch(
-                key_table, replace(commitment, r_bytes=r_bytes), batch, signature, group
+                key_table, commitment._replace(r_bytes=r_bytes), batch, signature, group
             )
 
         # the honest R with its sign bit flipped, R plus each small-order
@@ -401,7 +401,7 @@ class TestVerify:
         # a response that makes Y^e * g^s the identity: only the identity's
         # canonical encoding passes, not y + p nor x = 0 with the sign bit
         e = challenge_sum(group, batch, signature.seed)
-        to_identity = replace(signature, agg=-e * states[ID_A].key % group.q)
+        to_identity = signature._replace(agg=-e * states[ID_A].key % group.q)
         assert passes(group.encode_element(group.identity), to_identity)
         for raw in (group.p + 1, 1 | 1 << 255):
             assert not passes(raw.to_bytes(32, "little"), to_identity)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hases import cco, cli, keyfiles
+from hases import cco, cli, keyfiles, transport
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 SIGNER = "aa" * 16
@@ -79,7 +79,7 @@ def test_sign_and_verify_spans_are_recorded(tmp_path, monkeypatch, tracer, schem
         assert len(recorded.get(name, [])) == units, name
 
     tracer.spans.clear()
-    with cco.CcoServer(store) as server, tracer.recording():
+    with transport.CcoServer(store) as server, tracer.recording():
         assert cli.main([*verify, "--cco", f"127.0.0.1:{server.port}"]) == 0
     recorded = tracer.by_name()
     assert len(recorded["cli.verify"]) == 1
