@@ -127,6 +127,9 @@ def _measure_combined(report: BenchReport, group, messages, trials: int) -> None
         material, _BENCH_ID, seed, epochs), trials)
 
 
+RUN_EPOCHS = 16  # one opening request of a 64-unit pq verify chunk at k=16
+
+
 def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     if trials > params.epochs:
         raise ValueError("trial count exceeds the configured epoch count")
@@ -166,13 +169,13 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     opening = _row(report, "open_commitment",
                    lambda _: pq.open_commitment(materials, _BENCH_ID, worst_epoch, indices), trials)
 
-    # an online verifier's chunk: epochs 1, 2, ... through a store, whose
-    # chain cursor makes each opening after the first one step plus 2k
-    # hashes (2k alone where an anchor starts the epoch's segment)
-    store = cco.CcoStore()
-    store.provision(materials)
-    _row(report, "open_commitment_sequential",
-         lambda i: store.pq_opening(_BENCH_ID, i + 1, indices), trials)
+    # what the service builds for a run of an online verifier's chunk: one
+    # 0x05 over epochs 1..n, n = min(RUN_EPOCHS, J, 256 // k), as a store
+    # with no chain cursor for the signer builds it: H0, one chain step per
+    # further epoch (none where one starts a segment) and 2k hashes per
+    # epoch.  No cursor is kept between trials, so every trial costs the same
+    run = indices * min(RUN_EPOCHS, params.epochs, cco.MAX_OPENING_INDICES // params.k)
+    _row(report, "open_run", lambda _: pq.open_commitment(materials, _BENCH_ID, 1, run), trials)
 
     last = pq.construct_commitment(materials, _BENCH_ID, signature.epoch)
     assert _row(report, "verify", lambda _: pq.verify(last, messages[-1], signature, params),

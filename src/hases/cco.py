@@ -23,7 +23,7 @@ the tags in ``hases.schemes``.  Request types:
     0x02  commitment, aggregate          body: id(16) epoch(8)
     0x03  commitment, hybrid             body: id(16) epoch(8)
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
-    0x05  opening, forward-secure        body: id(16) epoch(8) k x index(4)
+    0x05  opening, forward-secure        body: id(16) epoch(8) n*k x index(4), 1 <= n*k <= 256
     0x08  combined nonce commitment      body: id(16) seed(32) n x epoch(8), 1 <= n <= 64
 
 Any other type, 0x06 and 0x07 included, is answered as malformed
@@ -41,20 +41,27 @@ whose response would exceed ``MAX_FRAME`` is refused with the
 epoch-range status before anything is built.
 
 An opening is what a verifier needs of one epoch's commitment: a pq
-signature reveals only k of its t entries.  The OK body of 0x05 is a
-``pq.PqOpening``: tag, id, epoch and the entries at the requested
-indices, in request order, duplicates included (537 bytes at k=16,
-where the t=1024 commitment takes 32,793).  A hybrid verifier asks for
-the opening of its pq part the same way, and checks the aggregate part
-through 0x08 or 0x02.  The service hashes the chain walk and 2k entries
-instead of 2t; a request with other than k indices, or an index of t or
-more, is malformed and costs nothing.
+signature reveals only k of its t entries.  One 0x05 opens a run of n
+consecutive epochs of one signer: its first k indices are epoch e's,
+the next k epoch e + 1's, and so on up to e + n - 1.  The OK body is
+a ``pq.PqOpening``: tag, id, the first epoch e and the entries at the
+requested indices, in request order, duplicates included: the first
+single opening's header followed by every single opening's entries
+(537 bytes at n = 1 and k=16, where the t=1024 commitment takes 32,793;
+8,217 for a run of 16).  A hybrid verifier asks for the openings of its
+pq parts the same way, and checks the aggregate parts through 0x08 or
+0x02.  The service hashes the chain walk, one step per further epoch
+and 2k entries per epoch instead of 2t: what the run's single openings
+would cost one by one on a fresh store.  A request whose index count is
+not a multiple of k, with an index of t or more, or whose run ends past
+J is refused and costs nothing.  At most ``MAX_OPENING_INDICES`` (256)
+indices keep the request at 1,049 bytes, inside the request frame.
 
 Every pq seed is walked to from the nearest seed the store knows: the
 anchor of the epoch's segment, or the signer's chain cursor, the seed
 of the epoch the store last derived for that signer.  A verifier's run
-of consecutive epochs so costs one step per further epoch, and no walk
-is ever more than j2 - 1 steps.
+of consecutive epochs, in one request or in several, so costs one step
+per further epoch, and no walk is ever more than j2 - 1 steps.
 
 A combined nonce commitment (0x08) lets a verifier check all of one
 aggregate or hybrid signer's batches in a chunk with one group
@@ -123,8 +130,9 @@ MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
 
 _EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
 _EXPORT_RULE = "an export holds one or more entries, all of one nonzero size"
-# the most indices an opening request may carry: k <= 256 for any t >= 2,
-# since k * log2(t) bits must fit one digest
+# the most indices an opening request may carry, k per epoch of its run:
+# k <= 256 for any t >= 2, since k * log2(t) bits must fit one digest, so
+# one epoch always fits, and a run of up to 256 // k epochs
 MAX_OPENING_INDICES = 256
 # the most epochs a combined nonce commitment request may name
 MAX_COMBINED_EPOCHS = 64
@@ -133,12 +141,12 @@ SEED_LEN = 32  # of a combined request's seed
 # Byte budget of the response cache: about 15 pq or hy commitments at
 # t=1024 (roughly one ``transport.PIPELINE_WINDOW``, so two verifiers of
 # one stream running up to a window apart are both served from one
-# build), or about 900 openings at k=16.  No entry is ever invalidated,
-# and none needs to be: only OK responses are kept, ``provision`` refuses
-# overlapping ids and any change of master key or parameters, and
-# ``set_storage_policy`` moves only the anchors a chain walk starts
-# from, not its result.  So the OK response to a given payload never
-# changes.
+# build), about 60 runs of 16 openings (one 0x05 each) or 970 single
+# openings at k=16.  No entry is ever invalidated, and none needs to be:
+# only OK responses are kept, ``provision`` refuses overlapping ids and
+# any change of master key or parameters, and ``set_storage_policy``
+# moves only the anchors a chain walk starts from, not its result.  So
+# the OK response to a given payload never changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
 # the names of ``hases.transport`` that ``__getattr__`` serves from here
@@ -501,7 +509,8 @@ def commitment_payload(msg_type: int, signer_id: bytes, epoch: int) -> bytes:
 
 
 def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
-    """An opening request (``MSG_PQ_OPENING``)."""
+    """An opening request (``MSG_PQ_OPENING``): k ``indices`` per epoch
+    of the run that starts at ``epoch``."""
     return commitment_payload(msg_type, signer_id, epoch) + struct.pack(f">{len(indices)}I", *indices)
 
 

@@ -247,8 +247,10 @@ def _verify_parser(sub) -> None:
     vf.add_argument("--format", choices=("csv", "bin"), default="csv")
     vf.add_argument("--hex", action="store_true")
     vf.add_argument("--sigs", required=True)
-    vf.add_argument("--cco", help="HOST:PORT of a live commitment service")
-    vf.add_argument("--commits", help="offline commitment export file")
+    # exactly one commitment source: argparse exits 2 on none or both
+    source = vf.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cco", help="HOST:PORT of a live commitment service")
+    source.add_argument("--commits", help="offline commitment export file")
     vf.set_defaults(func=cmd_verify)
 
 

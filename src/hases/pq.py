@@ -13,10 +13,12 @@ Epoch factorization: with J = j1 * j2 total epochs, the store keeps
 j1 - 1 anchors (the seeds at epochs j2+1, 2*j2+1, ...).  A request
 walks the chain from the nearest seed the store knows: an anchor, or
 the seed a chain cursor kept from the signer's previous request, so a
-run of consecutive epochs takes one step per further epoch.  The walk
-is never more than j2 - 1 hash steps.  j1 = 1 means no anchors and a
-worst case of J - 1 steps: a pure storage/latency trade-off, the
-commitments themselves are policy-invariant.
+run of consecutive epochs takes one step per further epoch, whether it
+is asked for epoch by epoch or opened in one request
+(``open_commitment``).  The walk is never more than j2 - 1 hash steps.
+j1 = 1 means no anchors and a worst case of J - 1 steps: a pure
+storage/latency trade-off, the commitments themselves are
+policy-invariant.
 
 Commitment entries carry labels 1..t; a message index x in [0, t-1]
 selects the entry at position x, whose label is x + 1.  Both the signer
@@ -221,6 +223,13 @@ class PqOpening(NamedTuple):
             raise ValueError("opening was made at other indices")
         return self
 
+    def per_epoch(self, k: int) -> list["PqOpening"]:
+        """A run's opening (``open_commitment``) as the opening of each of
+        its epochs: the n-th k indices and entries, at ``epoch`` + n."""
+        return [PqOpening(self.signer_id, self.epoch + n, self.indices[i : i + k],
+                          self.entries[i : i + k])
+                for n, i in enumerate(range(0, len(self.indices), k))]
+
 
 def _digests(data: bytes) -> tuple[bytes, ...]:
     return tuple(data[i : i + DIGEST_LEN] for i in range(0, len(data), DIGEST_LEN))
@@ -373,19 +382,36 @@ def open_commitment(
     indices: Sequence[int],
     cursor: Cursor | None = None,
 ) -> PqOpening:
-    """The entries of (signer, epoch)'s commitment at ``indices``, in
-    order, duplicates included, without building the other t - k.
+    """The entries of (signer, epoch)'s commitment at the first k
+    ``indices``, then of (signer, epoch + 1)'s at the next k, and so on:
+    one opening of the run of n epochs that n * k indices name, in
+    order, duplicates included, without building the other t - k
+    entries of any epoch.  At n = 1 it is the epoch's plain opening.
 
-    ``indices`` must be exactly k positions below t (``ValueError``);
-    they, the id and the epoch are checked before any hashing.  Costs
-    the walk of ``_seed_at`` plus 2k hashes.
+    The index count must be a nonzero multiple of k and every index
+    below t (``ValueError``); they, the id and the whole run of epochs
+    are checked before any hashing.  Costs the walk of ``_seed_at``,
+    one chain step per further epoch (none where an epoch starts its
+    segment: its anchor is its seed), and 2k hashes per epoch: what the
+    same openings cost one by one on a store that has answered nothing
+    before.  A ``cursor`` is left at the run's last epoch.
     """
     params = material.params
+    k = params.k
     indices = tuple(indices)
-    if len(indices) != params.k or not all(0 <= x < params.t for x in indices):
-        raise ValueError(f"an opening takes exactly {params.k} indices below {params.t}")
-    seed = _seed_at(material, signer_id, epoch, epoch, cursor)
-    return PqOpening(signer_id, epoch, indices, tuple(opened_images(seed, indices, params.t)))
+    count, rest = divmod(len(indices), k)
+    if rest or not count or not all(0 <= x < params.t for x in indices):
+        raise ValueError(f"an opening takes a nonzero multiple of {k} indices below {params.t}")
+    last = epoch + count - 1
+    seed = _seed_at(material, signer_id, epoch, last, cursor)
+    entries = opened_images(seed, indices[:k], params.t)
+    for n in range(1, count):
+        segment, offset = divmod(epoch + n - 1, params.j2)
+        seed = domain_hash(DOM_CHAIN, seed) if offset else material.anchors[signer_id][segment - 1]
+        entries += opened_images(seed, indices[n * k : (n + 1) * k], params.t)
+    if cursor is not None:
+        cursor[signer_id] = (last, seed)
+    return PqOpening(signer_id, epoch, indices, tuple(entries))
 
 
 def _seed_at(

@@ -11,9 +11,11 @@ followed by the payload, a request or a response of ``hases.cco``.
 A connection carries any number of requests, and a client may send
 several before reading the replies: the server answers them one at a
 time, in order.  ``CcoClient.ok_bodies`` keeps ``PIPELINE_WINDOW``
-requests of any mix of types in flight this way.  Both ends turn
-Nagle's algorithm off (TCP_NODELAY): the frames are small, and holding
-each one until the previous is acknowledged would stall the pipeline.
+requests of any mix of types in flight this way; ``hases verify``
+sends one pq opening per run of consecutive epochs, so a window holds
+up to 16 runs.  Both ends turn Nagle's algorithm off (TCP_NODELAY): the
+frames are small, and holding each one until the previous is
+acknowledged would stall the pipeline.
 The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
 longer length prefix is answered as malformed and the connection is
 closed, its body unread.
@@ -48,17 +50,19 @@ from .cco import (
 from .errors import CcoRequestError, MalformedFrame
 
 # The largest request frame the server reads: an opening request is at
-# most 1 + 24 + 4k = 1,049 bytes with k <= 256, a combined request
+# most 1 + 24 + 4 * 256 = 1,049 bytes, k indices per epoch of its run and
+# at most ``cco.MAX_OPENING_INDICES`` in all, a combined request
 # 1 + 48 + 8 * 64 = 561.  A longer length prefix is answered as malformed
 # before its body is read.
 MAX_REQUEST_FRAME = 2048
 
 # Requests a client keeps in flight on one connection.  This cannot
 # deadlock: the client writes at most this many frames beyond what it
-# has read, the largest being an opening request of 4 + 1 + 24 + 4k
-# bytes, at most 1,053 with k <= 256, so a full window (under 17 KB)
-# always fits the socket buffers and its writes never block, even while
-# the server is blocked sending it responses it has not read yet.
+# has read, the largest being an opening request of at most
+# 4 + 1 + 24 + 4 * 256 = 1,053 bytes, whatever run of epochs it opens,
+# so a full window (under 17 KB) always fits the socket buffers and its
+# writes never block, even while the server is blocked sending it
+# responses it has not read yet (up to 8 KB per run of 256 indices).
 PIPELINE_WINDOW = 16
 
 
@@ -259,12 +263,6 @@ class CcoClient:
         """Serialized commitment for one epoch, left unparsed.  A non-OK
         status raises ``CcoRequestError``."""
         return self._request_ok(commitment_payload(msg_type, signer_id, epoch))
-
-    def commitments(self, msg_type: int, keys: Iterable[tuple[bytes, int]]) -> Iterator[bytes | None]:
-        """Serialized commitment for each (id, epoch) key, in order, or
-        None where the service answers with a non-OK status; pipelined
-        as ``ok_bodies``."""
-        return self.ok_bodies(commitment_payload(msg_type, *key) for key in keys)
 
     def ok_bodies(self, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
         """The body after the OK status of each payload's response, in

@@ -69,17 +69,24 @@ class CommitmentSource:
         """Each unit's parts, as they arrive.
 
         One pipelined stream first asks for a combined nonce commitment
-        per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then for
-        every pq opening; a unit is yielded as its opening arrives, so its
-        check overlaps the service's next builds.  Only the aggregate
-        layers no combined check passed are asked for again, each on its
-        own (``0x02``), and yielded last."""
+        per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then
+        for the pq openings, one ``0x05`` per run of units (``_runs``); a
+        unit is yielded as its run's opening arrives, so its check
+        overlaps the service's next builds.  What that stream did not
+        settle is asked for again unit by unit on a second stream, and
+        yielded last: the aggregate commitment (``0x02``) of each unit no
+        combined check passed, and the opening of each unit of a run the
+        service refused, so per-unit results are those of single
+        requests."""
         client, group = self.client, self.bundle.la_params and self.bundle.la_params.group
+        pq_params = self.bundle.pq_params
         combined = _combinations(layers, self.bundle) if group and la.combinable(group) else []
+        runs = _runs(layers, pq_params) if pq_params else []
+        run_indices = [[x for n in run for x in layers[n].pq[2]] for run in runs]
         payloads = [cco.combined_payload(sid, seed, [b[0] for b in batches])
                     for sid, seed, _, batches in combined]
-        payloads += [cco.opening_payload(cco.MSG_PQ_OPENING, sig.signer_id, sig.epoch, indices)
-                     for _, sig, indices in (unit.pq for unit in layers if unit.pq)]
+        payloads += [cco.opening_payload(cco.MSG_PQ_OPENING, *_key(layers[run[0]].pq), indices)
+                     for run, indices in zip(runs, run_indices)]
         replies = client.ok_bodies(payloads)
         proven = set()
         for (sid, seed, positions, batches), reply in zip(combined, replies):
@@ -88,20 +95,46 @@ class CommitmentSource:
                     proven.update(positions)
             except ValueError:
                 pass  # a key outside the subgroup: each unit is rejected alone
-        alone = []
+        run_at = {run[0]: (run, indices) for run, indices in zip(runs, run_indices)}
+        openings = {}  # position -> opening, from the reply to its run
+        later = []
         for n, unit in enumerate(layers):
-            opening = _parsed(pq.PqOpening.from_bytes, next(replies), unit.pq[2]) if unit.pq else None
-            if unit.la and n not in proven:
-                alone.append((n, opening))
+            if n in run_at:
+                run, indices = run_at[n]
+                openings.update(zip(run, _run_openings(next(replies), indices, len(run),
+                                                       pq_params.k)))
+            opening = openings.pop(n, None)
+            la_part = (_PROVEN if n in proven else _ASK) if unit.la else None
+            if la_part is _ASK or opening is _ASK:
+                later.append((n, la_part, opening))
             else:
-                yield n, _PROVEN if unit.la else None, opening
-        keys = [(layers[n].la[1].signer_id, layers[n].la[1].epoch) for n, _ in alone]
-        for (n, opening), blob in zip(alone, client.commitments(cco.MSG_LA, keys)):
-            yield n, _parsed(la.LaCommitment.from_bytes, blob), opening
+                yield n, la_part, opening
+        asks = []
+        for n, la_part, opening in later:
+            if la_part is _ASK:
+                asks.append(cco.commitment_payload(cco.MSG_LA, *_key(layers[n].la)))
+            if opening is _ASK:
+                asks.append(cco.opening_payload(cco.MSG_PQ_OPENING, *_key(layers[n].pq),
+                                                layers[n].pq[2]))
+        replies = client.ok_bodies(asks)
+        for n, la_part, opening in later:
+            if la_part is _ASK:
+                la_part = _parsed(la.LaCommitment.from_bytes, next(replies))
+            if opening is _ASK:
+                opening = _parsed(pq.PqOpening.from_bytes, next(replies), layers[n].pq[2])
+            yield n, la_part, opening
 
 
 # an aggregate layer that a combined check has passed
 _PROVEN = object()
+# a part to ask for again on its own
+_ASK = object()
+
+
+def _key(layer: tuple) -> tuple[bytes, int]:
+    """The (id, epoch) of a unit's layer: its signature's."""
+    signature = layer[1]
+    return signature.signer_id, signature.epoch
 
 
 def _parsed(parse, blob, *args):
@@ -111,6 +144,40 @@ def _parsed(parse, blob, *args):
         return None if blob is None else parse(blob, *args)
     except ValueError:
         return None
+
+
+def _runs(layers: list[schemes.Layers], params) -> list[list[int]]:
+    """The positions of the units with a pq layer, cut into the runs one
+    ``0x05`` each opens: units in order, of one signer, at consecutive
+    epochs in [1, J], each with k indices, at most
+    ``cco.MAX_OPENING_INDICES // k`` of them.  Any other unit, such as
+    one whose epoch repeats the one before or lies outside [1, J], starts
+    a run of its own."""
+    longest = cco.MAX_OPENING_INDICES // params.k
+    runs: list[list[int]] = []
+    previous = None  # (id, epoch) of the last unit, if a run may go on from it
+    for n, unit in enumerate(layers):
+        if not unit.pq:
+            continue
+        signer_id, epoch = key = _key(unit.pq)
+        fits = len(unit.pq[2]) == params.k and 1 <= epoch <= params.epochs
+        if fits and previous == (signer_id, epoch - 1) and len(runs[-1]) < longest:
+            runs[-1].append(n)
+        else:
+            runs.append([n])
+        previous = key if fits else None
+    return runs
+
+
+def _run_openings(reply, indices: list[int], units: int, k: int) -> list:
+    """The opening of each of a run's ``units`` from the reply to its
+    request at ``indices``.  Where the service refused the run or sent a
+    malformed reply: None for a run of one unit, else ``_ASK`` for each
+    unit, to ask for its opening alone."""
+    opening = _parsed(pq.PqOpening.from_bytes, reply, indices)
+    if opening is not None:
+        return opening.per_epoch(k)
+    return [_ASK if units > 1 else None] * units
 
 
 def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:

@@ -53,15 +53,19 @@ def test_hy_report_combines_layers():
     assert report.sizes["signature.payload_bytes"] == 64 + PQ_SMALL.k * 32
 
 
-def test_sequential_openings_row_at_every_trial_count():
-    # the row's last opening is at epoch ``trials``: one step from the one
-    # before it, or none at all where that epoch starts a segment
-    for trials in (1, 2, 16, 17, 18, PQ_SMALL.epochs):
-        report = bench.bench_pq(PQ_SMALL, trials=trials)
-        counts = {op.name: op.hash_calls for op in report.ops}
-        starts_segment = trials > PQ_SMALL.j2 and (trials - 1) % PQ_SMALL.j2 == 0
-        walk = 0 if starts_segment else 1  # H0 for the initial seed when trials == 1
-        assert counts["open_commitment_sequential"] == walk + 2 * PQ_SMALL.k
+@pytest.mark.parametrize("params, epochs, anchors", [
+    (PQ_SMALL, 16, 0),  # RUN_EPOCHS of segment 0
+    (pq.PqParams(t=64, k=8, j1=4, j2=4), 16, 3),  # the anchors at epochs 5, 9 and 13 end a walk
+    (pq.PqParams(t=64, k=32, j1=1, j2=32), 8, 0),  # 256 // k epochs
+    (pq.PqParams(t=64, k=8, j1=1, j2=4), 4, 0),  # J epochs
+    (pq.PqParams(t=2, k=256, j1=1, j2=8), 1, 0),  # one epoch: the last trial walks from H0 too
+], ids=["segment-0", "across-anchors", "256-over-k", "J", "one-epoch"])
+def test_run_opening_row_at_every_trial_count(params, epochs, anchors):
+    # one opening over epochs 1..n: H0 for the first seed, one chain step
+    # per further epoch but where an anchor starts its segment, 2k per epoch
+    for trials in (1, 2, 4):
+        counts = {op.name: op.hash_calls for op in bench.bench_pq(params, trials=trials).ops}
+        assert counts["open_run"] == 1 + (epochs - 1 - anchors) + 2 * params.k * epochs
 
 
 def test_trial_count_bounded_by_epochs():
@@ -98,10 +102,10 @@ def test_open_commitment_rows_beside_the_full_build():
     walk = 1 + PQ_SMALL.j2 - 1
     assert counts["open_commitment"] == walk + 2 * PQ_SMALL.k
     assert counts["commitment_worst_case"] == walk + 2 * PQ_SMALL.t
-    # consecutive openings through a store: one chain step from the cursor, then 2k
-    assert counts["open_commitment_sequential"] == 1 + 2 * PQ_SMALL.k
+    # one opening over epochs 1..16 through a store: H0, 15 chain steps, 2k per epoch
+    assert counts["open_run"] == 1 + 15 + 2 * PQ_SMALL.k * bench.RUN_EPOCHS
     names = [op.name for op in report.ops]
-    assert names.index("open_commitment_sequential") == names.index("open_commitment") + 1
+    assert names.index("open_run") == names.index("open_commitment") + 1
     assert report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32
     assert report.sizes["commitment.total_bytes"] == 25 + PQ_SMALL.t * 32
     assert "pq.open_commitment.wall_us=" in "\n".join(report.machine_lines())

@@ -403,6 +403,11 @@ def test_request_encodings_are_what_the_store_reads():
                                                            cco.STATUS_OK))
 
 
+def commitments(client, msg_type, keys):
+    """The pipelined replies to a commitment request of ``msg_type`` per (id, epoch) key."""
+    return client.ok_bodies(cco.commitment_payload(msg_type, *key) for key in keys)
+
+
 class TestPipelinedClient:
     def keys(self):
         # longer than the window, with an unknown id and out-of-range epochs
@@ -424,9 +429,9 @@ class TestPipelinedClient:
         assert [e is None for e in expected].count(True) == 3
         with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as client:
-                assert list(client.commitments(cco.MSG_PQ, keys)) == expected
+                assert list(commitments(client, cco.MSG_PQ, keys)) == expected
                 la_keys = [(ID_A, e) for e in range(1, 17)]
-                la_blobs = list(client.commitments(cco.MSG_LA, la_keys))
+                la_blobs = list(commitments(client, cco.MSG_LA, la_keys))
                 assert la_blobs == [store.la_commitment(ID_A, e).to_bytes()
                                     for e in range(1, 17)]
 
@@ -437,7 +442,7 @@ class TestPipelinedClient:
         port, thread = serve_once(lambda payloads: [store.handle_request(p) for p in payloads])
         keys = [(ID_A, epoch) for epoch in range(1, transport.PIPELINE_WINDOW + 1)]
         with transport.CcoClient("127.0.0.1", port, timeout=5) as client:
-            blobs = list(client.commitments(cco.MSG_PQ, keys))
+            blobs = list(commitments(client, cco.MSG_PQ, keys))
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert blobs == [store.pq_commitment(*key).to_bytes() for key in keys]
@@ -450,7 +455,7 @@ class TestPipelinedClient:
         with transport.CcoClient("127.0.0.1", port, timeout=5) as client:
             # EOF, or a reset once the client writes to the closed socket
             with pytest.raises((MalformedFrame, OSError)):
-                for blob in client.commitments(cco.MSG_PQ, keys):
+                for blob in commitments(client, cco.MSG_PQ, keys):
                     received.append(blob)
         thread.join(timeout=5)
         # a reset may discard replies that were already on their way
@@ -462,7 +467,7 @@ class TestPipelinedClient:
         store, *_ = provisioned_store(seed=23)
         with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as client:
-                stream = client.commitments(cco.MSG_PQ, self.keys())
+                stream = commitments(client, cco.MSG_PQ, self.keys())
                 assert len(list(islice(stream, 3))) == 3
                 stream.close()
                 assert fetch_pq(client, ID_B, 7).epoch == 7
@@ -977,7 +982,7 @@ class TestOpeningsOverTcp:
             with transport.CcoServer(store) as server:
                 with transport.CcoClient("127.0.0.1", server.port) as client:
                     peer = client._sock.getsockname()
-                    list(client.commitments(cco.MSG_PQ, [(ID_A, 1), (ID_A, 2), (ID_C, 1)]))
+                    list(commitments(client, cco.MSG_PQ, [(ID_A, 1), (ID_A, 2), (ID_C, 1)]))
                 wait_until(lambda: any("closed" in r.getMessage() for r in caplog.records))
         messages = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "hases.cco"]
         assert ("DEBUG", "connection from %s:%d opened" % peer) in messages
@@ -1131,6 +1136,95 @@ class TestChainCursor:
         assert set(store._cursor) == {ID_B}
 
 
+# --- runs: one opening request over consecutive epochs ------------------------------
+
+
+class TestOpeningRuns:
+    # (first epoch, epochs): inside segment 0, across the anchors at epochs
+    # 9, 17 and 25, the whole chain, the last epochs
+    RUNS = [(1, 5), (6, 4), (8, 2), (9, 3), (3, PQ_RUNS.epochs - 2), (1, PQ_RUNS.epochs),
+            (30, 3)]
+
+    def singles(self, rng, first, count):
+        """One opening payload per epoch of the run, at random indices."""
+        return [opening_payload(cco.MSG_PQ_OPENING, ID_A, epoch,
+                                [rng.randrange(PQ_RUNS.t) for _ in range(PQ_RUNS.k)])
+                for epoch in range(first, first + count)]
+
+    @staticmethod
+    def run(singles):
+        """The payload of one request over the epochs of ``singles``."""
+        return singles[0] + b"".join(single[25:] for single in singles[1:])
+
+    def test_a_runs_reply_is_its_single_openings_joined(self):
+        _, material = runs_store(90)
+        rng = random.Random(91)
+        for first, count in self.RUNS:
+            singles = self.singles(rng, first, count)
+            replies = [fresh_response(material, single) for single in singles]
+            reply = fresh_response(material, self.run(singles))
+            # the first single's head and header, then every single's entries
+            assert reply == replies[0] + b"".join(r[2 + pq.HEADER_LEN :] for r in replies[1:])
+            indices = [x for single in singles for x in cco._opening_indices(single[1:])]
+            opening = pq.PqOpening.from_bytes(reply[2:], indices)
+            assert opening.per_epoch(PQ_RUNS.k) == [
+                pq.PqOpening.from_bytes(r[2:], cco._opening_indices(single[1:]))
+                for r, single in zip(replies, singles)]
+
+    def test_a_run_costs_its_single_openings_on_a_fresh_store(self):
+        _, material = runs_store(92)
+        rng = random.Random(93)
+        for first, count in self.RUNS:
+            singles = self.singles(rng, first, count)
+            store = cco.CcoStore()
+            store.provision(material)
+            counters.reset()
+            for single in singles:
+                assert store.handle_request(single)[1] == cco.STATUS_OK
+            one_by_one = counters.total()
+            store = cco.CcoStore()
+            store.provision(material)
+            counters.reset()
+            assert store.handle_request(self.run(singles))[1] == cco.STATUS_OK
+            assert counters.total() == one_by_one
+            # the anchor walk, one step per further epoch but at an anchor, 2k per epoch
+            anchors = sum(1 for e in range(first + 1, first + count) if (e - 1) % PQ_RUNS.j2 == 0)
+            assert one_by_one == (anchor_walk(PQ_RUNS, first) + count - 1 - anchors
+                                  + 2 * PQ_RUNS.k * count)
+            # the cursor is left at the run's last epoch
+            last = first + count - 1
+            if last < PQ_RUNS.epochs and last % PQ_RUNS.j2:
+                counters.reset()
+                store.handle_request(self.singles(rng, last + 1, 1)[0])
+                assert counters.total() == 1 + 2 * PQ_RUNS.k
+
+    def test_refusals_cost_nothing(self):
+        store, _ = runs_store(94)
+        good = list(range(PQ_RUNS.k)) * 2
+        cases = {
+            cco.STATUS_MALFORMED: [
+                (ID_A, 2, good + [0]),  # not a multiple of k
+                (ID_A, 2, good[:-1]),
+                (ID_A, 2, good[:-1] + [PQ_RUNS.t]),  # an index of the second epoch
+                (ID_A, 2, [0] * (cco.MAX_OPENING_INDICES + PQ_RUNS.k)),  # over the bound
+            ],
+            cco.STATUS_EPOCH_RANGE: [(ID_A, PQ_RUNS.epochs, good), (ID_A, 0, good),
+                                     (ID_A, PQ_RUNS.epochs - 1, good * 2)],
+            cco.STATUS_UNKNOWN_ID: [(ID_C, 2, good)],
+        }
+        counters.reset()
+        for status, requests in cases.items():
+            for request in requests:
+                response = store.handle_request(opening_payload(cco.MSG_PQ_OPENING, *request))
+                assert response == bytes((cco.MSG_PQ_OPENING | 0x80, status)), request
+        assert counters.total() == 0
+        # the whole chain in one request, at the bound's 256 / k epochs or less
+        payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, [0] * cco.MAX_OPENING_INDICES)
+        assert len(payload) == 1049 and store.handle_request(payload)[1] == cco.STATUS_EPOCH_RANGE
+        whole = opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, [0] * PQ_RUNS.k * PQ_RUNS.epochs)
+        assert store.handle_request(whole)[1] == cco.STATUS_OK
+
+
 # --- fuzz: handle_request through the cache ------------------------------------
 
 
@@ -1158,8 +1252,10 @@ def request_payloads(draw):
         return draw(st.binary(max_size=40))
     signer_id = draw(_ids)
     if kind == "opening":
-        # k = 4 indices below t = 8, or a wrong count, a large index, duplicates
-        count = draw(st.sampled_from([PQ_TOY.k] * 3 + [0, 1, PQ_TOY.k + 1, 300]))
+        # k = 4 indices per epoch of a run, below t = 8, or a wrong count,
+        # a large index, duplicates
+        count = draw(st.sampled_from([PQ_TOY.k] * 3 + [2 * PQ_TOY.k, 5 * PQ_TOY.k]
+                                     + [0, 1, PQ_TOY.k + 1, 300]))
         index = st.integers(0, PQ_TOY.t - 1) | st.sampled_from([PQ_TOY.t, 2**32 - 1])
         indices = draw(st.lists(index, min_size=count, max_size=count))
         if indices and draw(st.booleans()):

@@ -32,6 +32,13 @@ def write_csv(tmp_path, count, name="msgs.csv"):
     return str(path)
 
 
+def opened_runs(payloads, k):
+    """(first epoch, epoch count) of each opening request in ``payloads``,
+    at k indices per epoch."""
+    return [(int.from_bytes(p[17:25], "big"), (len(p) - 25) // (4 * k))
+            for p in payloads if p[0] == cco.MSG_PQ_OPENING]
+
+
 def keygen(tmp_path, scheme, extra=()):
     out = tmp_path / f"keys_{scheme}"
     argv = [
@@ -382,7 +389,13 @@ class TestPipelinedVerify:
             finally:
                 source.close()
             assert results == [n not in rejected for n in range(self.UNITS)]
-            assert len(requests) == self.UNITS - 2
+            # one opening per run of consecutive epochs; a unit past J, of
+            # another signer, after a gap or at a repeated epoch starts a
+            # run of its own, and the units without a request (18, 26)
+            # end none
+            assert {p[0] for p in requests} == {cco.MSG_PQ_OPENING}
+            assert opened_runs(requests, 4) == [(1, 3), (65, 1), (5, 13), (18, 1), (20, 7),
+                                                (28, 3), (32, 1), (32, 9)]
 
             capsys.readouterr()
             code = cli.main(
@@ -391,16 +404,84 @@ class TestPipelinedVerify:
         assert code == 1
         assert f"{self.UNITS - 5}/{self.UNITS} signatures valid" in capsys.readouterr().out
 
+    def test_a_refused_run_is_asked_for_again_unit_by_unit(self, tmp_path, capsys, monkeypatch):
+        out, msgs, sigs = self.signed_chunk(tmp_path)
+        blobs = keyfiles.load_signatures(sigs)
+        tampered = bytearray(blobs[9])
+        tampered[-1] ^= 1
+        blobs[9] = bytes(tampered)
+        blobs[20] = pq.PqSignature.from_bytes(blobs[20])._replace(epoch=65).to_bytes()
+        keyfiles.save_signatures(sigs, blobs)
+        single_opening = cco.CcoStore.pq_opening
+
+        def single_epochs(store, signer_id, epoch, indices):
+            # a service that opens one epoch per request refuses every run
+            if len(indices) > 4:
+                raise ValueError("one epoch per opening")
+            return single_opening(store, signer_id, epoch, indices)
+
+        monkeypatch.setattr(cco.CcoStore, "pq_opening", single_epochs)
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        pub = str(out / "verifier.pub")
+        bundle = keyfiles.load_verifier_bundle(pub)
+        records = stream.read_stream(msgs, "csv", False)
+        with transport.CcoServer(store) as server:
+            source = verifier.CommitmentSource(bundle, ("127.0.0.1", server.port))
+            try:
+                results = verifier.verify_all(bundle, records, blobs, source)
+            finally:
+                source.close()
+            assert results == [n not in (9, 20) for n in range(self.UNITS)]
+            # the runs 1-20 and 22-40 are refused, and each of their units is
+            # asked for alone; the unit past J was a run of its own
+            again = [(e, 1) for e in range(1, 21)] + [(e, 1) for e in range(22, 41)]
+            assert opened_runs(requests, 4) == [(1, 20), (65, 1), (22, 19)] + again
+            capsys.readouterr()
+            assert cli.main(["verify", "--pub", pub, "--in", msgs, "--sigs", str(sigs),
+                             "--cco", f"127.0.0.1:{server.port}"]) == 1
+        assert capsys.readouterr().out == f"{self.UNITS - 2}/{self.UNITS} signatures valid\n"
+
+    def test_a_run_holds_at_most_256_over_k_units(self, tmp_path, capsys):
+        # k = 64: four units per run; the run of epochs 5-8 crosses the
+        # anchor at epoch 7
+        out = tmp_path / "keys"
+        assert cli.main(["keygen", "--scheme", "pq", "--ids", write_ids(tmp_path), "--J", "12",
+                         "--J1", "2", "--t", "16", "--k", "64", "--out", str(out)]) == 0
+        msgs = write_csv(tmp_path, 12)
+        sigs = str(tmp_path / "sigs.bin")
+        assert cli.main(["sign", "--key", str(out / f"signer_{ID_HEX_1}.key"), "--in", msgs,
+                         "--out", sigs]) == 0
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        with transport.CcoServer(store) as server:
+            capsys.readouterr()
+            assert cli.main(["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+                             "--sigs", sigs, "--cco", f"127.0.0.1:{server.port}"]) == 0
+        assert capsys.readouterr().out == "12/12 signatures valid\n"
+        assert cco.MAX_OPENING_INDICES // 64 == 4
+        assert opened_runs(requests, 64) == [(1, 4), (5, 4), (9, 4)]
+
     def test_service_closing_mid_pipeline_exits_2(self, tmp_path):
         out, msgs, sigs = self.signed_chunk(tmp_path)
         store = keyfiles.load_store(out / "cco.store")
         listener = socket.create_server(("127.0.0.1", 0))
 
         def serve_three():
-            # answers three of the requests, then hangs up
+            # refuses the chunk's one run of 40 openings, as a service that
+            # serves single epochs only; then, of the 40 single openings the
+            # verifier asks for instead, answers three and hangs up
             with listener:
                 conn, _ = listener.accept()
                 with conn, conn.makefile("rwb") as stream:
+                    run = transport.read_frame(stream)
+                    assert opened_runs([run], 4) == [(1, self.UNITS)]
+                    transport.write_frame(stream, bytes((run[0] | cco.RESPONSE_BIT,
+                                                         cco.STATUS_MALFORMED)))
                     payloads = [transport.read_frame(stream) for _ in range(4)]
                     for payload in payloads[:3]:
                         transport.write_frame(stream, store.handle_request(payload))
@@ -469,9 +550,9 @@ class TestOnlineMatchesOffline:
         keyfiles.save_signatures(mixed, blobs)
 
         store = keyfiles.load_store(out / "cco.store")
-        request_types = []
+        requests = []
         handle = store.handle_request
-        store.handle_request = lambda payload: request_types.append(payload[0]) or handle(payload)
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
         commits = str(tmp_path / "commits.bin")
         records = stream.read_stream(msgs, "csv", False)
         with transport.CcoServer(store) as server:
@@ -488,16 +569,19 @@ class TestOnlineMatchesOffline:
                     source.close()
             assert results["online"] == results["offline"] == [
                 n not in rejected for n in range(self.UNITS)]
-            # one export, then one pq opening request per unit that names a
-            # bundle signer; hy first asks for one combined check per signer
-            # (the unit past J is left out), and as unit 10 fails it, asks
-            # for each aggregate commitment alone
-            named = self.UNITS - 2
-            expected = [cco.MSG_EXPORT] + [cco.MSG_PQ_OPENING] * named
+            # one export, then one pq opening request per run of consecutive
+            # epochs among the units that name a bundle signer (unit 10, moved
+            # to epoch 12, opens a run with units 12 and 13); hy first asks
+            # for one combined check per signer (the unit past J is left
+            # out), and as unit 10 fails it, asks for each aggregate
+            # commitment alone
+            runs = [(1, 4), (6, 1), (7, 1), (8, 1), (17, 1), (10, 1), (12, 3)]
+            expected = [cco.MSG_EXPORT] + [cco.MSG_PQ_OPENING] * len(runs)
             if scheme == "hy":
                 expected[1:1] = [cco.MSG_LA_COMBINED] * 2
-                expected += [cco.MSG_LA] * named
-            assert request_types == expected
+                expected += [cco.MSG_LA] * (self.UNITS - 2)
+            assert [p[0] for p in requests] == expected
+            assert opened_runs(requests, 16) == runs
 
             def verify(sig_file, *source):
                 capsys.readouterr()
@@ -732,6 +816,29 @@ class TestParser:
             cli.main([command, "--no-such-flag"])
         assert exc.value.code == 2
         assert f"usage: hases {command} " in capsys.readouterr().err
+
+    def test_verify_takes_exactly_one_commitment_source(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        msgs = write_csv(tmp_path, 2)
+        sigs = str(tmp_path / "sigs.bin")
+        assert cli.main(["sign", "--key", str(out / f"signer_{ID_HEX_1}.key"), "--in", msgs,
+                         "--out", sigs]) == 0
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        argv = ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs, "--sigs", sigs]
+        with transport.CcoServer(store) as server:
+            address = f"127.0.0.1:{server.port}"
+            # both sources, or none: argparse exits 2 before any request
+            for sources in (["--cco", address, "--commits", str(tmp_path / "commits.bin")], []):
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(argv + sources)
+                assert exc.value.code == 2
+                assert "usage: hases verify " in capsys.readouterr().err
+            assert requests == []
+            assert cli.main(argv + ["--cco", address]) == 0
+        assert len(requests) == 1
 
     def test_one_subparser_per_call_and_all_without_one(self):
         def commands(parser):

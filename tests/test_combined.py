@@ -277,11 +277,15 @@ class Deployment:
         self.scheme = schemes.by_tag(bundle.scheme)
         key_a = self.keys / f"signer_{ID_A.hex()}.key"
         shutil.copy(key_a, tmp_path / "fork.key")  # restored from a copy: reuses epochs
-        self.types = []
+        self.requests = []
         store = keyfiles.load_store(self.keys / "cco.store")
         handle = store.handle_request
-        store.handle_request = lambda payload: self.types.append(payload[0]) or handle(payload)
+        store.handle_request = lambda payload: self.requests.append(payload) or handle(payload)
         self.store = store
+
+    @property
+    def types(self):
+        return [payload[0] for payload in self.requests]
 
     def sign(self, key, name, units):
         """(records, blobs) of ``units`` units signed with the key file ``key``."""
@@ -354,46 +358,90 @@ def test_clean_chunk_costs_one_combined_request_per_signer(tmp_path, scheme):
         assert deployment.results(records, blobs, f"127.0.0.1:{server.port}") == [True] * 16
     expected = [cco.MSG_LA_COMBINED] * 2
     if scheme == "hy":
-        expected += [cco.MSG_PQ_OPENING] * 16
+        # one opening per run of consecutive epochs: A's 1-8, B's 1-6, the fork's 1-2
+        expected += [cco.MSG_PQ_OPENING] * 3
     assert deployment.types == expected
 
 
-@pytest.mark.parametrize("scheme", ["la", "hy"])
-def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
-    deployment = Deployment(tmp_path, scheme)
+def mixed_chunk(deployment):
+    """(records, blobs, rejected units) of ``Deployment.chunk`` with seven
+    units spoiled, each in another way."""
     records, blobs = deployment.chunk()
     group = deployment.bundle.la_params.group
     tampered = bytearray(blobs[9])
     tampered[-1] ^= 1  # la: the public seed; hy: the last revealed pq string
     blobs[9] = bytes(tampered)
     agg = deployment.signature(blobs[10])
-    agg = (agg.la if scheme == "hy" else agg).agg
+    agg = (agg.la if deployment.scheme is schemes.HY else agg).agg
     blobs[10] = deployment.rebuilt(blobs[10], agg=(agg + 1) % group.q)
     blobs[3] = blobs[3][:-1]  # malformed
     blobs[5] = deployment.rebuilt(blobs[5], signer_id=ID_C)  # unknown to the service
     blobs[6] = deployment.rebuilt(blobs[6], epoch=3)  # another epoch's commitment
     blobs[7] = deployment.rebuilt(blobs[7], epoch=17)  # past J
     blobs[12] = deployment.rebuilt(blobs[12], signer_id=b"\xcc" * 16)  # not in the bundle
-    rejected = {3, 5, 6, 7, 9, 10, 12}
+    return records, blobs, {3, 5, 6, 7, 9, 10, 12}
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
+    deployment = Deployment(tmp_path, scheme)
+    records, blobs, rejected = mixed_chunk(deployment)
     with transport.CcoServer(deployment.store) as server:
         address = f"127.0.0.1:{server.port}"
         commits = deployment.export(address)
-        deployment.types.clear()
+        deployment.requests.clear()
         online = deployment.results(records, blobs, address)
         offline = deployment.results(records, blobs, commits=commits)
         assert online == offline == [n not in rejected for n in range(16)]
         # A's check fails (unit 6) and B's (units 9, 10); C's is refused;
-        # unit 7 is past J, so it is checked alone
+        # unit 7 is past J, so it is checked alone.  The openings go by
+        # runs of consecutive epochs: A's 1-3, then 5, C's 6, A's 3, 17,
+        # B's 1-4, 6 and the fork's 1-2
         named = 16 - 2
         expected = [cco.MSG_LA_COMBINED] * 3
         if scheme == "hy":
-            expected += [cco.MSG_PQ_OPENING] * named
+            expected += [cco.MSG_PQ_OPENING] * 8
         assert deployment.types == expected + [cco.MSG_LA] * named
         for source in (["--cco", address], ["--commits", str(commits)]):
             assert deployment.exit_and_output(capsys, records, blobs, *source) == (
                 1, f"{16 - len(rejected)}/16 signatures valid\n")
             assert deployment.exit_and_output(capsys, *kept_units(records, blobs, rejected),
                                               *source) == (0, "9/9 signatures valid\n")
+
+
+def test_a_refused_run_is_asked_for_again_unit_by_unit(tmp_path, capsys, monkeypatch):
+    deployment = Deployment(tmp_path, "hy")
+    records, blobs, rejected = mixed_chunk(deployment)
+    single_opening = cco.CcoStore.pq_opening
+
+    def single_epochs(store, signer_id, epoch, indices):
+        # a service that opens one epoch per request refuses every run
+        if len(indices) > deployment.bundle.pq_params.k:
+            raise ValueError("one epoch per opening")
+        return single_opening(store, signer_id, epoch, indices)
+
+    monkeypatch.setattr(cco.CcoStore, "pq_opening", single_epochs)
+    with transport.CcoServer(deployment.store) as server:
+        address = f"127.0.0.1:{server.port}"
+        commits = deployment.export(address)
+        deployment.requests.clear()
+        expected = [n not in rejected for n in range(16)]
+        assert deployment.results(records, blobs, address) == expected
+        assert deployment.results(records, blobs, commits=commits) == expected
+        # the first stream as on a mixed chunk, three of its eight runs refused:
+        # A's 1-3 (units 0-2), B's 1-4 (units 8-11) and the fork's 1-2 (14, 15).
+        # Then, by unit, each aggregate commitment (no combined check passed)
+        # and each opening of a refused run, alone
+        again = {0, 1, 2, 8, 9, 10, 11, 14, 15}
+        alone = [t for n in (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15)
+                 for t in [cco.MSG_LA] + [cco.MSG_PQ_OPENING] * (n in again)]
+        assert deployment.types == ([cco.MSG_LA_COMBINED] * 3 + [cco.MSG_PQ_OPENING] * 8
+                                    + alone)
+        k = deployment.bundle.pq_params.k
+        assert [len(p) - 25 for p in deployment.requests[11:] if p[0] == cco.MSG_PQ_OPENING] == (
+            [4 * k] * len(again))
+        assert deployment.exit_and_output(capsys, records, blobs, "--cco", address) == (
+            1, f"{16 - len(rejected)}/16 signatures valid\n")
 
 
 def kept_units(records, blobs, rejected):
@@ -417,7 +465,7 @@ def test_split_delta_forgery_is_rejected_unit_by_unit(tmp_path, capsys, pair):
     with transport.CcoServer(deployment.store) as server:
         address = f"127.0.0.1:{server.port}"
         commits = deployment.export(address)
-        deployment.types.clear()
+        deployment.requests.clear()
         expected = [n not in pair for n in range(16)]
         assert deployment.results(records, blobs, address) == expected
         assert deployment.results(records, blobs, commits=commits) == expected
