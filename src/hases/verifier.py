@@ -72,12 +72,9 @@ class CommitmentSource:
         per signer (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then
         for the pq openings, one ``0x05`` per run of units (``_runs``); a
         unit is yielded as its run's opening arrives, so its check
-        overlaps the service's next builds.  What that stream did not
-        settle is asked for again unit by unit on a second stream, and
-        yielded last: the aggregate commitment (``0x02``) of each unit no
-        combined check passed, and the opening of each unit of a run the
-        service refused, so per-unit results are those of single
-        requests."""
+        overlaps the service's next builds.  Only the aggregate layers no
+        combined check passed are asked for again, each on its own
+        (``0x02``), and yielded last."""
         client, group = self.client, self.bundle.la_params and self.bundle.la_params.group
         pq_params = self.bundle.pq_params
         combined = _combinations(layers, self.bundle) if group and la.combinable(group) else []
@@ -97,38 +94,25 @@ class CommitmentSource:
                 pass  # a key outside the subgroup: each unit is rejected alone
         run_at = {run[0]: (run, indices) for run, indices in zip(runs, run_indices)}
         openings = {}  # position -> opening, from the reply to its run
-        later = []
+        alone = []
         for n, unit in enumerate(layers):
             if n in run_at:
                 run, indices = run_at[n]
                 openings.update(zip(run, _run_openings(next(replies), indices, len(run),
                                                        pq_params.k)))
             opening = openings.pop(n, None)
-            la_part = (_PROVEN if n in proven else _ASK) if unit.la else None
-            if la_part is _ASK or opening is _ASK:
-                later.append((n, la_part, opening))
+            if unit.la and n not in proven:
+                alone.append((n, opening))
             else:
-                yield n, la_part, opening
-        asks = []
-        for n, la_part, opening in later:
-            if la_part is _ASK:
-                asks.append(cco.commitment_payload(cco.MSG_LA, *_key(layers[n].la)))
-            if opening is _ASK:
-                asks.append(cco.opening_payload(cco.MSG_PQ_OPENING, *_key(layers[n].pq),
-                                                layers[n].pq[2]))
-        replies = client.ok_bodies(asks)
-        for n, la_part, opening in later:
-            if la_part is _ASK:
-                la_part = _parsed(la.LaCommitment.from_bytes, next(replies))
-            if opening is _ASK:
-                opening = _parsed(pq.PqOpening.from_bytes, next(replies), layers[n].pq[2])
-            yield n, la_part, opening
+                yield n, _PROVEN if unit.la else None, opening
+        replies = client.ok_bodies([cco.commitment_payload(cco.MSG_LA, *_key(layers[n].la))
+                                    for n, _ in alone])
+        for (n, opening), blob in zip(alone, replies):
+            yield n, _parsed(la.LaCommitment.from_bytes, blob), opening
 
 
 # an aggregate layer that a combined check has passed
 _PROVEN = object()
-# a part to ask for again on its own
-_ASK = object()
 
 
 def _key(layer: tuple) -> tuple[bytes, int]:
@@ -171,13 +155,13 @@ def _runs(layers: list[schemes.Layers], params) -> list[list[int]]:
 
 def _run_openings(reply, indices: list[int], units: int, k: int) -> list:
     """The opening of each of a run's ``units`` from the reply to its
-    request at ``indices``.  Where the service refused the run or sent a
-    malformed reply: None for a run of one unit, else ``_ASK`` for each
-    unit, to ask for its opening alone."""
+    request at ``indices``; None for each unit of a run the service
+    refused or answered with a malformed reply.  The store refuses a run
+    only where it would refuse each of its single openings (an unknown
+    id: ``_runs`` sends no other run it refuses), so no unit is asked
+    for again."""
     opening = _parsed(pq.PqOpening.from_bytes, reply, indices)
-    if opening is not None:
-        return opening.per_epoch(k)
-    return [_ASK if units > 1 else None] * units
+    return [None] * units if opening is None else opening.per_epoch(k)
 
 
 def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:

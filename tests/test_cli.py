@@ -404,45 +404,28 @@ class TestPipelinedVerify:
         assert code == 1
         assert f"{self.UNITS - 5}/{self.UNITS} signatures valid" in capsys.readouterr().out
 
-    def test_a_refused_run_is_asked_for_again_unit_by_unit(self, tmp_path, capsys, monkeypatch):
+    def test_a_refused_run_rejects_each_of_its_units(self, tmp_path, capsys):
         out, msgs, sigs = self.signed_chunk(tmp_path)
-        blobs = keyfiles.load_signatures(sigs)
-        tampered = bytearray(blobs[9])
-        tampered[-1] ^= 1
-        blobs[9] = bytes(tampered)
-        blobs[20] = pq.PqSignature.from_bytes(blobs[20])._replace(epoch=65).to_bytes()
+        pub = out / "verifier.pub"
+        not_in_store = bytes.fromhex(ID_HEX_2)
+        # every unit names a bundle signer the service does not know
+        bundle = keyfiles.load_verifier_bundle(pub)
+        keyfiles.save_verifier_bundle(pub, bundle._replace(public_keys={not_in_store: None}))
+        blobs = [pq.PqSignature.from_bytes(blob)._replace(signer_id=not_in_store).to_bytes()
+                 for blob in keyfiles.load_signatures(sigs)]
         keyfiles.save_signatures(sigs, blobs)
-        single_opening = cco.CcoStore.pq_opening
-
-        def single_epochs(store, signer_id, epoch, indices):
-            # a service that opens one epoch per request refuses every run
-            if len(indices) > 4:
-                raise ValueError("one epoch per opening")
-            return single_opening(store, signer_id, epoch, indices)
-
-        monkeypatch.setattr(cco.CcoStore, "pq_opening", single_epochs)
         store = keyfiles.load_store(out / "cco.store")
         requests = []
         handle = store.handle_request
         store.handle_request = lambda payload: requests.append(payload) or handle(payload)
-        pub = str(out / "verifier.pub")
-        bundle = keyfiles.load_verifier_bundle(pub)
-        records = stream.read_stream(msgs, "csv", False)
         with transport.CcoServer(store) as server:
-            source = verifier.CommitmentSource(bundle, ("127.0.0.1", server.port))
-            try:
-                results = verifier.verify_all(bundle, records, blobs, source)
-            finally:
-                source.close()
-            assert results == [n not in (9, 20) for n in range(self.UNITS)]
-            # the runs 1-20 and 22-40 are refused, and each of their units is
-            # asked for alone; the unit past J was a run of its own
-            again = [(e, 1) for e in range(1, 21)] + [(e, 1) for e in range(22, 41)]
-            assert opened_runs(requests, 4) == [(1, 20), (65, 1), (22, 19)] + again
             capsys.readouterr()
-            assert cli.main(["verify", "--pub", pub, "--in", msgs, "--sigs", str(sigs),
+            assert cli.main(["verify", "--pub", str(pub), "--in", msgs, "--sigs", str(sigs),
                              "--cco", f"127.0.0.1:{server.port}"]) == 1
-        assert capsys.readouterr().out == f"{self.UNITS - 2}/{self.UNITS} signatures valid\n"
+        assert capsys.readouterr().out == f"0/{self.UNITS} signatures valid\n"
+        # the one run is refused, as each of its single openings would be,
+        # and no unit is asked for again
+        assert opened_runs(requests, 4) == [(1, self.UNITS)]
 
     def test_a_run_holds_at_most_256_over_k_units(self, tmp_path, capsys):
         # k = 64: four units per run; the run of epochs 5-8 crosses the
@@ -468,25 +451,16 @@ class TestPipelinedVerify:
 
     def test_service_closing_mid_pipeline_exits_2(self, tmp_path):
         out, msgs, sigs = self.signed_chunk(tmp_path)
-        store = keyfiles.load_store(out / "cco.store")
         listener = socket.create_server(("127.0.0.1", 0))
 
-        def serve_three():
-            # refuses the chunk's one run of 40 openings, as a service that
-            # serves single epochs only; then, of the 40 single openings the
-            # verifier asks for instead, answers three and hangs up
+        def hang_up_after_the_run():
+            # reads the chunk's one run of 40 openings, then hangs up
             with listener:
                 conn, _ = listener.accept()
                 with conn, conn.makefile("rwb") as stream:
-                    run = transport.read_frame(stream)
-                    assert opened_runs([run], 4) == [(1, self.UNITS)]
-                    transport.write_frame(stream, bytes((run[0] | cco.RESPONSE_BIT,
-                                                         cco.STATUS_MALFORMED)))
-                    payloads = [transport.read_frame(stream) for _ in range(4)]
-                    for payload in payloads[:3]:
-                        transport.write_frame(stream, store.handle_request(payload))
+                    assert opened_runs([transport.read_frame(stream)], 4) == [(1, self.UNITS)]
 
-        thread = threading.Thread(target=serve_three, daemon=True)
+        thread = threading.Thread(target=hang_up_after_the_run, daemon=True)
         thread.start()
         code = cli.main(
             ["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,

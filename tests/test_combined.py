@@ -409,41 +409,6 @@ def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
                                               *source) == (0, "9/9 signatures valid\n")
 
 
-def test_a_refused_run_is_asked_for_again_unit_by_unit(tmp_path, capsys, monkeypatch):
-    deployment = Deployment(tmp_path, "hy")
-    records, blobs, rejected = mixed_chunk(deployment)
-    single_opening = cco.CcoStore.pq_opening
-
-    def single_epochs(store, signer_id, epoch, indices):
-        # a service that opens one epoch per request refuses every run
-        if len(indices) > deployment.bundle.pq_params.k:
-            raise ValueError("one epoch per opening")
-        return single_opening(store, signer_id, epoch, indices)
-
-    monkeypatch.setattr(cco.CcoStore, "pq_opening", single_epochs)
-    with transport.CcoServer(deployment.store) as server:
-        address = f"127.0.0.1:{server.port}"
-        commits = deployment.export(address)
-        deployment.requests.clear()
-        expected = [n not in rejected for n in range(16)]
-        assert deployment.results(records, blobs, address) == expected
-        assert deployment.results(records, blobs, commits=commits) == expected
-        # the first stream as on a mixed chunk, three of its eight runs refused:
-        # A's 1-3 (units 0-2), B's 1-4 (units 8-11) and the fork's 1-2 (14, 15).
-        # Then, by unit, each aggregate commitment (no combined check passed)
-        # and each opening of a refused run, alone
-        again = {0, 1, 2, 8, 9, 10, 11, 14, 15}
-        alone = [t for n in (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15)
-                 for t in [cco.MSG_LA] + [cco.MSG_PQ_OPENING] * (n in again)]
-        assert deployment.types == ([cco.MSG_LA_COMBINED] * 3 + [cco.MSG_PQ_OPENING] * 8
-                                    + alone)
-        k = deployment.bundle.pq_params.k
-        assert [len(p) - 25 for p in deployment.requests[11:] if p[0] == cco.MSG_PQ_OPENING] == (
-            [4 * k] * len(again))
-        assert deployment.exit_and_output(capsys, records, blobs, "--cco", address) == (
-            1, f"{16 - len(rejected)}/16 signatures valid\n")
-
-
 def kept_units(records, blobs, rejected):
     """The units of a chunk outside ``rejected``, records and blobs alike."""
     batch = len(records) // len(blobs)
