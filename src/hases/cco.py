@@ -59,9 +59,10 @@ indices keep the request at 1,049 bytes, inside the request frame.
 
 Every pq seed is walked to from the nearest seed the store knows: the
 anchor of the epoch's segment, or the signer's chain cursor, the seed
-of the epoch the store last derived for that signer.  A verifier's run
-of consecutive epochs, in one request or in several, so costs one step
-per further epoch, and no walk is ever more than j2 - 1 steps.
+of the epoch the store last derived for that signer.  A run of
+consecutive epochs, asked for in one request or in several, opened,
+built or exported, so costs one step per further epoch (none at an
+anchor), and no walk is ever more than j2 - 1 steps.
 
 A combined nonce commitment (0x08) lets a verifier check all of one
 aggregate or hybrid signer's batches in a chunk with one group
@@ -79,15 +80,15 @@ and the reply is a public product of those R's powers, which anyone
 could compute from them.  It goes through the response cache, so two
 verifiers of one chunk, who derive the same seed, share one build.
 
-Responses to the single-epoch request types (0x01-0x03, 0x05) and to
-0x08 go through a response cache keyed by the whole request payload: a
-least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES`` in
-all, in front of a single-flight build, so a payload asked for again is
-answered without hashing, and one asked for by several connections at
-once is built once while the others wait for it.  Only OK responses are
-kept; exports and every other status bypass the cache.  Entries are
-never invalidated, because the OK response to a payload cannot change
-(see the constant).
+Responses to the commitment types (0x01-0x03), to openings (0x05) and
+to 0x08 go through a response cache keyed by the whole request payload:
+a least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES``
+in all, in front of a single-flight build, so a payload asked for again
+is answered without hashing, and one asked for by several connections
+at once is built once while the others wait for it.  Only OK responses
+are kept; exports and every other status bypass the cache.  Entries
+are never invalidated, because the OK response to a payload cannot
+change (see the constant).
 
 The protocol is binary so commitments travel bit-exactly, and it is
 deliberately small: there is no verification entry point (the store
@@ -389,7 +390,7 @@ class CcoStore:
     def handle_request(self, payload: bytes) -> bytes:
         """Map one request frame payload (type byte + body) to a response
         payload.  Never raises: protocol errors become status bytes.
-        Well-formed single-epoch requests go through the response cache."""
+        Well-formed requests, exports aside, go through the response cache."""
         request = _REQUESTS.get(payload[0]) if payload else None
         if request is None or not request.well_formed(len(payload) - 1):
             return self._cache.bypass(partial(_response_head, payload, STATUS_MALFORMED))
@@ -430,7 +431,7 @@ class _Request(NamedTuple):
 
 
 def _key(body: bytes) -> tuple[bytes, int]:
-    """The (id, epoch) every single-epoch request body starts with."""
+    """The (id, epoch) a commitment or opening request body starts with."""
     return body[:16], int.from_bytes(body[16:24], "big")
 
 
@@ -508,10 +509,11 @@ def commitment_payload(msg_type: int, signer_id: bytes, epoch: int) -> bytes:
     return bytes((msg_type,)) + signer_id + epoch.to_bytes(8, "big")
 
 
-def opening_payload(msg_type: int, signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
+def opening_payload(signer_id: bytes, epoch: int, indices: Sequence[int]) -> bytes:
     """An opening request (``MSG_PQ_OPENING``): k ``indices`` per epoch
     of the run that starts at ``epoch``."""
-    return commitment_payload(msg_type, signer_id, epoch) + struct.pack(f">{len(indices)}I", *indices)
+    return (commitment_payload(MSG_PQ_OPENING, signer_id, epoch)
+            + struct.pack(f">{len(indices)}I", *indices))
 
 
 def export_payload(scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> bytes:

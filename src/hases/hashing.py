@@ -22,16 +22,16 @@ H0(public_seed || l) and H1(nonce_seed || l) for its L items, and the
 key store images H2(H1(seed || label)) for up to t labels.
 ``prefixed_hashes`` and ``prefixed_scalars`` hash ``byte(domain) ||
 head`` once and copy that state for each tail; ``images_match`` checks
-H2(preimage) == image pairwise and stops at the first mismatch;
-``combination_weights`` cuts the 128-bit weights of a combined check
-from H2(seed || i), one position i at a time.  Each
-returns exactly what the ``domain_hash``/``hash_to_scalar`` composition
-returns, and adds the calls that composition would make to its domain's
-counter in one step per call (a retried scalar and a check that stops
-early count the calls actually made).  The only module-level cache is
-``label_table``: the public 8-byte encodings of the labels 1..n.  A
-hash state that has absorbed a seed is a local of one kernel call, so
-it never outlives the ``sign`` that asked for it.
+each H2(preimage) against its image in a body of images, in place, and
+stops at the first mismatch; ``combination_weights`` cuts the 128-bit
+weights of a combined check from H2(seed || i), one position i at a
+time.  Each returns exactly what the ``domain_hash``/``hash_to_scalar``
+composition returns, and adds the calls that composition would make to
+its domain's counter in one step per call (a retried scalar and a
+check that stops early count the calls actually made).  The only
+module-level cache is ``label_table``: the public 8-byte encodings of
+the labels 1..n.  A hash state that has absorbed a seed is a local of
+one kernel call, so it never outlives the ``sign`` that asked for it.
 
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
@@ -191,19 +191,20 @@ def hash_to_scalar(domain: int, data: bytes, order: int) -> int:
     return prefixed_scalars(domain, data, (b"",), order)[0]
 
 
-def images_match(preimages: Iterable[bytes], images: Iterable[bytes]) -> bool:
-    """Whether ``domain_hash(2, preimage) == image`` for each pair, checked
-    in order and stopping at the first mismatch, as ``all()`` would; only
-    the calls made are counted."""
+def images_match(preimages: Iterable[bytes], images: bytes) -> bool:
+    """Whether ``domain_hash(2, preimage)`` is the n-th ``DIGEST_LEN``
+    bytes of ``images`` for the n-th preimage, each compared in place,
+    in order, stopping at the first mismatch as ``all()`` would; only the
+    calls made are counted."""
     copy = _prefix_state(DOM_COMMIT, b"").copy
     calls = 0
     matched = True
-    for preimage, image in zip(preimages, images):
-        calls += 1
+    for preimage in preimages:
         state = copy()
         state.update(preimage)
-        if state.digest() != image:
-            matched = False
+        matched = images.startswith(state.digest(), calls * DIGEST_LEN)
+        calls += 1
+        if not matched:
             break
     _count(DOM_COMMIT, calls)
     return matched

@@ -13,9 +13,11 @@ Epoch factorization: with J = j1 * j2 total epochs, the store keeps
 j1 - 1 anchors (the seeds at epochs j2+1, 2*j2+1, ...).  A request
 walks the chain from the nearest seed the store knows: an anchor, or
 the seed a chain cursor kept from the signer's previous request, so a
-run of consecutive epochs takes one step per further epoch, whether it
-is asked for epoch by epoch or opened in one request
-(``open_commitment``).  The walk is never more than j2 - 1 hash steps.
+run of consecutive epochs takes one step per further epoch (none where
+an epoch starts its segment: its anchor is its seed), whether it is
+asked for epoch by epoch, exported or opened in one request: one walk,
+``_seeds``, serves them all.  The walk is never more than j2 - 1 hash
+steps.
 j1 = 1 means no anchors and a worst case of J - 1 steps: a pure
 storage/latency trade-off, the commitments themselves are
 policy-invariant.
@@ -158,9 +160,7 @@ class PqSignature(NamedTuple):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqSignature":
-        signer_id, epoch, rest = split_header(data, SIGNATURE_TAG, "signature")
-        if not rest or len(rest) % DIGEST_LEN:
-            raise ValueError("signature body is not a whole number of digests")
+        signer_id, epoch, rest = _split_digests(data, SIGNATURE_TAG, "signature")
         return cls(signer_id, epoch, _digests(rest))
 
 
@@ -177,10 +177,7 @@ class PqCommitment(NamedTuple):
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqCommitment":
-        signer_id, epoch, rest = split_header(data, COMMITMENT_TAG, "commitment")
-        if not rest or len(rest) % DIGEST_LEN:
-            raise ValueError("commitment body is not a whole number of digests")
-        return cls(signer_id, epoch, rest)
+        return cls(*_split_digests(data, COMMITMENT_TAG, "commitment"))
 
     def open(self, indices: Sequence[int], params: PqParams) -> "PqOpening":
         """The entries at ``indices``, in that order; ValueError unless
@@ -189,46 +186,51 @@ class PqCommitment(NamedTuple):
             raise ValueError(f"commitment has {len(self.body) // DIGEST_LEN} entries, not {params.t}")
         if not all(0 <= x < params.t for x in indices):
             raise ValueError(f"an index is outside [0, {params.t})")
-        return PqOpening(self.signer_id, self.epoch, tuple(indices),
-                         tuple(self.body[x * DIGEST_LEN : (x + 1) * DIGEST_LEN] for x in indices))
+        body = self.body
+        return PqOpening(self.signer_id, self.epoch,
+                         b"".join([body[x * DIGEST_LEN : (x + 1) * DIGEST_LEN] for x in indices]))
 
 
 class PqOpening(NamedTuple):
-    """The entries of one epoch's commitment at ``indices``, in that
-    order, duplicates included: all that a signature whose message
-    selects those indices is checked against.
-
-    The serialized form is the header and the entries; the indices are
-    not in it, the reader supplies the ones it asked for.
-    """
+    """The entries of one epoch's commitment at the indices a signature's
+    message selects, in that order, duplicates included, kept as the
+    bytes they are sent as: all that the signature is checked against.
+    A run's opening (``open_commitment``) holds k entries for each of its
+    epochs from ``epoch`` on.  The indices are not in it: the reader knows
+    the ones it asked for."""
 
     signer_id: bytes
     epoch: int
-    indices: tuple[int, ...]
-    entries: tuple[bytes, ...]
+    body: bytes  # the opened entries, DIGEST_LEN bytes each
 
     def to_bytes(self) -> bytes:
-        return encode_header(OPENING_TAG, self.signer_id, self.epoch) + b"".join(self.entries)
+        return encode_header(OPENING_TAG, self.signer_id, self.epoch) + self.body
 
     @classmethod
-    def from_bytes(cls, data: bytes, indices: Sequence[int]) -> "PqOpening":
-        signer_id, epoch, rest = split_header(data, OPENING_TAG, "opening")
-        if len(rest) != len(indices) * DIGEST_LEN:
-            raise ValueError("opening body does not hold one digest per index")
-        return cls(signer_id, epoch, tuple(indices), _digests(rest))
+    def from_bytes(cls, data: bytes) -> "PqOpening":
+        return cls(*_split_digests(data, OPENING_TAG, "opening"))
 
     def open(self, indices: Sequence[int], params: PqParams) -> "PqOpening":
-        """This opening, if it was made at ``indices``; ValueError if not."""
-        if self.indices != tuple(indices):
-            raise ValueError("opening was made at other indices")
+        """This opening, if it holds one entry per index; ValueError if not.
+        That it was made at ``indices`` is for the caller to know."""
+        if len(self.body) != len(indices) * DIGEST_LEN:
+            raise ValueError("opening does not hold one entry per index")
         return self
 
     def per_epoch(self, k: int) -> list["PqOpening"]:
-        """A run's opening (``open_commitment``) as the opening of each of
-        its epochs: the n-th k indices and entries, at ``epoch`` + n."""
-        return [PqOpening(self.signer_id, self.epoch + n, self.indices[i : i + k],
-                          self.entries[i : i + k])
-                for n, i in enumerate(range(0, len(self.indices), k))]
+        """A run's opening as the opening of each of its epochs: the n-th
+        k entries, at ``epoch`` + n."""
+        size = k * DIGEST_LEN
+        return [PqOpening(self.signer_id, self.epoch + n, self.body[i : i + size])
+                for n, i in enumerate(range(0, len(self.body), size))]
+
+
+def _split_digests(data: bytes, tag: int, what: str) -> tuple[bytes, int, bytes]:
+    """``split_header``, then ValueError unless the rest is one or more digests."""
+    signer_id, epoch, rest = split_header(data, tag, what)
+    if not rest or len(rest) % DIGEST_LEN:
+        raise ValueError(f"{what} body is not a whole number of digests")
+    return signer_id, epoch, rest
 
 
 def _digests(data: bytes) -> tuple[bytes, ...]:
@@ -345,7 +347,7 @@ def construct_commitment(
 ) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
-    Costs 2t hashes plus the chain walk of ``_seed_at``.
+    Costs 2t hashes plus the chain walk of ``_seeds``.
     """
     return construct_commitments(material, signer_id, epoch, epoch, cursor)[0]
 
@@ -357,22 +359,13 @@ def construct_commitments(
     epoch_to: int,
     cursor: Cursor | None = None,
 ) -> list[PqCommitment]:
-    """Commitments for every epoch in [epoch_from, epoch_to], in order.
-
-    The id and the whole range are checked before any hashing.  The
-    first seed costs the walk of ``_seed_at``; later epochs take one
-    chain step each, straight across anchor boundaries: chain splitting
-    makes the seeds the same.  A ``cursor`` is left at ``epoch_to``.
-    """
+    """Commitments for every epoch in [epoch_from, epoch_to], in order,
+    from the seeds of ``_seeds``: what the same commitments cost one by
+    one on a store that has answered nothing before."""
     params = material.params
-    seed = _seed_at(material, signer_id, epoch_from, epoch_to, cursor)
-    commitments = [commitment_from_seed(seed, signer_id, epoch_from, params)]
-    for epoch in range(epoch_from + 1, epoch_to + 1):
-        seed = domain_hash(DOM_CHAIN, seed)
-        commitments.append(commitment_from_seed(seed, signer_id, epoch, params))
-    if cursor is not None:
-        cursor[signer_id] = (epoch_to, seed)
-    return commitments
+    seeds = _seeds(material, signer_id, epoch_from, epoch_to, cursor)
+    return [commitment_from_seed(seed, signer_id, epoch, params)
+            for epoch, seed in enumerate(seeds, epoch_from)]
 
 
 def open_commitment(
@@ -389,65 +382,62 @@ def open_commitment(
     entries of any epoch.  At n = 1 it is the epoch's plain opening.
 
     The index count must be a nonzero multiple of k and every index
-    below t (``ValueError``); they, the id and the whole run of epochs
-    are checked before any hashing.  Costs the walk of ``_seed_at``,
-    one chain step per further epoch (none where an epoch starts its
-    segment: its anchor is its seed), and 2k hashes per epoch: what the
-    same openings cost one by one on a store that has answered nothing
-    before.  A ``cursor`` is left at the run's last epoch.
+    below t (``ValueError``); they are checked before any hashing, as
+    ``_seeds`` checks the id and the run.  Costs the walk of ``_seeds``
+    and 2k hashes per epoch: what the same openings cost one by one on a
+    store that has answered nothing before.
     """
     params = material.params
     k = params.k
-    indices = tuple(indices)
     count, rest = divmod(len(indices), k)
     if rest or not count or not all(0 <= x < params.t for x in indices):
         raise ValueError(f"an opening takes a nonzero multiple of {k} indices below {params.t}")
-    last = epoch + count - 1
-    seed = _seed_at(material, signer_id, epoch, last, cursor)
-    entries = opened_images(seed, indices[:k], params.t)
-    for n in range(1, count):
-        segment, offset = divmod(epoch + n - 1, params.j2)
-        seed = domain_hash(DOM_CHAIN, seed) if offset else material.anchors[signer_id][segment - 1]
-        entries += opened_images(seed, indices[n * k : (n + 1) * k], params.t)
-    if cursor is not None:
-        cursor[signer_id] = (last, seed)
-    return PqOpening(signer_id, epoch, indices, tuple(entries))
+    images = []
+    for n, seed in enumerate(_seeds(material, signer_id, epoch, epoch + count - 1, cursor)):
+        images += opened_images(seed, indices[n * k : (n + 1) * k], params.t)
+    return PqOpening(signer_id, epoch, b"".join(images))
 
 
-def _seed_at(
+def _seeds(
     material: PqKeyMaterial,
     signer_id: bytes,
-    epoch_from: int,
-    epoch_to: int,
+    first: int,
+    last: int,
     cursor: Cursor | None = None,
-) -> bytes:
-    """Seed of ``epoch_from``, once the id and [epoch_from, epoch_to] check.
+) -> list[bytes]:
+    """The seed of each epoch in [first, last], in order, once the id
+    (``UnknownSigner``) and the whole range (``EpochOutOfRange``) check,
+    before any hashing.
 
-    It is recovered from the nearest anchor at or below the epoch (the
-    master key itself when it falls in the first segment, one more
-    hash), then walked forward at most j2 - 1 steps.  With a ``cursor``
-    the walk starts from the signer's entry instead when that lies
-    between the anchor and the epoch, so it is never longer, and the
-    entry moves to ``epoch_from``.
+    The first seed is walked to from the nearest anchor at or below it
+    (the master key itself when it falls in the first segment, one more
+    hash), at most j2 - 1 steps.  With a ``cursor`` the walk starts from
+    the signer's entry instead when that lies between the anchor and the
+    epoch, so it is never longer.  Each later epoch takes one chain step,
+    or its anchor where it starts a segment.  A ``cursor`` is left at
+    ``last``.
     """
     params = material.params
-    if signer_id not in material.anchors:
+    anchors = material.anchors.get(signer_id)
+    if anchors is None:
         raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= epoch_from <= epoch_to <= params.epochs:
-        raise EpochOutOfRange(f"epochs [{epoch_from}, {epoch_to}] outside [1, {params.epochs}]")
-    segment, offset = divmod(epoch_from - 1, params.j2)
+    if not 1 <= first <= last <= params.epochs:
+        raise EpochOutOfRange(f"epochs [{first}, {last}] outside [1, {params.epochs}]")
+    segment, offset = divmod(first - 1, params.j2)
     known = cursor.get(signer_id) if cursor is not None else None
-    if known is not None and epoch_from - offset <= known[0] <= epoch_from:
-        seed = iter_hash(DOM_CHAIN, known[1], epoch_from - known[0])
+    if known is not None and first - offset <= known[0] <= first:
+        seed = iter_hash(DOM_CHAIN, known[1], first - known[0])
     else:
-        if segment == 0:
-            base = initial_seed(material.msk, signer_id)
-        else:
-            base = material.anchors[signer_id][segment - 1]
+        base = anchors[segment - 1] if segment else initial_seed(material.msk, signer_id)
         seed = iter_hash(DOM_CHAIN, base, offset)
+    seeds = [seed]
+    for epoch in range(first + 1, last + 1):
+        segment, offset = divmod(epoch - 1, params.j2)
+        seed = domain_hash(DOM_CHAIN, seed) if offset else anchors[segment - 1]
+        seeds.append(seed)
     if cursor is not None:
-        cursor[signer_id] = (epoch_from, seed)
-    return seed
+        cursor[signer_id] = (last, seed)
+    return seeds
 
 
 def verify(
@@ -460,11 +450,14 @@ def verify(
     """Check the k revealed strings against the commitment entries at
     the message's indices.
 
-    ``commitment`` is the epoch's full commitment, opened here, or an
-    opening made at exactly those indices: either way one check runs
-    over the same k entries.  ``indices`` are ``message_indices(message,
-    params)`` when the caller has derived them already, as ``hases
-    verify`` does to get the opening; they are trusted to be.
+    ``commitment`` is the epoch's full commitment, whose k entries at
+    the indices are joined here, or an opening of k entries, trusted to
+    have been made at exactly those indices (it holds none, so it binds
+    the message only through them): either way one check compares each
+    part's image with its entry in place (``images_match``).
+    ``indices`` are ``message_indices(message, params)`` when the caller
+    has derived them already, as ``hases verify`` does to get the
+    opening; they are trusted to be.
     Structural mismatches (identity/epoch disagreement, wrong part or
     entry counts, epoch outside [1, J]) reject without hashing the parts.
     """
@@ -480,4 +473,4 @@ def verify(
         opening = commitment.open(indices, params)
     except ValueError:
         return False
-    return images_match(signature.parts, opening.entries)
+    return images_match(signature.parts, opening.body)

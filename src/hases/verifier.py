@@ -79,11 +79,11 @@ class CommitmentSource:
         pq_params = self.bundle.pq_params
         combined = _combinations(layers, self.bundle) if group and la.combinable(group) else []
         runs = _runs(layers, pq_params) if pq_params else []
-        run_indices = [[x for n in run for x in layers[n].pq[2]] for run in runs]
         payloads = [cco.combined_payload(sid, seed, [b[0] for b in batches])
                     for sid, seed, _, batches in combined]
-        payloads += [cco.opening_payload(cco.MSG_PQ_OPENING, *_key(layers[run[0]].pq), indices)
-                     for run, indices in zip(runs, run_indices)]
+        payloads += [cco.opening_payload(*_key(layers[run[0]].pq),
+                                         [x for n in run for x in layers[n].pq[2]])
+                     for run in runs]
         replies = client.ok_bodies(payloads)
         proven = set()
         for (sid, seed, positions, batches), reply in zip(combined, replies):
@@ -92,14 +92,13 @@ class CommitmentSource:
                     proven.update(positions)
             except ValueError:
                 pass  # a key outside the subgroup: each unit is rejected alone
-        run_at = {run[0]: (run, indices) for run, indices in zip(runs, run_indices)}
+        run_at = {run[0]: run for run in runs}
         openings = {}  # position -> opening, from the reply to its run
         alone = []
         for n, unit in enumerate(layers):
             if n in run_at:
-                run, indices = run_at[n]
-                openings.update(zip(run, _run_openings(next(replies), indices, len(run),
-                                                       pq_params.k)))
+                run = run_at[n]
+                openings.update(zip(run, _run_openings(next(replies), len(run), pq_params.k)))
             opening = openings.pop(n, None)
             if unit.la and n not in proven:
                 alone.append((n, opening))
@@ -153,15 +152,17 @@ def _runs(layers: list[schemes.Layers], params) -> list[list[int]]:
     return runs
 
 
-def _run_openings(reply, indices: list[int], units: int, k: int) -> list:
+def _run_openings(reply, units: int, k: int) -> list:
     """The opening of each of a run's ``units`` from the reply to its
-    request at ``indices``; None for each unit of a run the service
-    refused or answered with a malformed reply.  The store refuses a run
-    only where it would refuse each of its single openings (an unknown
-    id: ``_runs`` sends no other run it refuses), so no unit is asked
-    for again."""
-    opening = _parsed(pq.PqOpening.from_bytes, reply, indices)
-    return [None] * units if opening is None else opening.per_epoch(k)
+    request, k indices per unit; None for each unit of a run the service
+    refused or answered with a malformed reply, or one that does not
+    hold one entry per index.  The store refuses a run only where it
+    would refuse each of its single openings (an unknown id: ``_runs``
+    sends no other run it refuses), so no unit is asked for again."""
+    opening = _parsed(pq.PqOpening.from_bytes, reply)
+    if opening is None or len(opening.body) != units * k * pq.DIGEST_LEN:
+        return [None] * units
+    return opening.per_epoch(k)
 
 
 def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:

@@ -40,6 +40,15 @@ COMBINED_DIGESTS = {
 }
 
 
+# 0x05 requests over runs of several epochs and their replies, pinned apart
+# so that adding them left the digests above as they were; the two are
+# equal, as no pq byte depends on the group
+RUN_DIGESTS = {
+    "production": "5374dcf92237cd7729a12e216fbb6b4b63bd3f7644beb348b5bb0eba5332599b",
+    "tiny": "5374dcf92237cd7729a12e216fbb6b4b63bd3f7644beb348b5bb0eba5332599b",
+}
+
+
 def fixed_rng(seed: int):
     rng = random.Random(seed)
     return lambda n: rng.randbytes(n)
@@ -119,7 +128,7 @@ def pq_blobs():
     yield "pq.commitment", commitment.to_bytes()
     yield "pq.commitment.read", pq.PqCommitment.from_bytes(commitment.to_bytes()).to_bytes()
     opening = commitment.open(indices, PQ_PARAMS)
-    yield "pq.opening.read", pq.PqOpening.from_bytes(opening.to_bytes(), indices).to_bytes()
+    yield "pq.opening.read", pq.PqOpening.from_bytes(opening.to_bytes()).to_bytes()
     signature = pq.sign(states[IDS[1]], MESSAGES[1])
     yield "pq.signature.read", pq.PqSignature.from_bytes(signature.to_bytes()).to_bytes()
     yield from request_blobs("pq", store, [
@@ -189,7 +198,7 @@ def hy_blobs(group):
     la_part, pq_part = commitment.la.to_bytes(), commitment.pq.open(indices, PQ_PARAMS).to_bytes()
     yield "hy.opening", la_part + pq_part
     yield "hy.opening.read", (la.LaCommitment.from_bytes(la_part).to_bytes()
-                              + pq.PqOpening.from_bytes(pq_part, indices).to_bytes())
+                              + pq.PqOpening.from_bytes(pq_part).to_bytes())
     yield from request_blobs("hy", store, [
         commitment_request(cco.MSG_PQ, IDS[0], 2),
         commitment_request(cco.MSG_LA, IDS[0], 2),
@@ -260,3 +269,43 @@ def test_combined_request_bytes_are_pinned(backend):
         for part in (label.encode(), blob):
             hasher.update(len(part).to_bytes(4, "big") + part)
     assert hasher.hexdigest() == COMBINED_DIGESTS[backend]
+
+
+def run_indices(epochs):
+    """k indices for each of ``epochs`` consecutive epochs, those of a
+    fixed message per epoch."""
+    return [x for n in range(epochs) for x in pq.message_indices(b"run %d" % n, PQ_PARAMS)]
+
+
+def run_blobs(group):
+    """0x05 requests over runs of epochs and their replies on the pq and hy
+    stores of the key ceremonies above."""
+    _, pq_material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
+    _, _, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
+    for label, material in (("pq", pq_material), ("hy", hy_material)):
+        store = cco.CcoStore()
+        store.provision(material)
+        yield from request_blobs(f"{label}.run", store, [
+            # epochs 3-6, across the anchor at epoch 5
+            opening_request(cco.MSG_PQ_OPENING, IDS[0], 3, run_indices(4)),
+            # every epoch: 64 indices
+            opening_request(cco.MSG_PQ_OPENING, IDS[1], 1, run_indices(PQ_PARAMS.epochs)),
+            opening_request(cco.MSG_PQ_OPENING, IDS[0], 5, run_indices(2)[::-1]),
+            # refused: a run that ends past J, an index count that is not a
+            # multiple of k, an unknown id, an index of t in a later epoch
+            opening_request(cco.MSG_PQ_OPENING, IDS[0], 6, run_indices(4)),
+            opening_request(cco.MSG_PQ_OPENING, IDS[0], 2, run_indices(2)[:-3]),
+            opening_request(cco.MSG_PQ_OPENING, UNKNOWN_ID, 1, run_indices(3)),
+            opening_request(cco.MSG_PQ_OPENING, IDS[1], 2,
+                            run_indices(2)[:-1] + [PQ_PARAMS.t]),
+        ])
+
+
+@pytest.mark.parametrize("backend", sorted(RUN_DIGESTS))
+def test_run_request_bytes_are_pinned(backend):
+    group = production_group() if backend == "production" else small_test_group()
+    hasher = hashlib.sha256()
+    for label, blob in run_blobs(group):
+        for part in (label.encode(), blob):
+            hasher.update(len(part).to_bytes(4, "big") + part)
+    assert hasher.hexdigest() == RUN_DIGESTS[backend]

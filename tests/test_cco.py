@@ -190,8 +190,9 @@ class TestRequestHandling:
         response = self.export(cco.MSG_PQ, lo, hi)
         n = hi - lo + 1
         assert response == bytes((0x84, cco.STATUS_OK)) + n.to_bytes(8, "big") + b"".join(singles)
-        # H0 for the segment-0 seed, 2 chain steps to epoch 3, one per later epoch
-        assert counters.snapshot() == (1, 2 + (n - 1) + n * PQ_TOY.t, n * PQ_TOY.t)
+        # H0 for the segment-0 seed, 2 chain steps to epoch 3, one per later
+        # epoch but the anchors at 5 and 9: what its single requests cost
+        assert counters.snapshot() == (1, 2 + (n - 1) - 2 + n * PQ_TOY.t, n * PQ_TOY.t)
 
     def test_export_matches_single_requests_for_every_scheme(self):
         lo, hi = 4, 9
@@ -394,7 +395,7 @@ def test_request_encodings_are_what_the_store_reads():
     store, *_ = provisioned_store()
     payloads = {
         cco.MSG_PQ: cco.commitment_payload(cco.MSG_PQ, ID_A, 2),
-        cco.MSG_PQ_OPENING: cco.opening_payload(cco.MSG_PQ_OPENING, ID_A, 2, [0, 7, 7, 3]),
+        cco.MSG_PQ_OPENING: cco.opening_payload(ID_A, 2, [0, 7, 7, 3]),
         cco.MSG_EXPORT: cco.export_payload(cco.MSG_HY, ID_A, 1, 3),
         cco.MSG_LA_COMBINED: cco.combined_payload(ID_A, bytes(32), [1, 3, 1]),
     }
@@ -1002,11 +1003,16 @@ def runs_store(seed):
     return store, material
 
 
-def fresh_response(material, payload):
-    """The response of a store that has answered nothing before."""
+def fresh_store(material):
+    """A store of ``material`` that has answered nothing before."""
     store = cco.CcoStore()
     store.provision(material)
-    return store.handle_request(payload)
+    return store
+
+
+def fresh_response(material, payload):
+    """The response of a store that has answered nothing before."""
+    return fresh_store(material).handle_request(payload)
 
 
 def anchor_walk(params, epoch):
@@ -1128,6 +1134,21 @@ class TestChainCursor:
         store.handle_request(opening_payload(cco.MSG_PQ_OPENING, ID_A, 7, (0, 1, 2, 3)))
         assert counters.total() == 1 + 2 * PQ_RUNS.k
 
+    def test_an_export_costs_its_single_requests_on_a_fresh_store(self):
+        _, material = runs_store(95)
+        # from the anchor at 9, up to the one at 17, across 9, 17 and 25,
+        # the whole chain, inside segment 0
+        for lo, hi in ((9, 12), (13, 17), (5, 28), (1, PQ_RUNS.epochs), (2, 7)):
+            counters.reset()
+            store = fresh_store(material)
+            for epoch in range(lo, hi + 1):
+                assert store.handle_request(pq_payload(ID_A, epoch))[1] == cco.STATUS_OK
+            one_by_one = counters.total()
+            counters.reset()
+            export = cco.export_payload(cco.MSG_PQ, ID_A, lo, hi)
+            assert fresh_store(material).handle_request(export)[1] == cco.STATUS_OK
+            assert counters.total() == one_by_one, (lo, hi)
+
     def test_unknown_ids_get_no_entry(self):
         store, _ = runs_store(89)
         for payload in (pq_payload(ID_C, 3), opening_payload(cco.MSG_PQ_OPENING, ID_C, 3, (0,) * 4),
@@ -1165,11 +1186,8 @@ class TestOpeningRuns:
             reply = fresh_response(material, self.run(singles))
             # the first single's head and header, then every single's entries
             assert reply == replies[0] + b"".join(r[2 + pq.HEADER_LEN :] for r in replies[1:])
-            indices = [x for single in singles for x in cco._opening_indices(single[1:])]
-            opening = pq.PqOpening.from_bytes(reply[2:], indices)
-            assert opening.per_epoch(PQ_RUNS.k) == [
-                pq.PqOpening.from_bytes(r[2:], cco._opening_indices(single[1:]))
-                for r, single in zip(replies, singles)]
+            opening = pq.PqOpening.from_bytes(reply[2:])
+            assert opening.per_epoch(PQ_RUNS.k) == [pq.PqOpening.from_bytes(r[2:]) for r in replies]
 
     def test_a_run_costs_its_single_openings_on_a_fresh_store(self):
         _, material = runs_store(92)

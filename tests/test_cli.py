@@ -427,6 +427,20 @@ class TestPipelinedVerify:
         # and no unit is asked for again
         assert opened_runs(requests, 4) == [(1, self.UNITS)]
 
+    @pytest.mark.parametrize("resized", [lambda body: body + bytes(32), lambda body: body[:-32]],
+                             ids=["one-entry-more", "one-entry-less"])
+    def test_a_run_reply_of_the_wrong_size_rejects_each_of_its_units(self, tmp_path, capsys,
+                                                                     resized):
+        out, msgs, sigs = self.signed_chunk(tmp_path)
+        store = keyfiles.load_store(out / "cco.store")
+        handle = store.handle_request
+        store.handle_request = lambda payload: resized(handle(payload))
+        with transport.CcoServer(store) as server:
+            capsys.readouterr()
+            assert cli.main(["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+                             "--sigs", str(sigs), "--cco", f"127.0.0.1:{server.port}"]) == 1
+        assert capsys.readouterr().out == f"0/{self.UNITS} signatures valid\n"
+
     def test_a_run_holds_at_most_256_over_k_units(self, tmp_path, capsys):
         # k = 64: four units per run; the run of epochs 5-8 crosses the
         # anchor at epoch 7

@@ -234,7 +234,7 @@ class TestCombinedRequest:
         store, material = hy_store()
         indices = (0, 7, 7, 3)
         payloads = [cco.combined_payload(ID_A, SEED, [1, 2]),
-                    cco.opening_payload(cco.MSG_PQ_OPENING, ID_A, 1, indices),
+                    cco.opening_payload(ID_A, 1, indices),
                     cco.commitment_payload(cco.MSG_LA, ID_A, 2),
                     cco.combined_payload(ID_C, SEED, [1]),
                     cco.commitment_payload(cco.MSG_LA, ID_A, 9)]

@@ -51,14 +51,11 @@ def samples(group_name: str) -> dict[str, bytes]:
     }
 
 
-INDICES = (0, 7, 3, 3)
-
-
 def parsers(group):
     return {
         "pq_signature": pq.PqSignature.from_bytes,
         "pq_commitment": pq.PqCommitment.from_bytes,
-        "pq_opening": lambda data: pq.PqOpening.from_bytes(data, INDICES),
+        "pq_opening": pq.PqOpening.from_bytes,
         "la_signature": lambda data: la.LaSignature.from_bytes(data, group),
         "la_commitment": lambda data: la.LaCommitment.from_bytes(data),
         "hy_signature": lambda data: hy.HySignature.from_bytes(data, group),

@@ -179,16 +179,20 @@ def test_images_match_stops_at_the_first_mismatch(k):
     preimages = [rng.randbytes(32) for _ in range(k)]
     images = [domain_hash(2, preimage) for preimage in preimages]
     counters.reset()
-    assert images_match(preimages, images)
+    assert images_match(preimages, b"".join(images))
     assert counters.snapshot() == (0, 0, k)
     for bad in {0, k // 2, k - 1}:
         tampered = list(images)
         tampered[bad] = bytes(32)
         counters.reset()
-        assert not images_match(preimages, tampered)
+        assert not images_match(preimages, b"".join(tampered))
         assert counters.snapshot() == (0, 0, bad + 1)
+    # a body one image short fails at its last preimage
     counters.reset()
-    assert images_match([], [])
+    assert not images_match(preimages, b"".join(images[:-1]))
+    assert counters.snapshot() == (0, 0, k)
+    counters.reset()
+    assert images_match([], b"")
     assert counters.snapshot() == (0, 0, 0)
 
 

@@ -307,7 +307,7 @@ class TestOpening:
         indices = self.derived.indices
         full = commitment_for(self.material, ID_A, 1)
         assert self.opening() == full.pq.open(indices, PQ_PROD)
-        assert self.opening().entries == tuple(full.pq.body[32 * x : 32 * x + 32] for x in indices)
+        assert self.opening().body == b"".join(full.pq.body[32 * x : 32 * x + 32] for x in indices)
 
     def test_verify_accepts_the_opening_as_the_full_commitment(self):
         # the two layers, each checked on its own against the aggregate
@@ -336,10 +336,13 @@ class TestOpening:
         blob = opening.to_bytes()
         # the pq header, then the k entries: the aggregate part is not in it
         assert len(blob) == pq.HEADER_LEN + PQ_PROD.k * 32 == 537
-        assert pq.PqOpening.from_bytes(blob, self.derived.indices) == opening
-        for bad in (blob[:-1], blob[1:], blob + bytes(32)):
+        assert pq.PqOpening.from_bytes(blob) == opening
+        for bad in (blob[:-1], blob[1:], blob[: pq.HEADER_LEN]):
             with pytest.raises(ValueError):
-                pq.PqOpening.from_bytes(bad, self.derived.indices)
+                pq.PqOpening.from_bytes(bad)
+        # one entry too many parses, but is not an opening at the indices
+        with pytest.raises(ValueError):
+            pq.PqOpening.from_bytes(blob + bytes(32)).open(self.derived.indices, PQ_PROD)
 
     def test_bad_indices_refused_before_any_work(self):
         counters.reset()

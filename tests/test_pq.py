@@ -23,6 +23,11 @@ def entry(commitment: pq.PqCommitment, x: int) -> bytes:
     return commitment.body[x * pq.DIGEST_LEN : (x + 1) * pq.DIGEST_LEN]
 
 
+def chain_seed(material: pq.PqKeyMaterial, signer_id: bytes, epoch: int) -> bytes:
+    """The seed of ``epoch``, walked from the epoch-1 seed without anchors."""
+    return iter_hash(1, pq.initial_seed(material.msk, signer_id), epoch - 1)
+
+
 def signer_commitment(state: pq.PqSignerState) -> pq.PqCommitment:
     """Commitment from the signer's own current key (test-side path)."""
     return pq.commitment_from_seed(bytes(state.seed), state.signer_id, state.epoch, state.params)
@@ -245,7 +250,10 @@ class TestCommitmentConstruction:
             assert pq.construct_commitments(material, ID_A, lo, hi) == singles
             segment, offset = divmod(lo - 1, TOY.j2)
             n = hi - lo + 1
-            assert counters.snapshot() == (int(segment == 0), offset + n - 1 + n * TOY.t, n * TOY.t)
+            # one chain step per further epoch, none where an anchor starts a segment
+            anchors = sum(1 for e in range(lo + 1, hi + 1) if (e - 1) % TOY.j2 == 0)
+            steps = offset + n - 1 - anchors
+            assert counters.snapshot() == (int(segment == 0), steps + n * TOY.t, n * TOY.t)
 
     def test_range_checked_before_any_hashing(self):
         _, material = pq.keygen([ID_A], TOY, fixed_rng(22))
@@ -388,11 +396,11 @@ class TestOpening:
                 indices = tuple(positions[start : start + params.k])
                 opening = pq.open_commitment(material, ID_A, epoch, indices)
                 assert opening == full.open(indices, params)
-                assert opening.entries == tuple(entry(full, x) for x in indices)
-                assert (opening.signer_id, opening.epoch, opening.indices) == (ID_A, epoch, indices)
+                assert opening.body == b"".join(entry(full, x) for x in indices)
+                assert (opening.signer_id, opening.epoch) == (ID_A, epoch)
             repeated = (rng.randrange(params.t),) * params.k
-            assert pq.open_commitment(material, ID_A, epoch, repeated).entries == (
-                entry(full, repeated[0]),) * params.k
+            assert pq.open_commitment(material, ID_A, epoch, repeated).body == (
+                entry(full, repeated[0]) * params.k)
 
     @pytest.mark.parametrize("params", [TOY, PROD], ids=["t8", "t1024"])
     def test_exact_hash_count(self, params):
@@ -432,10 +440,15 @@ class TestOpening:
         counters.reset()
         assert pq.verify(opening, message, signature, PROD, indices)
         assert counters.total() == PROD.k
-        # an opening made at other indices, or a tampered part, is rejected
+        # an opening made at other indices, another message's opening, or a
+        # tampered part is rejected; an opening holds no indices, so the
+        # message is bound through the indices it was made at
         other = pq.open_commitment(material, ID_A, 1, indices[1:] + indices[:1])
         assert not pq.verify(other, message, signature, PROD)
-        assert not pq.verify(opening, b"another message", signature, PROD)
+        forged = b"another message"
+        opened = pq.open_commitment(material, ID_A, 1, pq.message_indices(forged, PROD))
+        assert not pq.verify(opened, forged, signature, PROD)
+        assert not pq.verify(full, forged, signature, PROD)
         tampered = pq.PqSignature(ID_A, 1, signature.parts[:-1] + (bytes(32),))
         assert not pq.verify(opening, message, tampered, PROD)
         # a commitment with the wrong entry count cannot be opened
@@ -451,10 +464,13 @@ class TestOpening:
         blob = opening.to_bytes()
         assert len(blob) == pq.HEADER_LEN + PROD.k * 32 == 537
         assert blob[0] == pq.OPENING_TAG
-        assert pq.PqOpening.from_bytes(blob, indices) == opening
-        for bad in (blob[:-1], blob + bytes(32), bytes((pq.COMMITMENT_TAG,)) + blob[1:]):
+        assert pq.PqOpening.from_bytes(blob) == opening
+        for bad in (blob[:-1], blob[: pq.HEADER_LEN], bytes((pq.COMMITMENT_TAG,)) + blob[1:]):
             with pytest.raises(ValueError):
-                pq.PqOpening.from_bytes(bad, indices)
+                pq.PqOpening.from_bytes(bad)
+        # one entry too many parses, but does not open the k indices
+        with pytest.raises(ValueError):
+            pq.PqOpening.from_bytes(blob + bytes(32)).open(indices, PROD)
 
 
 class TestChainCursor:
@@ -495,7 +511,7 @@ class TestChainCursor:
             assert counters.snapshot() == (h0, steps + params.k, params.k)
             assert h0 + steps <= self.anchor_walk(params, epoch)
             assert opening == pq.open_commitment(material, sid, epoch, indices)
-            assert cursor[sid] == (epoch, pq._seed_at(material, sid, epoch, epoch))
+            assert cursor[sid] == (epoch, chain_seed(material, sid, epoch))
             last[sid] = epoch
 
     @pytest.mark.parametrize("first", [1, 5, 17, 20])  # segment 0, then segment 1
@@ -516,7 +532,7 @@ class TestChainCursor:
         cursor = {}
         singles = [pq.construct_commitment(material, ID_A, e) for e in range(3, 11)]
         assert pq.construct_commitments(material, ID_A, 3, 10, cursor) == singles
-        assert cursor[ID_A] == (10, pq._seed_at(material, ID_A, 10, 10))
+        assert cursor[ID_A] == (10, chain_seed(material, ID_A, 10))
         reference = pq.construct_commitment(material, ID_A, 12)
         counters.reset()
         assert pq.construct_commitment(material, ID_A, 12, cursor) == reference
