@@ -12,10 +12,12 @@ them.
 from __future__ import annotations
 
 import statistics
+import tempfile
 import time
+from pathlib import Path
 from typing import NamedTuple
 
-from . import cco, hy, la, pq
+from . import cco, hy, keyfiles, la, pq, schemes
 from .group import PrimeOrderGroup, production_group
 from .hashing import counters
 
@@ -87,16 +89,26 @@ _BENCH_ID = bytes(range(16))
 
 
 def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.KeyTables:
-    """Time the verifier's per-key table build as the ``precompute_per_key``
-    row; return the last build's tables, warm as the CLI holds them after
-    a key's first batch."""
+    """Time the verifier's per-key table as the ``precompute_per_key`` row
+    (built in the run, the key checked) and the ``load_table_per_key``
+    row (read from a table file beside a bundle of the key, as ``hases
+    verify`` reads it); return the last build's tables, warm as the CLI
+    holds them after a key's first batch."""
 
     def build(_):
         tables = la.KeyTables(public, group)
         tables[_BENCH_ID]
         return tables
 
-    return _row(report, "precompute_per_key", build, max(1, trials // 8))
+    tables = _row(report, "precompute_per_key", build, max(1, trials // 8))
+    bundle = keyfiles.VerifierBundle(schemes.LA.tag, None, la.LaParams(group, 1, 1), public)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "verifier.pub.tables"
+        path.write_bytes(keyfiles.key_tables_bytes(bundle, tables))
+        loaded = _row(report, "load_table_per_key",
+                      lambda _: keyfiles.load_key_tables(path, bundle, [_BENCH_ID]), trials)
+    assert group.table_bytes(loaded[_BENCH_ID]) == group.table_bytes(tables[_BENCH_ID])
+    return tables
 
 
 COMBINED_BATCHES = 16  # one verify chunk of one signer, as the benchmark's hy chunks

@@ -84,14 +84,36 @@ def cmd_keygen(args) -> int:
     secret_files = {out / f"signer_{sid.hex()}.key": keyfiles.signer_key_bytes(state)
                     for sid, state in states.items()}
     secret_files[out / "cco.store"] = keyfiles.store_bytes(store)
-    public_blob = bundle.to_bytes()
+    public_files = {out / "verifier.pub": bundle.to_bytes()}
+    if scheme.has_la:
+        # each key was computed just now, so its table needs no subgroup check
+        tables = {sid: la_params.group.key_table(key) for sid, key in public.items()}
+        public_files[keyfiles.tables_path(out / "verifier.pub")] = keyfiles.key_tables_bytes(
+            bundle, tables)
 
     # everything validated; only now touch the filesystem
     out.mkdir(parents=True, exist_ok=True)
     for path, blob in secret_files.items():
         keyfiles.write_secret(path, blob)
-    (out / "verifier.pub").write_bytes(public_blob)
-    print(f"wrote {len(secret_files) + 1} files to {out}")
+    for path, blob in public_files.items():
+        path.write_bytes(blob)
+    print(f"wrote {len(secret_files) + len(public_files)} files to {out}")
+    return EXIT_OK
+
+
+def cmd_tables(args) -> int:
+    bundle = keyfiles.load_verifier_bundle(args.pub)
+    if not bundle.la_params:
+        raise ValueError(f"{args.pub} holds no aggregate keys to build tables for")
+    tables = {}
+    for signer_id, key in bundle.public_keys.items():
+        try:
+            tables[signer_id] = bundle.la_params.group.precompute(key)
+        except ValueError as exc:
+            raise ValueError(f"{args.pub}: the key of signer {signer_id.hex()}: {exc}") from exc
+    path = keyfiles.tables_path(args.pub)
+    path.write_bytes(keyfiles.key_tables_bytes(bundle, tables))
+    print(f"wrote {len(tables)} key tables to {path}")
     return EXIT_OK
 
 
@@ -136,9 +158,12 @@ def cmd_verify(args) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
     address = _parse_host_port(args.cco) if args.cco else None
+    tables_file = keyfiles.tables_path(args.pub)
+    if not (bundle.la_params and tables_file.exists()):
+        tables_file = None  # each key is checked and its table built in this run
     source = verifier.CommitmentSource(bundle, address, args.commits)
     try:
-        results = verifier.verify_all(bundle, records, blobs, source)
+        results = verifier.verify_all(bundle, records, blobs, source, tables_file)
     finally:
         source.close()
     good = sum(results)
@@ -254,6 +279,13 @@ def _verify_parser(sub) -> None:
     vf.set_defaults(func=cmd_verify)
 
 
+def _tables_parser(sub) -> None:
+    tb = sub.add_parser("tables", help="rebuild the key table file of a verifier bundle")
+    tb.add_argument("--pub", required=True,
+                    help="la or hy verifier bundle; writes <PUB>.tables beside it")
+    tb.set_defaults(func=cmd_tables)
+
+
 def _serve_parser(sub) -> None:
     sv = sub.add_parser("serve", help="serve a provisioned key store")
     sv.add_argument("--store", required=True)
@@ -293,6 +325,7 @@ _SUBPARSERS = {
     "keygen": _keygen_parser,
     "sign": _sign_parser,
     "verify": _verify_parser,
+    "tables": _tables_parser,
     "serve": _serve_parser,
     "request": _request_parser,
     "bench": _bench_parser,

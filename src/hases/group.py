@@ -23,35 +23,38 @@ precomputation.  ``precompute(data)`` decodes the key's 32-byte
 encoding, checks that it lies in the order-q subgroup and returns a
 table; ``exp2(table, e, s)`` then returns Y^e * g^s, whose encoding a
 verifier compares with R's bytes (R itself is never decoded).
+``key_table`` builds the same table without the subgroup check, for a
+key its caller has just computed (keygen), and ``table_bytes`` and
+``table_from_bytes`` carry a table to and from the key table file that
+``hases.keyfiles`` writes beside a verifier bundle.
 
-On edwards25519 the table is a fixed-base comb of signed 4-bit digits:
-64 rows, row i holding the multiples 0..8 of [16^i]Y, the same layout as
-the generator's own table.  Every entry is kept in projective Niels form
-(Y+X, Y-X, 2Z, 2d*T) (Bernstein et al., CHES 2011), so adding one to an
-extended-coordinate accumulator costs 8 field multiplications (Hisil et
-al., ASIACRYPT 2008) and a negative digit only swaps the first two
-entries and negates the last.  The entries are not normalised to affine
-form: with one batch inversion per table the build cost about 60% more
-on a prototype, which cancelled the cheaper additions' saving over the
-16 batches of one key a run checks.  ``exp2`` runs both combs into one
-accumulator, at most 128 additions and one field inversion, where a
-variable-base Y^e alone takes about 380 additions and doublings.
-Building a table and checking [q]Y with it costs about 570 curve
-operations (3.7-6 ms on a 2 vCPU host, Python 3.11, the key's decode
-included).  An online verifier now makes one ``exp2`` per signer per
-chunk (a combined check, see ``hases.la``), so the table was timed
-against the table-free product it would replace: ``decode_element``
-with its subgroup check, a variable-base Y^e, a fixed-base g^s and one
-``mul``.  Over 40 in-process alternating pairs on that host, precompute
-plus ``exp2`` took 6.51 ms (quartiles 6.33-6.62) and the table-free
-product 6.43 ms (6.20-6.51), a ratio of 0.985 (0.96-1.01): no
-difference.  Every further check of the same key (an offline run, or
-the per-batch fallback when a combined check fails) costs about 1 ms
-with the table and about 3 ms without, so the table is the only path.
-Tables belong to the caller of one verification run,
-which builds each lazily on a key's first batch and drops them with the
-run; nothing here caches per-key tables.  ``ModPGroup`` has the trivial
-version: its table is the base itself.
+On edwards25519 both the generator and a key have a fixed-base comb of
+signed 4-bit digits (Lim and Lee, CRYPTO '94), built by one routine
+with a row spacing.  The generator's has 64 rows, row i holding the
+multiples 0..8 of [16^i]g, and a scalar's 64 digits each add one entry
+with no doubling.  A key's has 16 rows 2^16 apart, row i holding the
+multiples 0..8 of [2^(16i)]Y, walked in 4 columns with 12 doublings in
+all: a quarter of the build (2-2.5 ms against 4.4-5.2 ms for 64 rows
+on a 2 vCPU host, Python 3.11) for about 10% more per ``exp2``
+(0.6-0.8 ms).  Every entry is kept in projective Niels form (Y+X, Y-X,
+2Z, 2d*T) (Bernstein et al., CHES 2011), so adding one to an
+extended-coordinate accumulator costs 8 field multiplications (Hisil
+et al., ASIACRYPT 2008) and a negative digit only swaps the first two
+entries and negates the last; the entries are not normalised to affine
+form.  ``exp2`` walks the key comb, then adds the generator's comb to
+the same accumulator: at most 128 additions, 12 doublings and one
+field inversion, where a variable-base Y^e alone takes about 380
+additions and doublings.  ``precompute`` checks [q]Y with the key comb
+(2-3.5 ms in all, the key's decode included).
+
+An online verifier makes one ``exp2`` per signer per chunk (a combined
+check, see ``hases.la``), so a table built in the run costs several
+times the one check it serves.  Keygen therefore builds each key's
+table once and writes it beside the bundle (16 KB per signer, read in
+about 0.25 ms); a verifier reads the tables of the signers it checks
+and builds none.  Without that file the verifier builds each table on
+its key's first batch and drops it with the run.  ``ModPGroup`` has
+the trivial version: its table is the base itself.
 
 ``decode_element`` accepts only canonical encodings of elements of the
 order-q subgroup; on edwards25519 the subgroup check is a [q]P by
@@ -96,6 +99,22 @@ class PrimeOrderGroup:
         of the order-q subgroup, so a table exists only for a valid
         public key.  The key is decoded here, with one subgroup check.
         """
+        raise NotImplementedError
+
+    def key_table(self, data: bytes):
+        """``precompute(data)`` without the subgroup check: only for a key
+        its caller has just made itself, as keygen does."""
+        raise NotImplementedError
+
+    table_len: int  # bytes of one table in a table file
+
+    def table_bytes(self, table) -> bytes:
+        """The ``table_len`` bytes a table file holds for ``table``."""
+        raise NotImplementedError
+
+    def table_from_bytes(self, data: bytes):
+        """The table ``table_bytes`` wrote, taken on trust (the caller
+        binds the file to its bundle); ValueError if the length is wrong."""
         raise NotImplementedError
 
     def exp2(self, table, e: int, s: int):
@@ -143,6 +162,19 @@ class ModPGroup(PrimeOrderGroup):
 
     def precompute(self, data: bytes) -> int:
         return self.decode_element(data)  # the table is the base itself
+
+    def key_table(self, data: bytes) -> int:
+        return int.from_bytes(data, "big")
+
+    table_len = ELEMENT_LEN
+
+    def table_bytes(self, table: int) -> bytes:
+        return self.encode_element(table)
+
+    def table_from_bytes(self, data: bytes) -> int:
+        if len(data) != self.table_len:
+            raise ValueError(f"a key table is {self.table_len} bytes, not {len(data)}")
+        return int.from_bytes(data, "big")
 
     def exp2(self, table: int, e: int, s: int) -> int:
         return self.mul(self.exp(table, e), self.exp(self.generator, s))
@@ -258,38 +290,54 @@ def _decode_point(data: bytes):
 
 
 _WINDOW = 4
-_WINDOWS = 64  # covers 256 bits of scalar
+_DIGITS = 64  # signed 4-bit digits: they cover a scalar below 2^255
+_GENERATOR_ROWS = 64  # the generator's comb: one row per digit
+_KEY_ROWS = 16  # a public key's comb: one row per 4 digits, walked in 4 columns
 
 
-def _comb_table(base):
-    """Fixed-base comb of an extended point: row i holds the Niels forms
-    of [d * 16^i]base for d = 0..8; digits 9..15 are used as d - 16
-    with a carry."""
+def _comb_table(base, rows: int):
+    """Fixed-base comb of an extended point in ``rows`` rows (Lim and
+    Lee, CRYPTO '94): row i holds the Niels forms of [d * 16^(ci)]base
+    for d = 0..8, c = 64 / rows the comb's columns; digits 9..15 are
+    used as d - 16 with a carry."""
+    spacing = _WINDOW * (_DIGITS // rows)  # bits from one row to the next
     table = []
-    for _ in range(_WINDOWS):
+    for _ in range(rows):
         ypx, ymx, z2, t2d = unit = _to_niels(base)
         row = [_NIELS_IDENTITY, unit]
         for _ in range(7):
             base = _niels_add(base, ypx, ymx, z2, t2d)
             row.append(_to_niels(base))
         table.append(row)
-        base = _ext_double(base)  # [16]base, the next row's unit
+        for _ in range(spacing - 3):  # from [8]unit to the next row's unit
+            base = _ext_double(base)
     return table
 
 
 def _comb_add(acc, table, k: int):
-    """acc + [k]base for base's comb table, exact for 0 <= k < 2^255."""
-    for row in table:
+    """[16^(c-1)]acc + [k]base for base's comb table of c columns, exact
+    for 0 <= k < 2^255.  Digit j of k lies in row j // c, column j % c;
+    the columns are walked from the top, 4 doublings apart, so a
+    one-column table (the generator's) adds to acc with no doubling."""
+    digits = []
+    while k:
         digit = k & 0xF
         k >>= _WINDOW
         if digit > 8:
+            digit -= 16
             k += 1
-            ypx, ymx, z2, t2d = row[16 - digit]
-            acc = _niels_add(acc, ymx, ypx, z2, -t2d)
-        elif digit:
-            acc = _niels_add(acc, *row[digit])
-        if not k:
-            break
+        digits.append(digit)
+    columns = _DIGITS // len(table)
+    for column in range(columns - 1, -1, -1):
+        if column < columns - 1:
+            for _ in range(_WINDOW):
+                acc = _ext_double(acc)
+        for row, digit in zip(table, digits[column::columns]):
+            if digit > 0:
+                acc = _niels_add(acc, *row[digit])
+            elif digit:
+                ypx, ymx, z2, t2d = row[-digit]
+                acc = _niels_add(acc, ymx, ypx, z2, -t2d)
     return acc
 
 
@@ -318,7 +366,7 @@ class Edwards25519Group(PrimeOrderGroup):
 
     def _generator_table(self):
         if self._gen_table is None:
-            self._gen_table = _comb_table(_to_ext(self.generator))
+            self._gen_table = _comb_table(_to_ext(self.generator), _GENERATOR_ROWS)
         return self._gen_table
 
     def exp(self, base, k: int):
@@ -328,11 +376,28 @@ class Edwards25519Group(PrimeOrderGroup):
         return _from_ext(_ext_exp(_to_ext(base), k))
 
     def precompute(self, data: bytes):
-        table = _comb_table(_to_ext(_decode_point(data)))
+        table = self.key_table(data)
         # [q]base from the comb is exact, so this is the subgroup check
         if not _is_identity(_comb_add(_EXT_IDENTITY, table, self.q)):
             raise ValueError("element is not in the prime-order subgroup")
         return table
+
+    def key_table(self, data: bytes):
+        return _comb_table(_to_ext(_decode_point(data)), _KEY_ROWS)
+
+    table_len = _KEY_ROWS * 8 * 4 * 32  # 8 Niels entries a row, 4 coordinates mod p each
+
+    def table_bytes(self, table) -> bytes:
+        # rows in order, each without its identity entry
+        return b"".join((coordinate % _P).to_bytes(32, "little")
+                        for row in table for entry in row[1:] for coordinate in entry)
+
+    def table_from_bytes(self, data: bytes):
+        if len(data) != self.table_len:
+            raise ValueError(f"a key table is {self.table_len} bytes, not {len(data)}")
+        coordinates = [int.from_bytes(data[i : i + 32], "little") for i in range(0, len(data), 32)]
+        entries = list(zip(*[iter(coordinates)] * 4))
+        return [[_NIELS_IDENTITY, *entries[i : i + 8]] for i in range(0, len(entries), 8)]
 
     def exp2(self, table, e: int, s: int):
         acc = _comb_add(_EXT_IDENTITY, table, e % self.q)

@@ -11,10 +11,18 @@ Commitment files are the offline-mode export, in the container of
 ``cco.export_bytes`` that the ``0x04`` reply carries.  Signature files
 carry a count followed by length-prefixed entries (signature sizes
 vary with the scheme).
+
+A key table file lies beside an aggregate or hybrid bundle, at
+``<bundle>.tables``: the ``exp2`` table of each public key, built once
+so that a verifier need not build it again on every run.  Its layout
+is fixed: the magic, the group tag, the SHA-256 of the bundle's bytes,
+the count and the sorted signer ids (the bundle's), then one table of
+``group.table_len`` bytes per id in that order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from contextlib import contextmanager
@@ -141,9 +149,15 @@ class VerifierBundle(NamedTuple):
         entry = 48 if la_params else 16
         if len(data) != offset + count * entry:
             raise ValueError("bad verifier bundle length")
+        previous = b""
         for _ in range(count):
             signer_id = data[offset : offset + 16]
+            # the order to_bytes writes: a repeated id would let one key
+            # replace another, and the bytes would not round-trip
+            if signer_id <= previous:
+                raise ValueError("signer ids not in strictly increasing order")
             public_keys[signer_id] = data[offset + 16 : offset + 48] if la_params else None
+            previous = signer_id
             offset += entry
         return cls(scheme.tag, pq_params, la_params, public_keys)
 
@@ -154,6 +168,79 @@ def save_verifier_bundle(path: str | Path, bundle: VerifierBundle) -> None:
 
 def load_verifier_bundle(path: str | Path) -> VerifierBundle:
     return _load(path, VerifierBundle.from_bytes, "a verifier bundle")
+
+
+# --- key table files -------------------------------------------------------
+
+_TABLES_MAGIC = b"HASES-TABLES\x01"
+_TABLES_HEAD = len(_TABLES_MAGIC) + 1 + 32 + 8  # magic, group tag, bundle digest, count
+
+
+def tables_path(pub: str | Path) -> Path:
+    """The key table file of the bundle at ``pub``: beside it."""
+    return Path(f"{pub}.tables")
+
+
+def _bundle_digest(bundle: VerifierBundle) -> bytes:
+    # binds the file to the bundle's bytes; not a domain hash, so hashlib
+    # directly, out of the hash counters
+    return hashlib.sha256(bundle.to_bytes()).digest()
+
+
+def key_tables_bytes(bundle: VerifierBundle, tables: dict) -> bytes:
+    """The table file of an aggregate or hybrid ``bundle``, ``tables``
+    holding the table of each of its signers."""
+    group = bundle.la_params.group
+    ids = sorted(bundle.public_keys)
+    head = _TABLES_MAGIC + bytes((group.backend_tag,)) + _bundle_digest(bundle)
+    return b"".join([head, len(ids).to_bytes(8, "big"), *ids,
+                     *(group.table_bytes(tables[sid]) for sid in ids)])
+
+
+def load_key_tables(path: str | Path, bundle: VerifierBundle, signer_ids) -> dict:
+    """The tables of ``signer_ids`` (signers of ``bundle``) from the table
+    file at ``path``, reading no other table.  ValueError, naming the
+    file, unless it was written for this bundle's bytes and group, holds
+    the bundle's ids and has exactly the length they give it."""
+    group = bundle.la_params.group
+    with open(path, "rb") as handle:
+        try:
+            index = _table_index(handle, bundle)
+            tables = {}
+            for signer_id in sorted(signer_ids, key=index.__getitem__):
+                handle.seek(index[signer_id])
+                tables[signer_id] = group.table_from_bytes(handle.read(group.table_len))
+            return tables
+        except ValueError as exc:
+            raise ValueError(f"{path} is not the key table file of this bundle: {exc}") from exc
+
+
+def _table_index(handle, bundle: VerifierBundle) -> dict[bytes, int]:
+    """Signer id -> offset of its table, once the header of the table
+    file open in ``handle`` is checked against ``bundle``."""
+    group = bundle.la_params.group
+    head = handle.read(_TABLES_HEAD)
+    if not head.startswith(_TABLES_MAGIC):
+        raise ValueError("not a key table file")
+    if len(head) < _TABLES_HEAD:
+        raise ValueError("truncated key table file")
+    tag = head[len(_TABLES_MAGIC)]
+    if tag != group.backend_tag:
+        raise ValueError(f"group tag {tag:#04x}, not the bundle's {group.backend_tag:#04x}")
+    if head[len(_TABLES_MAGIC) + 1 : -8] != _bundle_digest(bundle):
+        raise ValueError("written for another verifier bundle")
+    count = int.from_bytes(head[-8:], "big")
+    size = os.fstat(handle.fileno()).st_size
+    tables_at = _TABLES_HEAD + count * 16
+    expected = tables_at + count * group.table_len
+    if size != expected:
+        raise ValueError(f"{size} bytes where its {count} tables take {expected}"
+                         f" ({'truncated' if size < expected else 'trailing bytes'})")
+    ids = handle.read(count * 16)
+    ids = [ids[i : i + 16] for i in range(0, len(ids), 16)]
+    if ids != sorted(bundle.public_keys):
+        raise ValueError("its signer ids are not the bundle's")
+    return {signer_id: tables_at + n * group.table_len for n, signer_id in enumerate(ids)}
 
 
 # --- store files -----------------------------------------------------------

@@ -372,17 +372,22 @@ def combined_value(
 
 
 class KeyTables(dict):
-    """Signer id -> ``group.precompute`` table of its public key.
+    """Signer id -> ``exp2`` table of its public key, for one verification run.
 
-    Keys stay encoded until used: each is decoded, checked to lie in the
-    prime-order subgroup and turned into a table on its signer's first
-    lookup.  A key that fails raises ValueError on that lookup and on
-    every later one, without being checked again.
-    Hold one instance per verification run and drop it with the run.
+    ``loaded`` holds the tables read from the bundle's key table file
+    (``keyfiles.load_key_tables``), built once at keygen or by ``hases
+    tables``; a signer's lookup returns its loaded table as it stands.
+    Any other key stays encoded until its signer's first lookup, which
+    decodes it, checks that it lies in the prime-order subgroup and
+    builds its table (``group.precompute``).  A key that fails raises
+    ValueError on that lookup and on every later one, without being
+    checked again.  Hold one instance per verification run and drop it
+    with the run.
     """
 
-    def __init__(self, public_keys: dict[bytes, bytes], group: PrimeOrderGroup):
-        super().__init__()
+    def __init__(self, public_keys: dict[bytes, bytes], group: PrimeOrderGroup,
+                 loaded: dict | None = None):
+        super().__init__(loaded or {})
         self._public_keys = public_keys
         self._group = group
         self._rejected: dict[bytes, str] = {}

@@ -187,9 +187,11 @@ def _combinations(layers: list[schemes.Layers], bundle) -> list[tuple]:
     return combined
 
 
-def verify_all(bundle, records, blobs, source: CommitmentSource) -> list[bool]:
+def verify_all(bundle, records, blobs, source: CommitmentSource, tables_file=None) -> list[bool]:
     """Whether each signature in ``blobs`` is valid over ``records``,
-    against the parts ``source`` supplies."""
+    against the parts ``source`` supplies.  ``tables_file`` is the
+    bundle's key table file, if it has one: the tables of the signers
+    the run checks are read from it, and no key is checked again."""
     scheme = schemes.by_tag(bundle.scheme)
     messages = scheme.units(records, bundle)
     if len(messages) != len(blobs):
@@ -202,8 +204,11 @@ def verify_all(bundle, records, blobs, source: CommitmentSource) -> list[bool]:
     units = [n for n, signature in enumerate(signatures) if signature is not None]
     # what each check derives before its commitment is needed, computed once
     layers = [scheme.layers(messages[n], signatures[n], bundle) for n in units]
-    # per-key tables live for this run only: see hases.group
-    tables = la.KeyTables(bundle.public_keys, bundle.la_params.group) if bundle.la_params else None
+    tables = None
+    if bundle.la_params:
+        signers = {unit.la[1].signer_id for unit in layers}
+        loaded = keyfiles.load_key_tables(tables_file, bundle, signers) if tables_file else None
+        tables = la.KeyTables(bundle.public_keys, bundle.la_params.group, loaded)
     results = [False] * len(blobs)
     for i, la_part, opening in source.layer_parts(layers, tables):
         try:

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from hases import bench, pq
-from hases.group import small_test_group
+from hases.group import production_group, small_test_group
 
 PQ_SMALL = pq.PqParams(t=64, k=8, j1=2, j2=16)
 
@@ -35,21 +35,28 @@ def test_la_report_on_tiny_group():
     # (modulo deterministic zero-scalar retries, absent for these inputs)
     assert counts["sign_batch"] >= 2 + 3 * 2
     assert report.sizes["signature.total_bytes"] == 89
-    # the verifier's per-key table is its own row, ahead of the checks it serves
+    # the verifier's per-key table is its own row, built and then loaded
+    # from a table file, ahead of the checks it serves
     names = [op.name for op in report.ops]
-    assert names.index("precompute_per_key") == names.index("verify_batch") - 1
+    assert names.index("precompute_per_key") == names.index("verify_batch") - 2
+    assert names.index("load_table_per_key") == names.index("verify_batch") - 1
     # a combined check over 16 batches: its seed and 16 weights
     assert names[-2:] == ["combined_check", "combined_build"]
     assert counts["combined_check"] == 1 + bench.COMBINED_BATCHES
     assert counts["precompute_per_key"] == 0  # group work only, no hashing
+    assert counts["load_table_per_key"] == 0  # the bundle digest is no domain hash
     assert "la.precompute_per_key.wall_us=" in "\n".join(report.machine_lines())
+    assert "la.load_table_per_key.wall_us=" in "\n".join(report.machine_lines())
 
 
 def test_hy_report_combines_layers():
     report = bench.bench_hy(PQ_SMALL, small_test_group(), batch_size=2, trials=2)
     counts = {op.name: op.hash_calls for op in report.ops}
     assert counts["sign_batch"] > 18  # wrapper layer plus aggregate layer
-    assert counts["precompute_per_key"] == 0
+    assert counts["precompute_per_key"] == counts["load_table_per_key"] == 0
+    names = [op.name for op in report.ops]
+    assert names.index("precompute_per_key") + 1 == names.index("load_table_per_key") == (
+        names.index("verify_batch") - 1)
     assert report.sizes["signature.payload_bytes"] == 64 + PQ_SMALL.k * 32
 
 
@@ -116,3 +123,13 @@ def test_open_commitment_rows_beside_the_full_build():
     # pq part at epoch 2 (H0 for the first seed, one step, then 2k), no more
     assert hy_counts["open_commitment"] == 2 + 2 * PQ_SMALL.k
     assert hy_report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32
+
+
+def test_load_table_row_on_the_production_group():
+    # a 16 KB table read from a file; the digest binding the file to its
+    # bundle is hashlib's, not a domain hash, so the row counts no hash
+    report = bench.bench_la(production_group(), max_batches=2, batch_size=1, trials=1)
+    counts = {op.name: op.hash_calls for op in report.ops}
+    assert counts["load_table_per_key"] == 0
+    assert [name for name in counts if "table" in name or "precompute" in name] == [
+        "precompute_per_key", "load_table_per_key"]

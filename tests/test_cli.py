@@ -1,5 +1,6 @@
 import argparse
 import fcntl
+import hashlib
 import os
 import re
 import signal
@@ -82,7 +83,8 @@ class TestKeygen:
         finally:
             os.umask(old_umask)
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["cco.store", f"signer_{ID_HEX_1}.key", "verifier.pub"]  # no .tmp left
+        # no .tmp left; the bundle and its key tables are public
+        assert names == ["cco.store", f"signer_{ID_HEX_1}.key", "verifier.pub", "verifier.pub.tables"]
         for name in ("cco.store", f"signer_{ID_HEX_1}.key"):
             assert (out / name).stat().st_mode & 0o777 == 0o600, name
         assert keyfiles.load_store(out / "cco.store").la_material()
@@ -202,6 +204,9 @@ class TestSignVerifyOffline:
         keyfiles.save_verifier_bundle(
             pub, bundle._replace(public_keys={signer: group.encode_element(moved)})
         )
+        # keygen's table file was bound to the bundle before the edit (see
+        # TestKeyTableFiles); without it the run checks the key itself
+        keyfiles.tables_path(pub).unlink()
         capsys.readouterr()
         checked = []
         precompute = type(group).precompute
@@ -523,6 +528,8 @@ class TestOnlineMatchesOffline:
         keys[not_in_store] = keys[in_store]
         bundle = bundle._replace(public_keys=keys)
         keyfiles.save_verifier_bundle(pub, bundle)
+        if bundle.la_params:  # the table file follows the edited bundle
+            assert cli.main(["tables", "--pub", str(pub)]) == 0
         clean = keyfiles.load_signatures(sigs)
         blobs = list(clean)
         tampered = bytearray(blobs[2])
@@ -619,15 +626,168 @@ class TestKeysDecodedOnUse:
             moved = group.encode_element(group.mul(R, small_order_points[1]))
             blobs[1] = hy.HyCommitment(full.la._replace(r_bytes=moved), full.pq).to_bytes()
             keyfiles.save_commitments(shifted, blobs)
-            for source, valid in ((["--cco", address], 4), (["--commits", commits], 4),
-                                  (["--commits", shifted], 3)):
-                decoded.clear()
-                capsys.readouterr()
-                code = cli.main(["verify", "--pub", pub, "--in", msgs, "--sigs", sigs, *source])
-                assert (code, capsys.readouterr().out) == (
-                    0 if valid == 4 else 1, f"{valid}/4 signatures valid\n")
-                # the one signer's key, once; not the other key, and no R
-                assert decoded == [bundle.public_keys[bytes.fromhex(ID_HEX_1)]]
+            # with keygen's table file, no key is decoded; without it, the
+            # one signer's key, once, and not the other key; never an R
+            for keys_decoded in ([], [bundle.public_keys[bytes.fromhex(ID_HEX_1)]]):
+                for source, valid in ((["--cco", address], 4), (["--commits", commits], 4),
+                                      (["--commits", shifted], 3)):
+                    decoded.clear()
+                    capsys.readouterr()
+                    code = cli.main(["verify", "--pub", pub, "--in", msgs, "--sigs", sigs,
+                                     *source])
+                    assert (code, capsys.readouterr().out) == (
+                        0 if valid == 4 else 1, f"{valid}/4 signatures valid\n")
+                    assert decoded == keys_decoded
+                keyfiles.tables_path(pub).unlink(missing_ok=True)  # the next pass runs without
+
+
+class TestKeyTableFiles:
+    """``verifier.pub.tables``: each key's table, built once at keygen."""
+
+    def flow(self, tmp_path, scheme="hy", ids=(ID_HEX_1, ID_HEX_2)):
+        out = tmp_path / f"keys_{scheme}"
+        assert cli.main(["keygen", "--scheme", scheme, "--ids", write_ids(tmp_path, ids),
+                         "--J", "8", "--J1", "2", "--L", "2", "--t", "64", "--k", "8",
+                         "--out", str(out)]) == 0
+        msgs = write_csv(tmp_path, 8)
+        sigs = str(tmp_path / "sigs.bin")
+        key = out / f"signer_{ID_HEX_1}.key"
+        assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", sigs]) == 0
+        commits = str(tmp_path / "commits.bin")
+        with transport.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
+            assert cli.main(["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
+                             "--id", ID_HEX_1, "--export", "1:8", "--out", commits]) == 0
+        return out / "verifier.pub", msgs, sigs, commits
+
+    def verify(self, capsys, pub, msgs, sigs, *source):
+        capsys.readouterr()
+        code = cli.main(["verify", "--pub", str(pub), "--in", msgs, "--sigs", sigs, *source])
+        return code, capsys.readouterr()
+
+    def counted_precompute(self, monkeypatch, group):
+        calls = []
+        precompute = type(group).precompute
+        monkeypatch.setattr(type(group), "precompute",
+                            lambda self, key: calls.append(key) or precompute(self, key))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["production", "tiny"])
+    @pytest.mark.parametrize("scheme", ["la", "hy"])
+    def test_keygen_writes_what_tables_rebuilds(self, tmp_path, monkeypatch, scheme, backend):
+        monkeypatch.setenv("HASES_BACKEND", backend)
+        pub, _, _, _ = self.flow(tmp_path, scheme)
+        bundle = keyfiles.load_verifier_bundle(pub)
+        group = bundle.la_params.group
+        tables = keyfiles.tables_path(pub)
+        written = tables.read_bytes()
+        # magic, group tag, the SHA-256 of the bundle's bytes, the sorted ids
+        assert written[:14] == b"HASES-TABLES\x01" + bytes((group.backend_tag,))
+        assert written[14:46] == hashlib.sha256(pub.read_bytes()).digest()
+        assert written[46:54] == (2).to_bytes(8, "big")
+        assert written[54:86] == bytes.fromhex(ID_HEX_1 + ID_HEX_2)
+        assert len(written) == 86 + 2 * group.table_len
+        assert group.table_len == (16384 if backend == "production" else 32)
+        # the bundle is unchanged beside it
+        assert pub.read_bytes() == bundle.to_bytes()
+        tables.unlink()
+        assert cli.main(["tables", "--pub", str(pub)]) == 0
+        assert tables.read_bytes() == written
+
+    def test_pq_keygen_writes_no_table_file(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        assert not keyfiles.tables_path(out / "verifier.pub").exists()
+        assert cli.main(["tables", "--pub", str(out / "verifier.pub")]) == 2
+        assert "holds no aggregate keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["la", "hy"])
+    def test_a_verify_with_the_file_checks_no_key(self, tmp_path, capsys, monkeypatch, scheme):
+        pub, msgs, sigs, commits = self.flow(tmp_path, scheme)
+        group = keyfiles.load_verifier_bundle(pub).la_params.group
+        checked = self.counted_precompute(monkeypatch, group)
+        store = keyfiles.load_store(pub.parent / "cco.store")
+        with transport.CcoServer(store) as server:
+            for source in (["--cco", f"127.0.0.1:{server.port}"], ["--commits", commits]):
+                code, output = self.verify(capsys, pub, msgs, sigs, *source)
+                assert (code, output.out) == (0, "4/4 signatures valid\n")
+        assert checked == []
+        keyfiles.tables_path(pub).unlink()
+        code, output = self.verify(capsys, pub, msgs, sigs, "--commits", commits)
+        assert (code, output.out) == (0, "4/4 signatures valid\n")
+        assert len(checked) == 1  # without the file: the one signer's key, once
+
+    def spoiled(self, pub, kind):
+        """The table file of ``pub`` spoiled in the way ``kind`` names."""
+        path = keyfiles.tables_path(pub)
+        data = bytearray(path.read_bytes())
+        if kind == "another-bundle":
+            data[14] ^= 1  # the digest of some other bundle
+        elif kind == "wrong-tag":
+            data[13] ^= 1
+        elif kind == "truncated":
+            del data[-1]
+        elif kind == "extra-bytes":
+            data += b"\x00"
+        elif kind == "other-ids":
+            data[54 + 31] ^= 1  # the digest holds; the second id does not
+        elif kind == "not-a-table-file":
+            data[:4] = b"ABCD"
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("kind", ["another-bundle", "wrong-tag", "truncated", "extra-bytes",
+                                      "other-ids", "not-a-table-file"])
+    def test_a_mismatched_table_file_exits_2_and_is_named(self, tmp_path, capsys, kind):
+        pub, msgs, sigs, commits = self.flow(tmp_path)
+        path = self.spoiled(pub, kind)
+        store = keyfiles.load_store(pub.parent / "cco.store")
+        with transport.CcoServer(store) as server:
+            for source in (["--cco", f"127.0.0.1:{server.port}"], ["--commits", commits]):
+                code, output = self.verify(capsys, pub, msgs, sigs, *source)
+                assert code == 2
+                assert output.out == ""
+                assert f"error: {path} is not the key table file of this bundle: " in output.err
+
+    def test_a_table_file_of_another_ceremony_exits_2(self, tmp_path, capsys):
+        pub, msgs, sigs, commits = self.flow(tmp_path)
+        (tmp_path / "other").mkdir()
+        other, _, _, _ = self.flow(tmp_path / "other")
+        path = keyfiles.tables_path(pub)
+        path.write_bytes(keyfiles.tables_path(other).read_bytes())
+        code, output = self.verify(capsys, pub, msgs, sigs, "--commits", commits)
+        assert code == 2
+        assert f"{path} is not the key table file of this bundle: written for another" in output.err
+
+    def test_an_edited_bundle_needs_its_tables_rebuilt(self, tmp_path, capsys, small_order_points):
+        pub, msgs, sigs, commits = self.flow(tmp_path)
+        bundle = keyfiles.load_verifier_bundle(pub)
+        group = bundle.la_params.group
+        keys = dict(bundle.public_keys)
+        second = bytes.fromhex(ID_HEX_2)
+        keys[second] = group.encode_element(group.mul(group.decode_element(keys[second]),
+                                                      small_order_points[1]))
+        keyfiles.save_verifier_bundle(pub, bundle._replace(public_keys=keys))
+        code, output = self.verify(capsys, pub, msgs, sigs, "--commits", commits)
+        assert code == 2
+        assert f"{keyfiles.tables_path(pub)} is not the key table file" in output.err
+        # the rebuild checks every key: the torsion-shifted one is refused
+        assert cli.main(["tables", "--pub", str(pub)]) == 2
+        assert f"the key of signer {ID_HEX_2}: " in capsys.readouterr().err
+        keys[second] = bundle.public_keys[second]
+        keyfiles.save_verifier_bundle(pub, bundle._replace(public_keys=keys))
+        assert cli.main(["tables", "--pub", str(pub)]) == 0
+        assert self.verify(capsys, pub, msgs, sigs, "--commits", commits)[0] == 0
+
+    @pytest.mark.parametrize("order", ["repeated", "unsorted"])
+    def test_a_bundle_out_of_order_exits_2_and_is_named(self, tmp_path, capsys, order):
+        pub, msgs, sigs, commits = self.flow(tmp_path, "la")
+        data = pub.read_bytes()
+        count_at = len(data) - 2 * 48 - 8
+        first, second = data[count_at + 8 : count_at + 56], data[count_at + 56 :]
+        entries = [first, second, first] if order == "repeated" else [second, first]
+        pub.write_bytes(data[:count_at] + len(entries).to_bytes(8, "big") + b"".join(entries))
+        code, output = self.verify(capsys, pub, msgs, sigs, "--commits", commits)
+        assert code == 2
+        assert f"error: {pub} is not a verifier bundle: signer ids not in strictly" in output.err
 
 
 class TestServeSubprocess:
@@ -796,7 +956,7 @@ class TestParser:
     def test_no_command_or_an_unknown_one_exits_2(self, argv):
         proc = self.run(*argv)
         assert proc.returncode == 2
-        assert "{keygen,sign,verify,serve,request,bench}" in proc.stderr
+        assert "{keygen,sign,verify,tables,serve,request,bench}" in proc.stderr
 
     @pytest.mark.parametrize("command", list(cli._SUBPARSERS))
     def test_a_bad_flag_exits_2_through_argparse(self, command, capsys):

@@ -315,14 +315,14 @@ class Deployment:
         keyfiles.save_commitments(commits, blobs)
         return commits
 
-    def results(self, records, blobs, cco_address=None, commits=None):
+    def results(self, records, blobs, cco_address=None, commits=None, tables_file=None):
         address = None
         if cco_address:
             host, _, port = cco_address.rpartition(":")
             address = (host, int(port))
         source = verifier.CommitmentSource(self.bundle, address, commits)
         try:
-            return verifier.verify_all(self.bundle, records, blobs, source)
+            return verifier.verify_all(self.bundle, records, blobs, source, tables_file)
         finally:
             source.close()
 
@@ -407,6 +407,40 @@ def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
                 1, f"{16 - len(rejected)}/16 signatures valid\n")
             assert deployment.exit_and_output(capsys, *kept_units(records, blobs, rejected),
                                               *source) == (0, "9/9 signatures valid\n")
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_a_table_file_changes_no_result_and_no_exit_code(tmp_path, capsys, monkeypatch, scheme):
+    deployment = Deployment(tmp_path, scheme)
+    records, blobs, rejected = mixed_chunk(deployment)
+    checked = []
+    group = deployment.bundle.la_params.group
+    precompute = type(group).precompute
+    monkeypatch.setattr(type(group), "precompute",
+                        lambda self, key: checked.append(key) or precompute(self, key))
+    tables_file = keyfiles.tables_path(deployment.pub)
+    with transport.CcoServer(deployment.store) as server:
+        address = f"127.0.0.1:{server.port}"
+        commits = deployment.export(address)
+        outcomes = {}
+        for with_file in (False, True):
+            if with_file:  # the bundle beside the keys has C's key too: rebuild its tables
+                assert cli.main(["tables", "--pub", str(deployment.pub)]) == 0
+            checked.clear()
+            for name, source in (("cco", ["--cco", address]), ("commits", ["--commits", str(commits)])):
+                per_unit = deployment.results(
+                    records, blobs, *((address,) if name == "cco" else (None, commits)),
+                    tables_file=tables_file if with_file else None)
+                outcomes[with_file, name] = per_unit, [
+                    deployment.exit_and_output(capsys, records, blobs, *source),
+                    deployment.exit_and_output(capsys, *kept_units(records, blobs, rejected),
+                                               *source)]
+            # with the file no key is checked; without it, each run checks
+            # the keys it meets
+            assert (checked == []) == with_file
+    expected = ([n not in rejected for n in range(16)],
+                [(1, f"{16 - len(rejected)}/16 signatures valid\n"), (0, "9/9 signatures valid\n")])
+    assert all(outcome == expected for outcome in outcomes.values()), outcomes
 
 
 def kept_units(records, blobs, rejected):

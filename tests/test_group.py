@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import curve_point
+from hases import group as group_module
 from hases.group import (
     ModPGroup,
     encode_scalar,
@@ -220,6 +221,62 @@ class TestProductionGroup:
             table = g.precompute(g.encode_element(base))
             for e, s in zip(scalars, reversed(scalars)):
                 assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
+
+    def test_key_comb_matches_double_and_add_at_the_edges(self):
+        # a key's table has 16 rows 2^16 apart, walked in 4 columns; the
+        # generator's has 64 rows 2^4 apart; both walk the same signed
+        # digits, so each must give [k]base exactly for any 0 <= k < 2^255,
+        # q itself (the subgroup check) included
+        g = self.g
+        q = g.q
+        eights = int("8" * 63, 16)  # the largest digit, no carry
+        nines = int("9" * 63, 16)  # 9 = -7 and a carry, into a 9 that becomes 10
+        scalars = [
+            0, 1, 2, q - 1, q, q + 1, 2**252, 2**252 - 1, 2**255 - 1,
+            eights, nines, int("7" + "9" * 63, 16), int("7" + "8" * 63, 16),
+            int("89" * 31 + "8", 16), int("98" * 31 + "9", 16),
+            0xF << 4 * 15, 0xF << 4 * 63 >> 1,  # a carry into the next row, into column 0
+        ]
+        rng = random.Random(79)
+        for base in (g.identity, g.generator, g.exp(g.generator, rng.randrange(1, q))):
+            ext = group_module._to_ext(base)
+            table = g.precompute(g.encode_element(base))
+            assert len(table) == 16
+            combs = (table, group_module._comb_table(ext, 64))
+            for k in scalars + [rng.randrange(2**255) for _ in range(4)]:
+                expected = group_module._from_ext(group_module._ext_exp(ext, k))
+                for comb in combs:
+                    got = group_module._comb_add(group_module._EXT_IDENTITY, comb, k)
+                    assert group_module._from_ext(got) == expected, hex(k)
+                if k < q:
+                    assert g.exp2(table, k, 0) == expected
+                    assert g.exp2(table, k, q - 1 - k) == g.mul(expected, g.exp(g.generator, q - 1 - k))
+
+    def test_key_table_is_precompute_without_the_check(self, small_order_points):
+        g = self.g
+        key = g.encode_element(g.exp(g.generator, 4242))
+        assert g.key_table(key) == g.precompute(key)
+        shifted = g.encode_element(g.mul(g.exp(g.generator, 4242), small_order_points[1]))
+        g.key_table(shifted)  # no subgroup check: keygen's own keys only
+        with pytest.raises(ValueError):
+            g.precompute(shifted)
+
+    @pytest.mark.parametrize("make", [production_group, small_test_group])
+    def test_table_bytes_round_trip(self, make):
+        g = make()
+        rng = random.Random(80)
+        base = g.exp(g.generator, rng.randrange(1, g.q))
+        table = g.precompute(g.encode_element(base))
+        blob = g.table_bytes(table)
+        assert len(blob) == g.table_len == (16 * 8 * 4 * 32 if g is self.g else 32)
+        loaded = g.table_from_bytes(blob)
+        assert g.table_bytes(loaded) == blob
+        for _ in range(4):
+            e, s = rng.randrange(g.q), rng.randrange(g.q)
+            assert g.exp2(loaded, e, s) == g.exp2(table, e, s)
+        for cut in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(ValueError):
+                g.table_from_bytes(cut)
 
     def test_decode_rejects_non_canonical_and_off_curve(self, small_order_points):
         g = self.g

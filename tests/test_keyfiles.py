@@ -178,3 +178,39 @@ def test_store_with_the_wrong_anchor_count_rejected(tmp_path, count):
         keyfiles.load_store(path)
     assert str(error.value).startswith(f"{path} is not a key store file: ")
     assert f"{count} anchors" in str(error.value)
+
+
+@pytest.mark.parametrize("ids", [[ID_A, ID_A], [bytes([0x4D]) * 16, ID_A]],
+                         ids=["repeated", "unsorted"])
+def test_verifier_bundle_ids_must_strictly_increase(ids):
+    # a repeated id used to load as one key, the last one winning, and the
+    # bytes did not round-trip
+    group = small_test_group()
+    _, public, material = la.keygen([ID_A], group, 4, 2, fixed_rng(6))
+    blob = keyfiles.VerifierBundle(schemes.LA.tag, None, material.params, public).to_bytes()
+    head, entry = blob[:-48], blob[-48:]
+    entries = b"".join(signer_id + entry[16:] for signer_id in ids)
+    forged = head[:-8] + len(ids).to_bytes(8, "big") + entries
+    with pytest.raises(ValueError, match="strictly increasing"):
+        keyfiles.VerifierBundle.from_bytes(forged)
+
+
+@pytest.mark.parametrize("make", [production_group, small_test_group])
+def test_key_table_file_round_trip(tmp_path, make):
+    group = make()
+    ids = [bytes([n]) * 16 for n in (9, 3, 5)]
+    _, public, material = hy.keygen(ids, group, 2, PQ_TOY, fixed_rng(7))
+    bundle = keyfiles.VerifierBundle(schemes.HY.tag, PQ_TOY, material.la.params, public)
+    tables = {sid: group.precompute(key) for sid, key in public.items()}
+    blob = keyfiles.key_tables_bytes(bundle, tables)
+    assert len(blob) == 13 + 1 + 32 + 8 + 3 * (16 + group.table_len)
+    path = keyfiles.tables_path(tmp_path / "verifier.pub")
+    assert path.name == "verifier.pub.tables"
+    path.write_bytes(blob)
+    # only the tables asked for, each equal to the one written
+    loaded = keyfiles.load_key_tables(path, bundle, [ids[0], ids[1]])
+    assert sorted(loaded) == sorted(ids[:2])
+    for sid, table in loaded.items():
+        assert group.table_bytes(table) == group.table_bytes(tables[sid])
+        assert group.exp2(table, 5, 7) == group.exp2(tables[sid], 5, 7)
+    assert keyfiles.load_key_tables(path, bundle, []) == {}
