@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import cco, keyfiles, la, pq, schemes, stream
-from .errors import HasesError
+from .errors import BadSignatureFile, HasesError
 from .group import production_group, small_test_group
 
 EXIT_OK = 0
@@ -149,21 +149,21 @@ def cmd_verify(args) -> int:
     from . import verifier  # no other command loads it
 
     bundle = keyfiles.load_verifier_bundle(args.pub)
-    records = stream.read_stream(args.input, args.format, args.hex)
+    address = _parse_host_port(args.cco) if args.cco else None
+    # the service is reached, or the export read, before any input is
+    source = verifier.CommitmentSource(bundle, address, args.commits)
     try:
-        blobs = keyfiles.load_signatures(args.sigs)
-    except ValueError as exc:
+        tables_file = keyfiles.tables_path(args.pub)
+        if not (bundle.la_params and tables_file.exists()):
+            tables_file = None  # each key is checked and its table built in this run
+        records = stream.iter_stream(args.input, args.format, args.hex)
+        blobs = keyfiles.iter_signatures(args.sigs)
+        results = verifier.verify_all(bundle, records, blobs, source, tables_file)
+    except BadSignatureFile as exc:
         # a mangled signature container is a cryptographic reject, not an
         # operational failure: the data offered for verification is bad
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECT
-    address = _parse_host_port(args.cco) if args.cco else None
-    tables_file = keyfiles.tables_path(args.pub)
-    if not (bundle.la_params and tables_file.exists()):
-        tables_file = None  # each key is checked and its table built in this run
-    source = verifier.CommitmentSource(bundle, address, args.commits)
-    try:
-        results = verifier.verify_all(bundle, records, blobs, source, tables_file)
     finally:
         source.close()
     good = sum(results)

@@ -29,6 +29,11 @@ class MalformedFrame(HasesError):
     """A wire frame or request body could not be parsed."""
 
 
+class BadSignatureFile(ValueError):
+    """A signature file is not a well-formed container.  ``hases verify``
+    rejects it (exit 1): the data offered for verification is bad."""
+
+
 class CcoRequestError(HasesError):
     """The commitment service answered with a non-OK status byte."""
 

@@ -22,11 +22,12 @@ H0(public_seed || l) and H1(nonce_seed || l) for its L items, and the
 key store images H2(H1(seed || label)) for up to t labels.
 ``prefixed_hashes`` and ``prefixed_scalars`` hash ``byte(domain) ||
 head`` once and copy that state for each tail; ``images_match`` checks
-each H2(preimage) against its image in a body of images, in place, and
-stops at the first mismatch; ``combination_weights`` cuts the 128-bit
-weights of a combined check from H2(seed || i), one position i at a
-time.  Each returns exactly what the ``domain_hash``/``hash_to_scalar``
-composition returns, and adds the calls that composition would make to
+each preimage sliced from a body of preimages against the image sliced
+from the same offset of a body of images, and stops at the first
+mismatch; ``combination_weights`` cuts the 128-bit weights of a
+combined check from H2(seed || i), one position i at a time.  Each
+returns exactly what the ``domain_hash``/``hash_to_scalar`` composition
+returns, and adds the calls that composition would make to
 its domain's counter in one step per call (a retried scalar and a
 check that stops early count the calls actually made).  The only
 module-level cache is ``label_table``: the public 8-byte encodings of
@@ -191,20 +192,21 @@ def hash_to_scalar(domain: int, data: bytes, order: int) -> int:
     return prefixed_scalars(domain, data, (b"",), order)[0]
 
 
-def images_match(preimages: Iterable[bytes], images: bytes) -> bool:
+def images_match(preimages: bytes, images: bytes) -> bool:
     """Whether ``domain_hash(2, preimage)`` is the n-th ``DIGEST_LEN``
-    bytes of ``images`` for the n-th preimage, each compared in place,
-    in order, stopping at the first mismatch as ``all()`` would; only the
-    calls made are counted."""
+    bytes of ``images`` for the n-th ``DIGEST_LEN`` bytes of
+    ``preimages``, each pair sliced from its body, in order, stopping at
+    the first mismatch as ``all()`` would; only the calls made are
+    counted."""
     copy = _prefix_state(DOM_COMMIT, b"").copy
     calls = 0
     matched = True
-    for preimage in preimages:
+    for at in range(0, len(preimages), DIGEST_LEN):
         state = copy()
-        state.update(preimage)
-        matched = images.startswith(state.digest(), calls * DIGEST_LEN)
+        state.update(preimages[at : at + DIGEST_LEN])
         calls += 1
-        if not matched:
+        if state.digest() != images[at : at + DIGEST_LEN]:
+            matched = False
             break
     _count(DOM_COMMIT, calls)
     return matched

@@ -10,7 +10,8 @@ signing so that key evolution survives process restarts.
 Commitment files are the offline-mode export, in the container of
 ``cco.export_bytes`` that the ``0x04`` reply carries.  Signature files
 carry a count followed by length-prefixed entries (signature sizes
-vary with the scheme).
+vary with the scheme): ``signatures_bytes`` builds the container, and
+``iter_signatures`` reads it an entry at a time.
 
 A key table file lies beside an aggregate or hybrid bundle, at
 ``<bundle>.tables``: the ``exp2`` table of each public key, built once
@@ -31,7 +32,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import la, pq, schemes
 from .cco import CcoStore, export_bytes, export_from_bytes
-from .errors import KeyFileInUse
+from .errors import BadSignatureFile, KeyFileInUse
+from .stream import read_upto
 
 
 # --- signer key files ---------------------------------------------------
@@ -318,34 +320,55 @@ def load_store(path: str | Path):
 # --- signature and commitment files ------------------------------------------
 
 
+def signatures_bytes(blobs: Sequence[bytes]) -> bytes:
+    """The signature container: an 8-byte count, then each entry as a
+    4-byte length and its bytes."""
+    parts = [len(blobs).to_bytes(8, "big")]
+    for blob in blobs:
+        parts += (len(blob).to_bytes(4, "big"), blob)
+    return b"".join(parts)
+
+
 def save_signatures(path: str | Path, blobs: Sequence[bytes]) -> None:
-    with open(path, "wb") as handle:
-        handle.write(len(blobs).to_bytes(8, "big"))
-        for blob in blobs:
-            handle.write(len(blob).to_bytes(4, "big"))
-            handle.write(blob)
+    Path(path).write_bytes(signatures_bytes(blobs))
+
+
+def iter_signatures(path: str | Path) -> Iterator[bytes]:
+    """The entries of the signature file at ``path``, each read as it is
+    asked for.  The file is opened and its count read at once; a
+    truncated entry or bytes after the last one raise
+    ``BadSignatureFile``, naming the file, when the reader reaches them.
+    The file may be a pipe: its length is never asked."""
+    handle = open(path, "rb")
+    try:
+        head = handle.read(8)
+        if len(head) < 8:
+            raise _bad_signature_file(path, "truncated signature file")
+    except BaseException:
+        handle.close()
+        raise
+    return _signature_entries(handle, path, int.from_bytes(head, "big"))
+
+
+def _signature_entries(handle, path, count: int) -> Iterator[bytes]:
+    with handle:
+        for _ in range(count):
+            head = handle.read(4)
+            length = int.from_bytes(head, "big")
+            blob = read_upto(handle, length)
+            if len(head) < 4 or len(blob) < length:
+                raise _bad_signature_file(path, "truncated signature file")
+            yield blob
+        if handle.read(1):
+            raise _bad_signature_file(path, "trailing bytes in signature file")
+
+
+def _bad_signature_file(path, reason: str) -> BadSignatureFile:
+    return BadSignatureFile(f"{path} is not a signature file: {reason}")
 
 
 def load_signatures(path: str | Path) -> list[bytes]:
-    return _load(path, signatures_from_bytes, "a signature file")
-
-
-def signatures_from_bytes(data: bytes) -> list[bytes]:
-    if len(data) < 8:
-        raise ValueError("truncated signature file")
-    count = int.from_bytes(data[:8], "big")
-    blobs = []
-    offset = 8
-    for _ in range(count):
-        length = int.from_bytes(data[offset : offset + 4], "big")
-        offset += 4
-        if offset + length > len(data):
-            raise ValueError("truncated signature file")
-        blobs.append(data[offset : offset + length])
-        offset += length
-    if offset != len(data):
-        raise ValueError("trailing bytes in signature file")
-    return blobs
+    return list(iter_signatures(path))
 
 
 def save_commitments(path: str | Path, blobs: Sequence[bytes]) -> None:

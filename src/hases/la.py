@@ -374,9 +374,10 @@ def combined_value(
 class KeyTables(dict):
     """Signer id -> ``exp2`` table of its public key, for one verification run.
 
-    ``loaded`` holds the tables read from the bundle's key table file
-    (``keyfiles.load_key_tables``), built once at keygen or by ``hases
-    tables``; a signer's lookup returns its loaded table as it stands.
+    The tables read from the bundle's key table file
+    (``keyfiles.load_key_tables``, built once at keygen or by ``hases
+    tables``) are stored with ``update``; a signer's lookup returns its
+    stored table as it stands.
     Any other key stays encoded until its signer's first lookup, which
     decodes it, checks that it lies in the prime-order subgroup and
     builds its table (``group.precompute``).  A key that fails raises
@@ -385,9 +386,8 @@ class KeyTables(dict):
     with the run.
     """
 
-    def __init__(self, public_keys: dict[bytes, bytes], group: PrimeOrderGroup,
-                 loaded: dict | None = None):
-        super().__init__(loaded or {})
+    def __init__(self, public_keys: dict[bytes, bytes], group: PrimeOrderGroup):
+        super().__init__()
         self._public_keys = public_keys
         self._group = group
         self._rejected: dict[bytes, str] = {}

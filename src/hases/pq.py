@@ -30,6 +30,7 @@ construction and verification sides map preimages to entries with H2.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
@@ -151,17 +152,20 @@ class PqSignerState(SlotRecord):
 
 
 class PqSignature(NamedTuple):
+    """The k revealed strings of one epoch, kept as the bytes they are
+    sent as, as ``PqOpening`` keeps its entries: ``verify`` hashes each
+    string where it lies in ``body``."""
+
     signer_id: bytes
     epoch: int
-    parts: tuple[bytes, ...]
+    body: bytes  # the revealed strings, DIGEST_LEN bytes each, in index order
 
     def to_bytes(self) -> bytes:
-        return encode_header(SIGNATURE_TAG, self.signer_id, self.epoch) + b"".join(self.parts)
+        return encode_header(SIGNATURE_TAG, self.signer_id, self.epoch) + self.body
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PqSignature":
-        signer_id, epoch, rest = _split_digests(data, SIGNATURE_TAG, "signature")
-        return cls(signer_id, epoch, _digests(rest))
+        return cls(*_split_digests(data, SIGNATURE_TAG, "signature"))
 
 
 class PqCommitment(NamedTuple):
@@ -231,10 +235,6 @@ def _split_digests(data: bytes, tag: int, what: str) -> tuple[bytes, int, bytes]
     if not rest or len(rest) % DIGEST_LEN:
         raise ValueError(f"{what} body is not a whole number of digests")
     return signer_id, epoch, rest
-
-
-def _digests(data: bytes) -> tuple[bytes, ...]:
-    return tuple(data[i : i + DIGEST_LEN] for i in range(0, len(data), DIGEST_LEN))
 
 
 class PqKeyMaterial(NamedTuple):
@@ -309,14 +309,16 @@ def message_indices(message: bytes, params: PqParams) -> tuple[int, ...]:
 
 def indices_from_digest(digest: bytes, params: PqParams) -> tuple[int, ...]:
     value = int.from_bytes(digest, "big")
-    bits = params.index_bits
-    shift = 8 * DIGEST_LEN - bits
     mask = params.t - 1
-    out = []
-    for _ in range(params.k):
-        out.append((value >> shift) & mask)
-        shift -= bits
-    return tuple(out)
+    return tuple([value >> shift & mask for shift in _index_shifts(params)])
+
+
+@functools.lru_cache(maxsize=8)
+def _index_shifts(params: PqParams) -> tuple[int, ...]:
+    """The right shift of each of the k log2(t)-bit windows of a digest,
+    most significant first: public, cached per params."""
+    bits = params.index_bits
+    return tuple(8 * DIGEST_LEN - bits * (n + 1) for n in range(params.k))
 
 
 def sign(state: PqSignerState, message: bytes) -> PqSignature:
@@ -331,8 +333,8 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
     indices = message_indices(message, state.params)
     labels = label_table(state.params.t)
     # the seed's hash state lives in this call only
-    parts = tuple(prefixed_hashes(DOM_CHAIN, bytes(state.seed), [labels[x] for x in indices]))
-    signature = PqSignature(state.signer_id, state.epoch, parts)
+    body = b"".join(prefixed_hashes(DOM_CHAIN, bytes(state.seed), [labels[x] for x in indices]))
+    signature = PqSignature(state.signer_id, state.epoch, body)
     advance_key(state)
     return signature
 
@@ -454,7 +456,8 @@ def verify(
     the indices are joined here, or an opening of k entries, trusted to
     have been made at exactly those indices (it holds none, so it binds
     the message only through them): either way one check compares each
-    part's image with its entry in place (``images_match``).
+    part's image with its entry, both sliced from their bodies
+    (``images_match``).
     ``indices`` are ``message_indices(message, params)`` when the caller
     has derived them already, as ``hases verify`` does to get the
     opening; they are trusted to be.
@@ -465,7 +468,7 @@ def verify(
         return False
     if not 1 <= signature.epoch <= params.epochs:
         return False
-    if len(signature.parts) != params.k:
+    if len(signature.body) != params.k * DIGEST_LEN:
         return False
     if indices is None:
         indices = message_indices(message, params)
@@ -473,4 +476,4 @@ def verify(
         opening = commitment.open(indices, params)
     except ValueError:
         return False
-    return images_match(signature.parts, opening.body)
+    return images_match(signature.body, opening.body)

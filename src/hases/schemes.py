@@ -43,7 +43,7 @@ class Scheme(NamedTuple):
     keygen: Callable  # (ids, pq params, la params) -> (states, public keys, material)
     sign: Callable  # (state, records) -> one serialized signature per signed unit
     # The verifier's steps; ``bundle`` is the ``keyfiles.VerifierBundle``.
-    units: Callable  # (records, bundle) -> the message of each signed unit
+    units: Callable  # (records, bundle) -> the message of each signed unit, as it is asked for
     parse_signature: Callable  # (blob, bundle) -> signature; ValueError if malformed
     layers: Callable  # (message, signature, bundle) -> Layers
 
@@ -77,7 +77,7 @@ PQ = Scheme(
     commitment_parts=lambda blob: (None, pq.PqCommitment.from_bytes(blob)),
     keygen=_pq_keygen,
     sign=lambda state, records: [pq.sign(state, r.payload).to_bytes() for r in records],
-    units=lambda records, bundle: [r.payload for r in records],
+    units=lambda records, bundle: (r.payload for r in records),
     parse_signature=lambda blob, bundle: pq.PqSignature.from_bytes(blob),
     layers=lambda message, signature, bundle: Layers(
         None, (message, signature, pq.message_indices(message, bundle.pq_params))),
@@ -98,7 +98,7 @@ LA = Scheme(
     sign=lambda state, records: [
         la.sign_batch(state, batch).to_bytes()
         for batch in stream.into_batches(records, state.params.batch_size)],
-    units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
+    units=lambda records, bundle: stream.batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: la.LaSignature.from_bytes(blob, bundle.la_params.group),
     layers=lambda message, signature, bundle: Layers(_la_layer(message, signature, bundle), None),
 )
@@ -118,7 +118,7 @@ HY = Scheme(
     sign=lambda state, records: [
         hy.sign_batch(state, batch).to_bytes()
         for batch in stream.into_batches(records, state.la.params.batch_size)],
-    units=lambda records, bundle: stream.into_batches(records, bundle.la_params.batch_size),
+    units=lambda records, bundle: stream.batches(records, bundle.la_params.batch_size),
     parse_signature=lambda blob, bundle: hy.HySignature.from_bytes(blob, bundle.la_params.group),
     layers=_hy_layers,
 )

@@ -10,16 +10,22 @@ Two input shapes are supported:
 * Raw binary framing: repeated records of an 8-byte big-endian
   timestamp, a 4-byte big-endian payload length, and the payload.
 
+``iter_stream`` reads either shape one record at a time, so that ``hases
+verify`` holds only the records of the units it is checking;
+``read_stream`` returns them all, for ``hases sign``.
+
 Batching into fixed-size windows preserves record order.  A final
 partial window is an error, never padded: padding would silently
-change what is signed.
+change what is signed.  ``batches`` makes each window as it is asked
+for, so a stream read one record at a time shows a partial final window
+only once its records run out.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class Record(NamedTuple):
@@ -30,9 +36,19 @@ class Record(NamedTuple):
     payload: bytes
 
 
-def read_csv_stream(path: str | Path, hex_payload: bool = False) -> list[Record]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as handle:
+def iter_stream(path: str | Path, fmt: str, hex_payload: bool = False) -> Iterator[Record]:
+    """The records of the file at ``path``, read one at a time as they are
+    asked for.  The format is checked and the file opened at once; a
+    malformed record raises ValueError when the reader reaches it."""
+    if fmt == "csv":
+        return _csv_records(open(path, newline="", encoding="utf-8"), hex_payload)
+    if fmt == "bin":
+        return _binary_records(open(path, "rb"))
+    raise ValueError(f"unknown stream format {fmt!r}")
+
+
+def _csv_records(handle, hex_payload: bool) -> Iterator[Record]:
+    with handle:
         for row_num, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue
@@ -41,25 +57,45 @@ def read_csv_stream(path: str | Path, hex_payload: bool = False) -> list[Record]
             if len(row) < 2:
                 raise ValueError(f"row {row_num}: expected timestamp,payload")
             payload = bytes.fromhex(row[1]) if hex_payload else row[1].encode("utf-8")
-            records.append(Record(row[0], payload))
-    return records
+            yield Record(row[0], payload)
+
+
+def _binary_records(handle) -> Iterator[Record]:
+    with handle:
+        while header := handle.read(12):
+            if len(header) < 12:
+                raise ValueError("truncated binary record header")
+            length = int.from_bytes(header[8:], "big")
+            payload = read_upto(handle, length)
+            if len(payload) < length:
+                raise ValueError("truncated binary record payload")
+            yield Record(str(int.from_bytes(header[:8], "big")), payload)
+
+
+# The most one read asks for, so that a length field larger than the
+# input allocates no more than the input holds.
+_READ_CHUNK = 1 << 16
+
+
+def read_upto(handle, size: int) -> bytes:
+    """``size`` bytes from the binary ``handle``, or fewer where its input
+    ends first.  It never asks for the input's length, so a pipe reads
+    as a file does."""
+    if size <= _READ_CHUNK:
+        return handle.read(size)
+    parts = []
+    while size > 0 and (part := handle.read(min(size, _READ_CHUNK))):
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def read_csv_stream(path: str | Path, hex_payload: bool = False) -> list[Record]:
+    return list(iter_stream(path, "csv", hex_payload))
 
 
 def read_binary_stream(path: str | Path) -> list[Record]:
-    data = Path(path).read_bytes()
-    records = []
-    offset = 0
-    while offset < len(data):
-        if offset + 12 > len(data):
-            raise ValueError("truncated binary record header")
-        timestamp = int.from_bytes(data[offset : offset + 8], "big")
-        length = int.from_bytes(data[offset + 8 : offset + 12], "big")
-        offset += 12
-        if offset + length > len(data):
-            raise ValueError("truncated binary record payload")
-        records.append(Record(str(timestamp), data[offset : offset + length]))
-        offset += length
-    return records
+    return list(iter_stream(path, "bin"))
 
 
 def write_binary_stream(path: str | Path, records: Sequence[Record]) -> None:
@@ -71,21 +107,33 @@ def write_binary_stream(path: str | Path, records: Sequence[Record]) -> None:
 
 
 def read_stream(path: str | Path, fmt: str, hex_payload: bool = False) -> list[Record]:
-    if fmt == "csv":
-        return read_csv_stream(path, hex_payload)
-    if fmt == "bin":
-        return read_binary_stream(path)
-    raise ValueError(f"unknown stream format {fmt!r}")
+    return list(iter_stream(path, fmt, hex_payload))
 
 
-def into_batches(records: Sequence[Record], batch_size: int) -> list[list[bytes]]:
-    """Split payloads into consecutive fixed-size windows, order kept."""
+def batches(records: Iterable[Record], batch_size: int) -> Iterator[list[bytes]]:
+    """The payloads of ``records`` in consecutive fixed-size windows, order
+    kept, each made as it is asked for; a partial final window raises
+    ValueError once the records run out."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
-    if len(records) % batch_size:
+    return _batches(records, batch_size)
+
+
+def _batches(records: Iterable[Record], batch_size: int) -> Iterator[list[bytes]]:
+    batch: list[bytes] = []
+    count = 0
+    for count, record in enumerate(records, 1):
+        batch.append(record.payload)
+        if len(batch) == batch_size:
+            yield batch
+            batch = []
+    if batch:
         raise ValueError(
-            f"{len(records)} records do not divide into batches of {batch_size}; "
+            f"{count} records do not divide into batches of {batch_size}; "
             "partial final batches are rejected, not padded"
         )
-    payloads = [r.payload for r in records]
-    return [payloads[i : i + batch_size] for i in range(0, len(payloads), batch_size)]
+
+
+def into_batches(records: Iterable[Record], batch_size: int) -> list[list[bytes]]:
+    """``batches`` as a list: a partial final window raises before any is returned."""
+    return list(batches(records, batch_size))

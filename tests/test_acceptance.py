@@ -439,10 +439,8 @@ def test_criterion_7_hybrid_and_semantics():
 
     # wrapper-layer-only tamper: zero a revealed string; the aggregate side
     # still accepts, the conjunction must not
-    parts = list(signature.pq.parts)
-    parts[0] = bytes(32)
     pq_tampered = hy.HySignature(
-        signature.la, pq.PqSignature(signer, 1, tuple(parts))
+        signature.la, pq.PqSignature(signer, 1, bytes(32) + signature.pq.body[32:])
     )
     pq_only = not check(batch, pq_tampered) and la.verify_batch(
         tables[signer], commitment.la, hy.nest(batch), signature.la, group

@@ -370,7 +370,7 @@ class TestPipelinedVerify:
         def moved(blob, signer_id=in_store, epoch=None):
             signature = pq.PqSignature.from_bytes(blob)
             epoch = signature.epoch if epoch is None else epoch
-            return pq.PqSignature(signer_id, epoch, signature.parts).to_bytes()
+            return pq.PqSignature(signer_id, epoch, signature.body).to_bytes()
 
         blobs[3] = moved(blobs[3], epoch=65)  # past J: epoch-range status
         blobs[17] = moved(blobs[17], signer_id=not_in_store)  # unknown-id status
@@ -511,11 +511,11 @@ class TestOnlineMatchesOffline:
         if bundle.scheme == schemes.PQ.tag:
             old = pq.PqSignature.from_bytes(blob)
             return pq.PqSignature(signer_id or old.signer_id, epoch or old.epoch,
-                                  old.parts).to_bytes()
+                                  old.body).to_bytes()
         old = hy.HySignature.from_bytes(blob, bundle.la_params.group)
         signer_id, epoch = signer_id or old.la.signer_id, epoch or old.la.epoch
         return hy.HySignature(la.LaSignature(signer_id, epoch, old.la.agg, old.la.seed),
-                              pq.PqSignature(signer_id, epoch, old.pq.parts)).to_bytes()
+                              pq.PqSignature(signer_id, epoch, old.pq.body)).to_bytes()
 
     @pytest.mark.parametrize("scheme", ["pq", "hy"])
     def test_same_results_and_exit_codes(self, tmp_path, capsys, scheme):

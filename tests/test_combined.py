@@ -338,7 +338,7 @@ class Deployment:
         if self.scheme is schemes.LA:
             return new_la.to_bytes()
         return hy.HySignature(new_la, pq.PqSignature(new_la.signer_id, new_la.epoch,
-                                                     old.pq.parts)).to_bytes()
+                                                     old.pq.body)).to_bytes()
 
     def exit_and_output(self, capsys, records, blobs, *source):
         sigs, msgs = self.tmp / "chunk.sigs", self.tmp / "chunk.csv"
@@ -407,6 +407,33 @@ def test_online_and_offline_agree_on_a_mixed_chunk(tmp_path, capsys, scheme):
                 1, f"{16 - len(rejected)}/16 signatures valid\n")
             assert deployment.exit_and_output(capsys, *kept_units(records, blobs, rejected),
                                               *source) == (0, "9/9 signatures valid\n")
+
+
+def test_a_refused_combined_check_costs_no_group_work(tmp_path, monkeypatch):
+    """The service does not know signer C: its ``0x08`` is refused, and no
+    value can match a refusal, so C's combined value is never computed."""
+    deployment = Deployment(tmp_path, "la")
+    records, blobs, rejected = mixed_chunk(deployment)
+    signer_of, computed = {}, []
+    seed_of, value_of = la.combination_seed, la.combined_value
+
+    def seed(signer_id, batches):
+        result = seed_of(signer_id, batches)
+        signer_of[result] = signer_id
+        return result
+
+    def value(table, seed, batches, group):
+        computed.append(signer_of[seed])
+        return value_of(table, seed, batches, group)
+
+    monkeypatch.setattr(la, "combination_seed", seed)
+    monkeypatch.setattr(la, "combined_value", value)
+    with transport.CcoServer(deployment.store) as server:
+        results = deployment.results(records, blobs, f"127.0.0.1:{server.port}")
+    assert results == [n not in rejected for n in range(16)]
+    assert sorted(signer_of.values()) == [ID_A, ID_B, ID_C]  # three checks asked for
+    assert sorted(computed) == [ID_A, ID_B]
+    assert deployment.types[:3] == [cco.MSG_LA_COMBINED] * 3
 
 
 @pytest.mark.parametrize("scheme", ["la", "hy"])

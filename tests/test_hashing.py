@@ -178,6 +178,7 @@ def test_images_match_stops_at_the_first_mismatch(k):
     rng = random.Random(k)
     preimages = [rng.randbytes(32) for _ in range(k)]
     images = [domain_hash(2, preimage) for preimage in preimages]
+    preimages = b"".join(preimages)  # read where each lies, as a signature body holds them
     counters.reset()
     assert images_match(preimages, b"".join(images))
     assert counters.snapshot() == (0, 0, k)
@@ -192,7 +193,7 @@ def test_images_match_stops_at_the_first_mismatch(k):
     assert not images_match(preimages, b"".join(images[:-1]))
     assert counters.snapshot() == (0, 0, k)
     counters.reset()
-    assert images_match([], b"")
+    assert images_match(b"", b"")
     assert counters.snapshot() == (0, 0, 0)
 
 

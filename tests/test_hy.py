@@ -198,10 +198,9 @@ class TestVerify:
         assert not self.verify(signature=tampered)
 
     def test_wrapper_only_tamper_rejected(self):
-        parts = list(self.signature.pq.parts)
-        parts[0] = bytes(32)
+        body = bytes(32) + self.signature.pq.body[32:]
         tampered = hy.HySignature(
-            self.signature.la, pq.PqSignature(ID_A, self.signature.pq.epoch, tuple(parts))
+            self.signature.la, pq.PqSignature(ID_A, self.signature.pq.epoch, body)
         )
         digests = hy.nest(self.batch)
         assert la.verify_batch(
@@ -276,7 +275,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             hy.HySignature(
                 signature.la,
-                pq.PqSignature(ID_A, signature.pq.epoch + 1, signature.pq.parts),
+                pq.PqSignature(ID_A, signature.pq.epoch + 1, signature.pq.body),
             )
 
 

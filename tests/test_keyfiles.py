@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hases import cco, hy, keyfiles, la, pq, schemes
+from hases.errors import BadSignatureFile
 from hases.group import production_group, small_test_group
 
 ID_A = bytes([0x3C]) * 16
@@ -139,6 +140,40 @@ def test_signature_file_round_trip(tmp_path):
     blobs = [b"first", b"second longer blob", b""]
     keyfiles.save_signatures(path, blobs)
     assert keyfiles.load_signatures(path) == blobs
+
+
+@pytest.mark.parametrize("blobs, container", [
+    ([], bytes(8)),
+    ([b"one"], bytes.fromhex("0000000000000001" "00000003") + b"one"),
+    ([b"first", b"", b"third!"], bytes.fromhex("0000000000000003" "00000005") + b"first"
+     + bytes.fromhex("00000000" "00000006") + b"third!"),
+], ids=["0", "1", "3"])
+def test_signature_container_bytes(tmp_path, blobs, container):
+    assert keyfiles.signatures_bytes(blobs) == container
+    path = tmp_path / "sigs.bin"
+    keyfiles.save_signatures(path, blobs)
+    assert path.read_bytes() == container
+    assert list(keyfiles.iter_signatures(path)) == keyfiles.load_signatures(path) == blobs
+
+
+def test_signature_reader_reads_on_demand_and_names_the_file(tmp_path):
+    path = tmp_path / "sigs.bin"
+    keyfiles.save_signatures(path, [b"first", b"second"])
+    path.write_bytes(path.read_bytes()[:-1])
+    entries = keyfiles.iter_signatures(path)
+    assert next(entries) == b"first"  # the cut is not reached yet
+    with pytest.raises(BadSignatureFile, match=f"{path} is not a signature file: truncated"):
+        next(entries)
+    # a length past the end is refused, having read no more than the file holds
+    path.write_bytes(bytes.fromhex("0000000000000001" "ffffffff"))
+    with pytest.raises(BadSignatureFile, match="truncated signature file"):
+        list(keyfiles.iter_signatures(path))
+    path.write_bytes(keyfiles.signatures_bytes([b"x"]) + b"!")
+    with pytest.raises(BadSignatureFile, match="trailing bytes in signature file"):
+        keyfiles.load_signatures(path)
+    path.write_bytes(bytes(7))
+    with pytest.raises(BadSignatureFile, match="truncated signature file"):
+        keyfiles.iter_signatures(path)  # the count is read at once
 
 
 def test_commitment_file_round_trip(tmp_path):

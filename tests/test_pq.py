@@ -146,8 +146,7 @@ class TestSign:
     def test_payload_size(self):
         states, _ = pq.keygen([ID_A], PROD, fixed_rng(9))
         sig = pq.sign(states[ID_A], b"message")
-        assert len(sig.parts) == 16
-        assert sum(len(p) for p in sig.parts) == 512
+        assert len(sig.body) == 16 * 32 == 512
         assert len(sig.to_bytes()) == 1 + 16 + 8 + 512
 
     def test_hash_budget_exactly_k_plus_two(self):
@@ -170,7 +169,7 @@ class TestSign:
         signature = pq.sign(state, message)
         # one H0 for the indices, k H1 for the parts and one for the key update
         assert counters.snapshot() == (1, params.k + 1, 0)
-        assert signature.parts == tuple(domain_hash(1, seed + encode_index(x + 1)) for x in indices)
+        assert signature.body == b"".join(domain_hash(1, seed + encode_index(x + 1)) for x in indices)
 
     def test_epoch_recorded_before_update(self):
         states, _ = pq.keygen([ID_A], TOY, fixed_rng(11))
@@ -185,7 +184,8 @@ class TestSign:
         state = states[ID_A]
         a = pq.sign(state, b"m")
         b = pq.sign(state, b"m")
-        assert set(a.parts).isdisjoint(b.parts)
+        a_parts, b_parts = ({s.body[i : i + 32] for i in range(0, len(s.body), 32)} for s in (a, b))
+        assert a_parts.isdisjoint(b_parts)
 
 
 class TestCommitmentConstruction:
@@ -298,13 +298,13 @@ class TestVerify:
     def test_wrong_id_rejected(self):
         signature = pq.sign(self.state, b"m")
         commitment = pq.construct_commitment(self.material, ID_A, 1)
-        forged = pq.PqSignature(ID_B, signature.epoch, signature.parts)
+        forged = pq.PqSignature(ID_B, signature.epoch, signature.body)
         assert not pq.verify(commitment, b"m", forged, TOY)
 
     def test_wrong_part_count_rejected(self):
         signature = pq.sign(self.state, b"m")
         commitment = pq.construct_commitment(self.material, ID_A, 1)
-        short = pq.PqSignature(ID_A, 1, signature.parts[:-1])
+        short = pq.PqSignature(ID_A, 1, signature.body[:-32])
         assert not pq.verify(commitment, b"m", short, TOY)
 
     def test_bit_flip_fuzz_production_params(self):
@@ -327,9 +327,9 @@ class TestVerify:
         signature = pq.sign(states[ID_A], message)
         indices = pq.message_indices(message, PROD)
         opening = pq.open_commitment(material, ID_A, 1, indices)
-        parts = list(signature.parts)
-        parts[tampered] = bytes(a ^ 1 for a in parts[tampered])
-        forged = pq.PqSignature(ID_A, 1, tuple(parts))
+        body = bytearray(signature.body)
+        body[32 * tampered : 32 * (tampered + 1)] = bytes(a ^ 1 for a in body[32 * tampered : 32 * (tampered + 1)])
+        forged = pq.PqSignature(ID_A, 1, bytes(body))
         counters.reset()
         assert not pq.verify(opening, message, forged, PROD, indices)
         assert counters.snapshot() == (0, 0, tampered + 1)
@@ -349,7 +349,7 @@ class TestVerify:
                 ID_A, bytearray(self.state.seed), self.state.epoch, TOY
             )
             forged = pq.sign(leaked, b"forgery attempt")
-            aligned = pq.PqSignature(ID_A, ancestor, forged.parts)
+            aligned = pq.PqSignature(ID_A, ancestor, forged.body)
             assert not pq.verify(old_commitment, b"forgery attempt", aligned, TOY)
 
 
@@ -449,7 +449,7 @@ class TestOpening:
         opened = pq.open_commitment(material, ID_A, 1, pq.message_indices(forged, PROD))
         assert not pq.verify(opened, forged, signature, PROD)
         assert not pq.verify(full, forged, signature, PROD)
-        tampered = pq.PqSignature(ID_A, 1, signature.parts[:-1] + (bytes(32),))
+        tampered = pq.PqSignature(ID_A, 1, signature.body[:-32] + bytes(32))
         assert not pq.verify(opening, message, tampered, PROD)
         # a commitment with the wrong entry count cannot be opened
         short = pq.PqCommitment(ID_A, 1, full.body[: -pq.DIGEST_LEN])

@@ -17,7 +17,7 @@ ID, OTHER = bytes(range(16)), bytes(16)
 PQ_PARAMS = pq.PqParams(t=16, k=2, j1=2, j2=4)
 LA_PARAMS = la.LaParams(GROUP, 8, 2)
 SEED = bytes(range(32, 64))
-PARTS = (b"\x01" * 32, b"\x02" * 32)
+PARTS = b"\x01" * 32 + b"\x02" * 32  # a pq signature body: k = 2 strings
 BODY = bytes(range(256)) * 2  # t = 16 entries of 32 bytes
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hases.stream import (
@@ -53,6 +55,19 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(data[:-2])
     with pytest.raises(ValueError):
         read_binary_stream(path)
+
+
+def test_a_record_length_past_the_end_allocates_little(tmp_path):
+    path = tmp_path / "s.bin"
+    path.write_bytes((1).to_bytes(8, "big") + (0xFFFFFFFF).to_bytes(4, "big") + b"short")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated binary record payload"):
+            read_binary_stream(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"{peak} bytes for a 17-byte file"
 
 
 def test_read_stream_dispatch(tmp_path):
