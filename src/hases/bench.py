@@ -273,6 +273,8 @@ def bench_hy(
     state = states[_BENCH_ID]
     batch = [b"bench item %08d" % i for i in range(batch_size)]
 
+    # the nested vector a batch's aggregate layer signs: 2L - 1 hashes
+    _row(report, "nest", lambda _: hy.nest(batch), trials)
     signature = _row(report, "sign_batch", lambda _: hy.sign_batch(state, batch), trials)
 
     epoch = signature.la.epoch

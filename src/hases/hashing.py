@@ -25,14 +25,21 @@ head`` once and copy that state for each tail; ``images_match`` checks
 each preimage sliced from a body of preimages against the image sliced
 from the same offset of a body of images, and stops at the first
 mismatch; ``combination_weights`` cuts the 128-bit weights of a
-combined check from H2(seed || i), one position i at a time.  Each
+combined check from H2(seed || i), one position i at a time.
+``revealed_strings`` is the whole of a pq signature: H0 of the message
+picks k indices, ``byte(1) || seed`` is hashed once, each selected
+label is hashed on a copy of that state, and the state's own digest,
+H1(seed), is the next seed.  ``nested_digests`` is a hy batch's 2L - 1
+chained H0 calls in one loop.  Each
 returns exactly what the ``domain_hash``/``hash_to_scalar`` composition
 returns, and adds the calls that composition would make to
 its domain's counter in one step per call (a retried scalar and a
 check that stops early count the calls actually made).  The only
-module-level cache is ``label_table``: the public 8-byte encodings of
-the labels 1..n.  A hash state that has absorbed a seed is a local of
-one kernel call, so it never outlives the ``sign`` that asked for it.
+module-level caches are ``label_table``, the public 8-byte encodings
+of the labels 1..n, and ``signing_table``, those of 1..t with the
+index shifts and mask of a (t, k).  A hash state that has absorbed a
+seed is a local of one kernel call, so it never outlives the ``sign``
+that asked for it.
 
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
@@ -43,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .records import SlotRecord
 
@@ -124,6 +131,63 @@ def label_table(n: int) -> tuple[bytes, ...]:
 
     Public encodings only, cached per ``n``."""
     return tuple(encode_index(label) for label in range(1, n + 1))
+
+
+class SigningTable(NamedTuple):
+    """What ``revealed_strings`` needs of a pq (t, k), all public."""
+
+    labels: tuple[bytes, ...]  # label_table(t): index x selects label x + 1
+    shifts: tuple[int, ...]  # right shift of each index's log2(t)-bit window, most significant first
+    mask: int  # t - 1
+
+
+@functools.lru_cache(maxsize=8)
+def signing_table(t: int, k: int) -> SigningTable:
+    """The signing table of t entries (a power of two), k revealed; cached."""
+    bits = (t - 1).bit_length()
+    shifts = tuple(8 * DIGEST_LEN - bits * (n + 1) for n in range(k))
+    return SigningTable(label_table(t), shifts, t - 1)
+
+
+def revealed_strings(message: bytes, seed, table: SigningTable) -> tuple[bytes, bytes]:
+    """The body of a pq signature of ``message`` under ``seed``, and the
+    next seed.
+
+    The body is H1(seed || label) for the label of each index that
+    H0(message) selects (``table.shifts`` and ``table.mask`` cut them),
+    joined in index order; the next seed is H1(seed).  ``byte(1) ||
+    seed`` is hashed once: each label is hashed on a copy of that state,
+    and the state's own digest is the next seed.  Counted as 1 H0 call
+    and k + 1 H1 calls, each domain in one step.
+    """
+    labels, shifts, mask = table
+    value = int.from_bytes(_sha256(b"\x00" + message).digest(), "big")
+    state = _sha256(b"\x01")
+    state.update(seed)
+    copy = state.copy
+    parts = []
+    for shift in shifts:
+        label_state = copy()
+        label_state.update(labels[value >> shift & mask])
+        parts.append(label_state.digest())
+    counters.calls_h0 += 1
+    counters.calls_h1 += len(parts) + 1
+    return b"".join(parts), state.digest()
+
+
+def nested_digests(messages: Sequence[bytes]) -> list[bytes]:
+    """n_1 = H0(m_1), then n_l = H0(m_l || H0(n_(l-1))) for each later
+    message: a hy batch's nested vector, counted as its 2L - 1 H0 calls
+    in one step.  At least one message."""
+    sha256 = _sha256
+    digest = sha256(b"\x00" + messages[0]).digest()
+    digests = [digest]
+    for message in messages[1:]:
+        link = sha256(b"\x00" + digest).digest()
+        digest = sha256(b"\x00" + message + link).digest()
+        digests.append(digest)
+    counters.calls_h0 += 2 * len(digests) - 1
+    return digests
 
 
 def _prefix_state(domain: int, head: bytes):

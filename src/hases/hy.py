@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import la, pq
 from .errors import EpochDesync
 from .group import PrimeOrderGroup, encode_scalar
-from .hashing import DOM_MESSAGE, domain_hash
+from .hashing import nested_digests
 from .records import CheckedTuple, SlotRecord
 
 SIGNATURE_TAG = 0x03
@@ -59,14 +59,11 @@ def _split(
 
 
 def nest(messages: Sequence[bytes]) -> list[bytes]:
-    """Nested digest vector of a batch; the last entry binds the whole."""
+    """Nested digest vector of a batch; the last entry binds the whole.
+    2L - 1 H0 calls, made by one ``nested_digests`` call."""
     if not messages:
         raise ValueError("cannot nest an empty batch")
-    digests = [domain_hash(DOM_MESSAGE, messages[0])]
-    for message in messages[1:]:
-        link = domain_hash(DOM_MESSAGE, digests[-1])
-        digests.append(domain_hash(DOM_MESSAGE, message + link))
-    return digests
+    return nested_digests(messages)
 
 
 def inner_message(agg: int, last_digest: bytes) -> bytes:

@@ -225,7 +225,9 @@ def keygen(
 
 
 def aggregate(parts: Sequence[int], q: int) -> int:
-    """Sum of response scalars mod q; order-independent."""
+    """Sum of response scalars mod q; order-independent.  ``sign_batch``
+    reaches the same value as (sum of nonces - y * sum of challenges)
+    mod q, without forming the responses."""
     total = 0
     for part in parts:
         if not 0 <= part < q:
@@ -269,8 +271,9 @@ def sign_batch(state: LaSignerState, messages: Sequence[bytes]) -> LaSignature:
     public_seed = _epoch_seed(DOM_MESSAGE, key, state.epoch)
     nonces = _item_nonces(_epoch_seed(DOM_CHAIN, key, state.epoch), len(messages), q)
     challenges = _item_challenges(messages, _item_seeds(public_seed, len(messages)), q)
-    responses = [(nonce - challenge * key) % q for nonce, challenge in zip(nonces, challenges)]
-    signature = LaSignature(state.signer_id, state.epoch, aggregate(responses, q), public_seed)
+    # the sum of the responses s_l = r_l - e_l * y, without forming them
+    agg = (sum(nonces) - key * sum(challenges)) % q
+    signature = LaSignature(state.signer_id, state.epoch, agg, public_seed)
     state.epoch += 1
     return signature
 

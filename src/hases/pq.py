@@ -30,7 +30,6 @@ construction and verification sides map preimages to entries with H2.
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
@@ -47,9 +46,9 @@ from .hashing import (
     encode_header,
     images_match,
     iter_hash,
-    label_table,
     opened_images,
-    prefixed_hashes,
+    revealed_strings,
+    signing_table,
     split_header,
 )
 from .records import CheckedTuple, SlotRecord
@@ -289,7 +288,9 @@ def keygen(
 
 
 def advance_key(state: PqSignerState) -> None:
-    """One-way key update: replace the seed, erase the old bytes."""
+    """One-way key update: replace the seed by H1(seed), erase the old
+    bytes.  ``sign`` makes the same update without this call: H1(seed)
+    is the digest of the hash state its labels are copied from."""
     if state.exhausted:
         raise EpochExhausted(f"all {state.params.epochs} epochs used")
     new_seed = domain_hash(DOM_CHAIN, bytes(state.seed))
@@ -308,34 +309,30 @@ def message_indices(message: bytes, params: PqParams) -> tuple[int, ...]:
 
 
 def indices_from_digest(digest: bytes, params: PqParams) -> tuple[int, ...]:
+    _, shifts, mask = signing_table(params.t, params.k)
     value = int.from_bytes(digest, "big")
-    mask = params.t - 1
-    return tuple([value >> shift & mask for shift in _index_shifts(params)])
-
-
-@functools.lru_cache(maxsize=8)
-def _index_shifts(params: PqParams) -> tuple[int, ...]:
-    """The right shift of each of the k log2(t)-bit windows of a digest,
-    most significant first: public, cached per params."""
-    bits = params.index_bits
-    return tuple(8 * DIGEST_LEN - bits * (n + 1) for n in range(params.k))
+    return tuple([value >> shift & mask for shift in shifts])
 
 
 def sign(state: PqSignerState, message: bytes) -> PqSignature:
     """Sign at the current epoch, then advance the key.
 
-    Costs exactly 1 + k + 1 primitive hash calls.  The returned
-    signature carries the epoch it was produced at (the pre-update
-    value), which is the epoch whose commitment verifies it.
+    Costs exactly 1 + k + 1 primitive hash calls, made by one
+    ``revealed_strings`` call: the k revealed strings are hashed on
+    copies of the H1 state of the seed, and that state's own digest,
+    H1(seed), is the key update ``advance_key`` would make, written over
+    the old seed in place.  The returned signature carries the epoch it
+    was produced at (the pre-update value), which is the epoch whose
+    commitment verifies it.
     """
+    params = state.params
     if state.exhausted:
-        raise EpochExhausted(f"all {state.params.epochs} epochs used")
-    indices = message_indices(message, state.params)
-    labels = label_table(state.params.t)
-    # the seed's hash state lives in this call only
-    body = b"".join(prefixed_hashes(DOM_CHAIN, bytes(state.seed), [labels[x] for x in indices]))
+        raise EpochExhausted(f"all {params.epochs} epochs used")
+    # the seed's hash state lives in the kernel call only
+    body, next_seed = revealed_strings(message, state.seed, signing_table(params.t, params.k))
+    state.seed[:] = next_seed
     signature = PqSignature(state.signer_id, state.epoch, body)
-    advance_key(state)
+    state.epoch += 1
     return signature
 
 

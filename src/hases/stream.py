@@ -56,7 +56,13 @@ def _csv_records(handle, hex_payload: bool) -> Iterator[Record]:
                 continue
             if len(row) < 2:
                 raise ValueError(f"row {row_num}: expected timestamp,payload")
-            payload = bytes.fromhex(row[1]) if hex_payload else row[1].encode("utf-8")
+            if hex_payload:
+                try:
+                    payload = bytes.fromhex(row[1])
+                except ValueError as exc:
+                    raise ValueError(f"row {row_num}: {exc}") from None
+            else:
+                payload = row[1].encode("utf-8")
             yield Record(row[0], payload)
 
 

@@ -141,6 +141,10 @@ class CcoServer(socketserver.ThreadingTCPServer):
     """
 
     allow_reuse_address = True
+    # socketserver's default backlog of 5 drops the SYNs of a burst of
+    # connects (every `hases verify --cco` opens one), and a dropped SYN
+    # costs its client a one-second retransmit
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _Handler)

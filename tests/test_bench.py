@@ -52,6 +52,7 @@ def test_la_report_on_tiny_group():
 def test_hy_report_combines_layers():
     report = bench.bench_hy(PQ_SMALL, small_test_group(), batch_size=2, trials=2)
     counts = {op.name: op.hash_calls for op in report.ops}
+    assert counts["nest"] == 2 * 2 - 1
     assert counts["sign_batch"] > 18  # wrapper layer plus aggregate layer
     assert counts["precompute_per_key"] == counts["load_table_per_key"] == 0
     names = [op.name for op in report.ops]

@@ -255,6 +255,24 @@ class TestRequestHandling:
 
 
 class TestWireProtocol:
+    def test_a_burst_of_connects_fits_the_listen_backlog(self):
+        # bound and listening but not serving, so nothing accepts: every
+        # connect must complete in the kernel's queue, as a burst of
+        # verifiers' connects does while the server is busy.  A backlog of
+        # 5 completes 6 and times the 7th out.
+        store, *_ = provisioned_store(seed=7)
+        server = transport.CcoServer(store)
+        connections = []
+        try:
+            for _ in range(16):
+                connections.append(socket.create_connection(("127.0.0.1", server.port),
+                                                            timeout=0.5))
+        finally:
+            for connection in connections:
+                connection.close()
+            server.server_close()
+        assert len(connections) == 16
+
     def test_round_trip_over_tcp(self):
         store, states, public, material, group = provisioned_store(seed=8)
         batch = [b"a", b"b", b"c"]

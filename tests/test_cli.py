@@ -330,6 +330,19 @@ class TestSignVerifyOffline:
         assert cli.main(argv) == 0  # released: the key signs again
         assert keyfiles.load_signer_key(key).epoch == 3
 
+    def test_a_bad_hex_payload_names_its_row_and_signs_nothing(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key = out / f"signer_{ID_HEX_1}.key"
+        before = key.read_bytes()
+        msgs = tmp_path / "hex.csv"
+        msgs.write_text("1,00ff\n2,zz\n3,0102\n")
+        code = cli.main(["sign", "--key", str(key), "--in", str(msgs), "--hex",
+                         "--out", str(tmp_path / "sigs.bin")])
+        assert code == 2
+        assert "error: row 2: non-hexadecimal number found" in capsys.readouterr().err
+        assert key.read_bytes() == before
+        assert not (tmp_path / "sigs.bin").exists()
+
     def test_partial_batch_exits_2(self, tmp_path):
         out = keygen(tmp_path, "la", ["--L", "4"])
         key = out / f"signer_{ID_HEX_1}.key"

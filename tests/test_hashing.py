@@ -2,7 +2,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hases import hy, la, pq
+from hases.group import production_group
 from hases.hashing import (
     HEADER_LEN,
     check_signer_ids,
@@ -16,9 +20,12 @@ from hases.hashing import (
     images_match,
     iter_hash,
     label_table,
+    nested_digests,
     opened_images,
     prefixed_hashes,
     prefixed_scalars,
+    revealed_strings,
+    signing_table,
     split_header,
 )
 
@@ -265,3 +272,69 @@ def test_combination_weights_are_128_bit_cuts_of_h2_per_position():
     assert counters.snapshot() == (0, 0, 16)
     assert combination_weights(seed, 3) == reference[:3]
     assert all(0 <= z < 1 << 128 for z in reference)
+
+
+def index_oracle(message, t, k):
+    """The k indices a message selects, cut from its H0 digest's bits by string slicing."""
+    bits = "".join(f"{byte:08b}" for byte in hashlib.sha256(b"\x00" + message).digest())
+    width = (t - 1).bit_length()
+    return [int(bits[n * width : (n + 1) * width], 2) for n in range(k)]
+
+
+def test_signing_table_holds_labels_shifts_and_mask():
+    table = signing_table(1024, 16)
+    assert table.labels == label_table(1024)
+    assert table.shifts == tuple(256 - 10 * (n + 1) for n in range(16))
+    assert table.mask == 1023
+    assert signing_table(8, 4).shifts == (253, 250, 247, 244)
+
+
+@settings(max_examples=150, deadline=None)
+@given(message=st.binary(max_size=80), seed=st.binary(min_size=32, max_size=32),
+       tk=st.sampled_from([(8, 4), (8, 1), (1024, 16), (1024, 25)]))
+def test_revealed_strings_match_the_domain_hash_composition(message, seed, tk):
+    t, k = tk
+    body = b"".join(domain_hash(1, seed + encode_index(x + 1)) for x in index_oracle(message, t, k))
+    next_seed = domain_hash(1, seed)
+    counters.reset()
+    # the seed as the signer holds it, a bytearray, which the kernel only reads
+    held = bytearray(seed)
+    assert revealed_strings(message, held, signing_table(t, k)) == (body, next_seed)
+    assert held == seed
+    # 1 H0 for the indices, k H1 for the strings and 1 for the next seed
+    assert counters.snapshot() == (1, k + 1, 0)
+
+
+def nest_oracle(messages):
+    digests = [domain_hash(0, messages[0])]
+    for message in messages[1:]:
+        digests.append(domain_hash(0, message + domain_hash(0, digests[-1])))
+    return digests
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), size=st.sampled_from([1, 2, 8]))
+def test_nested_digests_match_the_domain_hash_composition(data, size):
+    messages = data.draw(st.lists(st.binary(max_size=48), min_size=size, max_size=size))
+    reference = nest_oracle(messages)
+    counters.reset()
+    assert nested_digests(messages) == reference
+    assert counters.snapshot() == (2 * size - 1, 0, 0)
+
+
+def test_la_and_hy_batches_cost_their_budgets_exactly():
+    """2 + 3L = 26 hashes per la batch and 2L - 1 + 26 + 18 = 59 per hy
+    batch at L=8, t=1024, k=16: the budgets the CI checks through
+    ``hases bench``, with the kernels counting in one step per call."""
+    ids = [bytes(16)]
+    batch = [b"item %d" % n for n in range(8)]
+    group = production_group()
+    la_state = la.keygen(ids, group, 4, 8)[0][ids[0]]
+    counters.reset()
+    la.sign_batch(la_state, batch)
+    # H0 and H1 of the epoch seeds, then per item a seed, a nonce, a challenge
+    assert counters.snapshot() == (1 + 8, 1 + 8, 8)
+    hy_state = hy.keygen(ids, group, 8, pq.PqParams(t=1024, k=16, j1=1, j2=4))[0][ids[0]]
+    counters.reset()
+    hy.sign_batch(hy_state, batch)
+    assert counters.snapshot() == (15 + 9 + 1, 9 + 17, 8)

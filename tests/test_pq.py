@@ -2,8 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hases import pq
+from hases import cli, keyfiles, pq
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from hases.hashing import counters, domain_hash, encode_index, iter_hash
 
@@ -114,6 +116,43 @@ class TestKeyUpdate:
             pq.advance_key(state)
 
 
+class TestStreamEnd:
+    """``hases sign`` over a stream that reaches the last epoch, and one
+    record past it."""
+
+    J = 16
+
+    def key(self, tmp_path):
+        (tmp_path / "ids.txt").write_text("aa" * 16 + "\n")
+        assert cli.main(["keygen", "--scheme", "pq", "--ids", str(tmp_path / "ids.txt"),
+                         "--J", str(self.J), "--J1", "4", "--t", "64", "--k", "8",
+                         "--out", str(tmp_path / "keys")]) == 0
+        return tmp_path / "keys" / f"signer_{'aa' * 16}.key"
+
+    def sign(self, tmp_path, key, records):
+        msgs = tmp_path / f"{records}.csv"
+        msgs.write_text("".join(f"{n},record {n}\n" for n in range(records)))
+        return cli.main(["sign", "--key", str(key), "--in", str(msgs),
+                         "--out", str(tmp_path / f"{records}.sigs")])
+
+    def test_a_stream_of_J_records_leaves_the_key_at_epoch_J_plus_1(self, tmp_path):
+        key = self.key(tmp_path)
+        assert self.sign(tmp_path, key, self.J) == 0
+        state = keyfiles.load_signer_key(key)
+        assert state.epoch == self.J + 1 and state.exhausted
+        signatures = keyfiles.load_signatures(tmp_path / f"{self.J}.sigs")
+        assert [pq.PqSignature.from_bytes(blob).epoch for blob in signatures] == list(
+            range(1, self.J + 1))
+
+    def test_one_record_past_the_last_epoch_changes_nothing(self, tmp_path, capsys):
+        key = self.key(tmp_path)
+        before = key.read_bytes()
+        assert self.sign(tmp_path, key, self.J + 1) == 2
+        assert f"all {self.J} epochs used" in capsys.readouterr().err
+        assert key.read_bytes() == before
+        assert not (tmp_path / f"{self.J + 1}.sigs").exists()
+
+
 class TestMessageIndices:
     def test_consumes_first_160_bits(self):
         params = pq.PqParams(t=1024, k=16)
@@ -170,6 +209,24 @@ class TestSign:
         # one H0 for the indices, k H1 for the parts and one for the key update
         assert counters.snapshot() == (1, params.k + 1, 0)
         assert signature.body == b"".join(domain_hash(1, seed + encode_index(x + 1)) for x in indices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(message=st.binary(max_size=80), seed=st.binary(min_size=32, max_size=32),
+           params=st.sampled_from([TOY, PROD]))
+    def test_sign_is_the_composition_then_advance_key(self, message, seed, params):
+        reference = pq.PqSignerState(ID_A, bytearray(seed), 3, params)
+        body = b"".join(domain_hash(1, seed + encode_index(x + 1))
+                        for x in pq.message_indices(message, params))
+        pq.advance_key(reference)
+        state = pq.PqSignerState(ID_A, bytearray(seed), 3, params)
+        held = state.seed
+        counters.reset()
+        assert pq.sign(state, message) == pq.PqSignature(ID_A, 3, body)
+        assert counters.snapshot() == (1, params.k + 1, 0)
+        # the key update, written over the old seed in place
+        assert state.seed is held
+        assert (bytes(state.seed), state.epoch) == (bytes(reference.seed), reference.epoch) == (
+            domain_hash(1, seed), 4)
 
     def test_epoch_recorded_before_update(self):
         states, _ = pq.keygen([ID_A], TOY, fixed_rng(11))

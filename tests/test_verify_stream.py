@@ -54,19 +54,19 @@ class Flow:
                          "--export", f"1:{UNITS}", "--out", str(self.commits)]) == 0
         self.requests.clear()
 
-    def verify(self, capsys, source, msgs=None, sigs=None):
+    def verify(self, capsys, source, msgs=None, sigs=None, extra=()):
         capsys.readouterr()
         code = cli.main(["verify", "--pub", str(self.pub), "--in", str(msgs or self.msgs),
-                         "--sigs", str(sigs or self.sigs), *source])
+                         "--sigs", str(sigs or self.sigs), *source, *extra])
         return code, capsys.readouterr()
 
 
 @pytest.fixture(params=["cco", "commits"])
 def run(request, tmp_path, capsys):
     """``run(scheme)``: a ``Flow`` of that scheme with its service up, and
-    ``verify(msgs=..., sigs=...)``, which runs ``hases verify`` on its
-    chunk, or on the files given, with ``--cco`` or ``--commits`` as the
-    parameter says."""
+    ``verify(msgs=..., sigs=..., extra=...)``, which runs ``hases verify``
+    on its chunk, or on the files given, with ``--cco`` or ``--commits``
+    as the parameter says and any ``extra`` arguments."""
     flows = {}
 
     def start(scheme):
@@ -127,6 +127,19 @@ def test_a_malformed_row_after_the_first_run_exits_2(run):
     assert code == 2
     assert output.out == ""
     assert "error: row 21: expected timestamp,payload" in output.err
+
+
+def test_a_bad_hex_payload_names_its_row(run):
+    # the rows as hex of the bytes signed, so every row before the bad one verifies
+    flow, verify = run("pq")
+    lines = [f"{n},{f'record {n}'.encode().hex()}\n" for n in range(UNITS)]
+    lines[20] = "20,zz\n"
+    msgs = flow.tmp / "hex.csv"
+    msgs.write_text("".join(lines))
+    code, output = verify(msgs=msgs, extra=["--hex"])
+    assert code == 2
+    assert output.out == ""
+    assert "error: row 21: non-hexadecimal number found" in output.err
 
 
 @pytest.mark.parametrize("scheme", ["la", "hy"])
