@@ -144,10 +144,8 @@ SEED_LEN = 32  # of a combined request's seed
 # one stream running up to a window apart are both served from one
 # build), about 60 runs of 16 openings (one 0x05 each) or 970 single
 # openings at k=16.  No entry is ever invalidated, and none needs to be:
-# only OK responses are kept, ``provision`` refuses overlapping ids and
-# any change of master key or parameters, and ``set_storage_policy``
-# moves only the anchors a chain walk starts from, not its result.  So
-# the OK response to a given payload never changes.
+# only OK responses are kept, material is installed once, and a policy
+# change moves only the anchors a chain walk starts from, not its result.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
 # the names of ``hases.transport`` that ``__getattr__`` serves from here
@@ -250,20 +248,6 @@ class _ResponseCache:
                               len(self._entries), self._size)
 
 
-def _merged(current, incoming, what: str, merge: Callable):
-    """``merge(current, incoming)`` of two key materials of one scheme, or
-    whichever is not None; ValueError if their master keys or parameters
-    differ or their ids overlap."""
-    if current is None or incoming is None:
-        return incoming or current
-    if current.msk != incoming.msk or current.params != incoming.params:
-        raise ValueError(f"incompatible {what} master key or parameters")
-    overlap = set(current.signer_ids) & set(incoming.signer_ids)
-    if overlap:
-        raise ValueError(f"signer already provisioned: {sorted(overlap)[0].hex()}")
-    return merge(current, incoming)
-
-
 class CcoStore:
     """Thread-safe holder of per-scheme master secrets and anchors."""
 
@@ -276,25 +260,23 @@ class CcoStore:
         # seed last derived for it (``pq.Cursor``).  Entries are replaced
         # whole without a lock; a racing write of an older epoch only
         # lengthens a later walk, since every entry is a true seed.  None
-        # is ever invalidated, and none needs to be: a seed depends only
-        # on the master key and the id, ``provision`` refuses any change
-        # of master key or parameters, and ``set_storage_policy`` moves
-        # only the anchors.  Unknown ids are refused before any walk, so
-        # there is one entry at most per provisioned signer.
+        # is ever invalidated: material is installed once, and a policy
+        # change moves only the anchors.  Unknown ids are refused before
+        # any walk, so there is one entry at most per provisioned signer.
         self._cursor: pq.Cursor = {}
 
     # -- provisioning (exclusive writers) --------------------------------
 
     def provision(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]) -> None:
-        """Install keygen output.  Rejects id collisions and incompatible
-        master keys/parameters; a rejected call changes nothing."""
+        """Install keygen output: its pq part and its la part, each into a
+        store that holds no part of that kind yet, as an oracle takes its
+        master secrets once, at setup.  ValueError, changing nothing, if
+        the store already holds a part of ``material``'s kinds."""
         pq_part, la_part = schemes.of(material).parts(material)
         with self._lock:
-            new_pq = _merged(self._pq, pq_part, "forward-secure", lambda a, b: pq.PqKeyMaterial(
-                a.msk, a.params, {**a.anchors, **b.anchors}))
-            new_la = _merged(self._la, la_part, "aggregate", lambda a, b: la.LaKeyMaterial(
-                a.msk, a.params, a.signer_ids | b.signer_ids))
-            self._pq, self._la = new_pq, new_la
+            if (pq_part and self._pq) or (la_part and self._la):
+                raise ValueError("the store already holds material of this kind: it is provisioned once")
+            self._pq, self._la = pq_part or self._pq, la_part or self._la
 
     def set_storage_policy(self, j1: int) -> None:
         """Rebuild the anchor tables for a new epoch factorization.
@@ -309,12 +291,9 @@ class CcoStore:
             old = self._pq.params
             if j1 < 1 or old.epochs % j1:
                 raise ValueError(f"{j1} does not divide the epoch count {old.epochs}")
-            params = pq.PqParams(t=old.t, k=old.k, l=old.l, j1=j1, j2=old.epochs // j1)
-            anchors = {
-                sid: pq.derive_anchors(self._pq.msk, sid, params)
-                for sid in self._pq.anchors
-            }
-            self._pq = pq.PqKeyMaterial(self._pq.msk, params, anchors)
+            params = old._replace(j1=j1, j2=old.epochs // j1)
+            anchors = {sid: pq.derive_anchors(self._pq.msk, sid, params) for sid in self._pq.anchors}
+            self._pq = self._pq._replace(params=params, anchors=anchors)
 
     # -- snapshots for readers -------------------------------------------
 

@@ -127,8 +127,11 @@ def cmd_sign(args) -> int:
         state = keyfiles.load_signer_key(args.key)
         records = stream.read_stream(args.input, args.format, args.hex)
         blobs = schemes.of(state).sign(state, records)
-        # persist the evolved key before the signatures: a failure in between
-        # loses tags, never reuses a burned epoch
+        # an --out that cannot be written fails here, before the evolved
+        # key burns its epochs ("ab" writes nothing and keeps what is
+        # there, so --in may be --out); the key is saved before the
+        # signatures: a failure in between loses tags, never reuses an epoch
+        open(args.out, "ab").close()
         keyfiles.save_signer_key(args.key, state)
     keyfiles.save_signatures(args.out, blobs)
     print(f"signed {len(records)} records into {len(blobs)} signatures")

@@ -28,23 +28,24 @@ key its caller has just computed (keygen), and ``table_bytes`` and
 ``table_from_bytes`` carry a table to and from the key table file that
 ``hases.keyfiles`` writes beside a verifier bundle.
 
-On edwards25519 both the generator and a key have a fixed-base comb of
+On edwards25519 there is one multiplication algorithm: a comb of
 signed 4-bit digits (Lim and Lee, CRYPTO '94), built by one routine
-with a row spacing.  The generator's has 64 rows, row i holding the
-multiples 0..8 of [16^i]g, and a scalar's 64 digits each add one entry
-with no doubling.  A key's has 16 rows 2^16 apart, row i holding the
-multiples 0..8 of [2^(16i)]Y, walked in 4 columns with 12 doublings in
-all: a quarter of the build (2-2.5 ms against 4.4-5.2 ms for 64 rows
-on a 2 vCPU host, Python 3.11) for about 10% more per ``exp2``
-(0.6-0.8 ms).  Every entry is kept in projective Niels form (Y+X, Y-X,
-2Z, 2d*T) (Bernstein et al., CHES 2011), so adding one to an
+with a row spacing and walked by another.  The generator's comb has 64
+rows, row i holding the multiples 0..8 of [16^i]g, and a scalar's 64
+digits each add one entry with no doubling.  A key's, and any other
+base's, has 16 rows 2^16 apart, row i holding the multiples 0..8 of
+[2^(16i)]Y, walked in 4 columns with 12 doublings in all: a quarter of
+the build (2-2.5 ms against 4.4-5.2 ms for 64 rows on a 2 vCPU host,
+Python 3.11) for about 10% more per ``exp2`` (0.6-0.8 ms).  Every
+entry is kept in projective Niels form (Y+X, Y-X, 2Z, 2d*T)
+(Bernstein et al., CHES 2011), so adding one to an
 extended-coordinate accumulator costs 8 field multiplications (Hisil
 et al., ASIACRYPT 2008) and a negative digit only swaps the first two
 entries and negates the last; the entries are not normalised to affine
 form.  ``exp2`` walks the key comb, then adds the generator's comb to
 the same accumulator: at most 128 additions, 12 doublings and one
-field inversion, where a variable-base Y^e alone takes about 380
-additions and doublings.  ``precompute`` checks [q]Y with the key comb
+field inversion, where building a key's comb alone takes 112 additions
+and 208 doublings.  ``precompute`` checks [q]Y with the key comb
 (2-3.5 ms in all, the key's decode included).
 
 An online verifier makes one ``exp2`` per signer per chunk (a combined
@@ -57,8 +58,11 @@ its key's first batch and drops it with the run.  ``ModPGroup`` has
 the trivial version: its table is the base itself.
 
 ``decode_element`` accepts only canonical encodings of elements of the
-order-q subgroup; on edwards25519 the subgroup check is a [q]P by
-double-and-add (about 2-3.4 ms), paid by no verification path.
+order-q subgroup; on edwards25519 the subgroup check is a [q]P on the
+point's 16-row comb, as in ``precompute``.  A variable-base ``exp``
+builds its base's 16-row comb and walks it once.  On edwards25519 no
+command path calls either; the tests do, and the benchmark's span
+tracer wraps both.
 """
 
 from __future__ import annotations
@@ -292,7 +296,7 @@ def _decode_point(data: bytes):
 _WINDOW = 4
 _DIGITS = 64  # signed 4-bit digits: they cover a scalar below 2^255
 _GENERATOR_ROWS = 64  # the generator's comb: one row per digit
-_KEY_ROWS = 16  # a public key's comb: one row per 4 digits, walked in 4 columns
+_KEY_ROWS = 16  # any other base's comb: one row per 4 digits, walked in 4 columns
 
 
 def _comb_table(base, rows: int):
@@ -341,15 +345,12 @@ def _comb_add(acc, table, k: int):
     return acc
 
 
-def _ext_exp(base, k: int):
-    """[k]base by double-and-add, without reducing k."""
-    unit = _to_niels(base)
-    acc = _EXT_IDENTITY
-    for bit in bin(k)[2:]:
-        acc = _ext_double(acc)
-        if bit == "1":
-            acc = _niels_add(acc, *unit)
-    return acc
+def _order_checked(table):
+    """``table``, the comb of a curve point P; ValueError unless [q]P is
+    the identity.  [q]P from the comb is exact, q being below 2^255."""
+    if not _is_identity(_comb_add(_EXT_IDENTITY, table, _Q)):
+        raise ValueError("element is not in the prime-order subgroup")
+    return table
 
 
 class Edwards25519Group(PrimeOrderGroup):
@@ -370,17 +371,14 @@ class Edwards25519Group(PrimeOrderGroup):
         return self._gen_table
 
     def exp(self, base, k: int):
-        k %= self.q
         if base == self.generator:
-            return _from_ext(_comb_add(_EXT_IDENTITY, self._generator_table(), k))
-        return _from_ext(_ext_exp(_to_ext(base), k))
+            table = self._generator_table()
+        else:
+            table = _comb_table(_to_ext(base), _KEY_ROWS)
+        return _from_ext(_comb_add(_EXT_IDENTITY, table, k % self.q))
 
     def precompute(self, data: bytes):
-        table = self.key_table(data)
-        # [q]base from the comb is exact, so this is the subgroup check
-        if not _is_identity(_comb_add(_EXT_IDENTITY, table, self.q)):
-            raise ValueError("element is not in the prime-order subgroup")
-        return table
+        return _order_checked(self.key_table(data))
 
     def key_table(self, data: bytes):
         return _comb_table(_to_ext(_decode_point(data)), _KEY_ROWS)
@@ -412,9 +410,7 @@ class Edwards25519Group(PrimeOrderGroup):
 
     def decode_element(self, data: bytes):
         point = _decode_point(data)
-        # exp would reduce q to 0; the order check needs the full scalar
-        if not _is_identity(_ext_exp(_to_ext(point), self.q)):
-            raise ValueError("element is not in the prime-order subgroup")
+        _order_checked(_comb_table(_to_ext(point), _KEY_ROWS))
         return point
 
 

@@ -232,9 +232,7 @@ def prefixed_scalars(domain: int, head: bytes, tails: Iterable[bytes], order: in
         value = int.from_bytes(state.digest(), "big") % order
         calls += 1
         retry = 0
-        while value == 0:
-            if retry > 255:  # unreachable for any order > 2
-                raise RuntimeError("hash_to_scalar retry counter exhausted")
+        while value == 0:  # for any order > 2, ends long before retry reaches 256
             again = state.copy()
             again.update(bytes((retry,)))
             value = int.from_bytes(again.digest(), "big") % order

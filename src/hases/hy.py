@@ -82,10 +82,6 @@ class HySignerState(SlotRecord):
         self.la = la
         self.pq = pq
 
-    @property
-    def signer_id(self) -> bytes:
-        return self.la.signer_id
-
     def check_lockstep(self) -> None:
         if self.la.epoch != self.pq.epoch:
             raise EpochDesync(
@@ -129,10 +125,6 @@ class HySignature(CheckedTuple, _HySignature):
     @property
     def signer_id(self) -> bytes:
         return self.la.signer_id
-
-    @property
-    def epoch(self) -> int:
-        return self.la.epoch
 
     def to_bytes(self) -> bytes:
         return _join(SIGNATURE_TAG, self.la.to_bytes(), self.pq.to_bytes())

@@ -282,8 +282,14 @@ def store_from_bytes(data: bytes) -> CcoStore:
         offset += n
         return data[offset - n : offset]
 
+    def present(what: str) -> bool:
+        flag = take(1)[0]
+        if flag > 1:
+            raise ValueError(f"{what} section flag {flag:#04x}, not 0 or 1")
+        return flag == 1
+
     store = CcoStore()
-    if take(1)[0] == 1:
+    if present("forward-secure"):
         msk = take(32)
         params = pq.PqParams.from_bytes(take(pq.PARAMS_LEN))
         count = int.from_bytes(take(8), "big")
@@ -297,7 +303,7 @@ def store_from_bytes(data: bytes) -> CcoStore:
             chunk = take(n * 32)
             anchors[signer_id] = tuple(chunk[i * 32 : (i + 1) * 32] for i in range(n))
         store.provision(pq.PqKeyMaterial(msk, params, anchors))
-    if take(1)[0] == 1:
+    if present("aggregate"):
         msk = take(32)
         params = la.LaParams.from_bytes(take(la.PARAMS_LEN))
         count = int.from_bytes(take(8), "big")

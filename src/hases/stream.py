@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 
 class Record(NamedTuple):
@@ -102,14 +102,6 @@ def read_csv_stream(path: str | Path, hex_payload: bool = False) -> list[Record]
 
 def read_binary_stream(path: str | Path) -> list[Record]:
     return list(iter_stream(path, "bin"))
-
-
-def write_binary_stream(path: str | Path, records: Sequence[Record]) -> None:
-    with open(path, "wb") as handle:
-        for record in records:
-            handle.write(int(record.timestamp).to_bytes(8, "big"))
-            handle.write(len(record.payload).to_bytes(4, "big"))
-            handle.write(record.payload)
 
 
 def read_stream(path: str | Path, fmt: str, hex_payload: bool = False) -> list[Record]:

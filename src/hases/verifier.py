@@ -83,8 +83,8 @@ Window = Iterable[tuple[int, schemes.Layers]]
 
 class CommitmentSource:
     """Where each unit's commitment parts come from: a pipelined
-    connection to the service at ``address`` (host, port), or the
-    offline export file ``commits``."""
+    connection to the service at ``address`` (host, port) or, without
+    one, the offline export file ``commits``."""
 
     def __init__(self, bundle: keyfiles.VerifierBundle, address: tuple[str, int] | None = None,
                  commits: str | None = None):
@@ -96,7 +96,7 @@ class CommitmentSource:
             from .transport import CcoClient  # the one verify path that opens a socket
 
             self.client = CcoClient(*address)
-        elif commits:
+        else:
             for blob in keyfiles.load_commitments(commits):
                 # another scheme's entry for the same (id, epoch) must not
                 # replace the one this bundle verifies against
@@ -104,8 +104,6 @@ class CommitmentSource:
                     self.offline[read_header(blob, scheme.commitment_tag, "commitment")] = blob
                 except ValueError:
                     continue
-        else:
-            raise ValueError("either --cco or --commits is required")
 
     def close(self):
         if self.client:
@@ -198,18 +196,17 @@ def _parsed(parse, blob, *args):
 
 
 def _runs(units: Window, params) -> Iterator[list]:
-    """The units with a pq layer, cut into the runs one ``0x05`` each
-    opens, each run yielded as soon as its last unit is known: units in
-    order, of one signer, at consecutive epochs in [1, J], each with k
-    indices, at most ``cco.MAX_OPENING_INDICES // k`` of them.  Any other
-    unit, such as one whose epoch repeats the one before or lies outside
-    [1, J], starts a run of its own."""
+    """The units of a bundle with pq params, each with a pq layer, cut
+    into the runs one ``0x05`` each opens, each run yielded as soon as
+    its last unit is known: units in order, of one signer, at
+    consecutive epochs in [1, J], each with k indices, at most
+    ``cco.MAX_OPENING_INDICES // k`` of them.  Any other unit, such as
+    one whose epoch repeats the one before or lies outside [1, J],
+    starts a run of its own."""
     longest = cco.MAX_OPENING_INDICES // params.k
     run: list = []
     previous = None  # (id, epoch) of the last unit, if a run may go on from it
     for n, unit in units:
-        if not unit.pq:
-            continue
         signer_id, epoch = key = _key(unit.pq)
         fits = len(unit.pq[2]) == params.k and 1 <= epoch <= params.epochs
         if run and not (fits and previous == (signer_id, epoch - 1)):

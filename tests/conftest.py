@@ -5,6 +5,16 @@ import pytest
 from hases.group import production_group
 
 
+def write_binary_stream(path, records) -> None:
+    """Write ``records`` in the raw binary framing ``hases.stream`` reads:
+    an 8-byte timestamp, a 4-byte payload length, the payload."""
+    with open(path, "wb") as handle:
+        for record in records:
+            handle.write(int(record.timestamp).to_bytes(8, "big"))
+            handle.write(len(record.payload).to_bytes(4, "big"))
+            handle.write(record.payload)
+
+
 def curve_point(y: int):
     """The edwards25519 point with this y and an even x, or None if there
     is none: x from the curve equation -x^2 + y^2 = 1 + d x^2 y^2."""

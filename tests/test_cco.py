@@ -67,17 +67,15 @@ class TestProvisioning:
         with pytest.raises(ValueError):
             store.provision(foreign)
 
-    def test_compatible_extension_accepted(self):
-        _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(5))
+    def test_each_part_once_and_a_refusal_changes_nothing(self):
+        _, _, _, material, _ = provisioned_store()
         store = cco.CcoStore()
-        store.provision(material)
-        extension = pq.PqKeyMaterial(
-            material.msk,
-            material.params,
-            {ID_C: pq.derive_anchors(material.msk, ID_C, material.params)},
-        )
-        store.provision(extension)
-        assert store.pq_commitment(ID_C, 1)
+        store.provision(material.pq)
+        with pytest.raises(ValueError):
+            store.provision(material)  # its la part is new, its pq part is not
+        assert store.materials() == (material.pq, None)
+        store.provision(material.la)  # as a store file is loaded: pq, then la
+        assert store.materials() == (material.pq, material.la)
 
 
 class TestStoragePolicy:
@@ -646,14 +644,13 @@ class TestResponseCache:
         store = cco.CcoStore()
         store.provision(material)
         payload = pq_payload(ID_C, 2)
-        assert store.handle_request(payload) == bytes((0x81, cco.STATUS_UNKNOWN_ID))
-        store.provision(
-            pq.PqKeyMaterial(material.msk, material.params,
-                             {ID_C: pq.derive_anchors(material.msk, ID_C, material.params)})
-        )
-        response = store.handle_request(payload)
+        for _ in range(2):
+            assert store.handle_request(payload) == bytes((0x81, cco.STATUS_UNKNOWN_ID))
+        # the second refusal was built again, not served from the cache
+        stats = store.cache_stats()
+        assert (stats.hits, stats.misses, stats.entries, stats.size) == (0, 2, 0, 0)
+        response = store.handle_request(pq_payload(ID_A, 2))
         assert response[:2] == bytes((0x81, cco.STATUS_OK))
-        assert response[2:] == store.pq_commitment(ID_C, 2).to_bytes()
         assert store.cache_stats().entries == 1
 
     def test_malformed_and_range_refusals_are_not_cached(self):

@@ -343,6 +343,28 @@ class TestSignVerifyOffline:
         assert key.read_bytes() == before
         assert not (tmp_path / "sigs.bin").exists()
 
+    def test_an_out_in_a_missing_directory_burns_no_epoch(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key = out / f"signer_{ID_HEX_1}.key"
+        before = key.read_bytes()
+        sigs = tmp_path / "missing" / "sigs.bin"
+        capsys.readouterr()
+        code = cli.main(["sign", "--key", str(key), "--in", write_csv(tmp_path, 3),
+                         "--out", str(sigs)])
+        assert code == 2
+        assert f"No such file or directory: '{sigs}'" in capsys.readouterr().err
+        assert key.read_bytes() == before
+        assert not sigs.parent.exists()
+
+    def test_an_out_equal_to_the_in_is_replaced_by_the_signatures(self, tmp_path):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key = out / f"signer_{ID_HEX_1}.key"
+        msgs = write_csv(tmp_path, 3)
+        assert cli.main(["sign", "--key", str(key), "--in", msgs, "--out", msgs]) == 0
+        assert [pq.PqSignature.from_bytes(blob).epoch
+                for blob in keyfiles.load_signatures(msgs)] == [1, 2, 3]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ids.txt", "keys_pq", "msgs.csv"]
+
     def test_partial_batch_exits_2(self, tmp_path):
         out = keygen(tmp_path, "la", ["--L", "4"])
         key = out / f"signer_{ID_HEX_1}.key"
@@ -846,6 +868,17 @@ class TestServeSubprocess:
         )
         assert proc.returncode == 2
         assert f"error: {store} is not a key store file: truncated key store file" in proc.stderr
+
+    def test_a_store_with_an_unknown_section_flag_exits_2(self, tmp_path):
+        store = tmp_path / "cco.store"
+        store.write_bytes(keyfiles._STORE_MAGIC + b"\x07\x07")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hases.cli", "serve", "--store", str(store), "--port", "0"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {store} is not a key store file: "
+                               "forward-secure section flag 0x07, not 0 or 1\n")
 
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])

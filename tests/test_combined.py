@@ -347,7 +347,9 @@ class Deployment:
         capsys.readouterr()
         code = cli.main(["verify", "--pub", str(self.pub), "--in", str(msgs),
                          "--sigs", str(sigs), *source])
-        return code, capsys.readouterr().out
+        output = capsys.readouterr()
+        self.err = output.err
+        return code, output.out
 
 
 @pytest.mark.parametrize("scheme", ["la", "hy"])
@@ -468,6 +470,38 @@ def test_a_table_file_changes_no_result_and_no_exit_code(tmp_path, capsys, monke
     expected = ([n not in rejected for n in range(16)],
                 [(1, f"{16 - len(rejected)}/16 signatures valid\n"), (0, "9/9 signatures valid\n")])
     assert all(outcome == expected for outcome in outcomes.values()), outcomes
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_a_bundle_key_outside_the_subgroup_rejects_its_signer_alone(tmp_path, capsys, scheme,
+                                                                    small_order_points):
+    """B's key in the bundle shifted by a point of order 8, with no key
+    table file: B's combined check fails on the key, each of B's units
+    is rejected alone, and A's units (the fork's included) stay valid."""
+    deployment = Deployment(tmp_path, scheme)
+    records, blobs = deployment.chunk()
+    group = deployment.bundle.la_params.group
+    keys = dict(deployment.bundle.public_keys)
+    keys[ID_B] = group.encode_element(group.mul(group.decode_element(keys[ID_B]),
+                                                small_order_points[1]))
+    deployment.bundle = deployment.bundle._replace(public_keys=keys)
+    keyfiles.save_verifier_bundle(deployment.pub, deployment.bundle)
+    assert not keyfiles.tables_path(deployment.pub).exists()
+    rejected = range(8, 14)  # B's six units
+    with transport.CcoServer(deployment.store) as server:
+        address = f"127.0.0.1:{server.port}"
+        commits = deployment.export(address)
+        deployment.requests.clear()
+        expected = [n not in rejected for n in range(16)]
+        assert deployment.results(records, blobs, address) == expected
+        assert deployment.results(records, blobs, commits=commits) == expected
+        # A's and B's combined checks are both asked for; B's fails on its key
+        assert deployment.types.count(cco.MSG_LA_COMBINED) == 2
+        assert deployment.types.count(cco.MSG_LA) == len(rejected)
+        for source in (["--cco", address], ["--commits", str(commits)]):
+            assert deployment.exit_and_output(capsys, records, blobs, *source) == (
+                1, "10/16 signatures valid\n")
+            assert deployment.err == ""
 
 
 def kept_units(records, blobs, rejected):

@@ -215,6 +215,24 @@ def test_store_with_the_wrong_anchor_count_rejected(tmp_path, count):
     assert f"{count} anchors" in str(error.value)
 
 
+@pytest.mark.parametrize("section", ["forward-secure", "aggregate"])
+def test_store_with_a_section_flag_other_than_0_or_1_rejected(tmp_path, section):
+    # a flag of neither value would load a store with no material, whose
+    # service answers every request "unknown id"
+    if section == "forward-secure":
+        blob = keyfiles._STORE_MAGIC + b"\x07\x07"
+    else:
+        store = cco.CcoStore()
+        store.provision(pq.keygen([ID_A], PQ_TOY, fixed_rng(9))[1])
+        blob = keyfiles.store_bytes(store)[:-1] + b"\x07"  # the aggregate flag, last
+    path = tmp_path / "cco.store"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as error:
+        keyfiles.load_store(path)
+    assert str(error.value) == (
+        f"{path} is not a key store file: {section} section flag 0x07, not 0 or 1")
+
+
 @pytest.mark.parametrize("ids", [[ID_A, ID_A], [bytes([0x4D]) * 16, ID_A]],
                          ids=["repeated", "unsorted"])
 def test_verifier_bundle_ids_must_strictly_increase(ids):

@@ -8,8 +8,9 @@ from hases.stream import (
     read_binary_stream,
     read_csv_stream,
     read_stream,
-    write_binary_stream,
 )
+
+from conftest import write_binary_stream
 
 
 def test_csv_with_header(tmp_path):

@@ -13,6 +13,8 @@ import pytest
 from hases import cco, cli, hy, keyfiles, pq, schemes, transport, verifier
 from hases import stream as hases_stream
 
+from conftest import write_binary_stream
+
 ID_HEX = "aa" * 16
 UNITS = 64
 
@@ -184,6 +186,69 @@ def test_the_first_opening_leaves_before_the_second_run_is_parsed(tmp_path, caps
     assert seen[0] <= 16, f"the first opening arrived after {seen[0]} of {UNITS} were parsed"
 
 
+# (scheme, the request type whose OK body is spoiled, the epoch it names,
+# the units that lose their part): a run's opening one byte short of a
+# whole number of digests, and an aggregate commitment one byte short on
+# the tiny group, where every la unit is checked alone through 0x02
+SPOILED_BODIES = {
+    "0x05-not-whole-digests": ("pq", cco.MSG_PQ_OPENING, 1, range(16)),  # the run of epochs 1-16
+    "0x02-truncated": ("la", cco.MSG_LA, 5, [4]),
+}
+
+
+@pytest.mark.parametrize("scheme, msg_type, epoch, rejected", SPOILED_BODIES.values(),
+                         ids=SPOILED_BODIES.keys())
+def test_a_malformed_ok_body_rejects_its_units_alone(tmp_path, capsys, monkeypatch, scheme,
+                                                     msg_type, epoch, rejected):
+    monkeypatch.setenv("HASES_BACKEND", "tiny")
+    flow = Flow(tmp_path, scheme)
+    handle = flow.store.handle_request
+
+    def spoiled(payload):
+        reply = handle(payload)
+        if payload[0] == msg_type and payload[17:25] == epoch.to_bytes(8, "big"):
+            assert reply[1] == cco.STATUS_OK
+            return reply[:-1]
+        return reply
+
+    flow.store.handle_request = spoiled
+    with transport.CcoServer(flow.store) as server:
+        address = f"127.0.0.1:{server.port}"
+        bundle = keyfiles.load_verifier_bundle(flow.pub)
+        source = verifier.CommitmentSource(bundle, ("127.0.0.1", server.port))
+        try:
+            results = verifier.verify_all(bundle, hases_stream.iter_stream(flow.msgs, "csv"),
+                                          keyfiles.iter_signatures(flow.sigs), source)
+        finally:
+            source.close()
+        assert results == [n not in rejected for n in range(UNITS)]
+        code, output = flow.verify(capsys, ["--cco", address])
+    valid = UNITS - len(rejected)
+    assert (code, output.out, output.err) == (1, f"{valid}/{UNITS} signatures valid\n", "")
+
+
+def test_an_export_entry_that_does_not_parse_rejects_its_units_alone(tmp_path, capsys):
+    flow = Flow(tmp_path, "pq")
+    with transport.CcoServer(flow.store) as server:
+        flow.export(f"127.0.0.1:{server.port}")
+    blobs = keyfiles.load_commitments(flow.commits)
+    bundle = keyfiles.load_verifier_bundle(flow.pub)
+    source = verifier.CommitmentSource(bundle, commits=str(flow.commits))
+    # the entry of epoch 5 cut by a byte: its tag, id and epoch are the
+    # bundle's, its body is not a whole number of digests
+    key = (bytes.fromhex(ID_HEX), 5)
+    assert source.offline[key] == blobs[4]
+    source.offline[key] = blobs[4][:-1]
+    results = verifier.verify_all(bundle, hases_stream.iter_stream(flow.msgs, "csv"),
+                                  keyfiles.iter_signatures(flow.sigs), source)
+    assert results == [n != 4 for n in range(UNITS)]
+    # an export holds entries of one size, so in a file every entry is cut
+    cut = flow.tmp / "cut.bin"
+    keyfiles.save_commitments(cut, [blob[:-1] for blob in blobs])
+    code, output = flow.verify(capsys, ["--commits", str(cut)])
+    assert (code, output.out, output.err) == (1, f"0/{UNITS} signatures valid\n", "")
+
+
 def test_memory_stays_bounded_as_the_stream_grows(tmp_path):
     """The ``tracemalloc`` peak of an in-process ``verify --cco`` over 4,096
     pq units is at most twice that over 512, results list included (8
@@ -248,7 +313,7 @@ def test_sign_and_verify_read_records_and_signatures_from_pipes(tmp_path, capsys
     assert cli.main(["keygen", "--scheme", "pq", "--ids", str(tmp_path / "ids.txt"), "--J", "64",
                      "--J1", "4", "--t", "64", "--k", "16", "--out", str(keys)]) == 0
     records = tmp_path / "records.bin"
-    hases_stream.write_binary_stream(
+    write_binary_stream(
         records, [hases_stream.Record(str(n), b"reading %d" % n) for n in range(40)])
     sigs = tmp_path / "sigs.bin"
     capsys.readouterr()
