@@ -3,7 +3,9 @@
 The store is the only holder of master secrets.  It answers per-epoch
 commitment requests for all three schemes and never exposes key bytes:
 every response carries only public commitment material.  The trust
-boundary is the process boundary; hosting the same store inside a
+boundary is ``hases serve`` together with the hashing helper it may
+fork (``hases.transport.HashHelper``), a copy of the service's process
+that receives epoch seeds over a pipe; hosting the same store inside a
 hardware enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,

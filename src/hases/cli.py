@@ -181,10 +181,18 @@ def cmd_serve(args) -> int:
     store = keyfiles.load_store(args.store)
     if args.policy_j1:
         store.set_storage_policy(args.policy_j1)
-    from .transport import CcoServer  # keygen and sign never load sockets
+    import signal
+
+    from .transport import CcoServer, can_split_builds  # keygen and sign never load sockets
 
     server = CcoServer(store, args.host, args.port)
     print(f"listening on {args.host}:{server.port}", flush=True)
+    # forked after the line, so the start is not slowed by copy-on-write
+    # faults, and before serve_forever starts any thread
+    if can_split_builds():
+        server.start_hash_helper()
+    # SIGTERM unwinds as Ctrl-C does: connections closed, helper reaped, exit 0
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -41,6 +41,10 @@ index shifts and mask of a (t, k).  A hash state that has absorbed a
 seed is a local of one kernel call, so it never outlives the ``sign``
 that asked for it.
 
+``helper`` is None except in ``hases serve``, which may install a
+forked hashing process there (``hases.transport.HashHelper``) that
+``commitment_images`` hands the upper half of a full build.
+
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
 meaningful while a single benchmark runs at a time.
@@ -86,6 +90,8 @@ class HashCounters(SlotRecord):
 
 
 counters = HashCounters()
+
+helper = None  # or a service's ``hases.transport.HashHelper``: see the module docstring
 
 _PREFIX = (b"\x00", b"\x01", b"\x02")
 _COUNTER_SLOTS = HashCounters.__slots__
@@ -276,8 +282,25 @@ def images_match(preimages: bytes, images: bytes) -> bool:
 
 def commitment_images(seed: bytes, t: int) -> list[bytes]:
     """``H2(H1(seed || label))`` for the labels 1..t, in label order;
-    counted as the 2t calls of that composition."""
-    return _images(seed, label_table(t))
+    counted as the 2t calls of that composition.
+
+    With a ``helper`` installed that takes the build, the helper hashes
+    the labels above t/2 in its own process while this thread hashes the
+    rest; one that is busy is not waited for, and one that is lost
+    leaves its half to this thread.  The images and the count are the
+    same either way."""
+    labels = label_table(t)
+    half = t // 2
+    split = helper
+    if split is None or not split.send(seed, t, half):
+        return _images(seed, labels)
+    images = _images(seed, labels[:half])
+    upper = split.receive(t - half)
+    if upper is None:
+        return images + _images(seed, labels[half:])
+    _count(DOM_CHAIN, t - half)
+    _count(DOM_COMMIT, t - half)
+    return images + upper
 
 
 def opened_images(seed: bytes, indices: Sequence[int], t: int) -> list[bytes]:

@@ -288,13 +288,18 @@ def store_from_bytes(data: bytes) -> CcoStore:
             raise ValueError(f"{what} section flag {flag:#04x}, not 0 or 1")
         return flag == 1
 
+    def signer_count(what: str) -> int:
+        count = int.from_bytes(take(8), "big")
+        if not count:
+            raise ValueError(f"{what} section lists no signers")
+        return count
+
     store = CcoStore()
     if present("forward-secure"):
         msk = take(32)
         params = pq.PqParams.from_bytes(take(pq.PARAMS_LEN))
-        count = int.from_bytes(take(8), "big")
         anchors = {}
-        for _ in range(count):
+        for _ in range(signer_count("forward-secure")):
             signer_id = take(16)
             n = int.from_bytes(take(4), "big")
             if n != params.j1 - 1:
@@ -306,12 +311,14 @@ def store_from_bytes(data: bytes) -> CcoStore:
     if present("aggregate"):
         msk = take(32)
         params = la.LaParams.from_bytes(take(la.PARAMS_LEN))
-        count = int.from_bytes(take(8), "big")
+        count = signer_count("aggregate")
         chunk = take(count * 16)
         ids = frozenset(chunk[i * 16 : (i + 1) * 16] for i in range(count))
         store.provision(la.LaKeyMaterial(msk, params, ids))
     if offset != len(data):
         raise ValueError("trailing bytes in key store file")
+    if store.materials() == (None, None):
+        raise ValueError("key store file holds no key material")
     return store
 
 

@@ -25,10 +25,20 @@ connection down and joins their threads.  Connections are logged at
 DEBUG on the ``hases.cco`` logger, the service's, as they open and
 close, with the peer and the number of requests served; dropped
 connections and malformed frames at WARNING.
+
+``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
+pq commitment build (``0x01``, the pq part of ``0x03``, every epoch of
+``0x04``) hashes the lower half of its t entries in the handler thread
+while the helper hashes the upper half, which ``hashlib`` cannot do in
+a second thread of one process: it holds the interpreter lock for
+inputs this short.  Openings (``0x05``) and combined commitments
+(``0x08``) are built inline: they hash 2k entries, not 2t, and the
+verifiers that send them keep the other CPU busy.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import socketserver
 import struct
@@ -37,6 +47,7 @@ from collections import deque
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
 
+from . import hashing
 from .cco import (
     MAX_FRAME,
     RESPONSE_BIT,
@@ -101,6 +112,124 @@ def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
     return payload
 
 
+# --- the hashing helper --------------------------------------------------
+
+# what a build sends the helper: seed(32) t(4) lo(4) hi(4)
+_HELPER_REQUEST = struct.Struct(">32sIII")
+
+
+def can_split_builds() -> bool:
+    """Whether this process may fork and run on two or more CPUs."""
+    if not hasattr(os, "fork"):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+class HashHelper:
+    """A forked process that hashes half of each full pq commitment build.
+
+    ``fork`` starts it and installs it as ``hashing.helper``.
+    ``hashing.commitment_images`` then sends it ``_HELPER_REQUEST`` over
+    one pipe and reads back H2(H1(seed || label)) for the labels
+    lo+1..hi, 32 bytes each, over another, while the calling thread
+    hashes the labels below.  It takes one build at a time: a build
+    that finds it busy hashes all t entries inline instead of waiting.
+    A write that fails or a read that meets EOF drops the helper, with
+    one WARNING on ``hases.cco``, and leaves the half to the caller.
+    ``close`` uninstalls it, closes its request pipe, on which the
+    helper reads EOF and exits, and reaps it.
+    """
+
+    def __init__(self, pid: int, requests: int, replies: int):
+        self.pid = pid
+        self._requests = requests
+        self._replies = os.fdopen(replies, "rb")
+        self._lock = threading.Lock()
+        self._open = True
+
+    @classmethod
+    def fork(cls, listener: socket.socket) -> "HashHelper":
+        """Fork the helper, which first closes ``listener``, and install it.
+        Fork before any thread starts: the child runs only the helper's loop."""
+        requests_r, requests_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _helper_main(listener, requests_r, replies_w, (requests_w, replies_r))
+        os.close(requests_r)
+        os.close(replies_w)
+        helper = cls(pid, requests_w, replies_r)
+        hashing.helper = helper
+        return helper
+
+    def send(self, seed: bytes, t: int, lo: int) -> bool:
+        """Ask for the images of the labels lo+1..t.  False, sending
+        nothing, if the helper is busy or gone; on True the caller holds
+        it until ``receive``."""
+        if not self._lock.acquire(blocking=False):
+            return False
+        try:
+            if self._open:
+                os.write(self._requests, _HELPER_REQUEST.pack(seed, t, lo, t))
+                return True
+        except OSError as exc:
+            self._drop(exc)
+        self._lock.release()
+        return False
+
+    def receive(self, count: int) -> list[bytes] | None:
+        """The ``count`` images asked for by ``send``, or None if the helper is lost."""
+        try:
+            body = self._replies.read(count * hashing.DIGEST_LEN)
+            if len(body) == count * hashing.DIGEST_LEN:
+                return [body[at : at + hashing.DIGEST_LEN]
+                        for at in range(0, len(body), hashing.DIGEST_LEN)]
+            self._drop(f"EOF after {len(body)} of {count * hashing.DIGEST_LEN} bytes")
+        except OSError as exc:
+            self._drop(exc)
+        finally:
+            self._lock.release()
+        return None
+
+    def _drop(self, reason) -> None:
+        _log("warning", "hashing helper %d lost (%s): commitments are built inline", self.pid, reason)
+        self.close()
+
+    def close(self) -> None:
+        if hashing.helper is self:
+            hashing.helper = None
+        if self._open:
+            self._open = False
+            os.close(self._requests)
+            self._replies.close()
+            os.waitpid(self.pid, 0)
+
+
+def _helper_main(listener: socket.socket, requests: int, replies: int, parent_ends) -> None:
+    """The helper process: answer each request until EOF, then exit.  Never returns."""
+    import signal
+
+    code = 1
+    try:
+        # Ctrl-C reaches the whole process group: the service unwinds and
+        # closes the request pipe, and the helper leaves on that EOF
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        listener.close()
+        for fd in parent_ends:
+            os.close(fd)
+        size = _HELPER_REQUEST.size
+        with os.fdopen(requests, "rb") as reader, os.fdopen(replies, "wb") as writer:
+            while len(head := reader.read(size)) == size:
+                seed, t, lo, hi = _HELPER_REQUEST.unpack(head)
+                writer.write(b"".join(hashing.opened_images(seed, range(lo, hi), t)))
+                writer.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 # --- TCP server / client -------------------------------------------------
 
 
@@ -152,6 +281,7 @@ class CcoServer(socketserver.ThreadingTCPServer):
         self._thread: threading.Thread | None = None
         self._live_lock = threading.Lock()
         self._live: dict[socket.socket, threading.Thread] = {}  # open connections
+        self.helper: HashHelper | None = None
 
     @property
     def port(self) -> int:
@@ -185,6 +315,11 @@ class CcoServer(socketserver.ThreadingTCPServer):
             self._live.pop(request, None)
         super().shutdown_request(request)
 
+    def start_hash_helper(self) -> None:
+        """Fork a ``HashHelper`` for this process's builds; ``server_close``
+        reaps it.  Call it before ``start`` or ``serve_forever``."""
+        self.helper = HashHelper.fork(self.socket)
+
     def server_close(self) -> None:
         super().server_close()
         with self._live_lock:
@@ -196,6 +331,9 @@ class CcoServer(socketserver.ThreadingTCPServer):
                     pass  # the peer already reset it
         for _, thread in live:
             thread.join()
+        if self.helper is not None:
+            self.helper.close()
+            self.helper = None
 
     def __enter__(self) -> "CcoServer":
         self.start()

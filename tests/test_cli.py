@@ -880,6 +880,17 @@ class TestServeSubprocess:
         assert proc.stderr == (f"error: {store} is not a key store file: "
                                "forward-secure section flag 0x07, not 0 or 1\n")
 
+    def test_a_store_with_no_material_exits_2(self, tmp_path):
+        store = tmp_path / "cco.store"
+        store.write_bytes(keyfiles._STORE_MAGIC + b"\x00\x00")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hases.cli", "serve", "--store", str(store), "--port", "0"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {store} is not a key store file: "
+                               "key store file holds no key material\n")
+
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])
         proc, port = self.start_server(tmp_path, out / "cco.store")

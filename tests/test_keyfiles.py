@@ -233,6 +233,34 @@ def test_store_with_a_section_flag_other_than_0_or_1_rejected(tmp_path, section)
         f"{path} is not a key store file: {section} section flag 0x07, not 0 or 1")
 
 
+def store_without(part: str) -> bytes:
+    """A store file with no material at all, or a section that lists no signers."""
+    if part == "material":
+        return keyfiles._STORE_MAGIC + b"\x00\x00"
+    _, _, material = hy.keygen([ID_A], small_test_group(), 2, PQ_TOY, fixed_rng(10))
+    if part == "forward-secure signers":
+        material = material._replace(pq=material.pq._replace(anchors={}))
+    else:
+        material = material._replace(la=material.la._replace(signer_ids=frozenset()))
+    store = cco.CcoStore()
+    store.provision(material)
+    return keyfiles.store_bytes(store)
+
+
+@pytest.mark.parametrize("part, message", [
+    ("material", "key store file holds no key material"),
+    ("forward-secure signers", "forward-secure section lists no signers"),
+    ("aggregate signers", "aggregate section lists no signers"),
+])
+def test_a_store_with_no_material_or_no_signers_rejected(tmp_path, part, message):
+    # such a store would load, and its service would answer every request "unknown id"
+    path = tmp_path / "cco.store"
+    path.write_bytes(store_without(part))
+    with pytest.raises(ValueError) as error:
+        keyfiles.load_store(path)
+    assert str(error.value) == f"{path} is not a key store file: {message}"
+
+
 @pytest.mark.parametrize("ids", [[ID_A, ID_A], [bytes([0x4D]) * 16, ID_A]],
                          ids=["repeated", "unsorted"])
 def test_verifier_bundle_ids_must_strictly_increase(ids):
