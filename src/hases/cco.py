@@ -37,7 +37,7 @@ with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
 the container of ``export_bytes``: an 8-byte entry count and one or
 more equal-sized commitments, the same bytes as an offline export file.
 A request names only what the store cannot derive.  Aggregate commitments
-use the batch size registered at provisioning time and carry it back
+use the batch size fixed at key generation and carry it back
 (``la.LaCommitment.batch_size``) for the verifier to check.  An export
 whose response would exceed ``MAX_FRAME`` is refused with the
 epoch-range status before anything is built.
@@ -99,9 +99,8 @@ are installed at process start, they never cross this interface).
 Responses are unauthenticated; deployments that do not co-locate the
 service with the verifier should wrap the transport accordingly.
 
-Concurrency: key material objects are immutable; readers grab the
-current reference under a short lock and hash outside it, writers
-(provision, storage policy changes) swap in replacement objects.
+Concurrency: material is fixed when the store is made; requests change
+only the cache and the chain cursor.
 """
 
 from __future__ import annotations
@@ -146,8 +145,7 @@ SEED_LEN = 32  # of a combined request's seed
 # one stream running up to a window apart are both served from one
 # build), about 60 runs of 16 openings (one 0x05 each) or 970 single
 # openings at k=16.  No entry is ever invalidated, and none needs to be:
-# only OK responses are kept, material is installed once, and a policy
-# change moves only the anchors a chain walk starts from, not its result.
+# only OK responses are kept, and the store's material never changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
 # the names of ``hases.transport`` that ``__getattr__`` serves from here
@@ -251,70 +249,30 @@ class _ResponseCache:
 
 
 class CcoStore:
-    """Thread-safe holder of per-scheme master secrets and anchors."""
+    """Thread-safe holder of one key ceremony's master secrets and anchors:
+    keygen's ``material``, as its pq and la parts (None where the scheme
+    has no such part), unchanged for the store's lifetime."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pq: pq.PqKeyMaterial | None = None
-        self._la: la.LaKeyMaterial | None = None
+    def __init__(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]):
+        self.pq_part, self.la_part = schemes.of(material).parts(material)
         self._cache = _ResponseCache(RESPONSE_CACHE_BYTES)
-        # The pq chain cursor: (epoch, seed) per provisioned signer, the
+        # The pq chain cursor: (epoch, seed) per signer of the store, the
         # seed last derived for it (``pq.Cursor``).  Entries are replaced
         # whole without a lock; a racing write of an older epoch only
         # lengthens a later walk, since every entry is a true seed.  None
-        # is ever invalidated: material is installed once, and a policy
-        # change moves only the anchors.  Unknown ids are refused before
-        # any walk, so there is one entry at most per provisioned signer.
+        # is ever invalidated.  Unknown ids are refused before any walk,
+        # so there is one entry at most per signer.
         self._cursor: pq.Cursor = {}
 
-    # -- provisioning (exclusive writers) --------------------------------
-
-    def provision(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]) -> None:
-        """Install keygen output: its pq part and its la part, each into a
-        store that holds no part of that kind yet, as an oracle takes its
-        master secrets once, at setup.  ValueError, changing nothing, if
-        the store already holds a part of ``material``'s kinds."""
-        pq_part, la_part = schemes.of(material).parts(material)
-        with self._lock:
-            if (pq_part and self._pq) or (la_part and self._la):
-                raise ValueError("the store already holds material of this kind: it is provisioned once")
-            self._pq, self._la = pq_part or self._pq, la_part or self._la
-
-    def set_storage_policy(self, j1: int) -> None:
-        """Rebuild the anchor tables for a new epoch factorization.
-
-        The new j1 must divide the configured epoch count; commitments
-        are unaffected (chain splitting), only the worst-case on-demand
-        chain walk changes, to j2 - 1 = J/j1 - 1 hashes.
-        """
-        with self._lock:
-            if self._pq is None:
-                raise ValueError("no forward-secure material provisioned")
-            old = self._pq.params
-            if j1 < 1 or old.epochs % j1:
-                raise ValueError(f"{j1} does not divide the epoch count {old.epochs}")
-            params = old._replace(j1=j1, j2=old.epochs // j1)
-            anchors = {sid: pq.derive_anchors(self._pq.msk, sid, params) for sid in self._pq.anchors}
-            self._pq = self._pq._replace(params=params, anchors=anchors)
-
-    # -- snapshots for readers -------------------------------------------
-
     def pq_material(self) -> pq.PqKeyMaterial:
-        with self._lock:
-            if self._pq is None:
-                raise UnknownSigner("no forward-secure material provisioned")
-            return self._pq
+        if self.pq_part is None:
+            raise UnknownSigner("the store holds no forward-secure material")
+        return self.pq_part
 
     def la_material(self) -> la.LaKeyMaterial:
-        with self._lock:
-            if self._la is None:
-                raise UnknownSigner("no aggregate material provisioned")
-            return self._la
-
-    def materials(self) -> tuple[pq.PqKeyMaterial | None, la.LaKeyMaterial | None]:
-        """Both schemes' key material, None where none is provisioned."""
-        with self._lock:
-            return self._pq, self._la
+        if self.la_part is None:
+            raise UnknownSigner("the store holds no aggregate material")
+        return self.la_part
 
     # -- commitment construction -----------------------------------------
 

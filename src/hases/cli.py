@@ -77,13 +77,11 @@ def cmd_keygen(args) -> int:
             raise ValueError(f"--J1 {j1} does not divide --J {args.J}")
         pq_params = pq.PqParams(t=args.t, k=args.k, j1=j1, j2=args.J // j1)
     states, public, material = scheme.keygen(ids, pq_params, la_params)
-    store = cco.CcoStore()
-    store.provision(material)
     bundle = keyfiles.VerifierBundle(scheme.tag, pq_params, la_params, public)
 
     secret_files = {out / f"signer_{sid.hex()}.key": keyfiles.signer_key_bytes(state)
                     for sid, state in states.items()}
-    secret_files[out / "cco.store"] = keyfiles.store_bytes(store)
+    secret_files[out / "cco.store"] = keyfiles.store_bytes(cco.CcoStore(material))
     public_files = {out / "verifier.pub": bundle.to_bytes()}
     if scheme.has_la:
         # each key was computed just now, so its table needs no subgroup check
@@ -145,7 +143,16 @@ def _parse_host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
+    return host, _unsigned(port, 16, "port")
+
+
+def _unsigned(value, bits: int, what: str) -> int:
+    """``value`` as an integer that fits ``bits`` unsigned bits, as a port
+    or an epoch does on the wire; ValueError, naming ``what``, if it does not."""
+    number = int(value)
+    if not 0 <= number < 1 << bits:
+        raise ValueError(f"{what} {number} is outside 0..{(1 << bits) - 1}")
+    return number
 
 
 def cmd_verify(args) -> int:
@@ -178,14 +185,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    port = _unsigned(args.port, 16, "--port")
     store = keyfiles.load_store(args.store)
-    if args.policy_j1:
-        store.set_storage_policy(args.policy_j1)
     import signal
 
     from .transport import CcoServer, can_split_builds  # keygen and sign never load sockets
 
-    server = CcoServer(store, args.host, args.port)
+    server = CcoServer(store, args.host, port)
     print(f"listening on {args.host}:{server.port}", flush=True)
     # forked after the line, so the start is not slowed by copy-on-write
     # faults, and before serve_forever starts any thread
@@ -208,17 +214,21 @@ def cmd_request(args) -> int:
     host, port = _parse_host_port(args.cco)
     scheme = schemes.BY_NAME[args.scheme]
     signer_id = parse_signer_id(args.id)
+    if args.export:
+        lo, _, hi = args.export.partition(":")
+        span = _unsigned(lo, 64, "--export"), _unsigned(hi, 64, "--export")
+    elif args.epoch is None:
+        raise ValueError("--epoch or --export is required")
+    else:
+        epoch = _unsigned(args.epoch, 64, "--epoch")
     with CcoClient(host, port) as client:
         if args.export:
-            lo, _, hi = args.export.partition(":")
-            blobs = client.batch_export(scheme.tag, signer_id, int(lo), int(hi))
+            blobs = client.batch_export(scheme.tag, signer_id, *span)
             keyfiles.save_commitments(args.out, blobs)
             print(f"exported {len(blobs)} commitments to {args.out}")
             return EXIT_OK
-        if args.epoch is None:
-            raise ValueError("--epoch or --export is required")
         # a non-OK status raises CcoRequestError: exit 2
-        blob = client.commitment_bytes(scheme.tag, signer_id, args.epoch)
+        blob = client.commitment_bytes(scheme.tag, signer_id, epoch)
         if args.out:
             keyfiles.save_commitments(args.out, [blob])
             print(f"wrote commitment ({len(blob)} bytes) to {args.out}")
@@ -302,7 +312,6 @@ def _serve_parser(sub) -> None:
     sv.add_argument("--store", required=True)
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=0)
-    sv.add_argument("--policy-j1", type=int, default=0, help="rebuild anchors for this j1")
     sv.set_defaults(func=cmd_serve)
 
 

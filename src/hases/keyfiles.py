@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
-from . import la, pq, schemes
+from . import hy, la, pq, schemes
 from .cco import CcoStore, export_bytes, export_from_bytes
 from .errors import BadSignatureFile, KeyFileInUse
 from .stream import read_upto
@@ -252,14 +252,14 @@ _STORE_MAGIC = b"HASES-STORE\x01"
 
 def store_bytes(store: CcoStore) -> bytes:
     out = bytearray(_STORE_MAGIC)
-    material, la_material = store.materials()
-    if material is None:
+    pq_material, la_material = store.pq_part, store.la_part
+    if pq_material is None:
         out += b"\x00"
     else:
-        out += b"\x01" + material.msk + material.params.to_bytes()
-        out += len(material.anchors).to_bytes(8, "big")
-        for signer_id in sorted(material.anchors):
-            anchors = material.anchors[signer_id]
+        out += b"\x01" + pq_material.msk + pq_material.params.to_bytes()
+        out += len(pq_material.anchors).to_bytes(8, "big")
+        for signer_id in sorted(pq_material.anchors):
+            anchors = pq_material.anchors[signer_id]
             out += signer_id + len(anchors).to_bytes(4, "big") + b"".join(anchors)
     if la_material is None:
         out += b"\x00"
@@ -294,7 +294,7 @@ def store_from_bytes(data: bytes) -> CcoStore:
             raise ValueError(f"{what} section lists no signers")
         return count
 
-    store = CcoStore()
+    pq_material = la_material = None
     if present("forward-secure"):
         msk = take(32)
         params = pq.PqParams.from_bytes(take(pq.PARAMS_LEN))
@@ -307,19 +307,21 @@ def store_from_bytes(data: bytes) -> CcoStore:
                     f"signer {signer_id.hex()} has {n} anchors, not j1 - 1 = {params.j1 - 1}")
             chunk = take(n * 32)
             anchors[signer_id] = tuple(chunk[i * 32 : (i + 1) * 32] for i in range(n))
-        store.provision(pq.PqKeyMaterial(msk, params, anchors))
+        pq_material = pq.PqKeyMaterial(msk, params, anchors)
     if present("aggregate"):
         msk = take(32)
         params = la.LaParams.from_bytes(take(la.PARAMS_LEN))
         count = signer_count("aggregate")
         chunk = take(count * 16)
         ids = frozenset(chunk[i * 16 : (i + 1) * 16] for i in range(count))
-        store.provision(la.LaKeyMaterial(msk, params, ids))
+        la_material = la.LaKeyMaterial(msk, params, ids)
     if offset != len(data):
         raise ValueError("trailing bytes in key store file")
-    if store.materials() == (None, None):
+    if pq_material and la_material:
+        return CcoStore(hy.HyKeyMaterial(la_material, pq_material))
+    if not (pq_material or la_material):
         raise ValueError("key store file holds no key material")
-    return store
+    return CcoStore(pq_material or la_material)
 
 
 def save_store(path: str | Path, store) -> None:

@@ -276,12 +276,13 @@ class CcoServer(socketserver.ThreadingTCPServer):
     request_queue_size = socket.SOMAXCONN
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _Handler)
+        # set before the bind: a failed bind calls server_close, which reads them
         self.store = store
         self._thread: threading.Thread | None = None
         self._live_lock = threading.Lock()
         self._live: dict[socket.socket, threading.Thread] = {}  # open connections
         self.helper: HashHelper | None = None
+        super().__init__((host, port), _Handler)
 
     @property
     def port(self) -> int:

@@ -2,7 +2,17 @@ import itertools
 
 import pytest
 
+from hases import pq
 from hases.group import production_group
+
+
+def anchored_for(material, j1: int):
+    """The pq ``material``'s master key and signers with the J epochs
+    split as j1 segments of J / j1: what ``hases keygen --J1 j1`` stores
+    for that master key."""
+    params = material.params._replace(j1=j1, j2=material.params.epochs // j1)
+    anchors = {sid: pq.derive_anchors(material.msk, sid, params) for sid in material.anchors}
+    return pq.PqKeyMaterial(material.msk, params, anchors)
 
 
 def write_binary_stream(path, records) -> None:

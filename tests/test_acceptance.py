@@ -14,6 +14,8 @@ from hases.errors import CcoRequestError
 from hases.group import production_group, small_test_group
 from hases.hashing import counters, domain_hash, encode_index, hash_to_scalar, iter_hash
 
+from conftest import anchored_for
+
 PROD_PQ = pq.PqParams(t=1024, k=16, j1=4, j2=4)  # t, k per the target profile
 
 
@@ -310,14 +312,13 @@ def test_criterion_5_policy_invariance_toy_scale():
     _, material = pq.keygen(
         [signer], pq.PqParams(t=8, k=4, j1=1, j2=epochs), rng.randbytes
     )
-    store = cco.CcoStore()
-    store.provision(material)
 
     baseline = []
     mismatches = 0
     budget_violations = 0
     for j1 in (1, 2, 4, 16):
-        store.set_storage_policy(j1)
+        # one store per policy, each of the same master key, as keygen --J1 writes it
+        store = cco.CcoStore(anchored_for(material, j1))
         j2 = epochs // j1
         for epoch in range(1, epochs + 1):
             counters.reset()
@@ -483,8 +484,7 @@ def test_criterion_8_service_round_trip():
     )
     expected = [True] * 10 + [False, False]
 
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     with transport.CcoServer(store) as server:
         with transport.CcoClient("127.0.0.1", server.port) as client:
             on_demand = []

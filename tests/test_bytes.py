@@ -120,8 +120,7 @@ def pq_blobs():
     yield from bundle_blobs(
         "pq", keyfiles.VerifierBundle(pq.SIGNATURE_TAG, PQ_PARAMS, None, dict.fromkeys(IDS))
     )
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     yield from store_blobs("pq", store)
     indices = pq.message_indices(MESSAGES[0], PQ_PARAMS)
     commitment = store.pq_commitment(IDS[0], 2)
@@ -155,8 +154,7 @@ def la_blobs(group):
     yield from bundle_blobs(
         "la", keyfiles.VerifierBundle(la.SIGNATURE_TAG, None, material.params, public)
     )
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     yield from store_blobs("la", store)
     commitment = store.la_commitment(IDS[1], 4)
     yield "la.commitment", commitment.to_bytes()
@@ -184,8 +182,7 @@ def hy_blobs(group):
     yield from bundle_blobs(
         "hy", keyfiles.VerifierBundle(hy.SIGNATURE_TAG, PQ_PARAMS, material.la.params, public)
     )
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     yield from store_blobs("hy", store)
     signature = hy.sign_batch(states[IDS[1]], MESSAGES[1:] + MESSAGES[:1])
     yield "hy.signature.read", hy.HySignature.from_bytes(signature.to_bytes(), group).to_bytes()
@@ -246,8 +243,7 @@ def combined_blobs(group):
     _, _, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
     _, pq_material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
     for label, material in (("la", la_material), ("hy", hy_material), ("pq", pq_material)):
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         yield from request_blobs(f"{label}.combined", store, [
             combined_request(IDS[0], seed, [1]),
             combined_request(IDS[1], seed, [2, 8, 2, 5]),
@@ -283,8 +279,7 @@ def run_blobs(group):
     _, pq_material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
     _, _, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
     for label, material in (("pq", pq_material), ("hy", hy_material)):
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         yield from request_blobs(f"{label}.run", store, [
             # epochs 3-6, across the anchor at epoch 5
             opening_request(cco.MSG_PQ_OPENING, IDS[0], 3, run_indices(4)),

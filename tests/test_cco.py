@@ -16,6 +16,8 @@ from hases.errors import CcoRequestError, MalformedFrame
 from hases.group import production_group, small_test_group
 from hases.hashing import counters
 
+from conftest import anchored_for
+
 ID_A = bytes([0xA1]) * 16
 ID_B = bytes([0xB2]) * 16
 ID_C = bytes([0xC3]) * 16
@@ -35,8 +37,7 @@ def fetch_pq(client, signer_id, epoch):
 def provisioned_store(seed=1):
     group = small_test_group()
     states, public, material = hy.keygen([ID_A, ID_B], group, 3, PQ_TOY, fixed_rng(seed))
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return store, states, public, material, group
 
 
@@ -54,39 +55,17 @@ class TestProvisioning:
         with pytest.raises(UnknownSigner):
             store.pq_commitment(ID_C, 1)
 
-    def test_reprovision_same_id_rejected(self):
-        store, _, _, material, _ = provisioned_store()
-        with pytest.raises(ValueError):
-            store.provision(material.pq)
-        with pytest.raises(ValueError):
-            store.provision(material.la)
-
-    def test_incompatible_master_key_rejected(self):
-        store, *_ = provisioned_store(seed=1)
-        _, foreign = pq.keygen([ID_C], PQ_TOY, fixed_rng(99))
-        with pytest.raises(ValueError):
-            store.provision(foreign)
-
-    def test_each_part_once_and_a_refusal_changes_nothing(self):
-        _, _, _, material, _ = provisioned_store()
-        store = cco.CcoStore()
-        store.provision(material.pq)
-        with pytest.raises(ValueError):
-            store.provision(material)  # its la part is new, its pq part is not
-        assert store.materials() == (material.pq, None)
-        store.provision(material.la)  # as a store file is loaded: pq, then la
-        assert store.materials() == (material.pq, material.la)
-
 
 class TestStoragePolicy:
+    """One store per j1, each of the same master key: what the store files
+    of ``hases keygen --J1 j1`` hold."""
+
     def test_policy_invariance_and_chain_bound(self):
-        states, material = pq.keygen([ID_A], pq.PqParams(t=8, k=4, j1=1, j2=16), fixed_rng(6))
-        store = cco.CcoStore()
-        store.provision(material)
-        baseline = [store.pq_commitment(ID_A, j).to_bytes() for j in range(1, 17)]
+        _, material = pq.keygen([ID_A], pq.PqParams(t=8, k=4, j1=1, j2=16), fixed_rng(6))
+        baseline = [cco.CcoStore(material).pq_commitment(ID_A, j).to_bytes() for j in range(1, 17)]
         for j1 in (1, 2, 4, 8, 16):
-            store.set_storage_policy(j1)
             j2 = 16 // j1
+            store = cco.CcoStore(anchored_for(material, j1))
             for epoch in range(1, 17):
                 counters.reset()
                 blob = store.pq_commitment(ID_A, epoch).to_bytes()
@@ -96,17 +75,9 @@ class TestStoragePolicy:
 
     def test_anchor_count_follows_policy(self):
         _, material = pq.keygen([ID_A], pq.PqParams(t=8, k=4, j1=1, j2=16), fixed_rng(7))
-        store = cco.CcoStore()
-        store.provision(material)
         for j1 in (1, 4, 16):
-            store.set_storage_policy(j1)
-            anchors = store.pq_material().anchors[ID_A]
+            anchors = cco.CcoStore(anchored_for(material, j1)).pq_material().anchors[ID_A]
             assert len(anchors) == j1 - 1
-
-    def test_non_divisor_rejected(self):
-        store, *_ = provisioned_store()
-        with pytest.raises(ValueError):
-            store.set_storage_policy(5)  # 16 % 5 != 0
 
 
 class TestRequestHandling:
@@ -214,8 +185,7 @@ class TestRequestHandling:
         # small private scalar would collide with unrelated public bytes
         group = production_group()
         _, _, material = hy.keygen([ID_A, ID_B], group, 3, PQ_TOY, fixed_rng(77))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         secrets_to_scan = [material.pq.msk, material.la.msk]
         secrets_to_scan += [a for sid in (ID_A, ID_B) for a in material.pq.anchors[sid]]
         secrets_to_scan += [pq.initial_seed(material.pq.msk, sid) for sid in (ID_A, ID_B)]
@@ -321,8 +291,7 @@ class TestWireProtocol:
         # 8192 epochs of t=1024 would be a 268 MB response
         params = pq.PqParams(t=1024, k=16, j1=1, j2=8192)
         _, material = pq.keygen([ID_A], params, fixed_rng(19))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as client:
                 with pytest.raises(CcoRequestError) as info:
@@ -346,8 +315,7 @@ class TestWireProtocol:
         # k = 256 (t = 2): 1 + 24 + 4k = 1,049 bytes, the longest a valid request gets
         params = pq.PqParams(t=2, k=256, j1=2, j2=8)
         _, material = pq.keygen([ID_A], params, fixed_rng(18))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         indices = [n % 2 for n in range(params.k)]
         payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 3, indices)
         assert len(payload) == 1049 <= transport.MAX_REQUEST_FRAME
@@ -506,8 +474,7 @@ class TestStorePersistence:
 
     def test_partial_store_round_trip(self):
         _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(15))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         restored = keyfiles.store_from_bytes(keyfiles.store_bytes(store))
         assert restored.pq_commitment(ID_A, 3).to_bytes() == store.pq_commitment(ID_A, 3).to_bytes()
 
@@ -529,8 +496,7 @@ def pq_payload(signer_id, epoch):
 
 def cold_cost(material, payloads):
     """Hash calls of answering each payload once on a store with an empty cache."""
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     counters.reset()
     for payload in payloads:
         store.handle_request(payload)
@@ -567,8 +533,7 @@ class TestResponseCache:
 
     def test_concurrent_requests_share_one_build(self):
         _, material = pq.keygen([ID_A], PQ_T1024, fixed_rng(41))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         payload = pq_payload(ID_A, 3)
         barrier = threading.Barrier(4)
         responses = [None] * 4
@@ -605,8 +570,7 @@ class TestResponseCache:
 
     def test_evicted_response_rebuilt_identically(self):
         _, material = pq.keygen([ID_A, ID_B], PQ_T1024, fixed_rng(43))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, PQ_T1024.epochs + 1)]
         responses = []
         for payload in payloads:
@@ -641,8 +605,7 @@ class TestResponseCache:
 
     def test_refusals_are_not_cached(self):
         _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(44))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         payload = pq_payload(ID_C, 2)
         for _ in range(2):
             assert store.handle_request(payload) == bytes((0x81, cco.STATUS_UNKNOWN_ID))
@@ -713,8 +676,7 @@ class TestResponseCache:
         # one client asking for them once
         assert counters.total() == expected_hashes
         assert counters.calls_h2 == len(distinct) * PQ_TOY.t
-        reference = cco.CcoStore()
-        reference.provision(material)
+        reference = cco.CcoStore(material)
         assert results[0] == results[1] == [reference.handle_request(p) for p in sequence]
         stats = store.cache_stats()
         assert stats.misses == len(distinct)
@@ -726,13 +688,11 @@ class TestResponseCache:
         # 4 responses: a lost update would break the counts or the size
         _, _, _, material, _ = provisioned_store(seed=54)
         payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, 7)]
-        reference = cco.CcoStore()
-        reference.provision(material)
+        reference = cco.CcoStore(material)
         expected = {p: reference.handle_request(p) for p in payloads}
         size = len(expected[payloads[0]])
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 4 * size)
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         wrong = []
 
         def worker(seed):
@@ -788,8 +748,7 @@ class TestServerLifecycle:
     def test_stop_waits_for_builds_in_progress(self):
         params = pq.PqParams(t=1024, k=16, j1=4, j2=64)
         _, material = pq.keygen([ID_A], params, fixed_rng(50))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         frames = b"".join(
             struct.pack(">I", 25) + pq_payload(ID_A, e) for e in range(1, params.epochs + 1)
         )
@@ -849,8 +808,7 @@ def t1024_store():
     """A hy store at t=1024, k=16 on the production group."""
     group = production_group()
     states, public, material = hy.keygen([ID_A, ID_B], group, 4, PQ_T1024, fixed_rng(70))
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return store, states, public, material, group
 
 
@@ -907,8 +865,7 @@ class TestOpeningRequests:
 
     def test_an_opening_costs_the_walk_and_2k_hashes(self):
         # a store of its own: what the shared one walked before would move its chain cursor
-        store = cco.CcoStore()
-        store.provision(t1024_store()[3])
+        store = cco.CcoStore(t1024_store()[3])
         for epoch, walk in ((3, 2 + 1), (8, 3)):  # segment 0 also derives the first seed
             payload = opening_payload(cco.MSG_PQ_OPENING, ID_B, epoch, self.INDICES)
             counters.reset()
@@ -961,8 +918,7 @@ class TestOpeningsOverTcp:
         # of them before it answers any
         params = pq.PqParams(t=2, k=256, j1=2, j2=8)
         _, material = pq.keygen([ID_A], params, fixed_rng(74))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         rng = random.Random(75)
         keys = [(ID_A, epoch) for epoch in range(1, transport.PIPELINE_WINDOW + 1)]
         indices = [tuple(rng.randrange(2) for _ in range(params.k)) for _ in keys]
@@ -1013,15 +969,13 @@ PQ_RUNS = pq.PqParams(t=8, k=4, j1=4, j2=8)  # 32 epochs
 def runs_store(seed):
     group = small_test_group()
     _, _, material = hy.keygen([ID_A, ID_B], group, 3, PQ_RUNS, fixed_rng(seed))
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return store, material
 
 
 def fresh_store(material):
     """A store of ``material`` that has answered nothing before."""
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return store
 
 
@@ -1076,18 +1030,17 @@ class TestChainCursor:
 
     def test_responses_match_after_a_storage_policy_change(self, monkeypatch):
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 0)
-        store, material = runs_store(82)
+        _, material = runs_store(82)
         rng = random.Random(83)
-        for j1 in (4, 2, 8, 1, 32, 4):
-            store.set_storage_policy(j1)
-            start = rng.randint(1, PQ_RUNS.epochs - 6)
-            for payload in self.payloads(rng, range(start, start + 6)):
-                assert store.handle_request(payload) == fresh_response(material, payload)
+        for j1 in (4, 2, 8, 1, 32):
+            store = cco.CcoStore(material._replace(pq=anchored_for(material.pq, j1)))
+            for start in rng.sample(range(1, PQ_RUNS.epochs - 5), 2):
+                for payload in self.payloads(rng, range(start, start + 6)):
+                    assert store.handle_request(payload) == fresh_response(material, payload)
 
     def test_two_threads_on_one_signer(self):
         _, material = pq.keygen([ID_A], PQ_RUNS, fixed_rng(84))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         forward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 1, 2, 3))
                    for e in range(1, PQ_RUNS.epochs + 1)]
         backward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 4, 5, 6))
@@ -1209,14 +1162,12 @@ class TestOpeningRuns:
         rng = random.Random(93)
         for first, count in self.RUNS:
             singles = self.singles(rng, first, count)
-            store = cco.CcoStore()
-            store.provision(material)
+            store = cco.CcoStore(material)
             counters.reset()
             for single in singles:
                 assert store.handle_request(single)[1] == cco.STATUS_OK
             one_by_one = counters.total()
-            store = cco.CcoStore()
-            store.provision(material)
+            store = cco.CcoStore(material)
             counters.reset()
             assert store.handle_request(self.run(singles))[1] == cco.STATUS_OK
             assert counters.total() == one_by_one
@@ -1269,8 +1220,7 @@ def fuzz_material():
 @functools.cache
 def fuzz_store():
     """One store for every example, so the cache fills as the fuzz runs."""
-    store = cco.CcoStore()
-    store.provision(fuzz_material())
+    store = cco.CcoStore(fuzz_material())
     return store
 
 
@@ -1312,8 +1262,7 @@ def request_payloads(draw):
 def test_fuzz_cached_responses_match_a_fresh_store(payload):
     store = fuzz_store()
     response = store.handle_request(payload)
-    fresh = cco.CcoStore()
-    fresh.provision(fuzz_material())
+    fresh = cco.CcoStore(fuzz_material())
     assert response == fresh.handle_request(payload)
     assert store.handle_request(payload) == response
     assert response[1] in (cco.STATUS_OK, cco.STATUS_UNKNOWN_ID, cco.STATUS_EPOCH_RANGE,

@@ -828,10 +828,8 @@ class TestKeyTableFiles:
 class TestServeSubprocess:
     """True process boundary: the store lives in a separate process."""
 
-    def start_server(self, tmp_path, store_path, policy=None):
+    def start_server(self, tmp_path, store_path):
         argv = [sys.executable, "-m", "hases.cli", "serve", "--store", str(store_path), "--port", "0"]
-        if policy:
-            argv += ["--policy-j1", str(policy)]
         proc = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONUNBUFFERED": "1"},
@@ -906,7 +904,7 @@ class TestServeSubprocess:
 
     def test_request_single_commitment(self, tmp_path, capsys):
         out = keygen(tmp_path, "pq", ["--J1", "4"])
-        proc, port = self.start_server(tmp_path, out / "cco.store", policy=2)
+        proc, port = self.start_server(tmp_path, out / "cco.store")
         capsys.readouterr()  # drop keygen chatter
         try:
             code = cli.main(
@@ -933,6 +931,57 @@ class TestServeSubprocess:
                     assert proc.wait(timeout=10) == 0
             finally:
                 proc.kill()
+
+
+class TestNumbersTheWireCannotCarry:
+    """A port outside 0..65535, an epoch outside [0, 2^64) or a port in use
+    is an operational error: exit 2 and one ``error:`` line, no traceback."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        with transport.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
+            yield out, server.port
+
+    def error(self, capsys, argv) -> str:
+        capsys.readouterr()  # drop keygen chatter
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_serve_on_a_port_in_use_exits_2(self, served, capsys):
+        out, port = served
+        err = self.error(capsys, ["serve", "--store", str(out / "cco.store"), "--port", str(port)])
+        assert "Address already in use" in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_on_a_port_outside_the_range_exits_2(self, served, capsys, port):
+        out, _ = served
+        err = self.error(capsys, ["serve", "--store", str(out / "cco.store"), "--port", port])
+        assert err == f"error: --port {port} is outside 0..65535\n"
+
+    def test_verify_with_a_cco_port_outside_the_range_exits_2(self, served, capsys):
+        out, _ = served
+        err = self.error(capsys, ["verify", "--pub", str(out / "verifier.pub"), "--in", "msgs.csv",
+                                  "--sigs", "sigs.bin", "--cco", "127.0.0.1:99999"])
+        assert err == "error: port 99999 is outside 0..65535\n"
+
+    def test_request_with_a_cco_port_outside_the_range_exits_2(self, capsys):
+        err = self.error(capsys, ["request", "--cco", "127.0.0.1:99999", "--scheme", "pq",
+                                  "--id", ID_HEX_1, "--epoch", "1"])
+        assert err == "error: port 99999 is outside 0..65535\n"
+
+    @pytest.mark.parametrize("option, value", [
+        ("--epoch", "-1"), ("--epoch", str(1 << 64)), ("--export", "-1:4")])
+    def test_request_of_an_epoch_outside_the_range_exits_2(self, served, tmp_path, capsys,
+                                                            option, value):
+        _, port = served
+        err = self.error(capsys, ["request", "--cco", f"127.0.0.1:{port}", "--scheme", "pq",
+                                  "--id", ID_HEX_1, f"{option}={value}",
+                                  "--out", str(tmp_path / "commits.bin")])
+        number = value.partition(":")[0]
+        assert err == f"error: {option} {number} is outside 0..{(1 << 64) - 1}\n"
 
 
 class TestFileKinds:

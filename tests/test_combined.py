@@ -187,8 +187,7 @@ class TestSplitDeltaForgery:
 def hy_store(group=None):
     group = group or small_test_group()
     states, public, material = hy.keygen([ID_A, ID_B], group, 3, PQ_TOY, fixed_rng(4))
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return store, material
 
 
@@ -226,8 +225,7 @@ class TestCombinedRequest:
 
     def test_pq_only_store_knows_no_aggregate_signer(self):
         _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(5))
-        store = cco.CcoStore()
-        store.provision(material)
+        store = cco.CcoStore(material)
         assert store.handle_request(cco.combined_payload(ID_A, SEED, [1]))[1] == cco.STATUS_UNKNOWN_ID
 
     def test_one_pipelined_stream_of_mixed_types(self):

@@ -32,8 +32,7 @@ def samples(group_name: str) -> dict[str, bytes]:
         la.construct_commitment(material.la, ID_A, 1),
         pq.construct_commitment(material.pq, ID_A, 1),
     )
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     bundle = keyfiles.VerifierBundle(schemes.HY.tag, PQ_TOY, material.la.params, public)
     return {
         "pq_signature": signature.pq.to_bytes(),

@@ -46,8 +46,7 @@ def material(backend, monkeypatch):
 
 
 def fresh_store(hy_material):
-    store = cco.CcoStore()
-    store.provision(hy_material)
+    store = cco.CcoStore(hy_material)
     return store
 
 
@@ -208,8 +207,7 @@ def serve(tmp_path):
     """A ``hases serve`` process on a pq store, and its helper's pid (None
     where the service does not fork one)."""
     _, material = pq.keygen([ID_A], PARAMS["production"], random.Random(3).randbytes)
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     path = tmp_path / "cco.store"
     keyfiles.save_store(path, store)
     proc = subprocess.Popen(

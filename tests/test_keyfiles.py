@@ -205,8 +205,7 @@ def test_store_with_the_wrong_anchor_count_rejected(tmp_path, count):
     # PQ_TOY has j1 = 2, so one anchor per signer; with none, an epoch of
     # the second segment would have no seed to walk from
     _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(9))
-    store = cco.CcoStore()
-    store.provision(pq.PqKeyMaterial(material.msk, PQ_TOY, {ID_A: material.anchors[ID_A] * count}))
+    store = cco.CcoStore(pq.PqKeyMaterial(material.msk, PQ_TOY, {ID_A: material.anchors[ID_A] * count}))
     path = tmp_path / "cco.store"
     keyfiles.save_store(path, store)
     with pytest.raises(ValueError) as error:
@@ -222,8 +221,7 @@ def test_store_with_a_section_flag_other_than_0_or_1_rejected(tmp_path, section)
     if section == "forward-secure":
         blob = keyfiles._STORE_MAGIC + b"\x07\x07"
     else:
-        store = cco.CcoStore()
-        store.provision(pq.keygen([ID_A], PQ_TOY, fixed_rng(9))[1])
+        store = cco.CcoStore(pq.keygen([ID_A], PQ_TOY, fixed_rng(9))[1])
         blob = keyfiles.store_bytes(store)[:-1] + b"\x07"  # the aggregate flag, last
     path = tmp_path / "cco.store"
     path.write_bytes(blob)
@@ -242,8 +240,7 @@ def store_without(part: str) -> bytes:
         material = material._replace(pq=material.pq._replace(anchors={}))
     else:
         material = material._replace(la=material.la._replace(signer_ids=frozenset()))
-    store = cco.CcoStore()
-    store.provision(material)
+    store = cco.CcoStore(material)
     return keyfiles.store_bytes(store)
 
 
