@@ -39,8 +39,10 @@ more equal-sized commitments, the same bytes as an offline export file.
 A request names only what the store cannot derive.  Aggregate commitments
 use the batch size fixed at key generation and carry it back
 (``la.LaCommitment.batch_size``) for the verifier to check.  An export
-whose response would exceed ``MAX_FRAME`` is refused with the
-epoch-range status before anything is built.
+is the single builds of its epochs, in order, at their cost.  Every
+refusal comes before any hashing: a store without a part the request
+needs answers as for an unknown id, an export over ``MAX_FRAME`` as
+for an epoch out of range.
 
 An opening is what a verifier needs of one epoch's commitment: a pq
 signature reveals only k of its t entries.  One 0x05 opens a run of n
@@ -283,6 +285,7 @@ class CcoStore:
         return la.construct_commitment(self.la_material(), signer_id, epoch)
 
     def hy_commitment(self, signer_id: bytes, epoch: int) -> hy.HyCommitment:
+        self.pq_material()  # a store without it refuses before the la part hashes
         return hy.HyCommitment(
             self.la_commitment(signer_id, epoch),
             self.pq_commitment(signer_id, epoch),
@@ -295,34 +298,30 @@ class CcoStore:
         return la.combined_commitment(self.la_material(), signer_id, seed, epochs)
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """Commitments of the scheme with this tag for every epoch in
-        [epoch_from, epoch_to], in order.
-
-        A range whose export response would exceed ``MAX_FRAME`` raises
-        ``EpochOutOfRange`` before any commitment is built.
+        """The scheme's commitment of every epoch in [epoch_from, epoch_to],
+        each from the store's single builder (``_BUILDERS``), in order: what
+        the epochs' single requests build and cost.  Refused before any
+        hashing: an unknown tag (``MalformedFrame``), a missing part or id
+        (``UnknownSigner``), a range outside [1, J] or a response over
+        ``MAX_FRAME`` (``EpochOutOfRange``).
         """
-        scheme = schemes.BY_TAG.get(scheme_tag)
-        if scheme is None:
+        method = _BUILDERS.get(scheme_tag)
+        if method is None:
             raise MalformedFrame(f"unknown export scheme {scheme_tag:#04x}")
-        if epoch_from < 1 or epoch_from > epoch_to:
-            raise EpochOutOfRange(f"bad export range [{epoch_from}, {epoch_to}]")
-        size = _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * self._entry_len(scheme)
-        if size > MAX_FRAME:
+        scheme = schemes.BY_TAG[scheme_tag]
+        pq_part = self.pq_material() if scheme.has_pq else None
+        la_part = self.la_material() if scheme.has_la else None
+        if pq_part:
+            pq.check_epochs(pq_part, signer_id, epoch_from, epoch_to)
+        if la_part:
+            la.check_epochs(la_part, signer_id, epoch_from, epoch_to)
+        # an entry: the la commitment or the pq header, then t pq entries (``hases.hy``)
+        entry = (la.COMMITMENT_LEN if la_part else pq.HEADER_LEN) + (
+            pq_part.params.t * pq.DIGEST_LEN if pq_part else 0)
+        if _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * entry > MAX_FRAME:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
-        span = (signer_id, epoch_from, epoch_to)
-        pq_part = la_part = None
-        if scheme.has_pq:
-            pq_part = pq.construct_commitments(self.pq_material(), *span, self._cursor)
-        if scheme.has_la:
-            la_part = la.construct_commitments(self.la_material(), *span)
-        return scheme.join(la_part, pq_part)
-
-    def _entry_len(self, scheme: schemes.Scheme) -> int:
-        """Serialized size of one commitment of ``scheme``: the la
-        commitment, or the pq header, then t pq entries (a hybrid nests
-        the two, see ``hases.hy``)."""
-        size = la.COMMITMENT_LEN if scheme.has_la else pq.HEADER_LEN
-        return size + (self.pq_material().params.t * pq.DIGEST_LEN if scheme.has_pq else 0)
+        build = getattr(self, method)
+        return [build(signer_id, epoch) for epoch in range(epoch_from, epoch_to + 1)]
 
     # -- request dispatch --------------------------------------------------
 
@@ -427,12 +426,14 @@ def export_from_bytes(data: bytes) -> list[bytes]:
     return [data[i : i + size] for i in range(8, len(data), size)]
 
 
+# scheme tag -> the store's builder of one commitment of it, for the
+# commitment request of that type and for every epoch of an export
+_BUILDERS = {MSG_PQ: "pq_commitment", MSG_LA: "la_commitment", MSG_HY: "hy_commitment"}
+
 # request type -> how it is taken; each `build` looks the store's method
 # up when it runs, so a wrapper installed on it sees the call
 _REQUESTS = {
-    MSG_PQ: _commitment("pq_commitment"),
-    MSG_LA: _commitment("la_commitment"),
-    MSG_HY: _commitment("hy_commitment"),
+    **{tag: _commitment(method) for tag, method in _BUILDERS.items()},
     MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
     MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: store.pq_opening(
         *_key(body), _opening_indices(body)).to_bytes()),

@@ -296,33 +296,27 @@ def commitment_from_key(
 
 
 def construct_commitment(material: LaKeyMaterial, signer_id: bytes, epoch: int) -> LaCommitment:
-    """Rebuild the aggregate nonce commitment exactly as the signer would."""
-    return construct_commitments(material, signer_id, epoch, epoch)[0]
-
-
-def construct_commitments(
-    material: LaKeyMaterial, signer_id: bytes, epoch_from: int, epoch_to: int
-) -> list[LaCommitment]:
-    """Commitments for every batch in [epoch_from, epoch_to], in order,
-    at the registered batch size.  The id and the whole range are
-    checked before any work; the private scalar is derived once."""
+    """Rebuild the aggregate nonce commitment exactly as the signer would,
+    at the registered batch size: the private scalar, then what
+    ``commitment_from_key`` costs."""
     params = material.params
-    key = _checked_key(material, signer_id, epoch_from, epoch_to)
-    return [
-        commitment_from_key(key, signer_id, epoch, params.batch_size, params.group)
-        for epoch in range(epoch_from, epoch_to + 1)
-    ]
+    key = _checked_key(material, signer_id, epoch, epoch)
+    return commitment_from_key(key, signer_id, epoch, params.batch_size, params.group)
+
+
+def check_epochs(material: LaKeyMaterial, signer_id: bytes, low: int, high: int) -> None:
+    """``UnknownSigner`` for an id the material does not hold, then
+    ``EpochOutOfRange`` unless 1 <= low <= high <= the batch count."""
+    if signer_id not in material.signer_ids:
+        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
+    if not 1 <= low <= high <= material.params.max_batches:
+        raise EpochOutOfRange(f"epochs [{low}, {high}] outside [1, {material.params.max_batches}]")
 
 
 def _checked_key(material: LaKeyMaterial, signer_id: bytes, low: int, high: int) -> int:
-    """The signer's private scalar, once the id and the epochs [low, high]
-    are checked: ``UnknownSigner`` or ``EpochOutOfRange`` before any work."""
-    params = material.params
-    if signer_id not in material.signer_ids:
-        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= low <= high <= params.max_batches:
-        raise EpochOutOfRange(f"epochs [{low}, {high}] outside [1, {params.max_batches}]")
-    return private_scalar(material.msk, signer_id, params.group)
+    """The signer's private scalar, once ``check_epochs`` passes: no work before."""
+    check_epochs(material, signer_id, low, high)
+    return private_scalar(material.msk, signer_id, material.params.group)
 
 
 def combined_commitment(

@@ -348,23 +348,8 @@ def construct_commitment(
 
     Costs 2t hashes plus the chain walk of ``_seeds``.
     """
-    return construct_commitments(material, signer_id, epoch, epoch, cursor)[0]
-
-
-def construct_commitments(
-    material: PqKeyMaterial,
-    signer_id: bytes,
-    epoch_from: int,
-    epoch_to: int,
-    cursor: Cursor | None = None,
-) -> list[PqCommitment]:
-    """Commitments for every epoch in [epoch_from, epoch_to], in order,
-    from the seeds of ``_seeds``: what the same commitments cost one by
-    one on a store that has answered nothing before."""
-    params = material.params
-    seeds = _seeds(material, signer_id, epoch_from, epoch_to, cursor)
-    return [commitment_from_seed(seed, signer_id, epoch, params)
-            for epoch, seed in enumerate(seeds, epoch_from)]
+    (seed,) = _seeds(material, signer_id, epoch, epoch, cursor)
+    return commitment_from_seed(seed, signer_id, epoch, material.params)
 
 
 def open_commitment(
@@ -397,6 +382,15 @@ def open_commitment(
     return PqOpening(signer_id, epoch, b"".join(images))
 
 
+def check_epochs(material: PqKeyMaterial, signer_id: bytes, first: int, last: int) -> None:
+    """``UnknownSigner`` for an id the material does not hold, then
+    ``EpochOutOfRange`` unless 1 <= first <= last <= J."""
+    if signer_id not in material.anchors:
+        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
+    if not 1 <= first <= last <= material.params.epochs:
+        raise EpochOutOfRange(f"epochs [{first}, {last}] outside [1, {material.params.epochs}]")
+
+
 def _seeds(
     material: PqKeyMaterial,
     signer_id: bytes,
@@ -404,9 +398,8 @@ def _seeds(
     last: int,
     cursor: Cursor | None = None,
 ) -> list[bytes]:
-    """The seed of each epoch in [first, last], in order, once the id
-    (``UnknownSigner``) and the whole range (``EpochOutOfRange``) check,
-    before any hashing.
+    """The seed of each epoch in [first, last], in order, once
+    ``check_epochs`` passes, before any hashing.
 
     The first seed is walked to from the nearest anchor at or below it
     (the master key itself when it falls in the first segment, one more
@@ -416,12 +409,8 @@ def _seeds(
     or its anchor where it starts a segment.  A ``cursor`` is left at
     ``last``.
     """
-    params = material.params
-    anchors = material.anchors.get(signer_id)
-    if anchors is None:
-        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= first <= last <= params.epochs:
-        raise EpochOutOfRange(f"epochs [{first}, {last}] outside [1, {params.epochs}]")
+    check_epochs(material, signer_id, first, last)
+    params, anchors = material.params, material.anchors[signer_id]
     segment, offset = divmod(first - 1, params.j2)
     known = cursor.get(signer_id) if cursor is not None else None
     if known is not None and first - offset <= known[0] <= first:

@@ -38,7 +38,6 @@ class Scheme(NamedTuple):
     state: type  # the signer state, serialized as the key file
     material: type  # the key store's share of the key ceremony
     parts: Callable  # material -> (its pq material or None, its la material or None)
-    join: Callable  # (la commitments or None, pq commitments or None) -> its commitments
     commitment_parts: Callable  # commitment blob -> (its la part or None, its pq part or None)
     keygen: Callable  # (ids, pq params, la params) -> (states, public keys, material)
     sign: Callable  # (state, records) -> one serialized signature per signed unit
@@ -73,7 +72,6 @@ PQ = Scheme(
     state=pq.PqSignerState,
     material=pq.PqKeyMaterial,
     parts=lambda material: (material, None),
-    join=lambda la_part, pq_part: pq_part,
     commitment_parts=lambda blob: (None, pq.PqCommitment.from_bytes(blob)),
     keygen=_pq_keygen,
     sign=lambda state, records: [pq.sign(state, r.payload).to_bytes() for r in records],
@@ -91,7 +89,6 @@ LA = Scheme(
     state=la.LaSignerState,
     material=la.LaKeyMaterial,
     parts=lambda material: (None, material),
-    join=lambda la_part, pq_part: la_part,
     commitment_parts=lambda blob: (la.LaCommitment.from_bytes(blob), None),
     keygen=lambda ids, pq_params, la_params: la.keygen(
         ids, la_params.group, la_params.max_batches, la_params.batch_size),
@@ -111,7 +108,6 @@ HY = Scheme(
     state=hy.HySignerState,
     material=hy.HyKeyMaterial,
     parts=lambda material: (material.pq, material.la),
-    join=lambda la_part, pq_part: list(map(hy.HyCommitment, la_part, pq_part)),
     commitment_parts=lambda blob: attrgetter("la", "pq")(hy.HyCommitment.from_bytes(blob)),
     keygen=lambda ids, pq_params, la_params: hy.keygen(
         ids, la_params.group, la_params.batch_size, pq_params),

@@ -103,12 +103,10 @@ def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
     (length,) = struct.unpack(">I", header)
     if length > limit:
         raise MalformedFrame("frame exceeds maximum size")
-    payload = b""
-    while len(payload) < length:
-        chunk = stream.read(length - len(payload))
-        if not chunk:
-            raise MalformedFrame("truncated frame body")
-        payload += chunk
+    # a buffered reader returns fewer than ``length`` bytes only at EOF
+    payload = stream.read(length)
+    if len(payload) < length:
+        raise MalformedFrame("truncated frame body")
     return payload
 
 

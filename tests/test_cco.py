@@ -222,6 +222,55 @@ class TestRequestHandling:
         assert not failures
 
 
+# the parts of a store each request needs: (request type, scheme of an export) -> parts
+NEEDED_PARTS = {
+    (cco.MSG_PQ, None): {"pq"},
+    (cco.MSG_LA, None): {"la"},
+    (cco.MSG_HY, None): {"pq", "la"},
+    (cco.MSG_EXPORT, cco.MSG_PQ): {"pq"},
+    (cco.MSG_EXPORT, cco.MSG_LA): {"la"},
+    (cco.MSG_EXPORT, cco.MSG_HY): {"pq", "la"},
+    (cco.MSG_PQ_OPENING, None): {"pq"},
+    (cco.MSG_LA_COMBINED, None): {"la"},
+}
+
+
+def refusable_payload(msg_type, scheme, signer_id, epoch):
+    """A request of ``msg_type`` (an export of ``scheme``) for ``signer_id``
+    that reaches ``epoch``, otherwise well formed."""
+    if msg_type == cco.MSG_EXPORT:
+        return cco.export_payload(scheme, signer_id, 1, epoch)
+    if msg_type == cco.MSG_PQ_OPENING:
+        return cco.opening_payload(signer_id, epoch, range(PQ_TOY.k))
+    if msg_type == cco.MSG_LA_COMBINED:
+        return cco.combined_payload(signer_id, bytes(cco.SEED_LEN), (1, epoch))
+    return cco.commitment_payload(msg_type, signer_id, epoch)
+
+
+def test_every_refusal_is_answered_before_any_hashing():
+    _, _, material = hy.keygen([ID_A], small_test_group(), 3, PQ_TOY, fixed_rng(97))
+    stores = {frozenset({"pq"}): material.pq, frozenset({"la"}): material.la,
+              frozenset({"pq", "la"}): material}
+    wrong = []
+    for parts, store_material in stores.items():
+        store = cco.CcoStore(store_material)
+        for (msg_type, scheme), needed in NEEDED_PARTS.items():
+            # a store without a needed part answers as for an unknown id, whatever the epoch
+            missing = bool(needed - parts)
+            cases = [("unknown id", ID_C, 2, cco.STATUS_UNKNOWN_ID),
+                     ("epoch out of range", ID_A, PQ_TOY.epochs + 1,
+                      cco.STATUS_UNKNOWN_ID if missing else cco.STATUS_EPOCH_RANGE)]
+            if missing:
+                cases.append(("missing part", ID_A, 2, cco.STATUS_UNKNOWN_ID))
+            for refusal, signer_id, epoch, status in cases:
+                counters.reset()
+                reply = store.handle_request(refusable_payload(msg_type, scheme, signer_id, epoch))
+                if reply != bytes((msg_type | cco.RESPONSE_BIT, status)) or counters.total():
+                    wrong.append((sorted(parts), msg_type, scheme, refusal, reply.hex(),
+                                  counters.total()))
+    assert not wrong
+
+
 class TestWireProtocol:
     def test_a_burst_of_connects_fits_the_listen_backlog(self):
         # bound and listening but not serving, so nothing accepts: every
@@ -1107,15 +1156,17 @@ class TestChainCursor:
         # from the anchor at 9, up to the one at 17, across 9, 17 and 25,
         # the whole chain, inside segment 0
         for lo, hi in ((9, 12), (13, 17), (5, 28), (1, PQ_RUNS.epochs), (2, 7)):
-            counters.reset()
-            store = fresh_store(material)
-            for epoch in range(lo, hi + 1):
-                assert store.handle_request(pq_payload(ID_A, epoch))[1] == cco.STATUS_OK
-            one_by_one = counters.total()
-            counters.reset()
-            export = cco.export_payload(cco.MSG_PQ, ID_A, lo, hi)
-            assert fresh_store(material).handle_request(export)[1] == cco.STATUS_OK
-            assert counters.total() == one_by_one, (lo, hi)
+            for scheme in (cco.MSG_PQ, cco.MSG_LA, cco.MSG_HY):
+                counters.reset()
+                store = fresh_store(material)
+                for epoch in range(lo, hi + 1):
+                    payload = cco.commitment_payload(scheme, ID_A, epoch)
+                    assert store.handle_request(payload)[1] == cco.STATUS_OK
+                one_by_one = counters.total()
+                counters.reset()
+                export = cco.export_payload(scheme, ID_A, lo, hi)
+                assert fresh_store(material).handle_request(export)[1] == cco.STATUS_OK
+                assert counters.total() == one_by_one, (scheme, lo, hi)
 
     def test_unknown_ids_get_no_entry(self):
         store, _ = runs_store(89)

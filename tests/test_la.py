@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hases import la
+from hases import cco, la
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from conftest import curve_point
 from hases.group import production_group, small_test_group
@@ -329,13 +329,16 @@ class TestKeyTables:
 
     def test_range_matches_single_commitments(self):
         group, _, _, material = tiny_setup(max_batches=8)
+        store = cco.CcoStore(material)
         singles = [la.construct_commitment(material, ID_A, e) for e in range(2, 7)]
-        assert la.construct_commitments(material, ID_A, 2, 6) == singles
+        assert store.batch_export(cco.MSG_LA, ID_A, 2, 6) == singles
+        counters.reset()
         for lo, hi in ((0, 2), (5, 4), (7, 9)):
             with pytest.raises(EpochOutOfRange):
-                la.construct_commitments(material, ID_A, lo, hi)
+                store.batch_export(cco.MSG_LA, ID_A, lo, hi)
         with pytest.raises(UnknownSigner):
-            la.construct_commitments(material, ID_B, 1, 1)
+            store.batch_export(cco.MSG_LA, ID_B, 1, 1)
+        assert counters.total() == 0
 
 
 class TestVerify:

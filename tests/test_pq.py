@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import cli, keyfiles, pq
+from hases import cco, cli, keyfiles, pq
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from hases.hashing import counters, domain_hash, encode_index, iter_hash
 
@@ -304,7 +304,7 @@ class TestCommitmentConstruction:
         for lo, hi in ((1, 16), (3, 10), (5, 5), (8, 9)):
             singles = [pq.construct_commitment(material, ID_A, e) for e in range(lo, hi + 1)]
             counters.reset()
-            assert pq.construct_commitments(material, ID_A, lo, hi) == singles
+            assert cco.CcoStore(material).batch_export(cco.MSG_PQ, ID_A, lo, hi) == singles
             segment, offset = divmod(lo - 1, TOY.j2)
             n = hi - lo + 1
             # one chain step per further epoch, none where an anchor starts a segment
@@ -314,12 +314,13 @@ class TestCommitmentConstruction:
 
     def test_range_checked_before_any_hashing(self):
         _, material = pq.keygen([ID_A], TOY, fixed_rng(22))
+        store = cco.CcoStore(material)
         counters.reset()
         for lo, hi in ((0, 3), (4, 3), (10, TOY.epochs + 1)):
             with pytest.raises(EpochOutOfRange):
-                pq.construct_commitments(material, ID_A, lo, hi)
+                store.batch_export(cco.MSG_PQ, ID_A, lo, hi)
         with pytest.raises(UnknownSigner):
-            pq.construct_commitments(material, ID_B, 1, 2)
+            store.batch_export(cco.MSG_PQ, ID_B, 1, 2)
         assert counters.total() == 0
 
     def test_unknown_signer(self):
@@ -586,9 +587,10 @@ class TestChainCursor:
     def test_commitments_walk_from_the_cursor_and_leave_it_at_the_last_epoch(self):
         params = self.PARAMS
         _, material = pq.keygen([ID_A], params, fixed_rng(43))
-        cursor = {}
+        store = cco.CcoStore(material)
+        cursor = store._cursor
         singles = [pq.construct_commitment(material, ID_A, e) for e in range(3, 11)]
-        assert pq.construct_commitments(material, ID_A, 3, 10, cursor) == singles
+        assert store.batch_export(cco.MSG_PQ, ID_A, 3, 10) == singles
         assert cursor[ID_A] == (10, chain_seed(material, ID_A, 10))
         reference = pq.construct_commitment(material, ID_A, 12)
         counters.reset()
@@ -606,7 +608,7 @@ class TestChainCursor:
         with pytest.raises(UnknownSigner):
             pq.open_commitment(material, ID_B, 8, tuple(range(params.k)), cursor)
         with pytest.raises(EpochOutOfRange):
-            pq.construct_commitments(material, ID_A, 8, params.epochs + 1, cursor)
+            pq.construct_commitment(material, ID_A, params.epochs + 1, cursor)
         with pytest.raises(ValueError):
             pq.open_commitment(material, ID_A, 8, (params.t,) * params.k, cursor)
         assert cursor == before and counters.total() == 0
