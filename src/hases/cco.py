@@ -5,8 +5,10 @@ commitment requests for all three schemes and never exposes key bytes:
 every response carries only public commitment material.  The trust
 boundary is ``hases serve`` together with the hashing helper it may
 fork (``hases.transport.HashHelper``), a copy of the service's process
-that receives epoch seeds over a pipe; hosting the same store inside a
-hardware enclave is a deployment substitution, not a code change.
+that receives epoch seeds over a pipe and hashes half of each full pq
+build, while the handler thread derives a hy build's la part and then
+hashes the other half; hosting the same store inside a hardware
+enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
 the request table that takes each request type (``_REQUESTS``), and the
@@ -39,7 +41,8 @@ more equal-sized commitments, the same bytes as an offline export file.
 A request names only what the store cannot derive.  Aggregate commitments
 use the batch size fixed at key generation and carry it back
 (``la.LaCommitment.batch_size``) for the verifier to check.  An export
-is the single builds of its epochs, in order, at their cost.  Every
+is the single builds of its epochs, in order, at their cost; each is
+serialized as it is built, and the reply is joined once.  Every
 refusal comes before any hashing: a store without a part the request
 needs answers as for an unknown id, an export over ``MAX_FRAME`` as
 for an epoch out of range.
@@ -278,18 +281,25 @@ class CcoStore:
 
     # -- commitment construction -----------------------------------------
 
-    def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
-        return pq.construct_commitment(self.pq_material(), signer_id, epoch, self._cursor)
+    def pq_commitment(self, signer_id: bytes, epoch: int, meanwhile=None) -> pq.PqCommitment:
+        material = self.pq_material()
+        return pq.construct_commitment(material, signer_id, epoch, self._cursor, meanwhile)
 
     def la_commitment(self, signer_id: bytes, epoch: int) -> la.LaCommitment:
         return la.construct_commitment(self.la_material(), signer_id, epoch)
 
     def hy_commitment(self, signer_id: bytes, epoch: int) -> hy.HyCommitment:
-        self.pq_material()  # a store without it refuses before the la part hashes
-        return hy.HyCommitment(
-            self.la_commitment(signer_id, epoch),
-            self.pq_commitment(signer_id, epoch),
-        )
+        """Both parts, refused before any hashing: a missing part, then
+        the la id and range, then the pq id and range.  The la part is
+        derived once the pq seed is walked to and a hashing helper has
+        its half of the pq entries, so the two overlap."""
+        la_part = self.la_material()
+        self.pq_material()
+        la.check_epochs(la_part, signer_id, epoch, epoch)
+        la_commitment = []
+        pq_commitment = self.pq_commitment(
+            signer_id, epoch, lambda: la_commitment.append(self.la_commitment(signer_id, epoch)))
+        return hy.HyCommitment(*la_commitment, pq_commitment)
 
     def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
         return pq.open_commitment(self.pq_material(), signer_id, epoch, indices, self._cursor)
@@ -298,9 +308,10 @@ class CcoStore:
         return la.combined_commitment(self.la_material(), signer_id, seed, epochs)
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """The scheme's commitment of every epoch in [epoch_from, epoch_to],
-        each from the store's single builder (``_BUILDERS``), in order: what
-        the epochs' single requests build and cost.  Refused before any
+        """The scheme's serialized commitment of every epoch in [epoch_from,
+        epoch_to], each from the store's single builder (``_BUILDERS``) and
+        serialized as it is built, in order: what the epochs' single
+        requests build and cost.  Refused before any
         hashing: an unknown tag (``MalformedFrame``), a missing part or id
         (``UnknownSigner``), a range outside [1, J] or a response over
         ``MAX_FRAME`` (``EpochOutOfRange``).
@@ -321,7 +332,7 @@ class CcoStore:
         if _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * entry > MAX_FRAME:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
         build = getattr(self, method)
-        return [build(signer_id, epoch) for epoch in range(epoch_from, epoch_to + 1)]
+        return [build(signer_id, epoch).to_bytes() for epoch in range(epoch_from, epoch_to + 1)]
 
     # -- request dispatch --------------------------------------------------
 
@@ -343,7 +354,7 @@ class CcoStore:
 
     def _build_response(self, request: _Request, payload: bytes) -> bytes:
         try:
-            return _response_head(payload, STATUS_OK) + request.build(self, payload[1:])
+            return b"".join([_response_head(payload, STATUS_OK), *request.build(self, payload[1:])])
         except UnknownSigner:
             return _response_head(payload, STATUS_UNKNOWN_ID)
         except EpochOutOfRange:
@@ -365,7 +376,8 @@ class _Request(NamedTuple):
 
     well_formed: Callable[[int], bool]  # whether a body can have this length
     cached: bool  # its OK responses go through the response cache
-    build: Callable[[CcoStore, bytes], bytes]  # body -> what follows OK; raises for the rest
+    # body -> the parts of what follows OK, joined with the head once; raises for the rest
+    build: Callable[[CcoStore, bytes], Sequence[bytes]]
 
 
 def _key(body: bytes) -> tuple[bytes, int]:
@@ -390,29 +402,33 @@ def _combined_len(body_len: int) -> bool:
 def _combined_response(store: CcoStore, body: bytes) -> bytes:
     head = 16 + SEED_LEN
     epochs = struct.unpack(f">{(len(body) - head) // 8}Q", body[head:])
-    return store.la_combined(body[:16], body[16:head], epochs)
+    return (store.la_combined(body[:16], body[16:head], epochs),)
 
 
 def _commitment(method: str) -> _Request:
     """A commitment request, answered with the store's ``method`` of its key."""
     return _Request(lambda n: n == 24, True,
-                    lambda store, body: getattr(store, method)(*_key(body)).to_bytes())
+                    lambda store, body: (getattr(store, method)(*_key(body)).to_bytes(),))
 
 
-def _export_response(store: CcoStore, body: bytes) -> bytes:
+def _export_response(store: CcoStore, body: bytes) -> list[bytes]:
     epoch_from, epoch_to = struct.unpack(">QQ", body[17:33])
-    commitments = store.batch_export(body[0], body[1:17], epoch_from, epoch_to)
-    return export_bytes([c.to_bytes() for c in commitments])
+    return export_parts(store.batch_export(body[0], body[1:17], epoch_from, epoch_to))
 
 
-def export_bytes(blobs: Sequence[bytes]) -> bytes:
+def export_parts(blobs: Sequence[bytes]) -> list[bytes]:
     """The export container, of the ``0x04`` reply and the offline file
-    alike: an 8-byte big-endian entry count, then the entries.  ValueError
-    for anything ``_EXPORT_RULE`` refuses."""
+    alike, as parts to join: an 8-byte big-endian entry count, then the
+    entries.  ValueError for anything ``_EXPORT_RULE`` refuses."""
     sizes = {len(blob) for blob in blobs}
     if len(sizes) != 1 or 0 in sizes:
         raise ValueError(_EXPORT_RULE)
-    return len(blobs).to_bytes(8, "big") + b"".join(blobs)
+    return [len(blobs).to_bytes(8, "big"), *blobs]
+
+
+def export_bytes(blobs: Sequence[bytes]) -> bytes:
+    """``export_parts`` joined."""
+    return b"".join(export_parts(blobs))
 
 
 def export_from_bytes(data: bytes) -> list[bytes]:
@@ -435,8 +451,8 @@ _BUILDERS = {MSG_PQ: "pq_commitment", MSG_LA: "la_commitment", MSG_HY: "hy_commi
 _REQUESTS = {
     **{tag: _commitment(method) for tag, method in _BUILDERS.items()},
     MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
-    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: store.pq_opening(
-        *_key(body), _opening_indices(body)).to_bytes()),
+    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: (store.pq_opening(
+        *_key(body), _opening_indices(body)).to_bytes(),)),
     MSG_LA_COMBINED: _Request(_combined_len, True, _combined_response),
 }
 

@@ -43,7 +43,10 @@ that asked for it.
 
 ``helper`` is None except in ``hases serve``, which may install a
 forked hashing process there (``hases.transport.HashHelper``) that
-``commitment_images`` hands the upper half of a full build.
+``commitment_images`` hands the upper half of a full build first, so
+that whatever the build runs meanwhile (a hy build's la part) and its
+own lower half overlap the helper's hashing; the helper's half comes
+back as one body of bytes, appended as read.
 
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .records import SlotRecord
 
@@ -280,27 +283,38 @@ def images_match(preimages: bytes, images: bytes) -> bool:
     return matched
 
 
-def commitment_images(seed: bytes, t: int) -> list[bytes]:
-    """``H2(H1(seed || label))`` for the labels 1..t, in label order;
-    counted as the 2t calls of that composition.
+def commitment_images(seed: bytes, t: int, meanwhile: Callable[[], object] | None = None) -> bytes:
+    """The entry body: ``H2(H1(seed || label))`` for the labels 1..t, in
+    label order, joined; counted as the 2t calls of that composition.
 
     With a ``helper`` installed that takes the build, the helper hashes
-    the labels above t/2 in its own process while this thread hashes the
-    rest; one that is busy is not waited for, and one that is lost
-    leaves its half to this thread.  The images and the count are the
-    same either way."""
+    the labels above t/2 in its own process while this thread runs
+    ``meanwhile``, if given, then hashes the rest; the helper's reply is
+    appended as read.  One that is busy is not waited for, and one that
+    is lost leaves its half to this thread.  The body and the count are
+    the same either way; ``meanwhile`` runs once, before this thread
+    hashes any entry, and what it raises is raised once the helper's
+    reply is read."""
     labels = label_table(t)
     half = t // 2
     split = helper
     if split is None or not split.send(seed, t, half):
-        return _images(seed, labels)
-    images = _images(seed, labels[:half])
-    upper = split.receive(t - half)
+        if meanwhile is not None:
+            meanwhile()
+        return b"".join(_images(seed, labels))
+    try:
+        if meanwhile is not None:
+            meanwhile()
+        images = _images(seed, labels[:half])
+    finally:
+        # read even if the above raised: an unread reply would answer the next build
+        upper = split.receive(t - half)
     if upper is None:
-        return images + _images(seed, labels[half:])
+        return b"".join(images + _images(seed, labels[half:]))
     _count(DOM_CHAIN, t - half)
     _count(DOM_COMMIT, t - half)
-    return images + upper
+    images.append(upper)
+    return b"".join(images)
 
 
 def opened_images(seed: bytes, indices: Sequence[int], t: int) -> list[bytes]:

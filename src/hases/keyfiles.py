@@ -318,6 +318,12 @@ def store_from_bytes(data: bytes) -> CcoStore:
     if offset != len(data):
         raise ValueError("trailing bytes in key store file")
     if pq_material and la_material:
+        # what hy.keygen writes: both parts over one id list and J epochs
+        if la_material.params.max_batches != pq_material.params.epochs:
+            raise ValueError(f"aggregate section has {la_material.params.max_batches} batches,"
+                             f" not the forward-secure J = {pq_material.params.epochs}")
+        if la_material.signer_ids != pq_material.anchors.keys():
+            raise ValueError("the two sections list different signer ids")
         return CcoStore(hy.HyKeyMaterial(la_material, pq_material))
     if not (pq_material or la_material):
         raise ValueError("key store file holds no key material")

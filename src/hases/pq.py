@@ -336,20 +336,27 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
     return signature
 
 
-def commitment_from_seed(seed: bytes, signer_id: bytes, epoch: int, params: PqParams) -> PqCommitment:
-    """Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign`` reveals them."""
-    return PqCommitment(signer_id, epoch, b"".join(commitment_images(seed, params.t)))
+def commitment_from_seed(
+    seed: bytes, signer_id: bytes, epoch: int, params: PqParams,
+    meanwhile: Callable[[], object] | None = None,
+) -> PqCommitment:
+    """Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign``
+    reveals them; ``meanwhile`` as for ``commitment_images``."""
+    return PqCommitment(signer_id, epoch, commitment_images(seed, params.t, meanwhile))
 
 
 def construct_commitment(
-    material: PqKeyMaterial, signer_id: bytes, epoch: int, cursor: Cursor | None = None
+    material: PqKeyMaterial, signer_id: bytes, epoch: int, cursor: Cursor | None = None,
+    meanwhile: Callable[[], object] | None = None,
 ) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
-    Costs 2t hashes plus the chain walk of ``_seeds``.
+    Costs 2t hashes plus the chain walk of ``_seeds``.  ``meanwhile``
+    runs once the seed is walked to, while a hashing helper hashes half
+    of the entries (``commitment_images``).
     """
     (seed,) = _seeds(material, signer_id, epoch, epoch, cursor)
-    return commitment_from_seed(seed, signer_id, epoch, material.params)
+    return commitment_from_seed(seed, signer_id, epoch, material.params, meanwhile)
 
 
 def open_commitment(

@@ -28,10 +28,13 @@ connections and malformed frames at WARNING.
 
 ``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
 pq commitment build (``0x01``, the pq part of ``0x03``, every epoch of
-``0x04``) hashes the lower half of its t entries in the handler thread
-while the helper hashes the upper half, which ``hashlib`` cannot do in
-a second thread of one process: it holds the interpreter lock for
-inputs this short.  Openings (``0x05``) and combined commitments
+``0x04``) first hands the helper the upper half of its t entries, then
+hashes the lower half in the handler thread while the helper hashes
+the upper, which ``hashlib`` cannot do in a second thread of one
+process: it holds the interpreter lock for inputs this short.  A hy
+build derives its la part between the two, so that too overlaps the
+helper's half, and the helper's reply is taken whole into the entry
+body.  Openings (``0x05``) and combined commitments
 (``0x08``) are built inline: they hash 2k entries, not 2t, and the
 verifiers that send them keep the other CPU busy.
 """
@@ -132,8 +135,10 @@ class HashHelper:
     ``hashing.commitment_images`` then sends it ``_HELPER_REQUEST`` over
     one pipe and reads back H2(H1(seed || label)) for the labels
     lo+1..hi, 32 bytes each, over another, while the calling thread
-    hashes the labels below.  It takes one build at a time: a build
-    that finds it busy hashes all t entries inline instead of waiting.
+    runs what the build does meanwhile and hashes the labels below; the
+    reply is read even when that raises, so the pipe stays in step.  It
+    takes one build at a time: a build that finds it busy hashes all t
+    entries inline instead of waiting.
     A write that fails or a read that meets EOF drops the helper, with
     one WARNING on ``hases.cco``, and leaves the half to the caller.
     ``close`` uninstalls it, closes its request pipe, on which the
@@ -177,13 +182,13 @@ class HashHelper:
         self._lock.release()
         return False
 
-    def receive(self, count: int) -> list[bytes] | None:
-        """The ``count`` images asked for by ``send``, or None if the helper is lost."""
+    def receive(self, count: int) -> bytes | None:
+        """The ``count`` images asked for by ``send``, joined as read, or
+        None if the helper is lost."""
         try:
             body = self._replies.read(count * hashing.DIGEST_LEN)
             if len(body) == count * hashing.DIGEST_LEN:
-                return [body[at : at + hashing.DIGEST_LEN]
-                        for at in range(0, len(body), hashing.DIGEST_LEN)]
+                return body
             self._drop(f"EOF after {len(body)} of {count * hashing.DIGEST_LEN} bytes")
         except OSError as exc:
             self._drop(exc)

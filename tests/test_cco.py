@@ -271,6 +271,27 @@ def test_every_refusal_is_answered_before_any_hashing():
     assert not wrong
 
 
+def test_an_export_reply_peaks_at_about_twice_its_size():
+    # each epoch is serialized as it is built, and the head and the entries
+    # are joined once: the entries and the reply are alive together, no more
+    import tracemalloc
+
+    params = pq.PqParams(t=1024, k=16, j1=4, j2=16)
+    _, material = pq.keygen([ID_A], params, fixed_rng(98))
+    store = cco.CcoStore(material)
+    payload = cco.export_payload(cco.MSG_PQ, ID_A, 1, params.epochs)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        reply = store.handle_request(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reply[:2] == bytes((0x84, cco.STATUS_OK))
+    assert len(reply) == 2 + 8 + params.epochs * (25 + 32 * params.t)
+    assert peak <= 2.2 * len(reply)
+
+
 class TestWireProtocol:
     def test_a_burst_of_connects_fits_the_listen_backlog(self):
         # bound and listening but not serving, so nothing accepts: every

@@ -45,8 +45,7 @@ def samples(group_name: str) -> dict[str, bytes]:
         "signer_key": keyfiles.signer_key_bytes(states[ID_A]),
         "bundle": bundle.to_bytes(),
         "store": keyfiles.store_bytes(store),
-        "export": cco.export_bytes([c.to_bytes() for c in store.batch_export(
-            schemes.HY.tag, ID_A, 1, 2)]),
+        "export": cco.export_bytes(store.batch_export(schemes.HY.tag, ID_A, 1, 2)),
     }
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hases import cco, cli, hashing, hy, keyfiles, pq, transport
+from hases import cco, cli, hashing, hy, keyfiles, la, pq, transport
 from hases.hashing import counters
 
 ID_A = bytes([0xA1]) * 16
@@ -167,6 +167,58 @@ def test_a_lost_helper_leaves_its_half_inline_and_warns_once(monkeypatch, caplog
     assert warnings[0].exc_info is None
     with pytest.raises(ChildProcessError):  # reaped
         os.waitpid(helper.pid, os.WNOHANG)
+
+
+@needs_fork
+def test_a_hy_build_hands_the_helper_its_half_before_the_la_part_hashes(monkeypatch):
+    hy_material = material("production", monkeypatch)
+    events = []
+    private_scalar = la.private_scalar
+    monkeypatch.setattr(la, "private_scalar",
+                        lambda *args: events.append("la") or private_scalar(*args))
+    expected = inline_replies(hy_material, PAYLOADS[1:2])
+    assert events == ["la"]
+    events.clear()
+    with served_with_helper(fresh_store(hy_material)) as server:
+        send = server.helper.send
+        server.helper.send = lambda *args: events.append("send") or send(*args)
+        assert [counted(server.store.handle_request, PAYLOADS[1])] == expected
+    assert events == ["send", "la"]
+
+
+@needs_fork
+def test_a_raise_after_the_hand_off_still_reads_the_helpers_reply(monkeypatch, caplog):
+    hy_material = material("production", monkeypatch)
+    construct = la.construct_commitment
+    raised = []
+
+    def raise_once(*args):
+        if not raised:
+            raised.append(args)
+            raise RuntimeError("la part failed")
+        return construct(*args)
+
+    hy_payload = cco.commitment_payload(cco.MSG_HY, ID_A, 5)
+    monkeypatch.setattr(la, "construct_commitment", raise_once)
+    # the same requests, to a store with no helper
+    reference = fresh_store(hy_material)
+    with pytest.raises(RuntimeError):
+        reference.handle_request(hy_payload)
+    expected = [counted(reference.handle_request, payload) for payload in PAYLOADS[:2]]
+    raised.clear()
+    with served_with_helper(fresh_store(hy_material)) as server:
+        helper = server.helper
+        sends = spy_sends(helper)
+        with pytest.raises(RuntimeError):
+            server.store.handle_request(hy_payload)
+        assert raised and not helper._lock.locked()
+        with caplog.at_level(logging.WARNING, logger="hases.cco"):
+            with transport.CcoClient("127.0.0.1", server.port) as client:
+                got = [counted(client.request_raw, payload) for payload in PAYLOADS[:2]]
+        assert hashing.helper is helper
+    assert got == expected  # byte for byte, and the same hash calls per request
+    assert sends == [True] * 3
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 # --- `hases serve` in its own process -----------------------------------------------

@@ -96,7 +96,7 @@ def test_commitment_images_match_the_domain_hash_composition(t):
     seed = random.Random(t).randbytes(32)
     reference = [domain_hash(2, domain_hash(1, seed + encode_index(label))) for label in range(1, t + 1)]
     counters.reset()
-    assert commitment_images(seed, t) == reference
+    assert commitment_images(seed, t) == b"".join(reference)
     # counted exactly as the composition it replaces
     assert counters.snapshot() == (0, t, t)
     positions = kernel_positions(t, random.Random(t))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hases import cco, hy, keyfiles, la, pq, schemes
+from hases import cco, cli, hy, keyfiles, la, pq, schemes
 from hases.errors import BadSignatureFile
 from hases.group import production_group, small_test_group
 
@@ -256,6 +256,35 @@ def test_a_store_with_no_material_or_no_signers_rejected(tmp_path, part, message
     with pytest.raises(ValueError) as error:
         keyfiles.load_store(path)
     assert str(error.value) == f"{path} is not a key store file: {message}"
+
+
+def store_with_sections_apart(part: str) -> bytes:
+    """A hy store file whose la section has another batch count than the
+    pq part's J, or lists another signer id."""
+    _, _, material = hy.keygen([ID_A], small_test_group(), 2, PQ_TOY, fixed_rng(11))
+    if part == "batch count":
+        params = material.la.params._replace(max_batches=2 * PQ_TOY.epochs)
+        material = material._replace(la=material.la._replace(params=params))
+    else:
+        ids = frozenset({bytes([0x4D]) * 16})
+        material = material._replace(la=material.la._replace(signer_ids=ids))
+    return keyfiles.store_bytes(cco.CcoStore(material))
+
+
+@pytest.mark.parametrize("part, message", [
+    ("batch count", "aggregate section has 16 batches, not the forward-secure J = 8"),
+    ("signer ids", "the two sections list different signer ids"),
+])
+def test_a_store_whose_sections_disagree_is_refused(tmp_path, part, message, capsys):
+    # hy.keygen never writes one; served, a 0x03 inside the la range but
+    # past the pq J would hash the la part before the pq part refused it
+    path = tmp_path / "cco.store"
+    path.write_bytes(store_with_sections_apart(part))
+    with pytest.raises(ValueError) as error:
+        keyfiles.load_store(path)
+    assert str(error.value) == f"{path} is not a key store file: {message}"
+    assert cli.main(["serve", "--store", str(path), "--port", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not a key store file: {message}\n"
 
 
 @pytest.mark.parametrize("ids", [[ID_A, ID_A], [bytes([0x4D]) * 16, ID_A]],

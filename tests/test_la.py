@@ -331,7 +331,7 @@ class TestKeyTables:
         group, _, _, material = tiny_setup(max_batches=8)
         store = cco.CcoStore(material)
         singles = [la.construct_commitment(material, ID_A, e) for e in range(2, 7)]
-        assert store.batch_export(cco.MSG_LA, ID_A, 2, 6) == singles
+        assert store.batch_export(cco.MSG_LA, ID_A, 2, 6) == [single.to_bytes() for single in singles]
         counters.reset()
         for lo, hi in ((0, 2), (5, 4), (7, 9)):
             with pytest.raises(EpochOutOfRange):

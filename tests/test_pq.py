@@ -304,7 +304,8 @@ class TestCommitmentConstruction:
         for lo, hi in ((1, 16), (3, 10), (5, 5), (8, 9)):
             singles = [pq.construct_commitment(material, ID_A, e) for e in range(lo, hi + 1)]
             counters.reset()
-            assert cco.CcoStore(material).batch_export(cco.MSG_PQ, ID_A, lo, hi) == singles
+            assert cco.CcoStore(material).batch_export(cco.MSG_PQ, ID_A, lo, hi) == [
+                single.to_bytes() for single in singles]
             segment, offset = divmod(lo - 1, TOY.j2)
             n = hi - lo + 1
             # one chain step per further epoch, none where an anchor starts a segment
@@ -590,7 +591,7 @@ class TestChainCursor:
         store = cco.CcoStore(material)
         cursor = store._cursor
         singles = [pq.construct_commitment(material, ID_A, e) for e in range(3, 11)]
-        assert store.batch_export(cco.MSG_PQ, ID_A, 3, 10) == singles
+        assert store.batch_export(cco.MSG_PQ, ID_A, 3, 10) == [single.to_bytes() for single in singles]
         assert cursor[ID_A] == (10, chain_seed(material, ID_A, 10))
         reference = pq.construct_commitment(material, ID_A, 12)
         counters.reset()

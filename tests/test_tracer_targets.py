@@ -64,7 +64,7 @@ def test_sign_and_verify_spans_are_recorded(tmp_path, monkeypatch, tracer, schem
                      "--t", "64", "--k", "8", "--L", str(BATCH), "--out", str(keys)]) == 0
     store = keyfiles.load_store(keys / "cco.store")
     blobs = store.batch_export(msg_type, bytes.fromhex(SIGNER), 1, units)
-    keyfiles.save_commitments(commits, [blob.to_bytes() for blob in blobs])
+    keyfiles.save_commitments(commits, blobs)
 
     verify = ["verify", "--pub", str(keys / "verifier.pub"), "--in", str(records),
               "--sigs", str(sigs)]
