@@ -48,22 +48,28 @@ def iter_stream(path: str | Path, fmt: str, hex_payload: bool = False) -> Iterat
 
 
 def _csv_records(handle, hex_payload: bool) -> Iterator[Record]:
+    row_num = 0
     with handle:
-        for row_num, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if row_num == 1 and [c.strip().lower() for c in row[:2]] == ["timestamp", "payload"]:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"row {row_num}: expected timestamp,payload")
-            if hex_payload:
-                try:
-                    payload = bytes.fromhex(row[1])
-                except ValueError as exc:
-                    raise ValueError(f"row {row_num}: {exc}") from None
-            else:
-                payload = row[1].encode("utf-8")
-            yield Record(row[0], payload)
+        try:
+            for row_num, row in enumerate(csv.reader(handle), start=1):
+                if not row:
+                    continue
+                if row_num == 1 and [c.strip().lower() for c in row[:2]] == ["timestamp", "payload"]:
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"row {row_num}: expected timestamp,payload")
+                if hex_payload:
+                    try:
+                        payload = bytes.fromhex(row[1])
+                    except ValueError as exc:
+                        raise ValueError(f"row {row_num}: {exc}") from None
+                else:
+                    payload = row[1].encode("utf-8")
+                yield Record(row[0], payload)
+        except csv.Error as exc:
+            # raised while reading the next row, as for a field over the csv
+            # module's size limit; that limit is process-wide, so it stays
+            raise ValueError(f"row {row_num + 1}: {exc}") from None
 
 
 def _binary_records(handle) -> Iterator[Record]:

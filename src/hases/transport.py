@@ -226,7 +226,7 @@ def _helper_main(listener: socket.socket, requests: int, replies: int, parent_en
         with os.fdopen(requests, "rb") as reader, os.fdopen(replies, "wb") as writer:
             while len(head := reader.read(size)) == size:
                 seed, t, lo, hi = _HELPER_REQUEST.unpack(head)
-                writer.write(b"".join(hashing.opened_images(seed, range(lo, hi), t)))
+                writer.write(hashing.opened_images((seed,), range(lo, hi), t))
                 writer.flush()
         code = 0
     finally:

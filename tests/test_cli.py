@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +343,38 @@ class TestSignVerifyOffline:
         assert "error: row 2: non-hexadecimal number found" in capsys.readouterr().err
         assert key.read_bytes() == before
         assert not (tmp_path / "sigs.bin").exists()
+
+    def test_a_field_over_the_csv_limit_exits_2_and_signs_nothing(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        key = out / f"signer_{ID_HEX_1}.key"
+        before = key.read_bytes()
+        msgs = tmp_path / "long.csv"
+        msgs.write_text(f"1,short\n2,{'x' * 140_000}\n3,short\n")
+        code = cli.main(["sign", "--key", str(key), "--in", str(msgs),
+                         "--out", str(tmp_path / "sigs.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: row 2: field larger than field limit (131072)"]
+        assert key.read_bytes() == before
+        assert not (tmp_path / "sigs.bin").exists()
+
+    @pytest.mark.parametrize("source", ["cco", "commits"])
+    def test_a_field_over_the_csv_limit_exits_2_in_verify(self, tmp_path, capsys, source):
+        out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
+        long = tmp_path / "long.csv"
+        rows = Path(msgs).read_text().splitlines()
+        rows[1] = f"1,{'x' * 140_000}"
+        long.write_text("\n".join(rows) + "\n")
+        argv = ["verify", "--pub", str(out / "verifier.pub"), "--in", str(long), "--sigs", sigs]
+        store = keyfiles.load_store(out / "cco.store")
+        capsys.readouterr()
+        with transport.CcoServer(store) as server:
+            sources = {"cco": ["--cco", f"127.0.0.1:{server.port}"], "commits": ["--commits", commits]}
+            code = cli.main(argv + sources[source])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no N/M line
+        assert captured.err.splitlines() == ["error: row 2: field larger than field limit (131072)"]
 
     def test_an_out_in_a_missing_directory_burns_no_epoch(self, tmp_path, capsys):
         out = keygen(tmp_path, "pq", ["--J1", "4"])
@@ -1110,6 +1143,17 @@ class TestParser:
             with pytest.raises(SystemExit):
                 cli.main(argv)
         assert built == ["sign", None, None]
+
+    def test_a_wrapper_set_after_a_first_call_is_the_one_that_runs(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        argv = ["verify", "--pub", str(tmp_path / "missing.pub"), "--in", "in.csv",
+                "--sigs", "sigs.bin", "--commits", "commits.bin"]
+        assert cli.main(argv) == 2  # the parser is built, and cmd_verify runs
+        calls, verify = [], cli.cmd_verify
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args.pub) or verify(args))
+        assert cli.main(argv) == 2
+        assert calls == [str(tmp_path / "missing.pub")]
+        assert "missing.pub" in capsys.readouterr().err
 
 
 class TestBench:

@@ -101,8 +101,22 @@ def test_commitment_images_match_the_domain_hash_composition(t):
     assert counters.snapshot() == (0, t, t)
     positions = kernel_positions(t, random.Random(t))
     counters.reset()
-    assert opened_images(seed, positions, t) == [reference[x] for x in positions]
+    assert opened_images((seed,), positions, t) == b"".join(reference[x] for x in positions)
     assert counters.snapshot() == (0, len(positions), len(positions))
+
+
+@pytest.mark.parametrize("t, k", [(8, 4), (1024, 16)])
+def test_opened_images_of_a_run_are_each_seeds_share(t, k):
+    rng = random.Random(t + k)
+    for n in (1, 2, 16):
+        seeds = [rng.randbytes(32) for _ in range(n)]
+        indices = [rng.randrange(t) for _ in range(n * k)]
+        indices[0], indices[1], indices[-1] = 0, t - 1, t - 1
+        expected = b"".join(domain_hash(2, domain_hash(1, seeds[at // k] + encode_index(x + 1)))
+                            for at, x in enumerate(indices))
+        counters.reset()
+        assert opened_images(seeds, indices, t) == expected
+        assert counters.snapshot() == (0, n * k, n * k)
 
 
 def scalar_oracle(domain, data, order):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import cco, cli, keyfiles, pq
+from hases import cco, cli, hy, keyfiles, pq
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
-from hases.hashing import counters, domain_hash, encode_index, iter_hash
+from hases.group import production_group, small_test_group
+from hases.hashing import counters, domain_hash, encode_index, iter_hash, opened_images
 
 ID_A = bytes([0xAA]) * 16
 ID_B = bytes([0xBB]) * 16
@@ -613,3 +614,75 @@ class TestChainCursor:
         with pytest.raises(ValueError):
             pq.open_commitment(material, ID_A, 8, (params.t,) * params.k, cursor)
         assert cursor == before and counters.total() == 0
+
+
+class TestRunKernel:
+    """``open_commitment`` hashes a whole run in one ``hashing.opened_images``:
+    the bytes of the per-epoch openings, at the walk plus 2 calls per index."""
+
+    PARAMS = pq.PqParams(t=1024, k=16, j1=4, j2=16)  # 64 epochs, a segment edge every 16
+
+    def material(self, source):
+        if source == "pq":
+            return pq.keygen([ID_A], self.PARAMS, fixed_rng(60))[1]
+        group = production_group() if source == "hy-production" else small_test_group()
+        return hy.keygen([ID_A], group, 2, self.PARAMS, fixed_rng(61))[2].pq
+
+    def walk(self, first, last, known):
+        """(H0, H1) calls of the seed walk over [first, last] from the
+        cursor's epoch ``known`` (None: no cursor entry)."""
+        segment, offset = divmod(first - 1, self.PARAMS.j2)
+        if known is not None and first - offset <= known <= first:
+            h0, h1 = 0, first - known
+        else:
+            h0, h1 = int(segment == 0), offset
+        # a later epoch takes one step, or its anchor where it starts a segment
+        return h0, h1 + sum(1 for e in range(first + 1, last + 1) if (e - 1) % self.PARAMS.j2)
+
+    @pytest.mark.parametrize("source", ["pq", "hy-production", "hy-tiny"])
+    @pytest.mark.parametrize("with_cursor", [False, True], ids=["anchors", "cursor"])
+    def test_a_run_is_its_epochs_openings_at_the_walk_plus_2_per_index(self, source,
+                                                                       with_cursor):
+        params = self.PARAMS
+        t, k = params.t, params.k
+        material = self.material(source)
+        rng = random.Random(62)
+        # one epoch, 16 from the start, 16 across the edge at 17, 16 from an
+        # edge, the last epoch, then random runs
+        runs = [(1, 1), (1, 16), (10, 16), (17, 16), (64, 1)]
+        while len(runs) < 12:
+            n = rng.randint(1, 16)
+            runs.append((rng.randint(1, params.epochs - n + 1), n))
+        cursor = {} if with_cursor else None
+        for first, n in runs:
+            indices = [rng.randrange(t) for _ in range(n * k)]
+            indices[0], indices[1], indices[-1] = 0, t - 1, t - 1  # both ends, a duplicate
+            expected = b"".join(
+                opened_images((chain_seed(material, ID_A, first + m),),
+                              indices[m * k : (m + 1) * k], t)
+                for m in range(n))
+            known = cursor[ID_A][0] if cursor else None
+            h0, h1 = self.walk(first, first + n - 1, known)
+            before = counters.snapshot()
+            opening = pq.open_commitment(material, ID_A, first, tuple(indices), cursor)
+            after = counters.snapshot()
+            assert opening == pq.PqOpening(ID_A, first, expected)
+            assert [b - a for a, b in zip(before, after)] == [h0, h1 + n * k, n * k]
+
+    @pytest.mark.parametrize("with_cursor", [False, True], ids=["anchors", "cursor"])
+    def test_bad_indices_are_refused_before_any_hashing(self, with_cursor):
+        params = self.PARAMS
+        material = self.material("pq")
+        cursor = {} if with_cursor else None
+        if with_cursor:
+            pq.open_commitment(material, ID_A, 5, tuple(range(params.k)), cursor)
+        kept = dict(cursor or {})
+        good = tuple(range(16 * params.k))  # a run of 16 epochs
+        before = counters.snapshot()
+        # the bad index is in the last epoch of the run
+        for indices in (good[:-1] + (-1,), good[:-1] + (params.t,), good[:-1], good + (0,)):
+            with pytest.raises(ValueError):
+                pq.open_commitment(material, ID_A, 6, indices, cursor)
+        assert counters.snapshot() == before
+        assert (cursor or {}) == kept
+
