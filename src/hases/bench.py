@@ -117,10 +117,10 @@ COMBINED_BATCHES = 16  # one verify chunk of one signer, as the benchmark's hy c
 def _measure_combined(report: BenchReport, group, messages, trials: int) -> None:
     """The ``combined_check`` and ``combined_build`` rows over
     ``COMBINED_BATCHES`` aggregate tags of ``messages`` by a fresh signer:
-    the verifier's side of a combined check (its seed, its weights and
-    one ``exp2``; each tag's challenge sum is derived before, as for
-    ``verify_batch``), and the store's ``0x08`` build of the same seed and
-    epochs."""
+    the verifier's side of a combined check (its seed, its weights, both
+    weighted sums and one walk of the key's table; each tag's challenge
+    sum is derived before, as for ``verify_batch``), and the store's
+    ``0x08`` build of the same seed, response sum and epochs."""
     states, public, material = la.keygen([_BENCH_ID], group, COMBINED_BATCHES, len(messages))
     batches = []
     for epoch in range(1, COMBINED_BATCHES + 1):
@@ -131,12 +131,13 @@ def _measure_combined(report: BenchReport, group, messages, trials: int) -> None
 
     def check(_):
         seed = la.combination_seed(_BENCH_ID, batches)
-        return seed, la.combined_value(tables[_BENCH_ID], seed, batches, group)
+        challenge, agg = la.weighted_sums(seed, batches, group.q)
+        return seed, agg, la.combined_value(tables[_BENCH_ID], challenge, group)
 
-    seed, value = _row(report, "combined_check", check, trials)
+    seed, agg, value = _row(report, "combined_check", check, trials)
     epochs = [epoch for epoch, _, _ in batches]
     assert value == _row(report, "combined_build", lambda _: la.combined_commitment(
-        material, _BENCH_ID, seed, epochs), trials)
+        material, _BENCH_ID, seed, agg, epochs), trials)
 
 
 RUN_EPOCHS = 16  # one opening request of a 64-unit pq verify chunk at k=16

@@ -28,7 +28,7 @@ the tags in ``hases.schemes``.  Request types:
     0x03  commitment, hybrid             body: id(16) epoch(8)
     0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
     0x05  opening, forward-secure        body: id(16) epoch(8) n*k x index(4), 1 <= n*k <= 256
-    0x08  combined nonce commitment      body: id(16) seed(32) n x epoch(8), 1 <= n <= 64
+    0x08  combined nonce commitment      body: id(16) seed(32) sum(32) n x epoch(8), 1 <= n <= 64
 
 Any other type, 0x06 and 0x07 included, is answered as malformed
 before any work.
@@ -73,19 +73,23 @@ anchor), and no walk is ever more than j2 - 1 steps.
 
 A combined nonce commitment (0x08) lets a verifier check all of one
 aggregate or hybrid signer's batches in a chunk with one group
-operation (see ``hases.la``).  The OK body is the 32-byte encoding of
-alpha^(sum z_i * r_i): z_i is the first 16 bytes of
+operation (see ``hases.la``).  The request carries the verifier's
+weighted response sum S = sum z_i * s_i mod q, 32 bytes big-endian
+after the seed, and the OK body is the 32-byte encoding of
+alpha^(sum z_i * r_i - S): z_i is the first 16 bytes of
 H2(seed || encode_index(i)) for the epoch's position i = 1..n in the
 request, and r_i the nonce sum of epoch i at the registered batch size.
 Epochs may repeat; at most ``MAX_COMBINED_EPOCHS`` (64) keep the
-request at 561 bytes, inside the request frame.  An unknown id or any
-epoch outside [1, J] is refused before any work.  The store derives
-each distinct epoch's nonce sum (L + 1 hashes), the weights (n hashes)
-and one fixed-base exponentiation.  The reply reveals nothing new:
-alpha^r_i is the R that 0x02 serves for the same (id, epoch) to anyone,
-and the reply is a public product of those R's powers, which anyone
-could compute from them.  It goes through the response cache, so two
-verifiers of one chunk, who derive the same seed, share one build.
+request at 593 bytes, inside the request frame.  An S of q or more, an
+unknown id or any epoch outside [1, J] is refused before any work.  The
+store derives each distinct epoch's nonce sum (L + 1 hashes), the
+weights (n hashes) and one fixed-base exponentiation, which takes the
+generator's half of the check off the verifier.  The reply reveals
+nothing new: alpha^r_i is the R that 0x02 serves for the same (id,
+epoch) to anyone, and the reply is the public product of those R's
+powers times alpha^(-S), which anyone could compute from them and the
+request.  It goes through the response cache, so two verifiers of one
+chunk, who derive the same seed and sum, share one build.
 
 Responses to the commitment types (0x01-0x03), to openings (0x05) and
 to 0x08 go through a response cache keyed by the whole request payload:
@@ -144,6 +148,7 @@ MAX_OPENING_INDICES = 256
 # the most epochs a combined nonce commitment request may name
 MAX_COMBINED_EPOCHS = 64
 SEED_LEN = 32  # of a combined request's seed
+SUM_LEN = 32  # of a combined request's weighted response sum
 
 # Byte budget of the response cache: about 15 pq or hy commitments at
 # t=1024 (roughly one ``transport.PIPELINE_WINDOW``, so two verifiers of
@@ -304,8 +309,8 @@ class CcoStore:
     def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
         return pq.open_commitment(self.pq_material(), signer_id, epoch, indices, self._cursor)
 
-    def la_combined(self, signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
-        return la.combined_commitment(self.la_material(), signer_id, seed, epochs)
+    def la_combined(self, signer_id: bytes, seed: bytes, agg: int, epochs: Sequence[int]) -> bytes:
+        return la.combined_commitment(self.la_material(), signer_id, seed, agg, epochs)
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
         """The scheme's serialized commitment of every epoch in [epoch_from,
@@ -394,15 +399,19 @@ def _opening_indices(body: bytes) -> tuple[int, ...]:
     return struct.unpack(f">{(len(body) - 24) // 4}I", body[24:])
 
 
+_COMBINED_HEAD = 16 + SEED_LEN + SUM_LEN  # id, seed, weighted response sum
+
+
 def _combined_len(body_len: int) -> bool:
-    count, rest = divmod(body_len - 16 - SEED_LEN, 8)
+    count, rest = divmod(body_len - _COMBINED_HEAD, 8)
     return not rest and 1 <= count <= MAX_COMBINED_EPOCHS
 
 
 def _combined_response(store: CcoStore, body: bytes) -> bytes:
-    head = 16 + SEED_LEN
-    epochs = struct.unpack(f">{(len(body) - head) // 8}Q", body[head:])
-    return (store.la_combined(body[:16], body[16:head], epochs),)
+    seed_end = 16 + SEED_LEN
+    agg = int.from_bytes(body[seed_end:_COMBINED_HEAD], "big")
+    epochs = struct.unpack(f">{(len(body) - _COMBINED_HEAD) // 8}Q", body[_COMBINED_HEAD:])
+    return (store.la_combined(body[:16], body[16:seed_end], agg, epochs),)
 
 
 def _commitment(method: str) -> _Request:
@@ -477,8 +486,10 @@ def export_payload(scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to:
     return bytes((MSG_EXPORT, scheme_tag)) + signer_id + struct.pack(">QQ", epoch_from, epoch_to)
 
 
-def combined_payload(signer_id: bytes, seed: bytes, epochs: Sequence[int]) -> bytes:
-    """A combined nonce commitment request (``MSG_LA_COMBINED``)."""
-    return bytes((MSG_LA_COMBINED,)) + signer_id + seed + struct.pack(f">{len(epochs)}Q", *epochs)
+def combined_payload(signer_id: bytes, seed: bytes, agg: int, epochs: Sequence[int]) -> bytes:
+    """A combined nonce commitment request (``MSG_LA_COMBINED``) with the
+    weighted response sum ``agg``."""
+    return (bytes((MSG_LA_COMBINED,)) + signer_id + seed + agg.to_bytes(SUM_LEN, "big")
+            + struct.pack(f">{len(epochs)}Q", *epochs))
 
 

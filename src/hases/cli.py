@@ -13,6 +13,7 @@ import argparse
 import os
 import re
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import cco, keyfiles, la, pq, schemes, stream
@@ -166,9 +167,9 @@ def cmd_verify(args) -> int:
         tables_file = keyfiles.tables_path(args.pub)
         if not (bundle.la_params and tables_file.exists()):
             tables_file = None  # each key is checked and its table built in this run
-        records = stream.iter_stream(args.input, args.format, args.hex)
-        blobs = keyfiles.iter_signatures(args.sigs)
-        results = verifier.verify_all(bundle, records, blobs, source, tables_file)
+        with closing(stream.iter_stream(args.input, args.format, args.hex)) as records:
+            blobs = keyfiles.iter_signatures(args.sigs)
+            results = verifier.verify_all(bundle, records, blobs, source, tables_file)
     except BadSignatureFile as exc:
         # a mangled signature container is a cryptographic reject, not an
         # operational failure: the data offered for verification is bad

@@ -22,7 +22,8 @@ key Y that recurs across many batches, so the group offers a per-base
 precomputation.  ``precompute(data)`` decodes the key's 32-byte
 encoding, checks that it lies in the order-q subgroup and returns a
 table; ``exp2(table, e, s)`` then returns Y^e * g^s, whose encoding a
-verifier compares with R's bytes (R itself is never decoded).
+verifier compares with R's bytes (R itself is never decoded), and
+``exp_table(table, e)`` returns Y^e from the table alone.
 ``key_table`` builds the same table without the subgroup check, for a
 key its caller has just computed (keygen), and ``table_bytes`` and
 ``table_from_bytes`` carry a table to and from the key table file that
@@ -45,17 +46,22 @@ entries and negates the last; the entries are not normalised to affine
 form.  ``exp2`` walks the key comb, then adds the generator's comb to
 the same accumulator: at most 128 additions, 12 doublings and one
 field inversion, where building a key's comb alone takes 112 additions
-and 208 doublings.  ``precompute`` checks [q]Y with the key comb
-(2-3.5 ms in all, the key's decode included).
+and 208 doublings.  ``exp_table`` is its first half: at most 64
+additions, 12 doublings and the inversion.  ``precompute`` checks [q]Y
+with the key comb (2-3.5 ms in all, the key's decode included).
 
-An online verifier makes one ``exp2`` per signer per chunk (a combined
-check, see ``hases.la``), so a table built in the run costs several
-times the one check it serves.  Keygen therefore builds each key's
-table once and writes it beside the bundle (16 KB per signer, read in
-about 0.25 ms); a verifier reads the tables of the signers it checks
-and builds none.  Without that file the verifier builds each table on
-its key's first batch and drops it with the run.  ``ModPGroup`` has
-the trivial version: its table is the base itself.
+An online verifier makes one ``exp_table`` per signer per chunk (a
+combined check, see ``hases.la``: the service folds the generator's
+half into the fixed-base exponentiation it makes anyway).  So it
+builds the generator's comb only when a combined check fails and each
+unit is checked alone with ``exp2``, as offline verification checks
+every unit, and a table built in the run costs several times the one
+check it serves.  Keygen therefore builds each key's table once and
+writes it beside the bundle (16 KB per signer, read in about 0.25 ms);
+a verifier reads the tables of the signers it checks and builds none.
+Without that file the verifier builds each table on its key's first
+batch and drops it with the run.  ``ModPGroup`` has the trivial
+version: its table is the base itself.
 
 ``decode_element`` accepts only canonical encodings of elements of the
 order-q subgroup; on edwards25519 the subgroup check is a [q]P on the
@@ -121,6 +127,10 @@ class PrimeOrderGroup:
         binds the file to its bundle); ValueError if the length is wrong."""
         raise NotImplementedError
 
+    def exp_table(self, table, e: int):
+        """``base^e`` for ``table = precompute(base)``, from the table alone."""
+        raise NotImplementedError
+
     def exp2(self, table, e: int, s: int):
         """``base^e * generator^s`` for ``table = precompute(base)``."""
         raise NotImplementedError
@@ -179,6 +189,9 @@ class ModPGroup(PrimeOrderGroup):
         if len(data) != self.table_len:
             raise ValueError(f"a key table is {self.table_len} bytes, not {len(data)}")
         return int.from_bytes(data, "big")
+
+    def exp_table(self, table: int, e: int) -> int:
+        return self.exp(table, e)
 
     def exp2(self, table: int, e: int, s: int) -> int:
         return self.mul(self.exp(table, e), self.exp(self.generator, s))
@@ -396,6 +409,9 @@ class Edwards25519Group(PrimeOrderGroup):
         coordinates = [int.from_bytes(data[i : i + 32], "little") for i in range(0, len(data), 32)]
         entries = list(zip(*[iter(coordinates)] * 4))
         return [[_NIELS_IDENTITY, *entries[i : i + 8]] for i in range(0, len(entries), 8)]
+
+    def exp_table(self, table, e: int):
+        return _from_ext(_comb_add(_EXT_IDENTITY, table, e % self.q))
 
     def exp2(self, table, e: int, s: int):
         acc = _comb_add(_EXT_IDENTITY, table, e % self.q)

@@ -14,7 +14,7 @@ vary with the scheme): ``signatures_bytes`` builds the container, and
 ``iter_signatures`` reads it an entry at a time.
 
 A key table file lies beside an aggregate or hybrid bundle, at
-``<bundle>.tables``: the ``exp2`` table of each public key, built once
+``<bundle>.tables``: the comb table of each public key, built once
 so that a verifier need not build it again on every run.  Its layout
 is fixed: the magic, the group tag, the SHA-256 of the bundle's bytes,
 the count and the sorted signer ids (the bundle's), then one table of

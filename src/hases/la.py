@@ -37,16 +37,20 @@ Bellare, Garay and Rabin, EUROCRYPT 1998; 128-bit weights as in
 Bernstein et al., CHES 2011).  It hashes the id and each batch's
 (epoch, challenge sum e_i, response sum s_i) into a seed c, and the
 weights are z_i = ``hashing.combination_weights(c, n)``, one per
-position i, not per epoch.  The key store answers with the encoding of
-alpha^(sum z_i * r_i), r_i the nonce sum of batch i's epoch
-(``combined_commitment``), and the verifier compares it with that of
-Y^(sum z_i * e_i) * alpha^(sum z_i * s_i) (``combined_value``).  With
-eps_i = s_i + y * e_i - r_i, the two agree iff sum z_i * eps_i = 0
-mod q: every batch valid, or a seed whose weights cancel the errors,
-about 2^-128 per seed tried when q exceeds the weights
-(``combinable``).  Both sides stay in the prime-order subgroup, so no R
-is ever decoded.  A mismatch says only that some batch is bad; the
-verifier then checks each one against its own commitment.
+position i, not per epoch.  It sends the seed, the epochs and the
+weighted response sum S = sum z_i * s_i (``weighted_sums``).  The key
+store answers with the encoding of alpha^(sum z_i * r_i - S), r_i the
+nonce sum of batch i's epoch (``combined_commitment``): the
+generator's half of the check rides on the one fixed-base
+exponentiation the store makes anyway.  The verifier compares the
+reply with the encoding of Y^(sum z_i * e_i), walked from the key's
+table alone (``combined_value``).  With eps_i = s_i + y * e_i - r_i,
+the two agree iff sum z_i * eps_i = 0 mod q: every batch valid, or a
+seed whose weights cancel the errors, about 2^-128 per seed tried when
+q exceeds the weights (``combinable``).  Both sides stay in the
+prime-order subgroup, so no R is ever decoded.  A mismatch says only
+that some batch is bad; the verifier then checks each one against its
+own commitment.
 """
 
 from __future__ import annotations
@@ -320,22 +324,26 @@ def _checked_key(material: LaKeyMaterial, signer_id: bytes, low: int, high: int)
 
 
 def combined_commitment(
-    material: LaKeyMaterial, signer_id: bytes, seed: bytes, epochs: Sequence[int]
+    material: LaKeyMaterial, signer_id: bytes, seed: bytes, agg: int, epochs: Sequence[int]
 ) -> bytes:
-    """The encoding of alpha^(sum z_i * r_i) for the weights z_i of
+    """The encoding of alpha^(sum z_i * r_i - agg) for the weights z_i of
     ``seed``, r_i the nonce sum of ``epochs[i]`` at the registered batch
-    size.  Epochs may repeat; each distinct one costs L + 1 hashes, the
-    weights one each, the private scalar one, and the whole one
-    fixed-base exponentiation.  The id and every epoch are checked first."""
+    size, and ``agg`` the verifier's weighted response sum.  Epochs may
+    repeat; each distinct one costs L + 1 hashes, the weights one each,
+    the private scalar one, and the whole one fixed-base
+    exponentiation.  ``agg`` (ValueError unless below q), the id and
+    every epoch are checked first."""
     if not epochs:
         raise ValueError("a combination needs at least one epoch")
     params = material.params
     group, q = params.group, params.group.q
+    if not 0 <= agg < q:
+        raise ValueError("weighted response sum not canonical (>= group order)")
     key = _checked_key(material, signer_id, min(epochs), max(epochs))
     sums = {epoch: _nonce_sum(key, epoch, params.batch_size, q) for epoch in dict.fromkeys(epochs)}
     weights = combination_weights(seed, len(epochs))
-    total = sum(z * sums[epoch] for z, epoch in zip(weights, epochs)) % q
-    return group.encode_element(group.exp(group.generator, total))
+    total = sum(z * sums[epoch] for z, epoch in zip(weights, epochs)) - agg
+    return group.encode_element(group.exp(group.generator, total % q))
 
 
 def combinable(group: PrimeOrderGroup) -> bool:
@@ -354,22 +362,26 @@ def combination_seed(signer_id: bytes, batches: Sequence[tuple[int, int, int]]) 
     return domain_hash(DOM_COMMIT, b"".join(parts))
 
 
-def combined_value(
-    key_table, seed: bytes, batches: Sequence[tuple[int, int, int]], group: PrimeOrderGroup
-) -> bytes:
-    """The encoding of Y^(sum z_i * e_i) * alpha^(sum z_i * s_i) for the
-    (epoch, challenge sum e_i, response sum s_i) of each batch and the
-    weights of ``seed``: one ``exp2``.  It equals ``combined_commitment``
-    of the same seed and epochs when every batch is valid."""
-    q = group.q
+def weighted_sums(seed: bytes, batches: Sequence[tuple[int, int, int]], q: int) -> tuple[int, int]:
+    """(sum z_i * e_i, sum z_i * s_i) mod q for the (epoch, challenge sum
+    e_i, response sum s_i) of each batch and the weights z_i of
+    ``seed``: one hash per batch."""
     weights = combination_weights(seed, len(batches))
     challenge = sum(z * e for z, (_, e, _) in zip(weights, batches)) % q
     agg = sum(z * s for z, (_, _, s) in zip(weights, batches)) % q
-    return group.encode_element(group.exp2(key_table, challenge, agg))
+    return challenge, agg
+
+
+def combined_value(key_table, challenge: int, group: PrimeOrderGroup) -> bytes:
+    """The encoding of Y^challenge for the weighted challenge sum of
+    ``weighted_sums``: one walk of Y's table, no generator comb.  It
+    equals ``combined_commitment`` of the same seed, epochs and weighted
+    response sum when every batch is valid."""
+    return group.encode_element(group.exp_table(key_table, challenge))
 
 
 class KeyTables(dict):
-    """Signer id -> ``exp2`` table of its public key, for one verification run.
+    """Signer id -> the table of its public key, for one verification run.
 
     The tables read from the bundle's key table file
     (``keyfiles.load_key_tables``, built once at keygen or by ``hases

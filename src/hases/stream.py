@@ -39,17 +39,23 @@ class Record(NamedTuple):
 def iter_stream(path: str | Path, fmt: str, hex_payload: bool = False) -> Iterator[Record]:
     """The records of the file at ``path``, read one at a time as they are
     asked for.  The format is checked and the file opened at once; a
-    malformed record raises ValueError when the reader reaches it."""
+    malformed record raises ValueError when the reader reaches it.  The
+    file is closed once the records run out or the iterator is closed,
+    even before its first record is read."""
     if fmt == "csv":
-        return _csv_records(open(path, newline="", encoding="utf-8"), hex_payload)
-    if fmt == "bin":
-        return _binary_records(open(path, "rb"))
-    raise ValueError(f"unknown stream format {fmt!r}")
+        records = _csv_records(open(path, newline="", encoding="utf-8"), hex_payload)
+    elif fmt == "bin":
+        records = _binary_records(open(path, "rb"))
+    else:
+        raise ValueError(f"unknown stream format {fmt!r}")
+    next(records)  # to the first ``yield``, inside the ``with`` that closes the file
+    return records
 
 
 def _csv_records(handle, hex_payload: bool) -> Iterator[Record]:
     row_num = 0
     with handle:
+        yield  # taken by ``iter_stream``
         try:
             for row_num, row in enumerate(csv.reader(handle), start=1):
                 if not row:
@@ -74,6 +80,7 @@ def _csv_records(handle, hex_payload: bool) -> Iterator[Record]:
 
 def _binary_records(handle) -> Iterator[Record]:
     with handle:
+        yield  # taken by ``iter_stream``
         while header := handle.read(12):
             if len(header) < 12:
                 raise ValueError("truncated binary record header")

@@ -66,7 +66,7 @@ from .errors import CcoRequestError, MalformedFrame
 # The largest request frame the server reads: an opening request is at
 # most 1 + 24 + 4 * 256 = 1,049 bytes, k indices per epoch of its run and
 # at most ``cco.MAX_OPENING_INDICES`` in all, a combined request
-# 1 + 48 + 8 * 64 = 561.  A longer length prefix is answered as malformed
+# 1 + 80 + 8 * 64 = 593.  A longer length prefix is answered as malformed
 # before its body is read.
 MAX_REQUEST_FRAME = 2048
 

@@ -15,10 +15,14 @@ The stream is cut into windows of ``WINDOW_UNITS`` positions.
 * An ``la`` or ``hy`` window is derived whole.  Online (``--cco``) it
   then sends, on one pipelined connection, one ``0x08`` per signer of
   the window (per ``cco.MAX_COMBINED_EPOCHS`` of its units), then one
-  ``0x05`` per run of its pq layers.  Each unit is checked as its run's
-  opening arrives.  The ``0x02`` fallback for each aggregate layer that
-  no combined check passed goes at the end of its window, after the
-  window's last reply and before the next window is derived.
+  ``0x05`` per run of its pq layers.  Each ``0x08`` carries the
+  weighted response sum, and a reply that is not a refusal is compared
+  with one walk of the signer's key table (``la.combined_value``); the
+  service's fixed-base exponentiation has done the generator's half.
+  Each unit is checked as its run's opening arrives.  The ``0x02``
+  fallback for each aggregate layer that no combined check passed goes
+  at the end of its window, after the window's last reply and before
+  the next window is derived.
 * A ``pq`` stream is never derived a window at a time.  Each run's
   ``0x05`` leaves as soon as its last unit is derived, and the run is
   checked when its reply arrives, so the service builds one run while
@@ -27,23 +31,24 @@ The stream is cut into windows of ``WINDOW_UNITS`` positions.
   filled.
 
 A window edge cuts a signer's combined check in two when its units lie
-on both sides: one more ``0x08``, one more ``exp2`` and one more hash
-(the second seed).  It cuts an ``hy`` run likewise: one more ``0x05``,
-which costs the service no longer walk, as its chain cursor resumes
-where the first part ended.  ``WINDOW_UNITS`` is a multiple of both
-``cco.MAX_COMBINED_EPOCHS`` and 256/k at k = 16, so the edges cost
-nothing only in a stream of one signer, at consecutive epochs from its
-first position, with no unit rejected unparsed: there every edge falls
-where a check and a run end anyway.  Windows count positions, not a
-signer's units.  A skipped unit or an epoch gap moves the later ends
-of its signer's checks and runs off the edges.  With S signers evenly
-interleaved, a window holds 256/S units of each, so each window sends
-S ``0x08``s for S >= 4 (6 for S = 3) where grouping the whole stream
-by signer sends 4, one per 64 units: S/4 times the ``0x08``s and
-``exp2``s.  Interleaving costs runs nothing, as each signer's runs are
-a unit long there already.  No benchmark workload verifies an ``la``
-or ``hy`` stream longer than one window, so this traffic is counted
-(``tests/test_verify_stream.py``), not timed.
+on both sides: one more ``0x08``, one more walk of the signer's key
+table and one more hash (the second seed).  It cuts an ``hy`` run
+likewise: one more ``0x05``, which costs the service no longer walk, as
+its chain cursor resumes where the first part ended.  ``WINDOW_UNITS``
+is a multiple of both ``cco.MAX_COMBINED_EPOCHS`` and 256/k at k = 16,
+so the edges cost nothing only in a stream of one signer, at
+consecutive epochs from its first position, with no unit rejected
+unparsed: there every edge falls where a check and a run end anyway.
+Windows count positions, not a signer's units.  A skipped unit or an
+epoch gap moves the later ends of its signer's checks and runs off the
+edges.  With S signers evenly interleaved, a window holds 256/S units
+of each, so each window sends S ``0x08``s for S >= 4 (6 for S = 3)
+where grouping the whole stream by signer sends 4, one per 64 units:
+S/4 times the ``0x08``s and table walks.  Interleaving costs runs
+nothing, as each signer's runs are a unit long there already.  No
+benchmark workload verifies an ``la`` or ``hy`` stream longer than one
+window, so this traffic is counted (``tests/test_verify_stream.py``),
+not timed.
 
 Offline (``--commits``) each unit is checked as it is derived, against
 the export entry at its (id, epoch).
@@ -139,8 +144,8 @@ class CommitmentSource:
         runs: deque[list] = deque()  # the runs sent and not yet answered, oldest first
 
         def requests():
-            for signer_id, seed, _, batches in combined:
-                yield cco.combined_payload(signer_id, seed, [batch[0] for batch in batches])
+            for *_, payload in combined:
+                yield payload
             for run in _runs(window, pq_params) if pq_params else ():
                 runs.append(run)
                 yield cco.opening_payload(*_key(run[0][1].pq),
@@ -148,11 +153,11 @@ class CommitmentSource:
 
         replies = client.ok_bodies(requests())
         proven = set()
-        for (signer_id, seed, positions, batches), reply in zip(combined, replies):
+        for (signer_id, positions, challenge, _), reply in zip(combined, replies):
             if reply is None:
                 continue  # refused: no value can match it
             try:
-                if reply == la.combined_value(tables[signer_id], seed, batches, group):
+                if reply == la.combined_value(tables[signer_id], challenge, group):
                     proven.update(positions)
             except ValueError:
                 pass  # a key outside the subgroup: each unit is rejected alone
@@ -235,11 +240,14 @@ def _run_openings(reply, units: int, k: int) -> list:
 
 
 def _combinations(window: Window, bundle) -> list[tuple]:
-    """(id, seed, unit positions, (epoch, challenge sum, response sum) per
-    unit) of each combined check of a window: a signer's units in order,
-    at most ``cco.MAX_COMBINED_EPOCHS`` per check.  A unit of the wrong
-    length or outside [1, J] is left out, to be checked alone."""
+    """(id, unit positions, weighted challenge sum, ``0x08`` payload) of
+    each combined check of a window: a signer's units in order, at most
+    ``cco.MAX_COMBINED_EPOCHS`` per check, hashed into a seed whose
+    weights make both sums (``la.weighted_sums``); the payload carries
+    the response sum.  A unit of the wrong length or outside [1, J] is
+    left out, to be checked alone."""
     params = bundle.la_params
+    q = params.group.q
     by_signer: dict[bytes, list] = {}
     for n, unit in window:
         messages, signature, challenge = unit.la
@@ -250,8 +258,10 @@ def _combinations(window: Window, bundle) -> list[tuple]:
     for signer_id, units in by_signer.items():
         for start in range(0, len(units), cco.MAX_COMBINED_EPOCHS):
             positions, batches = zip(*units[start : start + cco.MAX_COMBINED_EPOCHS])
-            combined.append((signer_id, la.combination_seed(signer_id, batches), positions,
-                             batches))
+            seed = la.combination_seed(signer_id, batches)
+            challenge, agg = la.weighted_sums(seed, batches, q)
+            combined.append((signer_id, positions, challenge, cco.combined_payload(
+                signer_id, seed, agg, [epoch for epoch, _, _ in batches])))
     return combined
 
 

@@ -33,10 +33,11 @@ DIGESTS = {
 
 
 # the combined nonce commitment request (0x08) and its replies, pinned apart
-# so that adding it left the digests above as they were
+# so that adding it, and later adding the weighted response sum to its
+# request, left the digests above as they were
 COMBINED_DIGESTS = {
-    "production": "35a64a6589b6ae20986b5653dd01f59d9150b3c6759954cf46cf1ae2fbb0df0c",
-    "tiny": "f983718a950e89727c3dc45f9a66593866a5e4b3d13faaa407b3a9a298bc0eb9",
+    "production": "d55541fbdd6e2e010f32af35d2275809f3ac632d0be1d1da64c53131280d0b2a",
+    "tiny": "6ff639679ee26235d8e2836bae81fc56381a439f7296db4c8478727005cf55fb",
 }
 
 
@@ -231,29 +232,34 @@ def test_serialized_bytes_are_pinned(backend):
     assert digest(group) == DIGESTS[backend]
 
 
-def combined_request(signer_id, seed, epochs):
-    return bytes((0x08,)) + signer_id + seed + struct.pack(f">{len(epochs)}Q", *epochs)
+def combined_request(signer_id, seed, agg, epochs):
+    return (bytes((0x08,)) + signer_id + seed + agg.to_bytes(32, "big")
+            + struct.pack(f">{len(epochs)}Q", *epochs))
 
 
 def combined_blobs(group):
     """0x08 requests and replies on the la, hy and pq stores of the key
     ceremonies above."""
     seed = hashlib.sha256(b"combination seed").digest()
+    agg = int.from_bytes(hashlib.sha256(b"weighted response sum").digest(), "big") % group.q
     _, _, la_material = la.keygen(IDS, group, 8, BATCH, fixed_rng(2))
     _, _, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
     _, pq_material = pq.keygen(IDS, PQ_PARAMS, fixed_rng(1))
     for label, material in (("la", la_material), ("hy", hy_material), ("pq", pq_material)):
         store = cco.CcoStore(material)
         yield from request_blobs(f"{label}.combined", store, [
-            combined_request(IDS[0], seed, [1]),
-            combined_request(IDS[1], seed, [2, 8, 2, 5]),
-            combined_request(IDS[0], seed, [8] * 64),
-            combined_request(UNKNOWN_ID, seed, [1]),
-            combined_request(IDS[0], seed, [1, 9]),
-            combined_request(IDS[0], seed, [0]),
-            combined_request(IDS[0], seed, []),
-            combined_request(IDS[0], seed, [1] * 65),
-            combined_request(IDS[0], seed[:31], [1]),
+            combined_request(IDS[0], seed, agg, [1]),
+            combined_request(IDS[1], seed, agg, [2, 8, 2, 5]),
+            combined_request(IDS[0], seed, agg, [8] * 64),
+            combined_request(IDS[0], seed, 0, [3]),
+            combined_request(IDS[0], seed, group.q - 1, [3]),
+            combined_request(UNKNOWN_ID, seed, agg, [1]),
+            combined_request(IDS[0], seed, agg, [1, 9]),
+            combined_request(IDS[0], seed, agg, [0]),
+            combined_request(IDS[0], seed, group.q, [1]),
+            combined_request(IDS[0], seed, agg, []),
+            combined_request(IDS[0], seed, agg, [1] * 65),
+            combined_request(IDS[0], seed[:31], agg, [1]),
         ])
 
 

@@ -243,7 +243,7 @@ def refusable_payload(msg_type, scheme, signer_id, epoch):
     if msg_type == cco.MSG_PQ_OPENING:
         return cco.opening_payload(signer_id, epoch, range(PQ_TOY.k))
     if msg_type == cco.MSG_LA_COMBINED:
-        return cco.combined_payload(signer_id, bytes(cco.SEED_LEN), (1, epoch))
+        return cco.combined_payload(signer_id, bytes(cco.SEED_LEN), 0, (1, epoch))
     return cco.commitment_payload(msg_type, signer_id, epoch)
 
 
@@ -451,7 +451,7 @@ def test_request_encodings_are_what_the_store_reads():
         cco.MSG_PQ: cco.commitment_payload(cco.MSG_PQ, ID_A, 2),
         cco.MSG_PQ_OPENING: cco.opening_payload(ID_A, 2, [0, 7, 7, 3]),
         cco.MSG_EXPORT: cco.export_payload(cco.MSG_HY, ID_A, 1, 3),
-        cco.MSG_LA_COMBINED: cco.combined_payload(ID_A, bytes(32), [1, 3, 1]),
+        cco.MSG_LA_COMBINED: cco.combined_payload(ID_A, bytes(32), 7, [1, 3, 1]),
     }
     for msg_type, payload in payloads.items():
         assert store.handle_request(payload)[:2] == bytes((msg_type | cco.RESPONSE_BIT,
@@ -1302,10 +1302,24 @@ _epochs = st.integers(1, PQ_TOY.epochs) | st.sampled_from([0, PQ_TOY.epochs + 1,
 
 @st.composite
 def request_payloads(draw):
-    kind = draw(st.sampled_from(["raw", "single", "export", "opening"]))
+    kind = draw(st.sampled_from(["raw", "single", "export", "opening", "combined"]))
     if kind == "raw":
         return draw(st.binary(max_size=40))
     signer_id = draw(_ids)
+    if kind == "combined":
+        # id, seed, a response sum mostly below q = 11, then the epochs:
+        # 1 to 64 of them, now and then none or 65; now and then cut short
+        seed = draw(st.sampled_from([bytes(32), b"s" * 32]))
+        # a draw of 3 in 0..4 picks each rarer case (hypothesis favours 0)
+        agg = draw(st.sampled_from([11, 2**256 - 1]) if draw(st.integers(0, 4)) == 3
+                   else st.integers(0, 10))
+        count = draw(st.sampled_from([0, cco.MAX_COMBINED_EPOCHS, cco.MAX_COMBINED_EPOCHS + 1])
+                     if draw(st.integers(0, 4)) == 3 else st.integers(1, 4))
+        epochs = draw(st.lists(st.integers(1, PQ_TOY.epochs), min_size=count, max_size=count))
+        if epochs and draw(st.integers(0, 4)) == 3:
+            epochs[-1] = draw(_epochs)
+        payload = cco.combined_payload(signer_id, seed, agg, epochs)
+        return payload[: draw(st.integers(1, len(payload)))] if draw(st.integers(0, 4)) == 3 else payload
     if kind == "opening":
         # k = 4 indices per epoch of a run, below t = 8, or a wrong count,
         # a large index, duplicates

@@ -1,5 +1,6 @@
 import argparse
 import fcntl
+import gc
 import hashlib
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -234,6 +236,19 @@ class TestSignVerifyOffline:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{sigs} is not a signature file: truncated signature file" in err
+
+    @pytest.mark.parametrize("keep", [0, 5])
+    def test_a_signature_file_rejected_before_any_record_leaves_no_file_open(self, tmp_path, keep):
+        out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)
+        with open(sigs, "r+b") as handle:
+            handle.truncate(keep)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = cli.main(["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+                             "--sigs", sigs, "--commits", commits])
+            gc.collect()
+        assert code == 1
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_empty_export_file_exits_2(self, tmp_path, capsys):
         out, msgs, sigs, commits = self.run_flow(tmp_path, "pq", ["--J1", "4"], 3)

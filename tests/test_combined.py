@@ -1,21 +1,26 @@
 """Combined nonce commitments: one group check per signer per verify run.
 
-The store answers a ``0x08`` request with alpha^(sum z_i * r_i), the
-verifier compares it with Y^(sum z_i * e_i) * alpha^(sum z_i * s_i), and
-falls back to one check per batch when the two differ.  These tests pin
-the algebra against an independent product of the per-epoch R, the
-wire request, the forgeries a plain sum check lets through, and the
-per-unit agreement of ``verify --cco`` with ``verify --commits``.
+The verifier sends the weighted response sum S = sum z_i * s_i, the
+store answers a ``0x08`` request with alpha^(sum z_i * r_i - S), the
+verifier compares it with Y^(sum z_i * e_i), walked from the key's
+table alone, and falls back to one check per batch when the two
+differ.  These tests pin the algebra against an independent product of
+the per-epoch R, the wire request, the forgeries a plain sum check lets
+through, and the per-unit agreement of ``verify --cco`` with ``verify
+--commits``.
 """
 
+import os
 import random
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from hases import cco, cli, hy, keyfiles, la, pq, schemes, stream, transport, verifier
 from hases.errors import EpochOutOfRange, UnknownSigner
-from hases.group import production_group, small_test_group
+from hases.group import Edwards25519Group, production_group, small_test_group
 from hases.hashing import combination_weights, counters
 
 ID_A = bytes([0xA1]) * 16
@@ -47,20 +52,19 @@ def combination(tags, group):
     return [(sig.epoch, la.challenge_sum(messages, sig, group.q), sig.agg) for messages, sig in tags]
 
 
-def product_of_r(material, epochs, weights, group):
-    """prod R_i^(z_i) from the single-epoch commitments: the combined
-    commitment computed without ``la.combined_commitment``."""
-    value = group.identity
+def product_of_r(material, epochs, weights, group, agg=0):
+    """prod R_i^(z_i) * alpha^(-agg) from the single-epoch commitments: the
+    combined commitment computed without ``la.combined_commitment``."""
+    value = group.exp(group.generator, -agg)
     for epoch, weight in zip(epochs, weights):
         r = group.decode_element(la.construct_commitment(material, ID_A, epoch).r_bytes)
         value = group.mul(value, group.exp(r, weight))
     return group.encode_element(value)
 
 
-def forged(batches, first, second, delta):
+def forged(batches, first, second, delta, q):
     """``batches`` with the response sums of two of them moved by +delta and -delta."""
     out = list(batches)
-    q = production_group().q
     epoch, e, s = out[first]
     out[first] = (epoch, e, (s + delta) % q)
     epoch, e, s = out[second]
@@ -77,9 +81,16 @@ def test_store_and_verifier_agree_on_valid_batches(group):
     batches = combination(tags, group)
     epochs = [epoch for epoch, _, _ in batches]
     seed = la.combination_seed(ID_A, batches)
-    reply = la.combined_commitment(material, ID_A, seed, epochs)
-    assert reply == product_of_r(material, epochs, combination_weights(seed, len(epochs)), group)
-    assert la.combined_value(group.precompute(public[ID_A]), seed, batches, group) == reply
+    weights = combination_weights(seed, len(epochs))
+    challenge, agg = la.weighted_sums(seed, batches, group.q)
+    assert challenge == sum(z * e for z, (_, e, _) in zip(weights, batches)) % group.q
+    assert agg == sum(z * s for z, (_, _, s) in zip(weights, batches)) % group.q
+    reply = la.combined_commitment(material, ID_A, seed, agg, epochs)
+    assert reply == product_of_r(material, epochs, weights, group, agg)
+    assert la.combined_value(group.precompute(public[ID_A]), challenge, group) == reply
+    # with no response sum folded in, the reply is the product of the R's powers
+    assert la.combined_commitment(material, ID_A, seed, 0, epochs) == product_of_r(
+        material, epochs, weights, group)
 
 
 def test_weights_are_per_position_and_repeated_epochs_are_allowed():
@@ -87,29 +98,44 @@ def test_weights_are_per_position_and_repeated_epochs_are_allowed():
     _, _, material, _ = signed(group, batches=0)
     epochs = [3, 1, 3, 3]
     weights = combination_weights(SEED, 4)
-    reply = la.combined_commitment(material, ID_A, SEED, epochs)
-    assert reply == product_of_r(material, epochs, weights, group)
+    reply = la.combined_commitment(material, ID_A, SEED, 7, epochs)
+    assert reply == product_of_r(material, epochs, weights, group, 7)
 
 
 def test_combined_build_hash_count():
-    _, _, material, _ = signed(production_group(), batches=0, batch_size=8)
+    group = production_group()
+    _, _, material, _ = signed(group, batches=0, batch_size=8)
     counters.reset()
-    la.combined_commitment(material, ID_A, SEED, [1, 2, 2, 5])
+    la.combined_commitment(material, ID_A, SEED, group.q - 1, [1, 2, 2, 5])
     # the private scalar, L + 1 per distinct epoch, one weight per position
     assert counters.total() == 1 + 3 * (8 + 1) + 4
 
 
 def test_combined_build_refuses_before_any_work():
-    _, _, material, _ = signed(small_test_group(), batches=0)
-    for signer_id, epochs, error in ((ID_C, [1], UnknownSigner),
-                                     (ID_A, [1, 0], EpochOutOfRange),
-                                     (ID_A, [17, 2], EpochOutOfRange)):
-        counters.reset()
-        with pytest.raises(error):
-            la.combined_commitment(material, signer_id, SEED, epochs)
-        assert counters.total() == 0
-    with pytest.raises(ValueError):
-        la.combined_commitment(material, ID_A, SEED, [])
+    for group in (production_group(), small_test_group()):
+        _, _, material, _ = signed(group, batches=0)
+        for signer_id, agg, epochs, error in ((ID_C, 0, [1], UnknownSigner),
+                                              (ID_A, 0, [1, 0], EpochOutOfRange),
+                                              (ID_A, 0, [17, 2], EpochOutOfRange),
+                                              (ID_A, group.q, [1], ValueError),
+                                              (ID_C, group.q, [1], ValueError),
+                                              (ID_A, -1, [1], ValueError)):
+            counters.reset()
+            with pytest.raises(error):
+                la.combined_commitment(material, signer_id, SEED, agg, epochs)
+            assert counters.total() == 0
+        with pytest.raises(ValueError):
+            la.combined_commitment(material, ID_A, SEED, 0, [])
+
+
+def test_the_verifier_walks_the_key_table_alone():
+    group = production_group()
+    _, public, _, tags = signed(group)
+    table = group.precompute(public[ID_A])
+    y = group.decode_element(public[ID_A])
+    for challenge in (0, 1, 8, 9, group.q - 1, combination(tags, group)[0][1]):
+        assert la.combined_value(table, challenge, group) == group.encode_element(
+            group.exp(y, challenge))
 
 
 def test_combined_checks_are_sound_only_where_weights_do_not_wrap():
@@ -132,12 +158,10 @@ def test_seed_binds_every_batch():
 class TestSplitDeltaForgery:
     """Two response sums moved by +delta and -delta keep the plain sum
     check, which weights every batch by 1, satisfied; position-indexed
-    weights do not cancel, so the combined check fails."""
+    weights do not cancel, so the combined check fails.  Each case runs
+    in both groups."""
 
-    group = production_group()
-
-    def plain_sum_passes(self, public, material, batches):
-        g = self.group
+    def plain_sum_passes(self, g, public, material, batches):
         product = g.identity
         for epoch, _, _ in batches:
             product = g.mul(product, g.decode_element(
@@ -146,39 +170,41 @@ class TestSplitDeltaForgery:
         s = sum(s for _, _, s in batches) % g.q
         return g.encode_element(g.exp2(g.precompute(public[ID_A]), e, s)) == g.encode_element(product)
 
-    def combined_passes(self, public, material, batches):
+    def combined_passes(self, g, public, material, batches):
         seed = la.combination_seed(ID_A, batches)
-        reply = la.combined_commitment(material, ID_A, seed, [epoch for epoch, _, _ in batches])
-        return la.combined_value(self.group.precompute(public[ID_A]), seed, batches,
-                                 self.group) == reply
+        challenge, agg = la.weighted_sums(seed, batches, g.q)
+        reply = la.combined_commitment(material, ID_A, seed, agg,
+                                       [epoch for epoch, _, _ in batches])
+        return la.combined_value(g.precompute(public[ID_A]), challenge, g) == reply
 
     def test_across_two_epochs(self):
-        _, public, material, tags = signed(self.group)
-        batches = combination(tags, self.group)
-        assert self.combined_passes(public, material, batches)
-        bad = forged(batches, 0, 2, delta=12345)
-        assert self.plain_sum_passes(public, material, bad)
-        assert not self.combined_passes(public, material, bad)
+        for g in (production_group(), small_test_group()):
+            _, public, material, tags = signed(g)
+            batches = combination(tags, g)
+            assert self.combined_passes(g, public, material, batches)
+            bad = forged(batches, 0, 2, delta=12345, q=g.q)
+            assert self.plain_sum_passes(g, public, material, bad)
+            assert not self.combined_passes(g, public, material, bad)
 
     def test_at_one_repeated_epoch(self):
-        # two copies of one key sign two batches at epoch 1: a forked signer
-        state, public, material, tags = signed(self.group, batches=1)
-        fork = la.LaSignerState(state.signer_id, state.key, 1, state.params)
-        other = [b"forked item %d" % item for item in range(3)]
-        tags.append((other, la.sign_batch(fork, other)))
-        batches = combination(tags, self.group)
-        assert [epoch for epoch, _, _ in batches] == [1, 1]
-        assert self.combined_passes(public, material, batches)
-        bad = forged(batches, 0, 1, delta=98765)
-        assert self.plain_sum_passes(public, material, bad)
-        assert not self.combined_passes(public, material, bad)
-        # weights indexed by the epoch instead would cancel the two errors
-        g = self.group
-        (z,) = combination_weights(la.combination_seed(ID_A, bad), 1)
-        e = z * (bad[0][1] + bad[1][1]) % g.q
-        s = z * (bad[0][2] + bad[1][2]) % g.q
-        r = g.decode_element(la.construct_commitment(material, ID_A, 1).r_bytes)
-        assert g.exp2(g.precompute(public[ID_A]), e, s) == g.exp(r, 2 * z)
+        for g in (production_group(), small_test_group()):
+            # two copies of one key sign two batches at epoch 1: a forked signer
+            state, public, material, tags = signed(g, batches=1)
+            fork = la.LaSignerState(state.signer_id, state.key, 1, state.params)
+            other = [b"forked item %d" % item for item in range(3)]
+            tags.append((other, la.sign_batch(fork, other)))
+            batches = combination(tags, g)
+            assert [epoch for epoch, _, _ in batches] == [1, 1]
+            assert self.combined_passes(g, public, material, batches)
+            bad = forged(batches, 0, 1, delta=98765, q=g.q)
+            assert self.plain_sum_passes(g, public, material, bad)
+            assert not self.combined_passes(g, public, material, bad)
+            # weights indexed by the epoch instead would cancel the two errors
+            (z,) = combination_weights(la.combination_seed(ID_A, bad), 1)
+            e = z * (bad[0][1] + bad[1][1]) % g.q
+            s = z * (bad[0][2] + bad[1][2]) % g.q
+            r = g.decode_element(la.construct_commitment(material, ID_A, 1).r_bytes)
+            assert g.exp2(g.precompute(public[ID_A]), e, s) == g.exp(r, 2 * z)
 
 
 # --- the wire request ----------------------------------------------------------------
@@ -194,52 +220,75 @@ def hy_store(group=None):
 class TestCombinedRequest:
     def test_ok_reply_is_the_combined_commitment_and_is_cached(self):
         store, material = hy_store()
-        payload = cco.combined_payload(ID_B, SEED, [2, 8, 2])
-        assert len(payload) == 1 + 16 + 32 + 3 * 8
+        payload = cco.combined_payload(ID_B, SEED, 5, [2, 8, 2])
+        assert len(payload) == 1 + 16 + 32 + 32 + 3 * 8
         reply = store.handle_request(payload)
         assert reply[:2] == bytes((cco.MSG_LA_COMBINED | cco.RESPONSE_BIT, cco.STATUS_OK))
-        assert reply[2:] == la.combined_commitment(material.la, ID_B, SEED, [2, 8, 2])
+        assert reply[2:] == la.combined_commitment(material.la, ID_B, SEED, 5, [2, 8, 2])
         counters.reset()
         assert store.handle_request(payload) == reply
         assert counters.total() == 0
         assert store.cache_stats()[:4] == (1, 0, 1, 0)
 
     def test_refusals(self):
-        store, _ = hy_store()
-        head = bytes((cco.MSG_LA_COMBINED,)) + ID_A + SEED
+        for group in (production_group(), small_test_group()):
+            self.refused_before_any_work(group)
+
+    def refused_before_any_work(self, group):
+        store, _ = hy_store(group)
+        q = group.q
+        head = bytes((cco.MSG_LA_COMBINED,)) + ID_A + SEED + (q - 1).to_bytes(32, "big")
         cases = {
-            head: cco.STATUS_MALFORMED,  # no epoch
-            head + bytes(8) * 65: cco.STATUS_MALFORMED,  # over the bound
+            head: cco.STATUS_MALFORMED,  # n = 0
+            head + bytes(8) * 65: cco.STATUS_MALFORMED,  # n = 65, over the bound
             head + bytes(12): cco.STATUS_MALFORMED,  # half an epoch
-            head[:-1] + bytes(8): cco.STATUS_MALFORMED,  # short seed
-            cco.combined_payload(ID_C, SEED, [1]): cco.STATUS_UNKNOWN_ID,
-            cco.combined_payload(ID_A, SEED, [1, 9]): cco.STATUS_EPOCH_RANGE,
-            cco.combined_payload(ID_A, SEED, [0, 1]): cco.STATUS_EPOCH_RANGE,
+            (head + (1).to_bytes(8, "big"))[:-1]: cco.STATUS_MALFORMED,  # a byte short
+            head[:-1] + (1).to_bytes(8, "big"): cco.STATUS_MALFORMED,  # short sum
+            cco.combined_payload(ID_A, SEED, q, [1]): cco.STATUS_MALFORMED,  # sum >= q
+            cco.combined_payload(ID_A, SEED, 2**256 - 1, [1, 2]): cco.STATUS_MALFORMED,
+            cco.combined_payload(ID_C, SEED, q, [1]): cco.STATUS_MALFORMED,
+            cco.combined_payload(ID_C, SEED, 0, [1]): cco.STATUS_UNKNOWN_ID,
+            cco.combined_payload(ID_A, SEED, 0, [1, 9]): cco.STATUS_EPOCH_RANGE,
+            cco.combined_payload(ID_A, SEED, 0, [0, 1]): cco.STATUS_EPOCH_RANGE,
         }
         counters.reset()
         for payload, status in cases.items():
             assert store.handle_request(payload)[1] == status, payload.hex()
         assert counters.total() == 0
+        assert store.cache_stats().entries == 0
         assert cco.STATUS_OK == store.handle_request(
-            cco.combined_payload(ID_A, SEED, [8] * cco.MAX_COMBINED_EPOCHS))[1]
+            cco.combined_payload(ID_A, SEED, q - 1, [8] * cco.MAX_COMBINED_EPOCHS))[1]
+
+    def test_the_largest_request_fits_the_request_frame(self):
+        store, material = hy_store(production_group())
+        agg = production_group().q - 1
+        epochs = [1, 2, 3, 2] * (cco.MAX_COMBINED_EPOCHS // 4)
+        payload = cco.combined_payload(ID_A, SEED, agg, epochs)
+        assert len(payload) == 593 <= transport.MAX_REQUEST_FRAME
+        with transport.CcoServer(store) as server:
+            with transport.CcoClient("127.0.0.1", server.port) as client:
+                (blob,) = client.ok_bodies([payload])
+        assert blob == la.combined_commitment(material.la, ID_A, SEED, agg, epochs)
 
     def test_pq_only_store_knows_no_aggregate_signer(self):
         _, material = pq.keygen([ID_A], PQ_TOY, fixed_rng(5))
         store = cco.CcoStore(material)
-        assert store.handle_request(cco.combined_payload(ID_A, SEED, [1]))[1] == cco.STATUS_UNKNOWN_ID
+        for agg in (0, 2**256 - 1):
+            payload = cco.combined_payload(ID_A, SEED, agg, [1])
+            assert store.handle_request(payload)[1] == cco.STATUS_UNKNOWN_ID
 
     def test_one_pipelined_stream_of_mixed_types(self):
         store, material = hy_store()
         indices = (0, 7, 7, 3)
-        payloads = [cco.combined_payload(ID_A, SEED, [1, 2]),
+        payloads = [cco.combined_payload(ID_A, SEED, 4, [1, 2]),
                     cco.opening_payload(ID_A, 1, indices),
                     cco.commitment_payload(cco.MSG_LA, ID_A, 2),
-                    cco.combined_payload(ID_C, SEED, [1]),
+                    cco.combined_payload(ID_C, SEED, 4, [1]),
                     cco.commitment_payload(cco.MSG_LA, ID_A, 9)]
         with transport.CcoServer(store) as server, transport.CcoClient("127.0.0.1", server.port) as client:
             bodies = list(client.ok_bodies(payloads))
         assert bodies == [
-            la.combined_commitment(material.la, ID_A, SEED, [1, 2]),
+            la.combined_commitment(material.la, ID_A, SEED, 4, [1, 2]),
             pq.open_commitment(material.pq, ID_A, 1, indices).to_bytes(),
             la.construct_commitment(material.la, ID_A, 2).to_bytes(),
             None, None]
@@ -414,19 +463,25 @@ def test_a_refused_combined_check_costs_no_group_work(tmp_path, monkeypatch):
     value can match a refusal, so C's combined value is never computed."""
     deployment = Deployment(tmp_path, "la")
     records, blobs, rejected = mixed_chunk(deployment)
-    signer_of, computed = {}, []
-    seed_of, value_of = la.combination_seed, la.combined_value
+    signer_of, of_challenge, computed = {}, {}, []  # seed -> signer, challenge sum -> signer
+    seed_of, sums_of, value_of = la.combination_seed, la.weighted_sums, la.combined_value
 
     def seed(signer_id, batches):
         result = seed_of(signer_id, batches)
         signer_of[result] = signer_id
         return result
 
-    def value(table, seed, batches, group):
-        computed.append(signer_of[seed])
-        return value_of(table, seed, batches, group)
+    def sums(seed, batches, q):
+        challenge, agg = sums_of(seed, batches, q)
+        of_challenge[challenge] = signer_of[seed]
+        return challenge, agg
+
+    def value(table, challenge, group):
+        computed.append(of_challenge[challenge])
+        return value_of(table, challenge, group)
 
     monkeypatch.setattr(la, "combination_seed", seed)
+    monkeypatch.setattr(la, "weighted_sums", sums)
     monkeypatch.setattr(la, "combined_value", value)
     with transport.CcoServer(deployment.store) as server:
         results = deployment.results(records, blobs, f"127.0.0.1:{server.port}")
@@ -434,6 +489,71 @@ def test_a_refused_combined_check_costs_no_group_work(tmp_path, monkeypatch):
     assert sorted(signer_of.values()) == [ID_A, ID_B, ID_C]  # three checks asked for
     assert sorted(computed) == [ID_A, ID_B]
     assert deployment.types[:3] == [cco.MSG_LA_COMBINED] * 3
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_a_response_sum_off_by_one_sends_its_signer_to_single_checks(tmp_path, capsys,
+                                                                      monkeypatch, scheme):
+    """A's ``0x08`` carries S + 1: its reply is the true one times
+    alpha^(-1), which matches no value, so each of A's ten units (the
+    fork's two included) is checked alone, with the results and exit
+    code of the offline check."""
+    deployment = Deployment(tmp_path, scheme)
+    records, blobs = deployment.chunk()
+    group = deployment.bundle.la_params.group
+    payload_of = cco.combined_payload
+    sent = []  # (sent, true) payloads of A's combined checks
+
+    def off_by_one(signer_id, seed, agg, epochs):
+        if signer_id != ID_A:
+            return payload_of(signer_id, seed, agg, epochs)
+        sent.append((payload_of(signer_id, seed, (agg + 1) % group.q, epochs),
+                     payload_of(signer_id, seed, agg, epochs)))
+        return sent[-1][0]
+
+    monkeypatch.setattr(cco, "combined_payload", off_by_one)
+    with transport.CcoServer(deployment.store) as server:
+        address = f"127.0.0.1:{server.port}"
+        commits = deployment.export(address)
+        deployment.requests.clear()
+        assert deployment.results(records, blobs, address) == [True] * 16
+        assert deployment.results(records, blobs, commits=commits) == [True] * 16
+        openings = [cco.MSG_PQ_OPENING] * 3 if scheme == "hy" else []
+        assert deployment.types == [cco.MSG_LA_COMBINED] * 2 + openings + [cco.MSG_LA] * 10
+        assert {payload[1:17] for payload in deployment.requests[-10:]} == {ID_A}
+        for source in (["--cco", address], ["--commits", str(commits)]):
+            assert deployment.exit_and_output(capsys, records, blobs, *source) == (
+                0, "16/16 signatures valid\n")
+    # A's reply is the one the true sum gets, times alpha^(-1)
+    off, true = (group.decode_element(deployment.store.handle_request(payload)[2:])
+                 for payload in sent[-1])
+    assert off == group.mul(true, group.exp(group.generator, group.q - 1)) != true
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_online_verification_builds_no_generator_comb(tmp_path, capsys, monkeypatch, scheme):
+    """With the service in its own process, an online ``verify --cco`` of
+    a clean chunk on production keys completes while the generator's
+    comb cannot be built in the verifier's process."""
+    deployment = Deployment(tmp_path, scheme)
+    records, blobs = deployment.chunk()
+    assert isinstance(deployment.bundle.la_params.group, Edwards25519Group)
+
+    def no_comb(self):
+        raise AssertionError("the generator's comb was asked for")
+
+    monkeypatch.setattr(Edwards25519Group, "_generator_table", no_comb)
+    argv = [sys.executable, "-m", "hases.cli", "serve", "--store",
+            str(deployment.keys / "cco.store"), "--port", "0"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONUNBUFFERED": "1"}) as proc:
+        try:
+            address = proc.stdout.readline().strip().removeprefix("listening on ")
+            assert deployment.exit_and_output(capsys, records, blobs, "--cco", address) == (
+                0, "16/16 signatures valid\n")
+        finally:
+            proc.terminate()
+            proc.wait()
 
 
 @pytest.mark.parametrize("scheme", ["la", "hy"])

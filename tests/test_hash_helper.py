@@ -107,7 +107,7 @@ def test_split_builds_reply_and_count_as_inline_builds(backend, monkeypatch):
 def test_openings_and_combined_builds_stay_inline(monkeypatch):
     hy_material = material("tiny", monkeypatch)
     payloads = (cco.opening_payload(ID_A, 1, [0, 5, 9, 15] * 2),
-                cco.combined_payload(ID_B, b"s" * 32, [1, 2, 3]))
+                cco.combined_payload(ID_B, b"s" * 32, 5, [1, 2, 3]))
     expected = inline_replies(hy_material, payloads)
     with served_with_helper(fresh_store(hy_material)) as server:
         sends = spy_sends(server.helper)
