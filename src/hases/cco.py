@@ -94,12 +94,13 @@ chunk, who derive the same seed and sum, share one build.
 Responses to the commitment types (0x01-0x03), to openings (0x05) and
 to 0x08 go through a response cache keyed by the whole request payload:
 a least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES``
-in all, in front of a single-flight build, so a payload asked for again
-is answered without hashing, and one asked for by several connections
-at once is built once while the others wait for it.  Only OK responses
-are kept; exports and every other status bypass the cache.  Entries
-are never invalidated, because the OK response to a payload cannot
-change (see the constant).
+in all, so a payload asked for again is answered without hashing.  Its
+lookup, build and insert run under the store's one lock, so a payload
+asked for by several connections at once is built once: the others wait
+for the lock and find it cached.  Only OK responses are kept; exports
+and every other status bypass the cache.  Entries are never
+invalidated, because the OK response to a payload cannot change (see
+the constant).
 
 The protocol is binary so commitments travel bit-exactly, and it is
 deliberately small: there is no verification entry point (the store
@@ -109,15 +110,18 @@ Responses are unauthenticated; deployments that do not co-locate the
 service with the verifier should wrap the transport accordingly.
 
 Concurrency: material is fixed when the store is made; requests change
-only the cache and the chain cursor.
+only the cache and the chain cursor, under the store's one lock.  A
+request holds it for its own build and an export once per epoch, so a
+request that comes during an export waits about one single build, not
+the whole export, and no build ever finds the hashing helper busy.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+import time
 from collections import OrderedDict
-from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
 
 from . import hy, la, pq, schemes
@@ -174,104 +178,38 @@ def __getattr__(name: str):
 
 
 class CacheStats(NamedTuple):
-    """Requests answered by ``CcoStore.handle_request``, by how."""
+    """Requests answered by ``CcoStore.handle_request``, by how.  One that
+    waited on the store's lock while its payload was built is a hit."""
 
     hits: int  # served from the cache
-    coalesced: int  # waited for another thread's build of the same payload
     misses: int  # built; kept only if OK
     bypassed: int  # exports and malformed payloads, never cached
     entries: int
     size: int  # bytes of the cached responses
 
 
-class _Flight:
-    """A build in progress.  Its builder holds ``lock`` until the build is
-    done, so the waiters for the same payload block on acquiring it (a
-    lock costs a fraction of an ``Event``, which every miss would make)."""
-
-    __slots__ = ("lock", "response")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.lock.acquire()
-        self.response: bytes | None = None
-
-
-class _ResponseCache:
-    """Bounded LRU of OK response bytes, with single-flight builds."""
-
-    def __init__(self, budget: int):
-        self._budget = budget
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
-        self._size = 0
-        self._flights: dict[bytes, _Flight] = {}
-        self._hits = self._coalesced = self._misses = self._bypassed = 0
-
-    def get(self, key: bytes, build: Callable[[], bytes]) -> bytes:
-        with self._lock:
-            response = self._entries.get(key)
-            if response is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return response
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = self._flights[key] = _Flight()
-                self._misses += 1
-                leader = True
-            else:
-                self._coalesced += 1
-                leader = False
-        if not leader:
-            with flight.lock:
-                pass
-            # None only if the leader's build raised
-            return flight.response if flight.response is not None else build()
-        try:
-            flight.response = response = build()
-        finally:
-            with self._lock:
-                del self._flights[key]
-                if flight.response is not None and flight.response[1] == STATUS_OK:
-                    self._insert(key, flight.response)
-            flight.lock.release()
-        return response
-
-    def _insert(self, key: bytes, response: bytes) -> None:
-        if len(response) > self._budget:
-            return
-        self._entries[key] = response
-        self._size += len(response)
-        while self._size > self._budget:
-            _, evicted = self._entries.popitem(last=False)
-            self._size -= len(evicted)
-
-    def bypass(self, build: Callable[[], bytes]) -> bytes:
-        with self._lock:
-            self._bypassed += 1
-        return build()
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(self._hits, self._coalesced, self._misses, self._bypassed,
-                              len(self._entries), self._size)
-
-
 class CcoStore:
-    """Thread-safe holder of one key ceremony's master secrets and anchors:
-    keygen's ``material``, as its pq and la parts (None where the scheme
-    has no such part), unchanged for the store's lifetime."""
+    """Holder of one key ceremony's master secrets and anchors: keygen's
+    ``material``, as its pq and la parts (None where the scheme has no
+    such part), unchanged for the store's lifetime.
+
+    ``handle_request`` is thread-safe through one lock over the response
+    cache and the chain cursor.  A cached type's lookup, build and insert
+    run under it, so one full build at a time hands the hashing helper
+    its half; an export takes it around each epoch's single build.  The
+    store's other methods take no lock."""
 
     def __init__(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]):
         self.pq_part, self.la_part = schemes.of(material).parts(material)
-        self._cache = _ResponseCache(RESPONSE_CACHE_BYTES)
+        self._lock = threading.Lock()
+        # the response cache: OK replies by payload, least recently used first
+        self._cache: OrderedDict[bytes, bytes] = OrderedDict()
+        self._cache_size = 0
+        self._hits = self._misses = self._bypassed = 0
         # The pq chain cursor: (epoch, seed) per signer of the store, the
-        # seed last derived for it (``pq.Cursor``).  Entries are replaced
-        # whole without a lock; a racing write of an older epoch only
-        # lengthens a later walk, since every entry is a true seed.  None
-        # is ever invalidated.  Unknown ids are refused before any walk,
-        # so there is one entry at most per signer.
+        # seed last derived for it (``pq.Cursor``).  None is ever
+        # invalidated, since every entry is a true seed.  Unknown ids are
+        # refused before any walk, so there is one entry at most per signer.
         self._cursor: pq.Cursor = {}
 
     def pq_material(self) -> pq.PqKeyMaterial:
@@ -314,11 +252,11 @@ class CcoStore:
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
         """The scheme's serialized commitment of every epoch in [epoch_from,
-        epoch_to], each from the store's single builder (``_BUILDERS``) and
-        serialized as it is built, in order: what the epochs' single
-        requests build and cost.  Refused before any
-        hashing: an unknown tag (``MalformedFrame``), a missing part or id
-        (``UnknownSigner``), a range outside [1, J] or a response over
+        epoch_to], each from the store's single builder (``_BUILDERS``),
+        under the store's lock, and serialized as it is built, in order:
+        what the epochs' single requests build and cost.  Refused before
+        any hashing: an unknown tag (``MalformedFrame``), a missing part or
+        id (``UnknownSigner``), a range outside [1, J] or a response over
         ``MAX_FRAME`` (``EpochOutOfRange``).
         """
         method = _BUILDERS.get(scheme_tag)
@@ -337,25 +275,54 @@ class CcoStore:
         if _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * entry > MAX_FRAME:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
         build = getattr(self, method)
-        return [build(signer_id, epoch).to_bytes() for epoch in range(epoch_from, epoch_to + 1)]
+        blobs = []
+        for epoch in range(epoch_from, epoch_to + 1):
+            with self._lock:
+                commitment = build(signer_id, epoch)
+            blobs.append(commitment.to_bytes())
+            time.sleep(0)  # else this thread may retake the lock before a waiter wakes
+        return blobs
 
     # -- request dispatch --------------------------------------------------
 
     def handle_request(self, payload: bytes) -> bytes:
         """Map one request frame payload (type byte + body) to a response
         payload.  Never raises: protocol errors become status bytes.
-        Well-formed requests, exports aside, go through the response cache."""
+        Well-formed requests, exports aside, go through the response cache;
+        the rest are only counted under the store's lock."""
         request = _REQUESTS.get(payload[0]) if payload else None
-        if request is None or not request.well_formed(len(payload) - 1):
-            return self._cache.bypass(partial(_response_head, payload, STATUS_MALFORMED))
-        build = partial(self._build_response, request, payload)
-        if request.cached:
-            return self._cache.get(payload, build)
-        return self._cache.bypass(build)
+        well_formed = request is not None and request.well_formed(len(payload) - 1)
+        with self._lock:
+            if well_formed and request.cached:
+                return self._cached_response(request, payload)
+            self._bypassed += 1
+        if not well_formed:
+            return _response_head(payload, STATUS_MALFORMED)
+        return self._build_response(request, payload)
 
     def cache_stats(self) -> CacheStats:
         """Snapshot of the response cache's counts and size."""
-        return self._cache.stats()
+        with self._lock:
+            return CacheStats(self._hits, self._misses, self._bypassed, len(self._cache),
+                              self._cache_size)
+
+    def _cached_response(self, request: _Request, payload: bytes) -> bytes:
+        """The cached reply to ``payload``, or one built now and kept if OK
+        and within ``RESPONSE_CACHE_BYTES``, evicting the least recently
+        used; called under the store's lock."""
+        response = self._cache.get(payload)
+        if response is not None:
+            self._cache.move_to_end(payload)
+            self._hits += 1
+            return response
+        self._misses += 1
+        response = self._build_response(request, payload)
+        if response[1] == STATUS_OK and len(response) <= RESPONSE_CACHE_BYTES:
+            self._cache[payload] = response
+            self._cache_size += len(response)
+            while self._cache_size > RESPONSE_CACHE_BYTES:
+                self._cache_size -= len(self._cache.popitem(last=False)[1])
+        return response
 
     def _build_response(self, request: _Request, payload: bytes) -> bytes:
         try:

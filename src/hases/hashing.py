@@ -291,14 +291,14 @@ def commitment_images(seed: bytes, t: int, meanwhile: Callable[[], object] | Non
     """The entry body: ``H2(H1(seed || label))`` for the labels 1..t, in
     label order, joined; counted as the 2t calls of that composition.
 
-    With a ``helper`` installed that takes the build, the helper hashes
-    the labels above t/2 in its own process while this thread runs
-    ``meanwhile``, if given, then hashes the rest; the helper's reply is
-    appended as read.  One that is busy is not waited for, and one that
-    is lost leaves its half to this thread.  The body and the count are
-    the same either way; ``meanwhile`` runs once, before this thread
-    hashes any entry, and what it raises is raised once the helper's
-    reply is read."""
+    With a ``helper`` installed, the helper hashes the labels above t/2
+    in its own process while this thread runs ``meanwhile``, if given,
+    then hashes the rest; the helper's reply is appended as read.  It
+    takes one build at a time, which the service's store lock ensures,
+    and one that is lost leaves its half to this thread.  The body and
+    the count are the same either way; ``meanwhile`` runs once, before
+    this thread hashes any entry, and what it raises is raised once the
+    helper's reply is read."""
     labels = label_table(t)
     half = t // 2
     split = helper

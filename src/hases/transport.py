@@ -21,7 +21,9 @@ longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
 The server runs one thread per connection; closing it shuts every open
-connection down and joins their threads.  Connections are logged at
+connection down and joins their threads.  They build one request at a
+time, under the store's one lock (``cco.CcoStore``), and an export lets
+other connections in between its epochs.  Connections are logged at
 DEBUG on the ``hases.cco`` logger, the service's, as they open and
 close, with the peer and the number of requests served; dropped
 connections and malformed frames at WARNING.
@@ -34,7 +36,8 @@ the upper, which ``hashlib`` cannot do in a second thread of one
 process: it holds the interpreter lock for inputs this short.  A hy
 build derives its la part between the two, so that too overlaps the
 helper's half, and the helper's reply is taken whole into the entry
-body.  Openings (``0x05``) and combined commitments
+body.  With one build at a time, every full build splits: none finds
+the helper busy.  Openings (``0x05``) and combined commitments
 (``0x08``) are built inline: they hash 2k entries, not 2t, and the
 verifiers that send them keep the other CPU busy.
 """
@@ -137,8 +140,8 @@ class HashHelper:
     lo+1..hi, 32 bytes each, over another, while the calling thread
     runs what the build does meanwhile and hashes the labels below; the
     reply is read even when that raises, so the pipe stays in step.  It
-    takes one build at a time: a build that finds it busy hashes all t
-    entries inline instead of waiting.
+    takes one build at a time, as the store's lock runs them
+    (``cco.CcoStore``), so no build finds it busy.
     A write that fails or a read that meets EOF drops the helper, with
     one WARNING on ``hases.cco``, and leaves the half to the caller.
     ``close`` uninstalls it, closes its request pipe, on which the
@@ -149,7 +152,6 @@ class HashHelper:
         self.pid = pid
         self._requests = requests
         self._replies = os.fdopen(replies, "rb")
-        self._lock = threading.Lock()
         self._open = True
 
     @classmethod
@@ -169,17 +171,14 @@ class HashHelper:
 
     def send(self, seed: bytes, t: int, lo: int) -> bool:
         """Ask for the images of the labels lo+1..t.  False, sending
-        nothing, if the helper is busy or gone; on True the caller holds
-        it until ``receive``."""
-        if not self._lock.acquire(blocking=False):
-            return False
+        nothing, only if the helper is gone; on True the caller reads the
+        reply with ``receive``."""
         try:
             if self._open:
                 os.write(self._requests, _HELPER_REQUEST.pack(seed, t, lo, t))
                 return True
         except OSError as exc:
             self._drop(exc)
-        self._lock.release()
         return False
 
     def receive(self, count: int) -> bytes | None:
@@ -192,8 +191,6 @@ class HashHelper:
             self._drop(f"EOF after {len(body)} of {count * hashing.DIGEST_LEN} bytes")
         except OSError as exc:
             self._drop(exc)
-        finally:
-            self._lock.release()
         return None
 
     def _drop(self, reason) -> None:

@@ -228,7 +228,7 @@ class TestCombinedRequest:
         counters.reset()
         assert store.handle_request(payload) == reply
         assert counters.total() == 0
-        assert store.cache_stats()[:4] == (1, 0, 1, 0)
+        assert store.cache_stats()[:3] == (1, 1, 0)
 
     def test_refusals(self):
         for group in (production_group(), small_test_group()):

@@ -2,6 +2,7 @@
 half of each full pq commitment build, with replies and hash counts
 identical to the inline build."""
 
+import functools
 import logging
 import os
 import random
@@ -116,33 +117,44 @@ def test_openings_and_combined_builds_stay_inline(monkeypatch):
 
 
 @needs_fork
-def test_a_build_that_finds_the_helper_busy_builds_inline(monkeypatch):
+def test_two_builds_at_once_both_split(monkeypatch):
+    # one build holds the helper until it reads its half; another, asked
+    # for meanwhile on a second thread, waits for the store and then
+    # splits too, instead of hashing all t entries in this process
     hy_material = material("production", monkeypatch)
     first, second = PAYLOADS[:2]
-    expected = [reply for reply, _ in inline_replies(hy_material, (first, second))]
+    expected = inline_replies(hy_material, (first, second))
     with served_with_helper(fresh_store(hy_material)) as server:
-        helper = server.helper
+        store, helper = server.store, server.helper
         sends = spy_sends(helper)
         receive = helper.receive
         taken, release = threading.Event(), threading.Event()
 
         def held_receive(count):
+            helper.receive = receive  # only the first build is held
             taken.set()
             assert release.wait(10)
             return receive(count)
 
         helper.receive = held_receive
-        replies = {}
-        holder = threading.Thread(
-            target=lambda: replies.setdefault("first", server.store.handle_request(first)))
-        holder.start()
+        build = store._build_response
+        got = {}  # payload -> (reply, hash calls), counted inside the build
+        store._build_response = lambda request, payload: got.setdefault(
+            payload, counted(functools.partial(build, request), payload))[0]
+        threads = [threading.Thread(target=store.handle_request, args=(payload,))
+                   for payload in (first, second)]
+        threads[0].start()
         assert taken.wait(10)
-        # the helper is taken until `first` reads its half: this build does not wait
-        replies["second"] = server.store.handle_request(second)
+        threads[1].start()
+        threads[1].join(0.2)
+        waited = threads[1].is_alive()
         release.set()
-        holder.join(10)
-    assert sends == [True, False]
-    assert [replies["first"], replies["second"]] == expected
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+    assert sends == [True, True]
+    assert [got[first], got[second]] == expected  # byte for byte, and the same hash calls
+    assert waited  # for the store's lock, not for the helper
 
 
 @needs_fork
@@ -211,7 +223,7 @@ def test_a_raise_after_the_hand_off_still_reads_the_helpers_reply(monkeypatch, c
         sends = spy_sends(helper)
         with pytest.raises(RuntimeError):
             server.store.handle_request(hy_payload)
-        assert raised and not helper._lock.locked()
+        assert raised
         with caplog.at_level(logging.WARNING, logger="hases.cco"):
             with transport.CcoClient("127.0.0.1", server.port) as client:
                 got = [counted(client.request_raw, payload) for payload in PAYLOADS[:2]]
