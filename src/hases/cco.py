@@ -6,14 +6,14 @@ every response carries only public commitment material.  The trust
 boundary is ``hases serve`` together with the hashing helper it may
 fork (``hases.transport.HashHelper``), a copy of the service's process
 that receives epoch seeds over a pipe and hashes half of each full pq
-build, while the handler thread derives a hy build's la part and then
-hashes the other half; hosting the same store inside a hardware
+build, while the service derives a hy build's la part and then hashes
+the other half; hosting the same store inside a hardware
 enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
 the request table that takes each request type (``_REQUESTS``), and the
 request and response encodings.  ``hases.transport`` carries those
-bytes: the framing, the threaded TCP server and the pipelining client.
+bytes: the framing, the one-thread TCP server and the pipelining client.
 Key generation and signing need the store alone, so they never import a
 socket.  The transport's public names are also reachable from here
 (``cco.CcoClient``, ``cco.CcoServer``, ...); the first such lookup
@@ -42,8 +42,9 @@ A request names only what the store cannot derive.  Aggregate commitments
 use the batch size fixed at key generation and carry it back
 (``la.LaCommitment.batch_size``) for the verifier to check.  An export
 is the single builds of its epochs, in order, at their cost; each is
-serialized as it is built, and the reply is joined once.  Every
-refusal comes before any hashing: a store without a part the request
+serialized as it is built (``CcoStore.reply`` hands the service one
+entry at a time), and ``handle_request`` joins the reply once.  Every
+refusal comes before any hashing, and so fixes the reply's length: a store without a part the request
 needs answers as for an unknown id, an export over ``MAX_FRAME`` as
 for an epoch out of range.
 
@@ -94,10 +95,10 @@ chunk, who derive the same seed and sum, share one build.
 Responses to the commitment types (0x01-0x03), to openings (0x05) and
 to 0x08 go through a response cache keyed by the whole request payload:
 a least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES``
-in all, so a payload asked for again is answered without hashing.  Its
-lookup, build and insert run under the store's one lock, so a payload
-asked for by several connections at once is built once: the others wait
-for the lock and find it cached.  Only OK responses are kept; exports
+in all, so a payload asked for again is answered without hashing.  The
+service answers one request at a time, so a payload asked for by
+several connections at once is built once: the others find it cached.
+Only OK responses are kept; exports
 and every other status bypass the cache.  Entries are never
 invalidated, because the OK response to a payload cannot change (see
 the constant).
@@ -110,19 +111,19 @@ Responses are unauthenticated; deployments that do not co-locate the
 service with the verifier should wrap the transport accordingly.
 
 Concurrency: material is fixed when the store is made; requests change
-only the cache and the chain cursor, under the store's one lock.  A
-request holds it for its own build and an export once per epoch, so a
-request that comes during an export waits about one single build, not
-the whole export, and no build ever finds the hashing helper busy.
+only the cache and the chain cursor.  The store takes no lock: its one
+caller, the service's loop (``hases.transport``), builds one request at
+a time and an export one epoch per turn, so a request that comes during
+an export waits about one single build, not the whole export, and no
+build ever finds the hashing helper busy.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
-import time
 from collections import OrderedDict
-from typing import Callable, NamedTuple, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import hy, la, pq, schemes
 from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -178,8 +179,7 @@ def __getattr__(name: str):
 
 
 class CacheStats(NamedTuple):
-    """Requests answered by ``CcoStore.handle_request``, by how.  One that
-    waited on the store's lock while its payload was built is a hit."""
+    """Requests answered by ``CcoStore.handle_request`` or ``reply``, by how."""
 
     hits: int  # served from the cache
     misses: int  # built; kept only if OK
@@ -193,15 +193,12 @@ class CcoStore:
     ``material``, as its pq and la parts (None where the scheme has no
     such part), unchanged for the store's lifetime.
 
-    ``handle_request`` is thread-safe through one lock over the response
-    cache and the chain cursor.  A cached type's lookup, build and insert
-    run under it, so one full build at a time hands the hashing helper
-    its half; an export takes it around each epoch's single build.  The
-    store's other methods take no lock."""
+    Requests change the response cache and the chain cursor, so the
+    store is not thread-safe: it has one caller, the service's loop
+    (``transport.CcoServer``), which answers one request at a time."""
 
     def __init__(self, material: Union[pq.PqKeyMaterial, la.LaKeyMaterial, hy.HyKeyMaterial]):
         self.pq_part, self.la_part = schemes.of(material).parts(material)
-        self._lock = threading.Lock()
         # the response cache: OK replies by payload, least recently used first
         self._cache: OrderedDict[bytes, bytes] = OrderedDict()
         self._cache_size = 0
@@ -251,12 +248,18 @@ class CcoStore:
         return la.combined_commitment(self.la_material(), signer_id, seed, agg, epochs)
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """The scheme's serialized commitment of every epoch in [epoch_from,
-        epoch_to], each from the store's single builder (``_BUILDERS``),
-        under the store's lock, and serialized as it is built, in order:
-        what the epochs' single requests build and cost.  Refused before
-        any hashing: an unknown tag (``MalformedFrame``), a missing part or
-        id (``UnknownSigner``), a range outside [1, J] or a response over
+        """The entries of ``export_entries``, built."""
+        return list(self.export_entries(scheme_tag, signer_id, epoch_from, epoch_to)[1])
+
+    def export_entries(self, scheme_tag: int, signer_id: bytes, epoch_from: int,
+                       epoch_to: int) -> tuple[int, Iterator[bytes]]:
+        """(size, entries): the size of each of the scheme's serialized
+        commitments of the epochs in [epoch_from, epoch_to], and those
+        commitments, in order, each built by the store's single builder
+        (``_BUILDERS``) and serialized as it is taken: what the epochs'
+        single requests build and cost.  Refused before any hashing: an
+        unknown tag (``MalformedFrame``), a missing part or id
+        (``UnknownSigner``), a range outside [1, J] or a response over
         ``MAX_FRAME`` (``EpochOutOfRange``).
         """
         method = _BUILDERS.get(scheme_tag)
@@ -275,48 +278,53 @@ class CcoStore:
         if _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * entry > MAX_FRAME:
             raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
         build = getattr(self, method)
-        blobs = []
-        for epoch in range(epoch_from, epoch_to + 1):
-            with self._lock:
-                commitment = build(signer_id, epoch)
-            blobs.append(commitment.to_bytes())
-            time.sleep(0)  # else this thread may retake the lock before a waiter wakes
-        return blobs
+        return entry, (build(signer_id, epoch).to_bytes() for epoch in range(epoch_from, epoch_to + 1))
 
     # -- request dispatch --------------------------------------------------
 
     def handle_request(self, payload: bytes) -> bytes:
         """Map one request frame payload (type byte + body) to a response
-        payload.  Never raises: protocol errors become status bytes.
-        Well-formed requests, exports aside, go through the response cache;
-        the rest are only counted under the store's lock."""
+        payload.  Never raises for what the payload holds: protocol errors
+        become status bytes.  Well-formed requests, exports aside, go
+        through the response cache; the rest are only counted."""
+        return b"".join(self._respond(payload)[1])
+
+    def reply(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
+        """(length, parts) of ``handle_request``'s response: for an export
+        its head, its entry count, then each entry, built as it is taken;
+        for any other request the whole response, built now."""
+        if not payload or payload[0] != MSG_EXPORT:
+            response = self.handle_request(payload)
+            return len(response), iter((response,))
+        return self._respond(payload)
+
+    def _respond(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
         request = _REQUESTS.get(payload[0]) if payload else None
         well_formed = request is not None and request.well_formed(len(payload) - 1)
-        with self._lock:
-            if well_formed and request.cached:
-                return self._cached_response(request, payload)
-            self._bypassed += 1
+        if well_formed and request.cached:
+            response = self._cached_response(request, payload)
+            return len(response), iter((response,))
+        self._bypassed += 1
         if not well_formed:
-            return _response_head(payload, STATUS_MALFORMED)
+            return 2, iter((_response_head(payload, STATUS_MALFORMED),))
         return self._build_response(request, payload)
 
     def cache_stats(self) -> CacheStats:
         """Snapshot of the response cache's counts and size."""
-        with self._lock:
-            return CacheStats(self._hits, self._misses, self._bypassed, len(self._cache),
-                              self._cache_size)
+        return CacheStats(self._hits, self._misses, self._bypassed, len(self._cache),
+                          self._cache_size)
 
     def _cached_response(self, request: _Request, payload: bytes) -> bytes:
         """The cached reply to ``payload``, or one built now and kept if OK
         and within ``RESPONSE_CACHE_BYTES``, evicting the least recently
-        used; called under the store's lock."""
+        used."""
         response = self._cache.get(payload)
         if response is not None:
             self._cache.move_to_end(payload)
             self._hits += 1
             return response
         self._misses += 1
-        response = self._build_response(request, payload)
+        response = b"".join(self._build_response(request, payload)[1])
         if response[1] == STATUS_OK and len(response) <= RESPONSE_CACHE_BYTES:
             self._cache[payload] = response
             self._cache_size += len(response)
@@ -324,15 +332,17 @@ class CcoStore:
                 self._cache_size -= len(self._cache.popitem(last=False)[1])
         return response
 
-    def _build_response(self, request: _Request, payload: bytes) -> bytes:
+    def _build_response(self, request: _Request, payload: bytes) -> tuple[int, Iterator[bytes]]:
         try:
-            return b"".join([_response_head(payload, STATUS_OK), *request.build(self, payload[1:])])
+            length, parts = request.build(self, payload[1:])
+            return 2 + length, chain((_response_head(payload, STATUS_OK),), parts)
         except UnknownSigner:
-            return _response_head(payload, STATUS_UNKNOWN_ID)
+            status = STATUS_UNKNOWN_ID
         except EpochOutOfRange:
-            return _response_head(payload, STATUS_EPOCH_RANGE)
+            status = STATUS_EPOCH_RANGE
         except (MalformedFrame, ValueError):
-            return _response_head(payload, STATUS_MALFORMED)
+            status = STATUS_MALFORMED
+        return 2, iter((_response_head(payload, status),))
 
 
 def _response_head(payload: bytes, status: int) -> bytes:
@@ -348,8 +358,13 @@ class _Request(NamedTuple):
 
     well_formed: Callable[[int], bool]  # whether a body can have this length
     cached: bool  # its OK responses go through the response cache
-    # body -> the parts of what follows OK, joined with the head once; raises for the rest
-    build: Callable[[CcoStore, bytes], Sequence[bytes]]
+    # body -> (length, parts) of what follows OK; raises for the rest
+    build: Callable[[CcoStore, bytes], tuple[int, Iterable[bytes]]]
+
+
+def _whole(blob: bytes) -> tuple[int, tuple[bytes]]:
+    """``blob`` as what a ``_Request.build`` returns: its length and itself."""
+    return len(blob), (blob,)
 
 
 def _key(body: bytes) -> tuple[bytes, int]:
@@ -378,33 +393,31 @@ def _combined_response(store: CcoStore, body: bytes) -> bytes:
     seed_end = 16 + SEED_LEN
     agg = int.from_bytes(body[seed_end:_COMBINED_HEAD], "big")
     epochs = struct.unpack(f">{(len(body) - _COMBINED_HEAD) // 8}Q", body[_COMBINED_HEAD:])
-    return (store.la_combined(body[:16], body[16:seed_end], agg, epochs),)
+    return _whole(store.la_combined(body[:16], body[16:seed_end], agg, epochs))
 
 
 def _commitment(method: str) -> _Request:
     """A commitment request, answered with the store's ``method`` of its key."""
     return _Request(lambda n: n == 24, True,
-                    lambda store, body: (getattr(store, method)(*_key(body)).to_bytes(),))
+                    lambda store, body: _whole(getattr(store, method)(*_key(body)).to_bytes()))
 
 
-def _export_response(store: CcoStore, body: bytes) -> list[bytes]:
+def _export_response(store: CcoStore, body: bytes) -> tuple[int, Iterable[bytes]]:
+    """The ``export_bytes`` container of the export's entries, as they are built."""
     epoch_from, epoch_to = struct.unpack(">QQ", body[17:33])
-    return export_parts(store.batch_export(body[0], body[1:17], epoch_from, epoch_to))
-
-
-def export_parts(blobs: Sequence[bytes]) -> list[bytes]:
-    """The export container, of the ``0x04`` reply and the offline file
-    alike, as parts to join: an 8-byte big-endian entry count, then the
-    entries.  ValueError for anything ``_EXPORT_RULE`` refuses."""
-    sizes = {len(blob) for blob in blobs}
-    if len(sizes) != 1 or 0 in sizes:
-        raise ValueError(_EXPORT_RULE)
-    return [len(blobs).to_bytes(8, "big"), *blobs]
+    size, entries = store.export_entries(body[0], body[1:17], epoch_from, epoch_to)
+    count = epoch_to - epoch_from + 1
+    return 8 + count * size, chain((count.to_bytes(8, "big"),), entries)
 
 
 def export_bytes(blobs: Sequence[bytes]) -> bytes:
-    """``export_parts`` joined."""
-    return b"".join(export_parts(blobs))
+    """The export container, of the ``0x04`` reply and the offline file
+    alike: an 8-byte big-endian entry count, then the entries.
+    ValueError for anything ``_EXPORT_RULE`` refuses."""
+    sizes = {len(blob) for blob in blobs}
+    if len(sizes) != 1 or 0 in sizes:
+        raise ValueError(_EXPORT_RULE)
+    return b"".join([len(blobs).to_bytes(8, "big"), *blobs])
 
 
 def export_from_bytes(data: bytes) -> list[bytes]:
@@ -427,8 +440,8 @@ _BUILDERS = {MSG_PQ: "pq_commitment", MSG_LA: "la_commitment", MSG_HY: "hy_commi
 _REQUESTS = {
     **{tag: _commitment(method) for tag, method in _BUILDERS.items()},
     MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
-    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: (store.pq_opening(
-        *_key(body), _opening_indices(body)).to_bytes(),)),
+    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: _whole(store.pq_opening(
+        *_key(body), _opening_indices(body)).to_bytes())),
     MSG_LA_COMBINED: _Request(_combined_len, True, _combined_response),
 }
 

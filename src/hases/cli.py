@@ -195,7 +195,7 @@ def cmd_serve(args) -> int:
     server = CcoServer(store, args.host, port)
     print(f"listening on {args.host}:{server.port}", flush=True)
     # forked after the line, so the start is not slowed by copy-on-write
-    # faults, and before serve_forever starts any thread
+    # faults, and before the loop starts
     if can_split_builds():
         server.start_hash_helper()
     # SIGTERM unwinds as Ctrl-C does: connections closed, helper reaped, exit 0

@@ -294,7 +294,7 @@ def commitment_images(seed: bytes, t: int, meanwhile: Callable[[], object] | Non
     With a ``helper`` installed, the helper hashes the labels above t/2
     in its own process while this thread runs ``meanwhile``, if given,
     then hashes the rest; the helper's reply is appended as read.  It
-    takes one build at a time, which the service's store lock ensures,
+    takes one build at a time, which the service's one loop ensures,
     and one that is lost leaves its half to this thread.  The body and
     the count are the same either way; ``meanwhile`` runs once, before
     this thread hashes any entry, and what it raises is raised once the

@@ -3,7 +3,7 @@
 This module carries the bytes that ``hases.cco`` reads and writes: the
 store, its request table and every request and response encoding are
 there.  Only ``hases serve``, ``hases request`` and ``hases verify
---cco`` import it, and with it ``socket`` and ``socketserver``.
+--cco`` import it, and with it ``socket`` and ``selectors``.
 
 Framing (stream transport): each frame is a 4-byte big-endian length
 followed by the payload, a request or a response of ``hases.cco``.
@@ -20,20 +20,22 @@ The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
 longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
-The server runs one thread per connection; closing it shuts every open
-connection down and joins their threads.  They build one request at a
-time, under the store's one lock (``cco.CcoStore``), and an export lets
-other connections in between its epochs.  Connections are logged at
-DEBUG on the ``hases.cco`` logger, the service's, as they open and
-close, with the peer and the number of requests served; dropped
+The server is one ``selectors`` loop on one thread: more threads would
+buy no parallelism, as ``hashlib`` holds the interpreter lock for
+inputs this short.  Each turn of the loop builds at most one part of
+one reply per connection, a whole reply or one epoch of an export, so
+a request that comes during an export waits about one build.
+``MAX_CONNECTIONS``, ``IDLE_TIMEOUT_S`` and ``OUTPUT_CAP`` bound what
+clients can hold of it.  Connections are logged at DEBUG on the
+``hases.cco`` logger, the service's, as they open and close, with the
+peer and the number of requests served; dropped and refused
 connections and malformed frames at WARNING.
 
 ``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
 pq commitment build (``0x01``, the pq part of ``0x03``, every epoch of
 ``0x04``) first hands the helper the upper half of its t entries, then
-hashes the lower half in the handler thread while the helper hashes
-the upper, which ``hashlib`` cannot do in a second thread of one
-process: it holds the interpreter lock for inputs this short.  A hy
+hashes the lower half while the helper hashes the upper, which a
+second thread could not do.  A hy
 build derives its la part between the two, so that too overlaps the
 helper's half, and the helper's reply is taken whole into the entry
 body.  With one build at a time, every full build splits: none finds
@@ -45,10 +47,10 @@ verifiers that send them keep the other CPU busy.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
-import socketserver
 import struct
-import threading
+import time
 from collections import deque
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
@@ -78,8 +80,8 @@ MAX_REQUEST_FRAME = 2048
 # has read, the largest being an opening request of at most
 # 4 + 1 + 24 + 4 * 256 = 1,053 bytes, whatever run of epochs it opens,
 # so a full window (under 17 KB) always fits the socket buffers and its
-# writes never block, even while the server is blocked sending it
-# responses it has not read yet (up to 8 KB per run of 256 indices).
+# writes never block, even while the server holds responses it has not
+# read yet (up to 8 KB per run of 256 indices).
 PIPELINE_WINDOW = 16
 
 
@@ -97,8 +99,8 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
     stream.flush()
 
 
-def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
-    """Read one frame of at most ``limit`` bytes; None on clean EOF
+def read_frame(stream: BinaryIO) -> bytes | None:
+    """Read one frame of at most ``MAX_FRAME`` bytes; None on clean EOF
     before a length prefix.  A longer length prefix raises
     ``MalformedFrame`` before the body is read."""
     header = stream.read(4)
@@ -107,7 +109,7 @@ def read_frame(stream: BinaryIO, limit: int = MAX_FRAME) -> bytes | None:
     if len(header) < 4:
         raise MalformedFrame("truncated frame length")
     (length,) = struct.unpack(">I", header)
-    if length > limit:
+    if length > MAX_FRAME:
         raise MalformedFrame("frame exceeds maximum size")
     # a buffered reader returns fewer than ``length`` bytes only at EOF
     payload = stream.read(length)
@@ -140,8 +142,8 @@ class HashHelper:
     lo+1..hi, 32 bytes each, over another, while the calling thread
     runs what the build does meanwhile and hashes the labels below; the
     reply is read even when that raises, so the pipe stays in step.  It
-    takes one build at a time, as the store's lock runs them
-    (``cco.CcoStore``), so no build finds it busy.
+    takes one build at a time, as the service's one loop runs them, so
+    no build finds it busy.
     A write that fails or a read that meets EOF drops the helper, with
     one WARNING on ``hases.cco``, and leaves the half to the caller.
     ``close`` uninstalls it, closes its request pipe, on which the
@@ -232,106 +234,247 @@ def _helper_main(listener: socket.socket, requests: int, replies: int, parent_en
 
 # --- TCP server / client -------------------------------------------------
 
+_LENGTH = struct.Struct(">I")  # a frame's length prefix
+_READ_SIZE = 1 << 16  # the most one read takes; none while this much is unanswered
 
-class _Handler(socketserver.StreamRequestHandler):
-    # replies and pipelined requests are small frames: Nagle's algorithm
-    # would hold each one back until the previous one is acknowledged
-    disable_nagle_algorithm = True
+# The loop's bounds, constants rather than options: a client of this
+# protocol comes nowhere near them.
+# Connections open at once; one more is accepted, logged and closed.
+# Each holds at most about OUTPUT_CAP of replies, so this bounds those
+# at about 128 MiB, and the descriptors well below the usual 1,024.  A
+# `hases verify` opens one connection, the benchmark at most four.
+MAX_CONNECTIONS = 128
+# Seconds without a request or a reply byte taken, after which a
+# connection is closed.  A verifier's requests are one check loop apart,
+# well under a second; the benchmark's probes keep theirs for a 50 s run.
+IDLE_TIMEOUT_S = 300.0
+# Unsent reply bytes past which the loop reads no more of a connection's
+# requests and builds no more of its export.  A window of the largest
+# cached replies, PIPELINE_WINDOW t=1024 commitments (32,799 bytes
+# framed), stays below it, so a client that reads never meets it.
+OUTPUT_CAP = 1 << 20
 
-    def handle(self):
-        peer = self.client_address[:2]
-        served = 0
-        _log("debug", "connection from %s:%s opened", *peer)
+
+class _Connection:
+    """A client connection of the loop: requests not yet answered, reply
+    bytes its socket has not taken, and the reply being built."""
+
+    __slots__ = ("sock", "peer", "received", "unsent", "parts", "left", "served", "eof",
+                 "closing", "events", "active")
+
+    def __init__(self, sock: socket.socket, peer):
+        self.sock, self.peer = sock, peer
+        self.received, self.unsent = bytearray(), bytearray()
+        self.parts, self.left = None, 0  # the reply being built: its parts, its bytes to come
+        self.served = 0
+        self.eof = False  # the peer sends no more
+        self.closing = False  # answer nothing more: close once ``unsent`` is sent
+        self.events = selectors.EVENT_READ  # what the selector watches its socket for
+        self.active = time.monotonic()  # the last request, or reply bytes taken
+
+    def build(self, store: CcoStore) -> bool:
+        """Add one part of one reply to ``unsent``: of the reply being
+        built, else of a reply to the next whole request, unless ``unsent``
+        is past ``OUTPUT_CAP``.  True if it added one."""
+        if self.closing or len(self.unsent) > OUTPUT_CAP:
+            return False
+        if self.parts is None:
+            try:
+                payload = self.request()
+            except MalformedFrame as exc:
+                _log("warning", "malformed frame from %s:%s (%s): answered and closed", *self.peer, exc)
+                self.unsent += _LENGTH.pack(2) + bytes((RESPONSE_BIT, STATUS_MALFORMED))
+                self.closing = True
+                return False
+            if payload is None:
+                self.closing = self.eof
+                return False
+            self.active = time.monotonic()
+            self.left, self.parts = store.reply(payload)
+            self.unsent += _LENGTH.pack(self.left)
+        part = next(self.parts)
+        self.unsent += part
+        self.left -= len(part)
+        if not self.left:  # else a reply off its length ends the connection at its next part
+            self.parts = None
+            self.served += 1
+        return True
+
+    def request(self) -> bytes | None:
+        """The next whole request's payload, taken off ``received``, or None.
+        ``MalformedFrame`` for a length prefix over ``MAX_REQUEST_FRAME``,
+        before its body comes, and for a frame cut short by the peer's EOF."""
+        if len(self.received) >= 4:
+            (length,) = _LENGTH.unpack_from(self.received)
+            if length > MAX_REQUEST_FRAME:
+                raise MalformedFrame("frame exceeds maximum size")
+            if len(self.received) >= 4 + length:
+                payload = bytes(self.received[4 : 4 + length])
+                del self.received[: 4 + length]
+                return payload
+        if self.eof and self.received:
+            raise MalformedFrame("truncated frame " + ("body" if len(self.received) >= 4 else "length"))
+        return None
+
+    def send(self) -> None:
         try:
-            while True:
-                try:
-                    payload = read_frame(self.rfile, MAX_REQUEST_FRAME)
-                except MalformedFrame as exc:
-                    _log("warning", "malformed frame from %s:%s (%s): answered and closed", *peer, exc)
-                    write_frame(self.wfile, bytes((RESPONSE_BIT, STATUS_MALFORMED)))
-                    return
-                if payload is None:
-                    return
-                write_frame(self.wfile, self.server.store.handle_request(payload))
-                served += 1
-        except OSError as exc:
-            _log("warning", "connection from %s:%s dropped: %s", *peer, exc)
-        finally:
-            _log("debug", "connection from %s:%s closed after %d requests", *peer, served)
+            sent = self.sock.send(self.unsent) if self.unsent else 0
+        except BlockingIOError:
+            return
+        if sent:
+            del self.unsent[:sent]
+            self.active = time.monotonic()
 
 
-class CcoServer(socketserver.ThreadingTCPServer):
-    """Serves one store over TCP; use as a context manager in tests.
+class CcoServer:
+    """Serves one store over TCP from one thread; use as a context manager in tests.
 
-    Each connection gets its own handler thread.  ``server_close`` (and
-    so ``stop``) shuts every open connection down, which ends the reads
-    of idle ones, then joins the handler threads: once it returns, no
-    request is being built any more.
+    The server listens once it is made.  ``serve_forever`` runs its
+    loop in the calling thread, ``start`` in a thread of its own.  Each
+    turn of the loop builds one part of one reply for each connection
+    with a request, a whole reply or one epoch of an export, and hands
+    it to the socket at once.  ``stop`` ends the loop once its turn is
+    done and closes the listener and every connection: once it returns,
+    no request is being built any more.
     """
 
-    allow_reuse_address = True
-    # socketserver's default backlog of 5 drops the SYNs of a burst of
-    # connects (every `hases verify --cco` opens one), and a dropped SYN
-    # costs its client a one-second retransmit
-    request_queue_size = socket.SOMAXCONN
-
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
-        # set before the bind: a failed bind calls server_close, which reads them
         self.store = store
-        self._thread: threading.Thread | None = None
-        self._live_lock = threading.Lock()
-        self._live: dict[socket.socket, threading.Thread] = {}  # open connections
         self.helper: HashHelper | None = None
-        super().__init__((host, port), _Handler)
+        # a backlog of 5, socketserver's, drops the SYNs of a burst of
+        # connects (every `hases verify --cco` opens one), and a dropped SYN
+        # costs its client a one-second retransmit
+        self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
+        self._listener.setblocking(False)
+        self._wake, self._waker = socket.socketpair()  # closing the listener wakes no select
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._connections: dict[_Connection, None] = {}  # open, in the order they came
+        self._serving = True
+        self._thread = None
 
     @property
     def port(self) -> int:
-        return self.server_address[1]
+        return self._listener.getsockname()[1]
 
     def start(self) -> None:
-        # a short poll keeps stop() from waiting out serve_forever's 0.5 s default
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        import threading  # the one thread there is: `hases serve` loops on its main thread
+
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join()
-
-    def process_request(self, request, client_address) -> None:
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._live_lock:
-            self._live[request] = thread
-        thread.start()
-
-    def shutdown_request(self, request) -> None:
-        # deregister before the socket is closed, so server_close never
-        # shuts down a closed (or reused) descriptor
-        with self._live_lock:
-            self._live.pop(request, None)
-        super().shutdown_request(request)
+        if self._serving:  # a second call finds everything closed
+            self._serving = False
+            self._waker.send(b"\0")
+            if self._thread is not None:
+                self._thread.join()
+            self.server_close()
 
     def start_hash_helper(self) -> None:
         """Fork a ``HashHelper`` for this process's builds; ``server_close``
         reaps it.  Call it before ``start`` or ``serve_forever``."""
-        self.helper = HashHelper.fork(self.socket)
+        self.helper = HashHelper.fork(self._listener)
+
+    def serve_forever(self) -> None:
+        """Run the loop until ``stop``."""
+        busy = False
+        while self._serving:
+            wait = 0
+            if not busy:  # until the first idle timeout
+                oldest = min((conn.active for conn in self._connections), default=None)
+                wait = None if oldest is None else max(0, oldest + IDLE_TIMEOUT_S - time.monotonic())
+            for key, events in self._selector.select(wait):
+                if key.fileobj is self._listener:
+                    self._accept()
+                elif key.data:
+                    self._io(key.data, events)
+            busy = False
+            now = time.monotonic()
+            for conn in list(self._connections):
+                if now - conn.active > IDLE_TIMEOUT_S:
+                    _log("debug", "connection from %s:%s idle for %g s", *conn.peer, IDLE_TIMEOUT_S)
+                    self._close(conn)
+                    continue
+                try:
+                    busy |= self._turn(conn)
+                except OSError as exc:
+                    self._close(conn, exc)
+                except Exception:
+                    _log("exception", "request from %s:%s failed", *conn.peer)
+                    self._close(conn)
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, address = self._listener.accept()
+            except OSError:  # none left
+                return
+            if len(self._connections) >= MAX_CONNECTIONS:
+                _log("warning", "connection from %s:%s refused: %d connections open",
+                     *address[:2], len(self._connections))
+                sock.close()
+                continue
+            conn = _Connection(sock, address[:2])
+            self._connections[conn] = None
+            self._selector.register(sock, conn.events, conn)
+            _log("debug", "connection from %s:%s opened", *conn.peer)
+            try:
+                sock.setblocking(False)
+                # replies and pipelined requests are small frames: Nagle's algorithm
+                # would hold each one back until the previous one is acknowledged
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError as exc:
+                self._close(conn, exc)
+
+    def _io(self, conn: _Connection, events: int) -> None:
+        try:
+            if events & selectors.EVENT_READ and len(conn.received) < _READ_SIZE:
+                data = conn.sock.recv(_READ_SIZE)
+                conn.received += data
+                conn.eof = not data
+            if events & selectors.EVENT_WRITE:
+                conn.send()
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            self._close(conn, exc)
+
+    def _turn(self, conn: _Connection) -> bool:
+        """Build one part of one reply on ``conn`` and send what its socket
+        takes; close it once it has nothing more to answer or send.  True
+        if a part was built."""
+        built = conn.build(self.store)
+        conn.send()
+        if conn.closing and not conn.unsent:
+            self._close(conn)
+            return False
+        # requests while unsent replies are within bounds, room in the socket
+        # while replies wait: never neither, as a closing connection is sending
+        events = ((selectors.EVENT_READ if not conn.closing and len(conn.unsent) <= OUTPUT_CAP else 0)
+                  | (selectors.EVENT_WRITE if conn.unsent else 0))
+        if events != conn.events:
+            self._selector.modify(conn.sock, events, conn)
+            conn.events = events
+        return built
+
+    def _close(self, conn: _Connection, dropped: OSError | None = None) -> None:
+        if dropped is not None:
+            _log("warning", "connection from %s:%s dropped: %s", *conn.peer, dropped)
+        self._selector.unregister(conn.sock)
+        del self._connections[conn]
+        conn.sock.close()
+        _log("debug", "connection from %s:%s closed after %d requests", *conn.peer, conn.served)
 
     def server_close(self) -> None:
-        super().server_close()
-        with self._live_lock:
-            live = list(self._live.items())
-            for request, _ in live:
-                try:
-                    request.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer already reset it
-        for _, thread in live:
-            thread.join()
+        """Close the listener and every connection, and reap the helper;
+        once the loop has stopped."""
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        for sock in (self._listener, self._wake, self._waker):
+            sock.close()
         if self.helper is not None:
             self.helper.close()
             self.helper = None

@@ -204,24 +204,6 @@ class TestRequestHandling:
             for secret in secrets_to_scan:
                 assert secret not in frame
 
-    def test_concurrent_reads(self):
-        failures = []
-
-        def worker(epoch):
-            try:
-                for _ in range(20):
-                    assert self.store.pq_commitment(ID_A, epoch).epoch == epoch
-            except Exception as exc:  # pragma: no cover
-                failures.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(e,)) for e in (1, 5, 9, 13)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not failures
-
-
 # the parts of a store each request needs: (request type, scheme of an export) -> parts
 NEEDED_PARTS = {
     (cco.MSG_PQ, None): {"pq"},
@@ -601,49 +583,6 @@ class TestResponseCache:
             assert counters.total() == 0
         assert store.cache_stats()[:3] == (3, 3, 0)
 
-    def test_concurrent_requests_share_one_build(self):
-        _, material = pq.keygen([ID_A], PQ_T1024, fixed_rng(41))
-        store = cco.CcoStore(material)
-        payload = pq_payload(ID_A, 3)
-        barrier = threading.Barrier(4)
-        responses = [None] * 4
-
-        def worker(n):
-            barrier.wait()
-            responses[n] = store.handle_request(payload)
-
-        counters.reset()
-        run_threads([functools.partial(worker, n) for n in range(4)])
-        # 2t for the entries, 2 chain steps to epoch 3, H0 for the segment-0 seed
-        assert counters.total() == 2 * PQ_T1024.t + 2 + 1
-        assert len(set(responses)) == 1 and responses[0][1] == cco.STATUS_OK
-        hits, misses, bypassed, _, _ = store.cache_stats()
-        assert (hits, misses, bypassed) == (3, 1, 0)
-
-    def test_waiters_block_on_the_build_in_progress(self):
-        store, *_ = provisioned_store(seed=42)
-        build = store.pq_commitment
-        builds, asking = [], []
-
-        def slow_build(signer_id, epoch):
-            # hold the one build open until the three others have asked
-            builds.append(epoch)
-            wait_until(lambda: len(asking) == 4)
-            time.sleep(0.05)
-            return build(signer_id, epoch)
-
-        def ask():
-            asking.append(None)
-            responses.append(store.handle_request(pq_payload(ID_A, 5)))
-
-        store.pq_commitment = slow_build
-        responses = []
-        run_threads([ask] * 4)
-        # the waiters blocked on the store's lock, then found the reply cached
-        assert builds == [5]
-        assert len(responses) == 4 and len(set(responses)) == 1
-        assert store.cache_stats()[:3] == (3, 1, 0)
-
     def test_evicted_response_rebuilt_identically(self):
         _, material = pq.keygen([ID_A, ID_B], PQ_T1024, fixed_rng(43))
         store = cco.CcoStore(material)
@@ -760,8 +699,8 @@ class TestResponseCache:
 
 
     def test_stress_with_evictions(self, monkeypatch):
-        # more threads than cores, a short switch interval and a budget of
-        # 4 responses: a lost update would break the counts or the size
+        # random repeats over a budget of 4 responses: a wrong eviction
+        # would break the replies, the counts or the size
         _, _, _, material, _ = provisioned_store(seed=54)
         payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, 7)]
         reference = cco.CcoStore(material)
@@ -769,24 +708,11 @@ class TestResponseCache:
         size = len(expected[payloads[0]])
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 4 * size)
         store = cco.CcoStore(material)
-        wrong = []
-
-        def worker(seed):
-            rng = random.Random(seed)
-            for _ in range(200):
-                payload = rng.choice(payloads)
-                if store.handle_request(payload) != expected[payload]:
-                    wrong.append(payload)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_threads([functools.partial(worker, n) for n in range(8)], timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not wrong
+        rng = random.Random(54)
+        sent = [rng.choice(payloads) for _ in range(1600)]
+        assert [store.handle_request(p) for p in sent] == [expected[p] for p in sent]
         stats = store.cache_stats()
-        assert stats.hits + stats.misses == 8 * 200
+        assert stats.hits and stats.hits + stats.misses == len(sent)
         assert stats.size == stats.entries * size <= 4 * size
 
 
@@ -825,33 +751,37 @@ class TestServerLifecycle:
         params = pq.PqParams(t=1024, k=16, j1=4, j2=16)
         _, material = pq.keygen([ID_A], params, fixed_rng(55))
         store = cco.CcoStore(material)
-        build = store.pq_commitment
-        built = []
+        build, pq_opening = store.pq_commitment, store.pq_opening
+        built, answered, sent = [], [], threading.Event()
 
         def counted_build(signer_id, epoch):
             built.append(epoch)
+            if epoch == 3:  # held until the opening has been sent
+                assert sent.wait(10)
             return build(signer_id, epoch)
 
         store.pq_commitment = counted_build
-        exported = []
+        store.pq_opening = lambda *args: answered.append(len(built)) or pq_opening(*args)
         opening = opening_payload(cco.MSG_PQ_OPENING, ID_A, 2, range(16))
+        exported = []
         with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as exporter, \
-                    transport.CcoClient("127.0.0.1", server.port) as other:
+                    socket.create_connection(("127.0.0.1", server.port)) as other:
                 export = threading.Thread(target=lambda: exported.append(
                     exporter.batch_export(cco.MSG_PQ, ID_A, 1, params.epochs)))
                 export.start()
-                wait_until(lambda: built)
-                assert other.request_raw(opening)[:2] == bytes((0x85, cco.STATUS_OK))
-                answered_after = len(built)
+                wait_until(lambda: len(built) == 3)
+                sent_after = len(built)
+                other.sendall(struct.pack(">I", len(opening)) + opening)
+                sent.set()
+                with other.makefile("rb") as stream:
+                    assert transport.read_frame(stream)[:2] == bytes((0x85, cco.STATUS_OK))
                 export.join(10)
                 assert not export.is_alive()
         assert len(exported[0]) == params.epochs
-        # The opening goes in between two of the export's 64 builds: after
-        # 1-7 of them in trials, five processes on two CPUs included.  An
-        # export that held the store's lock for the whole range answered it
-        # after 64; one that did not yield after each epoch, after 14-64.
-        assert answered_after <= 16
+        # The opening came during the export's third build: the loop's next
+        # turn builds one more epoch of the export, then answers it.
+        assert answered[0] - sent_after <= 2
 
     def test_stop_waits_for_builds_in_progress(self):
         params = pq.PqParams(t=1024, k=16, j1=4, j2=64)
@@ -901,6 +831,98 @@ class TestServerLifecycle:
         messages = [record.getMessage() for record in caplog.records]
         assert any("malformed frame from %s:%d" % malformed_peer in m for m in messages)
         assert any("connection from %s:%d dropped" % reset_peer in m for m in messages)
+
+
+def settled(values, quiet=0.3):
+    """len(values) once it has not grown for ``quiet`` seconds."""
+    while True:
+        count = len(values)
+        time.sleep(quiet)
+        if len(values) == count:
+            return count
+
+
+class TestBounds:
+    """The loop's three bounds, each proved with its constant set low."""
+
+    def test_a_connection_beyond_the_cap_is_closed_and_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(transport, "MAX_CONNECTIONS", 2)
+        store, *_ = provisioned_store(seed=56)
+        closed = lambda: sum("closed after" in r.getMessage() for r in caplog.records)
+        with caplog.at_level("DEBUG", logger="hases.cco"):
+            with transport.CcoServer(store) as server:
+                with transport.CcoClient("127.0.0.1", server.port, timeout=5) as first, \
+                        transport.CcoClient("127.0.0.1", server.port, timeout=5) as second:
+                    assert fetch_pq(first, ID_A, 1).epoch == 1
+                    assert fetch_pq(second, ID_A, 2).epoch == 2
+                    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as third:
+                        refused = third.getsockname()
+                        assert third.recv(16) == b""  # closed before any request
+                    assert fetch_pq(first, ID_A, 3).epoch == 3
+                wait_until(lambda: closed() == 2)
+                with transport.CcoClient("127.0.0.1", server.port, timeout=5) as fourth:
+                    assert fetch_pq(fourth, ID_A, 4).epoch == 4
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["connection from %s:%d refused: 2 connections open" % refused]
+
+    def test_an_idle_connection_is_closed_after_the_timeout(self, monkeypatch, caplog):
+        monkeypatch.setattr(transport, "IDLE_TIMEOUT_S", 0.3)
+        store, *_ = provisioned_store(seed=57)
+        with caplog.at_level("DEBUG", logger="hases.cco"):
+            with transport.CcoServer(store) as server:
+                opened = time.time()
+                with socket.create_connection(("127.0.0.1", server.port), timeout=5) as idle, \
+                        transport.CcoClient("127.0.0.1", server.port, timeout=5) as busy:
+                    peer = idle.getsockname()
+                    # a connection that asks every 0.1 s outlives three timeouts
+                    while time.time() - opened < 1.0:
+                        assert fetch_pq(busy, ID_A, 1).epoch == 1
+                        time.sleep(0.1)
+                    assert idle.recv(16) == b""
+        message = "connection from %s:%d idle for 0.3 s" % peer
+        (record,) = [r for r in caplog.records if r.getMessage() == message]
+        assert 0.3 <= record.created - opened < 1.0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads socket queues")
+    def test_a_client_that_does_not_read_stops_its_connection_at_the_output_cap(
+            self, monkeypatch):
+        import fcntl
+        import termios
+
+        def queued(sock, request):
+            return struct.unpack("i", fcntl.ioctl(sock, request, bytes(4)))[0]
+
+        params = pq.PqParams(t=1024, k=16, j1=4, j2=16)
+        _, material = pq.keygen([ID_A], params, fixed_rng(58))
+        store = cco.CcoStore(material)
+        frame = 4 + 2 + pq.HEADER_LEN + 32 * params.t  # one framed reply
+        monkeypatch.setattr(transport, "OUTPUT_CAP", 4 * frame)
+        build, built = store.pq_commitment, []
+        store.pq_commitment = lambda *args: built.append(args) or build(*args)
+        payloads = [pq_payload(ID_A, epoch) for epoch in range(1, params.epochs + 1)]
+        with transport.CcoServer(store) as server:
+            # small socket buffers, which accepted sockets take from the
+            # listener: else 64 replies fit in them
+            server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 16)
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16)
+                sock.settimeout(5)
+                sock.connect(("127.0.0.1", server.port))
+                sock.sendall(b"".join(struct.pack(">I", 25) + p for p in payloads))
+                answered = settled(built)
+                (conn,) = server._connections
+                # what the sockets hold: the client's unread bytes, the server's unsent ones
+                held = queued(sock, termios.FIONREAD) + queued(conn.sock, termios.TIOCOUTQ)
+                assert answered < len(payloads)
+                assert transport.OUTPUT_CAP < answered * frame - held <= transport.OUTPUT_CAP + frame
+                # a further request stays unread in the server's socket
+                sock.sendall(struct.pack(">I", 25) + payloads[0])
+                assert settled(built) == answered
+                assert queued(conn.sock, termios.FIONREAD) == 29
+                with sock.makefile("rb") as stream:
+                    replies = [transport.read_frame(stream) for _ in range(len(payloads) + 1)]
+        reference = cco.CcoStore(material)
+        assert replies == [reference.handle_request(p) for p in payloads + payloads[:1]]
 
 
 # --- openings: the k entries a signature opens ------------------------------------
@@ -988,13 +1010,17 @@ class TestOpeningRequests:
         payload = opening_payload(cco.MSG_PQ_OPENING, ID_A, 3, (1, 7, 7, 0))
         before = store.cache_stats()
         responses = []
-        barrier = threading.Barrier(4)
+        with transport.CcoServer(store) as server:
+            clients = [transport.CcoClient("127.0.0.1", server.port) for _ in range(4)]
+            barrier = threading.Barrier(4)
 
-        def ask():
-            barrier.wait()
-            responses.append(store.handle_request(payload))
+            def ask(client):
+                barrier.wait()
+                responses.append(client.request_raw(payload))
 
-        run_threads([ask] * 4)
+            run_threads([functools.partial(ask, client) for client in clients])
+            for client in clients:
+                client.close()
         after = store.cache_stats()
         assert len(set(responses)) == 1 and responses[0][1] == cco.STATUS_OK
         assert after.misses - before.misses == 1
@@ -1042,19 +1068,13 @@ class TestOpeningsOverTcp:
 
     def test_both_ends_disable_nagle(self):
         store, *_ = provisioned_store(seed=76)
-        accepted = []
-
-        class Recording(transport.CcoServer):
-            def process_request(self, request, client_address):
-                accepted.append(request)
-                super().process_request(request, client_address)
-
-        with Recording(store) as server:
+        with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as client:
                 assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
                 assert fetch_pq(client, ID_A, 1).epoch == 1
-                # the handler sets the option in its setup, before the first reply
-                assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                # the server sets the option as it accepts, before the first reply
+                (accepted,) = server._connections
+                assert accepted.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_connections_logged_with_the_peer_and_the_requests_served(self, caplog):
         store, *_ = provisioned_store(seed=77)
@@ -1145,30 +1165,6 @@ class TestChainCursor:
             for start in rng.sample(range(1, PQ_RUNS.epochs - 5), 2):
                 for payload in self.payloads(rng, range(start, start + 6)):
                     assert store.handle_request(payload) == fresh_response(material, payload)
-
-    def test_two_threads_on_one_signer(self):
-        _, material = pq.keygen([ID_A], PQ_RUNS, fixed_rng(84))
-        store = cco.CcoStore(material)
-        forward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 1, 2, 3))
-                   for e in range(1, PQ_RUNS.epochs + 1)]
-        backward = [opening_payload(cco.MSG_PQ_OPENING, ID_A, e, (e % 8, 4, 5, 6))
-                    for e in range(PQ_RUNS.epochs, 0, -1)]
-        expected = {p: fresh_response(material, p) for p in forward + backward}
-        wrong = []
-
-        def run(payloads):
-            for payload in payloads:
-                if store.handle_request(payload) != expected[payload]:
-                    wrong.append(payload)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_threads([functools.partial(run, forward), functools.partial(run, backward)])
-        finally:
-            sys.setswitchinterval(interval)
-        assert not wrong
-        assert store.cache_stats().misses == 2 * PQ_RUNS.epochs
 
     @pytest.mark.parametrize("msg_type", [cco.MSG_PQ_OPENING])
     @pytest.mark.parametrize("first", [1, 4, 9, 12])  # segment 0, then segment 1

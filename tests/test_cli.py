@@ -629,8 +629,8 @@ class TestOnlineMatchesOffline:
 
         store = keyfiles.load_store(out / "cco.store")
         requests = []
-        handle = store.handle_request
-        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        reply = store.reply  # what the service asks of the store for every request, exports too
+        store.reply = lambda payload: requests.append(payload) or reply(payload)
         commits = str(tmp_path / "commits.bin")
         records = stream.read_stream(msgs, "csv", False)
         with transport.CcoServer(store) as server:

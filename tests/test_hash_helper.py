@@ -2,7 +2,6 @@
 half of each full pq commitment build, with replies and hash counts
 identical to the inline build."""
 
-import functools
 import logging
 import os
 import random
@@ -118,43 +117,34 @@ def test_openings_and_combined_builds_stay_inline(monkeypatch):
 
 @needs_fork
 def test_two_builds_at_once_both_split(monkeypatch):
-    # one build holds the helper until it reads its half; another, asked
-    # for meanwhile on a second thread, waits for the store and then
-    # splits too, instead of hashing all t entries in this process
+    # two connections ask for full builds at the same time: the service
+    # builds one, then the other, and both hand the helper its half
+    # instead of hashing all t entries in this process
     hy_material = material("production", monkeypatch)
     first, second = PAYLOADS[:2]
     expected = inline_replies(hy_material, (first, second))
     with served_with_helper(fresh_store(hy_material)) as server:
-        store, helper = server.store, server.helper
-        sends = spy_sends(helper)
-        receive = helper.receive
-        taken, release = threading.Event(), threading.Event()
+        sends = spy_sends(server.helper)
+        clients = [transport.CcoClient("127.0.0.1", server.port) for _ in range(2)]
+        barrier, got = threading.Barrier(2), {}
 
-        def held_receive(count):
-            helper.receive = receive  # only the first build is held
-            taken.set()
-            assert release.wait(10)
-            return receive(count)
+        def ask(client, payload):
+            barrier.wait()
+            got[payload] = client.request_raw(payload)
 
-        helper.receive = held_receive
-        build = store._build_response
-        got = {}  # payload -> (reply, hash calls), counted inside the build
-        store._build_response = lambda request, payload: got.setdefault(
-            payload, counted(functools.partial(build, request), payload))[0]
-        threads = [threading.Thread(target=store.handle_request, args=(payload,))
-                   for payload in (first, second)]
-        threads[0].start()
-        assert taken.wait(10)
-        threads[1].start()
-        threads[1].join(0.2)
-        waited = threads[1].is_alive()
-        release.set()
+        before = counters.total()
+        threads = [threading.Thread(target=ask, args=pair) for pair in zip(clients, (first, second))]
+        for thread in threads:
+            thread.start()
         for thread in threads:
             thread.join(10)
         assert not any(thread.is_alive() for thread in threads)
+        hashes = counters.total() - before
+        for client in clients:
+            client.close()
     assert sends == [True, True]
-    assert [got[first], got[second]] == expected  # byte for byte, and the same hash calls
-    assert waited  # for the store's lock, not for the helper
+    assert [got[first], got[second]] == [reply for reply, _ in expected]  # byte for byte
+    assert hashes == sum(count for _, count in expected)
 
 
 @needs_fork
@@ -268,8 +258,8 @@ def wait_for(condition, timeout):
 
 @contextmanager
 def serve(tmp_path):
-    """A ``hases serve`` process on a pq store, and its helper's pid (None
-    where the service does not fork one)."""
+    """A ``hases serve`` process on a pq store, its helper's pid (None
+    where the service does not fork one) and its port."""
     _, material = pq.keygen([ID_A], PARAMS["production"], random.Random(3).randbytes)
     store = cco.CcoStore(material)
     path = tmp_path / "cco.store"
@@ -288,7 +278,7 @@ def serve(tmp_path):
             with transport.CcoClient("127.0.0.1", port) as client:
                 reply = client.request_raw(PAYLOADS[0])
             assert reply == fresh_store(material).handle_request(PAYLOADS[0])
-            yield proc, helper
+            yield proc, helper, port
         finally:
             proc.kill()
 
@@ -298,7 +288,7 @@ linux_only = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="re
 
 @linux_only
 def test_sigterm_stops_the_service_with_exit_0_and_reaps_its_helper(tmp_path):
-    with serve(tmp_path) as (proc, helper):
+    with serve(tmp_path) as (proc, helper, _):
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
         assert "Traceback" not in proc.stderr.read()
@@ -309,8 +299,21 @@ def test_sigterm_stops_the_service_with_exit_0_and_reaps_its_helper(tmp_path):
 @linux_only
 @pytest.mark.skipif(not transport.can_split_builds(), reason="the service forks no helper")
 def test_a_killed_service_leaves_no_helper_behind(tmp_path):
-    with serve(tmp_path) as (proc, helper):
+    with serve(tmp_path) as (proc, helper, _):
         proc.kill()
         proc.wait(timeout=10)
         # the helper reads EOF on its request pipe and exits
         assert wait_for(lambda: exited(helper), 2)
+
+
+@linux_only
+def test_three_open_connections_are_served_by_one_thread(tmp_path):
+    with serve(tmp_path) as (proc, _, port):
+        clients = [transport.CcoClient("127.0.0.1", port) for _ in range(3)]
+        try:
+            for client in clients:
+                assert client.request_raw(PAYLOADS[0])[1] == cco.STATUS_OK
+            assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
+        finally:
+            for client in clients:
+                client.close()
