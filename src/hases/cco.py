@@ -11,9 +11,10 @@ the other half; hosting the same store inside a hardware
 enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
-the request table that takes each request type (``_REQUESTS``), and the
-request and response encodings.  ``hases.transport`` carries those
-bytes: the framing, the one-thread TCP server and the pipelining client.
+the request table that takes every request type but the export
+(``_REQUESTS``), and the request and response encodings.
+``hases.transport`` carries those bytes: the framing, the one-thread
+TCP server and the pipelining client.
 Key generation and signing need the store alone, so they never import a
 socket.  The transport's public names are also reachable from here
 (``cco.CcoClient``, ``cco.CcoServer``, ...); the first such lookup
@@ -41,12 +42,14 @@ more equal-sized commitments, the same bytes as an offline export file.
 A request names only what the store cannot derive.  Aggregate commitments
 use the batch size fixed at key generation and carry it back
 (``la.LaCommitment.batch_size``) for the verifier to check.  An export
-is the single builds of its epochs, in order, at their cost; each is
-serialized as it is built (``CcoStore.reply`` hands the service one
-entry at a time), and ``handle_request`` joins the reply once.  Every
-refusal comes before any hashing, and so fixes the reply's length: a store without a part the request
-needs answers as for an unknown id, an export over ``MAX_FRAME`` as
-for an epoch out of range.
+is the single builds of its epochs, in order, at their cost, and the
+one reply that streams: ``CcoStore.reply`` hands the service its length,
+then one entry at a time, each serialized as it is built, and
+``handle_request`` joins the parts.  Every other reply is built whole.
+A refusal of any type maps to its status byte in one place, and comes
+before any hashing, so it fixes the reply's length: a store without a
+part the request needs answers as for an unknown id, an export over
+``MAX_FRAME`` as for an epoch out of range.
 
 An opening is what a verifier needs of one epoch's commitment: a pq
 signature reveals only k of its t entries.  One 0x05 opens a run of n
@@ -123,7 +126,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from . import hy, la, pq, schemes
 from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -285,69 +288,73 @@ class CcoStore:
     def handle_request(self, payload: bytes) -> bytes:
         """Map one request frame payload (type byte + body) to a response
         payload.  Never raises for what the payload holds: protocol errors
-        become status bytes.  Well-formed requests, exports aside, go
-        through the response cache; the rest are only counted."""
-        return b"".join(self._respond(payload)[1])
-
-    def reply(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
-        """(length, parts) of ``handle_request``'s response: for an export
-        its head, its entry count, then each entry, built as it is taken;
-        for any other request the whole response, built now."""
-        if not payload or payload[0] != MSG_EXPORT:
-            response = self.handle_request(payload)
-            return len(response), iter((response,))
-        return self._respond(payload)
-
-    def _respond(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
+        become status bytes.  Well-formed requests of ``_REQUESTS`` go
+        through the response cache; the rest are only counted, and an
+        export is ``reply``'s parts, joined."""
+        if payload[:1] == _EXPORT_TYPE:
+            return b"".join(self.reply(payload)[1])
         request = _REQUESTS.get(payload[0]) if payload else None
-        well_formed = request is not None and request.well_formed(len(payload) - 1)
-        if well_formed and request.cached:
-            response = self._cached_response(request, payload)
-            return len(response), iter((response,))
-        self._bypassed += 1
-        if not well_formed:
-            return 2, iter((_response_head(payload, STATUS_MALFORMED),))
-        return self._build_response(request, payload)
-
-    def cache_stats(self) -> CacheStats:
-        """Snapshot of the response cache's counts and size."""
-        return CacheStats(self._hits, self._misses, self._bypassed, len(self._cache),
-                          self._cache_size)
-
-    def _cached_response(self, request: _Request, payload: bytes) -> bytes:
-        """The cached reply to ``payload``, or one built now and kept if OK
-        and within ``RESPONSE_CACHE_BYTES``, evicting the least recently
-        used."""
+        if request is None or not request.well_formed(len(payload) - 1):
+            self._bypassed += 1
+            return _response_head(payload, STATUS_MALFORMED)
         response = self._cache.get(payload)
         if response is not None:
             self._cache.move_to_end(payload)
             self._hits += 1
             return response
+        # built now; kept if OK and within the budget, evicting the least recently used
         self._misses += 1
-        response = b"".join(self._build_response(request, payload)[1])
-        if response[1] == STATUS_OK and len(response) <= RESPONSE_CACHE_BYTES:
+        status, body = _attempt(request.build, self, payload[1:])
+        response = _response_head(payload, status) + body
+        if status == STATUS_OK and len(response) <= RESPONSE_CACHE_BYTES:
             self._cache[payload] = response
             self._cache_size += len(response)
             while self._cache_size > RESPONSE_CACHE_BYTES:
                 self._cache_size -= len(self._cache.popitem(last=False)[1])
         return response
 
-    def _build_response(self, request: _Request, payload: bytes) -> tuple[int, Iterator[bytes]]:
-        try:
-            length, parts = request.build(self, payload[1:])
-            return 2 + length, chain((_response_head(payload, STATUS_OK),), parts)
-        except UnknownSigner:
-            status = STATUS_UNKNOWN_ID
-        except EpochOutOfRange:
-            status = STATUS_EPOCH_RANGE
-        except (MalformedFrame, ValueError):
-            status = STATUS_MALFORMED
-        return 2, iter((_response_head(payload, status),))
+    def reply(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
+        """(length, parts) of ``handle_request``'s response.  An export's
+        parts are its head and entry count, then each entry, built as it
+        is taken; any other response is one part, built now."""
+        if payload[:1] != _EXPORT_TYPE:
+            response = self.handle_request(payload)
+            return len(response), iter((response,))
+        self._bypassed += 1
+        status, export = STATUS_MALFORMED, b""
+        if len(payload) == 34:  # the type, then scheme(1) id(16) from(8) to(8)
+            epochs = struct.unpack(">QQ", payload[18:])  # from, to
+            status, export = _attempt(self.export_entries, payload[1], payload[2:18], *epochs)
+        if status != STATUS_OK:
+            return 2, iter((_response_head(payload, status),))
+        size, entries = export
+        count = epochs[1] - epochs[0] + 1
+        head = _response_head(payload, STATUS_OK) + count.to_bytes(8, "big")
+        return _EXPORT_HEAD_LEN + count * size, chain((head,), entries)
+
+    def cache_stats(self) -> CacheStats:
+        """Snapshot of the response cache's counts and size."""
+        return CacheStats(self._hits, self._misses, self._bypassed, len(self._cache),
+                          self._cache_size)
 
 
 def _response_head(payload: bytes, status: int) -> bytes:
     """The response head to ``payload``: its type with ``RESPONSE_BIT``, and ``status``."""
     return bytes(((payload[:1] or b"\x00")[0] | RESPONSE_BIT, status))
+
+
+def _attempt(build: Callable, *args) -> tuple[int, object]:
+    """(STATUS_OK, what ``build(*args)`` returns), or the status byte of
+    the refusal it raises and no body: the one mapping of refusals to
+    status bytes, for every request type."""
+    try:
+        return STATUS_OK, build(*args)
+    except UnknownSigner:
+        return STATUS_UNKNOWN_ID, b""
+    except EpochOutOfRange:
+        return STATUS_EPOCH_RANGE, b""
+    except (MalformedFrame, ValueError):
+        return STATUS_MALFORMED, b""
 
 
 # --- request types -------------------------------------------------------------
@@ -357,14 +364,7 @@ class _Request(NamedTuple):
     """How the service takes one request type."""
 
     well_formed: Callable[[int], bool]  # whether a body can have this length
-    cached: bool  # its OK responses go through the response cache
-    # body -> (length, parts) of what follows OK; raises for the rest
-    build: Callable[[CcoStore, bytes], tuple[int, Iterable[bytes]]]
-
-
-def _whole(blob: bytes) -> tuple[int, tuple[bytes]]:
-    """``blob`` as what a ``_Request.build`` returns: its length and itself."""
-    return len(blob), (blob,)
+    build: Callable[[CcoStore, bytes], bytes]  # body -> what follows OK; raises for the rest
 
 
 def _key(body: bytes) -> tuple[bytes, int]:
@@ -393,21 +393,13 @@ def _combined_response(store: CcoStore, body: bytes) -> bytes:
     seed_end = 16 + SEED_LEN
     agg = int.from_bytes(body[seed_end:_COMBINED_HEAD], "big")
     epochs = struct.unpack(f">{(len(body) - _COMBINED_HEAD) // 8}Q", body[_COMBINED_HEAD:])
-    return _whole(store.la_combined(body[:16], body[16:seed_end], agg, epochs))
+    return store.la_combined(body[:16], body[16:seed_end], agg, epochs)
 
 
 def _commitment(method: str) -> _Request:
     """A commitment request, answered with the store's ``method`` of its key."""
-    return _Request(lambda n: n == 24, True,
-                    lambda store, body: _whole(getattr(store, method)(*_key(body)).to_bytes()))
-
-
-def _export_response(store: CcoStore, body: bytes) -> tuple[int, Iterable[bytes]]:
-    """The ``export_bytes`` container of the export's entries, as they are built."""
-    epoch_from, epoch_to = struct.unpack(">QQ", body[17:33])
-    size, entries = store.export_entries(body[0], body[1:17], epoch_from, epoch_to)
-    count = epoch_to - epoch_from + 1
-    return 8 + count * size, chain((count.to_bytes(8, "big"),), entries)
+    return _Request(lambda n: n == 24,
+                    lambda store, body: getattr(store, method)(*_key(body)).to_bytes())
 
 
 def export_bytes(blobs: Sequence[bytes]) -> bytes:
@@ -435,15 +427,16 @@ def export_from_bytes(data: bytes) -> list[bytes]:
 # commitment request of that type and for every epoch of an export
 _BUILDERS = {MSG_PQ: "pq_commitment", MSG_LA: "la_commitment", MSG_HY: "hy_commitment"}
 
-# request type -> how it is taken; each `build` looks the store's method
-# up when it runs, so a wrapper installed on it sees the call
+# request type -> how it is taken, for every type but the export, which
+# ``CcoStore.reply`` streams; each `build` looks the store's method up
+# when it runs, so a wrapper installed on it sees the call
 _REQUESTS = {
     **{tag: _commitment(method) for tag, method in _BUILDERS.items()},
-    MSG_EXPORT: _Request(lambda n: n == 33, False, _export_response),
-    MSG_PQ_OPENING: _Request(_opening_len, True, lambda store, body: _whole(store.pq_opening(
-        *_key(body), _opening_indices(body)).to_bytes())),
-    MSG_LA_COMBINED: _Request(_combined_len, True, _combined_response),
+    MSG_PQ_OPENING: _Request(_opening_len, lambda store, body: store.pq_opening(
+        *_key(body), _opening_indices(body)).to_bytes()),
+    MSG_LA_COMBINED: _Request(_combined_len, _combined_response),
 }
+_EXPORT_TYPE = bytes((MSG_EXPORT,))
 
 
 # --- request encodings: what ``_REQUESTS`` reads back -------------------------

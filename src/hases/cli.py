@@ -198,14 +198,10 @@ def cmd_serve(args) -> int:
     # faults, and before the loop starts
     if can_split_builds():
         server.start_hash_helper()
-    # SIGTERM unwinds as Ctrl-C does: connections closed, helper reaped, exit 0
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+    # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, helper reaped, exit 0
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: server.stop())
+    server.serve_forever()
     return EXIT_OK
 
 

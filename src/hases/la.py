@@ -104,6 +104,8 @@ class LaParams(CheckedTuple, _LaParams):
         self = super().__new__(cls, *args, **kwargs)
         if self.max_batches < 1 or self.batch_size < 1:
             raise ValueError("batch count and batch size must be >= 1")
+        if self.max_batches >> 64 or self.batch_size >> 32:
+            raise ValueError("batch count must be below 2^64 and batch size below 2^32")
         return self
 
     def to_bytes(self) -> bytes:

@@ -88,14 +88,16 @@ class PqParams(CheckedTuple, _PqParams):
 
     def __new__(cls, *args, **kwargs) -> "PqParams":
         self = super().__new__(cls, *args, **kwargs)
-        if self.t < 2 or self.t & (self.t - 1):
-            raise ValueError("t must be a power of two >= 2")
+        if self.t < 2 or self.t & (self.t - 1) or self.t >> 32:
+            raise ValueError("t must be a power of two, 2 <= t < 2^32, as the key files hold it")
         if self.k < 1 or self.k * self.index_bits > 256:
             raise ValueError("k * log2(t) must fit in one 256-bit digest")
         if self.l != 8 * DIGEST_LEN:
             raise ValueError("secret string length is fixed at the digest width")
         if self.j1 < 1 or self.j2 < 1:
             raise ValueError("epoch factors must be >= 1")
+        if self.epochs >> 64:  # and so j1 and j2, each within it
+            raise ValueError("J = j1 * j2 must be below 2^64, as the key files and the wire hold it")
         return self
 
     def to_bytes(self) -> bytes:
@@ -336,27 +338,19 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
     return signature
 
 
-def commitment_from_seed(
-    seed: bytes, signer_id: bytes, epoch: int, params: PqParams,
-    meanwhile: Callable[[], object] | None = None,
-) -> PqCommitment:
-    """Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign``
-    reveals them; ``meanwhile`` as for ``commitment_images``."""
-    return PqCommitment(signer_id, epoch, commitment_images(seed, params.t, meanwhile))
-
-
 def construct_commitment(
     material: PqKeyMaterial, signer_id: bytes, epoch: int, cursor: Cursor | None = None,
     meanwhile: Callable[[], object] | None = None,
 ) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
-    Costs 2t hashes plus the chain walk of ``_seeds``.  ``meanwhile``
-    runs once the seed is walked to, while a hashing helper hashes half
-    of the entries (``commitment_images``).
+    Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign``
+    reveals them.  Costs 2t hashes plus the chain walk of ``_seeds``.
+    ``meanwhile`` runs once the seed is walked to, while a hashing
+    helper hashes half of the entries (``commitment_images``).
     """
     (seed,) = _seeds(material, signer_id, epoch, epoch, cursor)
-    return commitment_from_seed(seed, signer_id, epoch, material.params, meanwhile)
+    return PqCommitment(signer_id, epoch, commitment_images(seed, material.params.t, meanwhile))
 
 
 def open_commitment(

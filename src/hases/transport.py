@@ -26,10 +26,13 @@ inputs this short.  Each turn of the loop builds at most one part of
 one reply per connection, a whole reply or one epoch of an export, so
 a request that comes during an export waits about one build.
 ``MAX_CONNECTIONS``, ``IDLE_TIMEOUT_S`` and ``OUTPUT_CAP`` bound what
-clients can hold of it.  Connections are logged at DEBUG on the
-``hases.cco`` logger, the service's, as they open and close, with the
-peer and the number of requests served; dropped and refused
-connections and malformed frames at WARNING.
+clients can hold of it.  ``CcoServer.stop`` is the one way to end the
+loop, and ``hases serve`` calls it on SIGTERM and SIGINT: the turn in
+progress ends, then every socket is closed and the helper reaped.
+Connections are logged at DEBUG on the ``hases.cco`` logger, the
+service's, as they open and close, with the peer and the number of
+requests served; dropped and refused connections and malformed frames
+at WARNING.
 
 ``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
 pq commitment build (``0x01``, the pq part of ``0x03``, every epoch of
@@ -215,7 +218,7 @@ def _helper_main(listener: socket.socket, requests: int, replies: int, parent_en
 
     code = 1
     try:
-        # Ctrl-C reaches the whole process group: the service unwinds and
+        # Ctrl-C reaches the whole process group: the service stops and
         # closes the request pipe, and the helper leaves on that EOF
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         listener.close()
@@ -333,9 +336,11 @@ class CcoServer:
     loop in the calling thread, ``start`` in a thread of its own.  Each
     turn of the loop builds one part of one reply for each connection
     with a request, a whole reply or one epoch of an export, and hands
-    it to the socket at once.  ``stop`` ends the loop once its turn is
-    done and closes the listener and every connection: once it returns,
-    no request is being built any more.
+    it to the socket at once.  ``stop``, from any thread or a signal
+    handler, ends the loop once its turn is done; the loop then closes
+    the listener and every connection (``server_close``).  If ``start``
+    began the loop, ``stop`` waits for it: once it returns, no request
+    is being built any more.
     """
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
@@ -365,12 +370,11 @@ class CcoServer:
         self._thread.start()
 
     def stop(self) -> None:
-        if self._serving:  # a second call finds everything closed
+        if self._serving:  # a later call finds the loop ending or ended
             self._serving = False
             self._waker.send(b"\0")
-            if self._thread is not None:
-                self._thread.join()
-            self.server_close()
+        if self._thread is not None:
+            self._thread.join()
 
     def start_hash_helper(self) -> None:
         """Fork a ``HashHelper`` for this process's builds; ``server_close``
@@ -378,7 +382,13 @@ class CcoServer:
         self.helper = HashHelper.fork(self._listener)
 
     def serve_forever(self) -> None:
-        """Run the loop until ``stop``."""
+        """Run the loop until ``stop``, then ``server_close``."""
+        try:
+            self._loop()
+        finally:
+            self.server_close()
+
+    def _loop(self) -> None:
         busy = False
         while self._serving:
             wait = 0
@@ -469,7 +479,9 @@ class CcoServer:
 
     def server_close(self) -> None:
         """Close the listener and every connection, and reap the helper;
-        once the loop has stopped."""
+        once the loop has stopped, or in place of it.  A second call does
+        nothing more."""
+        self._serving = False  # a ``stop`` from now on sends on no closed socket
         for conn in list(self._connections):
             self._close(conn)
         self._selector.close()

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import os
 import re
+import selectors
 import signal
 import socket
 import subprocess
@@ -873,6 +874,50 @@ class TestKeyTableFiles:
         assert f"error: {pub} is not a verifier bundle: signer ids not in strictly" in output.err
 
 
+def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatch):
+    # SIGTERM lands while the loop closes a client's connection, between the
+    # selector's unregister and the rest of the close: `hases serve` must
+    # still close every socket and return 0
+    out = keygen(tmp_path, "pq", ["--J1", "4"])
+    registered, signalled, replies = [], [], []
+    listening = threading.Event()
+
+    class Selector(selectors.DefaultSelector):
+        def register(self, fileobj, events, data=None):
+            key = super().register(fileobj, events, data)
+            registered.append(fileobj)  # the listener first
+            listening.set()
+            return key
+
+        def unregister(self, fileobj):
+            key = super().unregister(fileobj)
+            if key.data is not None and not signalled:  # a client's connection
+                signalled.append(fileobj)
+                signal.raise_signal(signal.SIGTERM)  # its handler runs before this returns
+            return key
+
+    def client():
+        assert listening.wait(10)
+        with transport.CcoClient(*registered[0].getsockname()[:2], timeout=10) as connection:
+            replies.append(connection.request_raw(
+                cco.commitment_payload(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)))
+
+    monkeypatch.setattr(transport.selectors, "DefaultSelector", Selector)
+    monkeypatch.setattr(transport, "can_split_builds", lambda: False)  # fork no helper here
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    thread = threading.Thread(target=client, daemon=True)
+    thread.start()
+    try:
+        code = cli.main(["serve", "--store", str(out / "cco.store"), "--port", "0"])
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+        thread.join(10)
+    assert code == 0 and not thread.is_alive()
+    assert len(signalled) == 1 and replies[0][:2] == bytes((0x81, cco.STATUS_OK))
+    assert [sock for sock in registered if sock.fileno() != -1] == []
+
+
 class TestServeSubprocess:
     """True process boundary: the store lives in a separate process."""
 
@@ -982,8 +1027,9 @@ class TestServeSubprocess:
 
 
 class TestNumbersTheWireCannotCarry:
-    """A port outside 0..65535, an epoch outside [0, 2^64) or a port in use
-    is an operational error: exit 2 and one ``error:`` line, no traceback."""
+    """A port outside 0..65535, an epoch outside [0, 2^64), a port in use
+    or a key size the files cannot hold is an operational error: exit 2
+    and one ``error:`` line, no traceback."""
 
     @pytest.fixture
     def served(self, tmp_path):
@@ -1030,6 +1076,18 @@ class TestNumbersTheWireCannotCarry:
                                   "--out", str(tmp_path / "commits.bin")])
         number = value.partition(":")[0]
         assert err == f"error: {option} {number} is outside 0..{(1 << 64) - 1}\n"
+
+    @pytest.mark.parametrize("scheme, sizes", [
+        ("pq", ["--J", str(1 << 70)]),
+        ("pq", ["--J", "4", "--t", str(1 << 32), "--k", "1"]),
+        ("la", ["--J", "4", "--L", str(1 << 32)]),
+        ("hy", ["--J", str(1 << 64), "--J1", "1", "--L", "2"]),  # J is the la batch count
+    ], ids=["pq J", "pq t", "la L", "hy J"])
+    def test_keygen_of_sizes_the_files_cannot_hold_exits_2(self, tmp_path, capsys, scheme, sizes):
+        out = tmp_path / "keys"
+        self.error(capsys, ["keygen", "--scheme", scheme, "--ids", write_ids(tmp_path),
+                            "--out", str(out), *sizes])
+        assert not out.exists()
 
 
 class TestFileKinds:

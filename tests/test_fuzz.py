@@ -121,3 +121,43 @@ def test_fuzz_read_frame(data):
             assert len(payload) <= cco.MAX_FRAME
     except MalformedFrame:
         pass
+
+
+def _loop_requests(data: bytes, eof: bool) -> list[bytes]:
+    """What the service loop's parser takes off a connection that has
+    received ``data`` (and then EOF, if ``eof``), in order."""
+    conn = transport._Connection(None, ("fuzz", 0))
+    conn.received += data
+    conn.eof = eof
+    payloads = []
+    while (payload := conn.request()) is not None:
+        assert len(payload) <= transport.MAX_REQUEST_FRAME
+        payloads.append(payload)
+    return payloads
+
+
+_request_frames = st.lists(st.binary(max_size=64) | st.builds(
+    lambda length, body: length.to_bytes(4, "big") + body,
+    st.integers(0, 80) | st.sampled_from([transport.MAX_REQUEST_FRAME,
+                                          transport.MAX_REQUEST_FRAME + 1, 2**32 - 1]),
+    st.binary(max_size=80),
+), max_size=4).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_request_frames, st.booleans())
+def test_fuzz_the_loops_request_parser(data, eof):
+    try:
+        _loop_requests(data, eof)
+    except MalformedFrame:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.binary(max_size=64) | st.binary(min_size=transport.MAX_REQUEST_FRAME,
+                                                   max_size=transport.MAX_REQUEST_FRAME),
+                max_size=6),
+       st.booleans())
+def test_the_loops_request_parser_gives_back_well_formed_frames_in_order(payloads, eof):
+    data = b"".join(len(payload).to_bytes(4, "big") + payload for payload in payloads)
+    assert _loop_requests(data, eof) == payloads

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hases import cco, cli, hy, keyfiles, pq
 from hases.errors import EpochExhausted, EpochOutOfRange, UnknownSigner
 from hases.group import production_group, small_test_group
-from hases.hashing import counters, domain_hash, encode_index, iter_hash, opened_images
+from hases.hashing import (commitment_images, counters, domain_hash, encode_index, iter_hash,
+                           opened_images)
 
 ID_A = bytes([0xAA]) * 16
 ID_B = bytes([0xBB]) * 16
@@ -33,7 +34,8 @@ def chain_seed(material: pq.PqKeyMaterial, signer_id: bytes, epoch: int) -> byte
 
 def signer_commitment(state: pq.PqSignerState) -> pq.PqCommitment:
     """Commitment from the signer's own current key (test-side path)."""
-    return pq.commitment_from_seed(bytes(state.seed), state.signer_id, state.epoch, state.params)
+    return pq.PqCommitment(state.signer_id, state.epoch,
+                           commitment_images(bytes(state.seed), state.params.t))
 
 
 class TestParams:
