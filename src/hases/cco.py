@@ -11,8 +11,8 @@ the other half; hosting the same store inside a hardware
 enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
-the request table that takes every request type but the export
-(``_REQUESTS``), and the request and response encodings.
+the request table (``_REQUESTS``), and the request and response
+encodings.
 ``hases.transport`` carries those bytes: the framing, the one-thread
 TCP server and the pipelining client.
 Key generation and signing need the store alone, so they never import a
@@ -27,29 +27,28 @@ the tags in ``hases.schemes``.  Request types:
     0x01  commitment, forward-secure     body: id(16) epoch(8)
     0x02  commitment, aggregate          body: id(16) epoch(8)
     0x03  commitment, hybrid             body: id(16) epoch(8)
-    0x04  batch export                   body: scheme(1) id(16) from(8) to(8)
     0x05  opening, forward-secure        body: id(16) epoch(8) n*k x index(4), 1 <= n*k <= 256
     0x08  combined nonce commitment      body: id(16) seed(32) sum(32) n x epoch(8), 1 <= n <= 64
 
-Any other type, 0x06 and 0x07 included, is answered as malformed
+Any other type, 0x04, 0x06 and 0x07 included, is answered as malformed
 before any work.
 
 Responses mirror the request type with bit 0x80 set; the body starts
 with a status byte (0x00 OK, 0x01 unknown id, 0x02 epoch out of range,
-0x03 malformed) followed by the serialized commitment, or for exports
-the container of ``export_bytes``: an 8-byte entry count and one or
-more equal-sized commitments, the same bytes as an offline export file.
+0x03 malformed) followed by the serialized commitment.
 A request names only what the store cannot derive.  Aggregate commitments
 use the batch size fixed at key generation and carry it back
-(``la.LaCommitment.batch_size``) for the verifier to check.  An export
-is the single builds of its epochs, in order, at their cost, and the
-one reply that streams: ``CcoStore.reply`` hands the service its length,
-then one entry at a time, each serialized as it is built, and
-``handle_request`` joins the parts.  Every other reply is built whole.
-A refusal of any type maps to its status byte in one place, and comes
-before any hashing, so it fixes the reply's length: a store without a
-part the request needs answers as for an unknown id, an export over
-``MAX_FRAME`` as for an epoch out of range.
+(``la.LaCommitment.batch_size``) for the verifier to check.  Every reply
+is built whole, by at most one build.  A refusal of any type maps to its
+status byte in one place, and comes before any hashing: a store without
+a part the request needs answers as for an unknown id.
+
+An offline export, the file ``hases verify --commits`` reads, is the
+container of ``export_bytes``: an 8-byte entry count and one or more
+equal-sized commitments.  The service has no request for it: the client
+asks for its epochs as pipelined single requests of the scheme's type,
+in order (``CcoClient.batch_export``), and ``CcoStore.batch_export``
+builds the same entries in process.
 
 An opening is what a verifier needs of one epoch's commitment: a pq
 signature reveals only k of its t entries.  One 0x05 opens a run of n
@@ -71,8 +70,8 @@ indices keep the request at 1,049 bytes, inside the request frame.
 Every pq seed is walked to from the nearest seed the store knows: the
 anchor of the epoch's segment, or the signer's chain cursor, the seed
 of the epoch the store last derived for that signer.  A run of
-consecutive epochs, asked for in one request or in several, opened,
-built or exported, so costs one step per further epoch (none at an
+consecutive epochs, asked for in one request or in several, opened
+or built, so costs one step per further epoch (none at an
 anchor), and no walk is ever more than j2 - 1 steps.
 
 A combined nonce commitment (0x08) lets a verifier check all of one
@@ -101,8 +100,8 @@ a least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES``
 in all, so a payload asked for again is answered without hashing.  The
 service answers one request at a time, so a payload asked for by
 several connections at once is built once: the others find it cached.
-Only OK responses are kept; exports
-and every other status bypass the cache.  Entries are never
+Only OK responses are kept; every other status is built each time, and
+a malformed payload bypasses the cache.  Entries are never
 invalidated, because the OK response to a payload cannot change (see
 the constant).
 
@@ -116,17 +115,14 @@ service with the verifier should wrap the transport accordingly.
 Concurrency: material is fixed when the store is made; requests change
 only the cache and the chain cursor.  The store takes no lock: its one
 caller, the service's loop (``hases.transport``), builds one request at
-a time and an export one epoch per turn, so a request that comes during
-an export waits about one single build, not the whole export, and no
-build ever finds the hashing helper busy.
+a time, so no build ever finds the hashing helper busy.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from . import hy, la, pq, schemes
 from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
@@ -134,9 +130,8 @@ from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
 MSG_PQ = schemes.PQ.tag
 MSG_LA = schemes.LA.tag
 MSG_HY = schemes.HY.tag
-MSG_EXPORT = 0x04
 MSG_PQ_OPENING = 0x05
-# 0x06 is unassigned; 0x07 is kept free for a stats request
+# 0x04 and 0x06 are unassigned; 0x07 is kept free for a stats request
 MSG_LA_COMBINED = 0x08
 RESPONSE_BIT = 0x80
 
@@ -145,9 +140,8 @@ STATUS_UNKNOWN_ID = 0x01
 STATUS_EPOCH_RANGE = 0x02
 STATUS_MALFORMED = 0x03
 
-MAX_FRAME = 1 << 27  # generous: a full toy-scale batch export stays far below
+MAX_FRAME = 1 << 27  # of a frame and of an export file; a toy-scale export stays far below
 
-_EXPORT_HEAD_LEN = 2 + 8  # response type, status, entry count
 _EXPORT_RULE = "an export holds one or more entries, all of one nonzero size"
 # the most indices an opening request may carry, k per epoch of its run:
 # k <= 256 for any t >= 2, since k * log2(t) bits must fit one digest, so
@@ -182,11 +176,11 @@ def __getattr__(name: str):
 
 
 class CacheStats(NamedTuple):
-    """Requests answered by ``CcoStore.handle_request`` or ``reply``, by how."""
+    """Requests answered by ``CcoStore.handle_request``, by how."""
 
     hits: int  # served from the cache
     misses: int  # built; kept only if OK
-    bypassed: int  # exports and malformed payloads, never cached
+    bypassed: int  # malformed payloads, never cached
     entries: int
     size: int  # bytes of the cached responses
 
@@ -251,37 +245,12 @@ class CcoStore:
         return la.combined_commitment(self.la_material(), signer_id, seed, agg, epochs)
 
     def batch_export(self, scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list:
-        """The entries of ``export_entries``, built."""
-        return list(self.export_entries(scheme_tag, signer_id, epoch_from, epoch_to)[1])
-
-    def export_entries(self, scheme_tag: int, signer_id: bytes, epoch_from: int,
-                       epoch_to: int) -> tuple[int, Iterator[bytes]]:
-        """(size, entries): the size of each of the scheme's serialized
-        commitments of the epochs in [epoch_from, epoch_to], and those
-        commitments, in order, each built by the store's single builder
-        (``_BUILDERS``) and serialized as it is taken: what the epochs'
-        single requests build and cost.  Refused before any hashing: an
-        unknown tag (``MalformedFrame``), a missing part or id
-        (``UnknownSigner``), a range outside [1, J] or a response over
-        ``MAX_FRAME`` (``EpochOutOfRange``).
-        """
-        method = _BUILDERS.get(scheme_tag)
-        if method is None:
-            raise MalformedFrame(f"unknown export scheme {scheme_tag:#04x}")
-        scheme = schemes.BY_TAG[scheme_tag]
-        pq_part = self.pq_material() if scheme.has_pq else None
-        la_part = self.la_material() if scheme.has_la else None
-        if pq_part:
-            pq.check_epochs(pq_part, signer_id, epoch_from, epoch_to)
-        if la_part:
-            la.check_epochs(la_part, signer_id, epoch_from, epoch_to)
-        # an entry: the la commitment or the pq header, then t pq entries (``hases.hy``)
-        entry = (la.COMMITMENT_LEN if la_part else pq.HEADER_LEN) + (
-            pq_part.params.t * pq.DIGEST_LEN if pq_part else 0)
-        if _EXPORT_HEAD_LEN + (epoch_to - epoch_from + 1) * entry > MAX_FRAME:
-            raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
-        build = getattr(self, method)
-        return entry, (build(signer_id, epoch).to_bytes() for epoch in range(epoch_from, epoch_to + 1))
+        """The serialized commitments of the scheme's epochs in [epoch_from,
+        epoch_to], in order, each built by the store's single builder
+        (``_BUILDERS``) as the epoch's single request builds or refuses it:
+        what ``CcoClient.batch_export`` fetches, at the same cost."""
+        build = getattr(self, _BUILDERS[scheme_tag])
+        return [build(signer_id, epoch).to_bytes() for epoch in range(epoch_from, epoch_to + 1)]
 
     # -- request dispatch --------------------------------------------------
 
@@ -289,10 +258,7 @@ class CcoStore:
         """Map one request frame payload (type byte + body) to a response
         payload.  Never raises for what the payload holds: protocol errors
         become status bytes.  Well-formed requests of ``_REQUESTS`` go
-        through the response cache; the rest are only counted, and an
-        export is ``reply``'s parts, joined."""
-        if payload[:1] == _EXPORT_TYPE:
-            return b"".join(self.reply(payload)[1])
+        through the response cache; the rest are only counted."""
         request = _REQUESTS.get(payload[0]) if payload else None
         if request is None or not request.well_formed(len(payload) - 1):
             self._bypassed += 1
@@ -312,25 +278,6 @@ class CcoStore:
             while self._cache_size > RESPONSE_CACHE_BYTES:
                 self._cache_size -= len(self._cache.popitem(last=False)[1])
         return response
-
-    def reply(self, payload: bytes) -> tuple[int, Iterator[bytes]]:
-        """(length, parts) of ``handle_request``'s response.  An export's
-        parts are its head and entry count, then each entry, built as it
-        is taken; any other response is one part, built now."""
-        if payload[:1] != _EXPORT_TYPE:
-            response = self.handle_request(payload)
-            return len(response), iter((response,))
-        self._bypassed += 1
-        status, export = STATUS_MALFORMED, b""
-        if len(payload) == 34:  # the type, then scheme(1) id(16) from(8) to(8)
-            epochs = struct.unpack(">QQ", payload[18:])  # from, to
-            status, export = _attempt(self.export_entries, payload[1], payload[2:18], *epochs)
-        if status != STATUS_OK:
-            return 2, iter((_response_head(payload, status),))
-        size, entries = export
-        count = epochs[1] - epochs[0] + 1
-        head = _response_head(payload, STATUS_OK) + count.to_bytes(8, "big")
-        return _EXPORT_HEAD_LEN + count * size, chain((head,), entries)
 
     def cache_stats(self) -> CacheStats:
         """Snapshot of the response cache's counts and size."""
@@ -403,8 +350,8 @@ def _commitment(method: str) -> _Request:
 
 
 def export_bytes(blobs: Sequence[bytes]) -> bytes:
-    """The export container, of the ``0x04`` reply and the offline file
-    alike: an 8-byte big-endian entry count, then the entries.
+    """The export container of the offline file: an 8-byte big-endian
+    entry count, then the entries.
     ValueError for anything ``_EXPORT_RULE`` refuses."""
     sizes = {len(blob) for blob in blobs}
     if len(sizes) != 1 or 0 in sizes:
@@ -424,19 +371,17 @@ def export_from_bytes(data: bytes) -> list[bytes]:
 
 
 # scheme tag -> the store's builder of one commitment of it, for the
-# commitment request of that type and for every epoch of an export
+# commitment request of that type and for every epoch of ``batch_export``
 _BUILDERS = {MSG_PQ: "pq_commitment", MSG_LA: "la_commitment", MSG_HY: "hy_commitment"}
 
-# request type -> how it is taken, for every type but the export, which
-# ``CcoStore.reply`` streams; each `build` looks the store's method up
-# when it runs, so a wrapper installed on it sees the call
+# request type -> how it is taken; each `build` looks the store's method
+# up when it runs, so a wrapper installed on it sees the call
 _REQUESTS = {
     **{tag: _commitment(method) for tag, method in _BUILDERS.items()},
     MSG_PQ_OPENING: _Request(_opening_len, lambda store, body: store.pq_opening(
         *_key(body), _opening_indices(body)).to_bytes()),
     MSG_LA_COMBINED: _Request(_combined_len, _combined_response),
 }
-_EXPORT_TYPE = bytes((MSG_EXPORT,))
 
 
 # --- request encodings: what ``_REQUESTS`` reads back -------------------------
@@ -452,11 +397,6 @@ def opening_payload(signer_id: bytes, epoch: int, indices: Sequence[int]) -> byt
     of the run that starts at ``epoch``."""
     return (commitment_payload(MSG_PQ_OPENING, signer_id, epoch)
             + struct.pack(f">{len(indices)}I", *indices))
-
-
-def export_payload(scheme_tag: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> bytes:
-    """A batch export request (``MSG_EXPORT``)."""
-    return bytes((MSG_EXPORT, scheme_tag)) + signer_id + struct.pack(">QQ", epoch_from, epoch_to)
 
 
 def combined_payload(signer_id: bytes, seed: bytes, agg: int, epochs: Sequence[int]) -> bytes:

@@ -199,9 +199,13 @@ def cmd_serve(args) -> int:
     if can_split_builds():
         server.start_hash_helper()
     # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, helper reaped, exit 0
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: server.stop())
-    server.serve_forever()
+    previous = {signum: signal.signal(signum, lambda *_: server.stop())
+                for signum in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        server.serve_forever()
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ by their one-byte tag.  A signer key file is its signer state's
 signing so that key evolution survives process restarts.
 
 Commitment files are the offline-mode export, in the container of
-``cco.export_bytes`` that the ``0x04`` reply carries.  Signature files
+``cco.export_bytes``, the single replies of its epochs.  Signature files
 carry a count followed by length-prefixed entries (signature sizes
 vary with the scheme): ``signatures_bytes`` builds the container, and
 ``iter_signatures`` reads it an entry at a time.

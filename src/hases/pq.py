@@ -15,7 +15,7 @@ walks the chain from the nearest seed the store knows: an anchor, or
 the seed a chain cursor kept from the signer's previous request, so a
 run of consecutive epochs takes one step per further epoch (none where
 an epoch starts its segment: its anchor is its seed), whether it is
-asked for epoch by epoch, exported or opened in one request: one walk,
+asked for epoch by epoch or opened in one request: one walk,
 ``_seeds``, serves them all.  The walk is never more than j2 - 1 hash
 steps.
 j1 = 1 means no anchors and a worst case of J - 1 steps: a pure

@@ -22,9 +22,10 @@ closed, its body unread.
 
 The server is one ``selectors`` loop on one thread: more threads would
 buy no parallelism, as ``hashlib`` holds the interpreter lock for
-inputs this short.  Each turn of the loop builds at most one part of
-one reply per connection, a whole reply or one epoch of an export, so
-a request that comes during an export waits about one build.
+inputs this short.  Each turn of the loop builds at most one reply per
+connection, so a request that comes while another connection pipelines
+many waits about one build.  An offline export is such a pipeline:
+``CcoClient.batch_export`` asks for its epochs as single requests.
 ``MAX_CONNECTIONS``, ``IDLE_TIMEOUT_S`` and ``OUTPUT_CAP`` bound what
 clients can hold of it.  ``CcoServer.stop`` is the one way to end the
 loop, and ``hases serve`` calls it on SIGTERM and SIGINT: the turn in
@@ -35,12 +36,11 @@ requests served; dropped and refused connections and malformed frames
 at WARNING.
 
 ``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
-pq commitment build (``0x01``, the pq part of ``0x03``, every epoch of
-``0x04``) first hands the helper the upper half of its t entries, then
-hashes the lower half while the helper hashes the upper, which a
-second thread could not do.  A hy
-build derives its la part between the two, so that too overlaps the
-helper's half, and the helper's reply is taken whole into the entry
+pq commitment build (``0x01``, the pq part of ``0x03``) first hands the
+helper the upper half of its t entries, then hashes the lower half
+while the helper hashes the upper, which a second thread could not do.
+A hy build derives its la part between the two, so that too overlaps
+the helper's half, and the helper's reply is taken whole into the entry
 body.  With one build at a time, every full build splits: none finds
 the helper busy.  Openings (``0x05``) and combined commitments
 (``0x08``) are built inline: they hash 2k entries, not 2t, and the
@@ -55,6 +55,7 @@ import socket
 import struct
 import time
 from collections import deque
+from contextlib import closing
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
 
@@ -66,10 +67,8 @@ from .cco import (
     STATUS_OK,
     CcoStore,
     commitment_payload,
-    export_from_bytes,
-    export_payload,
 )
-from .errors import CcoRequestError, MalformedFrame
+from .errors import CcoRequestError, EpochOutOfRange, MalformedFrame
 
 # The largest request frame the server reads: an opening request is at
 # most 1 + 24 + 4 * 256 = 1,049 bytes, k indices per epoch of its run and
@@ -252,23 +251,22 @@ MAX_CONNECTIONS = 128
 # well under a second; the benchmark's probes keep theirs for a 50 s run.
 IDLE_TIMEOUT_S = 300.0
 # Unsent reply bytes past which the loop reads no more of a connection's
-# requests and builds no more of its export.  A window of the largest
+# requests and builds no more of its replies.  A window of the largest
 # cached replies, PIPELINE_WINDOW t=1024 commitments (32,799 bytes
 # framed), stays below it, so a client that reads never meets it.
 OUTPUT_CAP = 1 << 20
 
 
 class _Connection:
-    """A client connection of the loop: requests not yet answered, reply
-    bytes its socket has not taken, and the reply being built."""
+    """A client connection of the loop: requests not yet answered and
+    reply bytes its socket has not taken."""
 
-    __slots__ = ("sock", "peer", "received", "unsent", "parts", "left", "served", "eof",
-                 "closing", "events", "active")
+    __slots__ = ("sock", "peer", "received", "unsent", "served", "eof", "closing", "events",
+                 "active")
 
     def __init__(self, sock: socket.socket, peer):
         self.sock, self.peer = sock, peer
         self.received, self.unsent = bytearray(), bytearray()
-        self.parts, self.left = None, 0  # the reply being built: its parts, its bytes to come
         self.served = 0
         self.eof = False  # the peer sends no more
         self.closing = False  # answer nothing more: close once ``unsent`` is sent
@@ -276,31 +274,24 @@ class _Connection:
         self.active = time.monotonic()  # the last request, or reply bytes taken
 
     def build(self, store: CcoStore) -> bool:
-        """Add one part of one reply to ``unsent``: of the reply being
-        built, else of a reply to the next whole request, unless ``unsent``
-        is past ``OUTPUT_CAP``.  True if it added one."""
+        """Add the reply to the next whole request to ``unsent``, unless
+        ``unsent`` is past ``OUTPUT_CAP``.  True if it added one."""
         if self.closing or len(self.unsent) > OUTPUT_CAP:
             return False
-        if self.parts is None:
-            try:
-                payload = self.request()
-            except MalformedFrame as exc:
-                _log("warning", "malformed frame from %s:%s (%s): answered and closed", *self.peer, exc)
-                self.unsent += _LENGTH.pack(2) + bytes((RESPONSE_BIT, STATUS_MALFORMED))
-                self.closing = True
-                return False
-            if payload is None:
-                self.closing = self.eof
-                return False
-            self.active = time.monotonic()
-            self.left, self.parts = store.reply(payload)
-            self.unsent += _LENGTH.pack(self.left)
-        part = next(self.parts)
-        self.unsent += part
-        self.left -= len(part)
-        if not self.left:  # else a reply off its length ends the connection at its next part
-            self.parts = None
-            self.served += 1
+        try:
+            payload = self.request()
+        except MalformedFrame as exc:
+            _log("warning", "malformed frame from %s:%s (%s): answered and closed", *self.peer, exc)
+            self.unsent += _LENGTH.pack(2) + bytes((RESPONSE_BIT, STATUS_MALFORMED))
+            self.closing = True
+            return False
+        if payload is None:
+            self.closing = self.eof
+            return False
+        self.active = time.monotonic()
+        reply = store.handle_request(payload)
+        self.unsent += _LENGTH.pack(len(reply)) + reply
+        self.served += 1
         return True
 
     def request(self) -> bytes | None:
@@ -334,13 +325,12 @@ class CcoServer:
 
     The server listens once it is made.  ``serve_forever`` runs its
     loop in the calling thread, ``start`` in a thread of its own.  Each
-    turn of the loop builds one part of one reply for each connection
-    with a request, a whole reply or one epoch of an export, and hands
-    it to the socket at once.  ``stop``, from any thread or a signal
-    handler, ends the loop once its turn is done; the loop then closes
-    the listener and every connection (``server_close``).  If ``start``
-    began the loop, ``stop`` waits for it: once it returns, no request
-    is being built any more.
+    turn of the loop builds one reply for each connection with a
+    request, and hands it to the socket at once.  ``stop``, from any
+    thread or a signal handler, ends the loop once its turn is done; the
+    loop then closes the listener and every connection
+    (``server_close``).  If ``start`` began the loop, ``stop`` waits for
+    it: once it returns, no request is being built any more.
     """
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
@@ -452,9 +442,9 @@ class CcoServer:
             self._close(conn, exc)
 
     def _turn(self, conn: _Connection) -> bool:
-        """Build one part of one reply on ``conn`` and send what its socket
-        takes; close it once it has nothing more to answer or send.  True
-        if a part was built."""
+        """Build one reply on ``conn`` and send what its socket takes;
+        close it once it has nothing more to answer or send.  True if a
+        reply was built."""
         built = conn.build(self.store)
         conn.send()
         if conn.closing and not conn.unsent:
@@ -551,16 +541,14 @@ class CcoClient:
                     read_frame(self._stream)
             raise
 
-    def _request_ok(self, payload: bytes) -> bytes:
-        status, rest = _split_response(payload[0], self.request_raw(payload))
-        if status != STATUS_OK:
-            raise CcoRequestError(status)
-        return rest
-
     def commitment_bytes(self, msg_type: int, signer_id: bytes, epoch: int) -> bytes:
         """Serialized commitment for one epoch, left unparsed.  A non-OK
         status raises ``CcoRequestError``."""
-        return self._request_ok(commitment_payload(msg_type, signer_id, epoch))
+        reply = self.request_raw(commitment_payload(msg_type, signer_id, epoch))
+        status, rest = _split_response(msg_type, reply)
+        if status != STATUS_OK:
+            raise CcoRequestError(status)
+        return rest
 
     def ok_bodies(self, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
         """The body after the OK status of each payload's response, in
@@ -578,8 +566,25 @@ class CcoClient:
             yield rest if status == STATUS_OK else None
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
-        payload = export_payload(scheme, signer_id, epoch_from, epoch_to)
-        return export_from_bytes(self._request_ok(payload))
+        """The commitments of the epochs in [epoch_from, epoch_to], asked for
+        as pipelined single requests of type ``scheme`` in epoch order, so
+        the service's chain cursor walks once.  ``EpochOutOfRange`` for an
+        empty range or epoch 0, before any request, and for a range whose
+        ``cco.export_bytes`` would pass ``MAX_FRAME``, once the first
+        entry's size is known; ``CcoRequestError`` for a reply not OK."""
+        if not 1 <= epoch_from <= epoch_to:
+            raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] is no range of epochs from 1")
+        count, blobs = epoch_to - epoch_from + 1, []
+        with closing(self._exchange(commitment_payload(scheme, signer_id, epoch)
+                                    for epoch in range(epoch_from, epoch_to + 1))) as replies:
+            for reply in replies:
+                status, blob = _split_response(scheme, reply)
+                if status != STATUS_OK:
+                    raise CcoRequestError(status)
+                if not blobs and 8 + count * len(blob) > MAX_FRAME:
+                    raise EpochOutOfRange(f"export of [{epoch_from}, {epoch_to}] exceeds the frame limit")
+                blobs.append(blob)
+        return blobs
 
 
 def _split_response(msg_type: int, response: bytes) -> tuple[int, bytes]:

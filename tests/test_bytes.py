@@ -25,10 +25,13 @@ MESSAGES = [b"first record", b"second record", b"third record"]
 # the request type of the hybrid opening that the service once served; now
 # unassigned, so its requests stay below with malformed replies
 HY_OPENING = 0x06
+# the request type of the batch export, likewise once served and now
+# unassigned; one of its requests stays below with its malformed reply
+EXPORT = 0x04
 
 DIGESTS = {
-    "production": "5c7385b7caaa8c13aa9f8a18eb2c7fcd9721415a3957ca6e49c3659e9d1bcab9",
-    "tiny": "ec0c97671589eb65e5e42dd6b3119b76ed37dcc5926a2b92e85f4896e0aeba62",
+    "production": "7f68ee9acd651dad7a9cf58e442c002adb5a064238df3eb295c158e5d756a15b",
+    "tiny": "cb5018ea8a7ff93f5632d99f6f2852675b97f9ea79d799e17b710b857892e2c3",
 }
 
 
@@ -61,10 +64,6 @@ def commitment_request(msg_type, signer_id, epoch, tail=b""):
 
 def opening_request(msg_type, signer_id, epoch, indices):
     return commitment_request(msg_type, signer_id, epoch, struct.pack(f">{len(indices)}I", *indices))
-
-
-def export_request(scheme, signer_id, epoch_from, epoch_to):
-    return bytes((cco.MSG_EXPORT, scheme)) + signer_id + struct.pack(">QQ", epoch_from, epoch_to)
 
 
 def key_blobs(label, states, sign):
@@ -110,8 +109,6 @@ def malformed_requests(signer_id, indices):
         commitment_request(cco.MSG_LA, signer_id, 1, (BATCH + 1).to_bytes(4, "big")),
         opening_request(cco.MSG_PQ_OPENING, signer_id, 1, indices[:-1]),
         opening_request(HY_OPENING, signer_id, 1, list(indices[:-1]) + [PQ_PARAMS.t]),
-        export_request(0x09, signer_id, 1, 2),
-        export_request(cco.MSG_PQ, signer_id, 3, 2),
     ]
 
 
@@ -135,7 +132,7 @@ def pq_blobs():
         commitment_request(cco.MSG_PQ, IDS[0], 1),
         commitment_request(cco.MSG_PQ, IDS[1], 8),
         opening_request(cco.MSG_PQ_OPENING, IDS[0], 3, indices),
-        export_request(cco.MSG_PQ, IDS[1], 2, 5),
+        bytes((EXPORT, cco.MSG_PQ)) + IDS[1] + struct.pack(">QQ", 2, 5),
         # no aggregate material: unknown id
         commitment_request(cco.MSG_LA, IDS[0], 1),
         commitment_request(cco.MSG_HY, IDS[0], 1),
@@ -144,7 +141,6 @@ def pq_blobs():
         opening_request(cco.MSG_PQ_OPENING, UNKNOWN_ID, 1, indices),
         commitment_request(cco.MSG_PQ, IDS[0], 0),
         commitment_request(cco.MSG_PQ, IDS[0], 9),
-        export_request(cco.MSG_PQ, IDS[0], 7, 9),
         *malformed_requests(IDS[0], indices),
     ])
 
@@ -165,15 +161,12 @@ def la_blobs(group):
     yield from request_blobs("la", store, [
         commitment_request(cco.MSG_LA, IDS[0], 1),
         commitment_request(cco.MSG_LA, IDS[1], 8),
-        export_request(cco.MSG_LA, IDS[0], 1, 8),
         # no forward-secure material: unknown id
         commitment_request(cco.MSG_PQ, IDS[0], 1),
         commitment_request(cco.MSG_HY, IDS[0], 1),
-        export_request(cco.MSG_HY, IDS[0], 1, 2),
         commitment_request(cco.MSG_LA, UNKNOWN_ID, 1),
         commitment_request(cco.MSG_LA, IDS[0], 0),
         commitment_request(cco.MSG_LA, IDS[0], 9),
-        export_request(cco.MSG_LA, IDS[0], 8, 9),
     ])
 
 
@@ -205,15 +198,10 @@ def hy_blobs(group):
         opening_request(cco.MSG_PQ_OPENING, IDS[1], 3, indices),
         opening_request(HY_OPENING, IDS[1], 3, indices),
         opening_request(HY_OPENING, IDS[0], 5, indices[::-1]),
-        export_request(cco.MSG_PQ, IDS[0], 1, 3),
-        export_request(cco.MSG_LA, IDS[0], 1, 3),
-        export_request(cco.MSG_HY, IDS[1], 6, 8),
         commitment_request(cco.MSG_HY, UNKNOWN_ID, 1),
         opening_request(HY_OPENING, UNKNOWN_ID, 1, indices),
-        export_request(cco.MSG_HY, UNKNOWN_ID, 1, 2),
         commitment_request(cco.MSG_HY, IDS[0], 0),
         opening_request(HY_OPENING, IDS[0], 9, indices),
-        export_request(cco.MSG_HY, IDS[0], 0, 2),
         *malformed_requests(IDS[1], indices),
     ])
 

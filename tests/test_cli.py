@@ -265,6 +265,7 @@ class TestSignVerifyOffline:
     @pytest.mark.parametrize("scheme, extra", [
         ("pq", ["--J1", "4"]), ("la", ["--L", "3"]), ("hy", ["--J1", "4", "--L", "3"])])
     def test_export_file_is_the_export_reply_body(self, tmp_path, scheme, extra):
+        # the replies of the export's single requests, in the export container
         out = keygen(tmp_path, scheme, extra)
         store = keyfiles.load_store(out / "cco.store")
         commits = tmp_path / "commits.bin"
@@ -273,11 +274,9 @@ class TestSignVerifyOffline:
                 ["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
                  "--id", ID_HEX_1, "--export", "2:6", "--out", str(commits)]
             ) == 0
-        request = (bytes((cco.MSG_EXPORT, schemes.BY_NAME[scheme].tag)) + bytes.fromhex(ID_HEX_1)
-                   + (2).to_bytes(8, "big") + (6).to_bytes(8, "big"))
-        reply = store.handle_request(request)
-        assert reply[:2] == bytes((cco.MSG_EXPORT | cco.RESPONSE_BIT, cco.STATUS_OK))
-        assert commits.read_bytes() == reply[2:]
+        singles = keyfiles.load_store(out / "cco.store").batch_export(
+            schemes.BY_NAME[scheme].tag, bytes.fromhex(ID_HEX_1), 2, 6)
+        assert commits.read_bytes() == cco.export_bytes(singles)
 
     def test_la_request_takes_no_batch_size(self, tmp_path, capsys):
         out = keygen(tmp_path, "la", ["--L", "3"])
@@ -630,8 +629,8 @@ class TestOnlineMatchesOffline:
 
         store = keyfiles.load_store(out / "cco.store")
         requests = []
-        reply = store.reply  # what the service asks of the store for every request, exports too
-        store.reply = lambda payload: requests.append(payload) or reply(payload)
+        handle = store.handle_request  # what the service asks of the store for every request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
         commits = str(tmp_path / "commits.bin")
         records = stream.read_stream(msgs, "csv", False)
         with transport.CcoServer(store) as server:
@@ -648,16 +647,16 @@ class TestOnlineMatchesOffline:
                     source.close()
             assert results["online"] == results["offline"] == [
                 n not in rejected for n in range(self.UNITS)]
-            # one export, then one pq opening request per run of consecutive
-            # epochs among the units that name a bundle signer (unit 10, moved
-            # to epoch 12, opens a run with units 12 and 13); hy first asks
-            # for one combined check per signer (the unit past J is left
-            # out), and as unit 10 fails it, asks for each aggregate
-            # commitment alone
+            # the export's 16 single requests, then one pq opening request
+            # per run of consecutive epochs among the units that name a
+            # bundle signer (unit 10, moved to epoch 12, opens a run with
+            # units 12 and 13); hy first asks for one combined check per
+            # signer (the unit past J is left out), and as unit 10 fails
+            # it, asks for each aggregate commitment alone
             runs = [(1, 4), (6, 1), (7, 1), (8, 1), (17, 1), (10, 1), (12, 3)]
-            expected = [cco.MSG_EXPORT] + [cco.MSG_PQ_OPENING] * len(runs)
+            expected = [schemes.BY_NAME[scheme].tag] * 16 + [cco.MSG_PQ_OPENING] * len(runs)
             if scheme == "hy":
-                expected[1:1] = [cco.MSG_LA_COMBINED] * 2
+                expected[16:16] = [cco.MSG_LA_COMBINED] * 2
                 expected += [cco.MSG_LA] * (self.UNITS - 2)
             assert [p[0] for p in requests] == expected
             assert opened_runs(requests, 16) == runs
@@ -909,6 +908,8 @@ def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatc
     thread.start()
     try:
         code = cli.main(["serve", "--store", str(out / "cco.store"), "--port", "0"])
+        # the handlers from before the call, not the service's, are installed again
+        assert {signum: signal.getsignal(signum) for signum in handlers} == handlers
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
@@ -1027,9 +1028,10 @@ class TestServeSubprocess:
 
 
 class TestNumbersTheWireCannotCarry:
-    """A port outside 0..65535, an epoch outside [0, 2^64), a port in use
-    or a key size the files cannot hold is an operational error: exit 2
-    and one ``error:`` line, no traceback."""
+    """A port outside 0..65535, an epoch outside [0, 2^64), an export the
+    client or the service refuses, a port in use or a key size the files
+    cannot hold is an operational error: exit 2 and one ``error:`` line,
+    no traceback."""
 
     @pytest.fixture
     def served(self, tmp_path):
@@ -1076,6 +1078,34 @@ class TestNumbersTheWireCannotCarry:
                                   "--out", str(tmp_path / "commits.bin")])
         number = value.partition(":")[0]
         assert err == f"error: {option} {number} is outside 0..{(1 << 64) - 1}\n"
+
+    @pytest.mark.parametrize("scheme, signer, span, error, sent, builds", [
+        ("pq", ID_HEX_1, "0:4", "export of [0, 4] is no range of epochs from 1", 0, 0),
+        ("pq", ID_HEX_1, "5:4", "export of [5, 4] is no range of epochs from 1", 0, 0),
+        ("pq", ID_HEX_2, "1:4", "service returned status 0x01", 4, 0),
+        ("la", ID_HEX_1, "1:4", "service returned status 0x01", 4, 0),
+        ("pq", ID_HEX_1, "1:8192", "export of [1, 8192] exceeds the frame limit",
+         transport.PIPELINE_WINDOW, transport.PIPELINE_WINDOW),
+        ("pq", ID_HEX_1, "8190:8193", "service returned status 0x02", 4, 3),
+    ], ids=["from 0", "from above to", "unknown id", "scheme the store lacks",
+            "over the frame limit", "past J"])
+    def test_an_export_refusal_exits_2_writes_nothing_and_costs_its_builds(
+            self, tmp_path, capsys, scheme, signer, span, error, sent, builds):
+        # J = 8192 at t = 1024: the whole range would be a 268 MB file
+        out = keygen(tmp_path, "pq", ["--J1", "4", "--J", "8192"])
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        commits = tmp_path / "commits.bin"
+        with transport.CcoServer(store) as server:
+            counters.reset()
+            err = self.error(capsys, ["request", "--cco", f"127.0.0.1:{server.port}",
+                                      "--scheme", scheme, "--id", signer, "--export", span,
+                                      "--out", str(commits)])
+        assert (err, len(requests)) == (f"error: {error}\n", sent)
+        assert counters.calls_h2 == builds * 1024  # t H2 calls per build
+        assert not commits.exists()
 
     @pytest.mark.parametrize("scheme, sizes", [
         ("pq", ["--J", str(1 << 70)]),

@@ -25,14 +25,14 @@ PARAMS = {
     "production": pq.PqParams(t=1024, k=16, j1=4, j2=4),
     "tiny": pq.PqParams(t=16, k=4, j1=2, j2=4),
 }
-# every request type that builds full pq commitments: 14 builds in all
+# every request type that builds full pq commitments
 PAYLOADS = (
     cco.commitment_payload(cco.MSG_PQ, ID_A, 7),
     cco.commitment_payload(cco.MSG_HY, ID_B, 3),
-    cco.export_payload(cco.MSG_PQ, ID_A, 1, 8),
-    cco.export_payload(cco.MSG_HY, ID_B, 2, 5),
 )
-BUILDS = 1 + 1 + 8 + 4
+# exports of both, of epochs no payload above asks for: 11 builds
+EXPORTS = ((cco.MSG_PQ, ID_A, 1, 6), (cco.MSG_HY, ID_B, 4, 8))
+BUILDS = 1 + 1 + 6 + 5
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
 
@@ -57,10 +57,13 @@ def counted(handle, payload):
     return reply, counters.total() - before
 
 
-def inline_replies(hy_material, payloads=PAYLOADS):
+def inline_replies(hy_material, payloads=PAYLOADS, exports=()):
+    """(reply, hash calls) of each payload, then of each export, on one
+    fresh store without a helper."""
     assert hashing.helper is None
     store = fresh_store(hy_material)
-    return [counted(store.handle_request, payload) for payload in payloads]
+    return ([counted(store.handle_request, payload) for payload in payloads]
+            + [counted(lambda args: store.batch_export(*args), export) for export in exports])
 
 
 @contextmanager
@@ -93,13 +96,15 @@ def spy_sends(helper):
 @pytest.mark.parametrize("backend", sorted(PARAMS))
 def test_split_builds_reply_and_count_as_inline_builds(backend, monkeypatch):
     hy_material = material(backend, monkeypatch)
-    expected = inline_replies(hy_material)
+    expected = inline_replies(hy_material, PAYLOADS, EXPORTS)
     with served_with_helper(fresh_store(hy_material)) as server:
         sends = spy_sends(server.helper)
         with transport.CcoClient("127.0.0.1", server.port) as client:
             got = [counted(client.request_raw, payload) for payload in PAYLOADS]
-    assert [reply[1] for reply, _ in got] == [cco.STATUS_OK] * len(PAYLOADS)
-    assert got == expected  # byte for byte, and the same hash calls per request
+            got += [counted(lambda args: client.batch_export(*args), export) for export in EXPORTS]
+    assert [reply[1] for reply, _ in got[:len(PAYLOADS)]] == [cco.STATUS_OK] * len(PAYLOADS)
+    # byte for byte, and the same hash calls per request and per export
+    assert got == expected
     assert sends == [True] * BUILDS
 
 
@@ -150,7 +155,7 @@ def test_two_builds_at_once_both_split(monkeypatch):
 @needs_fork
 def test_a_lost_helper_leaves_its_half_inline_and_warns_once(monkeypatch, caplog):
     hy_material = material("production", monkeypatch)
-    expected = inline_replies(hy_material)
+    expected = inline_replies(hy_material, PAYLOADS, EXPORTS)
     with served_with_helper(fresh_store(hy_material)) as server:
         helper = server.helper
         sends = spy_sends(helper)
@@ -159,6 +164,8 @@ def test_a_lost_helper_leaves_its_half_inline_and_warns_once(monkeypatch, caplog
             os.kill(helper.pid, signal.SIGKILL)
             with caplog.at_level(logging.WARNING, logger="hases.cco"):
                 got += [counted(client.request_raw, payload) for payload in PAYLOADS[1:]]
+                got += [counted(lambda args: client.batch_export(*args), export)
+                        for export in EXPORTS]
         assert hashing.helper is None
     assert got == expected
     # the second build finds the helper gone or loses it; no later build asks it

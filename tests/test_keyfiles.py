@@ -195,9 +195,11 @@ def test_commitment_file_requires_homogeneous_sizes(tmp_path):
 
 def test_commitment_file_ragged_rejected(tmp_path):
     path = tmp_path / "commits.bin"
-    path.write_bytes((3).to_bytes(8, "big") + bytes(10))
-    with pytest.raises(ValueError):
-        keyfiles.load_commitments(path)
+    # ragged, a count of 0, shorter than the count, a count and no entries
+    for blob in ((3).to_bytes(8, "big") + bytes(10), bytes(8), bytes(7), (1).to_bytes(8, "big")):
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            keyfiles.load_commitments(path)
 
 
 @pytest.mark.parametrize("count", [0, 2])

@@ -332,13 +332,23 @@ class TestKeyTables:
         store = cco.CcoStore(material)
         singles = [la.construct_commitment(material, ID_A, e) for e in range(2, 7)]
         assert store.batch_export(cco.MSG_LA, ID_A, 2, 6) == [single.to_bytes() for single in singles]
+        # each epoch is refused as its single request is: a range from epoch
+        # 0 or of an unknown signer before any hashing, and an empty range
+        # builds nothing; a range past J is refused at its first epoch past J
         counters.reset()
-        for lo, hi in ((0, 2), (5, 4), (7, 9)):
-            with pytest.raises(EpochOutOfRange):
-                store.batch_export(cco.MSG_LA, ID_A, lo, hi)
+        with pytest.raises(EpochOutOfRange):
+            store.batch_export(cco.MSG_LA, ID_A, 0, 2)
         with pytest.raises(UnknownSigner):
             store.batch_export(cco.MSG_LA, ID_B, 1, 1)
+        assert store.batch_export(cco.MSG_LA, ID_A, 5, 4) == []
         assert counters.total() == 0
+        for epoch in (7, 8):
+            la.construct_commitment(material, ID_A, epoch)
+        built = counters.total()
+        counters.reset()
+        with pytest.raises(EpochOutOfRange):
+            store.batch_export(cco.MSG_LA, ID_A, 7, 9)
+        assert counters.total() == built
 
 
 class TestVerify:

@@ -319,13 +319,19 @@ class TestCommitmentConstruction:
     def test_range_checked_before_any_hashing(self):
         _, material = pq.keygen([ID_A], TOY, fixed_rng(22))
         store = cco.CcoStore(material)
+        # each epoch is refused as its single request is: a range from epoch
+        # 0 or of an unknown signer before any hashing, and an empty range
+        # builds nothing; a range past J is refused at its first epoch past J
         counters.reset()
-        for lo, hi in ((0, 3), (4, 3), (10, TOY.epochs + 1)):
-            with pytest.raises(EpochOutOfRange):
-                store.batch_export(cco.MSG_PQ, ID_A, lo, hi)
+        with pytest.raises(EpochOutOfRange):
+            store.batch_export(cco.MSG_PQ, ID_A, 0, 3)
         with pytest.raises(UnknownSigner):
             store.batch_export(cco.MSG_PQ, ID_B, 1, 2)
+        assert store.batch_export(cco.MSG_PQ, ID_A, 4, 3) == []
         assert counters.total() == 0
+        with pytest.raises(EpochOutOfRange):
+            store.batch_export(cco.MSG_PQ, ID_A, 10, TOY.epochs + 1)
+        assert counters.calls_h2 == (TOY.epochs - 9) * TOY.t
 
     def test_unknown_signer(self):
         _, material = pq.keygen([ID_A], TOY, fixed_rng(16))
