@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import cco, hy, keyfiles, la, pq, schemes
 from .group import PrimeOrderGroup, production_group
-from .hashing import counters
+from .hashing import DOM_MESSAGE, counters, domain_hash
 
 
 class OpStats(NamedTuple):
@@ -159,6 +159,8 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
         ops=[],
         sizes={},
     )
+    data = bytes(32)  # the primitive under every row below: one H0 call on a digest-sized input
+    _row(report, "domain_hash", lambda _: domain_hash(DOM_MESSAGE, data), trials)
     states = materials = None
 
     def do_keygen(_):

@@ -216,6 +216,8 @@ def cmd_request(args) -> int:
     scheme = schemes.BY_NAME[args.scheme]
     signer_id = parse_signer_id(args.id)
     if args.export:
+        if not args.out:
+            raise ValueError("--export needs --out")
         lo, _, hi = args.export.partition(":")
         span = _unsigned(lo, 64, "--export"), _unsigned(hi, 64, "--export")
     elif args.epoch is None:
@@ -323,7 +325,7 @@ def _request_parser(sub) -> None:
     rq.add_argument("--id", required=True)
     rq.add_argument("--epoch", type=int)
     rq.add_argument("--export", help="epoch range FROM:TO for offline export")
-    rq.add_argument("--out", help="write commitment(s) to this file")
+    rq.add_argument("--out", help="write commitment(s) to this file; required with --export")
     rq.set_defaults(func=cmd_request)
 
 

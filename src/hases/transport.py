@@ -21,7 +21,7 @@ longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
 The server is one ``selectors`` loop on one thread: more threads would
-buy no parallelism, as ``hashlib`` holds the interpreter lock for
+buy no parallelism, as SHA-256 holds the interpreter lock for
 inputs this short.  Each turn of the loop builds at most one reply per
 connection, so a request that comes while another connection pipelines
 many waits about one build.  An offline export is such a pipeline:

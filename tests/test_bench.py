@@ -15,6 +15,8 @@ def test_pq_hash_counts_exactly_reproducible():
     counts_b = {op.name: op.hash_calls for op in second.ops}
     assert counts_a == counts_b
     assert counts_a["sign"] == 1 + PQ_SMALL.k + 1
+    # the primitive comes first: one H0 call
+    assert first.ops[0].name == "domain_hash" and counts_a["domain_hash"] == 1
 
 
 def test_pq_report_carries_policy_and_sizes():

@@ -1079,6 +1079,17 @@ class TestNumbersTheWireCannotCarry:
         number = value.partition(":")[0]
         assert err == f"error: {option} {number} is outside 0..{(1 << 64) - 1}\n"
 
+    def test_an_export_without_out_exits_2_before_any_request(self, tmp_path, capsys):
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        store = keyfiles.load_store(out / "cco.store")
+        requests = []
+        handle = store.handle_request
+        store.handle_request = lambda payload: requests.append(payload) or handle(payload)
+        with transport.CcoServer(store) as server:
+            err = self.error(capsys, ["request", "--cco", f"127.0.0.1:{server.port}",
+                                      "--scheme", "pq", "--id", ID_HEX_1, "--export", "1:4"])
+        assert (err, requests) == ("error: --export needs --out\n", [])
+
     @pytest.mark.parametrize("scheme, signer, span, error, sent, builds", [
         ("pq", ID_HEX_1, "0:4", "export of [0, 4] is no range of epochs from 1", 0, 0),
         ("pq", ID_HEX_1, "5:4", "export of [5, 4] is no range of epochs from 1", 0, 0),

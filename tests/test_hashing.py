@@ -1,11 +1,12 @@
 import hashlib
+import importlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hases import hy, la, pq
+from hases import hashing, hy, la, pq
 from hases.group import production_group
 from hases.hashing import (
     HEADER_LEN,
@@ -352,3 +353,48 @@ def test_la_and_hy_batches_cost_their_budgets_exactly():
     counters.reset()
     hy.sign_batch(hy_state, batch)
     assert counters.snapshot() == (15 + 9 + 1, 9 + 17, 8)
+
+
+def test_domain_hashes_use_cpythons_own_sha256():
+    """Where the interpreter has its own SHA-256 (``_sha2`` from 3.12,
+    ``_sha256`` before), every domain hash uses it: a silent fall back to
+    hashlib's would give the same bytes, only slower."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            builtin = importlib.import_module(name).sha256
+        except ImportError:
+            continue
+        assert hashing._sha256 is builtin
+        return
+    pytest.skip("this interpreter was built without its own SHA-256")
+
+
+SEED = bytes(range(32))
+PREIMAGES = SEED + SEED[::-1]
+IMAGES = b"".join(hashlib.sha256(b"\x02" + PREIMAGES[at:at + 32]).digest() for at in (0, 32))
+
+KERNELS = {
+    "revealed_strings": lambda: revealed_strings(b"message", SEED, signing_table(1024, 16)),
+    "commitment_images": lambda: commitment_images(SEED, 64),
+    "_images": lambda: hashing._images((SEED, SEED[::-1]), label_table(16)),
+    "opened_images": lambda: opened_images((SEED, SEED[::-1]), [0, 63, 5, 5], 64),
+    "images_match": lambda: images_match(PREIMAGES, IMAGES),
+    "images_match, early mismatch": lambda: images_match(PREIMAGES, bytes(32) + IMAGES[32:]),
+    "iter_hash": lambda: iter_hash(1, SEED, 100),
+    "nested_digests": lambda: nested_digests([b"a", b"", b"ccc", SEED]),
+    "prefixed_hashes": lambda: prefixed_hashes(0, SEED, label_table(8)),
+    # 64 tails modulo 11: some reduce to 0 and take the retry path
+    "prefixed_scalars": lambda: prefixed_scalars(2, SEED, label_table(64), 11),
+    "combination_weights": lambda: combination_weights(SEED, 16),
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_every_kernel_gives_hashlibs_bytes_and_counts(kernel, monkeypatch):
+    def run():
+        counters.reset()
+        return kernel(), counters.snapshot()
+
+    bound = run()
+    monkeypatch.setattr(hashing, "_sha256", hashlib.sha256)
+    assert run() == bound
