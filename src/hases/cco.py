@@ -124,7 +124,7 @@ import struct
 from collections import OrderedDict
 from typing import Callable, NamedTuple, Sequence, Union
 
-from . import hy, la, pq, schemes
+from . import hashing, hy, la, pq, schemes
 from .errors import EpochOutOfRange, MalformedFrame, UnknownSigner
 
 MSG_PQ = schemes.PQ.tag
@@ -232,7 +232,7 @@ class CcoStore:
         its half of the pq entries, so the two overlap."""
         la_part = self.la_material()
         self.pq_material()
-        la.check_epochs(la_part, signer_id, epoch, epoch)
+        hashing.check_epochs(la_part.signer_ids, signer_id, epoch, epoch, la_part.params.max_batches)
         la_commitment = []
         pq_commitment = self.pq_commitment(
             signer_id, epoch, lambda: la_commitment.append(self.la_commitment(signer_id, epoch)))

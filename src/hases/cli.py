@@ -215,29 +215,30 @@ def cmd_request(args) -> int:
     host, port = _parse_host_port(args.cco)
     scheme = schemes.BY_NAME[args.scheme]
     signer_id = parse_signer_id(args.id)
-    if args.export:
-        if not args.out:
-            raise ValueError("--export needs --out")
-        lo, _, hi = args.export.partition(":")
-        span = _unsigned(lo, 64, "--export"), _unsigned(hi, 64, "--export")
-    elif args.epoch is None:
-        raise ValueError("--epoch or --export is required")
-    else:
+    if args.export is None:
         epoch = _unsigned(args.epoch, 64, "--epoch")
+        span = epoch, epoch
+    elif args.out:
+        span = _parse_span(args.export)
+    else:
+        raise ValueError("--export needs --out")
     with CcoClient(host, port) as client:
-        if args.export:
-            blobs = client.batch_export(scheme.tag, signer_id, *span)
-            keyfiles.save_commitments(args.out, blobs)
-            print(f"exported {len(blobs)} commitments to {args.out}")
-            return EXIT_OK
-        # a non-OK status raises CcoRequestError: exit 2
-        blob = client.commitment_bytes(scheme.tag, signer_id, epoch)
-        if args.out:
-            keyfiles.save_commitments(args.out, [blob])
-            print(f"wrote commitment ({len(blob)} bytes) to {args.out}")
-        else:
-            print(blob.hex())
+        # a refused range or a non-OK status raises: exit 2, nothing written
+        blobs = client.batch_export(scheme.tag, signer_id, *span)
+    if args.out:
+        keyfiles.save_commitments(args.out, blobs)
+        print(f"wrote {len(blobs)} commitment(s) to {args.out}")
+    else:
+        print(blobs[0].hex())
     return EXIT_OK
+
+
+def _parse_span(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ValueError(f"--export expected FROM:TO, got {text!r}") from None
+    return _unsigned(lo, 64, "--export"), _unsigned(hi, 64, "--export")
 
 
 # --- bench ---------------------------------------------------------------------
@@ -323,8 +324,10 @@ def _request_parser(sub) -> None:
     rq.add_argument("--cco", required=True, help="HOST:PORT")
     rq.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     rq.add_argument("--id", required=True)
-    rq.add_argument("--epoch", type=int)
-    rq.add_argument("--export", help="epoch range FROM:TO for offline export")
+    # one epoch or a range of them: argparse exits 2 on none or both
+    span = rq.add_mutually_exclusive_group(required=True)
+    span.add_argument("--epoch", type=int, help="one epoch: the export of EPOCH:EPOCH")
+    span.add_argument("--export", help="epoch range FROM:TO for offline export")
     rq.add_argument("--out", help="write commitment(s) to this file; required with --export")
     rq.set_defaults(func=cmd_request)
 

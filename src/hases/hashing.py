@@ -73,8 +73,9 @@ meaningful while a single benchmark runs at a time.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
+from .errors import EpochOutOfRange, UnknownSigner
 from .records import SlotRecord
 
 DIGEST_LEN = 32
@@ -424,3 +425,13 @@ def check_signer_ids(ids: Iterable[bytes]) -> list[bytes]:
     if len(set(id_list)) != len(id_list):
         raise ValueError("duplicate signer ids")
     return id_list
+
+
+def check_epochs(known_ids: Container[bytes], signer_id: bytes, first: int, last: int,
+                 epochs: int) -> None:
+    """``UnknownSigner`` for an id not in ``known_ids``, then
+    ``EpochOutOfRange`` unless 1 <= first <= last <= ``epochs``."""
+    if signer_id not in known_ids:
+        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
+    if not 1 <= first <= last <= epochs:
+        raise EpochOutOfRange(f"epochs [{first}, {last}] outside [1, {epochs}]")

@@ -59,7 +59,7 @@ import os
 import struct
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
+from .errors import EpochExhausted
 from .group import PrimeOrderGroup, encode_scalar, group_by_tag
 from .hashing import (
     DOM_CHAIN,
@@ -67,6 +67,7 @@ from .hashing import (
     DOM_MESSAGE,
     HEADER_LEN,
     WEIGHT_LEN,
+    check_epochs,
     check_signer_ids,
     combination_weights,
     domain_hash,
@@ -310,18 +311,9 @@ def construct_commitment(material: LaKeyMaterial, signer_id: bytes, epoch: int) 
     return commitment_from_key(key, signer_id, epoch, params.batch_size, params.group)
 
 
-def check_epochs(material: LaKeyMaterial, signer_id: bytes, low: int, high: int) -> None:
-    """``UnknownSigner`` for an id the material does not hold, then
-    ``EpochOutOfRange`` unless 1 <= low <= high <= the batch count."""
-    if signer_id not in material.signer_ids:
-        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= low <= high <= material.params.max_batches:
-        raise EpochOutOfRange(f"epochs [{low}, {high}] outside [1, {material.params.max_batches}]")
-
-
 def _checked_key(material: LaKeyMaterial, signer_id: bytes, low: int, high: int) -> int:
     """The signer's private scalar, once ``check_epochs`` passes: no work before."""
-    check_epochs(material, signer_id, low, high)
+    check_epochs(material.signer_ids, signer_id, low, high, material.params.max_batches)
     return private_scalar(material.msk, signer_id, material.params.group)
 
 

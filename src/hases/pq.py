@@ -34,12 +34,13 @@ import os
 import struct
 from typing import Callable, Iterable, Mapping, MutableMapping, NamedTuple, Sequence
 
-from .errors import EpochExhausted, EpochOutOfRange, UnknownSigner
+from .errors import EpochExhausted
 from .hashing import (
     DIGEST_LEN,
     DOM_CHAIN,
     DOM_MESSAGE,
     HEADER_LEN,
+    check_epochs,
     check_signer_ids,
     commitment_images,
     domain_hash,
@@ -382,15 +383,6 @@ def open_commitment(
     return PqOpening(signer_id, epoch, opened_images(seeds, indices, params.t))
 
 
-def check_epochs(material: PqKeyMaterial, signer_id: bytes, first: int, last: int) -> None:
-    """``UnknownSigner`` for an id the material does not hold, then
-    ``EpochOutOfRange`` unless 1 <= first <= last <= J."""
-    if signer_id not in material.anchors:
-        raise UnknownSigner(f"signer {signer_id.hex()} not provisioned")
-    if not 1 <= first <= last <= material.params.epochs:
-        raise EpochOutOfRange(f"epochs [{first}, {last}] outside [1, {material.params.epochs}]")
-
-
 def _seeds(
     material: PqKeyMaterial,
     signer_id: bytes,
@@ -409,7 +401,7 @@ def _seeds(
     or its anchor where it starts a segment.  A ``cursor`` is left at
     ``last``.
     """
-    check_epochs(material, signer_id, first, last)
+    check_epochs(material.anchors, signer_id, first, last, material.params.epochs)
     params, anchors = material.params, material.anchors[signer_id]
     segment, offset = divmod(first - 1, params.j2)
     known = cursor.get(signer_id) if cursor is not None else None

@@ -513,56 +513,38 @@ class CcoClient:
         self.close()
 
     def request_raw(self, payload: bytes) -> bytes:
-        (response,) = self._exchange([payload])
+        ((_, response),) = self._exchange([payload])
         return response
 
-    def _exchange(self, payloads: Iterable[bytes]) -> Iterator[bytes]:
-        """Send each payload and yield its response, in order, keeping
-        up to ``PIPELINE_WINDOW`` requests in flight."""
-        payloads = iter(payloads)
-        in_flight = 0
+    def _exchange(self, payloads: Iterable[bytes]) -> Iterator[tuple[bytes, bytes]]:
+        """Send each payload and yield it with its response, in order,
+        keeping up to ``PIPELINE_WINDOW`` requests in flight."""
+        payloads, sent = iter(payloads), deque()
         try:
             while True:
-                for payload in islice(payloads, PIPELINE_WINDOW - in_flight):
+                for payload in islice(payloads, PIPELINE_WINDOW - len(sent)):
                     write_frame(self._stream, payload)
-                    in_flight += 1
-                if not in_flight:
+                    sent.append(payload)
+                if not sent:
                     return
                 response = read_frame(self._stream)
                 if response is None:
                     raise MalformedFrame("connection closed mid-request")
-                in_flight -= 1
-                yield response
+                yield sent.popleft(), response
         except GeneratorExit:
             # abandoned early: read the replies still owed, so the next
             # request on this connection gets its own
             if not self._stream.closed:
-                for _ in range(in_flight):
+                for _ in sent:
                     read_frame(self._stream)
             raise
-
-    def commitment_bytes(self, msg_type: int, signer_id: bytes, epoch: int) -> bytes:
-        """Serialized commitment for one epoch, left unparsed.  A non-OK
-        status raises ``CcoRequestError``."""
-        reply = self.request_raw(commitment_payload(msg_type, signer_id, epoch))
-        status, rest = _split_response(msg_type, reply)
-        if status != STATUS_OK:
-            raise CcoRequestError(status)
-        return rest
 
     def ok_bodies(self, payloads: Iterable[bytes]) -> Iterator[bytes | None]:
         """The body after the OK status of each payload's response, in
         order, or None for any other status; payloads of any mix of
         types, up to ``PIPELINE_WINDOW`` in flight at a time."""
-        sent: deque[int] = deque()
-
-        def typed():
-            for payload in payloads:
-                sent.append(payload[0])
-                yield payload
-
-        for response in self._exchange(typed()):
-            status, rest = _split_response(sent.popleft(), response)
+        for payload, response in self._exchange(payloads):
+            status, rest = _split_response(payload[0], response)
             yield rest if status == STATUS_OK else None
 
     def batch_export(self, scheme: int, signer_id: bytes, epoch_from: int, epoch_to: int) -> list[bytes]:
@@ -577,7 +559,7 @@ class CcoClient:
         count, blobs = epoch_to - epoch_from + 1, []
         with closing(self._exchange(commitment_payload(scheme, signer_id, epoch)
                                     for epoch in range(epoch_from, epoch_to + 1))) as replies:
-            for reply in replies:
+            for _, reply in replies:
                 status, blob = _split_response(scheme, reply)
                 if status != STATUS_OK:
                     raise CcoRequestError(status)

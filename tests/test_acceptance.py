@@ -490,7 +490,8 @@ def test_criterion_8_service_round_trip():
             on_demand = []
             for batch, signature in zip(batches, signatures):
                 try:
-                    blob = client.commitment_bytes(cco.MSG_HY, signer, signature.la.epoch)
+                    epoch = signature.la.epoch
+                    blob = client.batch_export(cco.MSG_HY, signer, epoch, epoch)[0]
                     commitment = hy.HyCommitment.from_bytes(blob)
                     on_demand.append(
                         hy.verify_batch(tables[signer], commitment, batch, signature, group, PROD_PQ)

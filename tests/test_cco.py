@@ -31,7 +31,7 @@ def fixed_rng(seed: int):
 
 
 def fetch_pq(client, signer_id, epoch):
-    return pq.PqCommitment.from_bytes(client.commitment_bytes(cco.MSG_PQ, signer_id, epoch))
+    return pq.PqCommitment.from_bytes(client.batch_export(cco.MSG_PQ, signer_id, epoch, epoch)[0])
 
 
 def provisioned_store(seed=1):
@@ -263,7 +263,7 @@ class TestWireProtocol:
         signature = hy.sign_batch(states[ID_A], batch)
         with transport.CcoServer(store) as server:
             with transport.CcoClient("127.0.0.1", server.port) as client:
-                commitment = hy.HyCommitment.from_bytes(client.commitment_bytes(cco.MSG_HY, ID_A, 1))
+                commitment = hy.HyCommitment.from_bytes(client.batch_export(cco.MSG_HY, ID_A, 1, 1)[0])
                 assert hy.verify_batch(
                     group.precompute(public[ID_A]), commitment, batch, signature, group, PQ_TOY
                 )

@@ -1018,7 +1018,7 @@ class TestServeSubprocess:
         with proc:  # closes the pipes and waits on exit
             try:
                 with transport.CcoClient("127.0.0.1", port) as client:
-                    blob = client.commitment_bytes(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)
+                    blob = client.batch_export(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1, 1)[0]
                     assert pq.PqCommitment.from_bytes(blob).epoch == 1
                     # the client stays connected and idle while the service stops
                     proc.send_signal(signal.SIGINT)
@@ -1090,18 +1090,39 @@ class TestNumbersTheWireCannotCarry:
                                       "--scheme", "pq", "--id", ID_HEX_1, "--export", "1:4"])
         assert (err, requests) == ("error: --export needs --out\n", [])
 
-    @pytest.mark.parametrize("scheme, signer, span, error, sent, builds", [
-        ("pq", ID_HEX_1, "0:4", "export of [0, 4] is no range of epochs from 1", 0, 0),
-        ("pq", ID_HEX_1, "5:4", "export of [5, 4] is no range of epochs from 1", 0, 0),
-        ("pq", ID_HEX_2, "1:4", "service returned status 0x01", 4, 0),
-        ("la", ID_HEX_1, "1:4", "service returned status 0x01", 4, 0),
-        ("pq", ID_HEX_1, "1:8192", "export of [1, 8192] exceeds the frame limit",
+    @pytest.mark.parametrize("span", ["3", "a:b", "1:2:3", ""])
+    def test_an_export_not_from_to_exits_2_before_any_connection(
+            self, monkeypatch, tmp_path, capsys, span):
+        connections = []
+        monkeypatch.setattr(transport, "CcoClient", lambda *address: connections.append(address))
+        err = self.error(capsys, ["request", "--cco", "127.0.0.1:1", "--scheme", "pq",
+                                  "--id", ID_HEX_1, "--export", span,
+                                  "--out", str(tmp_path / "commits.bin")])
+        assert (err, connections) == (f"error: --export expected FROM:TO, got {span!r}\n", [])
+
+    def test_an_epoch_with_an_export_exits_2_before_any_connection(self, monkeypatch, capsys):
+        connections = []
+        monkeypatch.setattr(transport, "CcoClient", lambda *address: connections.append(address))
+        with pytest.raises(SystemExit) as info:  # argparse: the two options exclude each other
+            cli.main(["request", "--cco", "127.0.0.1:1", "--scheme", "pq", "--id", ID_HEX_1,
+                      "--epoch", "2", "--export", "3:4"])
+        assert (info.value.code, connections) == (2, [])
+        assert "argument --export: not allowed with argument --epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, signer, option, error, sent, builds", [
+        ("pq", ID_HEX_1, "--export=0:4", "export of [0, 4] is no range of epochs from 1", 0, 0),
+        ("pq", ID_HEX_1, "--export=5:4", "export of [5, 4] is no range of epochs from 1", 0, 0),
+        ("pq", ID_HEX_2, "--export=1:4", "service returned status 0x01", 4, 0),
+        ("la", ID_HEX_1, "--export=1:4", "service returned status 0x01", 4, 0),
+        ("pq", ID_HEX_1, "--export=1:8192", "export of [1, 8192] exceeds the frame limit",
          transport.PIPELINE_WINDOW, transport.PIPELINE_WINDOW),
-        ("pq", ID_HEX_1, "8190:8193", "service returned status 0x02", 4, 3),
+        ("pq", ID_HEX_1, "--export=8190:8193", "service returned status 0x02", 4, 3),
+        ("pq", ID_HEX_1, "--epoch=0", "export of [0, 0] is no range of epochs from 1", 0, 0),
+        ("pq", ID_HEX_1, "--epoch=8193", "service returned status 0x02", 1, 0),
     ], ids=["from 0", "from above to", "unknown id", "scheme the store lacks",
-            "over the frame limit", "past J"])
+            "over the frame limit", "past J", "epoch 0", "epoch past J"])
     def test_an_export_refusal_exits_2_writes_nothing_and_costs_its_builds(
-            self, tmp_path, capsys, scheme, signer, span, error, sent, builds):
+            self, tmp_path, capsys, scheme, signer, option, error, sent, builds):
         # J = 8192 at t = 1024: the whole range would be a 268 MB file
         out = keygen(tmp_path, "pq", ["--J1", "4", "--J", "8192"])
         store = keyfiles.load_store(out / "cco.store")
@@ -1112,11 +1133,23 @@ class TestNumbersTheWireCannotCarry:
         with transport.CcoServer(store) as server:
             counters.reset()
             err = self.error(capsys, ["request", "--cco", f"127.0.0.1:{server.port}",
-                                      "--scheme", scheme, "--id", signer, "--export", span,
+                                      "--scheme", scheme, "--id", signer, option,
                                       "--out", str(commits)])
         assert (err, len(requests)) == (f"error: {error}\n", sent)
         assert counters.calls_h2 == builds * 1024  # t H2 calls per build
         assert not commits.exists()
+
+    @pytest.mark.parametrize("scheme, extra", [
+        ("pq", ["--J1", "4"]), ("la", ["--L", "3"]), ("hy", ["--J1", "4", "--L", "3"])])
+    def test_an_epoch_writes_the_export_of_its_one_epoch_range(self, tmp_path, capsys, scheme, extra):
+        out = keygen(tmp_path, scheme, extra)
+        files = tmp_path / "epoch.bin", tmp_path / "export.bin"
+        with transport.CcoServer(keyfiles.load_store(out / "cco.store")) as server:
+            for option, path in zip(("--epoch=2", "--export=2:2"), files):
+                assert cli.main(["request", "--cco", f"127.0.0.1:{server.port}", "--scheme", scheme,
+                                 "--id", ID_HEX_1, option, "--out", str(path)]) == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert capsys.readouterr().out.endswith(f"wrote 1 commitment(s) to {files[1]}\n")
 
     @pytest.mark.parametrize("scheme, sizes", [
         ("pq", ["--J", str(1 << 70)]),
