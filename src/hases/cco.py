@@ -5,9 +5,9 @@ commitment requests for all three schemes and never exposes key bytes:
 every response carries only public commitment material.  The trust
 boundary is ``hases serve`` together with the hashing helper it may
 fork (``hases.transport.HashHelper``), a copy of the service's process
-that receives epoch seeds over a pipe and hashes half of each full pq
-build, while the service derives a hy build's la part and then hashes
-the other half; hosting the same store inside a hardware
+that receives epoch seeds over a pipe and hashes the upper labels of
+each full pq build, while the service derives a hy build's la part and
+then hashes the rest; hosting the same store inside a hardware
 enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
@@ -229,7 +229,7 @@ class CcoStore:
         """Both parts, refused before any hashing: a missing part, then
         the la id and range, then the pq id and range.  The la part is
         derived once the pq seed is walked to and a hashing helper has
-        its half of the pq entries, so the two overlap."""
+        its share of the pq entries, so the two overlap."""
         la_part = self.la_material()
         self.pq_material()
         hashing.check_epochs(la_part.signer_ids, signer_id, epoch, epoch, la_part.params.max_batches)

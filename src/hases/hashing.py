@@ -32,7 +32,7 @@ label is hashed on a copy of that state, and the state's own digest,
 H1(seed), is the next seed.  ``nested_digests`` is a hy batch's 2L - 1
 chained H0 calls in one loop, and ``iter_hash`` a chain walk, each call
 on a copy of the hashed domain byte.  ``commitment_images`` and
-``opened_images`` (a full build, a helper's half of one, or a pq
+``opened_images`` (a full build, a helper's share of one, or a pq
 opening of a run of epochs, a ``0x05`` request) share one loop:
 ``byte(2)`` is hashed once per call and ``byte(1) || seed`` once per
 seed, and each label is hashed H1 then H2 on copies of those states.
@@ -60,10 +60,10 @@ OpenSSL 3.0.19): ``revealed_strings`` x1.15, ``_images`` x1.18,
 
 ``helper`` is None except in ``hases serve``, which may install a
 forked hashing process there (``hases.transport.HashHelper``) that
-``commitment_images`` hands the upper half of a full build first, so
-that whatever the build runs meanwhile (a hy build's la part) and its
-own lower half overlap the helper's hashing; the helper's half comes
-back as one body of bytes, appended as read.
+``commitment_images`` hands the upper labels of a full build first, at
+a split that earlier builds' times set, so that what the build runs
+meanwhile (a hy build's la part) and its lower labels end with the
+helper's hashing; its labels come back as one body, appended as read.
 
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
@@ -73,6 +73,7 @@ meaningful while a single benchmark runs at a time.
 from __future__ import annotations
 
 import functools
+import time
 from typing import Callable, Container, Iterable, NamedTuple, Sequence
 
 from .errors import EpochOutOfRange, UnknownSigner
@@ -315,33 +316,36 @@ def commitment_images(seed: bytes, t: int, meanwhile: Callable[[], object] | Non
     """The entry body: ``H2(H1(seed || label))`` for the labels 1..t, in
     label order, joined; counted as the 2t calls of that composition.
 
-    With a ``helper`` installed, the helper hashes the labels above t/2
-    in its own process while this thread runs ``meanwhile``, if given,
-    then hashes the rest; the helper's reply is appended as read.  It
-    takes one build at a time, which the service's one loop ensures,
-    and one that is lost leaves its half to this thread.  The body and
-    the count are the same either way; ``meanwhile`` runs once, before
-    this thread hashes any entry, and what it raises is raised once the
-    helper's reply is read."""
+    With a ``helper`` installed, it hashes the labels above its ``share``
+    of t in its own process while this thread runs ``meanwhile``, if
+    given, then the rest; its reply is appended as read, and when each
+    side finished sets the next share.  It takes one build at a time,
+    which the service's one loop ensures; one that is lost leaves its
+    labels to this thread.  The body and the count are the same either
+    way; ``meanwhile`` runs once, before this thread hashes any entry,
+    and what it raises is raised once the helper's reply is read."""
     labels = label_table(t)
-    half = t // 2
-    split = helper
-    if split is None or not split.send(seed, t, half):
+    hasher = helper
+    split = hasher and round(hasher.share * t)
+    if not split or not hasher.send(seed, t, split):
         if meanwhile is not None:
             meanwhile()
         return _images((seed,), labels)
     try:
         if meanwhile is not None:
             meanwhile()
-        lower = _images((seed,), labels[:half])
+        start = time.monotonic_ns()
+        lower = _images((seed,), labels[:split])
+        end = time.monotonic_ns()
     finally:
         # read even if the above raised: an unread reply would answer the next build
-        upper = split.receive(t - half)
+        upper = hasher.receive(t - split)
     if upper is None:
-        return lower + _images((seed,), labels[half:])
-    _count(DOM_CHAIN, t - half)
-    _count(DOM_COMMIT, t - half)
-    return lower + upper
+        return lower + _images((seed,), labels[split:])
+    hasher.balance(t, split, upper[1] - end, (end - start) / split)  # upper[1]: the helper's end
+    _count(DOM_CHAIN, t - split)
+    _count(DOM_COMMIT, t - split)
+    return lower + upper[0]
 
 
 def opened_images(seeds: Sequence[bytes], indices: Sequence[int], t: int) -> bytes:

@@ -348,7 +348,7 @@ def construct_commitment(
     Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign``
     reveals them.  Costs 2t hashes plus the chain walk of ``_seeds``.
     ``meanwhile`` runs once the seed is walked to, while a hashing
-    helper hashes half of the entries (``commitment_images``).
+    helper hashes its share of the entries (``commitment_images``).
     """
     (seed,) = _seeds(material, signer_id, epoch, epoch, cursor)
     return PqCommitment(signer_id, epoch, commitment_images(seed, material.params.t, meanwhile))

@@ -37,14 +37,15 @@ at WARNING.
 
 ``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
 pq commitment build (``0x01``, the pq part of ``0x03``) first hands the
-helper the upper half of its t entries, then hashes the lower half
+helper the upper labels of its t entries, then hashes the lower ones
 while the helper hashes the upper, which a second thread could not do.
 A hy build derives its la part between the two, so that too overlaps
-the helper's half, and the helper's reply is taken whole into the entry
-body.  With one build at a time, every full build splits: none finds
-the helper busy.  Openings (``0x05``) and combined commitments
-(``0x08``) are built inline: they hash 2k entries, not 2t, and the
-verifiers that send them keep the other CPU busy.
+the helper's labels, and the helper's reply is taken whole into the
+entry body.  Each build moves the split by half the gap between the two
+sides' ends (``next_split``).  With one build at a time, every full
+build splits.  Openings (``0x05``) and combined commitments (``0x08``)
+are built inline: they hash 2k entries, not 2t, and the verifiers that
+send them keep the other CPU busy.
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def read_frame(stream: BinaryIO) -> bytes | None:
 
 # what a build sends the helper: seed(32) t(4) lo(4) hi(4)
 _HELPER_REQUEST = struct.Struct(">32sIII")
+_HELPER_STAMP = struct.Struct(">Q")  # after the images, its time.monotonic_ns() once done
 
 
 def can_split_builds() -> bool:
@@ -135,19 +137,30 @@ def can_split_builds() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
+def next_split(split: int, t: int, late_ns: float, label_ns: float) -> int:
+    """The labels the service keeps of the next build of t, after one in
+    which it hashed ``split`` labels at ``label_ns`` each and the helper
+    finished ``late_ns`` after it (negative: before): half the gap moves,
+    as a label moved closes two labels of it, and each side keeps one."""
+    if label_ns > 0:
+        split += late_ns / label_ns / 2
+    return round(min(max(split, 1), t - 1))
+
+
 class HashHelper:
-    """A forked process that hashes half of each full pq commitment build.
+    """A forked process that hashes part of each full pq commitment build.
 
     ``fork`` starts it and installs it as ``hashing.helper``.
     ``hashing.commitment_images`` then sends it ``_HELPER_REQUEST`` over
     one pipe and reads back H2(H1(seed || label)) for the labels
-    lo+1..hi, 32 bytes each, over another, while the calling thread
-    runs what the build does meanwhile and hashes the labels below; the
-    reply is read even when that raises, so the pipe stays in step.  It
-    takes one build at a time, as the service's one loop runs them, so
-    no build finds it busy.
+    lo+1..hi, 32 bytes each, then its ``_HELPER_STAMP``, over another,
+    while the calling thread runs what the build does meanwhile and
+    hashes the labels below, ``share`` of the t (half at first, then as
+    ``balance`` sets it); the reply is read even when that raises, so
+    the pipe stays in step.  It takes one build at a time, as the
+    service's one loop runs them, so no build finds it busy.
     A write that fails or a read that meets EOF drops the helper, with
-    one WARNING on ``hases.cco``, and leaves the half to the caller.
+    one WARNING on ``hases.cco``, and leaves its labels to the caller.
     ``close`` uninstalls it, closes its request pipe, on which the
     helper reads EOF and exits, and reaps it.
     """
@@ -157,6 +170,8 @@ class HashHelper:
         self._requests = requests
         self._replies = os.fdopen(replies, "rb")
         self._open = True
+        self.share = 0.5
+        self.builds = 0
 
     @classmethod
     def fork(cls, listener: socket.socket) -> "HashHelper":
@@ -173,6 +188,11 @@ class HashHelper:
         hashing.helper = helper
         return helper
 
+    def balance(self, t: int, split: int, late_ns: float, label_ns: float) -> None:
+        """Count a build that was split, and set ``share`` by ``next_split``."""
+        self.share = next_split(split, t, late_ns, label_ns) / t
+        self.builds += 1
+
     def send(self, seed: bytes, t: int, lo: int) -> bool:
         """Ask for the images of the labels lo+1..t.  False, sending
         nothing, only if the helper is gone; on True the caller reads the
@@ -185,14 +205,17 @@ class HashHelper:
             self._drop(exc)
         return False
 
-    def receive(self, count: int) -> bytes | None:
-        """The ``count`` images asked for by ``send``, joined as read, or
+    def receive(self, count: int) -> tuple[bytes, int] | None:
+        """The ``count`` images asked for by ``send``, joined as read, and
+        the ``time.monotonic_ns()`` at which the helper finished them, or
         None if the helper is lost."""
+        size = count * hashing.DIGEST_LEN
         try:
-            body = self._replies.read(count * hashing.DIGEST_LEN)
-            if len(body) == count * hashing.DIGEST_LEN:
-                return body
-            self._drop(f"EOF after {len(body)} of {count * hashing.DIGEST_LEN} bytes")
+            body = self._replies.read(size)
+            stamp = self._replies.read(_HELPER_STAMP.size)
+            if len(body) + len(stamp) == size + _HELPER_STAMP.size:
+                return body, _HELPER_STAMP.unpack(stamp)[0]
+            self._drop(f"EOF after {len(body) + len(stamp)} of {size + _HELPER_STAMP.size} bytes")
         except OSError as exc:
             self._drop(exc)
         return None
@@ -224,11 +247,12 @@ def _helper_main(listener: socket.socket, requests: int, replies: int, parent_en
         for fd in parent_ends:
             os.close(fd)
         size = _HELPER_REQUEST.size
-        with os.fdopen(requests, "rb") as reader, os.fdopen(replies, "wb") as writer:
+        with os.fdopen(requests, "rb") as reader:
             while len(head := reader.read(size)) == size:
                 seed, t, lo, hi = _HELPER_REQUEST.unpack(head)
-                writer.write(hashing.opened_images((seed,), range(lo, hi), t))
-                writer.flush()
+                images = hashing.opened_images((seed,), range(lo, hi), t)
+                # one write, no copy: with no signal handler here, a blocking pipe takes it all
+                os.writev(replies, (images, _HELPER_STAMP.pack(time.monotonic_ns())))
         code = 0
     finally:
         os._exit(code)
@@ -479,6 +503,8 @@ class CcoServer:
             sock.close()
         if self.helper is not None:
             self.helper.close()
+            _log("debug", "hashing helper %d reaped: %d builds split, the service's last share "
+                 "%.3f of t", self.helper.pid, self.helper.builds, self.helper.share)
             self.helper = None
 
     def __enter__(self) -> "CcoServer":

@@ -1,6 +1,8 @@
 """The service's hashing helper: a forked process that hashes the upper
-half of each full pq commitment build, with replies and hash counts
-identical to the inline build."""
+labels of each full pq commitment build, with replies and hash counts
+identical to the inline build wherever the split falls, and the rule
+that moves the split from build to build so that the service and the
+helper finish together."""
 
 import logging
 import os
@@ -108,6 +110,127 @@ def test_split_builds_reply_and_count_as_inline_builds(backend, monkeypatch):
     assert sends == [True] * BUILDS
 
 
+def spy_splits(helper):
+    """The labels the service kept of each build it handed ``helper``, in order."""
+    splits = []
+    send = helper.send
+    helper.send = lambda seed, t, lo: splits.append(lo) or send(seed, t, lo)
+    return splits
+
+
+@needs_fork
+@pytest.mark.parametrize("at", ("1", "t/4", "t/2", "3t/4", "t-1"))
+@pytest.mark.parametrize("backend", sorted(PARAMS))
+def test_any_split_replies_and_counts_as_inline_builds(backend, at, monkeypatch):
+    hy_material = material(backend, monkeypatch)
+    t = PARAMS[backend].t
+    split = {"1": 1, "t/4": t // 4, "t/2": t // 2, "3t/4": 3 * t // 4, "t-1": t - 1}[at]
+    expected = inline_replies(hy_material)
+    monkeypatch.setattr(transport, "next_split", lambda split, *_: split)  # hold it there
+    with served_with_helper(fresh_store(hy_material)) as server:
+        server.helper.share = split / t
+        splits = spy_splits(server.helper)
+        with transport.CcoClient("127.0.0.1", server.port) as client:
+            got = [counted(client.request_raw, payload) for payload in PAYLOADS]
+        assert server.helper.builds == len(PAYLOADS)
+    assert splits == [split] * len(PAYLOADS)
+    assert got == expected  # byte for byte, and the same hash calls per request
+
+
+@needs_fork
+def test_a_two_label_build_splits_one_and_one(monkeypatch):
+    _, material = pq.keygen([ID_A], pq.PqParams(t=2, k=1, j1=2, j2=4), random.Random(2).randbytes)
+    payloads = tuple(cco.commitment_payload(cco.MSG_PQ, ID_A, epoch) for epoch in (1, 2, 7))
+    expected = inline_replies(material, payloads)
+    with served_with_helper(fresh_store(material)) as server:
+        splits = spy_splits(server.helper)
+        with transport.CcoClient("127.0.0.1", server.port) as client:
+            got = [counted(client.request_raw, payload) for payload in payloads]
+        assert server.helper.builds == len(payloads)
+    assert splits == [1] * len(payloads)
+    assert got == expected
+
+
+# --- the split rule, alone -------------------------------------------------
+
+
+def test_the_split_moves_toward_the_side_that_finished_later():
+    # 10 us late at 1 us per label: 5 labels move to the other side
+    assert transport.next_split(512, 1024, 10_000, 1_000.0) == 517
+    assert transport.next_split(512, 1024, -10_000, 1_000.0) == 507
+    assert transport.next_split(300, 1024, 0, 1_000.0) == 300
+
+
+@pytest.mark.parametrize("t", (2, 16, 1024))
+def test_the_split_stays_within_its_bounds_for_any_input(t):
+    for split in {1, t // 2, t - 1}:
+        for late_ns in (-10**9, -1, 0, 1, 10**9):
+            for label_ns in (-1_000.0, -1e-9, 0, 0.0, 1e-3, 1_000.0):
+                got = transport.next_split(split, t, late_ns, label_ns)
+                assert type(got) is int and 1 <= got <= t - 1, (split, late_ns, label_ns)
+                if label_ns <= 0:
+                    assert got == split
+    # a helper stamp from before the build began: far behind this thread's end
+    start, end = 5_000_000, 5_400_000
+    assert transport.next_split(t // 2, t, 0 - end, (end - start) / (t // 2)) == 1
+
+
+@pytest.mark.parametrize("helper_speed", (0.5, 1.0, 2.0))
+def test_the_split_balances_a_build_whose_service_part_is_40_percent_within_10_builds(helper_speed):
+    # the service does la work of 40% of a build before its labels, the
+    # helper wakes 30 us late and hashes at ``helper_speed`` times the
+    # service's time per label
+    t, label_ns, wake_ns = 1024, 1_000.0, 30_000
+    build_ns = t * label_ns
+    split, gaps = t // 2, []
+    for _ in range(10):
+        service_end = 0.4 * build_ns + split * label_ns
+        helper_end = wake_ns + (t - split) * label_ns * helper_speed
+        gaps.append(abs(helper_end - service_end))
+        split = transport.next_split(split, t, helper_end - service_end, label_ns)
+    assert gaps[-1] <= 0.02 * build_ns
+    assert gaps[0] > 0.02 * build_ns  # it did not start balanced
+
+
+@needs_fork
+def test_a_slow_la_part_leaves_the_helper_more_than_half_of_a_hy_build(monkeypatch):
+    # 25 ms of sleep in each la part is over 10 times the whole build's
+    # hashing: the service keeps one label after the first build, and
+    # back above t/2 only if the helper finished the last one 25 ms late
+    hy_material = material("production", monkeypatch)
+    t = PARAMS["production"].t
+    export = (cco.MSG_HY, ID_B, 1, 10)
+    expected = inline_replies(hy_material, (), (export,))
+    construct = la.construct_commitment
+    monkeypatch.setattr(la, "construct_commitment",
+                        lambda *args: time.sleep(0.025) or construct(*args))
+    with served_with_helper(fresh_store(hy_material)) as server:
+        splits = spy_splits(server.helper)
+        with transport.CcoClient("127.0.0.1", server.port) as client:
+            got = [counted(lambda args: client.batch_export(*args), export)]
+        assert server.helper.builds == 10
+        assert server.helper.share < 0.5
+    assert splits[0] == t // 2 and len(splits) == 10
+    assert got == expected
+
+
+@needs_fork
+def test_the_reaped_helper_logs_its_builds_and_last_share(monkeypatch, caplog):
+    hy_material = material("tiny", monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="hases.cco"):
+        with served_with_helper(fresh_store(hy_material)) as server:
+            helper = server.helper
+            with transport.CcoClient("127.0.0.1", server.port) as client:
+                for payload in PAYLOADS:
+                    client.request_raw(payload)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "hases.cco" and r.getMessage().startswith("hashing helper")]
+    assert lines == [f"hashing helper {helper.pid} reaped: 2 builds split, "
+                     f"the service's last share {helper.share:.3f} of t"]
+    assert caplog.records[-1].getMessage() == lines[0]  # after the connection lines
+    assert 1 / 16 <= helper.share <= 15 / 16
+
+
 @needs_fork
 def test_openings_and_combined_builds_stay_inline(monkeypatch):
     hy_material = material("tiny", monkeypatch)
@@ -123,7 +246,7 @@ def test_openings_and_combined_builds_stay_inline(monkeypatch):
 @needs_fork
 def test_two_builds_at_once_both_split(monkeypatch):
     # two connections ask for full builds at the same time: the service
-    # builds one, then the other, and both hand the helper its half
+    # builds one, then the other, and both hand the helper its share
     # instead of hashing all t entries in this process
     hy_material = material("production", monkeypatch)
     first, second = PAYLOADS[:2]
