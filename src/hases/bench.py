@@ -104,7 +104,7 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
     bundle = keyfiles.VerifierBundle(schemes.LA.tag, None, la.LaParams(group, 1, 1), public)
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "verifier.pub.tables"
-        path.write_bytes(keyfiles.key_tables_bytes(bundle, tables))
+        path.write_bytes(keyfiles.key_tables_bytes(bundle))
         loaded = _row(report, "load_table_per_key",
                       lambda _: keyfiles.load_key_tables(path, bundle, [_BENCH_ID]), trials)
     assert group.table_bytes(loaded[_BENCH_ID]) == group.table_bytes(tables[_BENCH_ID])

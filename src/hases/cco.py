@@ -16,9 +16,8 @@ encodings.
 ``hases.transport`` carries those bytes: the framing, the one-thread
 TCP server and the pipelining client.
 Key generation and signing need the store alone, so they never import a
-socket.  The transport's public names are also reachable from here
-(``cco.CcoClient``, ``cco.CcoServer``, ...); the first such lookup
-imports it.
+socket.  The client is also reachable from here, as ``cco.CcoClient``;
+the first lookup of it imports the transport.
 
 Wire protocol: each request is a 1-byte message type followed by the
 body, sent in one frame of ``hases.transport``.  The scheme types are
@@ -160,18 +159,13 @@ SUM_LEN = 32  # of a combined request's weighted response sum
 # only OK responses are kept, and the store's material never changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
 
-# the names of ``hases.transport`` that ``__getattr__`` serves from here
-_TRANSPORT_NAMES = frozenset({"CcoClient", "CcoServer", "read_frame", "write_frame",
-                              "MAX_REQUEST_FRAME", "PIPELINE_WINDOW"})
-
-
 def __getattr__(name: str):
-    # the transport is imported on the first lookup of one of its names,
-    # not with this module: most commands never open a socket
-    if name in _TRANSPORT_NAMES:
-        from . import transport
+    # ``cco.CcoClient``, as the benchmark reaches the client: the transport is
+    # imported on that lookup, not with this module, as most commands open no socket
+    if name == "CcoClient":
+        from .transport import CcoClient
 
-        return getattr(transport, name)
+        return CcoClient
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

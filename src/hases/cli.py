@@ -85,10 +85,7 @@ def cmd_keygen(args) -> int:
     secret_files[out / "cco.store"] = keyfiles.store_bytes(cco.CcoStore(material))
     public_files = {out / "verifier.pub": bundle.to_bytes()}
     if scheme.has_la:
-        # each key was computed just now, so its table needs no subgroup check
-        tables = {sid: la_params.group.key_table(key) for sid, key in public.items()}
-        public_files[keyfiles.tables_path(out / "verifier.pub")] = keyfiles.key_tables_bytes(
-            bundle, tables)
+        public_files[keyfiles.tables_path(out / "verifier.pub")] = keyfiles.key_tables_bytes(bundle)
 
     # everything validated; only now touch the filesystem
     out.mkdir(parents=True, exist_ok=True)
@@ -104,15 +101,9 @@ def cmd_tables(args) -> int:
     bundle = keyfiles.load_verifier_bundle(args.pub)
     if not bundle.la_params:
         raise ValueError(f"{args.pub} holds no aggregate keys to build tables for")
-    tables = {}
-    for signer_id, key in bundle.public_keys.items():
-        try:
-            tables[signer_id] = bundle.la_params.group.precompute(key)
-        except ValueError as exc:
-            raise ValueError(f"{args.pub}: the key of signer {signer_id.hex()}: {exc}") from exc
     path = keyfiles.tables_path(args.pub)
-    path.write_bytes(keyfiles.key_tables_bytes(bundle, tables))
-    print(f"wrote {len(tables)} key tables to {path}")
+    path.write_bytes(keyfiles.key_tables_bytes(bundle))  # built whole, or no file is touched
+    print(f"wrote {len(bundle.public_keys)} key tables to {path}")
     return EXIT_OK
 
 
@@ -193,17 +184,21 @@ def cmd_serve(args) -> int:
     from .transport import CcoServer, can_split_builds  # keygen and sign never load sockets
 
     server = CcoServer(store, args.host, port)
-    print(f"listening on {args.host}:{server.port}", flush=True)
-    # forked after the line, so the start is not slowed by copy-on-write
-    # faults, and before the loop starts
-    if can_split_builds():
-        server.start_hash_helper()
-    # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, helper reaped, exit 0
+    # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, helper
+    # reaped, exit 0; from before the line, and each also writes a byte to the
+    # loop's wake socket, so one that lands while the loop waits wakes it
     previous = {signum: signal.signal(signum, lambda *_: server.stop())
                 for signum in (signal.SIGTERM, signal.SIGINT)}
+    previous_fd = signal.set_wakeup_fd(server.wakeup_fd)
     try:
+        print(f"listening on {args.host}:{server.port}", flush=True)
+        # forked after the line, so the start is not slowed by copy-on-write
+        # faults, and before the loop starts
+        if can_split_builds():
+            server.start_hash_helper()
         server.serve_forever()
     finally:
+        signal.set_wakeup_fd(previous_fd)
         for signum, handler in previous.items():
             signal.signal(signum, handler)
     return EXIT_OK

@@ -23,11 +23,10 @@ precomputation.  ``precompute(data)`` decodes the key's 32-byte
 encoding, checks that it lies in the order-q subgroup and returns a
 table; ``exp2(table, e, s)`` then returns Y^e * g^s, whose encoding a
 verifier compares with R's bytes (R itself is never decoded), and
-``exp_table(table, e)`` returns Y^e from the table alone.
-``key_table`` builds the same table without the subgroup check, for a
-key its caller has just computed (keygen), and ``table_bytes`` and
-``table_from_bytes`` carry a table to and from the key table file that
-``hases.keyfiles`` writes beside a verifier bundle.
+``exp_table(table, e)`` returns Y^e from the table alone.  Every
+table is built by ``precompute``, keygen's own keys' included, and
+``table_bytes`` and ``table_from_bytes`` carry one to and from the key
+table file that ``hases.keyfiles`` writes beside a verifier bundle.
 
 On edwards25519 there is one multiplication algorithm: a comb of
 signed 4-bit digits (Lim and Lee, CRYPTO '94), built by one routine
@@ -111,11 +110,6 @@ class PrimeOrderGroup:
         """
         raise NotImplementedError
 
-    def key_table(self, data: bytes):
-        """``precompute(data)`` without the subgroup check: only for a key
-        its caller has just made itself, as keygen does."""
-        raise NotImplementedError
-
     table_len: int  # bytes of one table in a table file
 
     def table_bytes(self, table) -> bytes:
@@ -176,9 +170,6 @@ class ModPGroup(PrimeOrderGroup):
 
     def precompute(self, data: bytes) -> int:
         return self.decode_element(data)  # the table is the base itself
-
-    def key_table(self, data: bytes) -> int:
-        return int.from_bytes(data, "big")
 
     table_len = ELEMENT_LEN
 
@@ -391,10 +382,7 @@ class Edwards25519Group(PrimeOrderGroup):
         return _from_ext(_comb_add(_EXT_IDENTITY, table, k % self.q))
 
     def precompute(self, data: bytes):
-        return _order_checked(self.key_table(data))
-
-    def key_table(self, data: bytes):
-        return _comb_table(_to_ext(_decode_point(data)), _KEY_ROWS)
+        return _order_checked(_comb_table(_to_ext(_decode_point(data)), _KEY_ROWS))
 
     table_len = _KEY_ROWS * 8 * 4 * 32  # 8 Niels entries a row, 4 coordinates mod p each
 

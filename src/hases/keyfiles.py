@@ -15,10 +15,13 @@ vary with the scheme): ``signatures_bytes`` builds the container, and
 
 A key table file lies beside an aggregate or hybrid bundle, at
 ``<bundle>.tables``: the comb table of each public key, built once
-so that a verifier need not build it again on every run.  Its layout
-is fixed: the magic, the group tag, the SHA-256 of the bundle's bytes,
-the count and the sorted signer ids (the bundle's), then one table of
-``group.table_len`` bytes per id in that order.
+so that a verifier need not build it again on every run.
+``key_tables_bytes`` alone builds it, for ``hases keygen``, ``hases
+tables`` and ``hases bench`` alike, each table by ``group.precompute``,
+which checks the key first.  Its layout is fixed: the magic, the group
+tag, the SHA-256 of the bundle's bytes, the count and the sorted signer
+ids (the bundle's), then one table of ``group.table_len`` bytes per id
+in that order.
 """
 
 from __future__ import annotations
@@ -189,14 +192,20 @@ def _bundle_digest(bundle: VerifierBundle) -> bytes:
     return hashlib.sha256(bundle.to_bytes()).digest()
 
 
-def key_tables_bytes(bundle: VerifierBundle, tables: dict) -> bytes:
-    """The table file of an aggregate or hybrid ``bundle``, ``tables``
-    holding the table of each of its signers."""
+def key_tables_bytes(bundle: VerifierBundle) -> bytes:
+    """The table file of an aggregate or hybrid ``bundle``: each signer's
+    table built by ``group.precompute`` of its key, so with the subgroup
+    check.  ValueError, naming the signer, for a key that fails it."""
     group = bundle.la_params.group
     ids = sorted(bundle.public_keys)
-    head = _TABLES_MAGIC + bytes((group.backend_tag,)) + _bundle_digest(bundle)
-    return b"".join([head, len(ids).to_bytes(8, "big"), *ids,
-                     *(group.table_bytes(tables[sid]) for sid in ids)])
+    out = [_TABLES_MAGIC, bytes((group.backend_tag,)), _bundle_digest(bundle),
+           len(ids).to_bytes(8, "big"), *ids]
+    for signer_id in ids:
+        try:
+            out.append(group.table_bytes(group.precompute(bundle.public_keys[signer_id])))
+        except ValueError as exc:
+            raise ValueError(f"the key of signer {signer_id.hex()}: {exc}") from exc
+    return b"".join(out)
 
 
 def load_key_tables(path: str | Path, bundle: VerifierBundle, signer_ids) -> dict:

@@ -28,8 +28,12 @@ many waits about one build.  An offline export is such a pipeline:
 ``CcoClient.batch_export`` asks for its epochs as single requests.
 ``MAX_CONNECTIONS``, ``IDLE_TIMEOUT_S`` and ``OUTPUT_CAP`` bound what
 clients can hold of it.  ``CcoServer.stop`` is the one way to end the
-loop, and ``hases serve`` calls it on SIGTERM and SIGINT: the turn in
-progress ends, then every socket is closed and the helper reaped.
+loop, and ``hases serve`` calls it on SIGTERM and SIGINT from before it
+prints its ``listening`` line: the turn in progress ends, then every
+socket is closed and the helper reaped.  While it serves, the loop's
+wake socket (``CcoServer.wakeup_fd``) is the process's signal wakeup
+fd, so a signal that lands while the loop waits in ``select``, or on
+another thread, still wakes it to run the handler.
 Connections are logged at DEBUG on the ``hases.cco`` logger, the
 service's, as they open and close, with the peer and the number of
 requests served; dropped and refused connections and malformed frames
@@ -56,7 +60,7 @@ import socket
 import struct
 import time
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
 
@@ -241,8 +245,11 @@ def _helper_main(listener: socket.socket, requests: int, replies: int, parent_en
     code = 1
     try:
         # Ctrl-C reaches the whole process group: the service stops and
-        # closes the request pipe, and the helper leaves on that EOF
+        # closes the request pipe, and the helper leaves on that EOF.  No
+        # signal runs the service's handler or writes its wakeup fd here
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)
         listener.close()
         for fd in parent_ends:
             os.close(fd)
@@ -366,6 +373,7 @@ class CcoServer:
         self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
         self._listener.setblocking(False)
         self._wake, self._waker = socket.socketpair()  # closing the listener wakes no select
+        self._waker.setblocking(False)  # it may be the process's signal wakeup fd
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
         self._selector.register(self._wake, selectors.EVENT_READ)
@@ -377,6 +385,10 @@ class CcoServer:
     def port(self) -> int:
         return self._listener.getsockname()[1]
 
+    @property
+    def wakeup_fd(self) -> int:  # a byte written to it wakes the loop: for signal.set_wakeup_fd
+        return self._waker.fileno()
+
     def start(self) -> None:
         import threading  # the one thread there is: `hases serve` loops on its main thread
 
@@ -386,7 +398,9 @@ class CcoServer:
     def stop(self) -> None:
         if self._serving:  # a later call finds the loop ending or ended
             self._serving = False
-            self._waker.send(b"\0")
+            # an awake loop may end, and close the socket, before this sends
+            with suppress(OSError):
+                self._waker.send(b"\0")
         if self._thread is not None:
             self._thread.join()
 
@@ -414,6 +428,8 @@ class CcoServer:
                     self._accept()
                 elif key.data:
                     self._io(key.data, events)
+                else:  # the wake socket: a stop's byte or a signal's, read so as not to spin
+                    self._wake.recv(_READ_SIZE)
             busy = False
             now = time.monotonic()
             for conn in list(self._connections):

@@ -776,6 +776,21 @@ class TestKeyTableFiles:
         assert cli.main(["tables", "--pub", str(pub)]) == 0
         assert tables.read_bytes() == written
 
+    @pytest.mark.parametrize("backend", ["production", "tiny"])
+    @pytest.mark.parametrize("scheme", ["la", "hy"])
+    def test_keygen_checks_each_key_it_builds_a_table_of(self, tmp_path, monkeypatch, scheme,
+                                                          backend):
+        # keygen's tables come from group.precompute, as `hases tables`' do:
+        # each key decoded and checked once, its own keys no exception
+        monkeypatch.setenv("HASES_BACKEND", backend)
+        checked = self.counted_precompute(monkeypatch, cli.backend_group())
+        ids = (ID_HEX_1, ID_HEX_2, "c" * 32)
+        assert cli.main(["keygen", "--scheme", scheme, "--ids", write_ids(tmp_path, ids),
+                         "--J", "4", "--J1", "2", "--L", "2", "--t", "64", "--k", "8",
+                         "--out", str(tmp_path / "keys")]) == 0
+        public = keyfiles.load_verifier_bundle(tmp_path / "keys" / "verifier.pub").public_keys
+        assert len(public) == 3 and sorted(checked) == sorted(public.values())
+
     def test_pq_keygen_writes_no_table_file(self, tmp_path, capsys):
         out = keygen(tmp_path, "pq", ["--J1", "4"])
         assert not keyfiles.tables_path(out / "verifier.pub").exists()
@@ -873,6 +888,64 @@ class TestKeyTableFiles:
         assert f"error: {pub} is not a verifier bundle: signer ids not in strictly" in output.err
 
 
+def wakeup_fd() -> int:
+    """The process's signal wakeup fd, set back as it was."""
+    fd = signal.set_wakeup_fd(-1)
+    signal.set_wakeup_fd(fd)
+    return fd
+
+
+def test_a_stop_signalled_while_the_loop_waits_exits_at_once(tmp_path, monkeypatch):
+    # SIGTERM reaches another thread while the idle loop waits in select with
+    # no timeout: its handler runs only once the main thread runs bytecode
+    # again, so the signal must wake the loop itself (its wakeup fd).  Else the
+    # signalling thread wakes the loop with a connection after 3 s, and the
+    # test fails on the time, not by hanging
+    out = keygen(tmp_path, "pq", ["--J1", "4"])
+    registered, sent = [], []
+    waiting, returned = threading.Event(), threading.Event()
+
+    class Selector(selectors.DefaultSelector):
+        def register(self, fileobj, events, data=None):
+            registered.append(fileobj)  # the listener first
+            return super().register(fileobj, events, data)
+
+        def select(self, timeout=None):
+            if timeout is None:  # idle: no connection to time out
+                waiting.set()
+            return super().select(timeout)
+
+    def signaller():
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        assert waiting.wait(10)
+        time.sleep(0.2)  # into the select call
+        sent.append(time.monotonic())
+        signal.pthread_kill(threading.get_ident(), signal.SIGTERM)  # to this thread
+        if not returned.wait(3):
+            socket.create_connection(registered[0].getsockname()[:2], timeout=10).close()
+
+    monkeypatch.setattr(transport.selectors, "DefaultSelector", Selector)
+    monkeypatch.setattr(transport, "can_split_builds", lambda: False)  # fork no helper here
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    fd = wakeup_fd()
+    thread = threading.Thread(target=signaller, daemon=True)
+    thread.start()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})  # never on the main thread
+    try:
+        code = cli.main(["serve", "--store", str(out / "cco.store"), "--port", "0"])
+        stopped = time.monotonic()
+    finally:
+        returned.set()
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+        signal.set_wakeup_fd(fd)
+        thread.join(10)
+    assert code == 0 and not thread.is_alive()
+    assert stopped - sent[0] < 2.0  # 0.01 s where the signal wakes the loop, 3 s where not
+    assert [sock for sock in registered if sock.fileno() != -1] == []
+
+
 def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatch):
     # SIGTERM lands while the loop closes a client's connection, between the
     # selector's unregister and the rest of the close: `hases serve` must
@@ -904,15 +977,18 @@ def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatc
     monkeypatch.setattr(transport.selectors, "DefaultSelector", Selector)
     monkeypatch.setattr(transport, "can_split_builds", lambda: False)  # fork no helper here
     handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    fd = wakeup_fd()
     thread = threading.Thread(target=client, daemon=True)
     thread.start()
     try:
         code = cli.main(["serve", "--store", str(out / "cco.store"), "--port", "0"])
-        # the handlers from before the call, not the service's, are installed again
+        # the handlers and the wakeup fd from before the call, not the service's, are set again
         assert {signum: signal.getsignal(signum) for signum in handlers} == handlers
+        assert wakeup_fd() == fd
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
+        signal.set_wakeup_fd(fd)
         thread.join(10)
     assert code == 0 and not thread.is_alive()
     assert len(signalled) == 1 and replies[0][:2] == bytes((0x81, cco.STATUS_OK))
@@ -982,6 +1058,18 @@ class TestServeSubprocess:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"error: {store} is not a key store file: "
                                "key store file holds no key material\n")
+
+    def test_a_stop_signalled_as_the_line_is_read_exits_0(self, tmp_path):
+        # the handlers are installed before the line, the helper forked after
+        # it: a SIGTERM sent the moment the line is read stops the service, not
+        # the default action (-15)
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        for _ in range(5):
+            proc, _ = self.start_server(tmp_path, out / "cco.store")
+            proc.terminate()
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+            proc.stdout.close()
+            proc.stderr.close()
 
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])

@@ -265,15 +265,6 @@ class TestProductionGroup:
                     assert g.exp2(table, k, 0) == expected
                     assert g.exp2(table, k, q - 1 - k) == g.mul(expected, g.exp(g.generator, q - 1 - k))
 
-    def test_key_table_is_precompute_without_the_check(self, small_order_points):
-        g = self.g
-        key = g.encode_element(g.exp(g.generator, 4242))
-        assert g.key_table(key) == g.precompute(key)
-        shifted = g.encode_element(g.mul(g.exp(g.generator, 4242), small_order_points[1]))
-        g.key_table(shifted)  # no subgroup check: keygen's own keys only
-        with pytest.raises(ValueError):
-            g.precompute(shifted)
-
     @pytest.mark.parametrize("make", [production_group, small_test_group])
     def test_table_bytes_round_trip(self, make):
         g = make()

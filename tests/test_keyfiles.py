@@ -311,7 +311,7 @@ def test_key_table_file_round_trip(tmp_path, make):
     _, public, material = hy.keygen(ids, group, 2, PQ_TOY, fixed_rng(7))
     bundle = keyfiles.VerifierBundle(schemes.HY.tag, PQ_TOY, material.la.params, public)
     tables = {sid: group.precompute(key) for sid, key in public.items()}
-    blob = keyfiles.key_tables_bytes(bundle, tables)
+    blob = keyfiles.key_tables_bytes(bundle)
     assert len(blob) == 13 + 1 + 32 + 8 + 3 * (16 + group.table_len)
     path = keyfiles.tables_path(tmp_path / "verifier.pub")
     assert path.name == "verifier.pub.tables"
