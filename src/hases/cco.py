@@ -3,12 +3,9 @@
 The store is the only holder of master secrets.  It answers per-epoch
 commitment requests for all three schemes and never exposes key bytes:
 every response carries only public commitment material.  The trust
-boundary is ``hases serve`` together with the hashing helper it may
-fork (``hases.transport.HashHelper``), a copy of the service's process
-that receives epoch seeds over a pipe and hashes the upper labels of
-each full pq build, while the service derives a hy build's la part and
-then hashes the rest; hosting the same store inside a hardware
-enclave is a deployment substitution, not a code change.
+boundary is the one ``hases serve`` process, which builds every reply
+on its one thread and forks nothing; hosting the same store inside a
+hardware enclave is a deployment substitution, not a code change.
 
 The service is two modules.  This one is bytes in, bytes out: the store,
 the request table (``_REQUESTS``), and the request and response
@@ -114,7 +111,7 @@ service with the verifier should wrap the transport accordingly.
 Concurrency: material is fixed when the store is made; requests change
 only the cache and the chain cursor.  The store takes no lock: its one
 caller, the service's loop (``hases.transport``), builds one request at
-a time, so no build ever finds the hashing helper busy.
+a time.
 """
 
 from __future__ import annotations
@@ -212,25 +209,20 @@ class CcoStore:
 
     # -- commitment construction -----------------------------------------
 
-    def pq_commitment(self, signer_id: bytes, epoch: int, meanwhile=None) -> pq.PqCommitment:
-        material = self.pq_material()
-        return pq.construct_commitment(material, signer_id, epoch, self._cursor, meanwhile)
+    def pq_commitment(self, signer_id: bytes, epoch: int) -> pq.PqCommitment:
+        return pq.construct_commitment(self.pq_material(), signer_id, epoch, self._cursor)
 
     def la_commitment(self, signer_id: bytes, epoch: int) -> la.LaCommitment:
         return la.construct_commitment(self.la_material(), signer_id, epoch)
 
     def hy_commitment(self, signer_id: bytes, epoch: int) -> hy.HyCommitment:
         """Both parts, refused before any hashing: a missing part, then
-        the la id and range, then the pq id and range.  The la part is
-        derived once the pq seed is walked to and a hashing helper has
-        its share of the pq entries, so the two overlap."""
-        la_part = self.la_material()
-        self.pq_material()
+        the la id and range, then the pq id and range."""
+        la_part, pq_part = self.la_material(), self.pq_material()
         hashing.check_epochs(la_part.signer_ids, signer_id, epoch, epoch, la_part.params.max_batches)
-        la_commitment = []
-        pq_commitment = self.pq_commitment(
-            signer_id, epoch, lambda: la_commitment.append(self.la_commitment(signer_id, epoch)))
-        return hy.HyCommitment(*la_commitment, pq_commitment)
+        hashing.check_epochs(pq_part.anchors, signer_id, epoch, epoch, pq_part.params.epochs)
+        return hy.HyCommitment(self.la_commitment(signer_id, epoch),
+                               self.pq_commitment(signer_id, epoch))
 
     def pq_opening(self, signer_id: bytes, epoch: int, indices) -> pq.PqOpening:
         return pq.open_commitment(self.pq_material(), signer_id, epoch, indices, self._cursor)

@@ -181,21 +181,17 @@ def cmd_serve(args) -> int:
     store = keyfiles.load_store(args.store)
     import signal
 
-    from .transport import CcoServer, can_split_builds  # keygen and sign never load sockets
+    from .transport import CcoServer  # keygen and sign never load sockets
 
     server = CcoServer(store, args.host, port)
-    # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, helper
-    # reaped, exit 0; from before the line, and each also writes a byte to the
-    # loop's wake socket, so one that lands while the loop waits wakes it
+    # SIGTERM and Ctrl-C stop the loop after its turn: sockets closed, exit 0;
+    # from before the line, and each also writes a byte to the loop's wake
+    # socket, so one that lands while the loop waits wakes it
     previous = {signum: signal.signal(signum, lambda *_: server.stop())
                 for signum in (signal.SIGTERM, signal.SIGINT)}
     previous_fd = signal.set_wakeup_fd(server.wakeup_fd)
     try:
         print(f"listening on {args.host}:{server.port}", flush=True)
-        # forked after the line, so the start is not slowed by copy-on-write
-        # faults, and before the loop starts
-        if can_split_builds():
-            server.start_hash_helper()
         server.serve_forever()
     finally:
         signal.set_wakeup_fd(previous_fd)

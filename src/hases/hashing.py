@@ -32,8 +32,8 @@ label is hashed on a copy of that state, and the state's own digest,
 H1(seed), is the next seed.  ``nested_digests`` is a hy batch's 2L - 1
 chained H0 calls in one loop, and ``iter_hash`` a chain walk, each call
 on a copy of the hashed domain byte.  ``commitment_images`` and
-``opened_images`` (a full build, a helper's share of one, or a pq
-opening of a run of epochs, a ``0x05`` request) share one loop:
+``opened_images`` (a full build, or a pq opening of a run of epochs, a
+``0x05`` request) share one loop:
 ``byte(2)`` is hashed once per call and ``byte(1) || seed`` once per
 seed, and each label is hashed H1 then H2 on copies of those states.
 Each returns exactly what the ``domain_hash``/``hash_to_scalar``
@@ -58,13 +58,6 @@ OpenSSL 3.0.19): ``revealed_strings`` x1.15, ``_images`` x1.18,
 ``nested_digests`` x1.22, ``prefixed_hashes`` x1.18,
 ``prefixed_scalars`` x1.12, ``combination_weights`` x1.13.
 
-``helper`` is None except in ``hases serve``, which may install a
-forked hashing process there (``hases.transport.HashHelper``) that
-``commitment_images`` hands the upper labels of a full build first, at
-a split that earlier builds' times set, so that what the build runs
-meanwhile (a hy build's la part) and its lower labels end with the
-helper's hashing; its labels come back as one body, appended as read.
-
 A module-level call counter backs the benchmark harness.  Increments are
 plain integer adds: safe under the GIL, but reset/read is only
 meaningful while a single benchmark runs at a time.
@@ -73,8 +66,7 @@ meaningful while a single benchmark runs at a time.
 from __future__ import annotations
 
 import functools
-import time
-from typing import Callable, Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .errors import EpochOutOfRange, UnknownSigner
 from .records import SlotRecord
@@ -111,8 +103,6 @@ class HashCounters(SlotRecord):
 
 
 counters = HashCounters()
-
-helper = None  # or a service's ``hases.transport.HashHelper``: see the module docstring
 
 _PREFIX = (b"\x00", b"\x01", b"\x02")
 _COUNTER_SLOTS = HashCounters.__slots__
@@ -312,40 +302,10 @@ def images_match(preimages: bytes, images: bytes) -> bool:
     return matched
 
 
-def commitment_images(seed: bytes, t: int, meanwhile: Callable[[], object] | None = None) -> bytes:
+def commitment_images(seed: bytes, t: int) -> bytes:
     """The entry body: ``H2(H1(seed || label))`` for the labels 1..t, in
-    label order, joined; counted as the 2t calls of that composition.
-
-    With a ``helper`` installed, it hashes the labels above its ``share``
-    of t in its own process while this thread runs ``meanwhile``, if
-    given, then the rest; its reply is appended as read, and when each
-    side finished sets the next share.  It takes one build at a time,
-    which the service's one loop ensures; one that is lost leaves its
-    labels to this thread.  The body and the count are the same either
-    way; ``meanwhile`` runs once, before this thread hashes any entry,
-    and what it raises is raised once the helper's reply is read."""
-    labels = label_table(t)
-    hasher = helper
-    split = hasher and round(hasher.share * t)
-    if not split or not hasher.send(seed, t, split):
-        if meanwhile is not None:
-            meanwhile()
-        return _images((seed,), labels)
-    try:
-        if meanwhile is not None:
-            meanwhile()
-        start = time.monotonic_ns()
-        lower = _images((seed,), labels[:split])
-        end = time.monotonic_ns()
-    finally:
-        # read even if the above raised: an unread reply would answer the next build
-        upper = hasher.receive(t - split)
-    if upper is None:
-        return lower + _images((seed,), labels[split:])
-    hasher.balance(t, split, upper[1] - end, (end - start) / split)  # upper[1]: the helper's end
-    _count(DOM_CHAIN, t - split)
-    _count(DOM_COMMIT, t - split)
-    return lower + upper[0]
+    label order, joined; counted as the 2t calls of that composition."""
+    return _images((seed,), label_table(t))
 
 
 def opened_images(seeds: Sequence[bytes], indices: Sequence[int], t: int) -> bytes:

@@ -341,17 +341,14 @@ def sign(state: PqSignerState, message: bytes) -> PqSignature:
 
 def construct_commitment(
     material: PqKeyMaterial, signer_id: bytes, epoch: int, cursor: Cursor | None = None,
-    meanwhile: Callable[[], object] | None = None,
 ) -> PqCommitment:
     """Rebuild the one-time commitment for (signer, epoch) at the store.
 
     Entry x is H2(H1(seed || x)) for the labels x = 1..t, as ``sign``
     reveals them.  Costs 2t hashes plus the chain walk of ``_seeds``.
-    ``meanwhile`` runs once the seed is walked to, while a hashing
-    helper hashes its share of the entries (``commitment_images``).
     """
     (seed,) = _seeds(material, signer_id, epoch, epoch, cursor)
-    return PqCommitment(signer_id, epoch, commitment_images(seed, material.params.t, meanwhile))
+    return PqCommitment(signer_id, epoch, commitment_images(seed, material.params.t))
 
 
 def open_commitment(

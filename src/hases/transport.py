@@ -20,41 +20,31 @@ The server reads requests of at most ``MAX_REQUEST_FRAME`` bytes: a
 longer length prefix is answered as malformed and the connection is
 closed, its body unread.
 
-The server is one ``selectors`` loop on one thread: more threads would
-buy no parallelism, as SHA-256 holds the interpreter lock for
-inputs this short.  Each turn of the loop builds at most one reply per
-connection, so a request that comes while another connection pipelines
-many waits about one build.  An offline export is such a pipeline:
+The server is one ``selectors`` loop on one thread of one process,
+which builds every reply inline, so epoch seeds never leave ``hases
+serve``.  More threads would buy no parallelism, as SHA-256 holds the
+interpreter lock for inputs this short, and a second process hashing
+part of each full build measured slower than the loop alone (README).
+Each turn of the loop builds at most one reply per connection, so a
+request that comes while another connection pipelines many waits about
+one build.  An offline export is such a pipeline:
 ``CcoClient.batch_export`` asks for its epochs as single requests.
 ``MAX_CONNECTIONS``, ``IDLE_TIMEOUT_S`` and ``OUTPUT_CAP`` bound what
 clients can hold of it.  ``CcoServer.stop`` is the one way to end the
 loop, and ``hases serve`` calls it on SIGTERM and SIGINT from before it
 prints its ``listening`` line: the turn in progress ends, then every
-socket is closed and the helper reaped.  While it serves, the loop's
-wake socket (``CcoServer.wakeup_fd``) is the process's signal wakeup
-fd, so a signal that lands while the loop waits in ``select``, or on
-another thread, still wakes it to run the handler.
+socket is closed.  While it serves, the loop's wake socket
+(``CcoServer.wakeup_fd``) is the process's signal wakeup fd, so a
+signal that lands while the loop waits in ``select``, or on another
+thread, still wakes it to run the handler.
 Connections are logged at DEBUG on the ``hases.cco`` logger, the
 service's, as they open and close, with the peer and the number of
 requests served; dropped and refused connections and malformed frames
 at WARNING.
-
-``hases serve`` on two or more CPUs forks one ``HashHelper``: each full
-pq commitment build (``0x01``, the pq part of ``0x03``) first hands the
-helper the upper labels of its t entries, then hashes the lower ones
-while the helper hashes the upper, which a second thread could not do.
-A hy build derives its la part between the two, so that too overlaps
-the helper's labels, and the helper's reply is taken whole into the
-entry body.  Each build moves the split by half the gap between the two
-sides' ends (``next_split``).  With one build at a time, every full
-build splits.  Openings (``0x05``) and combined commitments (``0x08``)
-are built inline: they hash 2k entries, not 2t, and the verifiers that
-send them keep the other CPU busy.
 """
 
 from __future__ import annotations
 
-import os
 import selectors
 import socket
 import struct
@@ -64,7 +54,6 @@ from contextlib import closing, suppress
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator
 
-from . import hashing
 from .cco import (
     MAX_FRAME,
     RESPONSE_BIT,
@@ -123,146 +112,6 @@ def read_frame(stream: BinaryIO) -> bytes | None:
     if len(payload) < length:
         raise MalformedFrame("truncated frame body")
     return payload
-
-
-# --- the hashing helper --------------------------------------------------
-
-# what a build sends the helper: seed(32) t(4) lo(4) hi(4)
-_HELPER_REQUEST = struct.Struct(">32sIII")
-_HELPER_STAMP = struct.Struct(">Q")  # after the images, its time.monotonic_ns() once done
-
-
-def can_split_builds() -> bool:
-    """Whether this process may fork and run on two or more CPUs."""
-    if not hasattr(os, "fork"):
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-def next_split(split: int, t: int, late_ns: float, label_ns: float) -> int:
-    """The labels the service keeps of the next build of t, after one in
-    which it hashed ``split`` labels at ``label_ns`` each and the helper
-    finished ``late_ns`` after it (negative: before): half the gap moves,
-    as a label moved closes two labels of it, and each side keeps one."""
-    if label_ns > 0:
-        split += late_ns / label_ns / 2
-    return round(min(max(split, 1), t - 1))
-
-
-class HashHelper:
-    """A forked process that hashes part of each full pq commitment build.
-
-    ``fork`` starts it and installs it as ``hashing.helper``.
-    ``hashing.commitment_images`` then sends it ``_HELPER_REQUEST`` over
-    one pipe and reads back H2(H1(seed || label)) for the labels
-    lo+1..hi, 32 bytes each, then its ``_HELPER_STAMP``, over another,
-    while the calling thread runs what the build does meanwhile and
-    hashes the labels below, ``share`` of the t (half at first, then as
-    ``balance`` sets it); the reply is read even when that raises, so
-    the pipe stays in step.  It takes one build at a time, as the
-    service's one loop runs them, so no build finds it busy.
-    A write that fails or a read that meets EOF drops the helper, with
-    one WARNING on ``hases.cco``, and leaves its labels to the caller.
-    ``close`` uninstalls it, closes its request pipe, on which the
-    helper reads EOF and exits, and reaps it.
-    """
-
-    def __init__(self, pid: int, requests: int, replies: int):
-        self.pid = pid
-        self._requests = requests
-        self._replies = os.fdopen(replies, "rb")
-        self._open = True
-        self.share = 0.5
-        self.builds = 0
-
-    @classmethod
-    def fork(cls, listener: socket.socket) -> "HashHelper":
-        """Fork the helper, which first closes ``listener``, and install it.
-        Fork before any thread starts: the child runs only the helper's loop."""
-        requests_r, requests_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            _helper_main(listener, requests_r, replies_w, (requests_w, replies_r))
-        os.close(requests_r)
-        os.close(replies_w)
-        helper = cls(pid, requests_w, replies_r)
-        hashing.helper = helper
-        return helper
-
-    def balance(self, t: int, split: int, late_ns: float, label_ns: float) -> None:
-        """Count a build that was split, and set ``share`` by ``next_split``."""
-        self.share = next_split(split, t, late_ns, label_ns) / t
-        self.builds += 1
-
-    def send(self, seed: bytes, t: int, lo: int) -> bool:
-        """Ask for the images of the labels lo+1..t.  False, sending
-        nothing, only if the helper is gone; on True the caller reads the
-        reply with ``receive``."""
-        try:
-            if self._open:
-                os.write(self._requests, _HELPER_REQUEST.pack(seed, t, lo, t))
-                return True
-        except OSError as exc:
-            self._drop(exc)
-        return False
-
-    def receive(self, count: int) -> tuple[bytes, int] | None:
-        """The ``count`` images asked for by ``send``, joined as read, and
-        the ``time.monotonic_ns()`` at which the helper finished them, or
-        None if the helper is lost."""
-        size = count * hashing.DIGEST_LEN
-        try:
-            body = self._replies.read(size)
-            stamp = self._replies.read(_HELPER_STAMP.size)
-            if len(body) + len(stamp) == size + _HELPER_STAMP.size:
-                return body, _HELPER_STAMP.unpack(stamp)[0]
-            self._drop(f"EOF after {len(body) + len(stamp)} of {size + _HELPER_STAMP.size} bytes")
-        except OSError as exc:
-            self._drop(exc)
-        return None
-
-    def _drop(self, reason) -> None:
-        _log("warning", "hashing helper %d lost (%s): commitments are built inline", self.pid, reason)
-        self.close()
-
-    def close(self) -> None:
-        if hashing.helper is self:
-            hashing.helper = None
-        if self._open:
-            self._open = False
-            os.close(self._requests)
-            self._replies.close()
-            os.waitpid(self.pid, 0)
-
-
-def _helper_main(listener: socket.socket, requests: int, replies: int, parent_ends) -> None:
-    """The helper process: answer each request until EOF, then exit.  Never returns."""
-    import signal
-
-    code = 1
-    try:
-        # Ctrl-C reaches the whole process group: the service stops and
-        # closes the request pipe, and the helper leaves on that EOF.  No
-        # signal runs the service's handler or writes its wakeup fd here
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.set_wakeup_fd(-1)
-        listener.close()
-        for fd in parent_ends:
-            os.close(fd)
-        size = _HELPER_REQUEST.size
-        with os.fdopen(requests, "rb") as reader:
-            while len(head := reader.read(size)) == size:
-                seed, t, lo, hi = _HELPER_REQUEST.unpack(head)
-                images = hashing.opened_images((seed,), range(lo, hi), t)
-                # one write, no copy: with no signal handler here, a blocking pipe takes it all
-                os.writev(replies, (images, _HELPER_STAMP.pack(time.monotonic_ns())))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 # --- TCP server / client -------------------------------------------------
@@ -366,7 +215,6 @@ class CcoServer:
 
     def __init__(self, store: CcoStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
-        self.helper: HashHelper | None = None
         # a backlog of 5, socketserver's, drops the SYNs of a burst of
         # connects (every `hases verify --cco` opens one), and a dropped SYN
         # costs its client a one-second retransmit
@@ -403,11 +251,6 @@ class CcoServer:
                 self._waker.send(b"\0")
         if self._thread is not None:
             self._thread.join()
-
-    def start_hash_helper(self) -> None:
-        """Fork a ``HashHelper`` for this process's builds; ``server_close``
-        reaps it.  Call it before ``start`` or ``serve_forever``."""
-        self.helper = HashHelper.fork(self._listener)
 
     def serve_forever(self) -> None:
         """Run the loop until ``stop``, then ``server_close``."""
@@ -508,20 +351,14 @@ class CcoServer:
         _log("debug", "connection from %s:%s closed after %d requests", *conn.peer, conn.served)
 
     def server_close(self) -> None:
-        """Close the listener and every connection, and reap the helper;
-        once the loop has stopped, or in place of it.  A second call does
-        nothing more."""
+        """Close the listener and every connection; once the loop has
+        stopped, or in place of it.  A second call does nothing more."""
         self._serving = False  # a ``stop`` from now on sends on no closed socket
         for conn in list(self._connections):
             self._close(conn)
         self._selector.close()
         for sock in (self._listener, self._wake, self._waker):
             sock.close()
-        if self.helper is not None:
-            self.helper.close()
-            _log("debug", "hashing helper %d reaped: %d builds split, the service's last share "
-                 "%.3f of t", self.helper.pid, self.helper.builds, self.helper.share)
-            self.helper = None
 
     def __enter__(self) -> "CcoServer":
         self.start()

@@ -235,6 +235,15 @@ def test_every_refusal_is_answered_before_any_hashing():
                 reply = store.handle_request(refusable_payload(msg_type, signer_id, epoch))
                 if reply != bytes((msg_type | cco.RESPONSE_BIT, status)) or counters.total():
                     wrong.append((sorted(parts), msg_type, refusal, reply.hex(), counters.total()))
+    # a hy store whose pq part ends before its la part: an epoch past the pq
+    # range alone is refused before the la part is built
+    _, short_pq = pq.keygen([ID_A], pq.PqParams(t=8, k=4, j1=2, j2=4), fixed_rng(98))
+    store = cco.CcoStore(hy.HyKeyMaterial(material.la, short_pq))
+    assert material.la.params.max_batches >= PQ_TOY.epochs > short_pq.params.epochs
+    counters.reset()
+    reply = store.handle_request(cco.commitment_payload(cco.MSG_HY, ID_A, PQ_TOY.epochs))
+    if reply != bytes((cco.MSG_HY | cco.RESPONSE_BIT, cco.STATUS_EPOCH_RANGE)) or counters.total():
+        wrong.append((["pq", "la"], cco.MSG_HY, "past the pq range", reply.hex(), counters.total()))
     assert not wrong
 
 

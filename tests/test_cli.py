@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -925,7 +926,6 @@ def test_a_stop_signalled_while_the_loop_waits_exits_at_once(tmp_path, monkeypat
             socket.create_connection(registered[0].getsockname()[:2], timeout=10).close()
 
     monkeypatch.setattr(transport.selectors, "DefaultSelector", Selector)
-    monkeypatch.setattr(transport, "can_split_builds", lambda: False)  # fork no helper here
     handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
     fd = wakeup_fd()
     thread = threading.Thread(target=signaller, daemon=True)
@@ -975,7 +975,6 @@ def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatc
                 cco.commitment_payload(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)))
 
     monkeypatch.setattr(transport.selectors, "DefaultSelector", Selector)
-    monkeypatch.setattr(transport, "can_split_builds", lambda: False)  # fork no helper here
     handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
     fd = wakeup_fd()
     thread = threading.Thread(target=client, daemon=True)
@@ -993,6 +992,22 @@ def test_a_stop_signalled_while_a_connection_closes_exits_0(tmp_path, monkeypatc
     assert code == 0 and not thread.is_alive()
     assert len(signalled) == 1 and replies[0][:2] == bytes((0x81, cco.STATUS_OK))
     assert [sock for sock in registered if sock.fileno() != -1] == []
+
+
+linux_only = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+
+
+def child_pids(pid):
+    """The pids of the processes whose parent is ``pid``, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            pids.append(int(stat.parent.name))
+    return pids
 
 
 class TestServeSubprocess:
@@ -1060,9 +1075,8 @@ class TestServeSubprocess:
                                "key store file holds no key material\n")
 
     def test_a_stop_signalled_as_the_line_is_read_exits_0(self, tmp_path):
-        # the handlers are installed before the line, the helper forked after
-        # it: a SIGTERM sent the moment the line is read stops the service, not
-        # the default action (-15)
+        # the handlers are installed before the line: a SIGTERM sent the
+        # moment the line is read stops the service, not the default action (-15)
         out = keygen(tmp_path, "pq", ["--J1", "4"])
         for _ in range(5):
             proc, _ = self.start_server(tmp_path, out / "cco.store")
@@ -1070,6 +1084,47 @@ class TestServeSubprocess:
             assert proc.wait(timeout=10) == 0, proc.stderr.read()
             proc.stdout.close()
             proc.stderr.close()
+
+    @contextmanager
+    def served_once(self, tmp_path):
+        """A ``hases serve`` process of a t=1024 pq store, and its port, once
+        it has answered a full ``0x01`` build as the store does in process;
+        killed on exit."""
+        out = keygen(tmp_path, "pq", ["--J1", "4"])
+        proc, port = self.start_server(tmp_path, out / "cco.store")
+        payload = cco.commitment_payload(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)
+        with proc:
+            try:
+                with transport.CcoClient("127.0.0.1", port) as client:
+                    reply = client.request_raw(payload)
+                assert reply == keyfiles.load_store(out / "cco.store").handle_request(payload)
+                yield proc, port
+            finally:
+                proc.kill()
+
+    def test_sigterm_after_a_build_exits_0_with_no_traceback(self, tmp_path):
+        with self.served_once(tmp_path) as (proc, _):
+            proc.terminate()
+            assert proc.wait(timeout=10) == 0
+            assert "Traceback" not in proc.stderr.read()
+
+    @linux_only
+    def test_the_service_forks_nothing(self, tmp_path):
+        with self.served_once(tmp_path) as (proc, _):
+            assert child_pids(proc.pid) == []
+
+    @linux_only
+    def test_three_open_connections_are_served_by_one_thread(self, tmp_path):
+        payload = cco.commitment_payload(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 2)
+        with self.served_once(tmp_path) as (proc, port):
+            clients = [transport.CcoClient("127.0.0.1", port) for _ in range(3)]
+            try:
+                for client in clients:
+                    assert client.request_raw(payload)[1] == cco.STATUS_OK
+                assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
+            finally:
+                for client in clients:
+                    client.close()
 
     def test_request_error_status_exits_2(self, tmp_path):
         out = keygen(tmp_path, "pq", ["--J1", "4"])
