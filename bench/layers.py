@@ -1,4 +1,6 @@
-"""Signer-cost and size measurements.
+"""Signer-cost and size measurements of each layer, one scheme per run.
+
+    PYTHONPATH=src python bench/layers.py --scheme {pq,la,hy} [--trials N]
 
 Hash-call figures come straight from the instrumented counters in
 ``hashing`` and are exact.  Each trial is timed on its own: a row's
@@ -6,20 +8,25 @@ Hash-call figures come straight from the instrumented counters in
 and its quartiles (``wall_us_q1``, ``wall_us_median``, ``wall_us_q3``)
 show the spread beside it.  Reports render both as an aligned human
 table and as line-oriented ``key=value`` pairs so harnesses can diff
-them.
+them.  ``HASES_BACKEND`` selects the group of the la and hy runs, as
+for ``hases keygen``.
 """
 
 from __future__ import annotations
 
+import argparse
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-from . import cco, hy, keyfiles, la, pq, schemes
-from .group import PrimeOrderGroup, production_group
-from .hashing import DOM_MESSAGE, counters, domain_hash
+from hases import cco, hy, keyfiles, la, pq, schemes
+from hases.cli import EXIT_ERROR, EXIT_OK, backend_group
+from hases.errors import HasesError
+from hases.group import PrimeOrderGroup, production_group
+from hases.hashing import DOM_MESSAGE, counters, domain_hash
 
 
 class OpStats(NamedTuple):
@@ -291,9 +298,20 @@ def bench_hy(
     opening = _row(report, "open_commitment",
                    lambda _: pq.open_commitment(material.pq, _BENCH_ID, epoch, indices), trials)
 
+    # the checks ``hases verify`` runs on a hy unit: its two layers apart,
+    # the pq layer against the opening the service sends
     tables = _measure_key_tables(report, public, group, trials)
-    assert _row(report, "verify_batch", lambda _: hy.verify_batch(
-        tables[_BENCH_ID], commitment, batch, signature, group, pq_params), trials)
+    bundle = keyfiles.VerifierBundle(schemes.HY.tag, pq_params,
+                                     la.LaParams(group, pq_params.epochs, batch_size), public)
+
+    def check(_):
+        (nested, la_signature, challenge), (inner, pq_signature, indices) = schemes.HY.layers(
+            batch, signature, bundle)
+        return la.verify_batch(
+            tables[_BENCH_ID], commitment.la, nested, la_signature, group, challenge
+        ) and pq.verify(opening, inner, pq_signature, pq_params, indices)
+
+    assert _row(report, "verify_batch", check, trials)
 
     # the aggregate layer of a hybrid tag signs the nested digests
     _measure_combined(report, group, hy.nest(batch), trials)
@@ -303,3 +321,35 @@ def bench_hy(
     report.sizes["commitment.total_bytes"] = len(commitment.to_bytes())
     report.sizes["opening_bytes"] = len(opening.to_bytes())
     return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="measure signer costs and sizes")
+    parser.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
+    parser.add_argument("--trials", type=int, default=32)
+    parser.add_argument("--t", type=int, default=1024)
+    parser.add_argument("--k", type=int, default=16)
+    parser.add_argument("--J1", type=int, default=0)
+    parser.add_argument("--J2", type=int, default=0)
+    parser.add_argument("--L", type=int, default=0)
+    args = parser.parse_args(argv)
+    try:
+        if args.scheme == "la":
+            report = bench_la(backend_group(), max_batches=max(args.trials, 64),
+                              batch_size=args.L or 8, trials=args.trials)
+        else:
+            params = pq.PqParams(t=args.t, k=args.k, j1=args.J1 or 1, j2=args.J2 or 64)
+            report = (bench_pq(params, args.trials) if args.scheme == "pq"
+                      else bench_hy(params, backend_group(), args.L or 8, args.trials))
+    except (HasesError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print(report.table())
+    print()
+    for line in report.machine_lines():
+        print(line)
+    return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -232,29 +232,6 @@ def _parse_span(text: str) -> tuple[int, int]:
     return _unsigned(lo, 64, "--export"), _unsigned(hi, 64, "--export")
 
 
-# --- bench ---------------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    from . import bench  # no other command loads it
-    if args.scheme == "pq":
-        params = pq.PqParams(t=args.t, k=args.k, j1=args.J1 or 1, j2=args.J2 or 64)
-        report = bench.bench_pq(params, args.trials)
-    elif args.scheme == "la":
-        report = bench.bench_la(
-            backend_group(), max_batches=max(args.trials, 64), batch_size=args.L or 8,
-            trials=args.trials,
-        )
-    else:
-        params = pq.PqParams(t=args.t, k=args.k, j1=args.J1 or 1, j2=args.J2 or 64)
-        report = bench.bench_hy(params, backend_group(), args.L or 8, args.trials)
-    print(report.table())
-    print()
-    for line in report.machine_lines():
-        print(line)
-    return EXIT_OK
-
-
 # --- parser -------------------------------------------------------------
 
 
@@ -323,18 +300,6 @@ def _request_parser(sub) -> None:
     rq.set_defaults(func=cmd_request)
 
 
-def _bench_parser(sub) -> None:
-    bn = sub.add_parser("bench", help="measure signer costs and sizes")
-    bn.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
-    bn.add_argument("--trials", type=int, default=32)
-    bn.add_argument("--t", type=int, default=1024)
-    bn.add_argument("--k", type=int, default=16)
-    bn.add_argument("--J1", type=int, default=0)
-    bn.add_argument("--J2", type=int, default=0)
-    bn.add_argument("--L", type=int, default=0)
-    bn.set_defaults(func=cmd_bench)
-
-
 # each command's parser builder, in the order ``hases --help`` lists them;
 # a builder takes ``cmd_*`` from the module when it runs, so a wrapper
 # installed on one later (as a tracer does) is the one that is called
@@ -345,7 +310,6 @@ _SUBPARSERS = {
     "tables": _tables_parser,
     "serve": _serve_parser,
     "request": _request_parser,
-    "bench": _bench_parser,
 }
 
 

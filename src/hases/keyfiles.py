@@ -17,8 +17,8 @@ A key table file lies beside an aggregate or hybrid bundle, at
 ``<bundle>.tables``: the comb table of each public key, built once
 so that a verifier need not build it again on every run.
 ``key_tables_bytes`` alone builds it, for ``hases keygen``, ``hases
-tables`` and ``hases bench`` alike, each table by ``group.precompute``,
-which checks the key first.  Its layout is fixed: the magic, the group
+tables`` and the layer benchmark (``bench/layers.py``) alike, each table
+by ``group.precompute``, which checks the key first.  Its layout is fixed: the magic, the group
 tag, the SHA-256 of the bundle's bytes, the count and the sorted signer
 ids (the bundle's), then one table of ``group.table_len`` bytes per id
 in that order.

@@ -145,6 +145,8 @@ class LaSignerState(SlotRecord):
         signer_id, epoch, rest = split_header(
             data, SIGNATURE_TAG, "aggregate key file", KEY_FILE_LEN)
         params = LaParams.from_bytes(rest[32:])
+        if not 1 <= epoch <= params.max_batches + 1:  # J + 1: every batch signed
+            raise ValueError(f"key epoch {epoch} is outside 1..{params.max_batches + 1}")
         key = int.from_bytes(rest[:32], "big")
         if not 0 < key < params.group.q:
             raise ValueError("aggregate private key out of range")

@@ -149,8 +149,10 @@ class PqSignerState(SlotRecord):
     def from_bytes(cls, data: bytes) -> "PqSignerState":
         signer_id, epoch, rest = split_header(
             data, SIGNATURE_TAG, "forward-secure key file", KEY_FILE_LEN)
-        return cls(signer_id, bytearray(rest[:DIGEST_LEN]), epoch,
-                   PqParams.from_bytes(rest[DIGEST_LEN:]))
+        params = PqParams.from_bytes(rest[DIGEST_LEN:])
+        if not 1 <= epoch <= params.epochs + 1:  # J + 1: every epoch signed
+            raise ValueError(f"key epoch {epoch} is outside 1..{params.epochs + 1}")
+        return cls(signer_id, bytearray(rest[:DIGEST_LEN]), epoch, params)
 
 
 class PqSignature(NamedTuple):

@@ -1,9 +1,25 @@
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 from hases import pq
 from hases.group import production_group
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_layers():
+    """``bench/layers.py``, the layer benchmark: a script beside the
+    package, not a module of it, so it is imported by its path."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(BENCH))
+    return layers
 
 
 def anchored_for(material, j1: int):

@@ -1,9 +1,15 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from hases import bench, pq
+from conftest import BENCH, bench_layers
+from hases import pq
 from hases.group import production_group, small_test_group
+
+bench = bench_layers()
 
 PQ_SMALL = pq.PqParams(t=64, k=8, j1=2, j2=16)
 
@@ -136,3 +142,35 @@ def test_load_table_row_on_the_production_group():
     assert counts["load_table_per_key"] == 0
     assert [name for name in counts if "table" in name or "precompute" in name] == [
         "precompute_per_key", "load_table_per_key"]
+
+
+def test_pq_sign_hash_count_reported(capsys):
+    code = bench.main(["--scheme", "pq", "--trials", "8", "--J2", "16"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "pq.sign.hash_calls=18" in out
+    assert "pq.signature.payload_bytes=512" in out
+
+
+def test_la_report_lines(capsys, monkeypatch):
+    monkeypatch.setenv("HASES_BACKEND", "tiny")
+    code = bench.main(["--scheme", "la", "--trials", "4", "--L", "2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "la.signature.payload_bytes=64" in out
+    assert re.search(r"la\.sign_batch\.hash_calls=\d+", out)
+
+
+def test_the_script_runs_from_a_checkout():
+    # as CI runs it: the package on PYTHONPATH, the script by its path
+    def run(*argv):
+        return subprocess.run([sys.executable, str(BENCH / "layers.py"), *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(BENCH.parent / "src")})
+
+    proc = run("--scheme", "pq", "--trials", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "pq.sign.hash_calls=18" in proc.stdout.splitlines()
+    proc = run("--no-such-flag")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "usage: layers.py " in proc.stderr

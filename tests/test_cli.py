@@ -422,6 +422,49 @@ class TestSignVerifyOffline:
         assert code == 2
 
 
+class TestKeyEpochRange:
+    """A signer key file holds the next epoch to sign, 1 to J + 1 (J + 1:
+    every epoch signed); a key at any other epoch is refused when it
+    loads, before anything is signed or saved."""
+
+    EXTRA = {"pq": ["--J1", "4"], "la": ["--L", "2"], "hy": ["--J1", "4", "--L", "2"]}
+
+    def key_at(self, tmp_path, scheme, epoch):
+        key = keygen(tmp_path, scheme, self.EXTRA[scheme]) / f"signer_{ID_HEX_1}.key"
+        state = keyfiles.load_signer_key(key)
+        for part in (state.la, state.pq) if scheme == "hy" else (state,):
+            part.epoch = epoch
+        key.write_bytes(keyfiles.signer_key_bytes(state))
+        return key
+
+    def sign(self, tmp_path, key):
+        """The exit code of ``hases sign`` of 4 records with ``key``; the
+        key file must be left as it was, and no signature file written."""
+        before, sigs = key.read_bytes(), tmp_path / "sigs.bin"
+        code = cli.main(["sign", "--key", str(key), "--in", write_csv(tmp_path, 4),
+                         "--out", str(sigs)])
+        assert key.read_bytes() == before
+        assert not sigs.exists()
+        return code
+
+    @pytest.mark.parametrize("epoch", [0, 16 + 2], ids=["zero", "J+2"])
+    @pytest.mark.parametrize("scheme", ["pq", "la", "hy"])
+    def test_an_epoch_outside_1_to_J_plus_1_exits_2(self, tmp_path, capsys, scheme, epoch):
+        key = self.key_at(tmp_path, scheme, epoch)
+        capsys.readouterr()
+        assert self.sign(tmp_path, key) == 2
+        err = capsys.readouterr().err
+        assert f"error: {key} is not a signer key file: key epoch {epoch} is outside 1..17" in err
+
+    @pytest.mark.parametrize("scheme", ["pq", "la", "hy"])
+    def test_an_exhausted_key_loads_and_signs_nothing(self, tmp_path, capsys, scheme):
+        key = self.key_at(tmp_path, scheme, 16 + 1)
+        assert keyfiles.load_signer_key(key).epoch == 17
+        capsys.readouterr()
+        assert self.sign(tmp_path, key) == 2
+        assert capsys.readouterr().err.startswith("error: all 16 ")
+
+
 class TestPipelinedVerify:
     """``verify --cco`` over a chunk longer than the request window."""
 
@@ -1369,10 +1412,11 @@ class TestParser:
         for name, help_text in (("keygen", "run a key ceremony"),
                                 ("sign", "sign a message stream"),
                                 ("verify", "verify a signed message stream"),
+                                ("tables", "rebuild the key table file of a verifier bundle"),
                                 ("serve", "serve a provisioned key store"),
-                                ("request", "fetch commitments from a service"),
-                                ("bench", "measure signer costs and sizes")):
+                                ("request", "fetch commitments from a service")):
             assert re.search(rf"^\s+{name}\s+{help_text}$", proc.stdout, re.M), name
+        assert "bench" not in proc.stdout  # the layer benchmark is bench/layers.py
 
     def test_verify_help_lists_its_flags(self):
         proc = self.run("verify", "--help")
@@ -1381,11 +1425,12 @@ class TestParser:
         for flag in ("--pub", "--in", "--format", "--hex", "--sigs", "--cco", "--commits"):
             assert re.search(rf"^\s+{flag}\b", proc.stdout, re.M), flag
 
-    @pytest.mark.parametrize("argv", [(), ("frobnicate",)], ids=["none", "unknown"])
+    @pytest.mark.parametrize("argv", [(), ("frobnicate",), ("bench", "--scheme", "pq")],
+                             ids=["none", "unknown", "bench"])
     def test_no_command_or_an_unknown_one_exits_2(self, argv):
         proc = self.run(*argv)
         assert proc.returncode == 2
-        assert "{keygen,sign,verify,tables,serve,request,bench}" in proc.stderr
+        assert "{keygen,sign,verify,tables,serve,request}" in proc.stderr
 
     @pytest.mark.parametrize("command", list(cli._SUBPARSERS))
     def test_a_bad_flag_exits_2_through_argparse(self, command, capsys):
@@ -1444,23 +1489,3 @@ class TestParser:
         assert cli.main(argv) == 2
         assert calls == [str(tmp_path / "missing.pub")]
         assert "missing.pub" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_pq_sign_hash_count_reported(self, capsys):
-        code = cli.main(["bench", "--scheme", "pq", "--trials", "8", "--J2", "16"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "pq.sign.hash_calls=18" in out
-        assert "pq.signature.payload_bytes=512" in out
-
-    def test_la_report_lines(self, capsys):
-        os.environ["HASES_BACKEND"] = "tiny"
-        try:
-            code = cli.main(["bench", "--scheme", "la", "--trials", "4", "--L", "2"])
-        finally:
-            del os.environ["HASES_BACKEND"]
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "la.signature.payload_bytes=64" in out
-        assert re.search(r"la\.sign_batch\.hash_calls=\d+", out)

@@ -9,8 +9,11 @@ refuse assignment, and the serialized ones read back from their bytes.
 
 import pytest
 
-from hases import bench, hashing, hy, keyfiles, la, pq
+from conftest import bench_layers
+from hases import hashing, hy, keyfiles, la, pq
 from hases.group import small_test_group
+
+bench = bench_layers()  # the layer benchmark's report records
 
 GROUP = small_test_group()
 ID, OTHER = bytes(range(16)), bytes(16)
