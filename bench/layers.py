@@ -15,6 +15,7 @@ for ``hases keygen``.
 from __future__ import annotations
 
 import argparse
+import random
 import statistics
 import sys
 import tempfile
@@ -25,7 +26,7 @@ from typing import NamedTuple
 from hases import cco, hy, keyfiles, la, pq, schemes
 from hases.cli import EXIT_ERROR, EXIT_OK, backend_group
 from hases.errors import HasesError
-from hases.group import PrimeOrderGroup, production_group
+from hases.group import Edwards25519Group, PrimeOrderGroup, production_group
 from hases.hashing import DOM_MESSAGE, counters, domain_hash
 
 
@@ -116,6 +117,22 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
                       lambda _: keyfiles.load_key_tables(path, bundle, [_BENCH_ID]), trials)
     assert group.table_bytes(loaded[_BENCH_ID]) == group.table_bytes(tables[_BENCH_ID])
     return tables
+
+
+def _measure_group(report: BenchReport, group, trials: int) -> None:
+    """The group rows under the aggregate ones: ``generator_table``, the
+    one-time build of the generator's comb, on a fresh group each trial
+    (edwards25519 only: the tiny group has no comb); ``exp_fixed``, one
+    fixed-base exponentiation, and ``exp_table``, one walk of a key's
+    table, each to a random scalar per trial."""
+    if isinstance(group, Edwards25519Group):
+        _row(report, "generator_table", lambda _: Edwards25519Group()._generator_table(), trials)
+    group.exp(group.generator, 1)  # the group's own generator comb, built once and untimed
+    rng = random.Random(trials)
+    scalars = [rng.randrange(group.q) for _ in range(trials)]
+    _row(report, "exp_fixed", lambda i: group.exp(group.generator, scalars[i]), trials)
+    table = group.precompute(group.encode_element(group.exp(group.generator, scalars[0])))
+    _row(report, "exp_table", lambda i: group.exp_table(table, scalars[i]), trials)
 
 
 COMBINED_BATCHES = 16  # one verify chunk of one signer, as the benchmark's hy chunks
@@ -231,7 +248,7 @@ def bench_la(
         nonlocal states, public, material
         states, public, material = la.keygen([_BENCH_ID], group, max_batches, batch_size)
 
-    group.exp(group.generator, 1)  # one-time build of the generator table, untimed
+    _measure_group(report, group, trials)
     _row(report, "keygen_per_signer", do_keygen, max(1, trials // 8))
 
     state = states[_BENCH_ID]
@@ -279,6 +296,7 @@ def bench_hy(
         ops=[],
         sizes={},
     )
+    _measure_group(report, group, trials)
     states, public, material = hy.keygen([_BENCH_ID], group, batch_size, pq_params)
     state = states[_BENCH_ID]
     batch = [b"bench item %08d" % i for i in range(batch_size)]

@@ -29,21 +29,28 @@ table is built by ``precompute``, keygen's own keys' included, and
 table file that ``hases.keyfiles`` writes beside a verifier bundle.
 
 On edwards25519 there is one multiplication algorithm: a comb of
-signed 4-bit digits (Lim and Lee, CRYPTO '94), built by one routine
-with a row spacing and walked by another.  The generator's comb has 64
-rows, row i holding the multiples 0..8 of [16^i]g, and a scalar's 64
-digits each add one entry with no doubling.  A key's, and any other
-base's, has 16 rows 2^16 apart, row i holding the multiples 0..8 of
-[2^(16i)]Y, walked in 4 columns with 12 doublings in all: a quarter of
-the build (2-2.5 ms against 4.4-5.2 ms for 64 rows on a 2 vCPU host,
-Python 3.11) for about 10% more per ``exp2`` (0.6-0.8 ms).  Every
-entry is kept in projective Niels form (Y+X, Y-X, 2Z, 2d*T)
-(Bernstein et al., CHES 2011), so adding one to an
+signed digits (Lim and Lee, CRYPTO '94), built by one routine with a
+row count and a digit width and walked by another, which reads the
+width from the length of the rows.  The generator's comb has 32 rows
+of 8-bit digits, row i holding the multiples 0..128 of [2^(8i)]g, and
+a scalar's 32 digits each add one entry with no doubling.  It is built
+on a process's first fixed-base exponentiation, in 20-35 ms (4,064
+additions), and holds about 1.2 MB; each exponentiation then costs
+at most 32 additions, about 170 us against 280 us for the 64 rows of
+4-bit digits it replaced (3-5 ms, 132 KB), so the larger build is
+repaid after about 150 exponentiations.  Widths 6 and 7 (43 and 37
+rows) build in 7-10 and 11-15 ms, hold 350 and 620 KB, and take about
+205 and 180 us (one-column combs, a 2 vCPU host, Python 3.11).  A
+key's, and any other base's, comb has 16 rows of 4-bit digits 2^16
+apart, row i holding the multiples 0..8 of [2^(16i)]Y, walked in 4
+columns with 12 doublings in all (2-2.5 ms to build, 16 KB in a table
+file).  Every entry is kept in projective Niels form (Y+X, Y-X, 2Z,
+2d*T) (Bernstein et al., CHES 2011), so adding one to an
 extended-coordinate accumulator costs 8 field multiplications (Hisil
 et al., ASIACRYPT 2008) and a negative digit only swaps the first two
 entries and negates the last; the entries are not normalised to affine
 form.  ``exp2`` walks the key comb, then adds the generator's comb to
-the same accumulator: at most 128 additions, 12 doublings and one
+the same accumulator: at most 96 additions, 12 doublings and one
 field inversion, where building a key's comb alone takes 112 additions
 and 208 doublings.  ``exp_table`` is its first half: at most 64
 additions, 12 doublings and the inversion.  ``precompute`` checks [q]Y
@@ -297,48 +304,61 @@ def _decode_point(data: bytes):
     return (x, y)
 
 
-_WINDOW = 4
-_DIGITS = 64  # signed 4-bit digits: they cover a scalar below 2^255
-_GENERATOR_ROWS = 64  # the generator's comb: one row per digit
-_KEY_ROWS = 16  # any other base's comb: one row per 4 digits, walked in 4 columns
+_SCALAR_BITS = 255  # every comb walks any scalar below 2^255 exactly, q included
+_KEY_ROWS = 16  # a key's, or any other base's, comb: 4-bit digits in 4 columns
+_KEY_WIDTH = 4
+_GENERATOR_ROWS = 32  # the generator's comb: one row per 8-bit digit, one column
+_GENERATOR_WIDTH = 8
 
 
-def _comb_table(base, rows: int):
-    """Fixed-base comb of an extended point in ``rows`` rows (Lim and
-    Lee, CRYPTO '94): row i holds the Niels forms of [d * 16^(ci)]base
-    for d = 0..8, c = 64 / rows the comb's columns; digits 9..15 are
-    used as d - 16 with a carry."""
-    spacing = _WINDOW * (_DIGITS // rows)  # bits from one row to the next
+def _columns(rows: int, width: int) -> int:
+    """Columns of a comb of ``rows`` rows of ``width``-bit digits: a
+    scalar below 2^255 has ceil(255 / width) of them, dealt to the rows."""
+    digits = -(-_SCALAR_BITS // width)
+    return -(-digits // rows)
+
+
+def _comb_table(base, rows: int, width: int):
+    """Fixed-base comb of an extended point in ``rows`` rows of signed
+    ``width``-bit digits (Lim and Lee, CRYPTO '94): row i holds the Niels
+    forms of [d * 2^(width*c*i)]base for d = 0..2^(width-1), c =
+    ``_columns(rows, width)`` the comb's columns; a digit d above
+    2^(width-1) is used as d - 2^width with a carry."""
+    spacing = width * _columns(rows, width)  # bits from one row to the next
     table = []
     for _ in range(rows):
         ypx, ymx, z2, t2d = unit = _to_niels(base)
         row = [_NIELS_IDENTITY, unit]
-        for _ in range(7):
+        for _ in range((1 << (width - 1)) - 1):
             base = _niels_add(base, ypx, ymx, z2, t2d)
             row.append(_to_niels(base))
         table.append(row)
-        for _ in range(spacing - 3):  # from [8]unit to the next row's unit
+        for _ in range(spacing - width + 1):  # from [2^(width-1)]unit to the next row's unit
             base = _ext_double(base)
     return table
 
 
 def _comb_add(acc, table, k: int):
-    """[16^(c-1)]acc + [k]base for base's comb table of c columns, exact
-    for 0 <= k < 2^255.  Digit j of k lies in row j // c, column j % c;
-    the columns are walked from the top, 4 doublings apart, so a
-    one-column table (the generator's) adds to acc with no doubling."""
+    """[2^(w(c-1))]acc + [k]base for base's comb table of c columns of
+    w-bit digits, w read from the length of its rows, exact for
+    0 <= k < 2^255.  Digit j of k lies in row j // c, column j % c; the
+    columns are walked from the top, w doublings apart, so a one-column
+    table (the generator's) adds to acc with no doubling."""
+    half = len(table[0]) - 1
+    width = half.bit_length()
+    mask = (1 << width) - 1
     digits = []
     while k:
-        digit = k & 0xF
-        k >>= _WINDOW
-        if digit > 8:
-            digit -= 16
+        digit = k & mask
+        k >>= width
+        if digit > half:
+            digit -= mask + 1
             k += 1
         digits.append(digit)
-    columns = _DIGITS // len(table)
+    columns = _columns(len(table), width)
     for column in range(columns - 1, -1, -1):
         if column < columns - 1:
-            for _ in range(_WINDOW):
+            for _ in range(width):
                 acc = _ext_double(acc)
         for row, digit in zip(table, digits[column::columns]):
             if digit > 0:
@@ -347,6 +367,11 @@ def _comb_add(acc, table, k: int):
                 ypx, ymx, z2, t2d = row[-digit]
                 acc = _niels_add(acc, ymx, ypx, z2, -t2d)
     return acc
+
+
+def _key_comb(point):
+    """The 16-row comb of an affine point, as every base but the generator has."""
+    return _comb_table(_to_ext(point), _KEY_ROWS, _KEY_WIDTH)
 
 
 def _order_checked(table):
@@ -371,18 +396,19 @@ class Edwards25519Group(PrimeOrderGroup):
 
     def _generator_table(self):
         if self._gen_table is None:
-            self._gen_table = _comb_table(_to_ext(self.generator), _GENERATOR_ROWS)
+            self._gen_table = _comb_table(
+                _to_ext(self.generator), _GENERATOR_ROWS, _GENERATOR_WIDTH)
         return self._gen_table
 
     def exp(self, base, k: int):
         if base == self.generator:
             table = self._generator_table()
         else:
-            table = _comb_table(_to_ext(base), _KEY_ROWS)
+            table = _key_comb(base)
         return _from_ext(_comb_add(_EXT_IDENTITY, table, k % self.q))
 
     def precompute(self, data: bytes):
-        return _order_checked(_comb_table(_to_ext(_decode_point(data)), _KEY_ROWS))
+        return _order_checked(_key_comb(_decode_point(data)))
 
     table_len = _KEY_ROWS * 8 * 4 * 32  # 8 Niels entries a row, 4 coordinates mod p each
 
@@ -414,7 +440,7 @@ class Edwards25519Group(PrimeOrderGroup):
 
     def decode_element(self, data: bytes):
         point = _decode_point(data)
-        _order_checked(_comb_table(_to_ext(point), _KEY_ROWS))
+        _order_checked(_key_comb(point))
         return point
 
 

@@ -26,7 +26,6 @@ in that order.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 from contextlib import contextmanager
@@ -188,7 +187,11 @@ def tables_path(pub: str | Path) -> Path:
 
 def _bundle_digest(bundle: VerifierBundle) -> bytes:
     # binds the file to the bundle's bytes; not a domain hash, so hashlib
-    # directly, out of the hash counters
+    # directly, out of the hash counters (OpenSSL, fastest on an input this
+    # large).  Imported here so that `hases serve` and `hases sign`, which
+    # never call this, do not load OpenSSL
+    import hashlib
+
     return hashlib.sha256(bundle.to_bytes()).digest()
 
 

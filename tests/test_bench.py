@@ -141,7 +141,31 @@ def test_load_table_row_on_the_production_group():
     counts = {op.name: op.hash_calls for op in report.ops}
     assert counts["load_table_per_key"] == 0
     assert [name for name in counts if "table" in name or "precompute" in name] == [
-        "precompute_per_key", "load_table_per_key"]
+        "generator_table", "exp_table", "precompute_per_key", "load_table_per_key"]
+
+
+@pytest.mark.parametrize("scheme", ["la", "hy"])
+def test_group_rows_come_first_and_hash_nothing(scheme):
+    # the generator's comb built on a fresh group, one fixed-base
+    # exponentiation and one walk of a key's table, ahead of every scheme row
+    def report(group):
+        if scheme == "la":
+            return bench.bench_la(group, max_batches=4, batch_size=1, trials=3)
+        return bench.bench_hy(PQ_SMALL, group, batch_size=2, trials=3)
+
+    production = report(production_group())
+    rows = ["generator_table", "exp_fixed", "exp_table"]
+    assert [op.name for op in production.ops[:3]] == rows
+    assert all(op.hash_calls == 0 and 0 < op.quartiles_us[0] for op in production.ops[:3])
+    lines = production.machine_lines()
+    for row in rows:
+        assert f"{scheme}.{row}.hash_calls=0" in lines
+        for key in ("wall_us", "wall_us_q1", "wall_us_median", "wall_us_q3"):
+            assert any(line.startswith(f"{scheme}.{row}.{key}=") for line in lines)
+    # the tiny group has no comb to build: the two exponentiation rows only
+    tiny = report(small_test_group())
+    assert [op.name for op in tiny.ops[:2]] == rows[1:]
+    assert "generator_table" not in {op.name for op in tiny.ops}
 
 
 def test_pq_sign_hash_count_reported(capsys):

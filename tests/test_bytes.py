@@ -53,6 +53,15 @@ RUN_DIGESTS = {
 }
 
 
+# the key table file (``keyfiles.key_tables_bytes``) of the la and hy
+# bundles of the key ceremonies below, pinned apart so that adding it left
+# the digests above as they were
+TABLE_DIGESTS = {
+    "production": "c2856e10edd1b2699b42b085950f00dce9e3d88caed80daf2875e236a4d133a1",
+    "tiny": "c10ad848faa3c9e45ec6bdd9698432ca7663f421f995bc17fa8288ff1eac8f52",
+}
+
+
 def fixed_rng(seed: int):
     rng = random.Random(seed)
     return lambda n: rng.randbytes(n)
@@ -298,3 +307,20 @@ def test_run_request_bytes_are_pinned(backend):
         for part in (label.encode(), blob):
             hasher.update(len(part).to_bytes(4, "big") + part)
     assert hasher.hexdigest() == RUN_DIGESTS[backend]
+
+
+@pytest.mark.parametrize("backend", sorted(TABLE_DIGESTS))
+def test_key_table_bytes_are_pinned(backend):
+    group = production_group() if backend == "production" else small_test_group()
+    _, la_public, la_material = la.keygen(IDS, group, 8, BATCH, fixed_rng(2))
+    _, hy_public, hy_material = hy.keygen(IDS, group, BATCH, PQ_PARAMS, fixed_rng(3))
+    bundles = (
+        ("la", keyfiles.VerifierBundle(la.SIGNATURE_TAG, None, la_material.params, la_public)),
+        ("hy", keyfiles.VerifierBundle(hy.SIGNATURE_TAG, PQ_PARAMS, hy_material.la.params,
+                                       hy_public)),
+    )
+    hasher = hashlib.sha256()
+    for label, bundle in bundles:
+        for part in (label.encode(), keyfiles.key_tables_bytes(bundle)):
+            hasher.update(len(part).to_bytes(4, "big") + part)
+    assert hasher.hexdigest() == TABLE_DIGESTS[backend]

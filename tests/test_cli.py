@@ -1399,6 +1399,25 @@ assert cli.main(["sign", "--key", {str(key)!r}, "--in", {msgs!r}, "--out", {str(
     assert keyfiles.load_signer_key(key).epoch == 3  # both commands ran
 
 
+@pytest.mark.parametrize("scheme", ["pq", "hy"])
+def test_serve_and_sign_leave_openssl_unloaded(tmp_path, scheme):
+    # hashlib loads OpenSSL's libcrypto (about 3.7 MB of RSS); only the
+    # digest that binds a key table file to its bundle needs it, and
+    # neither the service nor the signer reads that file
+    msgs = write_csv(tmp_path, 4)
+    extra = ("--L", "2") if scheme == "hy" else ()
+    keys = keygen(tmp_path, scheme, extra)
+    key, sigs = keys / f"signer_{ID_HEX_1}.key", tmp_path / "sigs.bin"
+    code = f"""
+import signal
+from hases import cli, keyfiles, transport
+store = keyfiles.load_store({str(keys / "cco.store")!r})
+assert cli.main(["sign", "--key", {str(key)!r}, "--in", {msgs!r}, "--out", {str(sigs)!r}]) == 0
+"""
+    assert _loaded_in_fresh_interpreter(code, ("hashlib", "_hashlib")) == []
+    assert keyfiles.load_signer_key(key).epoch > 1  # the sign run signed
+
+
 class TestParser:
     """Each call builds only its command's parser; the contract stays."""
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import curve_point
 from hases import group as group_module
+from hases import la
 from hases.group import (
     ModPGroup,
     encode_scalar,
@@ -208,8 +209,9 @@ class TestProductionGroup:
                 assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
 
     def test_exp2_every_digit_in_every_row_and_the_carries(self):
-        # exp2 reads each scalar as 64 signed 4-bit digits: 9..15 become
-        # d - 16 with a carry into the next row
+        # exp2 reads e as 64 signed 4-bit digits of the key's comb (and s as
+        # 32 8-bit ones of the generator's): 9..15 become d - 16 with a carry
+        # into the next digit
         g = self.g
         q = g.q
         # scalar d has digit (i + d) % 16 in row i < 63 (all below 2^252 < q),
@@ -235,9 +237,10 @@ class TestProductionGroup:
                 assert g.exp2(table, e, s) == g.mul(g.exp(base, e), g.exp(g.generator, s))
 
     def test_key_comb_matches_double_and_add_at_the_edges(self):
-        # a key's table has 16 rows 2^16 apart, walked in 4 columns; the
-        # generator's has 64 rows 2^4 apart; both walk the same signed
-        # digits, so each must give [k]base exactly for any 0 <= k < 2^255,
+        # a key's table has 16 rows 2^16 apart, walked in 4 columns; a
+        # 64-row table 2^4 apart walks the same signed 4-bit digits in one
+        # column (the generator's comb has 8-bit digits: see the test
+        # below); each must give [k]base exactly for any 0 <= k < 2^255,
         # q itself (the subgroup check) included
         g = self.g
         q = g.q
@@ -254,7 +257,7 @@ class TestProductionGroup:
             ext = group_module._to_ext(base)
             table = g.precompute(g.encode_element(base))
             assert len(table) == 16
-            combs = (table, group_module._comb_table(ext, 64))
+            combs = (table, group_module._comb_table(ext, 64, 4))
             for k in scalars + [rng.randrange(2**255) for _ in range(4)]:
                 expected = group_module._from_ext(double_and_add(ext, k))
                 for comb in combs:
@@ -264,6 +267,51 @@ class TestProductionGroup:
                     assert g.exp(base, k) == expected  # the generator's comb, or a 16-row one
                     assert g.exp2(table, k, 0) == expected
                     assert g.exp2(table, k, q - 1 - k) == g.mul(expected, g.exp(g.generator, q - 1 - k))
+
+    def test_generator_comb_matches_double_and_add(self):
+        # the generator's comb has 32 rows of 8-bit digits, one column:
+        # row i holds [d * 2^(8i)]g for d = 0..128, and a byte above 0x80
+        # is used as d - 256 with a carry into the next row
+        g = self.g
+        q = g.q
+        comb = g._generator_table()
+        assert len(comb) == 32 and {len(row) for row in comb} == {129}
+        ext = group_module._to_ext(g.generator)
+        # scalar d has byte (i + d) % 256 in row i < 31 and d % 128 in the
+        # top row (all a scalar below 2^255 can hold there), so across the
+        # 256 scalars every row meets every byte it can
+        family = [sum((i + d) % 256 << 8 * i for i in range(31)) | (d % 128) << 248
+                  for d in range(256)]
+        edges = [
+            int("80" * 31, 16),  # the largest unsigned digit in every row, no carry
+            int("7f" + "80" * 31, 16),
+            int("81" * 31, 16),  # 0x81 = -127 and a carry into a 0x82, and so on up
+            int("7f" + "81" * 31, 16),  # ... into the top row: 0x7f + 1 = 0x80
+            int("ff" * 31, 16),  # -1 and a carry out of every row
+            int("80ff" * 15 + "ff", 16),  # a carry into 0x80: 0x81 = -127, a carry again
+            0, 1, q - 1, q, 2**252, 2**255 - 1,
+        ]
+        for k in family + edges:
+            got = group_module._from_ext(group_module._comb_add(group_module._EXT_IDENTITY, comb, k))
+            assert got == group_module._from_ext(double_and_add(ext, k)), hex(k)
+        # through every caller of the comb, on the edges and every 16th of
+        # the family: exp, exp2 after a key's walk, and the store's 0x08
+        # build, whose total is steered onto k through the response sum
+        rng = random.Random(81)
+        base = g.exp(g.generator, rng.randrange(1, q))
+        table = g.precompute(g.encode_element(base))
+        e = rng.randrange(q)
+        _, _, material = la.keygen([bytes(16)], g, 4, 2, rng.randbytes)
+        seed = bytes(32)
+        key = la.private_scalar(material.msk, bytes(16), g)
+        weight, = la.combination_weights(seed, 1)
+        total = weight * la._nonce_sum(key, 1, 2, q)
+        for k in family[::16] + edges:
+            expected = group_module._from_ext(double_and_add(ext, k))
+            assert g.exp(g.generator, k) == expected, hex(k)
+            assert g.exp2(table, e, k) == g.mul(g.exp_table(table, e), expected), hex(k)
+            assert la.combined_commitment(material, bytes(16), seed, (total - k) % q, [1]) == (
+                g.encode_element(expected)), hex(k)
 
     @pytest.mark.parametrize("make", [production_group, small_test_group])
     def test_table_bytes_round_trip(self, make):
