@@ -9,12 +9,14 @@ and its quartiles (``wall_us_q1``, ``wall_us_median``, ``wall_us_q3``)
 show the spread beside it.  Reports render both as an aligned human
 table and as line-oriented ``key=value`` pairs so harnesses can diff
 them.  ``HASES_BACKEND`` selects the group of the la and hy runs, as
-for ``hases keygen``.
+for ``hases keygen``.  A reader that stops early (``| head``) ends the
+report quietly, with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import statistics
 import sys
@@ -23,11 +25,12 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from hases import cco, hy, keyfiles, la, pq, schemes
+from hases import cco, hy, keyfiles, la, pq, schemes, verifier
 from hases.cli import EXIT_ERROR, EXIT_OK, backend_group
 from hases.errors import HasesError
 from hases.group import Edwards25519Group, PrimeOrderGroup, production_group
 from hases.hashing import DOM_MESSAGE, counters, domain_hash
+from hases.stream import Record
 
 
 class OpStats(NamedTuple):
@@ -167,6 +170,40 @@ def _measure_combined(report: BenchReport, group, messages, trials: int) -> None
 RUN_EPOCHS = 16  # one opening request of a 64-unit pq verify chunk at k=16
 
 
+class _PreparedSource(verifier.CommitmentSource):
+    """``hases verify``'s online commitment source with its service
+    replaced by ``replies``, the OK body prepared for each request
+    payload beforehand: no socket, and no store hashing in the count."""
+
+    def __init__(self, bundle: keyfiles.VerifierBundle, replies: dict[bytes, bytes]):
+        self.scheme, self.bundle, self.client = schemes.by_tag(bundle.scheme), bundle, self
+        self.replies = replies
+
+    def ok_bodies(self, payloads):
+        return map(self.replies.__getitem__, payloads)
+
+    def close(self):
+        pass  # no socket to close
+
+
+def _measure_verify_run(report: BenchReport, params: pq.PqParams, epochs: int, trials: int) -> None:
+    """The ``verify_run`` row: what ``hases verify --cco`` does with one run
+    of a chunk, ``epochs`` signatures of a fresh signer at epochs 1 on,
+    through ``verifier.verify_all``: each signature parsed, the messages
+    hashed and their indices cut, the run's ``0x05`` payload made, and
+    its reply, prepared here, checked unit by unit; 1 + k hashes a unit."""
+    states, material = pq.keygen([_BENCH_ID], params)
+    messages = [b"bench run %08d" % n for n in range(epochs)]
+    records = [Record(str(n), message) for n, message in enumerate(messages)]
+    blobs = [pq.sign(states[_BENCH_ID], message).to_bytes() for message in messages]
+    indices = pq.run_indices(messages, params)
+    reply = pq.open_commitment(material, _BENCH_ID, 1, indices).to_bytes()
+    bundle = keyfiles.VerifierBundle(schemes.PQ.tag, params, None, {_BENCH_ID: None})
+    source = _PreparedSource(bundle, {cco.opening_payload(_BENCH_ID, 1, indices): reply})
+    assert all(_row(report, "verify_run",
+                    lambda _: verifier.verify_all(bundle, records, blobs, source), trials))
+
+
 def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     if trials > params.epochs:
         raise ValueError("trial count exceeds the configured epoch count")
@@ -213,12 +250,14 @@ def bench_pq(params: pq.PqParams, trials: int = 32) -> BenchReport:
     # with no chain cursor for the signer builds it: H0, one chain step per
     # further epoch (none where one starts a segment) and 2k hashes per
     # epoch.  No cursor is kept between trials, so every trial costs the same
-    run = indices * min(RUN_EPOCHS, params.epochs, cco.MAX_OPENING_INDICES // params.k)
+    run_epochs = min(RUN_EPOCHS, params.epochs, cco.MAX_OPENING_INDICES // params.k)
+    run = indices * run_epochs
     _row(report, "open_run", lambda _: pq.open_commitment(materials, _BENCH_ID, 1, run), trials)
 
     last = pq.construct_commitment(materials, _BENCH_ID, signature.epoch)
     assert _row(report, "verify", lambda _: pq.verify(last, messages[-1], signature, params),
                 trials)
+    _measure_verify_run(report, params, run_epochs, trials)
 
     report.sizes["signature.payload_bytes"] = params.k * 32
     report.sizes["signature.total_bytes"] = len(signature.to_bytes())
@@ -323,11 +362,12 @@ def bench_hy(
                                      la.LaParams(group, pq_params.epochs, batch_size), public)
 
     def check(_):
-        (nested, la_signature, challenge), (inner, pq_signature, indices) = schemes.HY.layers(
+        (nested, la_signature, challenge), (inner, pq_signature) = schemes.HY.layers(
             batch, signature, bundle)
         return la.verify_batch(
             tables[_BENCH_ID], commitment.la, nested, la_signature, group, challenge
-        ) and pq.verify(opening, inner, pq_signature, pq_params, indices)
+        ) and pq.verify(opening, inner, pq_signature, pq_params,
+                        pq.run_indices((inner,), pq_params))
 
     assert _row(report, "verify_batch", check, trials)
 
@@ -362,10 +402,16 @@ def main(argv=None) -> int:
     except (HasesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(report.table())
-    print()
-    for line in report.machine_lines():
-        print(line)
+    try:
+        print(report.table())
+        print()
+        for line in report.machine_lines():
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``) and has all it wants; stdout
+        # is pointed at the null device, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

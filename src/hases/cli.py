@@ -235,8 +235,7 @@ def _parse_span(text: str) -> tuple[int, int]:
 # --- parser -------------------------------------------------------------
 
 
-def _keygen_parser(sub) -> None:
-    kg = sub.add_parser("keygen", help="run a key ceremony")
+def _keygen_parser(kg) -> None:
     kg.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     kg.add_argument("--ids", required=True, help="file with one signer id per line")
     kg.add_argument("--J", type=int, required=True, help="total signing epochs/batches")
@@ -248,8 +247,7 @@ def _keygen_parser(sub) -> None:
     kg.set_defaults(func=cmd_keygen)
 
 
-def _sign_parser(sub) -> None:
-    sg = sub.add_parser("sign", help="sign a message stream")
+def _sign_parser(sg) -> None:
     sg.add_argument("--key", required=True, help="signer key file (rewritten after use)")
     sg.add_argument("--in", dest="input", required=True)
     sg.add_argument("--format", choices=("csv", "bin"), default="csv")
@@ -258,8 +256,7 @@ def _sign_parser(sub) -> None:
     sg.set_defaults(func=cmd_sign)
 
 
-def _verify_parser(sub) -> None:
-    vf = sub.add_parser("verify", help="verify a signed message stream")
+def _verify_parser(vf) -> None:
     vf.add_argument("--pub", required=True, help="verifier bundle from keygen")
     vf.add_argument("--in", dest="input", required=True)
     vf.add_argument("--format", choices=("csv", "bin"), default="csv")
@@ -272,23 +269,20 @@ def _verify_parser(sub) -> None:
     vf.set_defaults(func=cmd_verify)
 
 
-def _tables_parser(sub) -> None:
-    tb = sub.add_parser("tables", help="rebuild the key table file of a verifier bundle")
+def _tables_parser(tb) -> None:
     tb.add_argument("--pub", required=True,
                     help="la or hy verifier bundle; writes <PUB>.tables beside it")
     tb.set_defaults(func=cmd_tables)
 
 
-def _serve_parser(sub) -> None:
-    sv = sub.add_parser("serve", help="serve a provisioned key store")
+def _serve_parser(sv) -> None:
     sv.add_argument("--store", required=True)
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=0)
     sv.set_defaults(func=cmd_serve)
 
 
-def _request_parser(sub) -> None:
-    rq = sub.add_parser("request", help="fetch commitments from a service")
+def _request_parser(rq) -> None:
     rq.add_argument("--cco", required=True, help="HOST:PORT")
     rq.add_argument("--scheme", choices=("pq", "la", "hy"), required=True)
     rq.add_argument("--id", required=True)
@@ -300,40 +294,48 @@ def _request_parser(sub) -> None:
     rq.set_defaults(func=cmd_request)
 
 
-# each command's parser builder, in the order ``hases --help`` lists them;
-# a builder takes ``cmd_*`` from the module when it runs, so a wrapper
-# installed on one later (as a tracer does) is the one that is called
-_SUBPARSERS = {
-    "keygen": _keygen_parser,
-    "sign": _sign_parser,
-    "verify": _verify_parser,
-    "tables": _tables_parser,
-    "serve": _serve_parser,
-    "request": _request_parser,
+# each command's help line and the builder that adds its arguments to a
+# parser, in the order ``hases --help`` lists them; a builder takes
+# ``cmd_*`` from the module when it runs, so a wrapper installed on one
+# later (as a tracer does) is the one that is called
+_COMMANDS = {
+    "keygen": ("run a key ceremony", _keygen_parser),
+    "sign": ("sign a message stream", _sign_parser),
+    "verify": ("verify a signed message stream", _verify_parser),
+    "tables": ("rebuild the key table file of a verifier bundle", _tables_parser),
+    "serve": ("serve a provisioned key store", _serve_parser),
+    "request": ("fetch commitments from a service", _request_parser),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``hases`` parser with every subcommand, or with ``command`` alone."""
+    """The parser of ``command`` alone, ``hases COMMAND`` with no
+    subparser, for the arguments after the command; or, for no command,
+    the whole ``hases`` parser, with every command as a subcommand."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"hases {command}")
+        _COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="hases",
         description="forward-secure, aggregate, and hybrid signing with an "
         "oracle-served commitment service",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, add in _SUBPARSERS.items():
-        if command in (None, name):
-            add(sub)
+    for name, (help_text, add) in _COMMANDS.items():
+        add(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a known command is parsed by a parser that holds it alone; anything
-    # else (no command, an unknown one, a top-level option) gets the whole
-    # parser, for its help and its error messages
-    command = argv[0] if argv and argv[0] in _SUBPARSERS else None
-    args = build_parser(command).parse_args(argv)
+    # a known command is parsed by its own parser, from the argument after
+    # it; anything else (no command, an unknown one, a top-level option)
+    # gets the whole parser, for its help and its error messages
+    if argv and argv[0] in _COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HasesError, ValueError, OSError) as exc:

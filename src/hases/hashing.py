@@ -23,8 +23,9 @@ key store images H2(H1(seed || label)) for up to t labels.
 ``prefixed_hashes`` and ``prefixed_scalars`` hash ``byte(domain) ||
 head`` once and copy that state for each tail; ``images_match`` checks
 each preimage sliced from a body of preimages against the image sliced
-from the same offset of a body of images, and stops at the first
-mismatch; ``combination_weights`` cuts the 128-bit weights of a
+from the same offset of a body of images, each hashed on a copy of one
+module-level state of ``byte(2)``, and stops at the first mismatch;
+``combination_weights`` cuts the 128-bit weights of a
 combined check from H2(seed || i), one position i at a time.
 ``revealed_strings`` is the whole of a pq signature: H0 of the message
 picks k indices, ``byte(1) || seed`` is hashed once, each selected
@@ -41,8 +42,9 @@ composition returns, and adds the calls that composition would make to
 its domain's counter in one step per call (a retried scalar and a
 check that stops early count the calls actually made).  The only
 module-level caches are ``label_table``, the public 8-byte encodings
-of the labels 1..n, and ``signing_table``, those of 1..t with the
-index shifts and mask of a (t, k).  A hash state that has absorbed a
+of the labels 1..n, ``signing_table``, those of 1..t with the index
+shifts and mask of a (t, k), and ``_COMMIT_STATE``, the hashed public
+domain byte 2.  A hash state that has absorbed a
 seed is a local of one kernel call, so it never outlives the ``sign``
 that asked for it.
 
@@ -113,6 +115,10 @@ except ImportError:
         from _sha256 import sha256 as _sha256  # 3.10 and 3.11
     except ImportError:
         from hashlib import sha256 as _sha256
+
+
+# ``byte(2)`` hashed once, for ``images_match``: public, and only ever copied
+_COMMIT_STATE = _sha256(b"\x02")
 
 
 def domain_hash(domain: int, data: bytes) -> bytes:
@@ -287,19 +293,17 @@ def images_match(preimages: bytes, images: bytes) -> bool:
     bytes of ``images`` for the n-th ``DIGEST_LEN`` bytes of
     ``preimages``, each pair sliced from its body, in order, stopping at
     the first mismatch as ``all()`` would; only the calls made are
-    counted."""
-    copy = _prefix_state(DOM_COMMIT, b"").copy
-    calls = 0
-    matched = True
+    counted.  ``preimages`` is a whole number of digests, each hashed on
+    a copy of ``_COMMIT_STATE``."""
+    copy = _COMMIT_STATE.copy
     for at in range(0, len(preimages), DIGEST_LEN):
         state = copy()
         state.update(preimages[at : at + DIGEST_LEN])
-        calls += 1
         if state.digest() != images[at : at + DIGEST_LEN]:
-            matched = False
-            break
-    _count(DOM_COMMIT, calls)
-    return matched
+            counters.calls_h2 += at // DIGEST_LEN + 1
+            return False
+    counters.calls_h2 += len(preimages) // DIGEST_LEN
+    return True
 
 
 def commitment_images(seed: bytes, t: int) -> bytes:

@@ -48,6 +48,8 @@ from .hashing import (
     images_match,
     iter_hash,
     opened_images,
+    prefixed_hashes,
+    read_header,
     revealed_strings,
     signing_table,
     split_header,
@@ -234,8 +236,10 @@ class PqOpening(NamedTuple):
 
 
 def _split_digests(data: bytes, tag: int, what: str) -> tuple[bytes, int, bytes]:
-    """``split_header``, then ValueError unless the rest is one or more digests."""
-    signer_id, epoch, rest = split_header(data, tag, what)
+    """(id, epoch, rest) after the header (``read_header``); ValueError
+    unless the rest is one or more digests."""
+    signer_id, epoch = read_header(data, tag, what)
+    rest = data[HEADER_LEN:]
     if not rest or len(rest) % DIGEST_LEN:
         raise ValueError(f"{what} body is not a whole number of digests")
     return signer_id, epoch, rest
@@ -309,14 +313,21 @@ def message_indices(message: bytes, params: PqParams) -> tuple[int, ...]:
     The first k*log2(t) bits are consumed most-significant-first; each
     log2(t)-bit window is one big-endian index in [0, t-1].
     """
-    digest = domain_hash(DOM_MESSAGE, message)
-    return indices_from_digest(digest, params)
+    return tuple(run_indices((message,), params))
 
 
-def indices_from_digest(digest: bytes, params: PqParams) -> tuple[int, ...]:
+def run_indices(messages: Iterable[bytes], params: PqParams) -> list[int]:
+    """``message_indices`` of each message, joined: k indices per message,
+    in order, from one ``prefixed_hashes`` call, one H0 call each."""
+    return indices_from_digests(prefixed_hashes(DOM_MESSAGE, b"", messages), params)
+
+
+def indices_from_digests(digests: Iterable[bytes], params: PqParams) -> list[int]:
+    """The k indices of each digest, joined, cut with one look-up of the
+    signing table."""
     _, shifts, mask = signing_table(params.t, params.k)
-    value = int.from_bytes(digest, "big")
-    return tuple([value >> shift & mask for shift in shifts])
+    values = [int.from_bytes(digest, "big") for digest in digests]
+    return [value >> shift & mask for value in values for shift in shifts]
 
 
 def sign(state: PqSignerState, message: bytes) -> PqSignature:
@@ -437,7 +448,7 @@ def verify(
     (``images_match``).
     ``indices`` are ``message_indices(message, params)`` when the caller
     has derived them already, as ``hases verify`` does to get the
-    opening; they are trusted to be.
+    opening (``run_indices``, a run at a time); they are trusted to be.
     Structural mismatches (identity/epoch disagreement, wrong part or
     entry counts, epoch outside [1, J]) reject without hashing the parts.
     """

@@ -27,7 +27,8 @@ class Layers(NamedTuple):
     no such layer."""
 
     la: tuple | None  # (messages, la.LaSignature, challenge sum) of the aggregate layer
-    pq: tuple | None  # (message, pq.PqSignature, indices) of the forward-secure layer
+    pq: tuple | None  # (message, pq.PqSignature) of the forward-secure layer; the
+    # verifier cuts its indices a run at a time (``pq.run_indices``)
 
 
 class Scheme(NamedTuple):
@@ -54,9 +55,9 @@ def _la_layer(messages, signature, bundle) -> tuple:
 
 def _hy_layers(messages, signature, bundle) -> Layers:
     """The two layers of ``hy.verify_batch``, each on its own."""
-    nested, indices = hy.opened(messages, signature, bundle.pq_params)
+    nested = hy.nest(messages)
     return Layers(_la_layer(nested, signature.la, bundle),
-                  (hy.inner_message(signature.la.agg, nested[-1]), signature.pq, indices))
+                  (hy.inner_message(signature.la.agg, nested[-1]), signature.pq))
 
 
 def _pq_keygen(ids, pq_params, la_params):
@@ -77,8 +78,7 @@ PQ = Scheme(
     sign=lambda state, records: [pq.sign(state, r.payload).to_bytes() for r in records],
     units=lambda records, bundle: (r.payload for r in records),
     parse_signature=lambda blob, bundle: pq.PqSignature.from_bytes(blob),
-    layers=lambda message, signature, bundle: Layers(
-        None, (message, signature, pq.message_indices(message, bundle.pq_params))),
+    layers=lambda message, signature, bundle: Layers(None, (message, signature)),
 )
 
 LA = Scheme(

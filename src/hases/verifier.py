@@ -6,9 +6,21 @@ derives each unit (its signature parsed, then what each layer's check
 needs, ``schemes.Layers``) as the stream reaches it.  A unit whose
 signature fails to parse or names a signer outside the bundle is
 rejected without a request.  ``CommitmentSource.layer_parts`` then
-supplies each unit's commitment parts, and the unit is checked layer by
-layer and dropped.  What the stream holds stays bounded whatever its
-length; only the per-unit results grow, one list slot per unit.
+supplies each unit's commitment parts, and one loop checks each unit,
+of any scheme, layer by layer, and drops it.  What the stream holds
+stays bounded whatever its length; only the per-unit results grow, one
+list slot per unit.
+
+The pq layers, of ``pq`` and ``hy`` units alike, are checked a run at a
+time: a run is the units one ``0x05`` opens (``_runs``), at most
+``cco.MAX_OPENING_INDICES // k`` of one signer at consecutive epochs.
+When a run closes, its messages are hashed by one ``prefixed_hashes``
+call and every unit's k indices cut with one look-up of the signing
+table (``pq.run_indices``); the indices, joined, are the run's request.
+Its reply is parsed once, cut into each unit's opening
+(``pq.PqOpening.per_epoch``), and each unit is checked by its own
+``pq.verify`` call against its opening and its k indices: 1 + k hashes
+a unit, as one ``pq.verify`` from the message makes.
 
 The stream is cut into windows of ``WINDOW_UNITS`` positions.
 
@@ -51,7 +63,7 @@ window, so this traffic is counted (``tests/test_verify_stream.py``),
 not timed.
 
 Offline (``--commits``) each unit is checked as it is derived, against
-the export entry at its (id, epoch).
+the export entry at its (id, epoch), its indices cut alone.
 
 When an input error is reported, with either source:
 
@@ -65,8 +77,8 @@ When an input error is reported, with either source:
 * a signature count that differs from the unit count exits 2 once the
   shorter input has run out and the rest of the longer one is counted.
 
-None prints the ``N/M signatures valid`` line.  Only ``hases verify``
-imports this module.
+None prints the ``N/M signatures valid`` line.  Of the commands, only
+``hases verify`` imports this module.
 """
 
 from __future__ import annotations
@@ -115,10 +127,11 @@ class CommitmentSource:
             self.client.close()
 
     def layer_parts(self, windows: Iterable[Window], tables) -> Iterator[tuple]:
-        """(position, layers, aggregate commitment, pq opening) for each
-        unit of ``windows``: None for a layer the unit lacks, or whose
-        part the service refused or the export lacks or holds malformed,
-        and ``_PROVEN`` for an aggregate layer a combined check passed."""
+        """(position, layers, aggregate commitment, pq opening, pq indices)
+        for each unit of ``windows``: None for a layer the unit lacks, or
+        whose part the service refused or the export lacks or holds
+        malformed, and ``_PROVEN`` for an aggregate layer a combined check
+        passed."""
         if self.client is None:
             return self._offline_parts(chain.from_iterable(windows))
         return chain.from_iterable(self._online_window(window, tables) for window in windows)
@@ -130,8 +143,11 @@ class CommitmentSource:
         for n, unit in units:
             blob = self.offline.get(_key(unit.la or unit.pq))  # either layer's: both carry them
             la_part, pq_part = _parsed(commitment_parts, blob) or (None, None)
-            opening = _parsed(pq.PqCommitment.open, pq_part, unit.pq[2], pq_params) if unit.pq else None
-            yield n, unit, la_part, opening
+            opening = indices = None
+            if unit.pq:
+                indices = pq.run_indices((unit.pq[0],), pq_params)
+                opening = _parsed(pq.PqCommitment.open, pq_part, indices, pq_params)
+            yield n, unit, la_part, opening, indices
 
     def _online_window(self, window: Window, tables) -> Iterator[tuple]:
         """The parts of each unit of one window, as they arrive: one
@@ -141,15 +157,15 @@ class CommitmentSource:
         client, bundle = self.client, self.bundle
         pq_params, group = bundle.pq_params, bundle.la_params and bundle.la_params.group
         combined = _combinations(window, bundle) if group and la.combinable(group) else []
-        runs: deque[list] = deque()  # the runs sent and not yet answered, oldest first
+        runs: deque[tuple] = deque()  # the runs sent and not yet answered, oldest first
 
         def requests():
             for *_, payload in combined:
                 yield payload
             for run in _runs(window, pq_params) if pq_params else ():
-                runs.append(run)
-                yield cco.opening_payload(*_key(run[0][1].pq),
-                                          [x for _, unit in run for x in unit.pq[2]])
+                indices = pq.run_indices([unit.pq[0] for _, unit in run], pq_params)
+                runs.append((run, indices))
+                yield cco.opening_payload(*_key(run[0][1].pq), indices)
 
         replies = client.ok_bodies(requests())
         proven = set()
@@ -164,21 +180,21 @@ class CommitmentSource:
         alone = []
 
         def parts(units, openings):
-            for (n, unit), opening in zip(units, openings):
+            for (n, unit), (opening, indices) in zip(units, openings):
                 if unit.la and n not in proven:
-                    alone.append((n, unit, opening))
+                    alone.append((n, unit, opening, indices))
                 else:
-                    yield n, unit, _PROVEN if unit.la else None, opening
+                    yield n, unit, _PROVEN if unit.la else None, opening, indices
 
         for reply in replies:  # each run's, in the order sent
-            run = runs.popleft()
-            yield from parts(run, _run_openings(reply, len(run), pq_params.k))
+            units, indices = runs.popleft()
+            yield from parts(units, _run_openings(reply, indices, pq_params.k))
         if not pq_params:
-            yield from parts(window, repeat(None))
+            yield from parts(window, repeat((None, None)))
         replies = client.ok_bodies([cco.commitment_payload(cco.MSG_LA, *_key(unit.la))
-                                    for _, unit, _ in alone])
-        for (n, unit, opening), blob in zip(alone, replies):
-            yield n, unit, _parsed(la.LaCommitment.from_bytes, blob), opening
+                                    for _, unit, _, _ in alone])
+        for (n, unit, opening, indices), blob in zip(alone, replies):
+            yield n, unit, _parsed(la.LaCommitment.from_bytes, blob), opening, indices
 
 
 # an aggregate layer that a combined check has passed
@@ -204,21 +220,19 @@ def _runs(units: Window, params) -> Iterator[list]:
     """The units of a bundle with pq params, each with a pq layer, cut
     into the runs one ``0x05`` each opens, each run yielded as soon as
     its last unit is known: units in order, of one signer, at
-    consecutive epochs in [1, J], each with k indices, at most
-    ``cco.MAX_OPENING_INDICES // k`` of them.  Any other unit, such as
-    one whose epoch repeats the one before or lies outside [1, J],
-    starts a run of its own."""
-    longest = cco.MAX_OPENING_INDICES // params.k
+    consecutive epochs in [1, J], at most ``cco.MAX_OPENING_INDICES //
+    k`` of them.  Any other unit, such as one whose epoch repeats the one
+    before or lies outside [1, J], starts a run of its own."""
+    longest, epochs = cco.MAX_OPENING_INDICES // params.k, params.epochs
     run: list = []
-    previous = None  # (id, epoch) of the last unit, if a run may go on from it
-    for n, unit in units:
-        signer_id, epoch = key = _key(unit.pq)
-        fits = len(unit.pq[2]) == params.k and 1 <= epoch <= params.epochs
-        if run and not (fits and previous == (signer_id, epoch - 1)):
+    following = None  # the (id, epoch) that may go on the run, if any may
+    for item in units:
+        signer_id, epoch = key = _key(item[1].pq)
+        if run and key != following:
             yield run
             run = []
-        run.append((n, unit))
-        previous = key if fits else None
+        run.append(item)
+        following = (signer_id, epoch + 1) if 1 <= epoch < epochs else None
         if len(run) == longest:
             yield run
             run = []
@@ -226,17 +240,19 @@ def _runs(units: Window, params) -> Iterator[list]:
         yield run
 
 
-def _run_openings(reply, units: int, k: int) -> list:
-    """The opening of each of a run's ``units`` from the reply to its
-    request, k indices per unit; None for each unit of a run the service
-    refused or answered with a malformed reply, or one that does not
-    hold one entry per index.  The store refuses a run only where it
-    would refuse each of its single openings (an unknown id: ``_runs``
-    sends no other run it refuses), so no unit is asked for again."""
+def _run_openings(reply, indices: list[int], k: int) -> Iterable[tuple]:
+    """(opening, indices) of each unit of a run, from the reply to its
+    request and the k indices of each unit, joined: the opening is None
+    for each unit of a run the service refused or answered with a
+    malformed reply, or one that does not hold one entry per index.  The
+    store refuses a run only where it would refuse each of its single
+    openings (an unknown id: ``_runs`` sends no other run it refuses), so
+    no unit is asked for again."""
     opening = _parsed(pq.PqOpening.from_bytes, reply)
-    if opening is None or len(opening.body) != units * k * pq.DIGEST_LEN:
-        return [None] * units
-    return opening.per_epoch(k)
+    each = [indices[at : at + k] for at in range(0, len(indices), k)]
+    if opening is None or len(opening.body) != len(indices) * pq.DIGEST_LEN:
+        return zip(repeat(None), each)
+    return zip(opening.per_epoch(k), each)
 
 
 def _combinations(window: Window, bundle) -> list[tuple]:
@@ -281,9 +297,9 @@ def verify_all(bundle, records: Iterable, blobs: Iterable[bytes], source: Commit
         windows = _windows(units, bundle, tables, tables_file)
     else:
         windows = (units,)
-    for n, unit, la_part, opening in source.layer_parts(windows, tables):
+    for n, unit, la_part, opening, indices in source.layer_parts(windows, tables):
         try:
-            results[n] = _layers_valid(unit, la_part, opening, bundle, tables)
+            results[n] = _layers_valid(unit, la_part, opening, indices, bundle, tables)
         except ValueError:
             pass  # a key outside the subgroup is a cryptographic reject
     return results
@@ -295,15 +311,19 @@ def _derived(scheme, bundle, records, blobs, results: list) -> Window:
     False for every unit.  ValueError, once both inputs are read, if
     they do not hold one signature per unit."""
     messages, blobs = scheme.units(records, bundle), iter(blobs)
+    parse, layers, signers = scheme.parse_signature, scheme.layers, bundle.public_keys
     for n, message in enumerate(messages):
         blob = next(blobs, None)
         if blob is None:
             units = n + 1 + sum(1 for _ in messages)
             raise ValueError(f"{n} signatures for {units} signing units")
         results.append(False)
-        signature = _parse_signature(scheme, bundle, blob)
-        if signature is not None:
-            yield n, scheme.layers(message, signature, bundle)
+        try:
+            signature = parse(blob, bundle)
+        except ValueError:
+            continue  # malformed: a cryptographic reject
+        if signature.signer_id in signers:  # one outside the bundle is rejected too
+            yield n, layers(message, signature, bundle)
     signatures = len(results) + sum(1 for _ in blobs)
     if signatures != len(results):
         raise ValueError(f"{signatures} signatures for {len(results)} signing units")
@@ -322,8 +342,8 @@ def _windows(units: Window, bundle, tables: la.KeyTables, tables_file) -> Iterat
         yield window
 
 
-def _layers_valid(unit: schemes.Layers, la_commitment, opening, bundle, tables) -> bool:
-    """Whether each layer of ``unit`` checks out against its part from
+def _layers_valid(unit: schemes.Layers, la_commitment, opening, indices, bundle, tables) -> bool:
+    """Whether each layer of ``unit`` checks out against its parts from
     ``CommitmentSource.layer_parts``, online or offline."""
     if unit.la and la_commitment is not _PROVEN:
         messages, signature, challenge = unit.la
@@ -333,17 +353,7 @@ def _layers_valid(unit: schemes.Layers, la_commitment, opening, bundle, tables) 
         ):
             return False
     if unit.pq:
-        message, signature, indices = unit.pq
+        message, signature = unit.pq
         return opening is not None and pq.verify(
             opening, message, signature, bundle.pq_params, indices)
     return True
-
-
-def _parse_signature(scheme, bundle, blob):
-    """The parsed signature, or None if it is malformed or its signer
-    is not in the bundle (a cryptographic reject)."""
-    try:
-        signature = scheme.parse_signature(blob, bundle)
-    except ValueError:
-        return None
-    return signature if signature.signer_id in bundle.public_keys else None

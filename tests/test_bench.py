@@ -78,10 +78,12 @@ def test_hy_report_combines_layers():
 ], ids=["segment-0", "across-anchors", "256-over-k", "J", "one-epoch"])
 def test_run_opening_row_at_every_trial_count(params, epochs, anchors):
     # one opening over epochs 1..n: H0 for the first seed, one chain step
-    # per further epoch but where an anchor starts its segment, 2k per epoch
+    # per further epoch but where an anchor starts its segment, 2k per epoch;
+    # the verifier's side of the same run: H0 and k H2 per unit
     for trials in (1, 2, 4):
         counts = {op.name: op.hash_calls for op in bench.bench_pq(params, trials=trials).ops}
         assert counts["open_run"] == 1 + (epochs - 1 - anchors) + 2 * params.k * epochs
+        assert counts["verify_run"] == epochs * (1 + params.k)
 
 
 def test_trial_count_bounded_by_epochs():
@@ -132,6 +134,41 @@ def test_open_commitment_rows_beside_the_full_build():
     # pq part at epoch 2 (H0 for the first seed, one step, then 2k), no more
     assert hy_counts["open_commitment"] == 2 + 2 * PQ_SMALL.k
     assert hy_report.sizes["opening_bytes"] == 25 + PQ_SMALL.k * 32
+
+
+def test_verify_run_row_checks_a_run_against_a_prepared_reply(monkeypatch):
+    # 16 units through verifier.verify_all, its one 0x05 answered from a
+    # prepared reply: no socket, no store hashing, one pq.verify per unit
+    verified = []
+    verify = pq.verify
+    monkeypatch.setattr(pq, "verify", lambda *args: verified.append(args[2].epoch) or verify(*args))
+    report = bench.bench_pq(PQ_SMALL, trials=3)
+    names = [op.name for op in report.ops]
+    assert names.index("verify_run") == names.index("verify") + 1 == len(names) - 1
+    counts = {op.name: op.hash_calls for op in report.ops}
+    assert counts["verify_run"] == bench.RUN_EPOCHS * (1 + PQ_SMALL.k)
+    run = list(range(1, bench.RUN_EPOCHS + 1))
+    assert verified == [3] * 3 + run * 3  # the verify row's signature, then each trial's run
+    lines = report.machine_lines()
+    assert f"pq.verify_run.hash_calls={bench.RUN_EPOCHS * (1 + PQ_SMALL.k)}" in lines
+    assert any(line.startswith("pq.verify_run.wall_us_median=") for line in lines)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_stops_early_ends_the_report_quietly(unbuffered):
+    # stdout a pipe whose reader is gone before the first line, as with
+    # `| head` once it has its lines: no traceback, exit 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(BENCH / "layers.py"), "--scheme", "pq",
+                               "--trials", "2"], stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(BENCH.parent / "src"),
+                                   "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_load_table_row_on_the_production_group():

@@ -1084,6 +1084,40 @@ class TestServeSubprocess:
             proc.terminate()
             proc.wait(timeout=10)
 
+    @pytest.mark.parametrize("scheme, extra, budget, combined", [
+        ("pq", ["--J1", "4"], 1 + 16, 0),  # the indices, then k = 16 images
+        # nest (2L - 1), L item seeds and L challenges, then the pq layer's
+        # 1 + k; one combined check of the 16 units: its seed, a weight each
+        ("hy", ["--J1", "4", "--L", "8"], (2 * 8 - 1) + 2 * 8 + 1 + 16, 1 + 16),
+    ], ids=["pq", "hy"])
+    def test_online_verify_costs_its_hash_budget_per_unit(
+        self, tmp_path, capsys, scheme, extra, budget, combined,
+    ):
+        # the service is another process, so only the verifier's hashes are
+        # counted: 16 units at consecutive epochs, one run of one 0x05, and
+        # unit 5 with its first revealed string altered, whose pq layer
+        # costs its indices and one image (1 + 1) in place of 1 + k
+        out = keygen(tmp_path, scheme, extra)
+        msgs = write_csv(tmp_path, 16 * (8 if scheme == "hy" else 1))
+        sigs = tmp_path / "sigs.bin"
+        assert cli.main(["sign", "--key", str(out / f"signer_{ID_HEX_1}.key"), "--in", msgs,
+                         "--out", str(sigs)]) == 0
+        blobs = keyfiles.load_signatures(sigs)
+        first = len(blobs[5]) - 16 * 32  # the pq body ends both signatures
+        blobs[5] = blobs[5][:first] + bytes([blobs[5][first] ^ 1]) + blobs[5][first + 1:]
+        keyfiles.save_signatures(sigs, blobs)
+        proc, port = self.start_server(tmp_path, out / "cco.store")
+        try:
+            capsys.readouterr()
+            counters.reset()
+            assert cli.main(["verify", "--pub", str(out / "verifier.pub"), "--in", msgs,
+                             "--sigs", str(sigs), "--cco", f"127.0.0.1:{port}"]) == 1
+            assert counters.total() == 16 * budget - 15 + combined
+            assert capsys.readouterr().out == "15/16 signatures valid\n"
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
     def test_truncated_store_exits_2(self, tmp_path):
         out = keygen(tmp_path, "hy", ["--J1", "4", "--L", "2"])
         store = out / "cco.store"
@@ -1451,7 +1485,7 @@ class TestParser:
         assert proc.returncode == 2
         assert "{keygen,sign,verify,tables,serve,request}" in proc.stderr
 
-    @pytest.mark.parametrize("command", list(cli._SUBPARSERS))
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_a_bad_flag_exits_2_through_argparse(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--no-such-flag"])
@@ -1481,13 +1515,28 @@ class TestParser:
             assert cli.main(argv + ["--cco", address]) == 0
         assert len(requests) == 1
 
-    def test_one_subparser_per_call_and_all_without_one(self):
+    def test_one_flat_parser_per_command_and_all_without_one(self):
         def commands(parser):
-            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            return list(action.choices)
+            return [action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
 
-        assert commands(cli.build_parser()) == list(cli._SUBPARSERS)
-        assert commands(cli.build_parser("sign")) == ["sign"]
+        (full,) = commands(cli.build_parser())
+        assert list(full) == list(cli._COMMANDS)
+        for name, subparser in full.items():
+            flat = cli.build_parser(name)
+            assert commands(flat) == [] and flat.prog == f"hases {name}"
+            # the help a command prints is the subcommand's, byte for byte
+            assert flat.format_help() == subparser.format_help(), name
+
+    def test_an_unrecognized_option_exits_2_under_the_command_name(self, tmp_path, capsys):
+        argv = ["verify", "--pub", str(tmp_path / "missing.pub"), "--in", "in.csv",
+                "--sigs", "sigs.bin", "--commits", "commits.bin", "--no-such-flag"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hases verify ")
+        assert err.endswith("hases verify: error: unrecognized arguments: --no-such-flag\n")
 
     def test_main_builds_the_parser_of_its_command_alone(self, monkeypatch, capsys):
         built, build = [], cli.build_parser

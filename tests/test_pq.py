@@ -163,7 +163,7 @@ class TestMessageIndices:
 
     def test_zero_prefix_digest(self):
         digest = bytes(3) + b"\xff" * 29  # 24 leading zero bits
-        indices = pq.indices_from_digest(digest, pq.PqParams(t=1024, k=16))
+        indices = pq.indices_from_digests([digest], pq.PqParams(t=1024, k=16))
         assert indices[0] == 0 and indices[1] == 0
         assert indices[2] != 0
 
