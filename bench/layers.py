@@ -16,12 +16,14 @@ report quietly, with exit 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import random
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,8 +70,9 @@ class BenchReport(NamedTuple):
             q1, median, q3 = op.quartiles_us
             rows.append(f"  {op.name:<28} {op.hash_calls:>10} {op.wall_us:>12.2f}"
                         f" {q1:>10.2f} {median:>10.2f} {q3:>10.2f}")
+        width = max([28, *map(len, self.sizes)])
         for key, value in self.sizes.items():
-            rows.append(f"  {key:<28} {value:>10} bytes")
+            rows.append(f"  {key:<{width}} {value:>10} bytes")
         return "\n".join(rows)
 
 
@@ -99,12 +102,27 @@ def _row(report: BenchReport, name: str, fn, trials: int):
 _BENCH_ID = bytes(range(16))
 
 
+def _traced_bytes(fn) -> int:
+    """What ``fn()``'s result holds, as ``tracemalloc`` counts it: the
+    bytes allocated in the call and still held when it returns.  A full
+    collection first empties the interpreter's free lists, whose recycled
+    small tuples and lists ``tracemalloc`` would not count."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()  # held while the count is read
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.KeyTables:
     """Time the verifier's per-key table as the ``precompute_per_key`` row
     (built in the run, the key checked) and the ``load_table_per_key``
     row (read from a table file beside a bundle of the key, as ``hases
-    verify`` reads it); return the last build's tables, warm as the CLI
-    holds them after a key's first batch."""
+    verify`` reads it), whose ``traced_bytes`` size is what the decoded
+    table holds; return the last build's tables, warm as the CLI holds
+    them after a key's first batch."""
 
     def build(_):
         tables = la.KeyTables(public, group)
@@ -118,6 +136,8 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
         path.write_bytes(keyfiles.key_tables_bytes(bundle))
         loaded = _row(report, "load_table_per_key",
                       lambda _: keyfiles.load_key_tables(path, bundle, [_BENCH_ID]), trials)
+        report.sizes["load_table_per_key.traced_bytes"] = _traced_bytes(
+            lambda: keyfiles.load_key_tables(path, bundle, [_BENCH_ID])[_BENCH_ID])
     assert group.table_bytes(loaded[_BENCH_ID]) == group.table_bytes(tables[_BENCH_ID])
     return tables
 
@@ -125,11 +145,14 @@ def _measure_key_tables(report: BenchReport, public, group, trials: int) -> la.K
 def _measure_group(report: BenchReport, group, trials: int) -> None:
     """The group rows under the aggregate ones: ``generator_table``, the
     one-time build of the generator's comb, on a fresh group each trial
-    (edwards25519 only: the tiny group has no comb); ``exp_fixed``, one
+    (edwards25519 only: the tiny group has no comb), whose
+    ``traced_bytes`` size is what the built comb holds; ``exp_fixed``, one
     fixed-base exponentiation, and ``exp_table``, one walk of a key's
     table, each to a random scalar per trial."""
     if isinstance(group, Edwards25519Group):
         _row(report, "generator_table", lambda _: Edwards25519Group()._generator_table(), trials)
+        report.sizes["generator_table.traced_bytes"] = _traced_bytes(
+            Edwards25519Group()._generator_table)
     group.exp(group.generator, 1)  # the group's own generator comb, built once and untimed
     rng = random.Random(trials)
     scalars = [rng.randrange(group.q) for _ in range(trials)]

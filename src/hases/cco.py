@@ -93,7 +93,9 @@ chunk, who derive the same seed and sum, share one build.
 Responses to the commitment types (0x01-0x03), to openings (0x05) and
 to 0x08 go through a response cache keyed by the whole request payload:
 a least-recently-used map of response bytes, ``RESPONSE_CACHE_BYTES``
-in all, so a payload asked for again is answered without hashing.  The
+in all, each entry counted as its payload, its reply and a measured
+per-entry overhead, so a payload asked for again is answered without
+hashing and the budget bounds what the cache holds.  The
 service answers one request at a time, so a payload asked for by
 several connections at once is built once: the others find it cached.
 Only OK responses are kept; every other status is built each time, and
@@ -148,13 +150,29 @@ MAX_COMBINED_EPOCHS = 64
 SEED_LEN = 32  # of a combined request's seed
 SUM_LEN = 32  # of a combined request's weighted response sum
 
-# Byte budget of the response cache: about 15 pq or hy commitments at
-# t=1024 (roughly one ``transport.PIPELINE_WINDOW``, so two verifiers of
-# one stream running up to a window apart are both served from one
-# build), about 60 runs of 16 openings (one 0x05 each) or 970 single
-# openings at k=16.  No entry is ever invalidated, and none needs to be:
-# only OK responses are kept, and the store's material never changes.
+# Byte budget of the response cache, each entry counted by
+# ``cache_entry_bytes``: about 15 pq or hy commitments at t=1024 (roughly one
+# ``transport.PIPELINE_WINDOW``, so two verifiers of one stream running
+# up to a window apart are both served from one build), 55 runs of 16
+# openings (one 0x05 each) or 600 single openings at k=16, and 1,440
+# 0x08s of 1 epoch or 600 of 64.  No entry is ever invalidated, and none
+# needs to be: only OK responses are kept, and the store's material
+# never changes.
 RESPONSE_CACHE_BYTES = 512 * 1024
+# What one cache entry holds beyond its payload's and its reply's bytes:
+# the headers of the two bytes objects (33 bytes each), the ordered
+# dict's node and the entry's share of its hash table, which grows in
+# steps.  ``tracemalloc`` counted 143-288 bytes an entry over the
+# lengths, medians 187-253, in LRU maps of 5 to 15,000 entries after 1
+# to 20 turnovers (Python 3.11), so a full cache holds at most about
+# 1.13 times the budget (payload and reply at least 123 bytes).
+CACHE_ENTRY_OVERHEAD = 240
+
+
+def cache_entry_bytes(payload: bytes, response: bytes) -> int:
+    """What the response cache counts for ``response`` kept under ``payload``."""
+    return len(payload) + len(response) + CACHE_ENTRY_OVERHEAD
+
 
 def __getattr__(name: str):
     # ``cco.CcoClient``, as the benchmark reaches the client: the transport is
@@ -173,7 +191,7 @@ class CacheStats(NamedTuple):
     misses: int  # built; kept only if OK
     bypassed: int  # malformed payloads, never cached
     entries: int
-    size: int  # bytes of the cached responses
+    size: int  # bytes the cache holds: ``cache_entry_bytes`` of each entry
 
 
 class CcoStore:
@@ -258,11 +276,12 @@ class CcoStore:
         self._misses += 1
         status, body = _attempt(request.build, self, payload[1:])
         response = _response_head(payload, status) + body
-        if status == STATUS_OK and len(response) <= RESPONSE_CACHE_BYTES:
+        size = cache_entry_bytes(payload, response)
+        if status == STATUS_OK and size <= RESPONSE_CACHE_BYTES:
             self._cache[payload] = response
-            self._cache_size += len(response)
+            self._cache_size += size
             while self._cache_size > RESPONSE_CACHE_BYTES:
-                self._cache_size -= len(self._cache.popitem(last=False)[1])
+                self._cache_size -= cache_entry_bytes(*self._cache.popitem(last=False))
         return response
 
     def cache_stats(self) -> CacheStats:

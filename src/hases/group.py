@@ -32,25 +32,33 @@ On edwards25519 there is one multiplication algorithm: a comb of
 signed digits (Lim and Lee, CRYPTO '94), built by one routine with a
 row count and a digit width and walked by another, which reads the
 width from the length of the rows.  The generator's comb has 32 rows
-of 8-bit digits, row i holding the multiples 0..128 of [2^(8i)]g, and
+of 8-bit digits, row i holding the multiples 1..128 of [2^(8i)]g, and
 a scalar's 32 digits each add one entry with no doubling.  It is built
 on a process's first fixed-base exponentiation, in 20-35 ms (4,064
-additions), and holds about 1.2 MB; each exponentiation then costs
+additions), and holds about 1.1 MB; each exponentiation then costs
 at most 32 additions, about 170 us against 280 us for the 64 rows of
 4-bit digits it replaced (3-5 ms, 132 KB), so the larger build is
 repaid after about 150 exponentiations.  Widths 6 and 7 (43 and 37
 rows) build in 7-10 and 11-15 ms, hold 350 and 620 KB, and take about
 205 and 180 us (one-column combs, a 2 vCPU host, Python 3.11).  A
 key's, and any other base's, comb has 16 rows of 4-bit digits 2^16
-apart, row i holding the multiples 0..8 of [2^(16i)]Y, walked in 4
+apart, row i holding the multiples 1..8 of [2^(16i)]Y, walked in 4
 columns with 12 doublings in all (2-2.5 ms to build, 16 KB in a table
 file).  Every entry is kept in projective Niels form (Y+X, Y-X, 2Z,
 2d*T) (Bernstein et al., CHES 2011), so adding one to an
 extended-coordinate accumulator costs 8 field multiplications (Hisil
 et al., ASIACRYPT 2008) and a negative digit only swaps the first two
 entries and negates the last; the entries are not normalised to affine
-form.  ``exp2`` walks the key comb, then adds the generator's comb to
-the same accumulator: at most 96 additions, 12 doublings and one
+form.  A comb is a list of rows, each one flat tuple of its entries'
+coordinates, entry d at offset 4(d - 1); a digit 0 adds nothing, so no
+row holds the identity.  That is one object a row, not one an entry:
+``tracemalloc`` counts 1.15 MB for the generator's comb, against 1.35
+MB as 129 4-tuples a row, and 36.5 KB for a key's comb decoded from
+its table file, against 43.6 KB (``bench/layers.py``'s
+``traced_bytes`` sizes, Python 3.11).  A key table file holds each
+row's coordinates in order, reduced mod p.  ``exp2`` walks the key
+comb, then adds the generator's comb to the
+same accumulator: at most 96 additions, 12 doublings and one
 field inversion, where building a key's comb alone takes 112 additions
 and 208 doublings.  ``exp_table`` is its first half: at most 64
 additions, 12 doublings and the inversion.  ``precompute`` checks [q]Y
@@ -222,7 +230,6 @@ _BASE_Y = 4631683569492647816942839400347516314130799386625622561578303360316525
 # extended homogeneous coordinates (X : Y : Z : T), XY = ZT, a = -1
 _EXT_IDENTITY = (0, 1, 1, 0)
 _D2 = 2 * _D % _P
-_NIELS_IDENTITY = (1, 1, 2, 0)
 
 
 def _to_niels(pt):
@@ -320,19 +327,20 @@ def _columns(rows: int, width: int) -> int:
 
 def _comb_table(base, rows: int, width: int):
     """Fixed-base comb of an extended point in ``rows`` rows of signed
-    ``width``-bit digits (Lim and Lee, CRYPTO '94): row i holds the Niels
-    forms of [d * 2^(width*c*i)]base for d = 0..2^(width-1), c =
-    ``_columns(rows, width)`` the comb's columns; a digit d above
-    2^(width-1) is used as d - 2^width with a carry."""
+    ``width``-bit digits (Lim and Lee, CRYPTO '94): row i is one flat
+    tuple of the Niels forms of [d * 2^(width*c*i)]base for d =
+    1..2^(width-1), entry d at offset 4(d - 1), c = ``_columns(rows,
+    width)`` the comb's columns; a digit d above 2^(width-1) is used as
+    d - 2^width with a carry, and a digit 0 adds nothing."""
     spacing = width * _columns(rows, width)  # bits from one row to the next
     table = []
     for _ in range(rows):
         ypx, ymx, z2, t2d = unit = _to_niels(base)
-        row = [_NIELS_IDENTITY, unit]
+        row = list(unit)
         for _ in range((1 << (width - 1)) - 1):
             base = _niels_add(base, ypx, ymx, z2, t2d)
-            row.append(_to_niels(base))
-        table.append(row)
+            row += _to_niels(base)
+        table.append(tuple(row))
         for _ in range(spacing - width + 1):  # from [2^(width-1)]unit to the next row's unit
             base = _ext_double(base)
     return table
@@ -344,7 +352,7 @@ def _comb_add(acc, table, k: int):
     0 <= k < 2^255.  Digit j of k lies in row j // c, column j % c; the
     columns are walked from the top, w doublings apart, so a one-column
     table (the generator's) adds to acc with no doubling."""
-    half = len(table[0]) - 1
+    half = len(table[0]) // 4
     width = half.bit_length()
     mask = (1 << width) - 1
     digits = []
@@ -361,11 +369,12 @@ def _comb_add(acc, table, k: int):
             for _ in range(width):
                 acc = _ext_double(acc)
         for row, digit in zip(table, digits[column::columns]):
-            if digit > 0:
-                acc = _niels_add(acc, *row[digit])
-            elif digit:
-                ypx, ymx, z2, t2d = row[-digit]
-                acc = _niels_add(acc, ymx, ypx, z2, -t2d)
+            if digit > 0:  # entry d at offset 4(d - 1)
+                i = 4 * digit
+                acc = _niels_add(acc, row[i - 4], row[i - 3], row[i - 2], row[i - 1])
+            elif digit:  # the entry of -d, negated: Y+X and Y-X swapped, 2d*T negated
+                i = -4 * digit
+                acc = _niels_add(acc, row[i - 3], row[i - 4], row[i - 2], -row[i - 1])
     return acc
 
 
@@ -413,16 +422,15 @@ class Edwards25519Group(PrimeOrderGroup):
     table_len = _KEY_ROWS * 8 * 4 * 32  # 8 Niels entries a row, 4 coordinates mod p each
 
     def table_bytes(self, table) -> bytes:
-        # rows in order, each without its identity entry
+        # rows in order, each entry's coordinates in order
         return b"".join((coordinate % _P).to_bytes(32, "little")
-                        for row in table for entry in row[1:] for coordinate in entry)
+                        for row in table for coordinate in row)
 
     def table_from_bytes(self, data: bytes):
         if len(data) != self.table_len:
             raise ValueError(f"a key table is {self.table_len} bytes, not {len(data)}")
         coordinates = [int.from_bytes(data[i : i + 32], "little") for i in range(0, len(data), 32)]
-        entries = list(zip(*[iter(coordinates)] * 4))
-        return [[_NIELS_IDENTITY, *entries[i : i + 8]] for i in range(0, len(entries), 8)]
+        return [tuple(coordinates[i : i + 32]) for i in range(0, len(coordinates), 32)]
 
     def exp_table(self, table, e: int):
         return _from_ext(_comb_add(_EXT_IDENTITY, table, e % self.q))

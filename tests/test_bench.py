@@ -179,6 +179,12 @@ def test_load_table_row_on_the_production_group():
     assert counts["load_table_per_key"] == 0
     assert [name for name in counts if "table" in name or "precompute" in name] == [
         "generator_table", "exp_table", "precompute_per_key", "load_table_per_key"]
+    # what the decoded table holds: its 512 coordinates, 16 flat rows of 32,
+    # about 36.5 KB on Python 3.11 (43.6 KB as 8 4-tuples a row)
+    group = production_group()
+    traced = report.sizes["load_table_per_key.traced_bytes"]
+    assert group.table_len < traced <= 2.5 * group.table_len
+    assert f"la.load_table_per_key.traced_bytes={traced}" in report.machine_lines()
 
 
 @pytest.mark.parametrize("scheme", ["la", "hy"])
@@ -199,10 +205,17 @@ def test_group_rows_come_first_and_hash_nothing(scheme):
         assert f"{scheme}.{row}.hash_calls=0" in lines
         for key in ("wall_us", "wall_us_q1", "wall_us_median", "wall_us_q3"):
             assert any(line.startswith(f"{scheme}.{row}.{key}=") for line in lines)
+    # what the built comb holds: 32 rows of 128 entries of 4 coordinates,
+    # about 1.15 MB on Python 3.11 (1.35 MB as 4-tuples)
+    raw = 32 * 128 * 4 * 32
+    traced = production.sizes["generator_table.traced_bytes"]
+    assert raw < traced <= 2.4 * raw
+    assert f"{scheme}.generator_table.traced_bytes={traced}" in lines
     # the tiny group has no comb to build: the two exponentiation rows only
     tiny = report(small_test_group())
     assert [op.name for op in tiny.ops[:2]] == rows[1:]
     assert "generator_table" not in {op.name for op in tiny.ops}
+    assert "generator_table.traced_bytes" not in tiny.sizes
 
 
 def test_pq_sign_hash_count_reported(capsys):

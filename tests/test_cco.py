@@ -1,10 +1,12 @@
 import functools
+import gc
 import random
 import socket
 import struct
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -559,7 +561,8 @@ class TestResponseCache:
             store.handle_request(payloads[0])  # keeps the first payload recently used
             assert counters.total() == 0
             stats = store.cache_stats()
-            assert stats.size == stats.entries * len(responses[0]) <= cco.RESPONSE_CACHE_BYTES
+            entry = cco.cache_entry_bytes(payloads[0], responses[0])  # the same for every epoch
+            assert stats.size == stats.entries * entry <= cco.RESPONSE_CACHE_BYTES
         assert stats.entries < len(payloads)
         counters.reset()
         assert store.handle_request(payloads[0]) == responses[0]
@@ -571,12 +574,14 @@ class TestResponseCache:
     def test_a_response_beyond_the_budget_is_not_kept(self, monkeypatch):
         store, *_ = provisioned_store(seed=49)
         la_payload = bytes((cco.MSG_LA,)) + ID_A + (1).to_bytes(8, "big")
-        la_len = len(store.handle_request(la_payload))
-        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 2 * la_len)
+        la_size = cco.cache_entry_bytes(la_payload, store.handle_request(la_payload))
+        pq_size = cco.cache_entry_bytes(pq_payload(ID_A, 1), store.handle_request(pq_payload(ID_A, 1)))
+        assert la_size < pq_size
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", pq_size - 1)
         store, *_ = provisioned_store(seed=49)
         store.handle_request(la_payload)
-        assert len(store.handle_request(pq_payload(ID_A, 1))) > 2 * la_len
-        assert store.cache_stats()[-2:] == (1, la_len)  # the la entry was not evicted for it
+        store.handle_request(pq_payload(ID_A, 1))
+        assert store.cache_stats()[-2:] == (1, la_size)  # the la entry was not evicted for it
         counters.reset()
         store.handle_request(la_payload)
         assert counters.total() == 0
@@ -619,7 +624,8 @@ class TestResponseCache:
         body = bytes((0x04, cco.MSG_PQ)) + ID_A + (2).to_bytes(8, "big") + (3).to_bytes(8, "big")
         assert store.handle_request(body) == bytes((0x84, cco.STATUS_MALFORMED))
         assert counters.total() == 0
-        assert store.cache_stats() == cco.CacheStats(2, 2, 1, 2, sum(map(len, first)))
+        size = sum(map(cco.cache_entry_bytes, payloads, first))
+        assert store.cache_stats() == cco.CacheStats(2, 2, 1, 2, size)
 
     def test_counts_account_for_every_request(self):
         store, *_ = provisioned_store(seed=47)
@@ -675,7 +681,7 @@ class TestResponseCache:
         payloads = [pq_payload(sid, e) for sid in (ID_A, ID_B) for e in range(1, 7)]
         reference = cco.CcoStore(material)
         expected = {p: reference.handle_request(p) for p in payloads}
-        size = len(expected[payloads[0]])
+        size = cco.cache_entry_bytes(payloads[0], expected[payloads[0]])  # the same for each
         monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", 4 * size)
         store = cco.CcoStore(material)
         rng = random.Random(54)
@@ -684,6 +690,38 @@ class TestResponseCache:
         stats = store.cache_stats()
         assert stats.hits and stats.hits + stats.misses == len(sent)
         assert stats.size == stats.entries * size <= 4 * size
+
+    @pytest.mark.parametrize("flood", [
+        lambda n: cco.combined_payload(ID_A, n.to_bytes(32, "big"), 0, [1]),
+        lambda n: cco.combined_payload(ID_A, n.to_bytes(32, "big"), 0, [1, 2, 3] * 21 + [1]),
+        lambda n: cco.opening_payload(ID_B, 1 + n % 16, [n >> 3 * i & 7 for i in range(4)]),
+        lambda n: cco.opening_payload(ID_B, 1, [n >> 3 * i & 7 for i in range(4)] * 16),
+    ], ids=["0x08-1-epoch", "0x08-64-epochs", "0x05-1-epoch", "0x05-16-epochs"])
+    def test_a_flood_of_distinct_requests_keeps_what_the_cache_holds_within_its_budget(
+            self, monkeypatch, flood):
+        # the budget counts each entry's payload and a per-entry overhead
+        # beside its reply, so a flood of small replies to long payloads
+        # keeps both the counted size and the memory that releasing the
+        # store gives back (``tracemalloc``) within the budget, give or take
+        budget = 8 * 1024
+        monkeypatch.setattr(cco, "RESPONSE_CACHE_BYTES", budget)
+        _, _, _, material, _ = provisioned_store(seed=55)
+        tracemalloc.start()
+        try:
+            store = cco.CcoStore(material)
+            for n in range(400):  # distinct payloads: every one a miss
+                assert store.handle_request(flood(n))[1] == cco.STATUS_OK
+            stats = store.cache_stats()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del store
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (stats.hits, stats.misses) == (0, 400) and stats.entries < 400
+        assert budget / 2 < stats.size <= budget
+        assert budget / 2 < freed <= 1.25 * budget, (stats, freed)
 
 
 def stop_within(server, seconds):

@@ -1452,6 +1452,42 @@ assert cli.main(["sign", "--key", {str(key)!r}, "--in", {msgs!r}, "--out", {str(
     assert keyfiles.load_signer_key(key).epoch > 1  # the sign run signed
 
 
+@pytest.mark.parametrize("malformed", [False, True], ids=["clean", "malformed-frame"])
+def test_a_clean_service_never_loads_logging(tmp_path, malformed):
+    # with no logging configured a DEBUG record has nowhere to go, so a
+    # service that opens, serves and closes clean connections never
+    # imports logging (0.35 MB of its peak); a malformed frame still
+    # prints its WARNING line on the service's stderr
+    keys = keygen(tmp_path, "pq", ["--J1", "4"])
+    code = ("import sys\nfrom hases import cli\ncode = cli.main(sys.argv[1:])\n"
+            "print('logging loaded:', 'logging' in sys.modules)\nsys.exit(code)")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "serve", "--store", str(keys / "cco.store"), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    try:
+        port = int(proc.stdout.readline().rpartition(":")[2])
+        payload = cco.commitment_payload(cco.MSG_PQ, bytes.fromhex(ID_HEX_1), 1)
+        for _ in range(2):
+            with transport.CcoClient("127.0.0.1", port) as client:
+                assert client.request_raw(payload)[:2] == bytes((0x81, cco.STATUS_OK))
+        if malformed:
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall((transport.MAX_REQUEST_FRAME + 1).to_bytes(4, "big"))
+                while sock.recv(4096):  # the answer, then the service closes it
+                    pass
+    finally:
+        proc.terminate()
+        out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert out.splitlines()[-1] == f"logging loaded: {malformed}"
+    if malformed:
+        assert re.fullmatch(r"malformed frame from 127\.0\.0\.1:\d+ \(.+\): answered and closed\n",
+                            err), err
+    else:
+        assert err == ""
+
+
 class TestParser:
     """Each call builds only its command's parser; the contract stays."""
 

@@ -270,12 +270,13 @@ class TestProductionGroup:
 
     def test_generator_comb_matches_double_and_add(self):
         # the generator's comb has 32 rows of 8-bit digits, one column:
-        # row i holds [d * 2^(8i)]g for d = 0..128, and a byte above 0x80
-        # is used as d - 256 with a carry into the next row
+        # row i holds [d * 2^(8i)]g for d = 1..128, the 4 coordinates of
+        # each entry in turn in one flat tuple, and a byte above 0x80 is
+        # used as d - 256 with a carry into the next row
         g = self.g
         q = g.q
         comb = g._generator_table()
-        assert len(comb) == 32 and {len(row) for row in comb} == {129}
+        assert len(comb) == 32 and {len(row) for row in comb} == {4 * 128}
         ext = group_module._to_ext(g.generator)
         # scalar d has byte (i + d) % 256 in row i < 31 and d % 128 in the
         # top row (all a scalar below 2^255 can hold there), so across the
